@@ -23,16 +23,17 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import CheckPreconditionError, SlmcfError
+from .errors import SlmcfError
 from .flow import run_to_convergence
 from .runio import (load_scenario, load_scenario_file, read_csv,
                     read_field_csv, standard_header, validate_manifest,
                     write_energy_csv, write_field_csv, write_manifest,
                     write_series_csv)
 from .translator import TranslatorSolution, continuation
-from .verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
-                     check_spacelike_bound, check_translator_agreement,
-                     check_ut_max_principle, monitor_constants, render_reports)
+from .verify import (CheckReport, check_evo_du_residual, check_maximal_limit,
+                     check_osc_decay, check_spacelike_bound,
+                     check_translator_agreement, check_ut_max_principle,
+                     monitor_constants, render_reports)
 
 
 def cmd_flow(config_path, outdir) -> dict:
@@ -80,6 +81,10 @@ def cmd_flow(config_path, outdir) -> dict:
             "message": run.message,
             "t_final": run.state.t,
             "steps": run.state.step_count,
+            "rejected": run.rejected,
+            "lu_factorizations": run.lu_factorizations,
+            "dt_min": run.dt_min,
+            "dt_max": run.dt_max,
             "speed_estimate": run.speed_estimate,
             "sup_du2": run.state.sup_du2,
             "sup_ut": run.state.sup_ut,
@@ -171,8 +176,6 @@ def _pair_from_snapshots(run_a: _StoredRun, run_b: _StoredRun):
     ta = {round(t, 12): u for t, u in run_a.snapshots}
     tb = {round(t, 12): u for t, u in run_b.snapshots}
     common = sorted(set(ta) & set(tb))
-    if len(common) < 2:
-        raise CheckPreconditionError("runs share fewer than two snapshot times")
     osc, mab = [], []
     for t in common:
         diff = ta[t] - tb[t]
@@ -243,11 +246,14 @@ def cmd_verify(run_dirs) -> tuple[list, dict]:
             rd_b, man_b, scen_b = flows[b]
             if (man_a["scenario_core_hash"] == man_b["scenario_core_hash"]
                     and man_a["scenario_hash"] != man_b["scenario_hash"]):
-                try:
-                    pair = _pair_from_snapshots(stored[rd_a], stored[rd_b])
-                except CheckPreconditionError:
-                    continue
-                r = check_osc_decay(pair)
+                pair = _pair_from_snapshots(stored[rd_a], stored[rd_b])
+                if len(pair.t) >= 2:
+                    r = check_osc_decay(pair)
+                else:
+                    # a pair with nothing to compare is a failed check, not a skipped one
+                    r = CheckReport(name="osc_decay", passed=False, measured=len(pair.t),
+                                    threshold=2, details={"precondition": (
+                                        "the runs share fewer than two snapshot times")})
                 r.name = f"[{scen_a.name}|{scen_b.name}] " + r.name
                 reports.append(r)
 

@@ -3,23 +3,44 @@
 Two schemes share the spatial operator from :mod:`slmcf.operators`:
 
 - ``semi_implicit`` (default): backward-Euler step with the coefficients
-  g~^{ab} and the nonlinear part of the boundary closure frozen at the
-  current state.  Unconditionally stable for the frozen problem; the matrix
-  is refreshed every ``refresh_interval`` accepted steps.  A translator orbit
-  u(x) + c t is an exact fixed orbit of this scheme, so long-time speed
-  estimates carry no time-discretization bias.
+  g~^{ab} and the nonlinear part of the boundary closure frozen in an affine
+  model F(u') ~ L u' + k.  Unconditionally stable for the frozen problem.  A
+  translator orbit u(x) + c t is an exact fixed orbit of this scheme, so
+  long-time speed estimates carry no time-discretization bias.
 - ``explicit``: forward Euler under a CFL bound, kept for debugging and
   cross-checks at small sizes (the center rings make it severely stiff).
 
-A step is rejected and the step size halved whenever the update would push
-sup |Du|^2 above 1 - delta_space or break the boundary closure; persistent
-rejections surface as StepSizeUnderflowError rather than being clamped.
+One stepping core serves ``run_to_convergence``, ``run_pair`` (two fields
+in lockstep on one time grid) and ``step``:
+
+- Step control.  A step is rejected and dt halved whenever the update would
+  push sup |Du|^2 above 1 - delta_space or break the boundary closure;
+  persistent rejections surface as StepSizeUnderflowError rather than being
+  clamped.  With ``StepperConfig.dt`` unset, the semi-implicit scheme
+  doubles dt after every ``_GROW_AFTER`` consecutive accepted steps, up to
+  ``_DT_CAP`` times the domain inradius: near a translator backward Euler is a fixed-point
+  iteration, so steps can grow as the speed field settles.  Growth counts
+  steps and never looks at the data, so two runs that differ only in u0 step
+  on identical times unless one of them rejects a step.  An explicit ``dt``
+  is a fixed step (halved only on rejection).
+- LU refresh.  The frozen model is relinearized and refactored when dt
+  changes, every ``refresh_interval`` accepted steps, and whenever its defect
+  max|F(u_{n+1}) - (L u_{n+1} + k)| exceeds half the speed deviation
+  max|u_t - mean u_t|: stale coefficients would otherwise hold the run at a
+  deviation of the size of the defect.  The rules are checked just before a
+  step, so a run that has stopped pays for no factorization.
+- Mean split.  Each field is carried as a scalar mean plus a zero-mean part
+  w.  F and the frozen model are invariant under constant shifts, so the
+  operator and the LU only see w, and the growing constant c3 t (or a large
+  constant u0) adds no rounding floor proportional to |u| to the speed field.
 
 Each accepted step records the series row
 (t, sup|u_t|, sup|Du|^2, area-mean u_t, max|u_t - H v|, osc vs reference)
 plus the energy pair E = int v - bdry int u phi and I = int u_t^2 / v, whose
 per-step mismatch |dE - dt (I_k + I_{k+1})/2| is the energy-identity
-residual used by the verification suite.
+residual used by the verification suite.  Snapshots are taken at the first
+step reaching each multiple of snapshot_interval * initial_dt in time, which
+for a fixed dt is every snapshot_interval steps.
 """
 
 from __future__ import annotations
@@ -37,12 +58,14 @@ from .operators import (contact_ghost, explicit_stable_dt, flow_operator,
                         linearized_affine)
 
 _DT_FLOOR = 1e-14
+_GROW_AFTER = 5      # consecutive accepted steps before dt doubles
+_DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
 
 
 @dataclasses.dataclass
 class StepperConfig:
     scheme: str = "semi_implicit"
-    dt: float | None = None           # default: diameter / (2 n_radial)
+    dt: float | None = None           # default: diameter / (2 n_radial), grown
     cfl_number: float = 0.8
     tol_speed: float = 1e-7
     max_time: float = 10.0
@@ -94,10 +117,10 @@ class FlowRun:
     dense: dict
     monitor_c0: float
     message: str
-
-    @property
-    def final_u(self) -> GridFunction:
-        return GridFunction(self.state.u, self.grid)
+    rejected: int               # rejected step attempts
+    lu_factorizations: int      # splu calls of this field
+    dt_min: float | None        # smallest and largest accepted dt (None: no step)
+    dt_max: float | None
 
 
 def apply_contact_bc(u: GridFunction, phi: ContactAngle):
@@ -110,180 +133,221 @@ def apply_contact_bc(u: GridFunction, phi: ContactAngle):
     return contact_ghost(u.values, u.grid, phi.values_on(u.grid))
 
 
-class _SemiImplicitStepper:
-    def __init__(self, u, grid, phi_vals, dt, refresh_interval):
+class _Field:
+    """One evolving field u = mean + w with grid.mean(w) = 0.
+
+    Holds the operator evaluation ``q`` at the current w and, for the
+    semi-implicit scheme, the frozen affine model (L, k) with its LU.
+    """
+
+    def __init__(self, u, grid, phi_vals):
+        u = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise ScenarioError("initial data contains non-finite values")
         self.grid = grid
         self.phi_vals = phi_vals
-        self.dt = dt
-        self.refresh_interval = max(1, int(refresh_interval))
-        self.N = u.size
-        self._ident = sp.identity(self.N, format="csc")
-        self.refresh(u)
+        self.mean = 0.0
+        self.lu = None              # the frozen model's LU, built before the first step
+        self.factorizations = 0
+        self.since_refresh = 0
+        self.accept(self._centered(u))
 
-    def refresh(self, u):
-        L, k, _ = linearized_affine(u, self.grid, self.phi_vals)
-        self._L, self._k = L, k
-        self._lu = splu((self._ident - self.dt * L).tocsc())
-        self.steps_since_refresh = 0
+    @property
+    def u(self):
+        return self.mean + self.w
 
-    def set_dt(self, dt, u):
-        self.dt = dt
-        self.refresh(u)
+    def refresh(self, dt):
+        self._L, self._k, _ = linearized_affine(self.w, self.grid, self.phi_vals)
+        ident = sp.identity(self.w.size, format="csc")
+        self.lu = splu((ident - dt * self._L).tocsc())
+        self.factorizations += 1
+        self.since_refresh = 0
 
-    def candidate(self, u):
-        rhs = u.ravel() + self.dt * self._k
-        return self._lu.solve(rhs).reshape(u.shape)
+    def defect(self):
+        """max|F(w) - (L w + k)|: how far the frozen model has drifted."""
+        model = self._L @ self.w.ravel() + self._k
+        return float(np.max(np.abs(self.q["op"].ravel() - model)))
 
-    def after_accept(self, u_new):
-        self.steps_since_refresh += 1
-        if self.steps_since_refresh >= self.refresh_interval:
-            self.refresh(u_new)
+    def _centered(self, w):
+        """(shift, w - shift, operator evaluation) with shift the area mean of w."""
+        shift = float(self.grid.mean(w))
+        w = w - shift
+        return shift, w, flow_operator(w, self.grid, self.phi_vals, with_fields=True)
+
+    def candidate(self, dt, implicit):
+        """The next step of this field, as accepted by ``accept``."""
+        if implicit:
+            w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
+        else:
+            w = self.w + dt * self.q["op"]
+        return self._centered(w)
+
+    def accept(self, candidate):
+        shift, self.w, self.q = candidate
+        self.since_refresh += 1
+        self.mean += shift
+        self.speed = float(self.grid.mean(self.q["op"]))
+        self.dev = float(np.max(np.abs(self.q["op"] - self.speed)))
 
 
-class _ExplicitStepper:
-    def __init__(self, u, grid, phi_vals, dt, cfl):
+class _Stepper:
+    """Accept/reject loop, step-size control and LU refresh for fields in lockstep."""
+
+    def __init__(self, fields, grid, phi, cfg: StepperConfig, t=0.0):
+        self.cfg = cfg
         self.grid = grid
-        self.phi_vals = phi_vals
-        self.cfl = cfl
-        q = flow_operator(u, grid, phi_vals, with_fields=True)
-        self.dt = min(dt, explicit_stable_dt(q, grid, cfl))
+        phi_vals = phi.values_on(grid)
+        self.fields = [_Field(u, grid, phi_vals) for u in fields]
+        self.implicit = cfg.scheme == "semi_implicit"
+        self.t = float(t)
+        self.dt = cfg.initial_dt(grid)
+        self.dt_cap = _DT_CAP * grid.domain.inradius
+        self.grow = cfg.dt is None and self.implicit
+        self.streak = 0          # accepted steps since dt last changed
+        self.steps = 0
+        self.rejected = 0
+        self.dt_min = self.dt_max = None
 
-    def set_dt(self, dt, u):
+    def _set_dt(self, dt):
+        if dt < _DT_FLOOR:
+            raise StepSizeUnderflowError(
+                f"time step underflow at t = {self.t:.6g} (blow-up or bad scenario)")
         self.dt = dt
+        self.streak = 0
+        if self.implicit:
+            for f in self.fields:
+                f.refresh(dt)
 
-    def candidate(self, u):
-        q = flow_operator(u, self.grid, self.phi_vals, with_fields=True)
-        dt_cfl = explicit_stable_dt(q, self.grid, self.cfl)
-        if self.dt > dt_cfl:
-            self.dt = dt_cfl
-        return u + self.dt * q["op"]
+    def _update_models(self):
+        """Grow dt and refresh stale LUs before a step.
 
-    def after_accept(self, u_new):
-        pass
+        Deciding here rather than right after the previous step spares the
+        factorization that no step would use once the run has stopped.
+        """
+        if self.grow and self.streak >= _GROW_AFTER and self.dt < self.dt_cap:
+            self._set_dt(min(2.0 * self.dt, self.dt_cap))
+            return
+        interval = max(1, int(self.cfg.refresh_interval))
+        for f in self.fields:
+            if (f.lu is None or f.since_refresh >= interval
+                    or f.defect() > 0.5 * f.dev):
+                f.refresh(self.dt)
 
+    def advance(self) -> float:
+        """Take one accepted step of every field; returns the dt taken."""
+        if self.implicit:
+            self._update_models()
+        ceiling = 1.0 - self.cfg.delta_space
+        while True:
+            if not self.implicit:
+                for f in self.fields:
+                    self.dt = min(self.dt, explicit_stable_dt(f.q, self.grid,
+                                                              self.cfg.cfl_number))
+            try:
+                cands = [f.candidate(self.dt, self.implicit) for f in self.fields]
+                ok = all(float(np.max(c[2]["du2"])) <= ceiling for c in cands)
+            except SpacelikeViolationError:
+                ok = False
+            if ok:
+                break
+            self.rejected += 1
+            self._set_dt(self.dt * 0.5)
 
-def _evaluate(u, grid, phi_vals):
-    """Operator evaluation with diagnostics; raises on space-like violations."""
-    q = flow_operator(u, grid, phi_vals, with_fields=True)
-    return q
+        dt = self.dt
+        for f, c in zip(self.fields, cands):
+            f.accept(c)
+        self.t += dt
+        self.steps += 1
+        self.streak += 1
+        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
+        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+        return dt
+
+    def settled(self):
+        tol = self.cfg.tol_speed
+        return tol > 0 and all(f.dev < tol for f in self.fields)
+
+    def running(self):
+        return (not self.settled() and self.t < self.cfg.max_time
+                and self.steps < self.cfg.max_steps)
+
+    def run_record(self, f, phi, **record) -> FlowRun:
+        """FlowRun of field ``f`` with the stepper's counters filled in."""
+        return FlowRun(grid=self.grid, phi=phi, cfg=self.cfg,
+                       converged=f.dev < self.cfg.tol_speed, speed_estimate=f.speed,
+                       rejected=self.rejected, lu_factorizations=f.factorizations,
+                       dt_min=self.dt_min, dt_max=self.dt_max, **record)
 
 
 def step(state: FlowState, cfg: StepperConfig, grid: CurvilinearGrid,
          phi: ContactAngle) -> FlowState:
     """Advance one accepted step from ``state`` (standalone convenience API)."""
-    run = run_to_convergence(GridFunction(state.u, grid), phi, grid,
-                             dataclasses.replace(cfg, max_steps=1,
-                                                 max_time=state.t + 1e30,
-                                                 tol_speed=0.0),
-                             _resume_t=state.t, _resume_count=state.step_count)
-    return run.state
+    stepper = _Stepper([state.u], grid, phi, cfg, t=state.t)
+    stepper.advance()
+    f = stepper.fields[0]
+    return FlowState(u=f.u, t=stepper.t, u_t=f.q["op"],
+                     sup_du2=max(state.sup_du2, float(np.max(f.q["du2"]))),
+                     sup_ut=max(state.sup_ut, float(np.max(np.abs(f.q["op"])))),
+                     H_field=mean_curvature_field(f.w, grid, f.q["ghost"]),
+                     step_count=state.step_count + 1)
 
 
 def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
-                       cfg: StepperConfig, reference=None,
-                       _resume_t=0.0, _resume_count=0) -> FlowRun:
+                       cfg: StepperConfig, reference=None) -> FlowRun:
     """Integrate until u_t deviates from its mean by less than tol_speed.
 
     reference: optional translator solution; the series column
     ``osc_vs_reference`` then records osc(u - (profile + c3 t)), otherwise
     osc(u).  Returns a FlowRun with the final state, the area-weighted mean
     of u_t as speed estimate, the diagnostic series, per-step energy data,
-    periodic snapshots and any requested dense snapshot triplets.
+    snapshots, any requested dense snapshot triplets and the step counters.
     """
-    u = (u0.values if isinstance(u0, GridFunction) else np.asarray(u0, dtype=float)).copy()
-    phi_vals = phi.values_on(grid)
-    dt = cfg.initial_dt(grid)
-
-    if cfg.scheme == "semi_implicit":
-        stepper = _SemiImplicitStepper(u, grid, phi_vals, dt, cfg.refresh_interval)
-    else:
-        stepper = _ExplicitStepper(u, grid, phi_vals, dt, cfg.cfl_number)
+    stepper = _Stepper([u0], grid, phi, cfg)
+    f = stepper.fields[0]
+    phi_vals = f.phi_vals
 
     series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut",
                               "hv_residual", "osc_vs_reference")}
     energy = {"t": [], "E": [], "I": [], "residual": []}
-    snapshots = []
     dense_targets = sorted(cfg.dense_sample_times)
     dense = {}
     pending_dense = None
     prev_state_for_dense = None
 
-    def record(t, q, dt_step=None, prev_energy=None):
-        u_t = q["op"]
-        v = q["v"]
-        H = mean_curvature_field(u, grid, q["ghost"])
-        sup_ut = float(np.max(np.abs(u_t)))
-        sup_du2 = float(np.max(q["du2"]))
-        mean_ut = float(grid.mean(u_t))
-        hv_res = float(np.max(np.abs(u_t - H * v)))
-        if reference is not None:
-            ref = reference.profile.values + reference.c3 * t
-            diff = u - ref
-        else:
-            diff = u
-        osc = float(np.max(diff) - np.min(diff))
-        for key, val in zip(series, (t, sup_ut, sup_du2, mean_ut, hv_res, osc)):
+    def record(dt_step=None):
+        t, q, u = stepper.t, f.q, f.u
+        u_t, v = q["op"], q["v"]
+        H = mean_curvature_field(f.w, grid, q["ghost"])
+        diff = f.w if reference is None else u - (reference.profile.values
+                                                  + reference.c3 * t)
+        row = (t, float(np.max(np.abs(u_t))), float(np.max(q["du2"])), f.speed,
+               float(np.max(np.abs(u_t - H * v))), float(np.max(diff) - np.min(diff)))
+        for key, val in zip(series, row):
             series[key].append(val)
         E = grid.domain_integral(v) - grid.boundary_integral(u[-1] * phi_vals)
         I = grid.domain_integral(u_t ** 2 / v)
-        if prev_energy is None:
-            res = 0.0
-        else:
-            E0, I0 = prev_energy
-            res = (E - E0) - dt_step * 0.5 * (I + I0)
-        energy["t"].append(t)
-        energy["E"].append(E)
-        energy["I"].append(I)
-        energy["residual"].append(res)
-        return u_t, sup_ut, sup_du2, mean_ut, E, I
+        res = 0.0 if dt_step is None else (
+            (E - energy["E"][-1]) - dt_step * 0.5 * (I + energy["I"][-1]))
+        for key, val in zip(energy, (t, E, I, res)):
+            energy[key].append(val)
+        return u, H
 
-    t = float(_resume_t)
-    q = _evaluate(u, grid, phi_vals)
-    u_t, sup_ut0, sup_du2_0, mean_ut, E, I = record(t, q)
-    monitor_c0 = sup_ut0 ** 2
-    run_sup_ut = sup_ut0
-    run_sup_du2 = sup_du2_0
-    snapshots.append((t, u.copy()))
+    u, H = record()
+    monitor_c0 = series["sup_ut"][0] ** 2
+    snapshots = [(stepper.t, u.copy())]
+    snap_every = max(1, cfg.snapshot_interval) * cfg.initial_dt(grid)
+    snap_index = 0
+    message = "initial state already steady" if stepper.settled() else ""
 
-    converged = False
-    message = ""
-    steps = 0
-    rejects_in_a_row = 0
+    while stepper.running():
+        dt_step = stepper.advance()
+        u, H = record(dt_step)
+        t = stepper.t
 
-    dev = float(np.max(np.abs(u_t - mean_ut)))
-    if dev < cfg.tol_speed and cfg.tol_speed > 0:
-        converged = True
-        message = "initial state already steady"
-
-    while not converged and t < cfg.max_time and steps < cfg.max_steps:
-        try:
-            u_new = stepper.candidate(u)
-            q_new = _evaluate(u_new, grid, phi_vals)
-            accept = float(np.max(q_new["du2"])) <= 1.0 - cfg.delta_space
-        except SpacelikeViolationError:
-            accept = False
-        if not accept:
-            new_dt = stepper.dt * 0.5
-            if new_dt < _DT_FLOOR:
-                raise StepSizeUnderflowError(
-                    f"time step underflow at t = {t:.6g} (blow-up or bad scenario)")
-            stepper.set_dt(new_dt, u)
-            rejects_in_a_row += 1
-            continue
-        rejects_in_a_row = 0
-
-        dt_step = stepper.dt
-        u = u_new
-        t += dt_step
-        steps += 1
-        stepper.after_accept(u)
-
-        u_t, sup_ut, sup_du2, mean_ut, E, I = record(
-            t, q_new, dt_step=dt_step, prev_energy=(energy["E"][-1], energy["I"][-1]))
-        run_sup_ut = max(run_sup_ut, sup_ut)
-        run_sup_du2 = max(run_sup_du2, sup_du2)
-
-        if steps % max(1, cfg.snapshot_interval) == 0:
+        # the slack absorbs the rounding of the accumulated time
+        k = int(np.floor(t / snap_every + 1e-6))
+        if k > snap_index:
+            snap_index = k
             snapshots.append((t, u.copy()))
 
         # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study
@@ -298,30 +362,24 @@ def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
                                  prev_state_for_dense[1], t, u.copy())
         prev_state_for_dense = (t, u.copy())
 
-        dev = float(np.max(np.abs(u_t - mean_ut)))
-        if dev < cfg.tol_speed:
-            converged = True
-            message = f"speed field settled at t = {t:.6g} (dev = {dev:.3e})"
+        if stepper.settled():
+            message = f"speed field settled at t = {t:.6g} (dev = {f.dev:.3e})"
 
-    if not converged and not message:
+    if not message:
         message = (f"not converged by max_time = {cfg.max_time} "
-                   f"(speed deviation {dev:.3e} > tol {cfg.tol_speed:.1e})")
+                   f"(speed deviation {f.dev:.3e} > tol {cfg.tol_speed:.1e})")
+    if snapshots[-1][0] != stepper.t:
+        snapshots.append((stepper.t, u.copy()))
 
-    if snapshots[-1][0] != t:
-        snapshots.append((t, u.copy()))
-
-    q = _evaluate(u, grid, phi_vals)
-    state = FlowState(u=u, t=t, u_t=q["op"], sup_du2=run_sup_du2,
-                      sup_ut=run_sup_ut,
-                      H_field=mean_curvature_field(u, grid, q["ghost"]),
-                      step_count=_resume_count + steps)
-    speed = float(grid.mean(q["op"]))
-    return FlowRun(grid=grid, phi=phi, cfg=cfg, state=state, converged=converged,
-                   speed_estimate=speed,
-                   series={k: np.asarray(v) for k, v in series.items()},
-                   energy={k: np.asarray(v) for k, v in energy.items()},
-                   snapshots=snapshots, dense=dense, monitor_c0=monitor_c0,
-                   message=message)
+    state = FlowState(u=u, t=stepper.t, u_t=f.q["op"],
+                      sup_du2=float(np.max(series["sup_du2"])),
+                      sup_ut=float(np.max(series["sup_ut"])),
+                      H_field=H, step_count=stepper.steps)
+    return stepper.run_record(
+        f, phi, state=state,
+        series={k: np.asarray(v) for k, v in series.items()},
+        energy={k: np.asarray(v) for k, v in energy.items()},
+        snapshots=snapshots, dense=dense, monitor_c0=monitor_c0, message=message)
 
 
 @dataclasses.dataclass
@@ -337,67 +395,35 @@ def run_pair(u0a, u0b, phi: ContactAngle, grid: CurvilinearGrid,
              cfg: StepperConfig) -> PairRun:
     """Advance two initial data in lockstep (identical step sizes).
 
-    Records osc(u_a - u_b) and max|u_a - u_b| at every shared step; both
-    underlying runs are integrated with the same fixed-dt semi-implicit
-    scheme so the difference series is sampled on one time grid.
+    Records osc(u_a - u_b) and max|u_a - u_b| at every shared step; a step
+    is accepted only when both fields accept it, so the difference series is
+    sampled on one time grid.  Stops when both speed fields have settled.
     """
-    ua = (u0a.values if isinstance(u0a, GridFunction) else np.asarray(u0a, float)).copy()
-    ub = (u0b.values if isinstance(u0b, GridFunction) else np.asarray(u0b, float)).copy()
-    phi_vals = phi.values_on(grid)
-    dt = cfg.initial_dt(grid)
-    sa = _SemiImplicitStepper(ua, grid, phi_vals, dt, cfg.refresh_interval)
-    sb = _SemiImplicitStepper(ub, grid, phi_vals, dt, cfg.refresh_interval)
+    stepper = _Stepper([u0a, u0b], grid, phi, cfg)
+    fa, fb = stepper.fields
+    ts, oscs, maxabs = [], [], []
 
-    ts, oscs, maxabs = [0.0], [], []
-    diff = ua - ub
-    oscs.append(float(np.max(diff) - np.min(diff)))
-    maxabs.append(float(np.max(np.abs(diff))))
+    def record():
+        dw = fa.w - fb.w
+        ts.append(stepper.t)
+        oscs.append(float(np.max(dw) - np.min(dw)))
+        maxabs.append(float(np.max(np.abs(dw + (fa.mean - fb.mean)))))
 
-    t = 0.0
-    qa = _evaluate(ua, grid, phi_vals)
-    qb = _evaluate(ub, grid, phi_vals)
-    while t < cfg.max_time:
-        ca = sa.candidate(ua)
-        cb = sb.candidate(ub)
-        try:
-            qa = _evaluate(ca, grid, phi_vals)
-            qb = _evaluate(cb, grid, phi_vals)
-            ok = (float(np.max(qa["du2"])) <= 1.0 - cfg.delta_space and
-                  float(np.max(qb["du2"])) <= 1.0 - cfg.delta_space)
-        except SpacelikeViolationError:
-            ok = False
-        if not ok:
-            new_dt = sa.dt * 0.5
-            if new_dt < _DT_FLOOR:
-                raise StepSizeUnderflowError("time step underflow in pair run")
-            sa.set_dt(new_dt, ua)
-            sb.set_dt(new_dt, ub)
-            continue
-        ua, ub = ca, cb
-        t += sa.dt
-        sa.after_accept(ua)
-        sb.after_accept(ub)
-        diff = ua - ub
-        ts.append(t)
-        oscs.append(float(np.max(diff) - np.min(diff)))
-        maxabs.append(float(np.max(np.abs(diff))))
-        deva = float(np.max(np.abs(qa["op"] - grid.mean(qa["op"]))))
-        devb = float(np.max(np.abs(qb["op"] - grid.mean(qb["op"]))))
-        if deva < cfg.tol_speed and devb < cfg.tol_speed:
-            break
+    record()
+    while stepper.running():
+        stepper.advance()
+        record()
 
-    run_a = _wrap_pair_member(ua, t, qa, grid, phi, cfg)
-    run_b = _wrap_pair_member(ub, t, qb, grid, phi, cfg)
+    def member(f):
+        u = f.u
+        state = FlowState(u=u, t=stepper.t, u_t=f.q["op"],
+                          sup_du2=float(np.max(f.q["du2"])),
+                          sup_ut=float(np.max(np.abs(f.q["op"]))),
+                          H_field=mean_curvature_field(f.w, grid, f.q["ghost"]),
+                          step_count=stepper.steps)
+        return stepper.run_record(f, phi, state=state, series={}, energy={},
+                                  snapshots=[(stepper.t, u.copy())], dense={},
+                                  monitor_c0=np.nan, message="pair member")
+
     return PairRun(t=np.asarray(ts), osc=np.asarray(oscs),
-                   max_abs=np.asarray(maxabs), run_a=run_a, run_b=run_b)
-
-
-def _wrap_pair_member(u, t, q, grid, phi, cfg):
-    state = FlowState(u=u, t=t, u_t=q["op"], sup_du2=float(np.max(q["du2"])),
-                      sup_ut=float(np.max(np.abs(q["op"]))),
-                      H_field=mean_curvature_field(u, grid, q["ghost"]),
-                      step_count=-1)
-    return FlowRun(grid=grid, phi=phi, cfg=cfg, state=state, converged=True,
-                   speed_estimate=float(grid.mean(q["op"])),
-                   series={}, energy={}, snapshots=[(t, u.copy())], dense={},
-                   monitor_c0=np.nan, message="pair member")
+                   max_abs=np.asarray(maxabs), run_a=member(fa), run_b=member(fb))

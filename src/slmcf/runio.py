@@ -170,6 +170,11 @@ def write_csv(path, columns, rows, header: dict):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _header_entry(line, header):
+    key, _, val = line[1:].partition(":")
+    header[key.strip()] = val.strip()
+
+
 def read_csv(path):
     """Returns (header dict, column names, float ndarray)."""
     header = {}
@@ -177,13 +182,23 @@ def read_csv(path):
     data = []
     for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
-            key, _, val = line[1:].partition(":")
-            header[key.strip()] = val.strip()
+            _header_entry(line, header)
         elif columns is None:
             columns = line.split(",")
         elif line:
             data.append([float(x) for x in line.split(",")])
     return header, columns, np.asarray(data)
+
+
+def read_csv_header(path) -> dict:
+    """The leading ``# key: value`` lines of a CSV file; data rows are not read."""
+    header = {}
+    with pathlib.Path(path).open(encoding="utf-8") as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            _header_entry(line, header)
+    return header
 
 
 def write_series_csv(path, run, header):
@@ -250,7 +265,7 @@ def validate_manifest(run_dir) -> dict:
         if not fp.exists():
             raise ScenarioError(f"manifest lists missing file {rel}")
         if fp.suffix == ".csv":
-            header, _, _ = read_csv(fp)
+            header = read_csv_header(fp)
             if header.get("scenario") != expect:
                 raise ScenarioError(f"{rel} carries scenario hash "
                                     f"{header.get('scenario')} != {expect}")

@@ -242,3 +242,46 @@ def test_sphere_scenario_via_cli(tmp_path):
     assert abs(fm["final"]["speed_estimate"] - tm["final"]["c3"]) < 1e-6
     reports, summary = cmd_verify([tmp_path / "flow", tmp_path / "tr"])
     assert summary["all_passed"]
+
+
+def test_flow_manifest_step_counters(tmp_path):
+    manifest = cmd_flow(_write(tmp_path, BASE), tmp_path / "run")
+    final = manifest["final"]
+    assert final["rejected"] == 0
+    assert 1 <= final["lu_factorizations"] <= final["steps"] + 1
+    # default stepping starts at diameter / (2 n_radial) and grows from there
+    assert final["dt_min"] == pytest.approx(1.0 / 16)
+    assert final["dt_min"] < final["dt_max"] <= 0.5
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["final"] == final
+
+
+def test_verify_detects_tampered_hash(tmp_path):
+    cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
+    snap = tmp_path / "flow" / "snapshots" / "snap_000000.csv"
+    text = snap.read_text()
+    tampered = text.replace(f"# scenario: {scenario_hash(BASE)}",
+                            "# scenario: 0123456789abcdef")
+    assert tampered != text
+    snap.write_text(tampered)
+    with pytest.raises(ScenarioError, match="scenario hash"):
+        validate_manifest(tmp_path / "flow")
+    assert main(["verify", str(tmp_path / "flow")]) == 2
+
+
+def test_verify_osc_decay_without_shared_times_fails(tmp_path):
+    """Two runs of one scenario core whose snapshot times never meet after
+    t = 0: the oscillation check is reported as failed, not dropped."""
+    stepper = {"tol_speed": 1e-7, "max_time": 1.0, "snapshot_interval": 10}
+    cfg_a = _write(tmp_path, dict(BASE, stepper=dict(stepper, dt=0.01)), "a.json")
+    config_b = dict(BASE, name="disk_small_b", stepper=dict(stepper, dt=0.0123),
+                    u0={"kind": "polynomial", "terms": [[0.1, 2, 0], [0.1, 0, 2]]})
+    cfg_b = _write(tmp_path, config_b, "b.json")
+    cmd_flow(cfg_a, tmp_path / "fa")
+    cmd_flow(cfg_b, tmp_path / "fb")
+    reports, summary = cmd_verify([tmp_path / "fa", tmp_path / "fb"])
+    osc = [r for r in reports if r.name == "[disk_small|disk_small_b] osc_decay"]
+    assert len(osc) == 1
+    assert not osc[0].passed
+    assert osc[0].measured == 1    # only t = 0 is shared
+    assert "fewer than two snapshot times" in osc[0].details["precondition"]
+    assert not summary["all_passed"]

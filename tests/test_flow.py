@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slmcf.domain import build_domain
+from slmcf.errors import ScenarioError, StepSizeUnderflowError
 from slmcf.flow import StepperConfig, apply_contact_bc, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import boundary_gradient_data
@@ -182,3 +183,111 @@ def test_stepper_config_validation():
         StepperConfig(scheme="magic")
     with pytest.raises(Exception):
         StepperConfig(max_time=0.0)
+
+
+# -- stepping core: step control, LU refresh and the mean split ---------------------
+
+def test_large_constant_u0_steps_like_zero():
+    """The mean split keeps a large constant out of the operator and the LU:
+    u0 = 1000 converges on the same steps as u0 = 0, to the same speed."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 32, 64)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(max_time=10.0, tol_speed=1e-7)
+    runs = [run_to_convergence(GridFunction.constant(grid, c), phi, grid, cfg)
+            for c in (0.0, 1000.0)]
+    assert all(run.converged for run in runs)
+    assert runs[0].state.step_count == runs[1].state.step_count
+    assert np.array_equal(runs[0].series["t"], runs[1].series["t"])
+    assert abs(runs[0].speed_estimate - runs[1].speed_estimate) < 1e-12
+
+
+def test_controlled_run_few_steps_and_factorizations():
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 64, 128)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(max_time=10.0, tol_speed=1e-7, snapshot_interval=25)
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
+    assert run.converged
+    assert run.state.step_count <= 40
+    assert run.lu_factorizations <= 10
+    assert run.rejected == 0
+    # dt grew from the initial step, never past the cap
+    assert run.dt_min == pytest.approx(cfg.initial_dt(grid))
+    assert cfg.initial_dt(grid) < run.dt_max <= 0.5 * dom.inradius
+    steps = np.diff(run.series["t"])
+    assert np.all(steps[1:] >= steps[:-1] * (1.0 - 1e-9))
+    # snapshots fall on the first step reaching each multiple of 25 initial steps
+    every = 25 * cfg.initial_dt(grid)
+    snap_t = [t for t, _ in run.snapshots]
+    assert snap_t[0] == 0.0 and snap_t[-1] == run.state.t
+    assert len(snap_t) > 3
+    for t in snap_t[1:-1]:
+        prev = run.series["t"][np.searchsorted(run.series["t"], t) - 1]
+        assert np.floor(prev / every) < np.floor(t / every + 1e-9)
+
+
+def test_explicit_dt_keeps_fixed_step_times(disk24):
+    dom, grid = disk24
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(dt=0.01, max_time=0.3, tol_speed=0.0, snapshot_interval=10)
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
+    expected = [0.0]
+    while expected[-1] < cfg.max_time:
+        expected.append(expected[-1] + 0.01)
+    assert run.series["t"].tolist() == expected
+    assert run.dt_min == run.dt_max == 0.01
+    assert run.rejected == 0
+    # fixed step: one snapshot every snapshot_interval steps, plus the final state
+    assert len(expected) == 31
+    assert [t for t, _ in run.snapshots] == expected[::10]
+
+
+def test_pair_core_grows_dt_and_matches_single_run_times():
+    """Lockstep pairs use the shared controller; growth only counts steps, so a
+    single run of either member steps on the same times."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 32, 64)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(max_time=10.0, tol_speed=1e-8)
+    u0a = GridFunction.constant(grid, 0.0)
+    u0b = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
+    pair = run_pair(u0a, u0b, phi, grid, cfg)
+    assert pair.run_a.converged and pair.run_b.converged
+    assert pair.run_a.dt_max > cfg.initial_dt(grid)
+    assert np.max(np.diff(pair.osc)) <= 1e-10
+    assert pair.osc[-1] < 1e-4 * pair.osc[0]
+    single = run_to_convergence(u0b, phi, grid, cfg)
+    n = min(len(single.series["t"]), len(pair.t))
+    assert np.array_equal(single.series["t"][:n], pair.t[:n])
+    assert single.speed_estimate == pytest.approx(pair.run_b.speed_estimate, abs=1e-9)
+
+
+@pytest.mark.parametrize("runner", ["single", "pair"])
+def test_nonfinite_u0_raises_scenario_error(runner):
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    u0 = np.zeros((16, 32))
+    u0[3, 5] = np.nan
+    with pytest.raises(ScenarioError, match="non-finite"):
+        if runner == "single":
+            run_to_convergence(u0, phi, grid, StepperConfig(max_time=1.0))
+        else:
+            run_pair(np.zeros((16, 32)), u0, phi, grid, StepperConfig(max_time=1.0))
+
+
+@pytest.mark.parametrize("runner", ["single", "pair"])
+def test_persistent_rejection_underflows(runner):
+    """phi = 10 forces |Du|^2 = 100/101 on the boundary, above 1 - 1e-2:
+    every step is rejected and halved until the typed underflow error."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 10.0}, dom)
+    cfg = StepperConfig(delta_space=1e-2)
+    u0 = GridFunction.constant(grid, 0.0)
+    with pytest.raises(StepSizeUnderflowError):
+        if runner == "single":
+            run_to_convergence(u0, phi, grid, cfg)
+        else:
+            run_pair(u0, u0 + 1.0, phi, grid, cfg)
