@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     slmcf flow <config.json> -o <dir>        run the parabolic solver
-    slmcf translator <config.json> -o <dir>  run the elliptic continuation
+    slmcf translator <config.json> -o <dir>  solve for the translator and c3
     slmcf verify <dir> [<dir> ...]           run all applicable checks
     slmcf sweep <template.json> --grid <spec> -o <dir>   parameter sweeps
 
@@ -232,7 +232,7 @@ def cmd_verify(run_dirs) -> tuple[list, dict]:
             profile=GridFunction(profile, scen_t.grid), c3=result["c3"],
             eps_trace=result["eps_trace"], eps_trace_mean=result["eps_trace_mean"],
             residuals=result["residuals"], grid_shape=tuple(result["grid"]),
-            newton_iterations=result["newton_iterations"])
+            newton_iterations=result["newton_iterations"], limit=result.get("limit", {}))
         for rd_f, man_f, scen_f in flows:
             if man_f["scenario_core_hash"] == man_t["scenario_core_hash"]:
                 r = check_translator_agreement(stored[rd_f], sol, man_f["final"]["h"])
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     p_flow.add_argument("config")
     p_flow.add_argument("-o", "--output", required=True)
 
-    p_tr = sub.add_parser("translator", help="run the elliptic continuation")
+    p_tr = sub.add_parser("translator", help="solve for the translator and c3")
     p_tr.add_argument("config")
     p_tr.add_argument("-o", "--output", required=True)
 

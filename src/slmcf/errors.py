@@ -50,7 +50,10 @@ class StepSizeUnderflowError(SlmcfError):
 
 
 class ContinuationError(SlmcfError):
-    """Regularization sequence failed to settle (non-Cauchy speed estimates)."""
+    """A level of the regularization trace did not converge.
+
+    Carries the levels solved before it as ``trace``.
+    """
 
     def __init__(self, message, trace=None):
         self.trace = trace or []

@@ -107,6 +107,22 @@ def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
     raise ScenarioError(f"unknown u0 kind '{kind}'")
 
 
+def _solver_config(cls, section, spec, **built):
+    """``cls`` from a scenario section, with ``built`` replacing its entries.
+
+    A section that is not a JSON object, or that has a key ``cls`` does not
+    know, is a ScenarioError naming the section and the key.
+    """
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"scenario section '{section}' must be a JSON object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in scenario section '{section}': "
+                            f"{', '.join(unknown)} (known: {', '.join(sorted(known))})")
+    return cls(**{**spec, **built})
+
+
 def load_scenario(config: dict) -> Scenario:
     """Validate a config dict and build all runtime objects."""
     if not isinstance(config, dict):
@@ -132,13 +148,14 @@ def load_scenario(config: dict) -> Scenario:
         raise ScenarioError(
             f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
 
-    stepper_cfg = dict(config.get("stepper", {}))
-    dense = stepper_cfg.pop("dense_sample_times", ())
-    stepper = StepperConfig(dense_sample_times=tuple(dense), **stepper_cfg)
+    stepper = _solver_config(StepperConfig, "stepper", config.get("stepper", {}))
+    stepper.dense_sample_times = tuple(stepper.dense_sample_times)
 
-    cont_cfg = dict(config.get("continuation", {}))
-    newton = NewtonConfig(**cont_cfg.pop("newton", {}))
-    continuation = ContinuationSchedule(newton=newton, **cont_cfg)
+    cont_cfg = config.get("continuation", {})
+    newton = _solver_config(NewtonConfig, "continuation.newton",
+                            cont_cfg.get("newton", {}) if isinstance(cont_cfg, dict) else {})
+    continuation = _solver_config(ContinuationSchedule, "continuation", cont_cfg,
+                                  newton=newton)
 
     return Scenario(config=config, metric=metric, domain=domain, grid=grid,
                     phi=phi, u0=u0, stepper=stepper, continuation=continuation)
@@ -176,18 +193,18 @@ def _header_entry(line, header):
 
 
 def read_csv(path):
-    """Returns (header dict, column names, float ndarray)."""
+    """Returns (header dict, column names, float ndarray of shape (rows, columns))."""
     header = {}
-    columns = None
-    data = []
-    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            _header_entry(line, header)
-        elif columns is None:
-            columns = line.split(",")
-        elif line:
-            data.append([float(x) for x in line.split(",")])
-    return header, columns, np.asarray(data)
+    lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
+    k = 0
+    while k < len(lines) and lines[k].startswith("#"):
+        _header_entry(lines[k], header)
+        k += 1
+    columns = lines[k].split(",") if k < len(lines) else None
+    rows = [line for line in lines[k + 1:] if line]
+    if not rows:
+        return header, columns, np.empty((0, len(columns or ())))
+    return header, columns, np.loadtxt(rows, delimiter=",", ndmin=2)
 
 
 def read_csv_header(path) -> dict:

@@ -1,4 +1,4 @@
-"""Elliptic translator profiles via the regularized family.
+"""Elliptic translator profiles: one bordered Newton solve for (u, c3).
 
 The translator equation g~^{ab} D_a D_b u = c with the contact-angle boundary
 condition determines u only up to an additive constant, with the speed fixed
@@ -6,17 +6,30 @@ by the flux balance
 
     c3 = - (boundary integral of phi) / (domain integral of (1 - |Du|^2)^{-1/2}).
 
-The solver replaces the unknown constant by the zeroth-order term eps * u and
-drives eps -> 0 along a geometric schedule, warm-starting each damped Newton
-solve from the previous one shifted by the predicted constant growth
-c3 (1/eps_next - 1/eps_prev).  The area mean of eps * u_eps tracks the speed;
-the final profile is recentered to zero area mean and the speed is recomputed
-from the flux-balance quadrature as a cross-check.
+The operator F(u) = g~^{ab} D_a D_b u (``flow_operator``, ghost-closed on the
+boundary ring) sees only derivatives, so its Jacobian L annihilates constants
+and is singular.  Keller's bordering (1977) removes the constant and adds the
+speed as an unknown: Newton acts on a zero-area-mean field w and the scalar c
+with the equations
+
+    F(w) - eps w - c = 0   on every node,      area-mean(w) = 0,
+
+and the Jacobian [[L - eps I, -1], [a^T, 0]], a = quadrature weights / area.
+At eps = 0 this is the translator itself and c is the operator-limit speed
+c3; ``continuation`` solves it directly, from u = 0 in about three Newton
+steps.  At eps > 0 it is the regularized problem g~^{ab} D_a D_b u = eps u
+with u = c / eps + w, which ``solve_regularized`` solves with the same loop.
+
+The regularization trace (eps, eps u_eps - c3), which acceptance criterion 8
+reads, is computed afterwards over the schedule's eps list in ascending
+order, warm-started from the limit.  Each level takes chord steps on the
+last LU factorization; a chord step that fails to halve the residual is
+dropped and the Jacobian refactored at that level.
 
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure) with backtracking damping
-that keeps iterates space-like.  On Newton failure the contact angle is
-homotoped from zero to its target value and the schedule restarted.
+that keeps iterates space-like.  At most one LU factorization is alive at a
+time.
 """
 
 from __future__ import annotations
@@ -46,10 +59,10 @@ class NewtonConfig:
 
 @dataclasses.dataclass
 class ContinuationSchedule:
+    """The eps levels of the regularization trace, and the Newton settings."""
     eps0: float = 1.0
     ratio: float = 0.5
     eps_min: float = 1e-6
-    cauchy_tol: float = 1e-8   # early exit once speed estimates settle; 0 disables
     newton: NewtonConfig = dataclasses.field(default_factory=NewtonConfig)
 
     def __post_init__(self):
@@ -75,7 +88,8 @@ class TranslatorSolution:
     eps_trace_mean: list           # (eps, |area-mean(eps u_eps) - c3|)
     residuals: dict
     grid_shape: tuple
-    newton_iterations: list
+    newton_iterations: list        # per trace level: chord steps + Newton steps
+    limit: dict                    # the bordered solve at eps = 0
 
     def to_record(self):
         return {
@@ -85,7 +99,117 @@ class TranslatorSolution:
             "residuals": self.residuals,
             "grid": list(self.grid_shape),
             "newton_iterations": self.newton_iterations,
+            "limit": self.limit,
         }
+
+
+def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
+    """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w."""
+    L = assemble_operator_matrix(w, grid, phi_vals, mode="newton")[0].tocoo()
+    N = w.size
+    nodes = np.arange(N)
+    border = np.full(N, N)
+    rows = [L.row, nodes, border]
+    cols = [L.col, border, nodes]
+    vals = [L.data, -np.ones(N), (grid.weights / grid.area).ravel()]
+    if eps:
+        rows.append(nodes)
+        cols.append(nodes)
+        vals.append(np.full(N, -eps))
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N + 1, N + 1))
+
+
+def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonConfig,
+                     source=None, factor=None, chord=False):
+    """Damped Newton on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
+
+    ``factor`` is a dict whose "lu" entry holds the one live factorization;
+    it is cleared before each new one, so the caller keeps no stale LU alive.
+    Without ``chord`` every step factors the bordered Jacobian afresh.  With
+    ``chord`` the LU in ``factor`` is reused across steps: a step on a reused
+    LU is kept only if it halves the residual (or meets tol), otherwise it is
+    dropped and the Jacobian refactored at the current iterate.
+
+    Returns (w, c, info); info holds the residual history, the counts of
+    chord steps, Newton steps and factorizations, and ``above_tol``: True when
+    Newton stopped between tol and 100 tol at the residual's rounding floor.
+    Raises NewtonError on stagnation and SpacelikeViolationError if no damped
+    step stays space-like.
+    """
+    def residual(wv, cv):
+        out = flow_operator(wv, grid, phi_vals) - eps * wv - cv
+        return out if source is None else out - source
+
+    def norm(R, wv):
+        return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
+
+    factor = {"lu": None} if factor is None else factor
+    R = residual(w, c)
+    norms = [norm(R, w)]
+    info = {"chord": 0, "newton": 0, "factorizations": 0}
+    while norms[-1] > newton.tol:
+        if info["chord"] + info["newton"] >= newton.max_iter:
+            raise NewtonError(
+                f"Newton: no convergence in {newton.max_iter} iterations "
+                f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+        reused = chord and factor["lu"] is not None
+        if not reused:
+            factor["lu"] = None
+            factor["lu"] = splu(_bordered_matrix(w, eps, grid, phi_vals))
+            info["factorizations"] += 1
+        delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
+        dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
+
+        if reused:
+            info["chord"] += 1
+            try:
+                trial_w, trial_c = w + dw, c + dc
+                R_trial = residual(trial_w, trial_c)
+                norm_trial = norm(R_trial, trial_w)
+            except SpacelikeViolationError:
+                norm_trial = np.inf
+            if norm_trial <= 0.5 * norms[-1] or norm_trial <= newton.tol:
+                w, c, R = trial_w, trial_c, R_trial
+                norms.append(norm_trial)
+            else:
+                factor["lu"] = None
+            continue
+
+        t = 1.0
+        accepted = False
+        for _ in range(newton.max_backtracks):
+            try:
+                trial_w, trial_c = w + t * dw, c + t * dc
+                R_trial = residual(trial_w, trial_c)
+            except SpacelikeViolationError:
+                t *= newton.damping
+                continue
+            norm_trial = norm(R_trial, trial_w)
+            if norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < newton.tol:
+                w, c, R = trial_w, trial_c, R_trial
+                norms.append(norm_trial)
+                accepted = True
+                break
+            t *= newton.damping
+        if not accepted:
+            # the residual evaluation has a rounding floor amplified by the
+            # O(1/rho^2) center coefficients; close enough to tol counts,
+            # and info["above_tol"] records that it did
+            if norms[-1] <= 100.0 * newton.tol:
+                break
+            raise NewtonError(
+                f"Newton line search failed (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+        info["newton"] += 1
+        # stagnation: less than 0.1% total reduction over the last 5 steps
+        if len(norms) > 5 and norms[-1] > norms[-6] * (1.0 - 1e-3):
+            if norms[-1] <= 100.0 * newton.tol:
+                break
+            raise NewtonError(
+                f"Newton stagnation (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+    info["residuals"] = norms
+    info["above_tol"] = norms[-1] > newton.tol
+    return w, c, info
 
 
 def solve_regularized(eps, init, phi, grid: CurvilinearGrid,
@@ -94,10 +218,10 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid,
     """Damped Newton solve of g~^{ab} D_a D_b u = eps u (+ source) with the
     contact-angle boundary closure.
 
-    The solution level grows like 1/eps, so internally Newton acts on the
-    zero-mean part w with the constant level A = area-mean(init) split off:
-    the operator sees only derivatives, hence the residual is
-    F(w) - eps w - eps A and the large constant never enters a stencil
+    The solution level grows like 1/eps, so Newton acts on the zero-mean part
+    w and the scalar c = eps * (level), started from A = area-mean(init) as
+    c = eps A: the operator sees only derivatives, hence the residual is
+    F(w) - eps w - c and the large constant never enters a stencil
     difference.  ``source`` (a nodal field, default zero) supports
     manufactured-solution testing.  Returns (values, info); raises
     NewtonError on stagnation and SpacelikeViolationError if no damped step
@@ -108,70 +232,9 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid,
         phi_vals = phi.values_on(grid)
     u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     A = float(grid.mean(u0))
-    w = u0 - A
-    N = w.size
-    ident = sp.identity(N, format="csc")
-
-    def residual(wv):
-        out = flow_operator(wv, grid, phi_vals) - eps * wv - eps * A
-        return out if source is None else out - source
-
-    R = residual(w)
-    norms = [float(np.max(np.abs(R)))]
-    iters = 0
-    while norms[-1] > newton.tol:
-        if iters >= newton.max_iter:
-            raise NewtonError(
-                f"Newton: no convergence in {newton.max_iter} iterations "
-                f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
-        L, _ = assemble_operator_matrix(w, grid, phi_vals, mode="newton")
-        J = (L - eps * ident).tocsc()
-        delta = splu(J).solve(-R.ravel()).reshape(w.shape)
-
-        t = 1.0
-        accepted = False
-        for _ in range(newton.max_backtracks):
-            try:
-                trial = w + t * delta
-                R_trial = residual(trial)
-            except SpacelikeViolationError:
-                t *= newton.damping
-                continue
-            norm_trial = float(np.max(np.abs(R_trial)))
-            if norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < newton.tol:
-                w, R = trial, R_trial
-                norms.append(norm_trial)
-                accepted = True
-                break
-            t *= newton.damping
-        if not accepted:
-            # the residual evaluation has a rounding floor amplified by the
-            # O(1/rho^2) center coefficients; close enough to tol counts
-            if norms[-1] <= 100.0 * newton.tol:
-                break
-            raise NewtonError(
-                f"Newton line search failed (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
-        iters += 1
-        # stagnation: less than 0.1% total reduction over the last 5 steps
-        if len(norms) > 5 and norms[-1] > norms[-6] * (1.0 - 1e-3):
-            if norms[-1] <= 100.0 * newton.tol:
-                break
-            raise NewtonError(
-                f"Newton stagnation (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
-    return A + w, {"iterations": iters, "residual": norms[-1]}
-
-
-def _solve_with_homotopy(eps, init, phi_vals, grid, newton):
-    """Newton solve; on failure, walk the contact angle up from zero."""
-    try:
-        return solve_regularized(eps, init, None, grid, newton, phi_vals=phi_vals)
-    except NewtonError:
-        u = np.zeros_like(init if isinstance(init, np.ndarray) else init.values)
-        info = None
-        for lam in (0.25, 0.5, 0.75, 1.0):
-            u, info = solve_regularized(eps, u, None, grid, newton,
-                                        phi_vals=lam * phi_vals)
-        return u, info
+    w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi_vals, newton,
+                                  source=source)
+    return c / eps + w, {"iterations": info["newton"], "residual": info["residuals"][-1]}
 
 
 def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
@@ -189,68 +252,57 @@ def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
 
 def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
                  grid: CurvilinearGrid, init=None) -> TranslatorSolution:
-    """Drive eps -> 0, tracking the speed estimate; returns the profile and c3.
+    """The translator profile and c3 from one bordered Newton solve, plus the
+    regularization trace over ``schedule.eps_values()``.
 
-    Terminates early once successive speed estimates differ by < 1e-8.
-    Raises ContinuationError (with the trace) if the estimates move apart
-    three schedule steps in a row.
+    ``init`` (default zero) is the Newton start; only its derivatives matter.
+    Raises NewtonError or SpacelikeViolationError if the limit solve fails,
+    and ContinuationError if a trace level does not converge; its ``trace``
+    holds the levels solved so far as (eps, mean, min, max of eps u_eps), in
+    schedule order.
     """
     phi_vals = phi.values_on(grid)
     u = np.zeros((grid.n_radial, grid.n_angular)) if init is None else \
-        (init.values if isinstance(init, GridFunction) else np.asarray(init, float)).copy()
+        (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
+    w = u - grid.mean(u)
+    factor = {"lu": None}
+    # the speed that fits F(init) best in the area mean starts Newton
+    w, c3, info = _bordered_newton(0.0, w, grid.mean(flow_operator(w, grid, phi_vals)),
+                                   grid, phi_vals, schedule.newton, factor=factor)
+    limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
+             "lu_factorizations": info["factorizations"],
+             "accepted_above_tol": info["above_tol"], "trace_refactors": []}
 
+    # eps trace, smallest eps first: eps u_eps = c + eps w_eps
     stats = []       # (eps, mean eps*u, min eps*u, max eps*u)
     newton_iters = []
-    c3_prev = None
-    eps_prev = None
-    widening = 0
-    gap_prev = None
-
-    for eps in schedule.eps_values():
-        if eps_prev is not None and c3_prev is not None:
-            u = u + c3_prev * (1.0 / eps - 1.0 / eps_prev)
-        u, info = _solve_with_homotopy(eps, u, phi_vals, grid, schedule.newton)
-        newton_iters.append(info["iterations"])
-        eu = eps * u
-        c3_est = float(grid.mean(eu))
-        stats.append((eps, c3_est, float(np.min(eu)), float(np.max(eu))))
-
-        if c3_prev is not None:
-            gap = abs(c3_est - c3_prev)
-            if schedule.cauchy_tol > 0 and gap < schedule.cauchy_tol:
-                eps_prev, c3_prev = eps, c3_est
-                break
-            if gap_prev is not None and gap > gap_prev:
-                widening += 1
-                if widening >= 3:
-                    raise ContinuationError(
-                        "speed estimates are not settling (non-Cauchy sequence)",
-                        trace=stats)
-            else:
-                widening = 0
-            gap_prev = gap
-        eps_prev, c3_prev = eps, c3_est
-
-    profile_values = u - grid.mean(u)
-    profile = GridFunction(profile_values, grid)
-
-    # speed: the estimate's own limit, Richardson-extrapolated (the gap
-    # behaves like C * eps along a geometric schedule)
-    if len(stats) >= 2:
-        e1, m1 = stats[-2][0], stats[-2][1]
-        e2, m2 = stats[-1][0], stats[-1][1]
-        c3 = m2 + (m2 - m1) * e2 / (e1 - e2)
-    else:
-        c3 = stats[-1][1]
+    w_eps, c_eps = w, c3
+    for eps in reversed(schedule.eps_values()):
+        try:
+            w_eps, c_eps, level = _bordered_newton(eps, w_eps, c_eps, grid, phi_vals,
+                                                   schedule.newton, factor=factor, chord=True)
+        except (NewtonError, SpacelikeViolationError) as err:
+            raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
+                                    trace=stats[::-1]) from err
+        newton_iters.append(level["chord"] + level["newton"])
+        if level["factorizations"]:
+            limit["trace_refactors"].append(
+                [eps, level["factorizations"], level["residuals"][-1]])
+        eu = c_eps + eps * w_eps
+        stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
+    factor["lu"] = None
+    stats.reverse()
+    newton_iters.reverse()
     eps_trace = [(e, max(abs(mx - c3), abs(mn - c3))) for e, _, mn, mx in stats]
     eps_trace_mean = [(e, abs(m - c3)) for e, m, _, _ in stats]
 
+    profile = GridFunction(w, grid)
     # flux-balance quadrature cross-check; the gap is the discrete
     # integration-by-parts mismatch, O(h^2)
     c3_quadrature = compute_c3(profile, phi, grid)
 
-    op = flow_operator(profile_values, grid, phi_vals)
-    dnu, dtu, v_bd = boundary_gradient_data(profile_values, grid, phi_vals)
+    op = flow_operator(w, grid, phi_vals)
+    dnu, dtu, v_bd = boundary_gradient_data(w, grid, phi_vals)
     residuals = {
         "interior_max": float(np.max(np.abs(op - c3))),
         "boundary_max": float(np.max(np.abs(dnu - phi_vals * v_bd))),
@@ -260,7 +312,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     return TranslatorSolution(profile=profile, c3=c3, eps_trace=eps_trace,
                               eps_trace_mean=eps_trace_mean, residuals=residuals,
                               grid_shape=(grid.n_radial, grid.n_angular),
-                              newton_iterations=newton_iters)
+                              newton_iterations=newton_iters, limit=limit)
 
 
 def translate_solution(solution: TranslatorSolution, t: float) -> GridFunction:

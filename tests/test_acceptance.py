@@ -69,7 +69,7 @@ _TIMINGS = {}
 @pytest.fixture(scope="module")
 def sol128(grid128, phi02):
     t0 = time.perf_counter()
-    sol = continuation(ContinuationSchedule(cauchy_tol=0.0), phi02, grid128)
+    sol = continuation(ContinuationSchedule(), phi02, grid128)
     _TIMINGS["continuation_128"] = time.perf_counter() - t0
     return sol
 

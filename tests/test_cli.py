@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from slmcf.cli import cmd_flow, cmd_sweep, cmd_translator, cmd_verify, main
 from slmcf.errors import ScenarioError
-from slmcf.runio import (load_scenario, read_csv, scenario_core_hash,
-                         scenario_hash, validate_manifest)
+from slmcf.runio import (load_scenario, read_csv, read_field_csv, scenario_core_hash,
+                         scenario_hash, validate_manifest, write_field_csv)
 
 BASE = {
     "name": "disk_small",
@@ -80,6 +81,11 @@ def test_translator_artifacts(tmp_path):
     assert manifest["final"]["c3"] == pytest.approx(-0.396, abs=5e-3)
     result = json.loads((tmp_path / "tr" / "result.json").read_text())
     assert result["eps_trace"]
+    assert len(result["newton_iterations"]) == len(result["eps_trace"])
+    limit = result["limit"]
+    assert limit["lu_factorizations"] >= 1
+    assert limit["residuals"][-1] <= 1e-10
+    assert limit["accepted_above_tol"] is False
     validate_manifest(tmp_path / "tr")
 
 
@@ -285,3 +291,42 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
     assert osc[0].measured == 1    # only t = 0 is shared
     assert "fewer than two snapshot times" in osc[0].details["precondition"]
     assert not summary["all_passed"]
+
+
+@pytest.mark.parametrize("section, key", [("stepper", "dtt"),
+                                          ("continuation", "cauchy_tol"),
+                                          ("continuation.newton", "tool")])
+def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
+    config = json.loads(json.dumps(BASE))
+    node = config
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = 1.0
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(config)
+    cfg = _write(tmp_path, config)
+    assert main(["translator", str(cfg), "-o", str(tmp_path / "tr")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["stepper", "continuation"])
+def test_solver_section_must_be_an_object(section):
+    with pytest.raises(ScenarioError, match=section):
+        load_scenario(dict(BASE, **{section: [1.0]}))
+
+
+def test_field_csv_round_trip_is_bit_identical(tmp_path):
+    scenario = load_scenario(BASE)
+    grid = scenario.grid
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(grid.rho.shape + grid.s.shape)
+    values *= 10.0 ** rng.integers(-300, 300, values.shape)
+    values[0, 0], values[0, 1] = -0.0, 5e-324
+    write_field_csv(tmp_path / "f.csv", grid, values, {"scenario": "x"})
+    header, read_back = read_field_csv(tmp_path / "f.csv", grid)
+    assert header["scenario"] == "x"
+    assert np.array_equal(read_back, values)
+    assert np.array_equal(np.signbit(read_back), np.signbit(values))
+    _, cols, data = read_csv(tmp_path / "f.csv")
+    assert cols == ["i", "j", "rho", "s", "x1", "x2", "u"]
+    assert data.shape == (values.size, 7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slmcf.domain import build_domain
-from slmcf.errors import ContinuationError, NewtonError
+from slmcf.errors import ContinuationError
 from slmcf.flow import StepperConfig, run_to_convergence
 from slmcf.geometry import quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
@@ -147,7 +147,7 @@ def test_translator_orbit_speed_under_flow(disk_setup, disk_solution):
                              StepperConfig(max_time=1e30, tol_speed=0.0, max_steps=1))
     dt = run.state.t - 0.0
     drift = run.state.u - (moved.values + disk_solution.c3 * dt)
-    # profile solves op = eps u at eps_min, so the orbit holds to O(dt * eps * |w|)
+    # the profile solves op = c3 to Newton tolerance, so the orbit holds to rounding
     assert np.max(np.abs(drift - grid.mean(drift))) < 1e-7
 
 
@@ -180,31 +180,60 @@ def test_barrier_bound(disk_setup):
         assert float(np.max(eps * u)) <= bound + 1e-10
 
 
-def test_non_cauchy_detection(disk_setup):
-    """A schedule whose estimates cannot settle raises with the trace."""
-    dom, grid, phi = disk_setup
-    # ratio close to 1 makes successive gaps grow from a cold start only in
-    # pathological setups; simulate by feeding an absurd eps_min and a huge
-    # first eps with no Cauchy exit, then check the error path via monkeypatch
-    import slmcf.translator as tr
+def test_non_cauchy_detection(disk_setup, disk_solution):
+    """A trace level that cannot converge raises with the levels solved so far.
 
-    orig = tr.solve_regularized
-    calls = {"n": 0}
+    Started from the converged limit with one Newton step allowed per level,
+    the small-eps levels converge in one step each and a larger one cannot.
+    """
+    _, grid, phi = disk_setup
+    schedule = ContinuationSchedule(eps_min=1e-4, newton=NewtonConfig(max_iter=1))
+    with pytest.raises(ContinuationError) as err:
+        continuation(schedule, phi, grid, init=disk_solution.profile)
+    trace = err.value.trace
+    assert trace
+    eps_done = [e for e, _, _, _ in trace]
+    # schedule order, ending at the smallest eps: the trace runs upward from the limit
+    assert eps_done == sorted(eps_done, reverse=True)
+    assert eps_done[-1] == schedule.eps_values()[-1]
+    assert len(trace) < len(schedule.eps_values())
 
-    def fake_solve(eps, init, phi_, grid_, newton=None, phi_vals=None):
-        calls["n"] += 1
-        k = calls["n"]
-        u = np.full((grid_.n_radial, grid_.n_angular), (-1) ** k * 2.0 ** k / eps)
-        return u, {"iterations": 1, "residual": 0.0}
 
-    tr.solve_regularized = fake_solve
-    try:
-        with pytest.raises(ContinuationError) as err:
-            tr.continuation(ContinuationSchedule(eps_min=1e-4, cauchy_tol=0.0),
-                            phi, grid)
-        assert err.value.trace
-    finally:
-        tr.solve_regularized = orig
+def test_limit_solve_record(disk_solution):
+    """The bordered solve at eps = 0 is recorded: a few factorizations, no fallback."""
+    limit = disk_solution.limit
+    assert 1 <= limit["lu_factorizations"] <= 5
+    assert limit["newton_steps"] == len(limit["residuals"]) - 1
+    assert limit["residuals"][-1] <= 1e-10
+    assert not limit["accepted_above_tol"]
+    # every level of the default schedule is traced, in schedule order
+    schedule = ContinuationSchedule()
+    assert [e for e, _ in disk_solution.eps_trace] == schedule.eps_values()
+    assert len(disk_solution.newton_iterations) == len(schedule.eps_values())
+    record = disk_solution.to_record()
+    assert record["limit"] == limit
+
+
+def test_trace_factors_once_without_limit_lu(disk_setup, disk_solution):
+    """Started at the limit, Newton takes no step; the trace then factors once."""
+    _, grid, phi = disk_setup
+    sol = continuation(ContinuationSchedule(), phi, grid, init=disk_solution.profile)
+    assert sol.limit["newton_steps"] == 0
+    assert sol.limit["lu_factorizations"] == 0
+    assert [n for _, n, _ in sol.limit["trace_refactors"]] == [1]
+    assert abs(sol.c3 - disk_solution.c3) < 1e-12
+    for (e1, d1), (e2, d2) in zip(sol.eps_trace_mean, disk_solution.eps_trace_mean):
+        assert e1 == e2 and abs(d1 - d2) < 1e-10
+
+
+def test_regularized_solution_is_bordered_newton(disk_setup, disk_solution):
+    """eps u_eps from solve_regularized matches the trace value at that eps."""
+    _, grid, phi = disk_setup
+    eps = 0.125
+    u, info = solve_regularized(eps, GridFunction.constant(grid, 0.0), phi, grid)
+    assert info["residual"] <= 1e-10
+    gap = abs(grid.mean(eps * u) - disk_solution.c3)
+    assert gap == pytest.approx(dict(disk_solution.eps_trace_mean)[eps], abs=1e-10)
 
 
 def test_newton_config_validation():
@@ -214,29 +243,6 @@ def test_newton_config_validation():
         ContinuationSchedule(eps0=1e-7, eps_min=1e-6)
     with pytest.raises(ValueError):
         ContinuationSchedule(ratio=1.2)
-
-
-def test_homotopy_fallback_wiring(disk_setup, monkeypatch):
-    """A failing direct solve falls back to the contact-angle homotopy chain."""
-    import slmcf.translator as tr
-    _, grid, phi = disk_setup
-    pv = phi.values_on(grid)
-    calls = []
-    orig = tr.solve_regularized
-
-    def flaky(eps, init, phi_, grid_, newton=None, phi_vals=None):
-        calls.append(float(np.max(np.abs(phi_vals))))
-        if len(calls) == 1:
-            raise tr.NewtonError("forced failure")
-        return orig(eps, init, phi_, grid_, newton, phi_vals=phi_vals)
-
-    monkeypatch.setattr(tr, "solve_regularized", flaky)
-    u, info = tr._solve_with_homotopy(1.0, np.zeros((grid.n_radial, grid.n_angular)),
-                                      pv, grid, tr.NewtonConfig())
-    # failure, then phi scaled through 0.25, 0.5, 0.75, 1.0
-    assert calls == [pytest.approx(0.2), pytest.approx(0.05), pytest.approx(0.1),
-                     pytest.approx(0.15), pytest.approx(0.2)]
-    assert info["residual"] <= 1e-8
 
 
 def test_full_solve_manufactured_asymmetric():
@@ -280,3 +286,25 @@ def test_full_solve_manufactured_asymmetric():
     assert errs[-1] < 5e-4
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
+
+
+def test_zero_flux_translator_is_the_limit():
+    """A zero-flux contact angle (c3 = 0) still gets the limit profile.
+
+    Speed estimates near zero once stopped the eps walk at eps = 0.5 and
+    returned u_eps there, which missed the flow's long-time profile by 0.03.
+    """
+    from slmcf.runio import load_scenario
+    from slmcf.verify import check_translator_agreement
+    scenario = load_scenario({
+        "name": "zero_flux", "metric": {"id": "flat"},
+        "domain": {"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4},
+        "phi": {"kind": "fourier", "cos": [0.3]},
+        "grid": {"n_radial": 32, "n_angular": 64},
+        "stepper": {"tol_speed": 1e-7, "max_time": 10.0, "snapshot_interval": 25}})
+    sol = continuation(scenario.continuation, scenario.phi, scenario.grid)
+    assert sol.residuals["interior_max"] < 1e-8
+    assert abs(sol.c3) < 1e-12
+    run = run_to_convergence(scenario.u0, scenario.phi, scenario.grid, scenario.stepper)
+    rep = check_translator_agreement(run, sol, scenario.grid.h)
+    assert rep.passed, rep.details
