@@ -14,8 +14,8 @@ from .errors import (CheckPreconditionError, ContinuationError, GridError,
                      NewtonError, NonConvexDomainError, ScenarioError,
                      SlmcfError, SpacelikeBoundaryError, SpacelikeViolationError,
                      StepSizeUnderflowError, UnknownMetricError)
-from .flow import (FlowRun, FlowState, PairRun, StepperConfig, apply_contact_bc,
-                   run_pair, run_to_convergence, step)
+from .flow import (FlowRun, FlowState, PairRun, StepperConfig, run_pair,
+                   run_to_convergence, step)
 from .geometry import (EVO_DU_CONVENTIONS, GraphGeometry, covariant_hessian,
                        evo_du_rhs, evo_du_time_residual, graph_geometry,
                        graph_geometry_from_components, mean_curvature_field)

@@ -54,8 +54,7 @@ from scipy.sparse.linalg import splu
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import (contact_ghost, explicit_stable_dt, flow_operator,
-                        linearized_affine)
+from .operators import explicit_stable_dt, flow_operator, linearized_affine
 
 _DT_FLOOR = 1e-14
 _GROW_AFTER = 5      # consecutive accepted steps before dt doubles
@@ -121,16 +120,6 @@ class FlowRun:
     lu_factorizations: int      # splu calls of this field
     dt_min: float | None        # smallest and largest accepted dt (None: no step)
     dt_max: float | None
-
-
-def apply_contact_bc(u: GridFunction, phi: ContactAngle):
-    """Ghost row realizing D_N u = phi sqrt((1 - (D_T u)^2)/(1 + phi^2)).
-
-    Returns (ghost_row, d_tangent_u, d_normal_target); the ghost row extends
-    the field one ring beyond the boundary so centered stencils satisfy the
-    contact-angle condition exactly.
-    """
-    return contact_ghost(u.values, u.grid, phi.values_on(u.grid))
 
 
 class _Field:
@@ -389,6 +378,18 @@ class PairRun:
     max_abs: np.ndarray
     run_a: FlowRun
     run_b: FlowRun
+
+    @classmethod
+    def from_snapshots(cls, run_a: FlowRun, run_b: FlowRun) -> PairRun:
+        """The pair of two recorded runs, sampled at the snapshot times they share."""
+        ua = {round(t, 12): u for t, u in run_a.snapshots}
+        ub = {round(t, 12): u for t, u in run_b.snapshots}
+        times = sorted(set(ua) & set(ub))
+        diffs = [ua[t] - ub[t] for t in times]
+        return cls(t=np.asarray(times),
+                   osc=np.asarray([float(np.max(d) - np.min(d)) for d in diffs]),
+                   max_abs=np.asarray([float(np.max(np.abs(d))) for d in diffs]),
+                   run_a=run_a, run_b=run_b)
 
 
 def run_pair(u0a, u0b, phi: ContactAngle, grid: CurvilinearGrid,

@@ -130,11 +130,6 @@ def mean_curvature_field(values, grid: CurvilinearGrid, ghost=None):
 
 # -- chart-component kernel API -----------------------------------------------
 
-def grad_to_chart(grid: CurvilinearGrid, du):
-    """Covariant gradient components in chart coordinates: u_i = B^a_i u_a."""
-    return np.einsum("...ai,...a->...i", grid.jac_inv, du)
-
-
 def hess_to_chart(grid: CurvilinearGrid, hess):
     """Covariant Hessian components in chart coordinates."""
     return np.einsum("...ai,...bj,...ab->...ij", grid.jac_inv, grid.jac_inv, hess)

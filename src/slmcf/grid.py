@@ -141,17 +141,6 @@ class CurvilinearGrid:
     def mean(self, values):
         return self.domain_integral(values) / self.area
 
-    # -- IO helpers -----------------------------------------------------------
-
-    def node_table(self):
-        """Rows (i, j, rho, s, x1, x2, weight) for CSV dumps."""
-        rows = []
-        for i in range(self.n_radial):
-            for j in range(self.n_angular):
-                rows.append((i, j, self.rho[i], self.s[j],
-                             self.X[i, j, 0], self.X[i, j, 1], self.weights[i, j]))
-        return rows
-
 
 def _inv2(M):
     det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
@@ -301,11 +290,6 @@ class ContactAngle:
 
     def __call__(self, s):
         return self._phi(s)
-
-    def d_tangent(self, s):
-        """D_T phi at boundary parameters s."""
-        _, _, w = self.domain.frame(np.asarray(s, dtype=float))
-        return self._dphi(s) / w
 
     def values_on(self, grid: CurvilinearGrid):
         return self._phi(grid.s)

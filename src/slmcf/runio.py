@@ -37,11 +37,13 @@ import numpy as np
 from . import __version__
 from .domain import build_domain
 from .errors import ScenarioError
-from .flow import StepperConfig
-from .geometry import gradient_fields
+from .flow import FlowRun, FlowState, StepperConfig
+from .geometry import gradient_fields, mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric
-from .translator import ContinuationSchedule, NewtonConfig
+from .operators import contact_ghost, flow_operator
+from .translator import ContinuationSchedule, NewtonConfig, TranslatorSolution
+from .verify import monitor_constants
 
 _CURVATURE_FLOOR = -1e-12
 
@@ -85,6 +87,8 @@ class Scenario:
 
 
 def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
+    if not isinstance(spec, dict):
+        raise ScenarioError("scenario section 'u0' must be a JSON object")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return GridFunction.constant(grid, float(spec.get("value", 0.0)))
@@ -130,6 +134,8 @@ def load_scenario(config: dict) -> Scenario:
     for key in ("metric", "domain", "phi", "grid"):
         if key not in config:
             raise ScenarioError(f"scenario missing required section '{key}'")
+        if not isinstance(config[key], dict):
+            raise ScenarioError(f"scenario section '{key}' must be a JSON object")
 
     metric = get_metric(config["metric"].get("id", "flat"))
     domain = build_domain(config["domain"], metric)  # checks kappa0 > 0
@@ -243,24 +249,26 @@ def write_field_csv(path, grid: CurvilinearGrid, values, header):
 
 
 def read_field_csv(path, grid: CurvilinearGrid):
+    """(header, values) of a field file with one (i, j, rho, s, x1, x2, u) row per node."""
     header, _, data = read_csv(path)
-    values = np.full((grid.n_radial, grid.n_angular), np.nan)
+    if data.shape[1] != 7:
+        raise ScenarioError(f"field file {path} has {data.shape[1]} columns, not 7")
     ii = data[:, 0].astype(int)
     jj = data[:, 1].astype(int)
+    if np.any((ii < 0) | (ii >= grid.n_radial) | (jj < 0) | (jj >= grid.n_angular)):
+        raise ScenarioError(f"field file {path} has a node outside the "
+                            f"{grid.n_radial} x {grid.n_angular} grid")
+    values = np.full((grid.n_radial, grid.n_angular), np.nan)
     values[ii, jj] = data[:, 6]
     if np.any(np.isnan(values)):
         raise ScenarioError(f"field file {path} does not cover the grid")
     return header, values
 
 
-def write_grid_csv(path, grid: CurvilinearGrid, header):
-    cols = ["i", "j", "rho", "s", "x1", "x2", "weight"]
-    write_csv(path, cols, grid.node_table(), header)
-
-
 # -- manifests --------------------------------------------------------------------
 
 def write_manifest(path, manifest: dict):
+    """Indented, key-sorted JSON; scenario.json and result.json use it too."""
     pathlib.Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
 
@@ -291,3 +299,143 @@ def validate_manifest(run_dir) -> dict:
 
 def standard_header(scenario: Scenario) -> dict:
     return {"scenario": scenario.hash, "tool": f"slmcf {__version__}"}
+
+
+# -- run directories --------------------------------------------------------------
+#
+# A flow run directory holds scenario.json, series.csv, energy.csv, one
+# snapshots/snap_<k>.csv per snapshot, snapshots/dense_<tau>_<m>.csv (m = 0, 1, 2)
+# per dense triplet and manifest.json; a translator run directory holds
+# scenario.json, profile.csv, result.json and manifest.json.  ``load_run``
+# gives back the FlowRun or TranslatorSolution that was saved.
+
+def _save(outdir, scenario: Scenario, kind, files, seconds, final) -> dict:
+    manifest = {
+        "kind": kind,
+        "scenario_hash": scenario.hash,
+        "scenario_core_hash": scenario.core_hash,
+        "tool_version": __version__,
+        "scenario": scenario.config,
+        "files": files,
+        "timing": {"seconds": seconds},
+        "final": final,
+    }
+    write_manifest(pathlib.Path(outdir) / "scenario.json", scenario.config)
+    write_manifest(pathlib.Path(outdir) / "manifest.json", manifest)
+    return manifest
+
+
+def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
+    """Write ``run`` of ``scenario`` to ``outdir``; returns the manifest."""
+    outdir = pathlib.Path(outdir)
+    (outdir / "snapshots").mkdir(parents=True, exist_ok=True)
+    header = standard_header(scenario)
+    write_series_csv(outdir / "series.csv", run, header)
+    write_energy_csv(outdir / "energy.csv", run, header)
+    taus = sorted(run.dense)
+    snap_files = [f"snapshots/snap_{k:06d}.csv" for k in range(len(run.snapshots))]
+    dense_files = [f"snapshots/dense_{tau:.6f}_{m}.csv" for tau in taus for m in range(3)]
+    fields = run.snapshots + [tu for tau in taus for tu in run.dense[tau]]
+    for rel, (t, u) in zip(snap_files + dense_files, fields):
+        write_field_csv(outdir / rel, run.grid, u, {**header, "time": t})
+
+    mc = monitor_constants(scenario.u0, run.phi, run.grid, c0=run.monitor_c0)
+    final = {
+        "converged": run.converged,
+        "message": run.message,
+        "t_final": run.state.t,
+        "steps": run.state.step_count,
+        "rejected": run.rejected,
+        "lu_factorizations": run.lu_factorizations,
+        "dt_min": run.dt_min,
+        "dt_max": run.dt_max,
+        "speed_estimate": run.speed_estimate,
+        "sup_du2": run.state.sup_du2,
+        "sup_ut": run.state.sup_ut,
+        "max_H_final": float(np.max(np.abs(run.state.H_field))),
+        "monitor": mc.as_dict(),
+        "h": run.grid.h,
+        "delta_space": run.cfg.delta_space,
+    }
+    files = {"series": "series.csv", "energy": "energy.csv",
+             "snapshots": snap_files, "dense": dense_files}
+    return _save(outdir, scenario, "flow", files, seconds, final)
+
+
+def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSolution,
+                             seconds) -> dict:
+    """Write ``solution`` of ``scenario`` to ``outdir``; returns the manifest."""
+    outdir = pathlib.Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    grid = solution.profile.grid
+    write_field_csv(outdir / "profile.csv", grid, solution.profile.values,
+                    standard_header(scenario))
+    write_manifest(outdir / "result.json", solution.to_record())
+    files = {"profile": "profile.csv", "result": "result.json"}
+    final = {"c3": solution.c3, "residuals": solution.residuals, "h": grid.h}
+    return _save(outdir, scenario, "translator", files, seconds, final)
+
+
+def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
+    """The FlowRun saved in ``run_dir``.
+
+    The final state's u is the last snapshot; u_t and H_field, which are not
+    on disk, are recomputed from it.
+    """
+    run_dir = pathlib.Path(run_dir)
+    files, final = manifest["files"], manifest["final"]
+    grid, phi = scenario.grid, scenario.phi
+
+    def table(rel):
+        _, cols, data = read_csv(run_dir / rel)
+        return {c: data[:, k] for k, c in enumerate(cols)}
+
+    def field(rel):
+        header, values = read_field_csv(run_dir / rel, grid)
+        return float(header["time"]), values
+
+    snapshots = [field(rel) for rel in files["snapshots"]]
+    if not snapshots:
+        raise ScenarioError(f"flow run {run_dir} lists no snapshots")
+    dense_files = files.get("dense", [])
+    if len(dense_files) % 3:
+        raise ScenarioError(f"flow run {run_dir} lists {len(dense_files)} dense files, "
+                            f"not a whole number of triplets")
+    dense = {float(dense_files[k].split("_")[1]): tuple(map(field, dense_files[k:k + 3]))
+             for k in range(0, len(dense_files), 3)}
+
+    u = snapshots[-1][1]
+    phi_vals = phi.values_on(grid)
+    ghost, _, _ = contact_ghost(u, grid, phi_vals)
+    state = FlowState(u=u, t=final["t_final"], u_t=flow_operator(u, grid, phi_vals),
+                      sup_du2=final["sup_du2"], sup_ut=final["sup_ut"],
+                      H_field=mean_curvature_field(u, grid, ghost),
+                      step_count=final["steps"])
+    return FlowRun(grid=grid, phi=phi, cfg=scenario.stepper, state=state,
+                   converged=final["converged"], speed_estimate=final["speed_estimate"],
+                   series=table(files["series"]), energy=table(files["energy"]),
+                   snapshots=snapshots, dense=dense, monitor_c0=final["monitor"]["c0"],
+                   message=final["message"], rejected=final.get("rejected"),
+                   lu_factorizations=final.get("lu_factorizations"),
+                   dt_min=final.get("dt_min"), dt_max=final.get("dt_max"))
+
+
+def load_translator_solution(run_dir, manifest: dict,
+                             scenario: Scenario) -> TranslatorSolution:
+    """The TranslatorSolution saved in ``run_dir``."""
+    run_dir = pathlib.Path(run_dir)
+    files = manifest["files"]
+    _, profile = read_field_csv(run_dir / files["profile"], scenario.grid)
+    record = load_manifest(run_dir / files["result"])
+    return TranslatorSolution.from_record(record, GridFunction(profile, scenario.grid))
+
+
+def load_run(run_dir):
+    """(scenario, FlowRun or TranslatorSolution) of a validated run directory."""
+    manifest = validate_manifest(run_dir)
+    scenario = load_scenario(manifest["scenario"])
+    if scenario.hash != manifest["scenario_hash"]:
+        raise ScenarioError(f"manifest of {run_dir} records scenario hash "
+                            f"{manifest['scenario_hash']} != {scenario.hash} of its scenario")
+    load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
+    return scenario, load(run_dir, manifest, scenario)

@@ -102,6 +102,16 @@ class TranslatorSolution:
             "limit": self.limit,
         }
 
+    @classmethod
+    def from_record(cls, record: dict, profile: GridFunction) -> TranslatorSolution:
+        """Inverse of ``to_record``; ``profile`` is the field stored beside the record."""
+        return cls(profile=profile, c3=record["c3"],
+                   eps_trace=[tuple(p) for p in record["eps_trace"]],
+                   eps_trace_mean=[tuple(p) for p in record["eps_trace_mean"]],
+                   residuals=record["residuals"], grid_shape=tuple(record["grid"]),
+                   newton_iterations=record["newton_iterations"],
+                   limit=record.get("limit", {}))
+
 
 def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
     """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w."""

@@ -309,10 +309,16 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section", ["stepper", "continuation"])
-def test_solver_section_must_be_an_object(section):
-    with pytest.raises(ScenarioError, match=section):
-        load_scenario(dict(BASE, **{section: [1.0]}))
+NOT_AN_OBJECT = {"stepper": [1.0], "continuation": [1.0], "metric": "flat",
+                 "domain": "disk", "phi": 0.2, "grid": [12, 24]}
+
+
+@pytest.mark.parametrize("section", list(NOT_AN_OBJECT))
+def test_solver_section_must_be_an_object(tmp_path, section):
+    config = dict(BASE, **{section: NOT_AN_OBJECT[section]})
+    with pytest.raises(ScenarioError, match=f"'{section}' must be a JSON object"):
+        load_scenario(config)
+    assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
 
 
 def test_field_csv_round_trip_is_bit_identical(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError, StepSizeUnderflowError
-from slmcf.flow import StepperConfig, apply_contact_bc, run_pair, run_to_convergence
+from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import boundary_gradient_data
 
@@ -46,15 +46,6 @@ def test_linear_field_zero_interior_update(disk24):
     # away from the center patch the Hessian is clean second-order small
     away = interior_update[grid.rho[:-2] > 0.25, :]
     assert np.max(np.abs(away)) < 2e-3 * dt_used
-
-
-def test_apply_contact_bc_wrapper(disk24, phi02=None):
-    dom, grid = disk24
-    phi = ContactAngle({"kind": "constant", "value": 0.5}, dom)
-    u = GridFunction.constant(grid, 1.0)
-    ghost, dtu, dn = apply_contact_bc(u, phi)
-    assert ghost.shape == (grid.n_angular,)
-    assert np.allclose(dn, 0.5 / np.sqrt(1.25), atol=1e-12)
 
 
 def test_phi_zero_converges_to_constant(disk24):

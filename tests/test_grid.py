@@ -116,8 +116,3 @@ def test_contact_angle_kinds(unit_disk):
     with pytest.raises(ScenarioError):
         ContactAngle({"kind": "table", "values": [0.1] * 10}, unit_disk, n_angular=64)
 
-
-def test_node_table_shape(disk_grid_small):
-    rows = disk_grid_small.node_table()
-    assert len(rows) == disk_grid_small.n_radial * disk_grid_small.n_angular
-    assert len(rows[0]) == 7

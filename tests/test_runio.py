@@ -1,0 +1,168 @@
+"""Run directories: FlowRun and TranslatorSolution saved and loaded by runio."""
+
+import json
+
+import numpy as np
+import pytest
+
+from slmcf.cli import cmd_flow, main
+from slmcf.errors import ScenarioError
+from slmcf.flow import FlowRun, PairRun, run_to_convergence
+from slmcf.runio import (load_run, load_scenario, save_flow_run,
+                         save_translator_solution)
+from slmcf.translator import TranslatorSolution, continuation
+from slmcf.verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
+                          check_spacelike_bound, check_translator_agreement,
+                          check_ut_max_principle, monitor_constants)
+
+# zero flux, so every check of `slmcf verify` applies
+CONFIG = {
+    "name": "disk_cos",
+    "metric": {"id": "flat"},
+    "domain": {"kind": "disk", "radius": 1.0},
+    "phi": {"kind": "fourier", "cos": [0.3]},
+    "u0": {"kind": "constant", "value": 0.0},
+    "grid": {"n_radial": 16, "n_angular": 32},
+    "stepper": {"tol_speed": 1e-7, "max_time": 3.0, "dt": 0.01, "snapshot_interval": 50,
+                "dense_sample_times": [0.125, 0.5]},
+    "continuation": {"eps_min": 1e-5},
+}
+BUMP = {"kind": "polynomial", "terms": [[0.1, 2, 0], [0.1, 0, 2]]}
+
+
+def _flow(tmp_path, config, name):
+    scenario = load_scenario(config)
+    run = run_to_convergence(scenario.u0, scenario.phi, scenario.grid, scenario.stepper)
+    save_flow_run(tmp_path / name, scenario, run, 0.0)
+    return run, load_run(tmp_path / name)[1]
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """(in-memory, loaded) pairs of two flow runs and one translator solution."""
+    tmp_path = tmp_path_factory.mktemp("runs")
+    flow = _flow(tmp_path, CONFIG, "flow")
+    bump = _flow(tmp_path, dict(CONFIG, name="disk_cos_bump", u0=BUMP), "bump")
+    scenario = load_scenario(CONFIG)
+    solution = continuation(scenario.continuation, scenario.phi, scenario.grid)
+    save_translator_solution(tmp_path / "tr", scenario, solution, 0.0)
+    return flow, bump, (solution, load_run(tmp_path / "tr")[1])
+
+
+def test_flow_run_round_trip(saved):
+    (run, loaded), _, _ = saved
+    assert isinstance(loaded, FlowRun)
+    assert run.dense and len(run.snapshots) >= 2
+    for name in ("cfg", "converged", "speed_estimate", "monitor_c0", "message",
+                 "rejected", "lu_factorizations", "dt_min", "dt_max"):
+        assert getattr(loaded, name) == getattr(run, name), name
+    for name in ("series", "energy"):
+        mem, disk = getattr(run, name), getattr(loaded, name)
+        assert list(disk) == list(mem)
+        assert all(np.array_equal(disk[k], mem[k]) for k in mem), name
+    assert [t for t, _ in loaded.snapshots] == [t for t, _ in run.snapshots]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded.snapshots, run.snapshots))
+    assert list(loaded.dense) == list(run.dense)
+    for tau, triplet in run.dense.items():
+        assert [t for t, _ in loaded.dense[tau]] == [t for t, _ in triplet]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded.dense[tau], triplet))
+    for name in ("u", "t", "sup_du2", "sup_ut", "step_count"):
+        assert np.array_equal(getattr(loaded.state, name), getattr(run.state, name)), name
+    # not on disk: rebuilt from the last snapshot
+    assert np.max(np.abs(loaded.state.u_t - run.state.u_t)) < 1e-12
+    assert np.max(np.abs(loaded.state.H_field - run.state.H_field)) < 1e-12
+
+
+def test_translator_solution_round_trip(saved):
+    _, _, (solution, loaded) = saved
+    assert isinstance(loaded, TranslatorSolution)
+    assert np.array_equal(loaded.profile.values, solution.profile.values)
+    assert loaded.to_record() == solution.to_record()
+    assert (loaded.eps_trace, loaded.grid_shape) == (solution.eps_trace, solution.grid_shape)
+
+
+def _all_checks(flow, bump, solution):
+    scenario = load_scenario(CONFIG)
+    mc = monitor_constants(scenario.u0, flow.phi, flow.grid, c0=flow.monitor_c0)
+    h = flow.grid.h
+    return [check_ut_max_principle(flow.series),
+            check_spacelike_bound(flow.series, mc, h, flow.cfg.delta_space),
+            check_maximal_limit(flow, flow.phi, h),
+            check_evo_du_residual(flow, flow.grid, flow.phi),
+            check_translator_agreement(flow, solution, h),
+            check_osc_decay(PairRun.from_snapshots(flow, bump))]
+
+
+def test_checks_agree_in_memory_and_on_disk(saved):
+    (flow, flow_disk), (bump, bump_disk), (solution, solution_disk) = saved
+    in_memory = _all_checks(flow, bump, solution)
+    on_disk = _all_checks(flow_disk, bump_disk, solution_disk)
+    for mem, disk in zip(in_memory, on_disk):
+        assert disk.passed == mem.passed, mem.name
+        assert abs(disk.measured - mem.measured) <= 1e-12, mem.name
+    assert all(r.passed for r in in_memory)
+
+
+def _flow_dir(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    cmd_flow(cfg, tmp_path / "flow")
+    return tmp_path / "flow"
+
+
+def _rewrite_rows(path, change):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(line if line.startswith("#") else change(line)
+                              for line in lines) + "\n")
+
+
+SMALL = dict(CONFIG, grid={"n_radial": 12, "n_angular": 24},
+             stepper={"tol_speed": 1e-7, "max_time": 1.0, "dense_sample_times": [0.25]})
+
+
+def test_field_node_outside_the_grid_is_a_scenario_error(tmp_path):
+    run_dir = _flow_dir(tmp_path, SMALL)
+    snap = run_dir / "snapshots" / "snap_000000.csv"
+    lines = snap.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line[0].isdigit())
+    lines[row] = "99" + lines[row][lines[row].index(","):]
+    snap.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError, match="outside"):
+        load_run(run_dir)
+    assert main(["verify", str(run_dir)]) == 2
+
+
+def test_field_file_without_seven_columns_is_a_scenario_error(tmp_path):
+    run_dir = _flow_dir(tmp_path, SMALL)
+    _rewrite_rows(run_dir / "snapshots" / "snap_000000.csv",
+                  lambda line: line.rsplit(",", 1)[0])
+    with pytest.raises(ScenarioError, match="6 columns"):
+        load_run(run_dir)
+    assert main(["verify", str(run_dir)]) == 2
+
+
+def test_dense_files_not_in_triplets_are_a_scenario_error(tmp_path):
+    run_dir = _flow_dir(tmp_path, SMALL)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert len(manifest["files"]["dense"]) == 3
+    manifest["files"]["dense"].pop()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ScenarioError, match="triplets"):
+        load_run(run_dir)
+    assert main(["verify", str(run_dir)]) == 2
+
+
+def test_default_stepper_run_verifies_against_translator(tmp_path):
+    """With dt growth the 16 x 32 flow settles before its first snapshot on
+    the default cadence; its drift rate is read from the final u_t."""
+    config = {k: v for k, v in CONFIG.items() if k != "stepper"}
+    config.update(name="disk_phi02", phi={"kind": "constant", "value": 0.2})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["flow", str(cfg), "-o", str(tmp_path / "flow")]) == 0
+    assert main(["translator", str(cfg), "-o", str(tmp_path / "tr")]) == 0
+    assert main(["verify", str(tmp_path / "flow"), str(tmp_path / "tr"),
+                 "-o", str(tmp_path / "report.json")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    agreement = [r for r in report["reports"] if r["name"].endswith("translator_agreement")]
+    assert len(agreement) == 1 and agreement[0]["passed"]
