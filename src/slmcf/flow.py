@@ -28,7 +28,16 @@ in lockstep on one time grid) and ``step``:
   max|F(u_{n+1}) - (L u_{n+1} + k)| exceeds half the speed deviation
   max|u_t - mean u_t|: stale coefficients would otherwise hold the run at a
   deviation of the size of the defect.  The rules are checked just before a
-  step, so a run that has stopped pays for no factorization.
+  step, so a run that has stopped pays for no factorization.  The step
+  matrix I - dt L is factored on a nested-dissection order of the grid's
+  stencil graph (``operators.nested_dissection_order``), computed once per
+  grid shape and shared by every field and refresh; SuperLU keeps its
+  threshold pivoting.  At 128 x 256 this cuts the factor fill by about 30%
+  and the factorization time by half against the COLAMD order SuperLU would
+  recompute on every call.  The translator's bordered matrix
+  [[L, -1], [a^T, 0]] keeps COLAMD: its border row and column are dense, so
+  they join no separator and go last, and there the nested-dissection
+  factorization was measured only about 15% faster.
 - Mean split.  Each field is carried as a scalar mean plus a zero-mean part
   w.  F and the frozen model are invariant under constant shifts, so the
   operator and the LU only see w, and the growing constant c3 t (or a large
@@ -54,7 +63,8 @@ from scipy.sparse.linalg import splu
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import explicit_stable_dt, flow_operator, linearized_affine
+from .operators import (explicit_stable_dt, flow_operator, linearized_affine,
+                        nested_dissection_order)
 
 _DT_FLOOR = 1e-14
 _GROW_AFTER = 5      # consecutive accepted steps before dt doubles
@@ -126,15 +136,17 @@ class _Field:
     """One evolving field u = mean + w with grid.mean(w) = 0.
 
     Holds the operator evaluation ``q`` at the current w and, for the
-    semi-implicit scheme, the frozen affine model (L, k) with its LU.
+    semi-implicit scheme, the frozen affine model (L, k) with the LU of its
+    step matrix, factored on the elimination order ``perm``.
     """
 
-    def __init__(self, u, grid, phi_vals):
+    def __init__(self, u, grid, phi_vals, perm):
         u = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         if not np.all(np.isfinite(u)):
             raise ScenarioError("initial data contains non-finite values")
         self.grid = grid
         self.phi_vals = phi_vals
+        self.perm = perm
         self.mean = 0.0
         self.lu = None              # the frozen model's LU, built before the first step
         self.factorizations = 0
@@ -147,8 +159,10 @@ class _Field:
 
     def refresh(self, dt):
         self._L, self._k, _ = linearized_affine(self.w, self.grid, self.phi_vals)
-        ident = sp.identity(self.w.size, format="csc")
-        self.lu = splu((ident - dt * self._L).tocsc())
+        p = self.perm
+        matrix = (sp.identity(self.w.size, format="csc") - dt * self._L).tocsc()
+        self.lu = splu(matrix[p][:, p], permc_spec="NATURAL",
+                       options=dict(SymmetricMode=True))
         self.factorizations += 1
         self.since_refresh = 0
 
@@ -166,7 +180,10 @@ class _Field:
     def candidate(self, dt, implicit):
         """The next step of this field, as accepted by ``accept``."""
         if implicit:
-            w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
+            rhs = self.w.ravel() + dt * self._k
+            w = np.empty_like(rhs)
+            w[self.perm] = self.lu.solve(rhs[self.perm])
+            w = w.reshape(self.w.shape)
         else:
             w = self.w + dt * self.q["op"]
         return self._centered(w)
@@ -186,8 +203,10 @@ class _Stepper:
         self.cfg = cfg
         self.grid = grid
         phi_vals = phi.values_on(grid)
-        self.fields = [_Field(u, grid, phi_vals) for u in fields]
         self.implicit = cfg.scheme == "semi_implicit"
+        perm = (nested_dissection_order(grid.n_radial, grid.n_angular)
+                if self.implicit else None)
+        self.fields = [_Field(u, grid, phi_vals, perm) for u in fields]
         self.t = float(t)
         self.dt = cfg.initial_dt(grid)
         self.dt_cap = _DT_CAP * grid.domain.inradius

@@ -23,6 +23,8 @@ verification of the assembled matrix lives in the test suite.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -92,6 +94,106 @@ def _ghost_sensitivity(values, grid: CurvilinearGrid, phi_vals, newton):
     return -(grid.hr / grid.hs) * sens / srr
 
 
+_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+_ND_LEAF = 64   # nested dissection stops at parts of at most this many nodes
+
+
+def stencil_pattern(n_radial, n_angular):
+    """Index arrays (rows, cols, ghost, gj) of the operator matrix on a grid shape.
+
+    The nine-point stencil at offsets ``_OFFSETS`` writes one weight per node
+    and offset; ``ghost`` marks the entries of that 9N list that reach beyond
+    the boundary ring and ``gj`` gives their ghost column.  Each ghost entry
+    is folded into the three unknowns the ghost value depends on, so entry k
+    of the assembled COO list sits at (rows[k], cols[k]): first the 9N
+    stencil entries without the ghost ones, then the folded ones, in three
+    blocks.  The arrays depend on the shape alone.
+    """
+    n_r, n_a = n_radial, n_angular
+    N = n_r * n_a
+    half = n_a // 2
+    I, J = np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij")
+    rows_list, cols_list = [], []
+    for di, dj in _OFFSETS:
+        ti = I + di
+        tj = (J + dj) % n_a
+        # cross-center: (-1, j) is (0, j + half)
+        center = ti == -1
+        tj = np.where(center, (tj + half) % n_a, tj)
+        ti = np.where(center, 0, ti)
+        # beyond the boundary: ghost pseudo-columns N + j
+        col = np.where(ti == n_r, N + tj, ti * n_a + tj)
+        rows_list.append((I * n_a + J).ravel())
+        cols_list.append(col.ravel())
+    rows = np.concatenate(rows_list)
+    cols = np.concatenate(cols_list)
+
+    # fold ghost columns: ghost[j] = u[-2, j] + gplus[j] u[-1, j+1] - gplus[j] u[-1, j-1] + const
+    ghost = cols >= N
+    grows = rows[ghost]
+    gj = cols[ghost] - N
+    rows = np.concatenate([rows[~ghost], grows, grows, grows])
+    cols = np.concatenate([cols[~ghost], (n_r - 2) * n_a + gj,
+                           (n_r - 1) * n_a + (gj + 1) % n_a,
+                           (n_r - 1) * n_a + (gj - 1) % n_a])
+    return rows, cols, ghost, gj
+
+
+@functools.lru_cache(maxsize=8)
+def nested_dissection_order(n_radial, n_angular):
+    """Fill-reducing elimination order p of the operator matrix on a grid shape.
+
+    ``A[p][:, p]`` is the reordered matrix.  Recursive coordinate bisection
+    (George 1973): each part of the node set is split at the median of its
+    longer extent in the reference-disk points (rho cos s, rho sin s); the
+    nodes of the first half that have a stencil neighbour in the second half
+    form the separator, which is ordered after both halves.  Parts of at
+    most ``_ND_LEAF`` nodes keep their natural order.  The graph is the one
+    of ``stencil_pattern``, which depends on the shape alone: a pattern read
+    off an assembled matrix lacks the entries that happen to be exact zeros
+    (A12 = 0 on a radially symmetric state), and an order built on it fills
+    the factors of every later, curved state.
+    """
+    rows, cols, _, _ = stencil_pattern(n_radial, n_angular)
+    N = n_radial * n_angular
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(N, N))
+    graph = (graph + graph.T).tocoo()           # symmetric, duplicates summed
+    loop = graph.row == graph.col
+    a, b = graph.row[~loop], graph.col[~loop]   # each edge in both directions
+    rho = (np.arange(n_radial) + 0.5) / (n_radial - 0.5)
+    rho[-1] = 1.0
+    R, S = np.meshgrid(rho, 2.0 * np.pi * np.arange(n_angular) / n_angular, indexing="ij")
+    points = np.stack([(R * np.cos(S)).ravel(), (R * np.sin(S)).ravel()], axis=1)
+    second_half = np.zeros(N, dtype=bool)
+    separator = np.zeros(N, dtype=bool)
+    order = []
+
+    def dissect(nodes, a, b):
+        """Append the order of ``nodes``; (a, b) are the edges among them."""
+        if nodes.size <= _ND_LEAF:
+            order.append(nodes)
+            return
+        x = points[nodes]
+        axis = int(np.argmax(np.ptp(x, axis=0)))
+        nodes = nodes[np.argsort(x[:, axis], kind="stable")]
+        first, second = nodes[:nodes.size // 2], nodes[nodes.size // 2:]
+        second_half[first] = False
+        second_half[second] = True
+        in_a, in_b = second_half[a], second_half[b]
+        cut = np.unique(a[~in_a & in_b])
+        separator[cut] = True
+        keep = ~in_a & ~in_b & ~separator[a] & ~separator[b]
+        dissect(np.sort(first[~separator[first]]), a[keep], b[keep])
+        keep = in_a & in_b
+        dissect(np.sort(second), a[keep], b[keep])
+        order.append(cut)
+
+    dissect(np.arange(N), a, b)
+    p = np.concatenate(order)
+    p.flags.writeable = False
+    return p
+
+
 def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, mode="newton"):
     """Sparse matrix of the linearized operator around ``values``.
 
@@ -118,59 +220,22 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, mode="newt
         B = B + 2.0 * M / v2[..., None] + 2.0 * quad[..., None] * P / (v2 ** 2)[..., None]
     B1, B2 = B[..., 0], B[..., 1]
 
-    contributions = [
-        (0, 0, -2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2),
-        (1, 0, A11 / hr ** 2 + B1 / (2.0 * hr)),
-        (-1, 0, A11 / hr ** 2 - B1 / (2.0 * hr)),
-        (0, 1, A22 / hs ** 2 + B2 / (2.0 * hs)),
-        (0, -1, A22 / hs ** 2 - B2 / (2.0 * hs)),
-        (1, 1, A12 / (2.0 * hr * hs)),
-        (-1, -1, A12 / (2.0 * hr * hs)),
-        (1, -1, -A12 / (2.0 * hr * hs)),
-        (-1, 1, -A12 / (2.0 * hr * hs)),
+    weights = [                  # in _OFFSETS order
+        -2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2,
+        A11 / hr ** 2 + B1 / (2.0 * hr),
+        A11 / hr ** 2 - B1 / (2.0 * hr),
+        A22 / hs ** 2 + B2 / (2.0 * hs),
+        A22 / hs ** 2 - B2 / (2.0 * hs),
+        A12 / (2.0 * hr * hs),
+        A12 / (2.0 * hr * hs),
+        -A12 / (2.0 * hr * hs),
+        -A12 / (2.0 * hr * hs),
     ]
-
-    I, J = np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij")
-    rows_list, cols_list, vals_list = [], [], []
-    half = n_a // 2
-    for di, dj, W in contributions:
-        ti = I + di
-        tj = (J + dj) % n_a
-        # cross-center: (-1, j) is (0, j + half)
-        center = ti == -1
-        tj = np.where(center, (tj + half) % n_a, tj)
-        ti = np.where(center, 0, ti)
-        # beyond the boundary: ghost pseudo-columns N + j
-        ghost_mask = ti == n_r
-        col = np.where(ghost_mask, N + tj, ti * n_a + tj)
-        rows_list.append((I * n_a + J).ravel())
-        cols_list.append(col.ravel())
-        vals_list.append(np.broadcast_to(W, I.shape).ravel())
-
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-
-    # fold ghost columns: ghost[j] = u[-2, j] + gplus[j] u[-1, j+1] - gplus[j] u[-1, j-1] + const
-    gmask = cols >= N
-    if np.any(gmask):
-        gplus = _ghost_sensitivity(values, grid, phi_vals, newton)
-        grows = rows[gmask]
-        gj = cols[gmask] - N
-        gvals = vals[gmask]
-        rows = rows[~gmask]
-        cols = cols[~gmask]
-        vals = vals[~gmask]
-        extra_rows = np.concatenate([grows, grows, grows])
-        extra_cols = np.concatenate([
-            (n_r - 2) * n_a + gj,
-            (n_r - 1) * n_a + (gj + 1) % n_a,
-            (n_r - 1) * n_a + (gj - 1) % n_a,
-        ])
-        extra_vals = np.concatenate([gvals, gvals * gplus[gj], -gvals * gplus[gj]])
-        rows = np.concatenate([rows, extra_rows])
-        cols = np.concatenate([cols, extra_cols])
-        vals = np.concatenate([vals, extra_vals])
+    rows, cols, ghost, gj = stencil_pattern(n_r, n_a)
+    vals = np.concatenate([np.broadcast_to(W, (n_r, n_a)).ravel() for W in weights])
+    gplus = _ghost_sensitivity(values, grid, phi_vals, newton)[gj]
+    gvals = vals[ghost]
+    vals = np.concatenate([vals[~ghost], gvals, gvals * gplus, -gvals * gplus])
 
     L = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsc()
     return L, q

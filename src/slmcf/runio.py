@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import weakref
 
 import numpy as np
 
@@ -184,13 +185,15 @@ def _fmt(x):
     return repr(float(x))
 
 
-def write_csv(path, columns, rows, header: dict):
-    path = pathlib.Path(path)
+def _write_lines(path, columns, body, header: dict):
     lines = [f"# {k}: {v}" for k, v in header.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines.extend(body)
+    pathlib.Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_csv(path, columns, rows, header: dict):
+    _write_lines(path, columns, (",".join(_fmt(x) for x in row) for row in rows), header)
 
 
 def _header_entry(line, header):
@@ -238,14 +241,29 @@ def write_energy_csv(path, run, header):
               "int u_t^2/v, per-step identity residual"})
 
 
+# The "i,j,rho,s,x1,x2," start of every field-file row, per grid.  Weak keys:
+# the cache does not keep a grid alive.
+_NODE_COLUMNS = weakref.WeakKeyDictionary()
+
+
+def _node_columns(grid: CurvilinearGrid):
+    cells = _NODE_COLUMNS.get(grid)
+    if cells is None:
+        rho, s, X = grid.rho.tolist(), grid.s.tolist(), grid.X.tolist()
+        cells = [f"{i},{j},{rho[i]!r},{s[j]!r},{X[i][j][0]!r},{X[i][j][1]!r},"
+                 for i in range(grid.n_radial) for j in range(grid.n_angular)]
+        _NODE_COLUMNS[grid] = cells
+    return cells
+
+
 def write_field_csv(path, grid: CurvilinearGrid, values, header):
-    cols = ["i", "j", "rho", "s", "x1", "x2", "u"]
-    rows = []
-    for i in range(grid.n_radial):
-        for j in range(grid.n_angular):
-            rows.append((i, j, grid.rho[i], grid.s[j],
-                         grid.X[i, j, 0], grid.X[i, j, 1], values[i, j]))
-    write_csv(path, cols, rows, header)
+    """One (i, j, rho, s, x1, x2, u) row per node, in row-major (i, j) order."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_radial, grid.n_angular):
+        raise ValueError(f"field of shape {values.shape} on a "
+                         f"{grid.n_radial} x {grid.n_angular} grid")
+    body = (cells + repr(x) for cells, x in zip(_node_columns(grid), values.ravel().tolist()))
+    _write_lines(path, ["i", "j", "rho", "s", "x1", "x2", "u"], body, header)
 
 
 def read_field_csv(path, grid: CurvilinearGrid):

@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from slmcf import flow
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError, StepSizeUnderflowError
-from slmcf.flow import StepperConfig, run_pair, run_to_convergence
+from slmcf.flow import FlowState, StepperConfig, run_pair, run_to_convergence, step
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import boundary_gradient_data
+from slmcf.operators import (boundary_gradient_data, linearized_affine,
+                             nested_dissection_order)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +159,6 @@ def test_nonconvergence_reported(disk24):
 def test_single_step_api(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    from slmcf.flow import step
     cfg = StepperConfig(dt=0.01, max_time=5.0, tol_speed=0.0)
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid,
                              dataclasses.replace(cfg, max_steps=2))
@@ -282,3 +285,98 @@ def test_persistent_rejection_underflows(runner):
             run_to_convergence(u0, phi, grid, cfg)
         else:
             run_pair(u0, u0 + 1.0, phi, grid, cfg)
+
+
+# -- the step matrix, factored on the nested-dissection order of the grid shape -----
+
+def _start(u):
+    return FlowState(u=u, t=0.0, u_t=None, sup_du2=0.0, sup_ut=0.0, H_field=None,
+                     step_count=0)
+
+
+def _bump(grid):
+    """A small curved field with a mixed (rho, s) derivative on any domain."""
+    return 0.05 * grid.rho[:, None] ** 2 * (1.0 + 0.5 * np.cos(grid.s + 0.3))[None, :]
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Every (matrix, keywords, SuperLU) factorization the flow makes."""
+    made = []
+
+    def recording(A, **kw):
+        lu = splu(A, **kw)
+        made.append((A, kw, lu))
+        return lu
+
+    monkeypatch.setattr(flow, "splu", recording)
+    return made
+
+
+def _step_matrix(u, grid, phi, dt):
+    """(I - dt L, k) of the frozen model at u, as the stepper builds it."""
+    w = u - grid.mean(u)
+    L, k, _ = linearized_affine(w, grid, phi.values_on(grid))
+    return (sp.identity(u.size, format="csc") - dt * L).tocsc(), k, w
+
+
+@pytest.mark.parametrize("domain", [{"kind": "disk", "radius": 1.0},
+                                    {"kind": "ellipse", "a": 2.0, "b": 1.0}])
+def test_step_factors_on_the_shape_order(domain, factored):
+    dom = build_domain(domain, "flat")
+    grid = build_grid(dom, 32, 64)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(dt=0.02)
+    u = _bump(grid)
+    step(_start(u), cfg, grid, phi)
+    (A, kw, _), = factored
+    p = nested_dissection_order(32, 64)
+    reference, _, _ = _step_matrix(u, grid, phi, 0.02)
+    assert kw["permc_spec"] == "NATURAL"
+    assert (A != reference[p][:, p]).nnz == 0
+
+
+@pytest.mark.parametrize("domain,metric,phi", [
+    ({"kind": "disk", "radius": 1.0}, "flat", {"kind": "constant", "value": 0.2}),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, "flat", {"kind": "constant", "value": 0.2}),
+    ({"kind": "chart_circle", "r0": 0.8}, "sphere", {"kind": "constant", "value": 0.2}),
+    ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat",
+     {"kind": "fourier", "cos": [0.3]}),
+])
+def test_ordered_step_matches_colamd_step(domain, metric, phi):
+    """One step on the reordered factor is the step a COLAMD-ordered splu gives."""
+    dom = build_domain(domain, metric)
+    grid = build_grid(dom, 32, 64)
+    phi = ContactAngle(phi, dom)
+    dt = 0.5 * StepperConfig().initial_dt(grid)
+    u = _bump(grid)
+    A, k, w = _step_matrix(u, grid, phi, dt)
+    expected = grid.mean(u) + splu(A).solve(w.ravel() + dt * k).reshape(u.shape)
+    stepped = step(_start(u), StepperConfig(dt=dt), grid, phi).u
+    assert np.max(np.abs(stepped - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_ordered_factor_fills_less_than_colamd(factored):
+    """The order comes from the stencil pattern, not from a matrix: a first
+    factorization at u = 0 on the disk, where A12 is an exact zero, must not
+    leave the factors of a later, curved state worse than COLAMD's."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 64, 128)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(dt=0.02)
+    step(_start(np.zeros((64, 128))), cfg, grid, phi)
+    u = GridFunction.from_chart(grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y).values
+    step(_start(u), cfg, grid, phi)
+    A, _, _ = _step_matrix(u, grid, phi, 0.02)
+    assert factored[-1][2].nnz < splu(A).nnz
+
+
+def test_pair_computes_the_order_once():
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 32, 64)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    nested_dissection_order.cache_clear()
+    pair = run_pair(np.zeros((32, 64)), _bump(grid), phi, grid, StepperConfig(max_time=0.2))
+    assert pair.run_a.lu_factorizations > 0 and pair.run_b.lu_factorizations > 0
+    info = nested_dissection_order.cache_info()
+    assert (info.misses, info.hits) == (1, 0)

@@ -6,7 +6,7 @@ from slmcf.errors import SpacelikeBoundaryError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import (assemble_operator_matrix, boundary_gradient_data,
                              contact_ghost, explicit_stable_dt, flow_operator,
-                             linearized_affine)
+                             linearized_affine, nested_dissection_order)
 
 
 def _test_field(grid, metric_id):
@@ -123,3 +123,10 @@ def test_explicit_dt_scaling(disk_grid_small, phi02):
     q = flow_operator(u, disk_grid_small, pv, with_fields=True)
     dt = explicit_stable_dt(q, disk_grid_small, 0.8)
     assert 0 < dt < disk_grid_small.hr ** 2  # center ring stiffness dominates
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (32, 64), (64, 128)])
+def test_nested_dissection_order_is_a_permutation(shape):
+    p = nested_dissection_order(*shape)
+    assert np.array_equal(np.sort(p), np.arange(shape[0] * shape[1]))
+    assert not p.flags.writeable

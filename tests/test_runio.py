@@ -1,15 +1,19 @@
 """Run directories: FlowRun and TranslatorSolution saved and loaded by runio."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from slmcf.cli import cmd_flow, main
+from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
 from slmcf.flow import FlowRun, PairRun, run_to_convergence
+from slmcf.grid import build_grid
 from slmcf.runio import (load_run, load_scenario, save_flow_run,
-                         save_translator_solution)
+                         save_translator_solution, write_field_csv)
 from slmcf.translator import TranslatorSolution, continuation
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
                           check_spacelike_bound, check_translator_agreement,
@@ -166,3 +170,44 @@ def test_default_stepper_run_verifies_against_translator(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     agreement = [r for r in report["reports"] if r["name"].endswith("translator_agreement")]
     assert len(agreement) == 1 and agreement[0]["passed"]
+
+
+def _row_by_row_field_csv(grid, values, header):
+    """The field file as the earlier writer built it, one _fmt cell at a time."""
+    def fmt(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return repr(float(x))
+
+    lines = [f"# {k}: {v}" for k, v in header.items()]
+    lines.append("i,j,rho,s,x1,x2,u")
+    for i in range(grid.n_radial):
+        for j in range(grid.n_angular):
+            row = (i, j, grid.rho[i], grid.s[j], grid.X[i, j, 0], grid.X[i, j, 1],
+                   values[i, j])
+            lines.append(",".join(fmt(x) for x in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_field_csv_bytes_match_the_row_writer(tmp_path):
+    dom = build_domain({"kind": "ellipse", "a": 2.0, "b": 1.0}, "flat")
+    grid = build_grid(dom, 12, 24)
+    values = np.random.default_rng(3).normal(size=(12, 24))
+    values[0, :3] = (-0.0, 1e-300, -1e-300)
+    values[1] = np.arange(24.0) - 12.0
+    values[2, 0] = 1e17
+    header = {"scenario": "abc", "time": 0.125}
+    for name in ("first.csv", "second.csv"):     # the second reuses the node columns
+        write_field_csv(tmp_path / name, grid, values, header)
+        assert (tmp_path / name).read_bytes() == _row_by_row_field_csv(grid, values, header)
+    with pytest.raises(ValueError, match="shape"):
+        write_field_csv(tmp_path / "bad.csv", grid, values.T, header)
+
+
+def test_field_csv_node_columns_do_not_keep_the_grid_alive(tmp_path):
+    grid = build_grid(build_domain({"kind": "disk", "radius": 1.0}, "flat"), 8, 16)
+    write_field_csv(tmp_path / "f.csv", grid, np.zeros((8, 16)), {})
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None
