@@ -2,11 +2,12 @@
 
 Two schemes share the spatial operator from :mod:`slmcf.operators`:
 
-- ``semi_implicit`` (default): backward-Euler step with the coefficients
-  g~^{ab} and the nonlinear part of the boundary closure frozen in an affine
-  model F(u') ~ L u' + k.  Unconditionally stable for the frozen problem.  A
-  translator orbit u(x) + c t is an exact fixed orbit of this scheme, so
-  long-time speed estimates carry no time-discretization bias.
+- ``semi_implicit`` (default): backward Euler on the affine model
+  F(u') ~ L u' + k, k = F(w) - L w, with L the exact Jacobian of F at the
+  current state (``operators.linearized_affine``; the translator's Newton
+  matrix).  A translator orbit u(x) + c t is an exact fixed orbit: F(w) = c
+  and L annihilates constants, so (I - dt L) w' = w + dt k is solved by
+  w' = w + dt c for any L, and long-time speeds carry no dt bias.
 - ``explicit``: forward Euler under a CFL bound, kept for debugging and
   cross-checks at small sizes (the center rings make it severely stiff).
 
@@ -23,23 +24,18 @@ in lockstep on one time grid) and ``step``:
   steps and never looks at the data, so two runs that differ only in u0 step
   on identical times unless one of them rejects a step.  An explicit ``dt``
   is a fixed step (halved only on rejection).
-- LU refresh.  The frozen model is relinearized and refactored when dt
-  changes, every ``refresh_interval`` accepted steps, and whenever its defect
+- LU refresh.  The affine model is relinearized and refactored when dt
+  changes, every ``_REFRESH_INTERVAL`` accepted steps, and whenever its defect
   max|F(u_{n+1}) - (L u_{n+1} + k)| exceeds half the speed deviation
-  max|u_t - mean u_t|: stale coefficients would otherwise hold the run at a
-  deviation of the size of the defect.  The rules are checked just before a
-  step, so a run that has stopped pays for no factorization.  The step
-  matrix I - dt L is factored on a nested-dissection order of the grid's
-  stencil graph (``operators.nested_dissection_order``), computed once per
-  grid shape and shared by every field and refresh; SuperLU keeps its
-  threshold pivoting.  At 128 x 256 this cuts the factor fill by about 30%
-  and the factorization time by half against the COLAMD order SuperLU would
-  recompute on every call.  The translator's bordered matrix
-  [[L, -1], [a^T, 0]] keeps COLAMD: its border row and column are dense, so
-  they join no separator and go last, and there the nested-dissection
-  factorization was measured only about 15% faster.
+  max|u_t - mean u_t|, which a stale model would otherwise not fall below.
+  On the Jacobian the defect is second order in the step, so factorizations
+  mostly follow the dt ladder; the interval rule keeps fixed-dt transients
+  off a stale model.  The rules are checked just before a step, so a
+  stopped run pays for no factorization.  ``operators.OrderedLU`` factors
+  I - dt L on the grid shape's nested-dissection order, computed once and
+  shared by every field, refresh and the translator.
 - Mean split.  Each field is carried as a scalar mean plus a zero-mean part
-  w.  F and the frozen model are invariant under constant shifts, so the
+  w.  F and the affine model are invariant under constant shifts, so the
   operator and the LU only see w, and the growing constant c3 t (or a large
   constant u0) adds no rounding floor proportional to |u| to the speed field.
 
@@ -63,12 +59,13 @@ from scipy.sparse.linalg import splu
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import (explicit_stable_dt, flow_operator, linearized_affine,
+from .operators import (OrderedLU, explicit_stable_dt, flow_operator, linearized_affine,
                         nested_dissection_order)
 
 _DT_FLOOR = 1e-14
 _GROW_AFTER = 5      # consecutive accepted steps before dt doubles
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
+_REFRESH_INTERVAL = 10   # accepted steps after which the LU is refactored
 
 
 @dataclasses.dataclass
@@ -80,7 +77,6 @@ class StepperConfig:
     max_time: float = 10.0
     delta_space: float = 1e-3
     snapshot_interval: int = 50
-    refresh_interval: int = 10
     dense_sample_times: tuple = ()
     max_steps: int = 2_000_000
 
@@ -136,8 +132,8 @@ class _Field:
     """One evolving field u = mean + w with grid.mean(w) = 0.
 
     Holds the operator evaluation ``q`` at the current w and, for the
-    semi-implicit scheme, the frozen affine model (L, k) with the LU of its
-    step matrix, factored on the elimination order ``perm``.
+    semi-implicit scheme, the affine model (L, k) with the LU of its step
+    matrix, factored on the elimination order ``perm``.
     """
 
     def __init__(self, u, grid, phi_vals, perm):
@@ -148,7 +144,7 @@ class _Field:
         self.phi_vals = phi_vals
         self.perm = perm
         self.mean = 0.0
-        self.lu = None              # the frozen model's LU, built before the first step
+        self.lu = None              # the step matrix's LU, built before the first step
         self.factorizations = 0
         self.since_refresh = 0
         self.accept(self._centered(u))
@@ -159,15 +155,14 @@ class _Field:
 
     def refresh(self, dt):
         self._L, self._k, _ = linearized_affine(self.w, self.grid, self.phi_vals)
-        p = self.perm
         matrix = (sp.identity(self.w.size, format="csc") - dt * self._L).tocsc()
-        self.lu = splu(matrix[p][:, p], permc_spec="NATURAL",
-                       options=dict(SymmetricMode=True))
+        self.lu = None              # the old factors go before the new ones are built
+        self.lu = OrderedLU(splu, matrix, self.perm)
         self.factorizations += 1
         self.since_refresh = 0
 
     def defect(self):
-        """max|F(w) - (L w + k)|: how far the frozen model has drifted."""
+        """max|F(w) - (L w + k)|: how far the affine model has drifted."""
         model = self._L @ self.w.ravel() + self._k
         return float(np.max(np.abs(self.q["op"].ravel() - model)))
 
@@ -180,13 +175,19 @@ class _Field:
     def candidate(self, dt, implicit):
         """The next step of this field, as accepted by ``accept``."""
         if implicit:
-            rhs = self.w.ravel() + dt * self._k
-            w = np.empty_like(rhs)
-            w[self.perm] = self.lu.solve(rhs[self.perm])
-            w = w.reshape(self.w.shape)
+            w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
         else:
             w = self.w + dt * self.q["op"]
         return self._centered(w)
+
+    def state(self, t, step_count, sup_du2=0.0, sup_ut=0.0):
+        """FlowState now; the running sups go on from ``sup_du2`` and ``sup_ut``."""
+        op = self.q["op"]
+        return FlowState(u=self.u, t=t, u_t=op,
+                         sup_du2=max(sup_du2, float(np.max(self.q["du2"]))),
+                         sup_ut=max(sup_ut, float(np.max(np.abs(op)))),
+                         H_field=mean_curvature_field(self.w, self.grid, self.q["ghost"]),
+                         step_count=step_count)
 
     def accept(self, candidate):
         shift, self.w, self.q = candidate
@@ -235,9 +236,8 @@ class _Stepper:
         if self.grow and self.streak >= _GROW_AFTER and self.dt < self.dt_cap:
             self._set_dt(min(2.0 * self.dt, self.dt_cap))
             return
-        interval = max(1, int(self.cfg.refresh_interval))
         for f in self.fields:
-            if (f.lu is None or f.since_refresh >= interval
+            if (f.lu is None or f.since_refresh >= _REFRESH_INTERVAL
                     or f.defect() > 0.5 * f.dev):
                 f.refresh(self.dt)
 
@@ -292,12 +292,8 @@ def step(state: FlowState, cfg: StepperConfig, grid: CurvilinearGrid,
     """Advance one accepted step from ``state`` (standalone convenience API)."""
     stepper = _Stepper([state.u], grid, phi, cfg, t=state.t)
     stepper.advance()
-    f = stepper.fields[0]
-    return FlowState(u=f.u, t=stepper.t, u_t=f.q["op"],
-                     sup_du2=max(state.sup_du2, float(np.max(f.q["du2"]))),
-                     sup_ut=max(state.sup_ut, float(np.max(np.abs(f.q["op"])))),
-                     H_field=mean_curvature_field(f.w, grid, f.q["ghost"]),
-                     step_count=state.step_count + 1)
+    return stepper.fields[0].state(stepper.t, state.step_count + 1,
+                                   state.sup_du2, state.sup_ut)
 
 
 def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
@@ -435,15 +431,9 @@ def run_pair(u0a, u0b, phi: ContactAngle, grid: CurvilinearGrid,
         record()
 
     def member(f):
-        u = f.u
-        state = FlowState(u=u, t=stepper.t, u_t=f.q["op"],
-                          sup_du2=float(np.max(f.q["du2"])),
-                          sup_ut=float(np.max(np.abs(f.q["op"]))),
-                          H_field=mean_curvature_field(f.w, grid, f.q["ghost"]),
-                          step_count=stepper.steps)
-        return stepper.run_record(f, phi, state=state, series={}, energy={},
-                                  snapshots=[(stepper.t, u.copy())], dense={},
-                                  monitor_c0=np.nan, message="pair member")
+        return stepper.run_record(f, phi, state=f.state(stepper.t, stepper.steps),
+                                  series={}, energy={}, snapshots=[(stepper.t, f.u)],
+                                  dense={}, monitor_c0=np.nan, message="pair member")
 
     return PairRun(t=np.asarray(ts), osc=np.asarray(oscs),
                    max_abs=np.asarray(maxabs), run_a=member(fa), run_b=member(fb))

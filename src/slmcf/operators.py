@@ -15,10 +15,10 @@ orthonormal frame split |Du|^2 = (D_N u)^2 + (D_T u)^2 it reproduces
 |D_N u|^2 = phi^2 v^2 and |D_T u|^2 = 1 - (1 + phi^2) v^2 identically.
 
 Jacobian assembly is exact: stencil weights carry the per-node coefficient
-fields, the ghost row is eliminated through its three-entry dependence on
-the unknowns (chain rule through the tangential derivative), and Newton mode
-adds the derivative of g~^{ab} with respect to Du.  A finite-difference
-verification of the assembled matrix lives in the test suite.
+fields and the derivative of g~^{ab} with respect to Du, and the ghost row is
+eliminated through its three-entry dependence on the unknowns (chain rule
+through the tangential derivative).  A finite-difference verification of the
+assembled matrix lives in the test suite.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def flow_operator(values, grid: CurvilinearGrid, phi_vals, with_fields=False):
     q = quasilinear_operator(values, grid, ghost)
     if not with_fields:
         return q["op"]
-    q = dict(q)
-    q.update(ghost=ghost, dtu=dtu, dn_target=dn_target)
-    return q
+    return dict(q, ghost=ghost, dtu=dtu, dn_target=dn_target)
 
 
 def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
@@ -78,21 +76,6 @@ def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
 
 
 # -- sparse assembly -----------------------------------------------------------
-
-def _ghost_sensitivity(values, grid: CurvilinearGrid, phi_vals, newton):
-    """d ghost[j] / d u[-1, j+1]; the j-1 entry is the negative."""
-    ub = values[-1]
-    us = (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.hs)
-    dtu = us / grid.sqrt_sigma_ss_bd
-    srr = grid.sigma_t_inv[-1, :, 0, 0]
-    srs = grid.sigma_t_inv[-1, :, 0, 1]
-    sens = srs.copy()
-    if newton:
-        # dPhi/d(D_T u) = -phi q / (sqrt(1+phi^2) sqrt(1-q^2))
-        dphi_dq = -phi_vals * dtu / (np.sqrt(1.0 + phi_vals ** 2) * np.sqrt(1.0 - dtu ** 2))
-        sens = sens + np.sqrt(srr) * dphi_dq / grid.sqrt_sigma_ss_bd
-    return -(grid.hr / grid.hs) * sens / srr
-
 
 _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 _ND_LEAF = 64   # nested dissection stops at parts of at most this many nodes
@@ -194,30 +177,48 @@ def nested_dissection_order(n_radial, n_angular):
     return p
 
 
-def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, mode="newton"):
-    """Sparse matrix of the linearized operator around ``values``.
+# SuperLU's default pivot threshold 1.0 moves the Jacobian's rows off the
+# nested-dissection order and fills the factors about 20% more; at 0.1 the
+# diagonal pivot stays unless ten times smaller than its column's largest entry.
+_DIAG_PIVOT_THRESH = 0.1
 
-    mode "newton": full derivative of F(u), including dg~/dDu and the
-    nonlinear part of the ghost closure.  mode "frozen": coefficients and the
-    normal-derivative target held fixed (the semi-implicit stepper matrix);
-    the affine constant is recovered by the caller as F(u) - L u.
+
+class OrderedLU:
+    """LU of ``A[p][:, p]`` that solves in unpermuted coordinates; ``splu`` is
+    the caller's binding of scipy's.  SuperLU keeps the order ``p``: its own
+    column ordering is off and its symmetric mode on."""
+
+    def __init__(self, splu, A, p):
+        self.p = p
+        self.lu = splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                       options=dict(SymmetricMode=True))
+
+    def solve(self, b):
+        x = np.empty_like(b)
+        x[self.p] = self.lu.solve(b[self.p])
+        return x
+
+
+def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
+    """Jacobian L of F at ``values`` (CSC) and the operator evaluation there.
+
+    L is the full derivative of F(u), including dg~/dDu and the nonlinear
+    part of the ghost closure.  It annihilates constants, since F sees only
+    derivatives.
     """
-    newton = mode == "newton"
     n_r, n_a = grid.n_radial, grid.n_angular
     N = n_r * n_a
     hr, hs = grid.hr, grid.hs
 
     q = flow_operator(values, grid, phi_vals, with_fields=True)
     gup, hess, P, du2 = q["gup"], q["hess"], q["P"], q["du2"]
-    A11 = gup[..., 0, 0]
-    A12 = gup[..., 0, 1]
-    A22 = gup[..., 1, 1]
-    B = -np.einsum("...ab,...cab->...c", gup, grid.gamma_t)
-    if newton:
-        v2 = 1.0 - du2
-        M = np.einsum("...ca,...ab,...b->...c", grid.sigma_t_inv, hess, P)
-        quad = np.einsum("...a,...ab,...b->...", P, hess, P)
-        B = B + 2.0 * M / v2[..., None] + 2.0 * quad[..., None] * P / (v2 ** 2)[..., None]
+    A11, A12, A22 = gup[..., 0, 0], gup[..., 0, 1], gup[..., 1, 1]
+    v2 = 1.0 - du2
+    hess_P = np.einsum("...ab,...b->...a", hess, P)
+    M = np.einsum("...ca,...a->...c", grid.sigma_t_inv, hess_P)
+    quad = np.einsum("...a,...a->...", P, hess_P)
+    B = (-np.einsum("...ab,...cab->...c", gup, grid.gamma_t)
+         + 2.0 * M / v2[..., None] + 2.0 * quad[..., None] * P / (v2 ** 2)[..., None])
     B1, B2 = B[..., 0], B[..., 1]
 
     weights = [                  # in _OFFSETS order
@@ -231,9 +232,16 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, mode="newt
         -A12 / (2.0 * hr * hs),
         -A12 / (2.0 * hr * hs),
     ]
+    # d ghost[j] / d u[-1, j+1] (the j-1 entry is its negative), with
+    # dPhi/d(D_T u) = -phi q / (sqrt(1+phi^2) sqrt(1-q^2)) at q = D_T u
+    dtu = q["dtu"]
+    srr, srs = grid.sigma_t_inv[-1, :, 0, 0], grid.sigma_t_inv[-1, :, 0, 1]
+    dphi_dq = -phi_vals * dtu / (np.sqrt(1.0 + phi_vals ** 2) * np.sqrt(1.0 - dtu ** 2))
+    sens = -(hr / hs) * (srs + np.sqrt(srr) * dphi_dq / grid.sqrt_sigma_ss_bd) / srr
+
     rows, cols, ghost, gj = stencil_pattern(n_r, n_a)
     vals = np.concatenate([np.broadcast_to(W, (n_r, n_a)).ravel() for W in weights])
-    gplus = _ghost_sensitivity(values, grid, phi_vals, newton)[gj]
+    gplus = sens[gj]
     gvals = vals[ghost]
     vals = np.concatenate([vals[~ghost], gvals, gvals * gplus, -gvals * gplus])
 
@@ -242,11 +250,11 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, mode="newt
 
 
 def linearized_affine(values, grid: CurvilinearGrid, phi_vals):
-    """Affine model F(u') ~ L u' + k around ``values`` with frozen coefficients.
+    """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F.
 
     Exact at the linearization point by construction of k.
     """
-    L, q = assemble_operator_matrix(values, grid, phi_vals, mode="frozen")
+    L, q = assemble_operator_matrix(values, grid, phi_vals)
     k = q["op"].ravel() - L @ values.ravel()
     return L, k, q
 

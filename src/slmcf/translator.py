@@ -27,9 +27,10 @@ last LU factorization; a chord step that fails to halve the residual is
 dropped and the Jacobian refactored at that level.
 
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
-respect to Du and the nonlinear boundary closure) with backtracking damping
-that keeps iterates space-like.  At most one LU factorization is alive at a
-time.
+respect to Du and the nonlinear boundary closure), the flow's too, with
+backtracking damping that keeps iterates space-like.  ``OrderedLU`` factors
+the bordered matrix on the flow's nested-dissection order, border index
+last.  At most one LU factorization is alive at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContinuationError, NewtonError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import assemble_operator_matrix, boundary_gradient_data, contact_ghost, flow_operator
+from .operators import (OrderedLU, assemble_operator_matrix, boundary_gradient_data,
+                        contact_ghost, flow_operator, nested_dissection_order)
 
 
 @dataclasses.dataclass
@@ -115,17 +117,13 @@ class TranslatorSolution:
 
 def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
     """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w."""
-    L = assemble_operator_matrix(w, grid, phi_vals, mode="newton")[0].tocoo()
+    L = assemble_operator_matrix(w, grid, phi_vals)[0].tocoo()
     N = w.size
     nodes = np.arange(N)
     border = np.full(N, N)
-    rows = [L.row, nodes, border]
-    cols = [L.col, border, nodes]
-    vals = [L.data, -np.ones(N), (grid.weights / grid.area).ravel()]
-    if eps:
-        rows.append(nodes)
-        cols.append(nodes)
-        vals.append(np.full(N, -eps))
+    rows = [L.row, nodes, border, nodes]
+    cols = [L.col, border, nodes, nodes]   # L stores its diagonal: -eps adds no entry
+    vals = [L.data, -np.ones(N), (grid.weights / grid.area).ravel(), np.full(N, -eps)]
     return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(N + 1, N + 1))
 
@@ -166,7 +164,8 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
         reused = chord and factor["lu"] is not None
         if not reused:
             factor["lu"] = None
-            factor["lu"] = splu(_bordered_matrix(w, eps, grid, phi_vals))
+            order = np.append(nested_dissection_order(*w.shape), w.size)   # border last
+            factor["lu"] = OrderedLU(splu, _bordered_matrix(w, eps, grid, phi_vals), order)
             info["factorizations"] += 1
         delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from slmcf.domain import build_domain
 from slmcf.grid import ContactAngle, build_grid
@@ -42,3 +43,21 @@ def phi02(unit_disk):
 
 def chart_radius(grid):
     return np.sqrt(grid.X[..., 0] ** 2 + grid.X[..., 1] ** 2)
+
+
+@pytest.fixture
+def record_splu(monkeypatch):
+    """``record_splu(module)`` replaces ``module.splu`` by a recorder and
+    returns the list of every (matrix, keywords, SuperLU) it makes."""
+    def install(module):
+        made = []
+
+        def recording(A, **kw):
+            lu = splu(A, **kw)
+            made.append((A, kw, lu))
+            return lu
+
+        monkeypatch.setattr(module, "splu", recording)
+        return made
+
+    return install

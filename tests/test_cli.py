@@ -294,6 +294,7 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [("stepper", "dtt"),
+                                          ("stepper", "refresh_interval"),
                                           ("continuation", "cauchy_tol"),
                                           ("continuation.newton", "tool")])
 def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):

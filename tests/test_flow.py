@@ -221,6 +221,17 @@ def test_controlled_run_few_steps_and_factorizations():
         assert np.floor(prev / every) < np.floor(t / every + 1e-9)
 
 
+def test_zero_flux_flow_factors_few_times():
+    """On the Jacobian the affine model's defect is second order in the step,
+    so the defect rule stays quiet and the factorizations follow the dt ladder."""
+    dom = build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat")
+    grid = build_grid(dom, 24, 48)
+    phi = ContactAngle({"kind": "fourier", "cos": [0.3]}, dom)
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, StepperConfig())
+    assert run.converged
+    assert run.lu_factorizations <= 8
+
+
 def test_explicit_dt_keeps_fixed_step_times(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
@@ -300,21 +311,13 @@ def _bump(grid):
 
 
 @pytest.fixture
-def factored(monkeypatch):
+def factored(record_splu):
     """Every (matrix, keywords, SuperLU) factorization the flow makes."""
-    made = []
-
-    def recording(A, **kw):
-        lu = splu(A, **kw)
-        made.append((A, kw, lu))
-        return lu
-
-    monkeypatch.setattr(flow, "splu", recording)
-    return made
+    return record_splu(flow)
 
 
 def _step_matrix(u, grid, phi, dt):
-    """(I - dt L, k) of the frozen model at u, as the stepper builds it."""
+    """(I - dt L, k) of the affine model at u, as the stepper builds it."""
     w = u - grid.mean(u)
     L, k, _ = linearized_affine(w, grid, phi.values_on(grid))
     return (sp.identity(u.size, format="csc") - dt * L).tocsc(), k, w

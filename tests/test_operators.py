@@ -83,7 +83,7 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
     rng = np.random.default_rng(11)
     u = _test_field(grid, metric_id) + 0.01 * rng.standard_normal((8, 16))
 
-    L, _ = assemble_operator_matrix(u, grid, pv, mode="newton")
+    L, _ = assemble_operator_matrix(u, grid, pv)
     La = L.toarray()
     N = u.size
     Jfd = np.zeros((N, N))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+from slmcf import translator
 from slmcf.domain import build_domain
 from slmcf.errors import ContinuationError
 from slmcf.flow import StepperConfig, run_to_convergence
 from slmcf.geometry import quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
+from slmcf.operators import OrderedLU, flow_operator, nested_dissection_order
 from slmcf.oracle import regularized_oracle, translator_oracle
 from slmcf.translator import (ContinuationSchedule, NewtonConfig,
                               compute_c3, continuation, solve_regularized,
@@ -308,3 +311,68 @@ def test_zero_flux_translator_is_the_limit():
     run = run_to_convergence(scenario.u0, scenario.phi, scenario.grid, scenario.stepper)
     rep = check_translator_agreement(run, sol, scenario.grid.h)
     assert rep.passed, rep.details
+
+
+# -- the bordered matrix, factored on the flow's nested-dissection order ------------
+
+DISK = {"kind": "disk", "radius": 1.0}
+PHI02 = {"kind": "constant", "value": 0.2}
+
+
+def _curved(domain, n_radial, metric="flat", phi=PHI02):
+    """(grid, phi, u): a small curved field with a mixed (rho, s) derivative."""
+    dom = build_domain(domain, metric)
+    grid = build_grid(dom, n_radial, 2 * n_radial)
+    u = 0.05 * grid.rho[:, None] ** 2 * (1.0 + 0.5 * np.cos(grid.s + 0.3))[None, :]
+    return grid, ContactAngle(phi, dom), u
+
+
+def _bordered_order(grid):
+    """The flow's order of the grid shape, with the border index last."""
+    p = nested_dissection_order(grid.n_radial, grid.n_angular)
+    return np.append(p, p.size)
+
+
+@pytest.fixture
+def factored(record_splu):
+    """Every (matrix, keywords, SuperLU) factorization the translator makes."""
+    return record_splu(translator)
+
+
+@pytest.mark.parametrize("domain", [DISK, {"kind": "ellipse", "a": 2.0, "b": 1.0}])
+def test_bordered_newton_factors_on_the_shape_order(domain, factored):
+    grid, phi, u = _curved(domain, 32)
+    continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
+    A, kw, _ = factored[0]
+    q = _bordered_order(grid)
+    reference = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))
+    assert kw["permc_spec"] == "NATURAL"
+    assert (A != reference[q][:, q]).nnz == 0
+
+
+def test_ordered_bordered_factor_fills_less_than_colamd(factored):
+    grid, phi, u = _curved(DISK, 64)
+    continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
+    B = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))
+    assert factored[0][2].nnz < splu(B).nnz
+
+
+@pytest.mark.parametrize("domain,metric,phi", [
+    (DISK, "flat", PHI02),
+    ({"kind": "ellipse", "a": 2.0, "b": 1.0}, "flat", PHI02),
+    ({"kind": "chart_circle", "r0": 0.8}, "sphere", PHI02),
+    ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat",
+     {"kind": "fourier", "cos": [0.3]}),
+])
+def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
+    """One Newton solve on the ordered LU (diagonal pivot threshold 0.1) is the
+    solve of a plain, COLAMD-ordered splu with SuperLU's default pivoting."""
+    grid, phi, u = _curved(domain, 32, metric, phi)
+    w = u - grid.mean(u)
+    pv = phi.values_on(grid)
+    B = translator._bordered_matrix(w, 0.0, grid, pv)
+    R = flow_operator(w, grid, pv)
+    b = -np.append(R - grid.mean(R), grid.mean(w))
+    expected = splu(B).solve(b)
+    solved = OrderedLU(splu, B, _bordered_order(grid)).solve(b)
+    assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
