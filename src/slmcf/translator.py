@@ -16,15 +16,30 @@ with the equations
 
 and the Jacobian [[L - eps I, -1], [a^T, 0]], a = quadrature weights / area.
 At eps = 0 this is the translator itself and c is the operator-limit speed
-c3; ``continuation`` solves it directly, from u = 0 in about three Newton
-steps.  At eps > 0 it is the regularized problem g~^{ab} D_a D_b u = eps u
-with u = c / eps + w, which ``solve_regularized`` solves with the same loop.
+c3; ``continuation`` solves it directly from u = 0 by Newton-chord: one
+factorization at the start iterate, then chord steps on that LU while each
+halves the residual.  At eps > 0 it is the regularized problem
+g~^{ab} D_a D_b u = eps u with u = c / eps + w, which ``solve_regularized``
+solves with the same loop.
 
 The regularization trace (eps, eps u_eps - c3), which acceptance criterion 8
 reads, is computed afterwards over the schedule's eps list in ascending
-order, warm-started from the limit.  Each level takes chord steps on the
-last LU factorization; a chord step that fails to halve the residual is
-dropped and the Jacobian refactored at that level.
+order, on one more factorization, taken at the converged limit.  On that LU
+one solve gives the tangent: differentiating F(w) - eps w - c = 0 in eps,
+[[L, -1], [a^T, 0]] [w'; c'] = [w; 0], and each level starts at
+(w + eps w', c3 + eps c') (Allgower & Georg, Numerical Continuation
+Methods, ch. 2) and takes chord steps on the limit LU.  A chord step that
+fails to halve the residual is dropped and the Jacobian refactored at that
+level, so a default solve factors twice unless a level's chord steps stall.
+
+The residual of a non-radial scenario has a rounding floor near tol at fine
+grids (about 1e-9 at 128 x 256), amplified by the O(1/rho^2) center
+coefficients.  A solve stops above tol only where a step on the current LU
+fails to reduce the residual and the residual is at or below the
+componentwise floor max_i gamma_{m_i} (|J| |x|)_i (see ``_factor``); every
+such stop is recorded.  At the floor a chord step that reduces the residual
+by less than half is kept, since it says nothing about the LU; anywhere else
+a stalled step refactors or raises.
 
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
@@ -45,6 +60,8 @@ from .errors import ContinuationError, NewtonError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (OrderedLU, assemble_operator_matrix, boundary_gradient_data,
                         contact_ghost, flow_operator, nested_dissection_order)
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclasses.dataclass
@@ -128,22 +145,49 @@ def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
                          shape=(N + 1, N + 1))
 
 
+def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
+    """Factor the bordered Jacobian J at (w, eps) into ``factor``, the old LU
+    dropped first.
+
+    Beside the LU, ``factor`` keeps |J| and, per row i, gamma_i = m_i u /
+    (1 - m_i u), with m_i the row's entry count and u the unit roundoff:
+    gamma_i (|J| |x|)_i bounds the rounding error of (J x)_i (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.1), so the largest
+    of these is the floor below which a residual at x carries no
+    information.
+    """
+    factor.clear()
+    J = _bordered_matrix(w, eps, grid, phi_vals)
+    order = np.append(nested_dissection_order(*w.shape), w.size)   # border last
+    factor["lu"] = OrderedLU(splu, J, order)
+    mu = np.bincount(J.indices, minlength=J.shape[0]) * _UNIT_ROUNDOFF
+    factor["abs"], factor["gamma"] = abs(J), mu / (1.0 - mu)
+
+
 def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonConfig,
                      source=None, factor=None, chord=False):
     """Damped Newton on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
 
-    ``factor`` is a dict whose "lu" entry holds the one live factorization;
-    it is cleared before each new one, so the caller keeps no stale LU alive.
-    Without ``chord`` every step factors the bordered Jacobian afresh.  With
-    ``chord`` the LU in ``factor`` is reused across steps: a step on a reused
-    LU is kept only if it halves the residual (or meets tol), otherwise it is
-    dropped and the Jacobian refactored at the current iterate.
+    ``factor`` is a dict whose "lu" entry holds the one live factorization
+    (see ``_factor``); it is cleared before each new one, so the caller keeps
+    no stale LU alive.  Without ``chord`` every step factors the bordered
+    Jacobian afresh.  With ``chord`` the LU in ``factor`` is reused across
+    steps: a step on a reused LU is kept only if it halves the residual (or
+    meets tol), otherwise it is dropped and the Jacobian refactored at the
+    current iterate.
+
+    The solve stops above tol only where a step on the current LU fails to
+    reduce the residual and the residual is at or below its rounding floor
+    max_i gamma_i (|J| |[w; c]|)_i (see ``_factor``); each such stop is
+    recorded as [eps, residual, floor] in info["floor_stops"].  At the floor
+    a chord step that reduces the residual by less than half is kept, and
+    Newton stagnation counts as a failure to reduce.
 
     Returns (w, c, info); info holds the residual history, the counts of
-    chord steps, Newton steps and factorizations, and ``above_tol``: True when
-    Newton stopped between tol and 100 tol at the residual's rounding floor.
-    Raises NewtonError on stagnation and SpacelikeViolationError if no damped
-    step stays space-like.
+    accepted chord steps, Newton steps and factorizations, the floor stops,
+    and ``steps``, every solve on an LU including dropped chord steps.
+    Raises NewtonError on stagnation or a failed line search above the floor,
+    and SpacelikeViolationError if no damped step stays space-like.
     """
     def residual(wv, cv):
         out = flow_operator(wv, grid, phi_vals) - eps * wv - cv
@@ -152,37 +196,47 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
     def norm(R, wv):
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
+    def floor():
+        """The rounding floor of the residual at (w, c), from the current LU's matrix."""
+        x = np.abs(np.append(w.ravel(), c))
+        return float(np.max(factor["gamma"] * (factor["abs"] @ x)))
+
     factor = {"lu": None} if factor is None else factor
     R = residual(w, c)
     norms = [norm(R, w)]
-    info = {"chord": 0, "newton": 0, "factorizations": 0}
+    info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
     while norms[-1] > newton.tol:
-        if info["chord"] + info["newton"] >= newton.max_iter:
+        if info["steps"] >= newton.max_iter:
             raise NewtonError(
                 f"Newton: no convergence in {newton.max_iter} iterations "
                 f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+        info["steps"] += 1
         reused = chord and factor["lu"] is not None
         if not reused:
-            factor["lu"] = None
-            order = np.append(nested_dissection_order(*w.shape), w.size)   # border last
-            factor["lu"] = OrderedLU(splu, _bordered_matrix(w, eps, grid, phi_vals), order)
+            _factor(factor, w, eps, grid, phi_vals)
             info["factorizations"] += 1
         delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
         if reused:
-            info["chord"] += 1
             try:
                 trial_w, trial_c = w + dw, c + dc
                 R_trial = residual(trial_w, trial_c)
                 norm_trial = norm(R_trial, trial_w)
             except SpacelikeViolationError:
                 norm_trial = np.inf
-            if norm_trial <= 0.5 * norms[-1] or norm_trial <= newton.tol:
-                w, c, R = trial_w, trial_c, R_trial
-                norms.append(norm_trial)
-            else:
-                factor["lu"] = None
+            if norm_trial > 0.5 * norms[-1] and norm_trial > newton.tol:
+                bound = floor()
+                if norms[-1] > bound:            # a slow step above the floor: refactor
+                    factor["lu"] = None
+                    continue
+                if norm_trial >= norms[-1]:      # stalled at the floor
+                    info["floor_stops"].append([eps, norms[-1], bound])
+                    break
+                # at the floor a slow step says nothing about the LU: keep it
+            w, c, R = trial_w, trial_c, R_trial
+            norms.append(norm_trial)
+            info["chord"] += 1
             continue
 
         t = 1.0
@@ -201,23 +255,19 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
                 accepted = True
                 break
             t *= newton.damping
-        if not accepted:
-            # the residual evaluation has a rounding floor amplified by the
-            # O(1/rho^2) center coefficients; close enough to tol counts,
-            # and info["above_tol"] records that it did
-            if norms[-1] <= 100.0 * newton.tol:
-                break
+        if accepted:
+            info["newton"] += 1
+            # stagnation: less than 0.1% total reduction over the last 5 steps
+            if len(norms) <= 5 or norms[-1] <= max(newton.tol, norms[-6] * (1.0 - 1e-3)):
+                continue
+        bound = floor()
+        if norms[-1] > bound:
             raise NewtonError(
-                f"Newton line search failed (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
-        info["newton"] += 1
-        # stagnation: less than 0.1% total reduction over the last 5 steps
-        if len(norms) > 5 and norms[-1] > norms[-6] * (1.0 - 1e-3):
-            if norms[-1] <= 100.0 * newton.tol:
-                break
-            raise NewtonError(
-                f"Newton stagnation (eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+                f"Newton {'stagnation' if accepted else 'line search failed'} "
+                f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
+        info["floor_stops"].append([eps, norms[-1], bound])
+        break
     info["residuals"] = norms
-    info["above_tol"] = norms[-1] > newton.tol
     return w, c, info
 
 
@@ -243,7 +293,8 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid,
     A = float(grid.mean(u0))
     w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi_vals, newton,
                                   source=source)
-    return c / eps + w, {"iterations": info["newton"], "residual": info["residuals"][-1]}
+    return c / eps + w, {"iterations": info["newton"], "residual": info["residuals"][-1],
+                         "floor_stops": info["floor_stops"]}
 
 
 def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
@@ -275,33 +326,45 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     w = u - grid.mean(u)
     factor = {"lu": None}
-    # the speed that fits F(init) best in the area mean starts Newton
+    newton = schedule.newton
+    # Newton-chord from the speed that fits F(init) best in the area mean
     w, c3, info = _bordered_newton(0.0, w, grid.mean(flow_operator(w, grid, phi_vals)),
-                                   grid, phi_vals, schedule.newton, factor=factor)
+                                   grid, phi_vals, newton, factor=factor, chord=True)
+    # the limit LU serves the tangent and every trace level: differentiating
+    # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
+    _factor(factor, w, 0.0, grid, phi_vals)
+    tangent = factor["lu"].solve(np.append(w.ravel(), 0.0))
+    w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
-             "lu_factorizations": info["factorizations"],
-             "accepted_above_tol": info["above_tol"], "trace_refactors": []}
+             "chord_steps": info["chord"], "lu_factorizations": info["factorizations"] + 1,
+             "accepted_above_tol": info["residuals"][-1] > newton.tol,
+             "floor_stops": info["floor_stops"], "trace_refactors": [],
+             "trace_residuals": []}
 
-    # eps trace, smallest eps first: eps u_eps = c + eps w_eps
+    # eps trace, smallest eps first, each level started on the tangent:
+    # eps u_eps = c + eps w_eps
     stats = []       # (eps, mean eps*u, min eps*u, max eps*u)
     newton_iters = []
-    w_eps, c_eps = w, c3
     for eps in reversed(schedule.eps_values()):
         try:
-            w_eps, c_eps, level = _bordered_newton(eps, w_eps, c_eps, grid, phi_vals,
-                                                   schedule.newton, factor=factor, chord=True)
+            w_eps, c_eps, level = _bordered_newton(eps, w + eps * w_dot, c3 + eps * c_dot,
+                                                   grid, phi_vals, newton, factor=factor,
+                                                   chord=True)
         except (NewtonError, SpacelikeViolationError) as err:
             raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
                                     trace=stats[::-1]) from err
-        newton_iters.append(level["chord"] + level["newton"])
+        newton_iters.append(level["steps"])
+        limit["trace_residuals"].append([eps, level["residuals"]])
+        limit["floor_stops"].extend(level["floor_stops"])
         if level["factorizations"]:
             limit["trace_refactors"].append(
                 [eps, level["factorizations"], level["residuals"][-1]])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
-    factor["lu"] = None
+    factor.clear()
     stats.reverse()
     newton_iters.reverse()
+    limit["trace_residuals"].reverse()
     eps_trace = [(e, max(abs(mx - c3), abs(mn - c3))) for e, _, mn, mx in stats]
     eps_trace_mean = [(e, abs(m - c3)) for e, m, _, _ in stats]
 

@@ -228,10 +228,17 @@ def check_evo_du_residual(run, grid: CurvilinearGrid, phi: ContactAngle,
     Evaluates the time-differenced |Du|^2 evolution residual on interior
     rings for every dense snapshot triplet the run recorded, for each
     candidate convention; passes iff exactly one convention's residual is
-    below const * (h^2 + dt_snapshot).
+    below const * (h^2 + dt_snapshot).  The centred difference needs the two
+    steps of a triplet to be equal up to time rounding; a triplet that
+    straddles a dt change raises CheckPreconditionError.
     """
     if not run.dense:
         raise CheckPreconditionError("run recorded no dense snapshot triplets")
+    for tau, ((t0, _), (t1, _), (t2, _)) in run.dense.items():
+        if abs((t2 - t1) - (t1 - t0)) > 16.0 * np.spacing(abs(t2)):
+            raise CheckPreconditionError(
+                f"dense triplet at tau = {tau} has unequal steps "
+                f"{t1 - t0:.6g} and {t2 - t1:.6g}")
     phi_vals = phi.values_on(grid)
     interior = (slice(2, grid.n_radial - 3), slice(None))
     h = grid.h

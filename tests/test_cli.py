@@ -86,6 +86,9 @@ def test_translator_artifacts(tmp_path):
     assert limit["lu_factorizations"] >= 1
     assert limit["residuals"][-1] <= 1e-10
     assert limit["accepted_above_tol"] is False
+    assert limit["newton_steps"] + limit["chord_steps"] == len(limit["residuals"]) - 1
+    assert [e for e, _ in limit["trace_residuals"]] == [e for e, _ in result["eps_trace"]]
+    assert all(r <= f for _, r, f in limit["floor_stops"])
     validate_manifest(tmp_path / "tr")
 
 

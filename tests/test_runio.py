@@ -82,6 +82,8 @@ def test_translator_solution_round_trip(saved):
     assert isinstance(loaded, TranslatorSolution)
     assert np.array_equal(loaded.profile.values, solution.profile.values)
     assert loaded.to_record() == solution.to_record()
+    assert loaded.limit == solution.limit
+    assert {"chord_steps", "trace_residuals", "floor_stops"} <= set(loaded.limit)
     assert (loaded.eps_trace, loaded.grid_shape) == (solution.eps_trace, solution.grid_shape)
 
 

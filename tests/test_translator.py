@@ -203,27 +203,32 @@ def test_non_cauchy_detection(disk_setup, disk_solution):
 
 
 def test_limit_solve_record(disk_solution):
-    """The bordered solve at eps = 0 is recorded: a few factorizations, no fallback."""
+    """The bordered solve at eps = 0 is recorded: every step, every LU, no fallback."""
     limit = disk_solution.limit
     assert 1 <= limit["lu_factorizations"] <= 5
-    assert limit["newton_steps"] == len(limit["residuals"]) - 1
+    assert limit["newton_steps"] + limit["chord_steps"] == len(limit["residuals"]) - 1
     assert limit["residuals"][-1] <= 1e-10
     assert not limit["accepted_above_tol"]
+    assert limit["floor_stops"] == []
     # every level of the default schedule is traced, in schedule order
     schedule = ContinuationSchedule()
     assert [e for e, _ in disk_solution.eps_trace] == schedule.eps_values()
     assert len(disk_solution.newton_iterations) == len(schedule.eps_values())
+    assert [e for e, _ in limit["trace_residuals"]] == schedule.eps_values()
+    for n, (_, history) in zip(disk_solution.newton_iterations, limit["trace_residuals"]):
+        assert len(history) - 1 == n      # no chord step was dropped
+        assert history[-1] <= 1e-10
     record = disk_solution.to_record()
     assert record["limit"] == limit
 
 
 def test_trace_factors_once_without_limit_lu(disk_setup, disk_solution):
-    """Started at the limit, Newton takes no step; the trace then factors once."""
+    """Started at the limit, Newton takes no step; the limit LU serves the trace."""
     _, grid, phi = disk_setup
     sol = continuation(ContinuationSchedule(), phi, grid, init=disk_solution.profile)
     assert sol.limit["newton_steps"] == 0
-    assert sol.limit["lu_factorizations"] == 0
-    assert [n for _, n, _ in sol.limit["trace_refactors"]] == [1]
+    assert sol.limit["lu_factorizations"] == 1
+    assert sol.limit["trace_refactors"] == []
     assert abs(sol.c3 - disk_solution.c3) < 1e-12
     for (e1, d1), (e2, d2) in zip(sol.eps_trace_mean, disk_solution.eps_trace_mean):
         assert e1 == e2 and abs(d1 - d2) < 1e-10
@@ -376,3 +381,58 @@ def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
     expected = splu(B).solve(b)
     solved = OrderedLU(splu, B, _bordered_order(grid)).solve(b)
     assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# -- the default solve: two factorizations, a tangent predictor, floor stops ----------
+
+CATALOG = {
+    "disk": ({"id": "flat"}, DISK, PHI02),
+    "ellipse_fourier": ({"id": "flat"}, {"kind": "ellipse", "a": 1.5, "b": 1.0},
+                        {"kind": "fourier", "a0": 0.15, "cos": [0.0, 0.05], "sin": [0.03]}),
+    "dome": ({"id": "dome"}, {"kind": "chart_circle", "r0": 1.0},
+             {"kind": "constant", "value": 0.15}),
+    "zero_flux": ({"id": "flat"}, {"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4},
+                  {"kind": "fourier", "cos": [0.3]}),
+}
+
+
+def _catalog_case(name, n_radial):
+    metric, domain, phi = CATALOG[name]
+    dom = build_domain(domain, metric["id"])
+    return build_grid(dom, n_radial, 2 * n_radial), ContactAngle(phi, dom)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_default_solve_factors_twice(name):
+    """One LU for the Newton-chord limit solve, one at the limit for the trace."""
+    grid, phi = _catalog_case(name, 32)
+    sol = continuation(ContinuationSchedule(), phi, grid)
+    assert sol.limit["lu_factorizations"] == 2
+    assert sol.limit["trace_refactors"] == []
+
+
+def test_trace_levels_match_fresh_regularized_solves():
+    """Every traced level is the regularized solution at its eps, solved from scratch."""
+    grid, phi = _catalog_case("ellipse_fourier", 32)
+    sol = continuation(ContinuationSchedule(), phi, grid)
+    for (eps, gap), (_, spread) in zip(sol.eps_trace_mean, sol.eps_trace):
+        u, _ = solve_regularized(eps, GridFunction.constant(grid, 0.0), phi, grid)
+        eu = eps * u
+        assert abs(abs(grid.mean(eu) - sol.c3) - gap) < 1e-10
+        assert abs(max(np.max(eu) - sol.c3, sol.c3 - np.min(eu)) - spread) < 1e-10
+
+
+def test_floor_stops_sit_at_the_floor():
+    """At 128 x 256 the non-radial residual has a rounding floor near tol: the
+    trace stops there on the limit LU instead of refactoring at every level."""
+    grid, phi = _catalog_case("ellipse_fourier", 128)
+    sol = continuation(ContinuationSchedule(), phi, grid)
+    limit = sol.limit
+    assert limit["lu_factorizations"] + sum(n for _, n, _ in limit["trace_refactors"]) <= 3
+    assert limit["floor_stops"]
+    for eps, residual, floor in limit["floor_stops"]:
+        assert residual <= floor
+    # every level ends at tol or at a recorded floor stop
+    stops = {(eps, residual) for eps, residual, _ in limit["floor_stops"]}
+    for eps, history in [[0.0, limit["residuals"]]] + limit["trace_residuals"]:
+        assert history[-1] <= 1e-10 or (eps, history[-1]) in stops

@@ -232,6 +232,19 @@ def test_evo_du_check_needs_dense(run_phi02, disk32):
         check_evo_du_residual(run, grid, phi)
 
 
+def test_evo_du_check_rejects_unequal_steps(disk32):
+    """A triplet that straddles a dt doubling cannot be centred-differenced."""
+    dom, grid = disk32
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(max_time=0.2, tol_speed=0.0, dt=0.002, dense_sample_times=(0.1,))
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
+    tau = next(iter(run.dense))
+    (t0, u0), (t1, u1), (t2, u2) = run.dense[tau]
+    run.dense[tau] = ((t0, u0), (t1, u1), (t2 + (t2 - t1), u2))
+    with pytest.raises(CheckPreconditionError, match="unequal steps"):
+        check_evo_du_residual(run, grid, phi)
+
+
 # -- report plumbing -----------------------------------------------------------------
 
 def test_reports_deterministic(run_phi02):
