@@ -51,8 +51,9 @@ def cmd_translator(config_path, outdir) -> dict:
 def cmd_verify(run_dirs) -> tuple[list, dict]:
     """Run every applicable check over the given run directories."""
     flows, translators = [], []
+    scenarios = {}          # one build per distinct scenario
     for rd in run_dirs:
-        scenario, run = load_run(rd)
+        scenario, run = load_run(rd, scenarios)
         (flows if isinstance(run, FlowRun) else translators).append((scenario, run))
 
     reports = []

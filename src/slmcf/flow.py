@@ -18,12 +18,15 @@ in lockstep on one time grid) and ``step``:
   push sup |Du|^2 above 1 - delta_space or break the boundary closure;
   persistent rejections surface as StepSizeUnderflowError rather than being
   clamped.  With ``StepperConfig.dt`` unset, the semi-implicit scheme
-  doubles dt after every ``_GROW_AFTER`` consecutive accepted steps, up to
-  ``_DT_CAP`` times the domain inradius: near a translator backward Euler is a fixed-point
-  iteration, so steps can grow as the speed field settles.  Growth counts
-  steps and never looks at the data, so two runs that differ only in u0 step
-  on identical times unless one of them rejects a step.  An explicit ``dt``
-  is a fixed step (halved only on rejection).
+  multiplies dt by ``_GROW_BY`` = 4 after every ``_GROW_AFTER`` consecutive
+  accepted steps, up to ``_DT_CAP`` times the domain inradius: near a
+  translator backward Euler is a fixed-point iteration, so steps can grow as
+  the speed field settles, and each rung of the ladder costs one
+  factorization.  Faster ladders (x4 after 3 or 4 steps, x8 after 2) let the
+  oscillation of a lockstep pair rise within one step.  Growth counts steps
+  and never looks at the data, so two runs that differ only in u0 step on
+  identical times unless one of them rejects a step.  An explicit ``dt`` is a
+  fixed step (halved only on rejection).
 - LU refresh.  The affine model is relinearized and refactored when dt
   changes, every ``_REFRESH_INTERVAL`` accepted steps, and whenever its defect
   max|F(u_{n+1}) - (L u_{n+1} + k)| exceeds half the speed deviation
@@ -33,7 +36,11 @@ in lockstep on one time grid) and ``step``:
   off a stale model.  The rules are checked just before a step, so a
   stopped run pays for no factorization.  ``operators.OrderedLU`` factors
   I - dt L on the grid shape's nested-dissection order, computed once and
-  shared by every field, refresh and the translator.
+  shared by every field, refresh and the translator.  Each field logs its
+  refreshes as ``[step, t, dt, reason]`` (``FlowRun.lu_refreshes``): step
+  and t are the accepted steps and the time before the refresh, dt is the
+  step it factors for, and reason is ``start``, ``dt`` (growth),
+  ``interval``, ``defect`` or ``reject`` (a rejected step halved dt).
 - Mean split.  Each field is carried as a scalar mean plus a zero-mean part
   w.  F and the affine model are invariant under constant shifts, so the
   operator and the LU only see w, and the growing constant c3 t (or a large
@@ -63,7 +70,8 @@ from .operators import (OrderedLU, explicit_stable_dt, flow_operator, linearized
                         nested_dissection_order)
 
 _DT_FLOOR = 1e-14
-_GROW_AFTER = 5      # consecutive accepted steps before dt doubles
+_GROW_AFTER = 5      # consecutive accepted steps before dt grows
+_GROW_BY = 4.0       # factor dt grows by, once per _GROW_AFTER accepted steps
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
 _REFRESH_INTERVAL = 10   # accepted steps after which the LU is refactored
 
@@ -124,6 +132,7 @@ class FlowRun:
     message: str
     rejected: int               # rejected step attempts
     lu_factorizations: int      # splu calls of this field
+    lu_refreshes: list | None   # [step, t, dt, reason] per splu call (None: not recorded)
     dt_min: float | None        # smallest and largest accepted dt (None: no step)
     dt_max: float | None
 
@@ -145,7 +154,7 @@ class _Field:
         self.perm = perm
         self.mean = 0.0
         self.lu = None              # the step matrix's LU, built before the first step
-        self.factorizations = 0
+        self.refreshes = []         # [step, t, dt, reason] per factorization
         self.since_refresh = 0
         self.accept(self._centered(u))
 
@@ -158,7 +167,6 @@ class _Field:
         matrix = (sp.identity(self.w.size, format="csc") - dt * self._L).tocsc()
         self.lu = None              # the old factors go before the new ones are built
         self.lu = OrderedLU(splu, matrix, self.perm)
-        self.factorizations += 1
         self.since_refresh = 0
 
     def defect(self):
@@ -217,7 +225,11 @@ class _Stepper:
         self.rejected = 0
         self.dt_min = self.dt_max = None
 
-    def _set_dt(self, dt):
+    def _refresh(self, f, reason):
+        f.refresh(self.dt)
+        f.refreshes.append([self.steps, self.t, self.dt, reason])
+
+    def _set_dt(self, dt, reason):
         if dt < _DT_FLOOR:
             raise StepSizeUnderflowError(
                 f"time step underflow at t = {self.t:.6g} (blow-up or bad scenario)")
@@ -225,7 +237,7 @@ class _Stepper:
         self.streak = 0
         if self.implicit:
             for f in self.fields:
-                f.refresh(dt)
+                self._refresh(f, reason)
 
     def _update_models(self):
         """Grow dt and refresh stale LUs before a step.
@@ -234,12 +246,15 @@ class _Stepper:
         factorization that no step would use once the run has stopped.
         """
         if self.grow and self.streak >= _GROW_AFTER and self.dt < self.dt_cap:
-            self._set_dt(min(2.0 * self.dt, self.dt_cap))
+            self._set_dt(min(_GROW_BY * self.dt, self.dt_cap), "dt")
             return
         for f in self.fields:
-            if (f.lu is None or f.since_refresh >= _REFRESH_INTERVAL
-                    or f.defect() > 0.5 * f.dev):
-                f.refresh(self.dt)
+            if f.lu is None:
+                self._refresh(f, "start")
+            elif f.since_refresh >= _REFRESH_INTERVAL:
+                self._refresh(f, "interval")
+            elif f.defect() > 0.5 * f.dev:
+                self._refresh(f, "defect")
 
     def advance(self) -> float:
         """Take one accepted step of every field; returns the dt taken."""
@@ -259,7 +274,7 @@ class _Stepper:
             if ok:
                 break
             self.rejected += 1
-            self._set_dt(self.dt * 0.5)
+            self._set_dt(self.dt * 0.5, "reject")
 
         dt = self.dt
         for f, c in zip(self.fields, cands):
@@ -283,7 +298,8 @@ class _Stepper:
         """FlowRun of field ``f`` with the stepper's counters filled in."""
         return FlowRun(grid=self.grid, phi=phi, cfg=self.cfg,
                        converged=f.dev < self.cfg.tol_speed, speed_estimate=f.speed,
-                       rejected=self.rejected, lu_factorizations=f.factorizations,
+                       rejected=self.rejected, lu_factorizations=len(f.refreshes),
+                       lu_refreshes=f.refreshes,
                        dt_min=self.dt_min, dt_max=self.dt_max, **record)
 
 

@@ -365,6 +365,7 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
         "steps": run.state.step_count,
         "rejected": run.rejected,
         "lu_factorizations": run.lu_factorizations,
+        "lu_refreshes": run.lu_refreshes,
         "dt_min": run.dt_min,
         "dt_max": run.dt_max,
         "speed_estimate": run.speed_estimate,
@@ -435,6 +436,7 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
                    snapshots=snapshots, dense=dense, monitor_c0=final["monitor"]["c0"],
                    message=final["message"], rejected=final.get("rejected"),
                    lu_factorizations=final.get("lu_factorizations"),
+                   lu_refreshes=final.get("lu_refreshes"),
                    dt_min=final.get("dt_min"), dt_max=final.get("dt_max"))
 
 
@@ -448,10 +450,18 @@ def load_translator_solution(run_dir, manifest: dict,
     return TranslatorSolution.from_record(record, GridFunction(profile, scenario.grid))
 
 
-def load_run(run_dir):
-    """(scenario, FlowRun or TranslatorSolution) of a validated run directory."""
+def load_run(run_dir, scenarios=None):
+    """(scenario, FlowRun or TranslatorSolution) of a validated run directory.
+
+    scenarios: optional dict of built scenarios by scenario hash.  A run whose
+    scenario is in it shares that build; a new one is built and added.
+    """
     manifest = validate_manifest(run_dir)
-    scenario = load_scenario(manifest["scenario"])
+    scenarios = {} if scenarios is None else scenarios
+    key = scenario_hash(manifest["scenario"])
+    if key not in scenarios:
+        scenarios[key] = load_scenario(manifest["scenario"])
+    scenario = scenarios[key]
     if scenario.hash != manifest["scenario_hash"]:
         raise ScenarioError(f"manifest of {run_dir} records scenario hash "
                             f"{manifest['scenario_hash']} != {scenario.hash} of its scenario")

@@ -173,6 +173,15 @@ def test_criterion_1_translator_speed_agreement(grid128, phi02, sol128, flow128,
                    f"< 1e-5; runtime {total:.1f}s < 300s")
 
 
+def test_flow128_dt_ladder(flow128):
+    """The x4 dt ladder reaches steady translation on the 128 x 256 disk in at
+    most 4 factorizations (6 on the doubling ladder), each one logged."""
+    assert flow128.converged
+    assert flow128.lu_factorizations <= 4
+    assert flow128.state.step_count <= 22
+    assert len(flow128.lu_refreshes) == flow128.lu_factorizations
+
+
 def test_criterion_2_zero_speed_maximal_limit(cos_setup):
     """phi = 0.3 cos s: zero speed, stationary limit, energy identity."""
     grid, phi, sol, run = cos_setup

@@ -258,6 +258,9 @@ def test_flow_manifest_step_counters(tmp_path):
     final = manifest["final"]
     assert final["rejected"] == 0
     assert 1 <= final["lu_factorizations"] <= final["steps"] + 1
+    assert len(final["lu_refreshes"]) == final["lu_factorizations"]
+    assert final["lu_refreshes"][0] == [0, 0.0, final["dt_min"], "start"]
+    assert {r[3] for r in final["lu_refreshes"]} <= {"start", "dt", "interval", "defect"}
     # default stepping starts at diameter / (2 n_radial) and grows from there
     assert final["dt_min"] == pytest.approx(1.0 / 16)
     assert final["dt_min"] < final["dt_max"] <= 0.5

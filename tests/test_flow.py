@@ -111,13 +111,24 @@ def test_explicit_matches_semi_implicit_short(disk24):
     assert gap < 5e-3
 
 
-def test_osc_nonincreasing_pair(disk24):
-    dom, grid = disk24
+_PAIR_DOMAINS = {"disk": ({"kind": "disk", "radius": 1.0}, 1.0),
+                 "ellipse": ({"kind": "ellipse", "a": 1.5, "b": 1.0}, 1.5)}
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in _PAIR_DOMAINS for n in (16, 24, 48)],
+                         ids=lambda v: f"{v}x{2 * v}" if isinstance(v, int) else v)
+def test_osc_nonincreasing_pair(kind, n):
+    """On the default dt ladder the oscillation of u_a - u_b never rises by
+    more than 1e-10 in one step (faster ladders break this)."""
+    spec, a = _PAIR_DOMAINS[kind]
+    dom = build_domain(spec, "flat")
+    grid = build_grid(dom, n, 2 * n)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0a = GridFunction.constant(grid, 0.0)
     u0b = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
-    pair = run_pair(u0a, u0b, phi, grid, StepperConfig(max_time=4.0, tol_speed=1e-8))
-    assert pair.osc[0] == pytest.approx(0.1, abs=1e-3)
+    # the disk settles by t = 3.6; the ellipse's slower mode needs about t = 7
+    pair = run_pair(u0a, u0b, phi, grid, StepperConfig(max_time=10.0, tol_speed=1e-8))
+    assert pair.osc[0] == pytest.approx(0.1 * a ** 2, abs=1e-3)
     assert np.max(np.diff(pair.osc)) <= 1e-10
     assert pair.osc[-1] < 1e-6
     assert np.max(pair.max_abs) <= pair.max_abs[0] * (1 + 1e-6) + 1e-8
@@ -296,6 +307,42 @@ def test_persistent_rejection_underflows(runner):
             run_to_convergence(u0, phi, grid, cfg)
         else:
             run_pair(u0, u0 + 1.0, phi, grid, cfg)
+
+
+def test_lu_refresh_log(disk24, record_splu):
+    """Every factorization is logged as [step, t, dt, reason], one per splu call."""
+    made = record_splu(flow)
+    dom, grid = disk24
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    u0 = GridFunction.constant(grid, 0.0)
+    fixed = run_to_convergence(u0, phi, grid, StepperConfig(dt=0.01, max_time=0.3,
+                                                            tol_speed=0.0))
+    assert len(fixed.lu_refreshes) == fixed.lu_factorizations == len(made)
+    assert fixed.lu_refreshes[0] == [0, 0.0, 0.01, "start"]
+    for prev, (step_, t, dt, reason) in zip(fixed.lu_refreshes, fixed.lu_refreshes[1:]):
+        assert dt == 0.01 and t == fixed.series["t"][step_]
+        assert reason == "defect" or (reason == "interval" and step_ - prev[0] == 10)
+
+    cfg = StepperConfig(max_time=10.0, tol_speed=1e-7)
+    grown = run_to_convergence(u0, phi, grid, cfg)
+    log = grown.lu_refreshes
+    assert len(log) == grown.lu_factorizations == len(made) - len(fixed.lu_refreshes)
+    assert log[0] == [0, 0.0, cfg.initial_dt(grid), "start"]
+    rungs = [(prev, entry) for prev, entry in zip(log, log[1:]) if entry[3] == "dt"]
+    assert [entry[0] for _, entry in rungs] == [5 * k for k in range(1, len(rungs) + 1)]
+    assert all(entry[2] == pytest.approx(min(4.0 * prev[2], 0.5 * dom.inradius))
+               for prev, entry in rungs)
+    assert rungs[-1][1][2] == pytest.approx(0.5 * dom.inradius)
+
+    # a rejected step halves dt and refactors every field
+    stepper = flow._Stepper([u0, u0 + 1.0], grid,
+                            ContactAngle({"kind": "constant", "value": 10.0}, dom),
+                            StepperConfig(delta_space=1e-2))
+    with pytest.raises(StepSizeUnderflowError):
+        stepper.advance()
+    for f in stepper.fields:
+        assert [r[3] for r in f.refreshes[:3]] == ["start", "reject", "reject"]
+        assert f.refreshes[1][2] == 0.5 * f.refreshes[0][2]
 
 
 # -- the step matrix, factored on the nested-dissection order of the grid shape -----

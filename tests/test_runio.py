@@ -58,7 +58,7 @@ def test_flow_run_round_trip(saved):
     assert isinstance(loaded, FlowRun)
     assert run.dense and len(run.snapshots) >= 2
     for name in ("cfg", "converged", "speed_estimate", "monitor_c0", "message",
-                 "rejected", "lu_factorizations", "dt_min", "dt_max"):
+                 "rejected", "lu_factorizations", "lu_refreshes", "dt_min", "dt_max"):
         assert getattr(loaded, name) == getattr(run, name), name
     for name in ("series", "energy"):
         mem, disk = getattr(run, name), getattr(loaded, name)
