@@ -69,7 +69,7 @@ def cmd_verify(run_dirs) -> tuple[list, dict]:
         add(tag, check_spacelike_bound(run.series, mc, run.grid.h, run.cfg.delta_space))
         if abs(run.phi.boundary_integral) <= 1e-8:
             add(tag, check_maximal_limit(run, run.phi, run.grid.h))
-        if run.dense:
+        if run.cfg.dense_sample_times:
             add(tag, check_evo_du_residual(run, run.grid, run.phi))
 
     # translator agreement: flow + translator sharing the scenario core

@@ -46,13 +46,16 @@ in lockstep on one time grid) and ``step``:
   operator and the LU only see w, and the growing constant c3 t (or a large
   constant u0) adds no rounding floor proportional to |u| to the speed field.
 
-Each accepted step records the series row
-(t, sup|u_t|, sup|Du|^2, area-mean u_t, max|u_t - H v|, osc vs reference)
-plus the energy pair E = int v - bdry int u phi and I = int u_t^2 / v, whose
-per-step mismatch |dE - dt (I_k + I_{k+1})/2| is the energy-identity
-residual used by the verification suite.  Snapshots are taken at the first
-step reaching each multiple of snapshot_interval * initial_dt in time, which
-for a fixed dt is every snapshot_interval steps.
+Each field's ``_Record`` takes, at t = 0 and after every accepted step, the
+series row (t, sup|u_t|, sup|Du|^2, area-mean u_t, osc u) and the energy pair
+E = int v - bdry int u phi, I = int u_t^2 / v, whose per-step mismatch
+|dE - dt (I_k + I_{k+1})/2| is the energy-identity residual of the
+verification suite.  The row has no max|u_t - H v|: H is u_t / v of the same
+operator.  Snapshots are taken at the first step reaching each multiple of
+snapshot_interval * initial_dt.  The dense triplet of a requested tau is
+(u_{k-1}, u_k, u_{k+1}) with t_k the first step time >= tau; the initial
+state is the left neighbour of the first step.  A pair member is recorded
+exactly as a single run of its field.
 """
 
 from __future__ import annotations
@@ -188,15 +191,6 @@ class _Field:
             w = self.w + dt * self.q["op"]
         return self._centered(w)
 
-    def state(self, t, step_count, sup_du2=0.0, sup_ut=0.0):
-        """FlowState now; the running sups go on from ``sup_du2`` and ``sup_ut``."""
-        op = self.q["op"]
-        return FlowState(u=self.u, t=t, u_t=op,
-                         sup_du2=max(sup_du2, float(np.max(self.q["du2"]))),
-                         sup_ut=max(sup_ut, float(np.max(np.abs(op)))),
-                         H_field=mean_curvature_field(self.w, self.grid, self.q["ghost"]),
-                         step_count=step_count)
-
     def accept(self, candidate):
         shift, self.w, self.q = candidate
         self.since_refresh += 1
@@ -205,12 +199,63 @@ class _Field:
         self.dev = float(np.max(np.abs(self.q["op"] - self.speed)))
 
 
+class _Record:
+    """Series, energy, snapshots and dense triplets of one field, taken by ``add``
+    on the initial state and after every accepted step."""
+
+    def __init__(self, field, cfg: StepperConfig):
+        self.field = field
+        self.series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut",
+                                        "osc_vs_reference")}
+        self.energy = {k: [] for k in ("t", "E", "I", "residual")}
+        self.snapshots = []
+        self.dense = {}
+        self._targets = sorted(float(tau) for tau in cfg.dense_sample_times)
+        self._snap_every = max(1, cfg.snapshot_interval) * cfg.initial_dt(field.grid)
+        self._snap_index = 0
+        self._pending = None    # (tau, left, middle) of a triplet awaiting its right end
+        self.last = None        # (t, u) of the latest record
+
+    def add(self, t, dt=None):
+        """Record the field at time t, reached by a step of ``dt`` (None: initial)."""
+        f, grid = self.field, self.field.grid
+        q, u = f.q, f.u
+        u_t, v = q["op"], q["v"]
+        row = (t, float(np.max(np.abs(u_t))), float(np.max(q["du2"])), f.speed,
+               float(np.max(f.w) - np.min(f.w)))
+        for key, val in zip(self.series, row):
+            self.series[key].append(val)
+        E = grid.domain_integral(v) - grid.boundary_integral(u[-1] * f.phi_vals)
+        I = grid.domain_integral(u_t ** 2 / v)
+        res = 0.0 if dt is None else (
+            (E - self.energy["E"][-1]) - dt * 0.5 * (I + self.energy["I"][-1]))
+        for key, val in zip(self.energy, (t, E, I, res)):
+            self.energy[key].append(val)
+
+        # the slack absorbs the rounding of the accumulated time
+        k = int(np.floor(t / self._snap_every + 1e-6))
+        if not self.snapshots or k > self._snap_index:
+            self._snap_index = k
+            self.snapshots.append((t, u))
+
+        # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study
+        if self._pending is not None:
+            tau, left, middle = self._pending
+            self.dense[tau] = (left, middle, (t, u))
+            self._pending = None
+        if dt is not None and self._targets and t >= self._targets[0]:
+            self._pending = (self._targets.pop(0), self.last, (t, u))
+        self.last = (t, u)
+
+
 class _Stepper:
-    """Accept/reject loop, step-size control and LU refresh for fields in lockstep."""
+    """Accept/reject loop, step-size control, LU refresh and one ``_Record`` for
+    each of the fields it steps in lockstep."""
 
     def __init__(self, fields, grid, phi, cfg: StepperConfig, t=0.0):
         self.cfg = cfg
         self.grid = grid
+        self.phi = phi
         phi_vals = phi.values_on(grid)
         self.implicit = cfg.scheme == "semi_implicit"
         perm = (nested_dissection_order(grid.n_radial, grid.n_angular)
@@ -224,6 +269,9 @@ class _Stepper:
         self.steps = 0
         self.rejected = 0
         self.dt_min = self.dt_max = None
+        self.records = [_Record(f, cfg) for f in self.fields]
+        for rec in self.records:
+            rec.add(self.t)
 
     def _refresh(self, f, reason):
         f.refresh(self.dt)
@@ -257,7 +305,7 @@ class _Stepper:
                 self._refresh(f, "defect")
 
     def advance(self) -> float:
-        """Take one accepted step of every field; returns the dt taken."""
+        """Take and record one accepted step of every field; returns the dt taken."""
         if self.implicit:
             self._update_models()
         ceiling = 1.0 - self.cfg.delta_space
@@ -284,6 +332,8 @@ class _Stepper:
         self.streak += 1
         self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
         self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
+        for rec in self.records:
+            rec.add(self.t, dt)
         return dt
 
     def settled(self):
@@ -294,13 +344,36 @@ class _Stepper:
         return (not self.settled() and self.t < self.cfg.max_time
                 and self.steps < self.cfg.max_steps)
 
-    def run_record(self, f, phi, **record) -> FlowRun:
-        """FlowRun of field ``f`` with the stepper's counters filled in."""
-        return FlowRun(grid=self.grid, phi=phi, cfg=self.cfg,
-                       converged=f.dev < self.cfg.tol_speed, speed_estimate=f.speed,
-                       rejected=self.rejected, lu_factorizations=len(f.refreshes),
-                       lu_refreshes=f.refreshes,
-                       dt_min=self.dt_min, dt_max=self.dt_max, **record)
+    def runs(self) -> list:
+        """The FlowRun of every field, in the order of ``fields``."""
+        cfg, runs = self.cfg, []
+        for f, rec in zip(self.fields, self.records):
+            converged = f.dev < cfg.tol_speed
+            if not converged:
+                message = (f"not converged by max_time = {cfg.max_time} "
+                           f"(speed deviation {f.dev:.3e} > tol {cfg.tol_speed:.1e})")
+            elif self.steps == 0:
+                message = "initial state already steady"
+            else:
+                message = f"speed field settled at t = {self.t:.6g} (dev = {f.dev:.3e})"
+            snapshots = rec.snapshots
+            if snapshots[-1][0] != self.t:
+                snapshots = snapshots + [rec.last]
+            series = {k: np.asarray(v) for k, v in rec.series.items()}
+            state = FlowState(u=f.u, t=self.t, u_t=f.q["op"],
+                              sup_du2=float(np.max(series["sup_du2"])),
+                              sup_ut=float(np.max(series["sup_ut"])),
+                              H_field=mean_curvature_field(f.w, self.grid, f.q["ghost"]),
+                              step_count=self.steps)
+            runs.append(FlowRun(
+                grid=self.grid, phi=self.phi, cfg=cfg, state=state, converged=converged,
+                speed_estimate=f.speed, series=series,
+                energy={k: np.asarray(v) for k, v in rec.energy.items()},
+                snapshots=snapshots, dense=rec.dense, monitor_c0=rec.series["sup_ut"][0] ** 2,
+                message=message, rejected=self.rejected,
+                lu_factorizations=len(f.refreshes), lu_refreshes=f.refreshes,
+                dt_min=self.dt_min, dt_max=self.dt_max))
+        return runs
 
 
 def step(state: FlowState, cfg: StepperConfig, grid: CurvilinearGrid,
@@ -308,98 +381,25 @@ def step(state: FlowState, cfg: StepperConfig, grid: CurvilinearGrid,
     """Advance one accepted step from ``state`` (standalone convenience API)."""
     stepper = _Stepper([state.u], grid, phi, cfg, t=state.t)
     stepper.advance()
-    return stepper.fields[0].state(stepper.t, state.step_count + 1,
-                                   state.sup_du2, state.sup_ut)
+    new = stepper.runs()[0].state
+    return dataclasses.replace(new, step_count=state.step_count + 1,
+                               sup_du2=max(state.sup_du2, new.sup_du2),
+                               sup_ut=max(state.sup_ut, new.sup_ut))
 
 
 def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
-                       cfg: StepperConfig, reference=None) -> FlowRun:
+                       cfg: StepperConfig) -> FlowRun:
     """Integrate until u_t deviates from its mean by less than tol_speed.
 
-    reference: optional translator solution; the series column
-    ``osc_vs_reference`` then records osc(u - (profile + c3 t)), otherwise
-    osc(u).  Returns a FlowRun with the final state, the area-weighted mean
-    of u_t as speed estimate, the diagnostic series, per-step energy data,
-    snapshots, any requested dense snapshot triplets and the step counters.
+    Returns a FlowRun with the final state, the area-weighted mean of u_t as
+    speed estimate, the diagnostic series (``osc_vs_reference`` is osc(u)),
+    per-step energy data, snapshots, any requested dense snapshot triplets
+    and the step counters.
     """
     stepper = _Stepper([u0], grid, phi, cfg)
-    f = stepper.fields[0]
-    phi_vals = f.phi_vals
-
-    series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut",
-                              "hv_residual", "osc_vs_reference")}
-    energy = {"t": [], "E": [], "I": [], "residual": []}
-    dense_targets = sorted(cfg.dense_sample_times)
-    dense = {}
-    pending_dense = None
-    prev_state_for_dense = None
-
-    def record(dt_step=None):
-        t, q, u = stepper.t, f.q, f.u
-        u_t, v = q["op"], q["v"]
-        H = mean_curvature_field(f.w, grid, q["ghost"])
-        diff = f.w if reference is None else u - (reference.profile.values
-                                                  + reference.c3 * t)
-        row = (t, float(np.max(np.abs(u_t))), float(np.max(q["du2"])), f.speed,
-               float(np.max(np.abs(u_t - H * v))), float(np.max(diff) - np.min(diff)))
-        for key, val in zip(series, row):
-            series[key].append(val)
-        E = grid.domain_integral(v) - grid.boundary_integral(u[-1] * phi_vals)
-        I = grid.domain_integral(u_t ** 2 / v)
-        res = 0.0 if dt_step is None else (
-            (E - energy["E"][-1]) - dt_step * 0.5 * (I + energy["I"][-1]))
-        for key, val in zip(energy, (t, E, I, res)):
-            energy[key].append(val)
-        return u, H
-
-    u, H = record()
-    monitor_c0 = series["sup_ut"][0] ** 2
-    snapshots = [(stepper.t, u.copy())]
-    snap_every = max(1, cfg.snapshot_interval) * cfg.initial_dt(grid)
-    snap_index = 0
-    message = "initial state already steady" if stepper.settled() else ""
-
     while stepper.running():
-        dt_step = stepper.advance()
-        u, H = record(dt_step)
-        t = stepper.t
-
-        # the slack absorbs the rounding of the accumulated time
-        k = int(np.floor(t / snap_every + 1e-6))
-        if k > snap_index:
-            snap_index = k
-            snapshots.append((t, u.copy()))
-
-        # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study
-        if pending_dense is not None:
-            tau, t0, u0_, t1, u1_ = pending_dense
-            dense[tau] = ((t0, u0_), (t1, u1_), (t, u.copy()))
-            pending_dense = None
-        while dense_targets and t >= dense_targets[0] and pending_dense is None:
-            tau = dense_targets.pop(0)
-            if prev_state_for_dense is not None:
-                pending_dense = (tau, prev_state_for_dense[0],
-                                 prev_state_for_dense[1], t, u.copy())
-        prev_state_for_dense = (t, u.copy())
-
-        if stepper.settled():
-            message = f"speed field settled at t = {t:.6g} (dev = {f.dev:.3e})"
-
-    if not message:
-        message = (f"not converged by max_time = {cfg.max_time} "
-                   f"(speed deviation {f.dev:.3e} > tol {cfg.tol_speed:.1e})")
-    if snapshots[-1][0] != stepper.t:
-        snapshots.append((stepper.t, u.copy()))
-
-    state = FlowState(u=u, t=stepper.t, u_t=f.q["op"],
-                      sup_du2=float(np.max(series["sup_du2"])),
-                      sup_ut=float(np.max(series["sup_ut"])),
-                      H_field=H, step_count=stepper.steps)
-    return stepper.run_record(
-        f, phi, state=state,
-        series={k: np.asarray(v) for k, v in series.items()},
-        energy={k: np.asarray(v) for k, v in energy.items()},
-        snapshots=snapshots, dense=dense, monitor_c0=monitor_c0, message=message)
+        stepper.advance()
+    return stepper.runs()[0]
 
 
 @dataclasses.dataclass
@@ -430,14 +430,15 @@ def run_pair(u0a, u0b, phi: ContactAngle, grid: CurvilinearGrid,
     Records osc(u_a - u_b) and max|u_a - u_b| at every shared step; a step
     is accepted only when both fields accept it, so the difference series is
     sampled on one time grid.  Stops when both speed fields have settled.
+    Each member is the FlowRun a single run of its field records over the
+    pair's steps.
     """
     stepper = _Stepper([u0a, u0b], grid, phi, cfg)
     fa, fb = stepper.fields
-    ts, oscs, maxabs = [], [], []
+    oscs, maxabs = [], []
 
     def record():
         dw = fa.w - fb.w
-        ts.append(stepper.t)
         oscs.append(float(np.max(dw) - np.min(dw)))
         maxabs.append(float(np.max(np.abs(dw + (fa.mean - fb.mean)))))
 
@@ -445,11 +446,6 @@ def run_pair(u0a, u0b, phi: ContactAngle, grid: CurvilinearGrid,
     while stepper.running():
         stepper.advance()
         record()
-
-    def member(f):
-        return stepper.run_record(f, phi, state=f.state(stepper.t, stepper.steps),
-                                  series={}, energy={}, snapshots=[(stepper.t, f.u)],
-                                  dense={}, monitor_c0=np.nan, message="pair member")
-
-    return PairRun(t=np.asarray(ts), osc=np.asarray(oscs),
-                   max_abs=np.asarray(maxabs), run_a=member(fa), run_b=member(fb))
+    run_a, run_b = stepper.runs()
+    return PairRun(t=run_a.series["t"], osc=np.asarray(oscs),
+                   max_abs=np.asarray(maxabs), run_a=run_a, run_b=run_b)

@@ -228,10 +228,10 @@ def read_csv_header(path) -> dict:
 
 
 def write_series_csv(path, run, header):
-    cols = ["t", "sup_ut", "sup_du2", "mean_ut", "hv_residual", "osc_vs_reference"]
+    cols = ["t", "sup_ut", "sup_du2", "mean_ut", "osc_vs_reference"]
     rows = zip(*(run.series[c] for c in cols))
     write_csv(path, cols, rows, {**header, "columns": "time, sup|u_t|, sup|Du|^2, "
-              "area-mean u_t, max|u_t - Hv|, osc(u - reference)"})
+              "area-mean u_t, osc(u - reference)"})
 
 
 def write_energy_csv(path, run, header):
@@ -322,8 +322,9 @@ def standard_header(scenario: Scenario) -> dict:
 # -- run directories --------------------------------------------------------------
 #
 # A flow run directory holds scenario.json, series.csv, energy.csv, one
-# snapshots/snap_<k>.csv per snapshot, snapshots/dense_<tau>_<m>.csv (m = 0, 1, 2)
-# per dense triplet and manifest.json; a translator run directory holds
+# snapshots/snap_<k>.csv per snapshot, snapshots/dense_<k>_<m>.csv (m = 0, 1, 2)
+# per dense triplet k, in ascending tau, whose header records tau (repr), and
+# manifest.json; a translator run directory holds
 # scenario.json, profile.csv, result.json and manifest.json.  ``load_run``
 # gives back the FlowRun or TranslatorSolution that was saved.
 
@@ -352,10 +353,13 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
     write_energy_csv(outdir / "energy.csv", run, header)
     taus = sorted(run.dense)
     snap_files = [f"snapshots/snap_{k:06d}.csv" for k in range(len(run.snapshots))]
-    dense_files = [f"snapshots/dense_{tau:.6f}_{m}.csv" for tau in taus for m in range(3)]
-    fields = run.snapshots + [tu for tau in taus for tu in run.dense[tau]]
-    for rel, (t, u) in zip(snap_files + dense_files, fields):
-        write_field_csv(outdir / rel, run.grid, u, {**header, "time": t})
+    dense_files = [f"snapshots/dense_{k:06d}_{m}.csv"
+                   for k in range(len(taus)) for m in range(3)]
+    fields = ([(t, u, {}) for t, u in run.snapshots]
+              + [(t, u, {"tau": repr(float(tau))})
+                 for tau in taus for t, u in run.dense[tau]])
+    for rel, (t, u, extra) in zip(snap_files + dense_files, fields):
+        write_field_csv(outdir / rel, run.grid, u, {**header, "time": t, **extra})
 
     mc = monitor_constants(scenario.u0, run.phi, run.grid, c0=run.monitor_c0)
     final = {
@@ -411,17 +415,26 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
 
     def field(rel):
         header, values = read_field_csv(run_dir / rel, grid)
-        return float(header["time"]), values
+        return header, (float(header["time"]), values)
 
-    snapshots = [field(rel) for rel in files["snapshots"]]
+    snapshots = [field(rel)[1] for rel in files["snapshots"]]
     if not snapshots:
         raise ScenarioError(f"flow run {run_dir} lists no snapshots")
     dense_files = files.get("dense", [])
     if len(dense_files) % 3:
         raise ScenarioError(f"flow run {run_dir} lists {len(dense_files)} dense files, "
                             f"not a whole number of triplets")
-    dense = {float(dense_files[k].split("_")[1]): tuple(map(field, dense_files[k:k + 3]))
-             for k in range(0, len(dense_files), 3)}
+    dense = {}
+    for k in range(0, len(dense_files), 3):
+        headers, triplet = zip(*map(field, dense_files[k:k + 3]))
+        taus = {h.get("tau") for h in headers}
+        if None in taus:
+            raise ScenarioError(f"a dense file of {run_dir} has no tau header "
+                                f"({', '.join(dense_files[k:k + 3])})")
+        if len(taus) != 1:
+            raise ScenarioError(f"dense triplet {', '.join(dense_files[k:k + 3])} of "
+                                f"{run_dir} records more than one tau")
+        dense[float(taus.pop())] = triplet
 
     u = snapshots[-1][1]
     phi_vals = phi.values_on(grid)

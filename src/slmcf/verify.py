@@ -228,10 +228,16 @@ def check_evo_du_residual(run, grid: CurvilinearGrid, phi: ContactAngle,
     Evaluates the time-differenced |Du|^2 evolution residual on interior
     rings for every dense snapshot triplet the run recorded, for each
     candidate convention; passes iff exactly one convention's residual is
-    below const * (h^2 + dt_snapshot).  The centred difference needs the two
-    steps of a triplet to be equal up to time rounding; a triplet that
-    straddles a dt change raises CheckPreconditionError.
+    below const * (h^2 + dt_snapshot).  A requested time of
+    ``run.cfg.dense_sample_times`` without a triplet (it lies past the end of
+    the run) raises CheckPreconditionError, and so does a triplet that
+    straddles a dt change: the centred difference needs its two steps to be
+    equal up to time rounding.
     """
+    missing = [tau for tau in run.cfg.dense_sample_times if tau not in run.dense]
+    if missing:
+        raise CheckPreconditionError(
+            f"run recorded no dense triplet for tau = {', '.join(map(repr, missing))}")
     if not run.dense:
         raise CheckPreconditionError("run recorded no dense snapshot triplets")
     for tau, ((t0, _), (t1, _), (t2, _)) in run.dense.items():

@@ -61,10 +61,9 @@ def test_flow_run_artifacts(tmp_path):
     checked = validate_manifest(tmp_path / "run")
     assert checked["scenario_hash"] == scenario_hash(BASE)
     header, cols, data = read_csv(tmp_path / "run" / "series.csv")
-    assert cols == ["t", "sup_ut", "sup_du2", "mean_ut", "hv_residual",
-                    "osc_vs_reference"]
+    assert cols == ["t", "sup_ut", "sup_du2", "mean_ut", "osc_vs_reference"]
     assert header["scenario"] == scenario_hash(BASE)
-    assert data.shape[1] == 6
+    assert data.shape[1] == 5
 
 
 def test_flow_deterministic_bytes(tmp_path):

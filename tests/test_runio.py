@@ -77,6 +77,22 @@ def test_flow_run_round_trip(saved):
     assert np.max(np.abs(loaded.state.H_field - run.state.H_field)) < 1e-12
 
 
+def test_dense_triplets_round_trip_under_exact_keys(tmp_path):
+    """Triplets of times that agree to six digits keep their own files and keys."""
+    taus = [0.1234567, 0.3000001, 0.3000004]
+    config = dict(CONFIG, stepper=dict(CONFIG["stepper"], max_time=0.5,
+                                       dense_sample_times=taus))
+    run, loaded = _flow(tmp_path, config, "flow")
+    assert list(run.dense) == list(loaded.dense) == taus
+    manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
+    assert len(set(manifest["files"]["dense"])) == 9
+    for tau in taus:
+        assert [t for t, _ in loaded.dense[tau]] == [t for t, _ in run.dense[tau]]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded.dense[tau],
+                                                                  run.dense[tau]))
+    assert run.dense[0.3000001][1][0] < run.dense[0.3000004][1][0]
+
+
 def test_translator_solution_round_trip(saved):
     _, _, (solution, loaded) = saved
     assert isinstance(loaded, TranslatorSolution)
@@ -143,6 +159,16 @@ def test_field_file_without_seven_columns_is_a_scenario_error(tmp_path):
     _rewrite_rows(run_dir / "snapshots" / "snap_000000.csv",
                   lambda line: line.rsplit(",", 1)[0])
     with pytest.raises(ScenarioError, match="6 columns"):
+        load_run(run_dir)
+    assert main(["verify", str(run_dir)]) == 2
+
+
+def test_dense_file_without_tau_is_a_scenario_error(tmp_path):
+    run_dir = _flow_dir(tmp_path, SMALL)
+    dense = run_dir / "snapshots" / "dense_000000_1.csv"
+    dense.write_text("".join(line for line in dense.read_text().splitlines(keepends=True)
+                             if not line.startswith("# tau:")))
+    with pytest.raises(ScenarioError, match="no tau header"):
         load_run(run_dir)
     assert main(["verify", str(run_dir)]) == 2
 

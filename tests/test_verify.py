@@ -232,6 +232,22 @@ def test_evo_du_check_needs_dense(run_phi02, disk32):
         check_evo_du_residual(run, grid, phi)
 
 
+def test_dense_times_in_the_first_step_and_past_the_end():
+    """tau = 0.01 falls inside the first step: its triplet starts at the initial
+    state.  tau = 50 lies past the end of the run: the check names it."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(dense_sample_times=(0.01, 50.0))
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
+    assert list(run.dense) == [0.01]
+    (t0, u0), (t1, _), (t2, _) = run.dense[0.01]
+    assert t0 == 0.0 and t1 == cfg.initial_dt(grid) > 0.01 and t2 == 2 * t1
+    assert np.array_equal(u0, run.snapshots[0][1])
+    with pytest.raises(CheckPreconditionError, match="tau = 50.0"):
+        check_evo_du_residual(run, grid, phi)
+
+
 def test_evo_du_check_rejects_unequal_steps(disk32):
     """A triplet that straddles a dt doubling cannot be centred-differenced."""
     dom, grid = disk32
