@@ -23,9 +23,8 @@ from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import MetricSample, get_metric, metric_at, metric_ids
 from .oracle import (RadialOracle, RegularizedOracle, oracle_c3_from_flux,
                      regularized_oracle, translator_oracle)
-from .translator import (ContinuationSchedule, NewtonConfig, TranslatorSolution,
-                         compute_c3, continuation, solve_regularized,
-                         translate_solution)
+from .translator import (ContinuationSchedule, TranslatorSolution, compute_c3,
+                         continuation, solve_regularized, translate_solution)
 from .verify import (CheckReport, MonitorConstants, c1_formula,
                      check_evo_du_residual, check_maximal_limit, check_osc_decay,
                      check_spacelike_bound, check_translator_agreement,

@@ -198,15 +198,20 @@ class ConvexDomain:
         return T, N, w
 
     def kappa(self, s):
-        """Geodesic curvature of the boundary at parameters s."""
+        """Geodesic curvature of the boundary at parameters s: <nabla_T T, N>_sigma."""
+        _, N, _ = self.frame(s)
+        sig = self.metric.sigma(self.curve.gamma(s))
+        return np.einsum("...i,...ij,...j->...", self.nabla_T_T(s), sig, N)
+
+    def nabla_T_T(self, s):
+        """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
         s = np.asarray(s, dtype=float)
         g = self.curve.gamma(s)
         dg = self.curve.dgamma(s)
         d2g = self.curve.d2gamma(s)
         sig = self.metric.sigma(g)
         gam = self.metric.christoffel(g)
-        T, N, w = self.frame(s)
-
+        T, _, w = self.frame(s)
         # d sigma_ij / ds along the curve from metric compatibility
         # d_k sigma_ij = sigma_lj Gamma^l_{ki} + sigma_il Gamma^l_{kj}
         dsig_ds = np.einsum("...lj,...lki,...k->...ij", sig, gam, dg) + np.einsum(
@@ -218,27 +223,6 @@ class ConvexDomain:
         dw = 0.5 * dw2 / w
         dT = d2g / w[..., None] - dg * (dw / w ** 2)[..., None]
         # nabla_{gamma'} T, then normalize by w to get nabla_T T
-        covT = dT + np.einsum("...kij,...i,...j->...k", gam, dg, T)
-        nablaTT = covT / w[..., None]
-        return np.einsum("...i,...ij,...j->...", nablaTT, sig, N)
-
-    def nabla_T_T(self, s):
-        """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
-        s = np.asarray(s, dtype=float)
-        g = self.curve.gamma(s)
-        dg = self.curve.dgamma(s)
-        d2g = self.curve.d2gamma(s)
-        sig = self.metric.sigma(g)
-        gam = self.metric.christoffel(g)
-        T, _, w = self.frame(s)
-        dsig_ds = np.einsum("...lj,...lki,...k->...ij", sig, gam, dg) + np.einsum(
-            "...il,...lkj,...k->...ij", sig, gam, dg
-        )
-        dw2 = np.einsum("...ij,...i,...j->...", dsig_ds, dg, dg) + 2.0 * np.einsum(
-            "...ij,...i,...j->...", sig, d2g, dg
-        )
-        dw = 0.5 * dw2 / w
-        dT = d2g / w[..., None] - dg * (dw / w ** 2)[..., None]
         covT = dT + np.einsum("...kij,...i,...j->...k", gam, dg, T)
         return covT / w[..., None]
 

@@ -61,6 +61,7 @@ exactly as a single run of its field.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,13 +78,13 @@ _GROW_AFTER = 5      # consecutive accepted steps before dt grows
 _GROW_BY = 4.0       # factor dt grows by, once per _GROW_AFTER accepted steps
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
 _REFRESH_INTERVAL = 10   # accepted steps after which the LU is refactored
+_CFL = 0.8           # explicit scheme: fraction of the CFL bound a step may take
 
 
 @dataclasses.dataclass
 class StepperConfig:
     scheme: str = "semi_implicit"
     dt: float | None = None           # default: diameter / (2 n_radial), grown
-    cfl_number: float = 0.8
     tol_speed: float = 1e-7
     max_time: float = 10.0
     delta_space: float = 1e-3
@@ -92,6 +93,10 @@ class StepperConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
+        self.dense_sample_times = tuple(self.dense_sample_times)
+        if not all(isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+                   for tau in self.dense_sample_times):
+            raise ScenarioError("dense_sample_times must be an array of numbers")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ScenarioError(f"unknown scheme '{self.scheme}'")
         if self.dt is not None and self.dt <= 0:
@@ -205,8 +210,7 @@ class _Record:
 
     def __init__(self, field, cfg: StepperConfig):
         self.field = field
-        self.series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut",
-                                        "osc_vs_reference")}
+        self.series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut", "osc_u")}
         self.energy = {k: [] for k in ("t", "E", "I", "residual")}
         self.snapshots = []
         self.dense = {}
@@ -312,8 +316,7 @@ class _Stepper:
         while True:
             if not self.implicit:
                 for f in self.fields:
-                    self.dt = min(self.dt, explicit_stable_dt(f.q, self.grid,
-                                                              self.cfg.cfl_number))
+                    self.dt = min(self.dt, explicit_stable_dt(f.q, self.grid, _CFL))
             try:
                 cands = [f.candidate(self.dt, self.implicit) for f in self.fields]
                 ok = all(float(np.max(c[2]["du2"])) <= ceiling for c in cands)
@@ -392,7 +395,7 @@ def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
     """Integrate until u_t deviates from its mean by less than tol_speed.
 
     Returns a FlowRun with the final state, the area-weighted mean of u_t as
-    speed estimate, the diagnostic series (``osc_vs_reference`` is osc(u)),
+    speed estimate, the diagnostic series (``osc_u`` is osc(u)),
     per-step energy data, snapshots, any requested dense snapshot triplets
     and the step counters.
     """

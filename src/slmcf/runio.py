@@ -10,7 +10,7 @@ A scenario is a single JSON document:
       "u0": {"kind": "constant", "value": 0.0},
       "grid": {"n_radial": 64, "n_angular": 128},
       "stepper": {"dt": 0.01, "tol_speed": 1e-7, "max_time": 10.0},
-      "continuation": {"eps0": 1.0, "ratio": 0.5, "eps_min": 1e-6},
+      "continuation": {"eps_min": 1e-6},
       "seed_label": "baseline"
     }
 
@@ -30,7 +30,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import pathlib
+import typing
 import weakref
 
 import numpy as np
@@ -39,11 +41,11 @@ from . import __version__
 from .domain import build_domain
 from .errors import ScenarioError
 from .flow import FlowRun, FlowState, StepperConfig
-from .geometry import gradient_fields, mean_curvature_field
+from .geometry import gradient_fields
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric
-from .operators import contact_ghost, flow_operator
-from .translator import ContinuationSchedule, NewtonConfig, TranslatorSolution
+from .operators import flow_operator
+from .translator import ContinuationSchedule, TranslatorSolution
 from .verify import monitor_constants
 
 _CURVATURE_FLOOR = -1e-12
@@ -112,20 +114,33 @@ def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
     raise ScenarioError(f"unknown u0 kind '{kind}'")
 
 
-def _solver_config(cls, section, spec, **built):
-    """``cls`` from a scenario section, with ``built`` replacing its entries.
+# The JSON values a solver setting of each annotated type accepts, and their name.
+_JSON_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
+               str: (str, "a string"), tuple: ((list, tuple), "an array"),
+               type(None): (type(None), "null")}
 
-    A section that is not a JSON object, or that has a key ``cls`` does not
-    know, is a ScenarioError naming the section and the key.
+
+def _solver_config(cls, section, spec):
+    """``cls`` from a scenario section.
+
+    A section that is not a JSON object, that has a key ``cls`` does not
+    know, or whose value does not have the JSON type of its field (booleans
+    are no numbers) is a ScenarioError naming the section and the key.
     """
     if not isinstance(spec, dict):
         raise ScenarioError(f"scenario section '{section}' must be a JSON object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(spec) - known)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(spec) - set(hints))
     if unknown:
         raise ScenarioError(f"unknown key(s) in scenario section '{section}': "
-                            f"{', '.join(unknown)} (known: {', '.join(sorted(known))})")
-    return cls(**{**spec, **built})
+                            f"{', '.join(unknown)} (known: {', '.join(sorted(hints))})")
+    for key, value in spec.items():
+        kinds = [_JSON_TYPES[t] for t in typing.get_args(hints[key]) or (hints[key],)]
+        if isinstance(value, bool) or not isinstance(value, tuple(t for t, _ in kinds)):
+            raise ScenarioError(f"scenario section '{section}': '{key}' must be "
+                                f"{' or '.join(name for _, name in kinds)}, "
+                                f"not {value!r}")
+    return cls(**spec)
 
 
 def load_scenario(config: dict) -> Scenario:
@@ -156,13 +171,8 @@ def load_scenario(config: dict) -> Scenario:
             f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
 
     stepper = _solver_config(StepperConfig, "stepper", config.get("stepper", {}))
-    stepper.dense_sample_times = tuple(stepper.dense_sample_times)
-
-    cont_cfg = config.get("continuation", {})
-    newton = _solver_config(NewtonConfig, "continuation.newton",
-                            cont_cfg.get("newton", {}) if isinstance(cont_cfg, dict) else {})
-    continuation = _solver_config(ContinuationSchedule, "continuation", cont_cfg,
-                                  newton=newton)
+    continuation = _solver_config(ContinuationSchedule, "continuation",
+                                  config.get("continuation", {}))
 
     return Scenario(config=config, metric=metric, domain=domain, grid=grid,
                     phi=phi, u0=u0, stepper=stepper, continuation=continuation)
@@ -228,10 +238,10 @@ def read_csv_header(path) -> dict:
 
 
 def write_series_csv(path, run, header):
-    cols = ["t", "sup_ut", "sup_du2", "mean_ut", "osc_vs_reference"]
+    cols = ["t", "sup_ut", "sup_du2", "mean_ut", "osc_u"]
     rows = zip(*(run.series[c] for c in cols))
     write_csv(path, cols, rows, {**header, "columns": "time, sup|u_t|, sup|Du|^2, "
-              "area-mean u_t, osc(u - reference)"})
+              "area-mean u_t, osc(u)"})
 
 
 def write_energy_csv(path, run, header):
@@ -402,8 +412,8 @@ def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSol
 def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
     """The FlowRun saved in ``run_dir``.
 
-    The final state's u is the last snapshot; u_t and H_field, which are not
-    on disk, are recomputed from it.
+    The final state's u is the last snapshot; u_t and H_field = u_t / v,
+    which are not on disk, are recomputed from it by one operator evaluation.
     """
     run_dir = pathlib.Path(run_dir)
     files, final = manifest["files"], manifest["final"]
@@ -437,12 +447,10 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
         dense[float(taus.pop())] = triplet
 
     u = snapshots[-1][1]
-    phi_vals = phi.values_on(grid)
-    ghost, _, _ = contact_ghost(u, grid, phi_vals)
-    state = FlowState(u=u, t=final["t_final"], u_t=flow_operator(u, grid, phi_vals),
+    q = flow_operator(u, grid, phi.values_on(grid), with_fields=True)
+    state = FlowState(u=u, t=final["t_final"], u_t=q["op"],
                       sup_du2=final["sup_du2"], sup_ut=final["sup_ut"],
-                      H_field=mean_curvature_field(u, grid, ghost),
-                      step_count=final["steps"])
+                      H_field=q["op"] / q["v"], step_count=final["steps"])
     return FlowRun(grid=grid, phi=phi, cfg=scenario.stepper, state=state,
                    converged=final["converged"], speed_estimate=final["speed_estimate"],
                    series=table(files["series"]), energy=table(files["energy"]),

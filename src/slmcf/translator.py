@@ -16,11 +16,13 @@ with the equations
 
 and the Jacobian [[L - eps I, -1], [a^T, 0]], a = quadrature weights / area.
 At eps = 0 this is the translator itself and c is the operator-limit speed
-c3; ``continuation`` solves it directly from u = 0 by Newton-chord: one
-factorization at the start iterate, then chord steps on that LU while each
-halves the residual.  At eps > 0 it is the regularized problem
-g~^{ab} D_a D_b u = eps u with u = c / eps + w, which ``solve_regularized``
-solves with the same loop.
+c3, which ``continuation`` solves for directly from u = 0.  At eps > 0 it is
+the regularized problem g~^{ab} D_a D_b u = eps u with u = c / eps + w,
+which ``solve_regularized`` solves.  Every bordered solve runs one loop,
+Newton-chord: one factorization at the start iterate, then chord steps on
+that LU while each halves the residual; a step that does not is dropped and
+the Jacobian refactored.  Its iteration limit, tol (1e-10) and damping are
+module constants.
 
 The regularization trace (eps, eps u_eps - c3), which acceptance criterion 8
 reads, is computed afterwards over the schedule's eps list in ascending
@@ -56,46 +58,36 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ContinuationError, NewtonError, SpacelikeViolationError
+from .errors import ContinuationError, NewtonError, ScenarioError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (OrderedLU, assemble_operator_matrix, boundary_gradient_data,
                         contact_ghost, flow_operator, nested_dissection_order)
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-@dataclasses.dataclass
-class NewtonConfig:
-    max_iter: int = 40
-    tol: float = 1e-10
-    damping: float = 0.5
-    max_backtracks: int = 30
-
-    def __post_init__(self):
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping must lie in (0, 1)")
+_MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
+_TOL = 1e-10             # residual max(max|R|, |area-mean(w)|) that ends a solve
+_DAMPING = 0.5           # step-length factor per Newton backtrack
+_MAX_BACKTRACKS = 30
+_EPS_TOP = 1.0           # the largest eps of the trace
+_EPS_RATIO = 0.5         # each trace level is this times the one above
 
 
 @dataclasses.dataclass
 class ContinuationSchedule:
-    """The eps levels of the regularization trace, and the Newton settings."""
-    eps0: float = 1.0
-    ratio: float = 0.5
+    """The eps levels of the regularization trace: 1, 1/2, 1/4, ... down to eps_min."""
     eps_min: float = 1e-6
-    newton: NewtonConfig = dataclasses.field(default_factory=NewtonConfig)
 
     def __post_init__(self):
-        if not (self.eps0 > self.eps_min > 0.0):
-            raise ValueError("need eps0 > eps_min > 0")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError("need 0 < ratio < 1")
+        if not (0.0 < self.eps_min < _EPS_TOP):
+            raise ScenarioError(f"continuation eps_min = {self.eps_min!r} must lie in "
+                                f"(0, {_EPS_TOP:g})")
 
     def eps_values(self):
         out = []
-        eps = self.eps0
+        eps = _EPS_TOP
         while eps >= self.eps_min:
             out.append(eps)
-            eps *= self.ratio
+            eps *= _EPS_RATIO
         return out
 
 
@@ -164,17 +156,15 @@ def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
     factor["abs"], factor["gamma"] = abs(J), mu / (1.0 - mu)
 
 
-def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonConfig,
-                     source=None, factor=None, chord=False):
-    """Damped Newton on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
+def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None):
+    """Damped Newton-chord on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
 
     ``factor`` is a dict whose "lu" entry holds the one live factorization
     (see ``_factor``); it is cleared before each new one, so the caller keeps
-    no stale LU alive.  Without ``chord`` every step factors the bordered
-    Jacobian afresh.  With ``chord`` the LU in ``factor`` is reused across
-    steps: a step on a reused LU is kept only if it halves the residual (or
-    meets tol), otherwise it is dropped and the Jacobian refactored at the
-    current iterate.
+    no stale LU alive.  The LU in ``factor`` is reused across steps: a step
+    on a reused LU is kept only if it halves the residual (or meets tol),
+    otherwise it is dropped and the Jacobian refactored at the current
+    iterate, where a damped Newton step follows.
 
     The solve stops above tol only where a step on the current LU fails to
     reduce the residual and the residual is at or below its rounding floor
@@ -205,13 +195,13 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
     R = residual(w, c)
     norms = [norm(R, w)]
     info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
-    while norms[-1] > newton.tol:
-        if info["steps"] >= newton.max_iter:
+    while norms[-1] > _TOL:
+        if info["steps"] >= _MAX_ITER:
             raise NewtonError(
-                f"Newton: no convergence in {newton.max_iter} iterations "
+                f"Newton: no convergence in {_MAX_ITER} iterations "
                 f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
         info["steps"] += 1
-        reused = chord and factor["lu"] is not None
+        reused = factor["lu"] is not None
         if not reused:
             _factor(factor, w, eps, grid, phi_vals)
             info["factorizations"] += 1
@@ -225,7 +215,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
                 norm_trial = norm(R_trial, trial_w)
             except SpacelikeViolationError:
                 norm_trial = np.inf
-            if norm_trial > 0.5 * norms[-1] and norm_trial > newton.tol:
+            if norm_trial > 0.5 * norms[-1] and norm_trial > _TOL:
                 bound = floor()
                 if norms[-1] > bound:            # a slow step above the floor: refactor
                     factor["lu"] = None
@@ -241,24 +231,24 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
 
         t = 1.0
         accepted = False
-        for _ in range(newton.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial_w, trial_c = w + t * dw, c + t * dc
                 R_trial = residual(trial_w, trial_c)
             except SpacelikeViolationError:
-                t *= newton.damping
+                t *= _DAMPING
                 continue
             norm_trial = norm(R_trial, trial_w)
-            if norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < newton.tol:
+            if norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < _TOL:
                 w, c, R = trial_w, trial_c, R_trial
                 norms.append(norm_trial)
                 accepted = True
                 break
-            t *= newton.damping
+            t *= _DAMPING
         if accepted:
             info["newton"] += 1
             # stagnation: less than 0.1% total reduction over the last 5 steps
-            if len(norms) <= 5 or norms[-1] <= max(newton.tol, norms[-6] * (1.0 - 1e-3)):
+            if len(norms) <= 5 or norms[-1] <= max(_TOL, norms[-6] * (1.0 - 1e-3)):
                 continue
         bound = floor()
         if norms[-1] > bound:
@@ -271,29 +261,26 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, newton: NewtonC
     return w, c, info
 
 
-def solve_regularized(eps, init, phi, grid: CurvilinearGrid,
-                      newton: NewtonConfig | None = None, phi_vals=None,
-                      source=None):
-    """Damped Newton solve of g~^{ab} D_a D_b u = eps u (+ source) with the
-    contact-angle boundary closure.
+def solve_regularized(eps, init, phi, grid: CurvilinearGrid, source=None):
+    """Damped Newton-chord solve of g~^{ab} D_a D_b u = eps u (+ source) with
+    the contact-angle boundary closure.
 
     The solution level grows like 1/eps, so Newton acts on the zero-mean part
     w and the scalar c = eps * (level), started from A = area-mean(init) as
     c = eps A: the operator sees only derivatives, hence the residual is
     F(w) - eps w - c and the large constant never enters a stencil
     difference.  ``source`` (a nodal field, default zero) supports
-    manufactured-solution testing.  Returns (values, info); raises
-    NewtonError on stagnation and SpacelikeViolationError if no damped step
-    stays space-like.
+    manufactured-solution testing.  Returns (values, info); info's
+    ``iterations`` counts every solve on an LU, dropped chord steps
+    included, as the trace's ``newton_iterations`` does.  Raises NewtonError
+    on stagnation and SpacelikeViolationError if no damped step stays
+    space-like.
     """
-    newton = newton or NewtonConfig()
-    if phi_vals is None:
-        phi_vals = phi.values_on(grid)
     u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     A = float(grid.mean(u0))
-    w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi_vals, newton,
+    w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi.values_on(grid),
                                   source=source)
-    return c / eps + w, {"iterations": info["newton"], "residual": info["residuals"][-1],
+    return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
                          "floor_stops": info["floor_stops"]}
 
 
@@ -326,10 +313,9 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     w = u - grid.mean(u)
     factor = {"lu": None}
-    newton = schedule.newton
     # Newton-chord from the speed that fits F(init) best in the area mean
     w, c3, info = _bordered_newton(0.0, w, grid.mean(flow_operator(w, grid, phi_vals)),
-                                   grid, phi_vals, newton, factor=factor, chord=True)
+                                   grid, phi_vals, factor=factor)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
     _factor(factor, w, 0.0, grid, phi_vals)
@@ -337,7 +323,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
              "chord_steps": info["chord"], "lu_factorizations": info["factorizations"] + 1,
-             "accepted_above_tol": info["residuals"][-1] > newton.tol,
+             "accepted_above_tol": info["residuals"][-1] > _TOL,
              "floor_stops": info["floor_stops"], "trace_refactors": [],
              "trace_residuals": []}
 
@@ -348,8 +334,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     for eps in reversed(schedule.eps_values()):
         try:
             w_eps, c_eps, level = _bordered_newton(eps, w + eps * w_dot, c3 + eps * c_dot,
-                                                   grid, phi_vals, newton, factor=factor,
-                                                   chord=True)
+                                                   grid, phi_vals, factor=factor)
         except (NewtonError, SpacelikeViolationError) as err:
             raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
                                     trace=stats[::-1]) from err

@@ -61,7 +61,7 @@ def test_flow_run_artifacts(tmp_path):
     checked = validate_manifest(tmp_path / "run")
     assert checked["scenario_hash"] == scenario_hash(BASE)
     header, cols, data = read_csv(tmp_path / "run" / "series.csv")
-    assert cols == ["t", "sup_ut", "sup_du2", "mean_ut", "osc_vs_reference"]
+    assert cols == ["t", "sup_ut", "sup_du2", "mean_ut", "osc_u"]
     assert header["scenario"] == scenario_hash(BASE)
     assert data.shape[1] == 5
 
@@ -301,17 +301,29 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
 @pytest.mark.parametrize("section, key", [("stepper", "dtt"),
                                           ("stepper", "refresh_interval"),
                                           ("continuation", "cauchy_tol"),
-                                          ("continuation.newton", "tool")])
+                                          ("continuation", "newton"),
+                                          ("continuation", "eps0"),
+                                          ("continuation", "ratio")])
 def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     config = json.loads(json.dumps(BASE))
-    node = config
-    for part in section.split("."):
-        node = node.setdefault(part, {})
-    node[key] = 1.0
+    config.setdefault(section, {})[key] = 1.0
     with pytest.raises(ScenarioError, match=key):
         load_scenario(config)
     cfg = _write(tmp_path, config)
     assert main(["translator", str(cfg), "-o", str(tmp_path / "tr")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("stepper", "dt", "x"), ("stepper", "tol_speed", "x"), ("stepper", "max_time", "x"),
+    ("stepper", "delta_space", "x"), ("stepper", "snapshot_interval", "x"),
+    ("stepper", "max_steps", "x"), ("stepper", "dense_sample_times", 5),
+    ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2)])
+def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):
+    config = dict(BASE, **{section: {key: value}})
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(config)
+    assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
     assert key in capsys.readouterr().err
 
 

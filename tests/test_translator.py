@@ -4,15 +4,14 @@ from scipy.sparse.linalg import splu
 
 from slmcf import translator
 from slmcf.domain import build_domain
-from slmcf.errors import ContinuationError
+from slmcf.errors import ContinuationError, ScenarioError
 from slmcf.flow import StepperConfig, run_to_convergence
 from slmcf.geometry import quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import OrderedLU, flow_operator, nested_dissection_order
 from slmcf.oracle import regularized_oracle, translator_oracle
-from slmcf.translator import (ContinuationSchedule, NewtonConfig,
-                              compute_c3, continuation, solve_regularized,
-                              translate_solution)
+from slmcf.translator import (ContinuationSchedule, compute_c3, continuation,
+                              solve_regularized, translate_solution)
 
 
 @pytest.fixture(scope="module")
@@ -183,14 +182,15 @@ def test_barrier_bound(disk_setup):
         assert float(np.max(eps * u)) <= bound + 1e-10
 
 
-def test_non_cauchy_detection(disk_setup, disk_solution):
+def test_non_cauchy_detection(disk_setup, disk_solution, monkeypatch):
     """A trace level that cannot converge raises with the levels solved so far.
 
     Started from the converged limit with one Newton step allowed per level,
     the small-eps levels converge in one step each and a larger one cannot.
     """
     _, grid, phi = disk_setup
-    schedule = ContinuationSchedule(eps_min=1e-4, newton=NewtonConfig(max_iter=1))
+    monkeypatch.setattr(translator, "_MAX_ITER", 1)
+    schedule = ContinuationSchedule(eps_min=1e-4)
     with pytest.raises(ContinuationError) as err:
         continuation(schedule, phi, grid, init=disk_solution.profile)
     trace = err.value.trace
@@ -234,23 +234,25 @@ def test_trace_factors_once_without_limit_lu(disk_setup, disk_solution):
         assert e1 == e2 and abs(d1 - d2) < 1e-10
 
 
-def test_regularized_solution_is_bordered_newton(disk_setup, disk_solution):
-    """eps u_eps from solve_regularized matches the trace value at that eps."""
+def test_regularized_solution_is_bordered_newton(disk_setup, disk_solution, record_splu):
+    """eps u_eps from solve_regularized matches the trace value at that eps, and
+    the solve is Newton-chord: the 48 x 96 disk at eps = 1/8 factors once."""
     _, grid, phi = disk_setup
+    factored = record_splu(translator)
     eps = 0.125
     u, info = solve_regularized(eps, GridFunction.constant(grid, 0.0), phi, grid)
+    assert len(factored) == 1
+    assert info["iterations"] > len(factored)     # chord steps count as iterations
     assert info["residual"] <= 1e-10
     gap = abs(grid.mean(eps * u) - disk_solution.c3)
     assert gap == pytest.approx(dict(disk_solution.eps_trace_mean)[eps], abs=1e-10)
 
 
-def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        ContinuationSchedule(eps0=1e-7, eps_min=1e-6)
-    with pytest.raises(ValueError):
-        ContinuationSchedule(ratio=1.2)
+def test_schedule_validation():
+    for eps_min in (0.0, 1.0, 2.0):
+        with pytest.raises(ScenarioError, match="eps_min"):
+            ContinuationSchedule(eps_min=eps_min)
+    assert ContinuationSchedule(eps_min=0.5).eps_values() == [1.0, 0.5]
 
 
 def test_full_solve_manufactured_asymmetric():
