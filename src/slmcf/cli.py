@@ -6,19 +6,18 @@
     slmcf sweep <template.json> --grid <spec> -o <dir>   parameter sweeps
 
 Exit codes: 0 all good, 1 a verification check failed or a run did not
-converge, 2 usage/configuration/runtime errors.  SLMCF_WORKERS bounds the
-sweep worker pool (default 1, which keeps output fully deterministic).
+converge, 2 a typed error (``SlmcfError``: configuration, run directory or
+solver) or an OS error.  Any other exception is a fault of the program and
+propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import SlmcfError
@@ -103,12 +102,13 @@ def _apply_override(config, dotted_key, value):
     node = config
     parts = dotted_key.split(".")
     for p in parts[:-1]:
-        node = node.setdefault(p, {})
+        node = node.setdefault(p, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise SlmcfError(f"sweep key '{dotted_key}' does not lead through JSON objects")
     node[parts[-1]] = value
 
 
-def _sweep_case(args):
-    template, overrides, outdir, idx = args
+def _sweep_case(template, overrides, outdir, idx):
     config = json.loads(json.dumps(template))
     for key, value in overrides.items():
         _apply_override(config, key, value)
@@ -135,29 +135,24 @@ def _sweep_case(args):
 def cmd_sweep(template_path, grid_spec, outdir) -> pathlib.Path:
     template = json.loads(pathlib.Path(template_path).read_text(encoding="utf-8"))
     spec = json.loads(grid_spec)
-    if isinstance(spec, dict):
+    if isinstance(spec, dict) and all(isinstance(v, list) for v in spec.values()):
         # cartesian product over the listed keys, in sorted key order
         keys = sorted(spec)
         combos = [{}]
         for key in keys:
             combos = [{**c, key: v} for c in combos for v in spec[key]]
-    elif isinstance(spec, list):
+    elif isinstance(spec, list) and all(isinstance(c, dict) for c in spec):
         combos = [dict(c) for c in spec]
     else:
-        raise SlmcfError("sweep grid spec must be a JSON object or array")
+        raise SlmcfError("sweep grid spec must be a JSON object of arrays or an array "
+                         "of objects")
     if not combos or combos == [{}]:
         raise SlmcfError("sweep grid spec is empty")
 
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    work = [(template, overrides, str(outdir), idx)
-            for idx, overrides in enumerate(combos)]
-    workers = int(os.environ.get("SLMCF_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_case, work))
-    else:
-        results = [_sweep_case(w) for w in work]
+    results = [_sweep_case(template, overrides, outdir, idx)
+               for idx, overrides in enumerate(combos)]
 
     override_keys = sorted({k for c in combos for k in c})
     columns = (["case"] + override_keys +
@@ -227,7 +222,7 @@ def main(argv=None) -> int:
             summary = cmd_sweep(args.template, args.grid, args.output)
             print(f"sweep summary written to {summary}")
             return 0
-    except (SlmcfError, OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (SlmcfError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 2

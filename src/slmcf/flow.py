@@ -34,13 +34,18 @@ in lockstep on one time grid) and ``step``:
   On the Jacobian the defect is second order in the step, so factorizations
   mostly follow the dt ladder; the interval rule keeps fixed-dt transients
   off a stale model.  The rules are checked just before a step, so a
-  stopped run pays for no factorization.  ``operators.OrderedLU`` factors
-  I - dt L on the grid shape's nested-dissection order, computed once and
-  shared by every field, refresh and the translator.  Each field logs its
-  refreshes as ``[step, t, dt, reason]`` (``FlowRun.lu_refreshes``): step
-  and t are the accepted steps and the time before the refresh, dt is the
-  step it factors for, and reason is ``start``, ``dt`` (growth),
-  ``interval``, ``defect`` or ``reject`` (a rejected step halved dt).
+  stopped run pays for no factorization.  ``operators.RingSolver`` solves
+  with I - dt L by FFT in s on its ring-averaged stencil and accepts a
+  solution only at the componentwise rounding floor of I - dt L; where the
+  ring solve misses it (a state off rotational symmetry) the refresh
+  escalates to the sparse LU on the grid shape's nested-dissection order,
+  computed once and shared by every field, refresh and the translator.  On
+  a rotationally symmetric state no LU is built.  Each field logs its
+  refreshes as ``[step, t, dt, reason, solver]`` (``FlowRun.lu_refreshes``):
+  step and t are the accepted steps and the time before the refresh, dt is
+  the step it factors for, reason is ``start``, ``dt`` (growth),
+  ``interval``, ``defect`` or ``reject`` (a rejected step halved dt), and
+  solver is ``ring`` or ``lu`` (an LU was built on this refresh).
 - Mean split.  Each field is carried as a scalar mean plus a zero-mean part
   w.  F and the affine model are invariant under constant shifts, so the
   operator and the LU only see w, and the growing constant c3 t (or a large
@@ -70,7 +75,7 @@ from scipy.sparse.linalg import splu
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import (OrderedLU, explicit_stable_dt, flow_operator, linearized_affine,
+from .operators import (RingSolver, explicit_stable_dt, flow_operator, linearized_affine,
                         nested_dissection_order)
 
 _DT_FLOOR = 1e-14
@@ -139,8 +144,8 @@ class FlowRun:
     monitor_c0: float
     message: str
     rejected: int               # rejected step attempts
-    lu_factorizations: int      # splu calls of this field
-    lu_refreshes: list | None   # [step, t, dt, reason] per splu call (None: not recorded)
+    lu_factorizations: int      # refreshes of this field's step solver, ring or LU
+    lu_refreshes: list | None   # [step, t, dt, reason, solver] per refresh (None: not recorded)
     dt_min: float | None        # smallest and largest accepted dt (None: no step)
     dt_max: float | None
 
@@ -149,8 +154,9 @@ class _Field:
     """One evolving field u = mean + w with grid.mean(w) = 0.
 
     Holds the operator evaluation ``q`` at the current w and, for the
-    semi-implicit scheme, the affine model (L, k) with the LU of its step
-    matrix, factored on the elimination order ``perm``.
+    semi-implicit scheme, the affine model (L, k) with the solver of its step
+    matrix (``RingSolver``; an LU on the elimination order ``perm`` where
+    it escalates) and the log of its refreshes.
     """
 
     def __init__(self, u, grid, phi_vals, perm):
@@ -161,8 +167,8 @@ class _Field:
         self.phi_vals = phi_vals
         self.perm = perm
         self.mean = 0.0
-        self.lu = None              # the step matrix's LU, built before the first step
-        self.refreshes = []         # [step, t, dt, reason] per factorization
+        self.lu = None              # the step matrix's solver, built before the first step
+        self.refreshes = []         # [step, t, dt, reason, solver] per refresh
         self.since_refresh = 0
         self.accept(self._centered(u))
 
@@ -170,11 +176,14 @@ class _Field:
     def u(self):
         return self.mean + self.w
 
-    def refresh(self, dt):
-        self._L, self._k, _ = linearized_affine(self.w, self.grid, self.phi_vals)
+    def refresh(self, dt, entry):
+        """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
+        the log line [step, t, dt, reason], completed by the solver kind."""
+        self._L, self._k, q = linearized_affine(self.w, self.grid, self.phi_vals)
         matrix = (sp.identity(self.w.size, format="csc") - dt * self._L).tocsc()
         self.lu = None              # the old factors go before the new ones are built
-        self.lu = OrderedLU(splu, matrix, self.perm)
+        self.lu = RingSolver(splu, matrix, self.perm, q["ring"], 1.0, -dt)
+        self.refreshes.append(entry + [self.lu.kind])
         self.since_refresh = 0
 
     def defect(self):
@@ -192,6 +201,7 @@ class _Field:
         """The next step of this field, as accepted by ``accept``."""
         if implicit:
             w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
+            self.refreshes[-1][-1] = self.lu.kind
         else:
             w = self.w + dt * self.q["op"]
         return self._centered(w)
@@ -278,8 +288,7 @@ class _Stepper:
             rec.add(self.t)
 
     def _refresh(self, f, reason):
-        f.refresh(self.dt)
-        f.refreshes.append([self.steps, self.t, self.dt, reason])
+        f.refresh(self.dt, [self.steps, self.t, self.dt, reason])
 
     def _set_dt(self, dt, reason):
         if dt < _DT_FLOOR:

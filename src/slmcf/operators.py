@@ -19,6 +19,20 @@ fields and the derivative of g~^{ab} with respect to Du, and the ghost row is
 eliminated through its three-entry dependence on the unknowns (chain rule
 through the tangential derivative).  A finite-difference verification of the
 assembled matrix lives in the test suite.
+
+Linear solves with the Jacobian go through ``RingSolver``.  Averaging each
+stencil weight and the ghost sensitivity over s on every ring gives an
+operator that is diagonal in the angular Fourier modes, with one tridiagonal
+system in rho per mode: the half-offset polar grid of the fast disk solvers
+(Mohseni & Colonius, J. Comput. Phys. 157, 2000; Lai, Numer. Methods PDE 17,
+2001).  On rotationally symmetric states it is the Jacobian up to rounding.
+Every ring solution is checked against the real matrix: after at most
+``_RING_SWEEPS`` refinement sweeps it must meet the Oettli-Prager
+componentwise bound |b - A x|_i <= gamma_i (|A| |x| + |b|)_i, with
+gamma_i = m_i u / (1 - m_i u) for the row's m_i entries and the unit
+roundoff u.  Otherwise the solver escalates to ``OrderedLU``, a sparse LU on
+a nested-dissection order of the grid shape, which then serves every later
+solve on that matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SpacelikeBoundaryError
 from .geometry import gradient_fields, quasilinear_operator
@@ -199,12 +214,121 @@ class OrderedLU:
         return x
 
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_RING_SWEEPS = 2     # refinement sweeps of a ring solve before it escalates to the LU
+
+
+class RingSolver:
+    """Solves A x = b for A = alpha I + beta L, or, given ``border`` (the ring
+    means of the border row a), for the bordered [[alpha I + beta L, -1],
+    [a^T, 0]], with L the Jacobian that ``assemble_operator_matrix`` returned
+    together with ``ring``, its ring-averaged stencil.
+
+    Each angular mode k of the ring-averaged operator is tridiagonal in rho:
+    the center crossing (-1, j) = (0, j + n_angular/2) folds the inward
+    weights into the diagonal as (-1)^k, and the ghost folds into the last
+    row as u[-2] + g 2i sin(theta_k) u[-1].  Mode 0 of the bordered matrix,
+    singular at alpha = 0, is solved as its own bordered system of n_radial
+    + 1 unknowns.  A solution is returned once it meets the componentwise
+    bound (see the module docstring); else, and for every later solve,
+    ``OrderedLU`` of ``A`` on the order ``p`` with the caller's ``splu``.
+    ``kind`` says which of the two serves: "ring" or "lu".
+
+    ``abs`` (|A|) and ``gamma`` (gamma_i per row) are kept for the check,
+    and for callers that judge a residual against A's rounding floor.
+    """
+
+    def __init__(self, splu, A, p, ring, alpha, beta, border=None):
+        self.A, self.lu = A, None
+        self._splu, self._p = splu, p
+        self.abs = abs(A)
+        mu = np.bincount(A.indices, minlength=A.shape[0]) * _UNIT_ROUNDOFF
+        self.gamma = mu / (1.0 - mu)
+
+        weights, sens = ring
+        n_r = weights.shape[1]
+        n_a = (A.shape[0] if border is None else A.shape[0] - 1) // n_r
+        self._shape = (n_r, n_a)
+        theta = 2.0 * np.pi * np.arange(n_a // 2 + 1) / n_a
+        di = np.array([o[0] for o in _OFFSETS])
+        dj = np.array([o[1] for o in _OFFSETS])
+        coef = weights[:, :, None] * np.exp(1j * dj[:, None, None] * theta)
+        sub, diag, sup = (coef[di == d].sum(axis=0) for d in (-1, 0, 1))
+        diag[0] += (-1.0) ** np.arange(theta.size) * sub[0]
+        diag[-1] += sup[-1] * sens * 2j * np.sin(theta)
+        sub[-1] += sup[-1]
+        diag = alpha + beta * diag
+        sub, sup = beta * sub, beta * sup
+        if border is not None:
+            M0 = np.zeros((n_r + 1, n_r + 1))
+            i = np.arange(n_r)
+            M0[i, i] = diag[:, 0].real
+            M0[i[1:], i[:-1]] = sub[1:, 0].real
+            M0[i[:-1], i[1:]] = sup[:-1, 0].real
+            M0[:n_r, n_r] = -n_a
+            M0[n_r, :n_r] = border
+            self._mode0 = lu_factor(M0, check_finite=False)
+            sub, diag, sup = sub[:, 1:], diag[:, 1:], sup[:, 1:]
+        # Thomas elimination, batched over the modes
+        low = np.zeros_like(sub)
+        inv = np.empty_like(diag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv[0] = 1.0 / diag[0]
+            for i in range(1, n_r):
+                low[i] = sub[i] * inv[i - 1]
+                inv[i] = 1.0 / (diag[i] - low[i] * sup[i - 1])
+        self._low, self._inv, self._sup = low, inv, sup
+
+    @property
+    def kind(self):
+        return "ring" if self.lu is None else "lu"
+
+    def _thomas(self, y):
+        low, inv, sup = self._low, self._inv, self._sup
+        for i in range(1, y.shape[0]):
+            y[i] -= low[i] * y[i - 1]
+        y[-1] *= inv[-1]
+        for i in range(y.shape[0] - 2, -1, -1):
+            y[i] = (y[i] - sup[i] * y[i + 1]) * inv[i]
+        return y
+
+    def _ring_solve(self, b):
+        n_r, n_a = self._shape
+        N = n_r * n_a
+        with np.errstate(all="ignore"):
+            y = np.fft.rfft(b[:N].reshape(n_r, n_a), axis=1)
+            x = np.empty_like(b)
+            if b.size > N:
+                z = lu_solve(self._mode0, np.append(y[:, 0].real, b[N]), check_finite=False)
+                y[:, 0], x[N] = z[:n_r], z[n_r]
+                y[:, 1:] = self._thomas(y[:, 1:])
+            else:
+                y = self._thomas(y)
+            x[:N] = np.fft.irfft(y, n=n_a, axis=1).ravel()
+        return x
+
+    def solve(self, b):
+        if self.lu is None:
+            x = self._ring_solve(b)
+            for sweep in range(_RING_SWEEPS + 1):
+                r = b - self.A @ x
+                if (np.all(np.isfinite(x)) and
+                        np.all(np.abs(r) <= self.gamma * (self.abs @ np.abs(x) + np.abs(b)))):
+                    return x
+                if sweep < _RING_SWEEPS:
+                    x = x + self._ring_solve(r)
+            self.lu = OrderedLU(self._splu, self.A, self._p)
+        return self.lu.solve(b)
+
+
 def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
     """Jacobian L of F at ``values`` (CSC) and the operator evaluation there.
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
-    derivatives.
+    derivatives.  ``q["ring"]`` holds the ring means (9 x n_radial, in
+    ``_OFFSETS`` order) of the stencil weights and the mean of the ghost
+    sensitivity: the ring-averaged stencil that ``RingSolver`` takes.
     """
     n_r, n_a = grid.n_radial, grid.n_angular
     N = n_r * n_a
@@ -241,6 +365,7 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
 
     rows, cols, ghost, gj = stencil_pattern(n_r, n_a)
     vals = np.concatenate([np.broadcast_to(W, (n_r, n_a)).ravel() for W in weights])
+    q["ring"] = (vals.reshape(9, n_r, n_a).mean(axis=2), float(np.mean(sens)))
     gplus = sens[gj]
     gvals = vals[ghost]
     vals = np.concatenate([vals[~ghost], gvals, gvals * gplus, -gvals * gplus])

@@ -143,6 +143,16 @@ def _solver_config(cls, section, spec):
     return cls(**spec)
 
 
+def _from_section(section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, where a missing key or a value of the wrong
+    type in the scenario section it reads is a ScenarioError naming it."""
+    try:
+        return build(*args, **kwargs)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ScenarioError(f"scenario section '{section}': "
+                            f"{type(err).__name__}: {err}") from err
+
+
 def load_scenario(config: dict) -> Scenario:
     """Validate a config dict and build all runtime objects."""
     if not isinstance(config, dict):
@@ -153,18 +163,25 @@ def load_scenario(config: dict) -> Scenario:
         if not isinstance(config[key], dict):
             raise ScenarioError(f"scenario section '{key}' must be a JSON object")
 
-    metric = get_metric(config["metric"].get("id", "flat"))
-    domain = build_domain(config["domain"], metric)  # checks kappa0 > 0
-    gspec = config["grid"]
-    grid = build_grid(domain, int(gspec["n_radial"]), int(gspec["n_angular"]))
+    metric = _from_section("metric", get_metric, config["metric"].get("id", "flat"))
+    domain = _from_section("domain", build_domain, config["domain"], metric)  # kappa0 > 0
+    shape = []
+    for key in ("n_radial", "n_angular"):
+        value = config["grid"].get(key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ScenarioError(f"scenario section 'grid': '{key}' must be an integer, "
+                                f"not {value!r}")
+        shape.append(int(value))
+    grid = build_grid(domain, *shape)
 
     if np.min(grid.gauss) < _CURVATURE_FLOOR:
         raise ScenarioError(
             f"ambient Gaussian curvature is negative on the domain closure "
             f"(min K = {np.min(grid.gauss):.3e}); scenario rejected")
 
-    phi = ContactAngle(config["phi"], domain, n_angular=grid.n_angular)
-    u0 = _build_u0(config.get("u0", {"kind": "constant", "value": 0.0}), grid)
+    phi = _from_section("phi", ContactAngle, config["phi"], domain, n_angular=grid.n_angular)
+    u0 = _from_section("u0", _build_u0, config.get("u0", {"kind": "constant", "value": 0.0}),
+                       grid)
     _, _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
     if float(np.max(du2)) >= 1.0 - 1e-10:
         raise ScenarioError(
@@ -475,16 +492,23 @@ def load_run(run_dir, scenarios=None):
     """(scenario, FlowRun or TranslatorSolution) of a validated run directory.
 
     scenarios: optional dict of built scenarios by scenario hash.  A run whose
-    scenario is in it shares that build; a new one is built and added.
+    scenario is in it shares that build; a new one is built and added.  A
+    manifest or file that lacks a key or holds a value of the wrong type is a
+    ScenarioError.
     """
-    manifest = validate_manifest(run_dir)
-    scenarios = {} if scenarios is None else scenarios
-    key = scenario_hash(manifest["scenario"])
-    if key not in scenarios:
-        scenarios[key] = load_scenario(manifest["scenario"])
-    scenario = scenarios[key]
-    if scenario.hash != manifest["scenario_hash"]:
-        raise ScenarioError(f"manifest of {run_dir} records scenario hash "
-                            f"{manifest['scenario_hash']} != {scenario.hash} of its scenario")
-    load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
-    return scenario, load(run_dir, manifest, scenario)
+    try:
+        manifest = validate_manifest(run_dir)
+        scenarios = {} if scenarios is None else scenarios
+        key = scenario_hash(manifest["scenario"])
+        if key not in scenarios:
+            scenarios[key] = load_scenario(manifest["scenario"])
+        scenario = scenarios[key]
+        if scenario.hash != manifest["scenario_hash"]:
+            raise ScenarioError(f"manifest of {run_dir} records scenario hash "
+                                f"{manifest['scenario_hash']} != {scenario.hash} of its "
+                                f"scenario")
+        load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
+        return scenario, load(run_dir, manifest, scenario)
+    except (KeyError, TypeError, ValueError) as err:   # JSONDecodeError too
+        raise ScenarioError(f"malformed run directory {run_dir}: "
+                            f"{type(err).__name__}: {err}") from err

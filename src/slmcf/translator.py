@@ -45,9 +45,15 @@ a stalled step refactors or raises.
 
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
-backtracking damping that keeps iterates space-like.  ``OrderedLU`` factors
-the bordered matrix on the flow's nested-dissection order, border index
-last.  At most one LU factorization is alive at a time.
+backtracking damping that keeps iterates space-like.  Each factorization
+builds an ``operators.RingSolver`` of the bordered matrix: FFT in s on the
+ring-averaged stencil, with angular mode 0 (singular at eps = 0) solved as
+its own bordered system of n_radial + 1 unknowns and the ring mean of a as
+its border row.  A solution is kept only at the componentwise rounding floor
+of the bordered matrix; where the ring solve misses it, the factorization
+escalates to the sparse LU on the flow's nested-dissection order, border
+index last.  ``limit["solvers"]`` logs [eps, "ring" or "lu"] for every
+factorization, the trace's included.  At most one LU is alive at a time.
 """
 
 from __future__ import annotations
@@ -60,10 +66,9 @@ from scipy.sparse.linalg import splu
 
 from .errors import ContinuationError, NewtonError, ScenarioError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import (OrderedLU, assemble_operator_matrix, boundary_gradient_data,
+from .operators import (RingSolver, assemble_operator_matrix, boundary_gradient_data,
                         contact_ghost, flow_operator, nested_dissection_order)
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
 _TOL = 1e-10             # residual max(max|R|, |area-mean(w)|) that ends a solve
 _DAMPING = 0.5           # step-length factor per Newton backtrack
@@ -125,46 +130,62 @@ class TranslatorSolution:
 
 
 def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
-    """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w."""
-    L = assemble_operator_matrix(w, grid, phi_vals)[0].tocoo()
+    """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w, and
+    the ring-averaged stencil of L (see ``assemble_operator_matrix``)."""
+    L, q = assemble_operator_matrix(w, grid, phi_vals)
+    L = L.tocoo()
     N = w.size
     nodes = np.arange(N)
     border = np.full(N, N)
     rows = [L.row, nodes, border, nodes]
     cols = [L.col, border, nodes, nodes]   # L stores its diagonal: -eps adds no entry
     vals = [L.data, -np.ones(N), (grid.weights / grid.area).ravel(), np.full(N, -eps)]
-    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N + 1, N + 1))
+    J = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N + 1, N + 1))
+    return J, q["ring"]
+
+
+def _new_factor():
+    """The state of a bordered solve: the one live solver ("lu") and the log
+    [eps, solver] of every factorization ("log")."""
+    return {"lu": None, "log": []}
 
 
 def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
-    """Factor the bordered Jacobian J at (w, eps) into ``factor``, the old LU
-    dropped first.
+    """Build the solver of the bordered Jacobian J at (w, eps) into
+    ``factor``, the old one dropped first, and log it.
 
-    Beside the LU, ``factor`` keeps |J| and, per row i, gamma_i = m_i u /
-    (1 - m_i u), with m_i the row's entry count and u the unit roundoff:
-    gamma_i (|J| |x|)_i bounds the rounding error of (J x)_i (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 3.1), so the largest
-    of these is the floor below which a residual at x carries no
-    information.
+    Beside the solves, the ``RingSolver`` keeps |J| (``abs``) and, per row
+    i, gamma_i = m_i u / (1 - m_i u) (``gamma``), with m_i the row's entry
+    count and u the unit roundoff: gamma_i (|J| |x|)_i bounds the rounding
+    error of (J x)_i (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 3.1), so the largest of these is the floor below which a
+    residual at x carries no information.
     """
-    factor.clear()
-    J = _bordered_matrix(w, eps, grid, phi_vals)
+    factor["lu"] = None
+    J, ring = _bordered_matrix(w, eps, grid, phi_vals)
     order = np.append(nested_dissection_order(*w.shape), w.size)   # border last
-    factor["lu"] = OrderedLU(splu, J, order)
-    mu = np.bincount(J.indices, minlength=J.shape[0]) * _UNIT_ROUNDOFF
-    factor["abs"], factor["gamma"] = abs(J), mu / (1.0 - mu)
+    border = (grid.weights / grid.area).mean(axis=1)
+    factor["lu"] = RingSolver(splu, J, order, ring, -eps, 1.0, border=border)
+    factor["log"].append([eps, factor["lu"].kind])
+
+
+def _solve(factor, b):
+    """Solve on the live solver of ``factor`` and log which kind served."""
+    x = factor["lu"].solve(b)
+    factor["log"][-1][1] = factor["lu"].kind
+    return x
 
 
 def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None):
     """Damped Newton-chord on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
 
-    ``factor`` is a dict whose "lu" entry holds the one live factorization
-    (see ``_factor``); it is cleared before each new one, so the caller keeps
-    no stale LU alive.  The LU in ``factor`` is reused across steps: a step
-    on a reused LU is kept only if it halves the residual (or meets tol),
-    otherwise it is dropped and the Jacobian refactored at the current
-    iterate, where a damped Newton step follows.
+    ``factor`` (see ``_new_factor``) holds the one live solver and the log of
+    factorizations; the solver is dropped before each new one is built, so
+    the caller keeps no stale LU alive.  The solver is reused across steps:
+    a step on a reused solver is kept only if it halves the residual (or
+    meets tol), otherwise it is dropped and the Jacobian refactored at the
+    current iterate, where a damped Newton step follows.
 
     The solve stops above tol only where a step on the current LU fails to
     reduce the residual and the residual is at or below its rounding floor
@@ -189,9 +210,9 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
     def floor():
         """The rounding floor of the residual at (w, c), from the current LU's matrix."""
         x = np.abs(np.append(w.ravel(), c))
-        return float(np.max(factor["gamma"] * (factor["abs"] @ x)))
+        return float(np.max(factor["lu"].gamma * (factor["lu"].abs @ x)))
 
-    factor = {"lu": None} if factor is None else factor
+    factor = _new_factor() if factor is None else factor
     R = residual(w, c)
     norms = [norm(R, w)]
     info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
@@ -205,7 +226,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
         if not reused:
             _factor(factor, w, eps, grid, phi_vals)
             info["factorizations"] += 1
-        delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
+        delta = _solve(factor, -np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
         if reused:
@@ -278,10 +299,11 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid, source=None):
     """
     u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     A = float(grid.mean(u0))
+    factor = _new_factor()
     w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi.values_on(grid),
-                                  source=source)
+                                  source=source, factor=factor)
     return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
-                         "floor_stops": info["floor_stops"]}
+                         "floor_stops": info["floor_stops"], "solvers": factor["log"]}
 
 
 def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
@@ -312,20 +334,20 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     u = np.zeros((grid.n_radial, grid.n_angular)) if init is None else \
         (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     w = u - grid.mean(u)
-    factor = {"lu": None}
+    factor = _new_factor()
     # Newton-chord from the speed that fits F(init) best in the area mean
     w, c3, info = _bordered_newton(0.0, w, grid.mean(flow_operator(w, grid, phi_vals)),
                                    grid, phi_vals, factor=factor)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
     _factor(factor, w, 0.0, grid, phi_vals)
-    tangent = factor["lu"].solve(np.append(w.ravel(), 0.0))
+    tangent = _solve(factor, np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
              "chord_steps": info["chord"], "lu_factorizations": info["factorizations"] + 1,
              "accepted_above_tol": info["residuals"][-1] > _TOL,
              "floor_stops": info["floor_stops"], "trace_refactors": [],
-             "trace_residuals": []}
+             "trace_residuals": [], "solvers": factor["log"]}
 
     # eps trace, smallest eps first, each level started on the tangent:
     # eps u_eps = c + eps w_eps
@@ -346,7 +368,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
                 [eps, level["factorizations"], level["residuals"][-1]])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
-    factor.clear()
+    factor["lu"] = None
     stats.reverse()
     newton_iters.reverse()
     limit["trace_residuals"].reverse()

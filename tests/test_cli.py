@@ -221,16 +221,6 @@ def test_verify_maximal_limit_and_dense(tmp_path):
     assert summary["all_passed"]
 
 
-def test_sweep_with_worker_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("SLMCF_WORKERS", "2")
-    tpl = _write(tmp_path, BASE, "template.json")
-    spec = json.dumps({"phi.value": [0.1, 0.2]})
-    s1 = cmd_sweep(tpl, spec, tmp_path / "w2")
-    monkeypatch.setenv("SLMCF_WORKERS", "1")
-    s2 = cmd_sweep(tpl, spec, tmp_path / "w1")
-    assert s1.read_bytes() == s2.read_bytes()  # worker count never changes results
-
-
 def test_sphere_scenario_via_cli(tmp_path):
     config = {
         "name": "cap_phi01",
@@ -258,8 +248,9 @@ def test_flow_manifest_step_counters(tmp_path):
     assert final["rejected"] == 0
     assert 1 <= final["lu_factorizations"] <= final["steps"] + 1
     assert len(final["lu_refreshes"]) == final["lu_factorizations"]
-    assert final["lu_refreshes"][0] == [0, 0.0, final["dt_min"], "start"]
+    assert final["lu_refreshes"][0] == [0, 0.0, final["dt_min"], "start", "ring"]
     assert {r[3] for r in final["lu_refreshes"]} <= {"start", "dt", "interval", "defect"}
+    assert {r[4] for r in final["lu_refreshes"]} == {"ring"}     # a radial state
     # default stepping starts at diameter / (2 n_radial) and grows from there
     assert final["dt_min"] == pytest.approx(1.0 / 16)
     assert final["dt_min"] < final["dt_max"] <= 0.5
@@ -337,6 +328,51 @@ def test_solver_section_must_be_an_object(tmp_path, section):
     with pytest.raises(ScenarioError, match=f"'{section}' must be a JSON object"):
         load_scenario(config)
     assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n_angular": 32}, "'n_radial' must be an integer, not None"),
+    ({"n_radial": "16", "n_angular": 32}, "'n_radial' must be an integer, not '16'"),
+    ({"n_radial": 16, "n_angular": 32.5}, "'n_angular' must be an integer"),
+    ({"n_radial": True, "n_angular": 32}, "'n_radial' must be an integer"),
+])
+def test_missing_or_ill_typed_grid_key_exits_2(tmp_path, capsys, grid, message):
+    """The CLI maps typed errors only, so a bad grid key must raise one."""
+    config = dict(BASE, grid=grid)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(config)
+    assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, spec", [
+    ("domain", {"kind": "ellipse", "a": 2.0}),
+    ("domain", {"kind": "disk", "radius": "x"}),
+    ("phi", {"kind": "constant"}),
+    ("u0", {"kind": "sampled"}),
+])
+def test_missing_or_ill_typed_section_key_exits_2(tmp_path, section, spec):
+    config = dict(BASE, **{section: spec})
+    with pytest.raises(ScenarioError, match=f"'{section}'"):
+        load_scenario(config)
+    assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
+
+
+def test_malformed_run_directory_exits_2(tmp_path):
+    cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
+    manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
+    del manifest["final"]
+    (tmp_path / "flow" / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", str(tmp_path / "flow")]) == 2
+
+
+def test_sweep_spec_of_non_objects_exits_2(tmp_path):
+    tpl = _write(tmp_path, BASE, "template.json")
+    assert main(["sweep", str(tpl), "--grid", "[1, 2]", "-o", str(tmp_path / "s1")]) == 2
+    assert main(["sweep", str(tpl), "--grid", '{"phi.value": 0.1}',
+                 "-o", str(tmp_path / "s3")]) == 2
+    spec = json.dumps({"phi.value.x": [1]})
+    assert main(["sweep", str(tpl), "--grid", spec, "-o", str(tmp_path / "s2")]) == 2
 
 
 def test_field_csv_round_trip_is_bit_identical(tmp_path):

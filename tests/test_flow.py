@@ -338,25 +338,40 @@ def test_persistent_rejection_underflows(runner):
             run_pair(u0, u0 + 1.0, phi, grid, cfg)
 
 
+def _lu_entries(run):
+    return sum(entry[4] == "lu" for entry in run.lu_refreshes)
+
+
 def test_lu_refresh_log(disk24, record_splu):
-    """Every factorization is logged as [step, t, dt, reason], one per splu call."""
+    """Every refresh is logged as [step, t, dt, reason, solver]; the solver is
+    "ring" or "lu", and each "lu" entry is one splu call."""
     made = record_splu(flow)
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0 = GridFunction.constant(grid, 0.0)
     fixed = run_to_convergence(u0, phi, grid, StepperConfig(dt=0.01, max_time=0.3,
                                                             tol_speed=0.0))
-    assert len(fixed.lu_refreshes) == fixed.lu_factorizations == len(made)
-    assert fixed.lu_refreshes[0] == [0, 0.0, 0.01, "start"]
-    for prev, (step_, t, dt, reason) in zip(fixed.lu_refreshes, fixed.lu_refreshes[1:]):
+    assert len(fixed.lu_refreshes) == fixed.lu_factorizations
+    assert len(made) == _lu_entries(fixed)
+    assert fixed.lu_refreshes[0] == [0, 0.0, 0.01, "start", "ring"]
+    for prev, (step_, t, dt, reason, solver) in zip(fixed.lu_refreshes,
+                                                    fixed.lu_refreshes[1:]):
         assert dt == 0.01 and t == fixed.series["t"][step_]
         assert reason == "defect" or (reason == "interval" and step_ - prev[0] == 10)
+        assert solver in ("ring", "lu")
+
+    # a state off rotational symmetry escalates to the LU
+    bumped = run_to_convergence(_bump(grid), phi, grid, StepperConfig(dt=0.01, max_time=0.05))
+    assert _lu_entries(bumped) > 0
+    assert len(made) == _lu_entries(fixed) + _lu_entries(bumped)
+    del made[:]
 
     cfg = StepperConfig(max_time=10.0, tol_speed=1e-7)
     grown = run_to_convergence(u0, phi, grid, cfg)
     log = grown.lu_refreshes
-    assert len(log) == grown.lu_factorizations == len(made) - len(fixed.lu_refreshes)
-    assert log[0] == [0, 0.0, cfg.initial_dt(grid), "start"]
+    assert len(log) == grown.lu_factorizations
+    assert len(made) == _lu_entries(grown)
+    assert log[0] == [0, 0.0, cfg.initial_dt(grid), "start", "ring"]
     rungs = [(prev, entry) for prev, entry in zip(log, log[1:]) if entry[3] == "dt"]
     assert [entry[0] for _, entry in rungs] == [5 * k for k in range(1, len(rungs) + 1)]
     assert all(entry[2] == pytest.approx(min(4.0 * prev[2], 0.5 * dom.inradius))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+from slmcf import flow, translator
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeBoundaryError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import (assemble_operator_matrix, boundary_gradient_data,
-                             contact_ghost, explicit_stable_dt, flow_operator,
-                             linearized_affine, nested_dissection_order)
+from slmcf.operators import (OrderedLU, RingSolver, assemble_operator_matrix,
+                             boundary_gradient_data, contact_ghost, explicit_stable_dt,
+                             flow_operator, linearized_affine, nested_dissection_order)
 
 
 def _test_field(grid, metric_id):
@@ -130,3 +133,118 @@ def test_nested_dissection_order_is_a_permutation(shape):
     p = nested_dissection_order(*shape)
     assert np.array_equal(np.sort(p), np.arange(shape[0] * shape[1]))
     assert not p.flags.writeable
+
+
+# -- the ring solve and its escalation to the ordered LU ------------------------------
+
+RADIAL = {"disk": ("flat", {"kind": "disk", "radius": 1.0}, {"kind": "constant", "value": 0.2}),
+          "sphere_cap": ("sphere", {"kind": "chart_circle", "r0": 0.8},
+                         {"kind": "constant", "value": 0.1}),
+          "dome": ("dome", {"kind": "chart_circle", "r0": 1.0},
+                   {"kind": "constant", "value": 0.15})}
+NON_RADIAL = {"ellipse_fourier": ("flat", {"kind": "ellipse", "a": 1.5, "b": 1.0},
+                                  {"kind": "fourier", "a0": 0.15, "cos": [0.0, 0.05],
+                                   "sin": [0.03]}),
+              "zero_flux": ("flat", {"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4},
+                            {"kind": "fourier", "cos": [0.3]})}
+
+
+def _ring_case(case, n_radial):
+    """(grid, phi values, w): a zero-mean state that depends on rho alone."""
+    metric, domain, phi = case
+    dom = build_domain(domain, metric)
+    grid = build_grid(dom, n_radial, 2 * n_radial)
+    u = 0.2 * grid.rho[:, None] ** 2 * np.ones((1, grid.n_angular))
+    return grid, ContactAngle(phi, dom).values_on(grid), u - grid.mean(u)
+
+
+def _systems(grid, pv, w):
+    """(A, p, solver) for I - dt L at three dt and the bordered matrix at eps = 0,
+    0.25, each solver built as the flow and the translator build it."""
+    L, q = assemble_operator_matrix(w, grid, pv)
+    p = nested_dissection_order(grid.n_radial, grid.n_angular)
+    out = []
+    for dt in (1e-3, 0.05, 0.5):
+        A = (sp.identity(w.size, format="csc") - dt * L).tocsc()
+        out.append((A, p, RingSolver(flow.splu, A, p, q["ring"], 1.0, -dt)))
+    for eps in (0.0, 0.25):
+        factor = translator._new_factor()
+        translator._factor(factor, w, eps, grid, pv)
+        out.append((factor["lu"].A, np.append(p, p.size), factor["lu"]))
+    return out
+
+
+def _reference_solve(A, p, b):
+    """(LU solution, the same refined twice on residuals summed in extended precision)."""
+    lu = OrderedLU(splu, A, p)
+    A = A.tocoo()
+    x = lu.solve(b)
+    refined = x
+    for _ in range(2):
+        Ax = np.zeros(b.size, dtype=np.longdouble)
+        np.add.at(Ax, A.row, A.data.astype(np.longdouble) * refined[A.col])
+        refined = refined + lu.solve((b - Ax).astype(float))
+    return x, refined
+
+
+def _oettli_prager(A, x, b):
+    """|b - A x|_i <= gamma_i (|A| |x| + |b|)_i, gamma_i = m_i u / (1 - m_i u)."""
+    mu = A.getnnz(axis=1) * np.finfo(float).eps / 2
+    bound = mu / (1.0 - mu) * (abs(A) @ np.abs(x) + np.abs(b))
+    return bool(np.all(np.abs(b - A @ x) <= bound))
+
+
+@pytest.mark.parametrize("n_radial", [16, 48])
+@pytest.mark.parametrize("name", sorted(RADIAL))
+def test_ring_solve_on_radial_states(name, n_radial, record_splu):
+    """Off the LU, the ring solve matches the ordered LU and sits at A's rounding floor.
+
+    The LU solution itself is off by up to 1.0e-12 (relative) on the bordered
+    matrix at 48 x 96, and often misses the componentwise bound, so the ring
+    solution is held to 1e-12 of the LU solution refined in extended precision.
+    """
+    made = [record_splu(flow), record_splu(translator)]
+    grid, pv, w = _ring_case(RADIAL[name], n_radial)
+    rng = np.random.default_rng(n_radial)
+    for A, p, solver in _systems(grid, pv, w):
+        b = rng.standard_normal(A.shape[0])
+        x = solver.solve(b)
+        plain, refined = _reference_solve(A, p, b)
+        scale = np.max(np.abs(refined))
+        assert solver.kind == "ring"
+        assert np.max(np.abs(x - refined)) <= 1e-12 * scale
+        assert np.max(np.abs(x - plain)) <= 2e-12 * scale
+        assert _oettli_prager(A, x, b)
+    assert made == [[], []]
+
+
+@pytest.mark.parametrize("n_radial", [16, 48])
+@pytest.mark.parametrize("name", sorted(NON_RADIAL))
+def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
+    """Where the ring-averaged operator is not the Jacobian, every solve is the
+    ordered LU's, bit for bit, from one factorization kept until the next refresh."""
+    made = [record_splu(flow), record_splu(translator)]
+    grid, pv, w = _ring_case(NON_RADIAL[name], n_radial)
+    rng = np.random.default_rng(n_radial)
+    for A, p, solver in _systems(grid, pv, w):
+        reference = OrderedLU(splu, A, p)
+        for _ in range(2):
+            b = rng.standard_normal(A.shape[0])
+            assert np.array_equal(solver.solve(b), reference.solve(b))
+            assert solver.kind == "lu"
+    assert [len(m) for m in made] == [3, 2]
+
+
+def test_disk_flow_and_translator_call_no_splu(record_splu):
+    """The 48 x 96 disk, phi = 0.2 from u = 0, runs to steady translation and to c3
+    on ring solves alone."""
+    made = [record_splu(flow), record_splu(translator)]
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 48, 96)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    run = flow.run_to_convergence(np.zeros((48, 96)), phi, grid, flow.StepperConfig())
+    sol = translator.continuation(translator.ContinuationSchedule(), phi, grid)
+    assert run.converged and abs(run.speed_estimate - sol.c3) < 1e-6
+    assert {entry[4] for entry in run.lu_refreshes} == {"ring"}
+    assert {kind for _, kind in sol.limit["solvers"]} == {"ring"}
+    assert made == [[], []]

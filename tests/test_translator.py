@@ -236,13 +236,14 @@ def test_trace_factors_once_without_limit_lu(disk_setup, disk_solution):
 
 def test_regularized_solution_is_bordered_newton(disk_setup, disk_solution, record_splu):
     """eps u_eps from solve_regularized matches the trace value at that eps, and
-    the solve is Newton-chord: the 48 x 96 disk at eps = 1/8 factors once."""
+    the solve is Newton-chord: the 48 x 96 disk at eps = 1/8 factors once, on
+    the ring solve, without an LU."""
     _, grid, phi = disk_setup
     factored = record_splu(translator)
     eps = 0.125
     u, info = solve_regularized(eps, GridFunction.constant(grid, 0.0), phi, grid)
-    assert len(factored) == 1
-    assert info["iterations"] > len(factored)     # chord steps count as iterations
+    assert info["solvers"] == [[eps, "ring"]] and factored == []
+    assert info["iterations"] > len(info["solvers"])   # chord steps count as iterations
     assert info["residual"] <= 1e-10
     gap = abs(grid.mean(eps * u) - disk_solution.c3)
     assert gap == pytest.approx(dict(disk_solution.eps_trace_mean)[eps], abs=1e-10)
@@ -352,7 +353,7 @@ def test_bordered_newton_factors_on_the_shape_order(domain, factored):
     continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
     A, kw, _ = factored[0]
     q = _bordered_order(grid)
-    reference = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))
+    reference = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))[0]
     assert kw["permc_spec"] == "NATURAL"
     assert (A != reference[q][:, q]).nnz == 0
 
@@ -360,7 +361,7 @@ def test_bordered_newton_factors_on_the_shape_order(domain, factored):
 def test_ordered_bordered_factor_fills_less_than_colamd(factored):
     grid, phi, u = _curved(DISK, 64)
     continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
-    B = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))
+    B = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))[0]
     assert factored[0][2].nnz < splu(B).nnz
 
 
@@ -377,7 +378,7 @@ def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
     grid, phi, u = _curved(domain, 32, metric, phi)
     w = u - grid.mean(u)
     pv = phi.values_on(grid)
-    B = translator._bordered_matrix(w, 0.0, grid, pv)
+    B, _ = translator._bordered_matrix(w, 0.0, grid, pv)
     R = flow_operator(w, grid, pv)
     b = -np.append(R - grid.mean(R), grid.mean(w))
     expected = splu(B).solve(b)
