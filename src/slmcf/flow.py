@@ -69,14 +69,13 @@ import dataclasses
 import numbers
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (RingSolver, explicit_stable_dt, flow_operator, linearized_affine,
-                        nested_dissection_order)
+                        nested_dissection_order, operator_structure)
 
 _DT_FLOOR = 1e-14
 _GROW_AFTER = 5      # consecutive accepted steps before dt grows
@@ -180,7 +179,7 @@ class _Field:
         """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
         the log line [step, t, dt, reason], completed by the solver kind."""
         self._L, self._k, q = linearized_affine(self.w, self.grid, self.phi_vals)
-        matrix = (sp.identity(self.w.size, format="csc") - dt * self._L).tocsc()
+        matrix = operator_structure(*self.w.shape).shifted(self._L, 1.0, -dt)
         self.lu = None              # the old factors go before the new ones are built
         self.lu = RingSolver(splu, matrix, self.perm, q["ring"], 1.0, -dt)
         self.refreshes.append(entry + [self.lu.kind])

@@ -8,9 +8,17 @@ pulled-back metric data stored on the grid object.  Stencil closure rules:
 - boundary ring: either a caller-supplied ghost row (contact-angle closure,
   see the flow solver) or one-sided second-order differences.
 
-Chart-component quantities (the kernel API) are obtained from computational
-components through the inverse Jacobian of the grid mapping; scalars (v, H,
-|Du|^2) need no transformation.
+The field kernel (``gradient_fields``, ``quasilinear_operator``) works on
+scalar component arrays of the grid shape: P^a, |Du|^2, v, the three
+distinct components of the symmetric D_a D_b u and g~^{ab}, each a plain
+(n_radial, n_angular) array, read off the grid's component-major metric
+data; it builds no (..., 2, 2) arrays.  ``sym_tensor`` stacks a component
+triple into one for the tensor consumers (``covariant_hessian_field``, the
+|Du|^2 evolution diagnostic).
+
+Chart-component quantities (the pointwise API) are obtained from
+computational components through the inverse Jacobian of the grid mapping;
+scalars (v, H, |Du|^2) need no transformation.
 
 The |Du|^2 evolution diagnostic supports two coefficient conventions for the
 identity satisfied along the flow; an independent symbolic oracle in the test
@@ -77,49 +85,66 @@ def derivatives(F, grid: CurvilinearGrid, ghost=None):
 
 
 # -- field-level geometry ------------------------------------------------------
+#
+# Components: the gradient is (u_1, u_2) = (u_rho, u_s), its raised form
+# (P^1, P^2) = sigma~^{ab} u_b, and a symmetric tensor T is the triple
+# (T_11, T_12, T_22).
+
+def hessian_components(d, grid: CurvilinearGrid):
+    """(D_1 D_1 u, D_1 D_2 u, D_2 D_2 u) from the computational derivatives ``d``."""
+    G = grid.gamma_t
+    ur, us = d["r"], d["s"]
+    return (d["rr"] - (G[..., 0, 0, 0] * ur + G[..., 1, 0, 0] * us),
+            d["rs"] - (G[..., 0, 0, 1] * ur + G[..., 1, 0, 1] * us),
+            d["ss"] - (G[..., 0, 1, 1] * ur + G[..., 1, 1, 1] * us))
+
+
+def sym_tensor(t11, t12, t22):
+    """The (..., 2, 2) array of a symmetric tensor given by its components."""
+    return np.stack([t11, t12, t12, t22], axis=-1).reshape(t11.shape + (2, 2))
+
 
 def covariant_hessian_field(values, grid: CurvilinearGrid, ghost=None, derivs=None):
     """Covariant Hessian D_a D_b u in computational components, shape (..., 2, 2)."""
-    d = derivs or derivatives(values, grid, ghost)
-    H = np.empty(values.shape + (2, 2))
-    H[..., 0, 0] = d["rr"]
-    H[..., 0, 1] = d["rs"]
-    H[..., 1, 0] = d["rs"]
-    H[..., 1, 1] = d["ss"]
-    H[..., 0, 0] -= grid.gamma_t[..., 0, 0, 0] * d["r"] + grid.gamma_t[..., 1, 0, 0] * d["s"]
-    H[..., 0, 1] -= grid.gamma_t[..., 0, 0, 1] * d["r"] + grid.gamma_t[..., 1, 0, 1] * d["s"]
-    H[..., 1, 0] = H[..., 0, 1]
-    H[..., 1, 1] -= grid.gamma_t[..., 0, 1, 1] * d["r"] + grid.gamma_t[..., 1, 1, 1] * d["s"]
-    return H
+    return sym_tensor(*hessian_components(derivs or derivatives(values, grid, ghost), grid))
 
 
 def gradient_fields(values, grid: CurvilinearGrid, ghost=None, guard=True, derivs=None):
-    """Gradient data: covariant du_a, raised P^a, |Du|^2 and v."""
+    """Gradient data: raised (P^1, P^2), |Du|^2 and v."""
     d = derivs or derivatives(values, grid, ghost)
-    du = np.stack([d["r"], d["s"]], axis=-1)
-    P = np.einsum("...ab,...b->...a", grid.sigma_t_inv, du)
-    du2 = np.einsum("...a,...a->...", P, du)
+    S = grid.sigma_t_inv
+    ur, us = d["r"], d["s"]
+    P1 = S[..., 0, 0] * ur + S[..., 0, 1] * us
+    P2 = S[..., 0, 1] * ur + S[..., 1, 1] * us
+    du2 = P1 * ur + P2 * us
     if guard and np.any(du2 >= 1.0 - _SPACELIKE_EPS):
         idx = np.unravel_index(int(np.argmax(du2)), du2.shape)
         raise SpacelikeViolationError((int(idx[0]), int(idx[1])), float(du2[idx]))
     v = np.sqrt(np.maximum(1.0 - du2, 0.0))
-    return du, P, du2, v
+    return (P1, P2), du2, v
 
 
-def g_upper_field(grid: CurvilinearGrid, P, du2):
-    """g~^{ab} = sigma~^{ab} + P^a P^b / (1 - |Du|^2)."""
-    return grid.sigma_t_inv + P[..., :, None] * P[..., None, :] / (1.0 - du2)[..., None, None]
+def g_upper_components(grid: CurvilinearGrid, P, du2):
+    """(g~^11, g~^12, g~^22) with g~^{ab} = sigma~^{ab} + P^a P^b / (1 - |Du|^2)."""
+    S = grid.sigma_t_inv
+    P1, P2 = P
+    v2 = 1.0 - du2
+    return (S[..., 0, 0] + P1 * P1 / v2,
+            S[..., 0, 1] + P1 * P2 / v2,
+            S[..., 1, 1] + P2 * P2 / v2)
 
 
 def quasilinear_operator(values, grid: CurvilinearGrid, ghost=None, guard=True):
-    """g~^{ab} D_a D_b u and its ingredient fields (the flow right-hand side)."""
-    d = derivs = derivatives(values, grid, ghost)
-    du, P, du2, v = gradient_fields(values, grid, ghost, guard=guard, derivs=d)
-    hess = covariant_hessian_field(values, grid, ghost, derivs=d)
-    gup = g_upper_field(grid, P, du2)
-    op = np.einsum("...ab,...ab->...", gup, hess)
-    return {"op": op, "du": du, "P": P, "du2": du2, "v": v, "hess": hess,
-            "gup": gup, "derivs": derivs}
+    """g~^{ab} D_a D_b u and its ingredient fields (the flow right-hand side).
+
+    ``P``, ``hess`` and ``gup`` are component tuples (see above)."""
+    d = derivatives(values, grid, ghost)
+    P, du2, v = gradient_fields(values, grid, ghost, guard=guard, derivs=d)
+    hess = h11, h12, h22 = hessian_components(d, grid)
+    gup = g11, g12, g22 = g_upper_components(grid, P, du2)
+    cross = g12 * h12
+    op = (g11 * h11 + cross) + (cross + g22 * h22)
+    return {"op": op, "P": P, "du2": du2, "v": v, "hess": hess, "gup": gup}
 
 
 def mean_curvature_field(values, grid: CurvilinearGrid, ghost=None):
@@ -184,7 +209,7 @@ def graph_geometry(u: GridFunction, node):
     i, j = node
     grid = u.grid
     d = derivatives(u.values, grid)
-    du_comp = np.stack([d["r"], d["s"]], axis=-1)[i, j]
+    du_comp = np.array([d["r"][i, j], d["s"][i, j]])
     hess_comp = covariant_hessian_field(u.values, grid, derivs=d)[i, j]
     B = grid.jac_inv[i, j]
     du_chart = B.T @ du_comp
@@ -221,11 +246,12 @@ def evo_du_rhs(values, grid: CurvilinearGrid, convention="derived", ghost=None):
     dw = derivatives(w, grid)
     dwvec = np.stack([dw["r"], dw["s"]], axis=-1)
     hess_w = covariant_hessian_field(w, grid, derivs=dw)
+    gup, hess_u = sym_tensor(*q["gup"]), sym_tensor(*q["hess"])
 
-    grad_w_g = np.einsum("...ab,...a,...b->...", q["gup"], dwvec, dwvec)
-    hess_w_g = np.einsum("...ab,...ab->...", q["gup"], hess_w)
+    grad_w_g = np.einsum("...ab,...a,...b->...", gup, dwvec, dwvec)
+    hess_w_g = np.einsum("...ab,...ab->...", gup, hess_w)
     hess_u_sq = np.einsum("...ac,...bd,...ab,...cd->...",
-                          grid.sigma_t_inv, grid.sigma_t_inv, q["hess"], q["hess"])
+                          grid.sigma_t_inv, grid.sigma_t_inv, hess_u, hess_u)
     dw_sq = np.einsum("...ab,...a,...b->...", grid.sigma_t_inv, dwvec, dwvec)
 
     rhs = grad_w_g / v2 + hess_w_g - hc * hess_u_sq - kc * grid.gauss * w
@@ -238,7 +264,7 @@ def evo_du_time_residual(u_prev, u_mid, u_next, dt, grid: CurvilinearGrid,
     """Residual field: centered d|Du|^2/dt minus the identity's right side."""
     fields = []
     for vals, gh in zip((u_prev, u_mid, u_next), ghosts):
-        _, _, du2, _ = gradient_fields(vals, grid, gh)
+        _, du2, _ = gradient_fields(vals, grid, gh)
         fields.append(du2)
     dwdt = (fields[2] - fields[0]) / (2.0 * dt)
     return dwdt - evo_du_rhs(u_mid, grid, convention, ghosts[1])

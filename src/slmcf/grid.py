@@ -15,6 +15,11 @@ stencils downstream act on the uniform computational grid with these
 coefficients, which keeps every covariant operation a plain centered
 difference plus analytic data.
 
+``sigma_t_inv`` and ``gamma_t`` are indexed [..., a, b] and [..., c, a, b]
+like the other tensors, but stored component-major: each component
+``S[..., a, b]`` is a contiguous (n_radial, n_angular) array, which is how
+the operator kernel reads them.
+
 Quadrature: interior nodes own cells [rho_i - h/2, rho_i + h/2] x s-cell with
 midpoint weights sqrt(det sigma~) * h * hs; boundary nodes own half cells.
 Boundary integrals use the periodic trapezoid rule (spectrally accurate).
@@ -90,7 +95,7 @@ class CurvilinearGrid:
         self.jac_det = jac_det
         self.jac_inv = _inv2(J)
         self.sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
-        self.sigma_t_inv = _inv2(self.sigma_t)
+        self.sigma_t_inv = _component_major(_inv2(self.sigma_t))
         det = self.sigma_t[..., 0, 0] * self.sigma_t[..., 1, 1] - self.sigma_t[..., 0, 1] ** 2
         self.sqrt_det = np.sqrt(det)
 
@@ -100,7 +105,7 @@ class CurvilinearGrid:
         d2x[..., :, 1, 0] = x_rs
         d2x[..., :, 1, 1] = x_ss
         inner = d2x + np.einsum("...kij,...ia,...jb->...kab", gam_chart, J, J)
-        self.gamma_t = np.einsum("...ck,...kab->...cab", self.jac_inv, inner)
+        self.gamma_t = _component_major(np.einsum("...ck,...kab->...cab", self.jac_inv, inner))
         self.gauss = self.metric.gauss_curvature(X)
 
         # quadrature weights: midpoint cells, half cell on the boundary ring
@@ -150,6 +155,14 @@ def _inv2(M):
     out[..., 0, 1] = -M[..., 0, 1] / det
     out[..., 1, 0] = -M[..., 1, 0] / det
     return out
+
+
+def _component_major(T):
+    """T (shape (n_r, n_a) + k) as a view of a copy stored with the k
+    component axes first, so that every component T[..., a, b] is contiguous."""
+    k = T.ndim - 2
+    comp = np.ascontiguousarray(np.moveaxis(T, (0, 1), (k, k + 1)))
+    return np.moveaxis(comp, (k, k + 1), (0, 1))
 
 
 def build_grid(domain: ConvexDomain, n_radial: int, n_angular: int) -> CurvilinearGrid:

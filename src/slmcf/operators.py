@@ -18,7 +18,16 @@ Jacobian assembly is exact: stencil weights carry the per-node coefficient
 fields and the derivative of g~^{ab} with respect to Du, and the ghost row is
 eliminated through its three-entry dependence on the unknowns (chain rule
 through the tangential derivative).  A finite-difference verification of the
-assembled matrix lives in the test suite.
+assembled matrix lives in the test suite.  The nine weights are computed
+from the component arrays of ``geometry.quasilinear_operator`` and written
+straight into CSC data through ``operator_structure``, a per-grid-shape
+cache (int32 ``indptr`` and ``indices``, and a slot map that sums the
+entries several stencil entries hit in a fixed order), so an assembly does
+no index work and no COO to CSC sort.  The same structure gives the graph of
+``nested_dissection_order``, the step and bordered matrices of the flow and
+the translator (``StencilStructure.shifted``), and the per-row entry counts
+of ``RingSolver``.  Matrices built on it share its read-only index arrays
+and keep its exact zeros; ``OrderedLU`` drops those before factoring.
 
 Linear solves with the Jacobian go through ``RingSolver``.  Averaging each
 stencil weight and the ghost sensitivity over s on every ring gives an
@@ -37,6 +46,7 @@ solve on that matrix.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -81,7 +91,7 @@ def flow_operator(values, grid: CurvilinearGrid, phi_vals, with_fields=False):
 def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
     """(D_N u, D_T u, v) on the boundary ring using the ghost-closed gradient."""
     ghost, dtu, _ = contact_ghost(values, grid, phi_vals)
-    _, _, du2, v = gradient_fields(values, grid, ghost)
+    _, du2, v = gradient_fields(values, grid, ghost)
     srr = grid.sigma_t_inv[-1, :, 0, 0]
     srs = grid.sigma_t_inv[-1, :, 0, 1]
     ur = (ghost - values[-2]) / (2.0 * grid.hr)
@@ -96,22 +106,25 @@ _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1),
 _ND_LEAF = 64   # nested dissection stops at parts of at most this many nodes
 
 
-def stencil_pattern(n_radial, n_angular):
-    """Index arrays (rows, cols, ghost, gj) of the operator matrix on a grid shape.
+def _stencil_coo(n_radial, n_angular):
+    """The operator matrix's entries on a grid shape as a COO list (rows, cols, src)
+    over the source vector, plus the stencil entries that reach the ghost row.
 
-    The nine-point stencil at offsets ``_OFFSETS`` writes one weight per node
-    and offset; ``ghost`` marks the entries of that 9N list that reach beyond
-    the boundary ring and ``gj`` gives their ghost column.  Each ghost entry
-    is folded into the three unknowns the ghost value depends on, so entry k
-    of the assembled COO list sits at (rows[k], cols[k]): first the 9N
-    stencil entries without the ghost ones, then the folded ones, in three
-    blocks.  The arrays depend on the shape alone.
+    The nine-point stencil at offsets ``_OFFSETS`` writes one weight per
+    offset and node: the 9N stencil weights, offset-major.  ``ghost`` indexes
+    the ones that reach beyond the boundary ring and ``gj`` gives their ghost
+    column.  Each ghost entry w is folded into the three unknowns the ghost
+    value depends on, ghost[j] = u[-2, j] + g[j] (u[-1, j+1] - u[-1, j-1]) +
+    const, as w, w g and -w g.  The source vector is [the 9N weights, the G
+    values w g, the G values -w g] and entry k, at (rows[k], cols[k]), holds
+    source[src[k]]: first the stencil entries inside the grid, then the
+    folded ones in three blocks.
     """
     n_r, n_a = n_radial, n_angular
     N = n_r * n_a
     half = n_a // 2
     I, J = np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij")
-    rows_list, cols_list = [], []
+    cols = []
     for di, dj in _OFFSETS:
         ti = I + di
         tj = (J + dj) % n_a
@@ -120,21 +133,119 @@ def stencil_pattern(n_radial, n_angular):
         tj = np.where(center, (tj + half) % n_a, tj)
         ti = np.where(center, 0, ti)
         # beyond the boundary: ghost pseudo-columns N + j
-        col = np.where(ti == n_r, N + tj, ti * n_a + tj)
-        rows_list.append((I * n_a + J).ravel())
-        cols_list.append(col.ravel())
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-
-    # fold ghost columns: ghost[j] = u[-2, j] + gplus[j] u[-1, j+1] - gplus[j] u[-1, j-1] + const
-    ghost = cols >= N
-    grows = rows[ghost]
+        cols.append(np.where(ti == n_r, N + tj, ti * n_a + tj).ravel())
+    cols = np.concatenate(cols)
+    rows = np.tile(np.arange(N), len(_OFFSETS))
+    beyond = cols >= N
+    ghost, inside = np.flatnonzero(beyond), np.flatnonzero(~beyond)
     gj = cols[ghost] - N
-    rows = np.concatenate([rows[~ghost], grows, grows, grows])
-    cols = np.concatenate([cols[~ghost], (n_r - 2) * n_a + gj,
+    grows = rows[ghost]
+    rows = np.concatenate([rows[inside], grows, grows, grows])
+    cols = np.concatenate([cols[inside], (n_r - 2) * n_a + gj,
                            (n_r - 1) * n_a + (gj + 1) % n_a,
                            (n_r - 1) * n_a + (gj - 1) % n_a])
-    return rows, cols, ghost, gj
+    src = np.concatenate([inside, ghost, 9 * N + np.arange(2 * ghost.size)])
+    return rows, cols, src, ghost, gj
+
+
+def _index_array(a):
+    """A read-only int32 copy of ``a``."""
+    out = np.array(a, dtype=np.int32)
+    out.flags.writeable = False
+    return out
+
+
+def _csc(data, indices, indptr):
+    """The square CSC matrix on index arrays in canonical order; it shares them."""
+    n = indptr.size - 1
+    A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    A.has_canonical_format = True
+    return A
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class StencilStructure:
+    """The CSC structure of the operator matrix on one grid shape, and how
+    the source vector of ``_stencil_coo`` fills it.
+
+    Slot k of the matrix's ``data`` takes source[first[k]]; each pair
+    (slots, sources) of ``adds`` then adds source[sources] at slots, so an
+    entry that several stencil entries hit is their sum in COO order, as a
+    COO to CSC conversion sums it.  All arrays are int32 and read-only.
+    """
+
+    indptr: np.ndarray      # N + 1 column starts
+    indices: np.ndarray     # row of each slot, ascending within each column
+    first: np.ndarray       # per slot: the source entry stored there
+    adds: tuple             # (slots, sources) per further summand
+    diag: np.ndarray        # per node: the slot of its diagonal entry
+    ghost: np.ndarray       # positions of the ghost-reaching stencil weights
+    gj: np.ndarray          # their ghost columns
+    row_counts: np.ndarray  # entries per row
+
+    @property
+    def n_nodes(self):
+        return self.indptr.size - 1
+
+    def matrix(self, source):
+        """The matrix whose entries the source vector gives; it shares the index arrays."""
+        data = source[self.first]
+        for slots, sources in self.adds:
+            data[slots] += source[sources]
+        return _csc(data, self.indices, self.indptr)
+
+    @functools.cached_property
+    def _bordered(self):
+        """(indptr, indices, L's slots, border-row slots) of the bordered
+        matrix: each column j < N gains row N at its end, column N holds
+        rows 0 .. N-1."""
+        N, nnz = self.n_nodes, self.indices.size
+        indptr = np.append(self.indptr + np.arange(N + 1), nnz + 2 * N)
+        slots = np.arange(nnz) + np.repeat(np.arange(N), np.diff(self.indptr))
+        border = indptr[1:N + 1] - 1
+        indices = np.empty(nnz + 2 * N, dtype=np.int64)
+        indices[slots] = self.indices
+        indices[border] = N
+        indices[nnz + N:] = np.arange(N)
+        return tuple(map(_index_array, (indptr, indices, slots, border)))
+
+    def shifted(self, L, alpha, beta, border=None):
+        """alpha I + beta L for an ``L`` on this structure, which it keeps,
+        explicit zeros included; given ``border`` (the border row a, N
+        values) the bordered [[alpha I + beta L, -1], [a^T, 0]]."""
+        data = beta * L.data
+        data[self.diag] += alpha
+        if border is None:
+            return _csc(data, self.indices, self.indptr)
+        indptr, indices, slots, bslots = self._bordered
+        full = np.empty(indices.size)
+        full[slots] = data
+        full[bslots] = border
+        full[-self.n_nodes:] = -1.0
+        return _csc(full, indices, indptr)
+
+
+@functools.lru_cache(maxsize=8)
+def operator_structure(n_radial, n_angular) -> StencilStructure:
+    """The ``StencilStructure`` of a grid shape, built once per shape."""
+    rows, cols, src, ghost, gj = _stencil_coo(n_radial, n_angular)
+    N = n_radial * n_angular
+    key = cols * N + rows
+    order = np.argsort(key, kind="stable")   # column-major, COO order in a tie
+    key = key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    slot = np.cumsum(new) - 1
+    rank = np.arange(key.size) - np.flatnonzero(new)[slot]
+    indices = key[new] % N
+    indptr = np.searchsorted(key[new] // N, np.arange(N + 1))
+    diag = np.flatnonzero(indices == np.repeat(np.arange(N), np.diff(indptr)))
+    adds = tuple((_index_array(slot[rank == r]), _index_array(src[order[rank == r]]))
+                 for r in range(1, int(rank.max()) + 1))
+    return StencilStructure(
+        indptr=_index_array(indptr), indices=_index_array(indices),
+        first=_index_array(src[order[new]]), adds=adds, diag=_index_array(diag),
+        ghost=_index_array(ghost), gj=_index_array(gj),
+        row_counts=_index_array(np.bincount(indices, minlength=N)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,15 +258,15 @@ def nested_dissection_order(n_radial, n_angular):
     nodes of the first half that have a stencil neighbour in the second half
     form the separator, which is ordered after both halves.  Parts of at
     most ``_ND_LEAF`` nodes keep their natural order.  The graph is the one
-    of ``stencil_pattern``, which depends on the shape alone: a pattern read
-    off an assembled matrix lacks the entries that happen to be exact zeros
-    (A12 = 0 on a radially symmetric state), and an order built on it fills
-    the factors of every later, curved state.
+    of ``operator_structure``, which depends on the shape alone: a pattern
+    read off the values of an assembled matrix would lack the entries that
+    happen to be exact zeros (A12 = 0 on a radially symmetric state), and an
+    order built on it fills the factors of every later, curved state.
     """
-    rows, cols, _, _ = stencil_pattern(n_radial, n_angular)
-    N = n_radial * n_angular
-    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(N, N))
-    graph = (graph + graph.T).tocoo()           # symmetric, duplicates summed
+    st = operator_structure(n_radial, n_angular)
+    N = st.n_nodes
+    graph = sp.csc_matrix((np.ones(st.indices.size), st.indices, st.indptr), shape=(N, N))
+    graph = (graph + graph.T).tocoo()           # symmetric
     loop = graph.row == graph.col
     a, b = graph.row[~loop], graph.col[~loop]   # each edge in both directions
     rho = (np.arange(n_radial) + 0.5) / (n_radial - 0.5)
@@ -201,11 +312,14 @@ _DIAG_PIVOT_THRESH = 0.1
 class OrderedLU:
     """LU of ``A[p][:, p]`` that solves in unpermuted coordinates; ``splu`` is
     the caller's binding of scipy's.  SuperLU keeps the order ``p``: its own
-    column ordering is off and its symmetric mode on."""
+    column ordering is off and its symmetric mode on.  The explicit zeros of
+    A's shape-fixed structure are dropped first: they would only add fill."""
 
     def __init__(self, splu, A, p):
         self.p = p
-        self.lu = splu(A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+        Ap = A[p][:, p]
+        Ap.eliminate_zeros()
+        self.lu = splu(Ap, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
                        options=dict(SymmetricMode=True))
 
     def solve(self, b):
@@ -242,13 +356,16 @@ class RingSolver:
         self.A, self.lu = A, None
         self._splu, self._p = splu, p
         self.abs = abs(A)
-        mu = np.bincount(A.indices, minlength=A.shape[0]) * _UNIT_ROUNDOFF
-        self.gamma = mu / (1.0 - mu)
 
         weights, sens = ring
         n_r = weights.shape[1]
         n_a = (A.shape[0] if border is None else A.shape[0] - 1) // n_r
         self._shape = (n_r, n_a)
+        counts = operator_structure(n_r, n_a).row_counts
+        if border is not None:
+            counts = np.append(counts + 1, n_r * n_a)
+        mu = counts * _UNIT_ROUNDOFF
+        self.gamma = mu / (1.0 - mu)
         theta = 2.0 * np.pi * np.arange(n_a // 2 + 1) / n_a
         di = np.array([o[0] for o in _OFFSETS])
         dj = np.array([o[1] for o in _OFFSETS])
@@ -326,52 +443,60 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
-    derivatives.  ``q["ring"]`` holds the ring means (9 x n_radial, in
-    ``_OFFSETS`` order) of the stencil weights and the mean of the ghost
-    sensitivity: the ring-averaged stencil that ``RingSolver`` takes.
+    derivatives.  Its entries sit on the ``operator_structure`` of the grid
+    shape, exact zeros included, and it shares that structure's index
+    arrays.  ``q["stencil"]`` holds the nine stencil weights (9 x n_radial x
+    n_angular, in ``_OFFSETS`` order) and the ghost sensitivity g per
+    boundary node; ``q["ring"]`` their ring means (9 x n_radial, and one
+    number): the ring-averaged stencil that ``RingSolver`` takes.
     """
     n_r, n_a = grid.n_radial, grid.n_angular
     N = n_r * n_a
     hr, hs = grid.hr, grid.hs
+    st = operator_structure(n_r, n_a)
 
     q = flow_operator(values, grid, phi_vals, with_fields=True)
-    gup, hess, P, du2 = q["gup"], q["hess"], q["P"], q["du2"]
-    A11, A12, A22 = gup[..., 0, 0], gup[..., 0, 1], gup[..., 1, 1]
-    v2 = 1.0 - du2
-    hess_P = np.einsum("...ab,...b->...a", hess, P)
-    M = np.einsum("...ca,...a->...c", grid.sigma_t_inv, hess_P)
-    quad = np.einsum("...a,...a->...", P, hess_P)
-    B = (-np.einsum("...ab,...cab->...c", gup, grid.gamma_t)
-         + 2.0 * M / v2[..., None] + 2.0 * quad[..., None] * P / (v2 ** 2)[..., None])
-    B1, B2 = B[..., 0], B[..., 1]
+    (A11, A12, A22), (h11, h12, h22), (P1, P2) = q["gup"], q["hess"], q["P"]
+    v2 = 1.0 - q["du2"]
+    S, G = grid.sigma_t_inv, grid.gamma_t
+    hP1 = h11 * P1 + h12 * P2          # (D^2 u P)_a
+    hP2 = h12 * P1 + h22 * P2
+    quad = P1 * hP1 + P2 * hP2
+    B = []                             # first-order coefficients B^c
+    for c, Pc in ((0, P1), (1, P2)):
+        Mc = S[..., c, 0] * hP1 + S[..., c, 1] * hP2
+        gG = ((A11 * G[..., c, 0, 0] + A12 * G[..., c, 1, 0])
+              + (A12 * G[..., c, 0, 1] + A22 * G[..., c, 1, 1]))
+        B.append(-gG + 2.0 * Mc / v2 + 2.0 * quad * Pc / v2 ** 2)
+    B1, B2 = B
 
-    weights = [                  # in _OFFSETS order
-        -2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2,
-        A11 / hr ** 2 + B1 / (2.0 * hr),
-        A11 / hr ** 2 - B1 / (2.0 * hr),
-        A22 / hs ** 2 + B2 / (2.0 * hs),
-        A22 / hs ** 2 - B2 / (2.0 * hs),
-        A12 / (2.0 * hr * hs),
-        A12 / (2.0 * hr * hs),
-        -A12 / (2.0 * hr * hs),
-        -A12 / (2.0 * hr * hs),
-    ]
+    G_n = st.ghost.size
+    source = np.empty(9 * N + 2 * G_n)     # see _stencil_coo
+    W = source[:9 * N].reshape(9, n_r, n_a)
+    W[0] = -2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2      # in _OFFSETS order
+    a, b = A11 / hr ** 2, B1 / (2.0 * hr)
+    np.add(a, b, out=W[1])
+    np.subtract(a, b, out=W[2])
+    a, b = A22 / hs ** 2, B2 / (2.0 * hs)
+    np.add(a, b, out=W[3])
+    np.subtract(a, b, out=W[4])
+    np.divide(A12, 2.0 * hr * hs, out=W[5])
+    W[6] = W[5]
+    np.negative(W[5], out=W[7])
+    W[8] = W[7]
     # d ghost[j] / d u[-1, j+1] (the j-1 entry is its negative), with
     # dPhi/d(D_T u) = -phi q / (sqrt(1+phi^2) sqrt(1-q^2)) at q = D_T u
     dtu = q["dtu"]
-    srr, srs = grid.sigma_t_inv[-1, :, 0, 0], grid.sigma_t_inv[-1, :, 0, 1]
+    srr, srs = S[-1, :, 0, 0], S[-1, :, 0, 1]
     dphi_dq = -phi_vals * dtu / (np.sqrt(1.0 + phi_vals ** 2) * np.sqrt(1.0 - dtu ** 2))
     sens = -(hr / hs) * (srs + np.sqrt(srr) * dphi_dq / grid.sqrt_sigma_ss_bd) / srr
+    folded = source[st.ghost] * sens[st.gj]
+    source[9 * N:9 * N + G_n] = folded
+    np.negative(folded, out=source[9 * N + G_n:])
 
-    rows, cols, ghost, gj = stencil_pattern(n_r, n_a)
-    vals = np.concatenate([np.broadcast_to(W, (n_r, n_a)).ravel() for W in weights])
-    q["ring"] = (vals.reshape(9, n_r, n_a).mean(axis=2), float(np.mean(sens)))
-    gplus = sens[gj]
-    gvals = vals[ghost]
-    vals = np.concatenate([vals[~ghost], gvals, gvals * gplus, -gvals * gplus])
-
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsc()
-    return L, q
+    q["stencil"] = (W, sens)
+    q["ring"] = (W.mean(axis=2), float(np.mean(sens)))
+    return st.matrix(source), q
 
 
 def linearized_affine(values, grid: CurvilinearGrid, phi_vals):
@@ -386,7 +511,6 @@ def linearized_affine(values, grid: CurvilinearGrid, phi_vals):
 
 def explicit_stable_dt(q, grid: CurvilinearGrid, cfl):
     """CFL bound cfl / (2 max_nodes sum of second-order stencil scales)."""
-    gup = q["gup"]
-    lam = (gup[..., 0, 0] / grid.hr ** 2 + gup[..., 1, 1] / grid.hs ** 2
-           + 2.0 * np.abs(gup[..., 0, 1]) / (grid.hr * grid.hs))
+    g11, g12, g22 = q["gup"]
+    lam = g11 / grid.hr ** 2 + g22 / grid.hs ** 2 + 2.0 * np.abs(g12) / (grid.hr * grid.hs)
     return float(cfl / (2.0 * np.max(lam)))

@@ -182,7 +182,7 @@ def load_scenario(config: dict) -> Scenario:
     phi = _from_section("phi", ContactAngle, config["phi"], domain, n_angular=grid.n_angular)
     u0 = _from_section("u0", _build_u0, config.get("u0", {"kind": "constant", "value": 0.0}),
                        grid)
-    _, _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
+    _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
     if float(np.max(du2)) >= 1.0 - 1e-10:
         raise ScenarioError(
             f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
@@ -228,8 +228,8 @@ def _header_entry(line, header):
     header[key.strip()] = val.strip()
 
 
-def read_csv(path):
-    """Returns (header dict, column names, float ndarray of shape (rows, columns))."""
+def _csv_lines(path):
+    """(header dict, column names, data lines) of a CSV file."""
     header = {}
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     k = 0
@@ -237,7 +237,12 @@ def read_csv(path):
         _header_entry(lines[k], header)
         k += 1
     columns = lines[k].split(",") if k < len(lines) else None
-    rows = [line for line in lines[k + 1:] if line]
+    return header, columns, [line for line in lines[k + 1:] if line]
+
+
+def read_csv(path):
+    """Returns (header dict, column names, float ndarray of shape (rows, columns))."""
+    header, columns, rows = _csv_lines(path)
     if not rows:
         return header, columns, np.empty((0, len(columns or ())))
     return header, columns, np.loadtxt(rows, delimiter=",", ndmin=2)
@@ -294,17 +299,23 @@ def write_field_csv(path, grid: CurvilinearGrid, values, header):
 
 
 def read_field_csv(path, grid: CurvilinearGrid):
-    """(header, values) of a field file with one (i, j, rho, s, x1, x2, u) row per node."""
-    header, _, data = read_csv(path)
-    if data.shape[1] != 7:
-        raise ScenarioError(f"field file {path} has {data.shape[1]} columns, not 7")
+    """(header, values) of a field file with one (i, j, rho, s, x1, x2, u) row per
+    node; only the i, j and u columns are parsed."""
+    header, columns, rows = _csv_lines(path)
+    if columns is None or len(columns) != 7:
+        raise ScenarioError(f"field file {path} has {len(columns or ())} columns, not 7")
+    try:
+        data = (np.loadtxt(rows, delimiter=",", ndmin=2, usecols=(0, 1, 6)) if rows
+                else np.empty((0, 3)))
+    except ValueError as err:
+        raise ScenarioError(f"field file {path} has a malformed row: {err}") from None
     ii = data[:, 0].astype(int)
     jj = data[:, 1].astype(int)
     if np.any((ii < 0) | (ii >= grid.n_radial) | (jj < 0) | (jj >= grid.n_angular)):
         raise ScenarioError(f"field file {path} has a node outside the "
                             f"{grid.n_radial} x {grid.n_angular} grid")
     values = np.full((grid.n_radial, grid.n_angular), np.nan)
-    values[ii, jj] = data[:, 6]
+    values[ii, jj] = data[:, 2]
     if np.any(np.isnan(values)):
         raise ScenarioError(f"field file {path} does not cover the grid")
     return header, values

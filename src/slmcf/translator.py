@@ -61,13 +61,13 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ContinuationError, NewtonError, ScenarioError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (RingSolver, assemble_operator_matrix, boundary_gradient_data,
-                        contact_ghost, flow_operator, nested_dissection_order)
+                        contact_ghost, flow_operator, nested_dissection_order,
+                        operator_structure)
 
 _MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
 _TOL = 1e-10             # residual max(max|R|, |area-mean(w)|) that ends a solve
@@ -133,15 +133,8 @@ def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
     """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w, and
     the ring-averaged stencil of L (see ``assemble_operator_matrix``)."""
     L, q = assemble_operator_matrix(w, grid, phi_vals)
-    L = L.tocoo()
-    N = w.size
-    nodes = np.arange(N)
-    border = np.full(N, N)
-    rows = [L.row, nodes, border, nodes]
-    cols = [L.col, border, nodes, nodes]   # L stores its diagonal: -eps adds no entry
-    vals = [L.data, -np.ones(N), (grid.weights / grid.area).ravel(), np.full(N, -eps)]
-    J = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N + 1, N + 1))
+    J = operator_structure(*w.shape).shifted(L, -eps, 1.0,
+                                             border=(grid.weights / grid.area).ravel())
     return J, q["ring"]
 
 
@@ -313,7 +306,7 @@ def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
     from .geometry import gradient_fields
 
     ghost, _, _ = contact_ghost(values, grid, phi_vals)
-    _, _, du2, _ = gradient_fields(values, grid, ghost)
+    _, du2, _ = gradient_fields(values, grid, ghost)
     denominator = grid.domain_integral(np.ones_like(du2), du2=du2)
     numerator = grid.boundary_integral(phi_vals)
     return -numerator / denominator

@@ -7,9 +7,11 @@ from slmcf import flow, translator
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeBoundaryError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import (OrderedLU, RingSolver, assemble_operator_matrix,
+from slmcf.geometry import derivatives
+from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
                              boundary_gradient_data, contact_ghost, explicit_stable_dt,
-                             flow_operator, linearized_affine, nested_dissection_order)
+                             flow_operator, linearized_affine, nested_dissection_order,
+                             operator_structure)
 
 
 def _test_field(grid, metric_id):
@@ -128,6 +130,126 @@ def test_explicit_dt_scaling(disk_grid_small, phi02):
     assert 0 < dt < disk_grid_small.hr ** 2  # center ring stiffness dominates
 
 
+KERNEL_CASES = [
+    ({"kind": "disk", "radius": 1.0}, "flat"),
+    ({"kind": "ellipse", "a": 1.5, "b": 1.0}, "flat"),
+    ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat"),
+    ({"kind": "chart_circle", "r0": 0.8}, "sphere"),
+    ({"kind": "chart_circle", "r0": 1.2}, "dome"),
+]
+
+
+def _kernel_case(dom_spec, metric_id):
+    """(grid, phi values, u): a 16 x 32 grid and a state that is not radial."""
+    dom = build_domain(dom_spec, metric_id)
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "fourier", "a0": 0.15, "cos": [0.1]}, dom)
+    u = _test_field(grid, metric_id) + 1e-4 * np.random.default_rng(5).standard_normal((16, 32))
+    return grid, phi.values_on(grid), u
+
+
+def _tensor_reference(values, grid, phi_vals):
+    """F and the nine stencil weights (in _OFFSETS order) from (..., 2, 2) tensor
+    contractions of the gradient, Hessian, g~^{ab} and Christoffel symbols."""
+    ghost, _, _ = contact_ghost(values, grid, phi_vals)
+    d = derivatives(values, grid, ghost)
+    S, G = grid.sigma_t_inv, grid.gamma_t
+    du = np.stack([d["r"], d["s"]], axis=-1)
+    P = np.einsum("...ab,...b->...a", S, du)
+    v2 = 1.0 - np.einsum("...a,...a->...", P, du)
+    hess = (np.stack([d["rr"], d["rs"], d["rs"], d["ss"]], axis=-1).reshape(du.shape + (2,))
+            - np.einsum("...cab,...c->...ab", G, du))
+    gup = S + np.einsum("...a,...b->...ab", P, P) / v2[..., None, None]
+    op = np.einsum("...ab,...ab->...", gup, hess)
+    hP = np.einsum("...ab,...b->...a", hess, P)
+    B = (-np.einsum("...ab,...cab->...c", gup, G)
+         + 2.0 * np.einsum("...ca,...a->...c", S, hP) / v2[..., None]
+         + 2.0 * np.einsum("...a,...a->...", P, hP)[..., None] * P / v2[..., None] ** 2)
+    hr, hs = grid.hr, grid.hs
+    A11, A12, A22, B1, B2 = gup[..., 0, 0], gup[..., 0, 1], gup[..., 1, 1], B[..., 0], B[..., 1]
+    corner = A12 / (2.0 * hr * hs)
+    weights = np.stack([-2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2,
+                        A11 / hr ** 2 + B1 / (2.0 * hr), A11 / hr ** 2 - B1 / (2.0 * hr),
+                        A22 / hs ** 2 + B2 / (2.0 * hs), A22 / hs ** 2 - B2 / (2.0 * hs),
+                        corner, corner, -corner, -corner])
+    return op, weights
+
+
+@pytest.mark.parametrize("dom_spec,metric_id", KERNEL_CASES)
+def test_component_kernel_matches_the_tensor_reference(dom_spec, metric_id):
+    grid, pv, u = _kernel_case(dom_spec, metric_id)
+    op, weights = _tensor_reference(u, grid, pv)
+    _, q = assemble_operator_matrix(u, grid, pv)
+    assert np.max(np.abs(flow_operator(u, grid, pv) - op)) <= 1e-14 * np.max(np.abs(op))
+    assert np.max(np.abs(q["op"] - op)) <= 1e-14 * np.max(np.abs(op))
+    W, _ = q["stencil"]
+    for k in range(9):
+        assert np.max(np.abs(W[k] - weights[k])) <= 1e-14 * np.max(np.abs(weights[k]))
+
+
+def _coo_reference(q, n_radial, n_angular):
+    """The operator matrix of q's stencil built as a COO list and converted by scipy."""
+    W, sens = q["stencil"]
+    rows, cols, src, ghost, gj = _stencil_coo(n_radial, n_angular)
+    folded = W.ravel()[ghost] * sens[gj]
+    source = np.concatenate([W.ravel(), folded, -folded])
+    N = n_radial * n_angular
+    return sp.coo_matrix((source[src], (rows, cols)), shape=(N, N)).tocsc()
+
+
+def _assert_within_ulps(A, ref, ulps):
+    """A and ref agree to ``ulps`` units in the last place in every entry."""
+    A, ref = A.toarray(), ref.toarray()
+    assert np.all(np.abs(A - ref) <= ulps * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("dom_spec,metric_id", KERNEL_CASES)
+def test_shape_cache_fills_the_matrix_a_coo_build_gives(dom_spec, metric_id):
+    grid, pv, u = _kernel_case(dom_spec, metric_id)
+    L, q = assemble_operator_matrix(u, grid, pv)
+    ref = _coo_reference(q, 16, 32)
+    ref.sort_indices()
+    assert np.array_equal(L.indptr, ref.indptr) and np.array_equal(L.indices, ref.indices)
+    _assert_within_ulps(L, ref, 4)
+
+    st = operator_structure(16, 32)
+    N = u.size
+    I = sp.identity(N, format="csc")
+    _assert_within_ulps(st.shifted(L, 1.0, -0.05), (I - 0.05 * L.tocoo()).tocsc(), 0)
+    a = (grid.weights / grid.area).ravel()
+    nodes, border = np.arange(N), np.full(N, N)
+    Lc = L.tocoo()
+    ref = sp.coo_matrix((np.concatenate([Lc.data, -np.ones(N), a, np.full(N, -0.25)]),
+                         (np.concatenate([Lc.row, nodes, border, nodes]),
+                          np.concatenate([Lc.col, border, nodes, nodes]))), shape=(N + 1, N + 1))
+    _assert_within_ulps(st.shifted(L, -0.25, 1.0, border=a), ref, 0)
+
+
+def test_shape_cache_is_read_only_per_shape_and_shares_no_data():
+    grid, pv, u = _kernel_case(*KERNEL_CASES[1])
+    L1, _ = assemble_operator_matrix(u, grid, pv)
+    L2, _ = assemble_operator_matrix(1.5 * u, grid, pv)
+    st = operator_structure(16, 32)
+    J = st.shifted(L1, -0.25, 1.0, border=np.ones(u.size))
+    arrays = [st.indptr, st.indices, st.first, st.diag, st.ghost, st.gj, st.row_counts,
+              *(a for pair in st.adds for a in pair), *st._bordered]
+    assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
+    for A in (L1, L2):
+        assert np.shares_memory(A.indices, st.indices) and np.shares_memory(A.indptr, st.indptr)
+    shifted = st.shifted(L1, 1.0, -0.1)
+    for A, B in [(L1, L2), (L1, shifted), (L1, J), (L2, shifted)]:
+        assert not np.shares_memory(A.data, B.data)
+    assert not np.array_equal(L1.data, L2.data)
+
+    small = operator_structure(8, 16)
+    assert small is not st and small.n_nodes == 128 and st.n_nodes == 512
+    assert operator_structure(16, 32) is st
+    grid8 = build_grid(grid.domain, 8, 16)
+    L8, q8 = assemble_operator_matrix(u[::2, ::2], grid8, pv[::2])
+    _assert_within_ulps(L8, _coo_reference(q8, 8, 16), 4)
+    _assert_within_ulps(L1, _coo_reference(assemble_operator_matrix(u, grid, pv)[1], 16, 32), 4)
+
+
 @pytest.mark.parametrize("shape", [(8, 16), (32, 64), (64, 128)])
 def test_nested_dissection_order_is_a_permutation(shape):
     p = nested_dissection_order(*shape)
@@ -165,7 +287,7 @@ def _systems(grid, pv, w):
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
     out = []
     for dt in (1e-3, 0.05, 0.5):
-        A = (sp.identity(w.size, format="csc") - dt * L).tocsc()
+        A = operator_structure(grid.n_radial, grid.n_angular).shifted(L, 1.0, -dt)
         out.append((A, p, RingSolver(flow.splu, A, p, q["ring"], 1.0, -dt)))
     for eps in (0.0, 0.25):
         factor = translator._new_factor()

@@ -12,7 +12,7 @@ from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
 from slmcf.flow import FlowRun, PairRun, run_to_convergence
 from slmcf.grid import build_grid
-from slmcf.runio import (load_run, load_scenario, save_flow_run,
+from slmcf.runio import (load_run, load_scenario, read_field_csv, save_flow_run,
                          save_translator_solution, write_field_csv)
 from slmcf.translator import TranslatorSolution, continuation
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
@@ -161,6 +161,30 @@ def test_field_file_without_seven_columns_is_a_scenario_error(tmp_path):
     with pytest.raises(ScenarioError, match="6 columns"):
         load_run(run_dir)
     assert main(["verify", str(run_dir)]) == 2
+
+
+def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_path):
+    grid = build_grid(build_domain({"kind": "disk", "radius": 1.0}, "flat"), 8, 16)
+    values = np.random.default_rng(3).standard_normal((8, 16))
+    path = tmp_path / "field.csv"
+    write_field_csv(path, grid, values, {"time": 0.0})
+    lines = path.read_text().splitlines()
+    head = [k for k, line in enumerate(lines) if not line.startswith("#")][0] + 1
+    header, body = lines[:head], lines[head:]
+
+    def read(rows, columns=None):
+        path.write_text("\n".join((columns or header) + rows) + "\n")
+        return read_field_csv(path, grid)
+
+    rng = np.random.default_rng(4)
+    assert np.array_equal(read([body[k] for k in rng.permutation(len(body))])[1], values)
+    with pytest.raises(ScenarioError, match="does not cover"):
+        read(body[:17] + body[18:])
+    six = [line.rsplit(",", 1)[0] for line in body]
+    with pytest.raises(ScenarioError, match="6 columns"):
+        read(six, header[:-1] + [header[-1].rsplit(",", 1)[0]])
+    with pytest.raises(ScenarioError, match="malformed row"):
+        read(six)
 
 
 def test_dense_file_without_tau_is_a_scenario_error(tmp_path):
