@@ -50,29 +50,9 @@ class BoundaryCurve:
         raise NotImplementedError
 
 
-class _Circle(BoundaryCurve):
-    kind = "disk"
-
-    def __init__(self, radius, center=(0.0, 0.0)):
-        if radius <= 0:
-            raise ScenarioError("disk radius must be positive")
-        self.radius = float(radius)
-        self.center = np.asarray(center, dtype=float)
-
-    def gamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.center + self.radius * np.stack([np.cos(s), np.sin(s)], axis=-1)
-
-    def dgamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.radius * np.stack([-np.sin(s), np.cos(s)], axis=-1)
-
-    def d2gamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.radius * np.stack([-np.cos(s), -np.sin(s)], axis=-1)
-
-
 class _Ellipse(BoundaryCurve):
+    """Axis-aligned ellipse with semi-axes a, b; a disk is the ellipse with a = b."""
+
     kind = "ellipse"
 
     def __init__(self, a, b, center=(0.0, 0.0)):
@@ -302,7 +282,10 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
 
     kind = spec.get("kind")
     if kind == "disk":
-        curve = _Circle(spec.get("radius", 1.0), spec.get("center", (0.0, 0.0)))
+        radius = spec.get("radius", 1.0)
+        if radius <= 0:
+            raise ScenarioError("disk radius must be positive")
+        curve = _Ellipse(radius, radius, spec.get("center", (0.0, 0.0)))
     elif kind == "ellipse":
         curve = _Ellipse(spec["a"], spec["b"], spec.get("center", (0.0, 0.0)))
     elif kind == "smooth_convex":

@@ -34,18 +34,19 @@ in lockstep on one time grid) and ``step``:
   On the Jacobian the defect is second order in the step, so factorizations
   mostly follow the dt ladder; the interval rule keeps fixed-dt transients
   off a stale model.  The rules are checked just before a step, so a
-  stopped run pays for no factorization.  ``operators.RingSolver`` solves
-  with I - dt L by FFT in s on its ring-averaged stencil and accepts a
-  solution only at the componentwise rounding floor of I - dt L; where the
-  ring solve misses it (a state off rotational symmetry) the refresh
-  escalates to the sparse LU on the grid shape's nested-dissection order,
-  computed once and shared by every field, refresh and the translator.  On
-  a rotationally symmetric state no LU is built.  Each field logs its
-  refreshes as ``[step, t, dt, reason, solver]`` (``FlowRun.lu_refreshes``):
-  step and t are the accepted steps and the time before the refresh, dt is
-  the step it factors for, reason is ``start``, ``dt`` (growth),
-  ``interval``, ``defect`` or ``reject`` (a rejected step halved dt), and
-  solver is ``ring`` or ``lu`` (an LU was built on this refresh).
+  stopped run pays for no factorization.  A refresh hands L and dt to an
+  ``operators.RingSolver``, which builds I - dt L, solves it by FFT in s on
+  the ring-averaged stencil and accepts a solution only at its componentwise
+  rounding floor; where the ring solve misses it (a state off rotational
+  symmetry) the solver escalates to the sparse LU on the grid shape's
+  nested-dissection order.  On a rotationally symmetric state no LU and no
+  order is built.  Each field logs its refreshes as
+  ``[step, t, dt, reason, solver]`` (``FlowRun.lu_refreshes``): step and t
+  are the accepted steps and the time before the refresh, dt is the step it
+  factors for, reason is ``start``, ``dt`` (growth), ``interval``,
+  ``defect`` or ``reject`` (a rejected step halved dt), and solver, which
+  the solver writes itself, is ``ring`` or ``lu`` (an LU was built on this
+  refresh).
 - Mean split.  Each field is carried as a scalar mean plus a zero-mean part
   w.  F and the affine model are invariant under constant shifts, so the
   operator and the LU only see w, and the growing constant c3 t (or a large
@@ -74,8 +75,7 @@ from scipy.sparse.linalg import splu
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 from .geometry import mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import (RingSolver, explicit_stable_dt, flow_operator, linearized_affine,
-                        nested_dissection_order, operator_structure)
+from .operators import RingSolver, explicit_stable_dt, flow_operator, linearized_affine
 
 _DT_FLOOR = 1e-14
 _GROW_AFTER = 5      # consecutive accepted steps before dt grows
@@ -109,6 +109,8 @@ class StepperConfig:
             raise ScenarioError("delta_space must lie in (0, 1e-2]")
         if self.max_time <= 0:
             raise ScenarioError("max_time must be positive")
+        if self.max_steps < 1:
+            raise ScenarioError("max_steps must be at least 1")
 
     def initial_dt(self, grid: CurvilinearGrid) -> float:
         if self.dt is not None:
@@ -154,17 +156,15 @@ class _Field:
 
     Holds the operator evaluation ``q`` at the current w and, for the
     semi-implicit scheme, the affine model (L, k) with the solver of its step
-    matrix (``RingSolver``; an LU on the elimination order ``perm`` where
-    it escalates) and the log of its refreshes.
+    matrix I - dt L (``RingSolver``) and the log of its refreshes.
     """
 
-    def __init__(self, u, grid, phi_vals, perm):
+    def __init__(self, u, grid, phi_vals):
         u = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         if not np.all(np.isfinite(u)):
             raise ScenarioError("initial data contains non-finite values")
         self.grid = grid
         self.phi_vals = phi_vals
-        self.perm = perm
         self.mean = 0.0
         self.lu = None              # the step matrix's solver, built before the first step
         self.refreshes = []         # [step, t, dt, reason, solver] per refresh
@@ -177,12 +177,14 @@ class _Field:
 
     def refresh(self, dt, entry):
         """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
-        the log line [step, t, dt, reason], completed by the solver kind."""
+        the log line [step, t, dt, reason], which the solver completes with
+        its kind."""
         self._L, self._k, q = linearized_affine(self.w, self.grid, self.phi_vals)
-        matrix = operator_structure(*self.w.shape).shifted(self._L, 1.0, -dt)
+        ring = q["ring"]
+        del q                       # the operator fields go before the solver is built
         self.lu = None              # the old factors go before the new ones are built
-        self.lu = RingSolver(splu, matrix, self.perm, q["ring"], 1.0, -dt)
-        self.refreshes.append(entry + [self.lu.kind])
+        self.lu = RingSolver(splu, self._L, ring, 1.0, -dt, log=entry)
+        self.refreshes.append(entry)
         self.since_refresh = 0
 
     def defect(self):
@@ -200,7 +202,6 @@ class _Field:
         """The next step of this field, as accepted by ``accept``."""
         if implicit:
             w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
-            self.refreshes[-1][-1] = self.lu.kind
         else:
             w = self.w + dt * self.q["op"]
         return self._centered(w)
@@ -271,9 +272,7 @@ class _Stepper:
         self.phi = phi
         phi_vals = phi.values_on(grid)
         self.implicit = cfg.scheme == "semi_implicit"
-        perm = (nested_dissection_order(grid.n_radial, grid.n_angular)
-                if self.implicit else None)
-        self.fields = [_Field(u, grid, phi_vals, perm) for u in fields]
+        self.fields = [_Field(u, grid, phi_vals) for u in fields]
         self.t = float(t)
         self.dt = cfg.initial_dt(grid)
         self.dt_cap = _DT_CAP * grid.domain.inradius
@@ -361,7 +360,9 @@ class _Stepper:
         for f, rec in zip(self.fields, self.records):
             converged = f.dev < cfg.tol_speed
             if not converged:
-                message = (f"not converged by max_time = {cfg.max_time} "
+                limit = (f"max_time = {cfg.max_time}" if self.t >= cfg.max_time else
+                         f"max_steps = {cfg.max_steps} at t = {self.t:.6g}")
+                message = (f"not converged by {limit} "
                            f"(speed deviation {f.dev:.3e} > tol {cfg.tol_speed:.1e})")
             elif self.steps == 0:
                 message = "initial state already steady"

@@ -33,6 +33,7 @@ import numpy as np
 
 from .domain import ConvexDomain
 from .errors import GridError, ScenarioError
+from .metrics import inv2
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
 
@@ -93,9 +94,9 @@ class CurvilinearGrid:
         self.X = X
         self.jac = J
         self.jac_det = jac_det
-        self.jac_inv = _inv2(J)
+        self.jac_inv = inv2(J)
         self.sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
-        self.sigma_t_inv = _component_major(_inv2(self.sigma_t))
+        self.sigma_t_inv = _component_major(inv2(self.sigma_t))
         det = self.sigma_t[..., 0, 0] * self.sigma_t[..., 1, 1] - self.sigma_t[..., 0, 1] ** 2
         self.sqrt_det = np.sqrt(det)
 
@@ -145,16 +146,6 @@ class CurvilinearGrid:
 
     def mean(self, values):
         return self.domain_integral(values) / self.area
-
-
-def _inv2(M):
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1] / det
-    out[..., 1, 1] = M[..., 0, 0] / det
-    out[..., 0, 1] = -M[..., 0, 1] / det
-    out[..., 1, 0] = -M[..., 1, 0] / det
-    return out
 
 
 def _component_major(T):

@@ -26,6 +26,17 @@ import numpy as np
 from .errors import ChartDomainError, UnknownMetricError
 
 
+def inv2(M):
+    """The inverse of each 2 x 2 matrix M[..., :, :], by the adjugate."""
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1] / det
+    out[..., 1, 1] = M[..., 0, 0] / det
+    out[..., 0, 1] = -M[..., 0, 1] / det
+    out[..., 1, 0] = -M[..., 1, 0] / det
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class MetricSample:
     """Metric data at a single chart point."""
@@ -48,14 +59,7 @@ class Metric:
         raise NotImplementedError
 
     def sigma_inv(self, points: np.ndarray) -> np.ndarray:
-        sig = self.sigma(points)
-        det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] * sig[..., 1, 0]
-        inv = np.empty_like(sig)
-        inv[..., 0, 0] = sig[..., 1, 1] / det
-        inv[..., 1, 1] = sig[..., 0, 0] / det
-        inv[..., 0, 1] = -sig[..., 0, 1] / det
-        inv[..., 1, 0] = -sig[..., 1, 0] / det
-        return inv
+        return inv2(self.sigma(points))
 
     def christoffel(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError

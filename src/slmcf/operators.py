@@ -24,12 +24,17 @@ straight into CSC data through ``operator_structure``, a per-grid-shape
 cache (int32 ``indptr`` and ``indices``, and a slot map that sums the
 entries several stencil entries hit in a fixed order), so an assembly does
 no index work and no COO to CSC sort.  The same structure gives the graph of
-``nested_dissection_order``, the step and bordered matrices of the flow and
-the translator (``StencilStructure.shifted``), and the per-row entry counts
-of ``RingSolver``.  Matrices built on it share its read-only index arrays
-and keep its exact zeros; ``OrderedLU`` drops those before factoring.
+``nested_dissection_order``, the shifted and bordered matrices of
+``StencilStructure.shifted``, and the per-row entry counts of
+``RingSolver``.  Matrices built on it share its read-only index arrays and
+keep its exact zeros; ``OrderedLU`` drops those before factoring.
 
-Linear solves with the Jacobian go through ``RingSolver``.  Averaging each
+Every linear solve with the Jacobian goes through ``RingSolver``, which owns
+all of it: from L and its ring-averaged stencil it builds the matrix of the
+solve (the flow's I - dt L, or the translator's bordered [[L - eps I, -1],
+[a^T, 0]] with the ring means of a for mode 0), picks the solver, logs which
+one served into the caller's log entry, and gives the componentwise rounding
+floor of a residual (``RingSolver.floor``).  Averaging each
 stencil weight and the ghost sensitivity over s on every ring gives an
 operator that is diagonal in the angular Fourier modes, with one tridiagonal
 system in rho per mode: the half-offset polar grid of the fast disk solvers
@@ -40,8 +45,9 @@ Every ring solution is checked against the real matrix: after at most
 componentwise bound |b - A x|_i <= gamma_i (|A| |x| + |b|)_i, with
 gamma_i = m_i u / (1 - m_i u) for the row's m_i entries and the unit
 roundoff u.  Otherwise the solver escalates to ``OrderedLU``, a sparse LU on
-a nested-dissection order of the grid shape, which then serves every later
-solve on that matrix.
+a nested-dissection order of the grid shape (computed only then, so a run
+that never escalates computes none), which then serves every later solve on
+that matrix.
 """
 
 from __future__ import annotations
@@ -333,35 +339,43 @@ _RING_SWEEPS = 2     # refinement sweeps of a ring solve before it escalates to 
 
 
 class RingSolver:
-    """Solves A x = b for A = alpha I + beta L, or, given ``border`` (the ring
-    means of the border row a), for the bordered [[alpha I + beta L, -1],
-    [a^T, 0]], with L the Jacobian that ``assemble_operator_matrix`` returned
-    together with ``ring``, its ring-averaged stencil.
+    """Solves A x = b for the matrix of one Jacobian solve: A = alpha I + beta L
+    or, given ``border`` (the border row a, one value per node), the bordered
+    A = [[alpha I + beta L, -1], [a^T, 0]].  L is the Jacobian that
+    ``assemble_operator_matrix`` returned together with ``ring``, its
+    ring-averaged stencil, and A is built on L's ``operator_structure``.
 
     Each angular mode k of the ring-averaged operator is tridiagonal in rho:
     the center crossing (-1, j) = (0, j + n_angular/2) folds the inward
     weights into the diagonal as (-1)^k, and the ghost folds into the last
     row as u[-2] + g 2i sin(theta_k) u[-1].  Mode 0 of the bordered matrix,
     singular at alpha = 0, is solved as its own bordered system of n_radial
-    + 1 unknowns.  A solution is returned once it meets the componentwise
-    bound (see the module docstring); else, and for every later solve,
-    ``OrderedLU`` of ``A`` on the order ``p`` with the caller's ``splu``.
-    ``kind`` says which of the two serves: "ring" or "lu".
+    + 1 unknowns, with the ring means of a as its border row.  A solution is
+    returned once it meets the componentwise bound (see the module
+    docstring); else, and for every later solve, ``OrderedLU`` of A with the
+    caller's ``splu`` on the ``nested_dissection_order`` of the grid shape,
+    border index last, computed only then.  ``kind`` says which of the two
+    serves, "ring" or "lu", and is written into ``log``, the caller's log
+    entry (a list): "ring" is appended on construction and becomes "lu"
+    where the solver escalates.
 
-    ``abs`` (|A|) and ``gamma`` (gamma_i per row) are kept for the check,
-    and for callers that judge a residual against A's rounding floor.
+    ``abs`` (|A|, on A's index arrays) and ``gamma`` (gamma_i per row) serve
+    the check and ``floor``.
     """
 
-    def __init__(self, splu, A, p, ring, alpha, beta, border=None):
-        self.A, self.lu = A, None
-        self._splu, self._p = splu, p
-        self.abs = abs(A)
-
+    def __init__(self, splu, L, ring, alpha, beta, border=None, log=None):
         weights, sens = ring
         n_r = weights.shape[1]
-        n_a = (A.shape[0] if border is None else A.shape[0] - 1) // n_r
-        self._shape = (n_r, n_a)
-        counts = operator_structure(n_r, n_a).row_counts
+        n_a = L.shape[0] // n_r
+        st = operator_structure(n_r, n_a)
+        self.A = A = st.shifted(L, alpha, beta, border=border)
+        self.abs = _csc(np.abs(A.data), A.indices, A.indptr)
+        self.lu = None
+        self._splu, self._shape = splu, (n_r, n_a)
+        self.log = [] if log is None else log
+        self.log.append("ring")
+
+        counts = st.row_counts
         if border is not None:
             counts = np.append(counts + 1, n_r * n_a)
         mu = counts * _UNIT_ROUNDOFF
@@ -383,7 +397,7 @@ class RingSolver:
             M0[i[1:], i[:-1]] = sub[1:, 0].real
             M0[i[:-1], i[1:]] = sup[:-1, 0].real
             M0[:n_r, n_r] = -n_a
-            M0[n_r, :n_r] = border
+            M0[n_r, :n_r] = border.reshape(n_r, n_a).mean(axis=1)
             self._mode0 = lu_factor(M0, check_finite=False)
             sub, diag, sup = sub[:, 1:], diag[:, 1:], sup[:, 1:]
         # Thomas elimination, batched over the modes
@@ -434,8 +448,19 @@ class RingSolver:
                     return x
                 if sweep < _RING_SWEEPS:
                     x = x + self._ring_solve(r)
-            self.lu = OrderedLU(self._splu, self.A, self._p)
+            p = nested_dissection_order(*self._shape)
+            if self.A.shape[0] > p.size:
+                p = np.append(p, p.size)        # the border index last
+            self.lu = OrderedLU(self._splu, self.A, p)
+            self.log[-1] = "lu"
         return self.lu.solve(b)
+
+    def floor(self, x):
+        """max_i gamma_i (|A| |x|)_i: gamma_i (|A| |x|)_i bounds the rounding
+        error of (A x)_i (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 3.1), so a residual at x below the largest of them
+        carries no information."""
+        return float(np.max(self.gamma * (self.abs @ np.abs(x))))
 
 
 def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):

@@ -38,7 +38,7 @@ The residual of a non-radial scenario has a rounding floor near tol at fine
 grids (about 1e-9 at 128 x 256), amplified by the O(1/rho^2) center
 coefficients.  A solve stops above tol only where a step on the current LU
 fails to reduce the residual and the residual is at or below the
-componentwise floor max_i gamma_{m_i} (|J| |x|)_i (see ``_factor``); every
+componentwise floor max_i gamma_{m_i} (|J| |x|)_i (``RingSolver.floor``); every
 such stop is recorded.  At the floor a chord step that reduces the residual
 by less than half is kept, since it says nothing about the LU; anywhere else
 a stalled step refactors or raises.
@@ -46,14 +46,14 @@ a stalled step refactors or raises.
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
 backtracking damping that keeps iterates space-like.  Each factorization
-builds an ``operators.RingSolver`` of the bordered matrix: FFT in s on the
-ring-averaged stencil, with angular mode 0 (singular at eps = 0) solved as
-its own bordered system of n_radial + 1 unknowns and the ring mean of a as
-its border row.  A solution is kept only at the componentwise rounding floor
-of the bordered matrix; where the ring solve misses it, the factorization
-escalates to the sparse LU on the flow's nested-dissection order, border
-index last.  ``limit["solvers"]`` logs [eps, "ring" or "lu"] for every
-factorization, the trace's included.  At most one LU is alive at a time.
+hands L, its ring-averaged stencil, eps and the border row a to an
+``operators.RingSolver``, which builds the bordered matrix and solves it:
+FFT in s, with angular mode 0 (singular at eps = 0) solved as its own
+bordered system of n_radial + 1 unknowns, and the sparse LU where the ring
+solve misses the componentwise rounding floor.  The solver writes which of
+the two served into its entry of ``limit["solvers"]``, [eps, "ring" or
+"lu"] per factorization, the trace's included.  At most one LU is alive at
+a time.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ from scipy.sparse.linalg import splu
 from .errors import ContinuationError, NewtonError, ScenarioError, SpacelikeViolationError
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (RingSolver, assemble_operator_matrix, boundary_gradient_data,
-                        contact_ghost, flow_operator, nested_dissection_order,
-                        operator_structure)
+                        contact_ghost, flow_operator)
 
 _MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
 _TOL = 1e-10             # residual max(max|R|, |area-mean(w)|) that ends a solve
@@ -129,15 +128,6 @@ class TranslatorSolution:
                    limit=record.get("limit", {}))
 
 
-def _bordered_matrix(w, eps, grid: CurvilinearGrid, phi_vals):
-    """[[L - eps I, -1], [a^T, 0]] with L the exact Jacobian of F at w, and
-    the ring-averaged stencil of L (see ``assemble_operator_matrix``)."""
-    L, q = assemble_operator_matrix(w, grid, phi_vals)
-    J = operator_structure(*w.shape).shifted(L, -eps, 1.0,
-                                             border=(grid.weights / grid.area).ravel())
-    return J, q["ring"]
-
-
 def _new_factor():
     """The state of a bordered solve: the one live solver ("lu") and the log
     [eps, solver] of every factorization ("log")."""
@@ -145,29 +135,17 @@ def _new_factor():
 
 
 def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
-    """Build the solver of the bordered Jacobian J at (w, eps) into
-    ``factor``, the old one dropped first, and log it.
-
-    Beside the solves, the ``RingSolver`` keeps |J| (``abs``) and, per row
-    i, gamma_i = m_i u / (1 - m_i u) (``gamma``), with m_i the row's entry
-    count and u the unit roundoff: gamma_i (|J| |x|)_i bounds the rounding
-    error of (J x)_i (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 3.1), so the largest of these is the floor below which a
-    residual at x carries no information.
-    """
+    """Build the solver of the bordered Jacobian [[L - eps I, -1], [a^T, 0]]
+    at (w, eps), a = quadrature weights / area, into ``factor``, the old one
+    dropped first; the solver writes its kind into the log entry [eps]."""
     factor["lu"] = None
-    J, ring = _bordered_matrix(w, eps, grid, phi_vals)
-    order = np.append(nested_dissection_order(*w.shape), w.size)   # border last
-    border = (grid.weights / grid.area).mean(axis=1)
-    factor["lu"] = RingSolver(splu, J, order, ring, -eps, 1.0, border=border)
-    factor["log"].append([eps, factor["lu"].kind])
-
-
-def _solve(factor, b):
-    """Solve on the live solver of ``factor`` and log which kind served."""
-    x = factor["lu"].solve(b)
-    factor["log"][-1][1] = factor["lu"].kind
-    return x
+    L, q = assemble_operator_matrix(w, grid, phi_vals)
+    ring = q["ring"]
+    del q                       # the operator fields go before the solver is built
+    entry = [eps]
+    factor["lu"] = RingSolver(splu, L, ring, -eps, 1.0,
+                              border=(grid.weights / grid.area).ravel(), log=entry)
+    factor["log"].append(entry)
 
 
 def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None):
@@ -182,7 +160,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
 
     The solve stops above tol only where a step on the current LU fails to
     reduce the residual and the residual is at or below its rounding floor
-    max_i gamma_i (|J| |[w; c]|)_i (see ``_factor``); each such stop is
+    max_i gamma_i (|J| |[w; c]|)_i (``RingSolver.floor``); each such stop is
     recorded as [eps, residual, floor] in info["floor_stops"].  At the floor
     a chord step that reduces the residual by less than half is kept, and
     Newton stagnation counts as a failure to reduce.
@@ -200,11 +178,6 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
     def norm(R, wv):
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
-    def floor():
-        """The rounding floor of the residual at (w, c), from the current LU's matrix."""
-        x = np.abs(np.append(w.ravel(), c))
-        return float(np.max(factor["lu"].gamma * (factor["lu"].abs @ x)))
-
     factor = _new_factor() if factor is None else factor
     R = residual(w, c)
     norms = [norm(R, w)]
@@ -219,7 +192,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
         if not reused:
             _factor(factor, w, eps, grid, phi_vals)
             info["factorizations"] += 1
-        delta = _solve(factor, -np.append(R.ravel(), grid.mean(w)))
+        delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
         if reused:
@@ -230,7 +203,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
             except SpacelikeViolationError:
                 norm_trial = np.inf
             if norm_trial > 0.5 * norms[-1] and norm_trial > _TOL:
-                bound = floor()
+                bound = factor["lu"].floor(np.append(w.ravel(), c))
                 if norms[-1] > bound:            # a slow step above the floor: refactor
                     factor["lu"] = None
                     continue
@@ -264,7 +237,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
             # stagnation: less than 0.1% total reduction over the last 5 steps
             if len(norms) <= 5 or norms[-1] <= max(_TOL, norms[-6] * (1.0 - 1e-3)):
                 continue
-        bound = floor()
+        bound = factor["lu"].floor(np.append(w.ravel(), c))
         if norms[-1] > bound:
             raise NewtonError(
                 f"Newton {'stagnation' if accepted else 'line search failed'} "
@@ -334,7 +307,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
     _factor(factor, w, 0.0, grid, phi_vals)
-    tangent = _solve(factor, np.append(w.ravel(), 0.0))
+    tangent = factor["lu"].solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
              "chord_steps": info["chord"], "lu_factorizations": info["factorizations"] + 1,

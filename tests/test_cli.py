@@ -309,7 +309,8 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     ("stepper", "dt", "x"), ("stepper", "tol_speed", "x"), ("stepper", "max_time", "x"),
     ("stepper", "delta_space", "x"), ("stepper", "snapshot_interval", "x"),
     ("stepper", "max_steps", "x"), ("stepper", "dense_sample_times", 5),
-    ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2)])
+    ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2),
+    ("stepper", "max_steps", 0)])
 def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):
     config = dict(BASE, **{section: {key: value}})
     with pytest.raises(ScenarioError, match=key):

@@ -56,6 +56,21 @@ def test_smooth_convex_support_curvature():
     assert np.allclose(dom.kappa(s), 1.0 / (h + hpp), atol=1e-10)
 
 
+def test_disk_is_the_circle_bit_for_bit():
+    """A disk is built as the ellipse with equal semi-axes; its curve is the
+    circle center + r (cos s, sin s) and its derivatives, bit for bit."""
+    r, center = 0.7, np.array([0.1, -0.2])
+    curve = build_domain({"kind": "disk", "radius": r, "center": list(center)}, "flat").curve
+    s = np.linspace(-1.0, 7.0, 777)
+    c, sn = np.cos(s), np.sin(s)
+    assert np.array_equal(curve.gamma(s), center + r * np.stack([c, sn], axis=-1))
+    assert np.array_equal(curve.dgamma(s), r * np.stack([-sn, c], axis=-1))
+    assert np.array_equal(curve.d2gamma(s), r * np.stack([-c, -sn], axis=-1))
+    for radius in (0.0, -1.0):
+        with pytest.raises(ScenarioError, match="disk radius must be positive"):
+            build_domain({"kind": "disk", "radius": radius}, "flat")
+
+
 def test_nonconvex_rejected():
     with pytest.raises(NonConvexDomainError):
         build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.2, "k": 4}, "flat")

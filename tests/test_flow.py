@@ -164,7 +164,17 @@ def test_nonconvergence_reported(disk24):
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid,
                              StepperConfig(max_time=0.05, tol_speed=1e-12))
     assert not run.converged
-    assert "not converged" in run.message
+    assert run.message.startswith("not converged by max_time = 0.05 ")
+
+
+def test_max_steps_stop_names_max_steps():
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    run = run_to_convergence(np.zeros((16, 32)), phi, grid, StepperConfig(max_steps=2))
+    assert not run.converged and run.state.step_count == 2
+    assert run.state.t == pytest.approx(0.125) and run.state.t < run.cfg.max_time
+    assert run.message.startswith("not converged by max_steps = 2 at t = 0.125 ")
 
 
 def test_single_step_api(disk24):
@@ -188,6 +198,9 @@ def test_stepper_config_validation():
         StepperConfig(scheme="magic")
     with pytest.raises(Exception):
         StepperConfig(max_time=0.0)
+    for max_steps in (0, -1):
+        with pytest.raises(ScenarioError, match="max_steps"):
+            StepperConfig(max_steps=max_steps)
 
 
 # -- stepping core: step control, LU refresh and the mean split ---------------------
@@ -466,11 +479,13 @@ def test_ordered_factor_fills_less_than_colamd(factored):
 
 
 def test_pair_computes_the_order_once():
+    """The order is computed where a solver first escalates to the LU, and
+    then read from the per-shape cache: one computation for the pair."""
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 32, 64)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     nested_dissection_order.cache_clear()
     pair = run_pair(np.zeros((32, 64)), _bump(grid), phi, grid, StepperConfig(max_time=0.2))
     assert pair.run_a.lu_factorizations > 0 and pair.run_b.lu_factorizations > 0
-    info = nested_dissection_order.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert _lu_entries(pair.run_a) == 0 and _lu_entries(pair.run_b) > 0
+    assert nested_dissection_order.cache_info().misses == 1

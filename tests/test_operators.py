@@ -282,13 +282,14 @@ def _ring_case(case, n_radial):
 
 def _systems(grid, pv, w):
     """(A, p, solver) for I - dt L at three dt and the bordered matrix at eps = 0,
-    0.25, each solver built as the flow and the translator build it."""
+    0.25, each solver built as the flow and the translator build it; p is the
+    order an escalated solver factors on."""
     L, q = assemble_operator_matrix(w, grid, pv)
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
     out = []
     for dt in (1e-3, 0.05, 0.5):
-        A = operator_structure(grid.n_radial, grid.n_angular).shifted(L, 1.0, -dt)
-        out.append((A, p, RingSolver(flow.splu, A, p, q["ring"], 1.0, -dt)))
+        solver = RingSolver(flow.splu, L, q["ring"], 1.0, -dt)
+        out.append((solver.A, p, solver))
     for eps in (0.0, 0.25):
         factor = translator._new_factor()
         translator._factor(factor, w, eps, grid, pv)
@@ -357,16 +358,40 @@ def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
     assert [len(m) for m in made] == [3, 2]
 
 
+@pytest.mark.parametrize("name", ["disk", "zero_flux"])
+def test_ring_solver_owns_abs_floor_and_log(name):
+    """|A| sits on A's own index arrays; ``floor`` is max gamma (|A| |x|) as
+    scipy's abs(A) gives it, bit for bit; the caller's log entry gets the
+    kind, "ring", which becomes "lu" where the solver escalates."""
+    grid, pv, w = _ring_case({**RADIAL, **NON_RADIAL}[name], 16)
+    L, q = assemble_operator_matrix(w, grid, pv)
+    x = np.random.default_rng(3).standard_normal(w.size + 1)
+    a = (grid.weights / grid.area).ravel()
+    for border, n in ((None, w.size), (a, w.size + 1)):
+        entry = [0]
+        solver = RingSolver(splu, L, q["ring"], 1.0, -0.05, border=border, log=entry)
+        A = solver.A
+        assert entry == [0, "ring"] and solver.log is entry
+        assert np.shares_memory(solver.abs.indices, A.indices)
+        assert np.shares_memory(solver.abs.indptr, A.indptr)
+        assert solver.floor(x[:n]) == float(np.max(solver.gamma * (abs(A) @ np.abs(x[:n]))))
+        solver.solve(x[:n])
+        assert entry == [0, solver.kind]
+        assert solver.kind == ("ring" if name == "disk" else "lu")
+
+
 def test_disk_flow_and_translator_call_no_splu(record_splu):
     """The 48 x 96 disk, phi = 0.2 from u = 0, runs to steady translation and to c3
-    on ring solves alone."""
+    on ring solves alone, and computes no elimination order."""
     made = [record_splu(flow), record_splu(translator)]
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 48, 96)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    nested_dissection_order.cache_clear()
     run = flow.run_to_convergence(np.zeros((48, 96)), phi, grid, flow.StepperConfig())
     sol = translator.continuation(translator.ContinuationSchedule(), phi, grid)
     assert run.converged and abs(run.speed_estimate - sol.c3) < 1e-6
     assert {entry[4] for entry in run.lu_refreshes} == {"ring"}
     assert {kind for _, kind in sol.limit["solvers"]} == {"ring"}
     assert made == [[], []]
+    assert nested_dissection_order.cache_info().misses == 0

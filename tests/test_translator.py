@@ -335,6 +335,13 @@ def _curved(domain, n_radial, metric="flat", phi=PHI02):
     return grid, ContactAngle(phi, dom), u
 
 
+def _bordered_matrix(w, grid, pv):
+    """[[L, -1], [a^T, 0]] at w, as the translator's solver builds it."""
+    factor = translator._new_factor()
+    translator._factor(factor, w, 0.0, grid, pv)
+    return factor["lu"].A
+
+
 def _bordered_order(grid):
     """The flow's order of the grid shape, with the border index last."""
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
@@ -353,7 +360,7 @@ def test_bordered_newton_factors_on_the_shape_order(domain, factored):
     continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
     A, kw, _ = factored[0]
     q = _bordered_order(grid)
-    reference = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))[0]
+    reference = _bordered_matrix(u - grid.mean(u), grid, phi.values_on(grid))
     assert kw["permc_spec"] == "NATURAL"
     assert (A != reference[q][:, q]).nnz == 0
 
@@ -361,7 +368,7 @@ def test_bordered_newton_factors_on_the_shape_order(domain, factored):
 def test_ordered_bordered_factor_fills_less_than_colamd(factored):
     grid, phi, u = _curved(DISK, 64)
     continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
-    B = translator._bordered_matrix(u - grid.mean(u), 0.0, grid, phi.values_on(grid))[0]
+    B = _bordered_matrix(u - grid.mean(u), grid, phi.values_on(grid))
     assert factored[0][2].nnz < splu(B).nnz
 
 
@@ -378,7 +385,7 @@ def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
     grid, phi, u = _curved(domain, 32, metric, phi)
     w = u - grid.mean(u)
     pv = phi.values_on(grid)
-    B, _ = translator._bordered_matrix(w, 0.0, grid, pv)
+    B = _bordered_matrix(w, grid, pv)
     R = flow_operator(w, grid, pv)
     b = -np.append(R - grid.mean(R), grid.mean(w))
     expected = splu(B).solve(b)
