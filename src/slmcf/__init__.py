@@ -15,7 +15,7 @@ from .errors import (CheckPreconditionError, ContinuationError, GridError,
                      SlmcfError, SpacelikeBoundaryError, SpacelikeViolationError,
                      StepSizeUnderflowError, UnknownMetricError)
 from .flow import (FlowRun, FlowState, PairRun, StepperConfig, run_pair,
-                   run_to_convergence, step)
+                   run_to_convergence)
 from .geometry import (EVO_DU_CONVENTIONS, GraphGeometry, covariant_hessian,
                        evo_du_rhs, evo_du_time_residual, graph_geometry,
                        graph_geometry_from_components, mean_curvature_field)

@@ -11,8 +11,8 @@ Two schemes share the spatial operator from :mod:`slmcf.operators`:
 - ``explicit``: forward Euler under a CFL bound, kept for debugging and
   cross-checks at small sizes (the center rings make it severely stiff).
 
-One stepping core serves ``run_to_convergence``, ``run_pair`` (two fields
-in lockstep on one time grid) and ``step``:
+One stepping core serves ``run_to_convergence`` and ``run_pair`` (two
+fields in lockstep on one time grid):
 
 - Step control.  A step is rejected and dt halved whenever the update would
   push sup |Du|^2 above 1 - delta_space or break the boundary closure;
@@ -67,13 +67,15 @@ exactly as a single run of its field.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
-from .geometry import mean_curvature_field
+# unused here: perfbench/spans.py wraps this name on this module to time curvature
+from .geometry import mean_curvature_field  # noqa: F401
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import RingSolver, explicit_stable_dt, flow_operator, linearized_affine
 
@@ -111,6 +113,8 @@ class StepperConfig:
             raise ScenarioError("max_time must be positive")
         if self.max_steps < 1:
             raise ScenarioError("max_steps must be at least 1")
+        if self.snapshot_interval < 1:
+            raise ScenarioError("snapshot_interval must be at least 1")
 
     def initial_dt(self, grid: CurvilinearGrid) -> float:
         if self.dt is not None:
@@ -123,32 +127,69 @@ class StepperConfig:
 class FlowState:
     u: np.ndarray
     t: float
-    u_t: np.ndarray
-    sup_du2: float      # running max over the whole run
-    sup_ut: float       # running max over the whole run
-    H_field: np.ndarray
     step_count: int
+
+
+# FlowRun fields the stepper records and the manifest's "final" block holds by name
+_RECORDED = ("converged", "message", "rejected", "lu_refreshes", "dt_min", "dt_max",
+             "speed_estimate", "max_H_final")
 
 
 @dataclasses.dataclass
 class FlowRun:
+    """A flow run as its run directory stores it: the stored data (u of the
+    final state is the last snapshot) and the scalars the stepper records.
+    Everything else is a property, computed alike for a run just computed and
+    for one loaded by ``runio.load_run``, so the two are equal."""
+
     grid: CurvilinearGrid
     phi: ContactAngle
     cfg: StepperConfig
     state: FlowState
     converged: bool
-    speed_estimate: float
+    speed_estimate: float       # area mean of the stepper's final u_t
     series: dict
     energy: dict
     snapshots: list
     dense: dict
-    monitor_c0: float
     message: str
     rejected: int               # rejected step attempts
-    lu_factorizations: int      # refreshes of this field's step solver, ring or LU
-    lu_refreshes: list | None   # [step, t, dt, reason, solver] per refresh (None: not recorded)
+    lu_refreshes: list          # [step, t, dt, reason, solver] per refresh of the step solver
     dt_min: float | None        # smallest and largest accepted dt (None: no step)
     dt_max: float | None
+    max_H_final: float          # max |H| of the stepper's final operator evaluation
+
+    # derived: computed alike in memory and on disk
+    sup_du2 = property(lambda self: float(np.max(self.series["sup_du2"])))
+    sup_ut = property(lambda self: float(np.max(self.series["sup_ut"])))
+    monitor_c0 = property(lambda self: float(self.series["sup_ut"][0]) ** 2)  # at t = 0
+    lu_factorizations = property(lambda self: len(self.lu_refreshes))
+    u_t = property(lambda self: self._final_fields[0])
+    H_field = property(lambda self: self._final_fields[1])
+
+    @functools.cached_property
+    def _final_fields(self):
+        """(u_t, H = u_t / v): the operator at the final u."""
+        q = flow_operator(self.state.u, self.grid, self.phi.values_on(self.grid),
+                          with_fields=True)
+        return q["op"], q["op"] / q["v"]
+
+    def to_record(self, monitor: dict) -> dict:
+        """The manifest's ``final`` block: the recorded scalars, derived maxima
+        and ``monitor``, the monitor constants of the scenario's u0."""
+        derived = ("lu_factorizations", "sup_du2", "sup_ut")
+        return {**{k: getattr(self, k) for k in _RECORDED + derived},
+                "t_final": self.state.t, "steps": self.state.step_count,
+                "monitor": monitor, "h": self.grid.h, "delta_space": self.cfg.delta_space}
+
+    @classmethod
+    def from_record(cls, record: dict, grid: CurvilinearGrid, phi: ContactAngle,
+                    cfg: StepperConfig, series, energy, snapshots, dense) -> FlowRun:
+        """Inverse of ``to_record``; the rest are the data stored beside it."""
+        state = FlowState(u=snapshots[-1][1], t=record["t_final"],
+                          step_count=record["steps"])
+        return cls(grid=grid, phi=phi, cfg=cfg, state=state, series=series, energy=energy,
+                   snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
 
 
 class _Field:
@@ -225,7 +266,7 @@ class _Record:
         self.snapshots = []
         self.dense = {}
         self._targets = sorted(float(tau) for tau in cfg.dense_sample_times)
-        self._snap_every = max(1, cfg.snapshot_interval) * cfg.initial_dt(field.grid)
+        self._snap_every = cfg.snapshot_interval * cfg.initial_dt(field.grid)
         self._snap_index = 0
         self._pending = None    # (tau, left, middle) of a triplet awaiting its right end
         self.last = None        # (t, u) of the latest record
@@ -266,14 +307,14 @@ class _Stepper:
     """Accept/reject loop, step-size control, LU refresh and one ``_Record`` for
     each of the fields it steps in lockstep."""
 
-    def __init__(self, fields, grid, phi, cfg: StepperConfig, t=0.0):
+    def __init__(self, fields, grid, phi, cfg: StepperConfig):
         self.cfg = cfg
         self.grid = grid
         self.phi = phi
         phi_vals = phi.values_on(grid)
         self.implicit = cfg.scheme == "semi_implicit"
         self.fields = [_Field(u, grid, phi_vals) for u in fields]
-        self.t = float(t)
+        self.t = 0.0
         self.dt = cfg.initial_dt(grid)
         self.dt_cap = _DT_CAP * grid.domain.inradius
         self.grow = cfg.dt is None and self.implicit
@@ -371,32 +412,17 @@ class _Stepper:
             snapshots = rec.snapshots
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
-            series = {k: np.asarray(v) for k, v in rec.series.items()}
-            state = FlowState(u=f.u, t=self.t, u_t=f.q["op"],
-                              sup_du2=float(np.max(series["sup_du2"])),
-                              sup_ut=float(np.max(series["sup_ut"])),
-                              H_field=mean_curvature_field(f.w, self.grid, f.q["ghost"]),
-                              step_count=self.steps)
-            runs.append(FlowRun(
-                grid=self.grid, phi=self.phi, cfg=cfg, state=state, converged=converged,
-                speed_estimate=f.speed, series=series,
+            record = {"converged": converged, "message": message, "t_final": self.t,
+                      "steps": self.steps, "rejected": self.rejected,
+                      "lu_refreshes": f.refreshes, "dt_min": self.dt_min,
+                      "dt_max": self.dt_max, "speed_estimate": f.speed,
+                      "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
+            runs.append(FlowRun.from_record(
+                record, self.grid, self.phi, cfg,
+                series={k: np.asarray(v) for k, v in rec.series.items()},
                 energy={k: np.asarray(v) for k, v in rec.energy.items()},
-                snapshots=snapshots, dense=rec.dense, monitor_c0=rec.series["sup_ut"][0] ** 2,
-                message=message, rejected=self.rejected,
-                lu_factorizations=len(f.refreshes), lu_refreshes=f.refreshes,
-                dt_min=self.dt_min, dt_max=self.dt_max))
+                snapshots=snapshots, dense=rec.dense))
         return runs
-
-
-def step(state: FlowState, cfg: StepperConfig, grid: CurvilinearGrid,
-         phi: ContactAngle) -> FlowState:
-    """Advance one accepted step from ``state`` (standalone convenience API)."""
-    stepper = _Stepper([state.u], grid, phi, cfg, t=state.t)
-    stepper.advance()
-    new = stepper.runs()[0].state
-    return dataclasses.replace(new, step_count=state.step_count + 1,
-                               sup_du2=max(state.sup_du2, new.sup_du2),
-                               sup_ut=max(state.sup_ut, new.sup_ut))
 
 
 def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,

@@ -92,7 +92,6 @@ class CurvilinearGrid:
         gam_chart = self.metric.christoffel(X)
 
         self.X = X
-        self.jac = J
         self.jac_det = jac_det
         self.jac_inv = inv2(J)
         self.sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
@@ -189,12 +188,6 @@ class GridFunction:
         """Sample a computational-coordinate callable fn(rho, s)."""
         R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
         return cls(fn(R, S), grid)
-
-    def copy(self):
-        return GridFunction(self.values.copy(), self.grid)
-
-    def mean(self):
-        return self.grid.mean(self.values)
 
     def __add__(self, other):
         other = other.values if isinstance(other, GridFunction) else other

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import pathlib
 import typing
@@ -40,11 +41,10 @@ import numpy as np
 from . import __version__
 from .domain import build_domain
 from .errors import ScenarioError
-from .flow import FlowRun, FlowState, StepperConfig
+from .flow import FlowRun, StepperConfig
 from .geometry import gradient_fields
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric
-from .operators import flow_operator
 from .translator import ContinuationSchedule, TranslatorSolution
 from .verify import monitor_constants
 
@@ -68,8 +68,6 @@ def scenario_core_hash(config: dict) -> str:
 @dataclasses.dataclass
 class Scenario:
     config: dict
-    metric: object
-    domain: object
     grid: CurvilinearGrid
     phi: ContactAngle
     u0: GridFunction
@@ -153,10 +151,22 @@ def _from_section(section, build, *args, **kwargs):
                             f"{type(err).__name__}: {err}") from err
 
 
+def _non_finite_keys(node, key=""):
+    """The dotted keys of the NaN and infinite numbers in a JSON value."""
+    if isinstance(node, (dict, list, tuple)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [k for i, v in items for k in _non_finite_keys(v, f"{key}.{i}".lstrip("."))]
+    return [key] if isinstance(node, float) and not math.isfinite(node) else []
+
+
 def load_scenario(config: dict) -> Scenario:
     """Validate a config dict and build all runtime objects."""
     if not isinstance(config, dict):
         raise ScenarioError("scenario config must be a JSON object")
+    # json reads NaN and Infinity, which no setting admits and canonical_json refuses
+    keys = _non_finite_keys(config)
+    if keys:
+        raise ScenarioError(f"scenario holds NaN or Infinity at {', '.join(keys)}")
     for key in ("metric", "domain", "phi", "grid"):
         if key not in config:
             raise ScenarioError(f"scenario missing required section '{key}'")
@@ -191,8 +201,8 @@ def load_scenario(config: dict) -> Scenario:
     continuation = _solver_config(ContinuationSchedule, "continuation",
                                   config.get("continuation", {}))
 
-    return Scenario(config=config, metric=metric, domain=domain, grid=grid,
-                    phi=phi, u0=u0, stepper=stepper, continuation=continuation)
+    return Scenario(config=config, grid=grid, phi=phi, u0=u0, stepper=stepper,
+                    continuation=continuation)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -400,27 +410,9 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
         write_field_csv(outdir / rel, run.grid, u, {**header, "time": t, **extra})
 
     mc = monitor_constants(scenario.u0, run.phi, run.grid, c0=run.monitor_c0)
-    final = {
-        "converged": run.converged,
-        "message": run.message,
-        "t_final": run.state.t,
-        "steps": run.state.step_count,
-        "rejected": run.rejected,
-        "lu_factorizations": run.lu_factorizations,
-        "lu_refreshes": run.lu_refreshes,
-        "dt_min": run.dt_min,
-        "dt_max": run.dt_max,
-        "speed_estimate": run.speed_estimate,
-        "sup_du2": run.state.sup_du2,
-        "sup_ut": run.state.sup_ut,
-        "max_H_final": float(np.max(np.abs(run.state.H_field))),
-        "monitor": mc.as_dict(),
-        "h": run.grid.h,
-        "delta_space": run.cfg.delta_space,
-    }
     files = {"series": "series.csv", "energy": "energy.csv",
              "snapshots": snap_files, "dense": dense_files}
-    return _save(outdir, scenario, "flow", files, seconds, final)
+    return _save(outdir, scenario, "flow", files, seconds, run.to_record(mc.as_dict()))
 
 
 def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSolution,
@@ -438,55 +430,41 @@ def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSol
 
 
 def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
-    """The FlowRun saved in ``run_dir``.
-
-    The final state's u is the last snapshot; u_t and H_field = u_t / v,
-    which are not on disk, are recomputed from it by one operator evaluation.
-    """
+    """The FlowRun saved in ``run_dir``."""
     run_dir = pathlib.Path(run_dir)
-    files, final = manifest["files"], manifest["final"]
-    grid, phi = scenario.grid, scenario.phi
+    files = manifest["files"]
 
     def table(rel):
         _, cols, data = read_csv(run_dir / rel)
         return {c: data[:, k] for k, c in enumerate(cols)}
 
     def field(rel):
-        header, values = read_field_csv(run_dir / rel, grid)
+        header, values = read_field_csv(run_dir / rel, scenario.grid)
         return header, (float(header["time"]), values)
 
     snapshots = [field(rel)[1] for rel in files["snapshots"]]
     if not snapshots:
         raise ScenarioError(f"flow run {run_dir} lists no snapshots")
-    dense_files = files.get("dense", [])
+    dense_files = files["dense"]
     if len(dense_files) % 3:
         raise ScenarioError(f"flow run {run_dir} lists {len(dense_files)} dense files, "
                             f"not a whole number of triplets")
     dense = {}
     for k in range(0, len(dense_files), 3):
         headers, triplet = zip(*map(field, dense_files[k:k + 3]))
-        taus = {h.get("tau") for h in headers}
-        if None in taus:
+        if not all("tau" in h for h in headers):
             raise ScenarioError(f"a dense file of {run_dir} has no tau header "
                                 f"({', '.join(dense_files[k:k + 3])})")
+        taus = {h["tau"] for h in headers}
         if len(taus) != 1:
             raise ScenarioError(f"dense triplet {', '.join(dense_files[k:k + 3])} of "
                                 f"{run_dir} records more than one tau")
         dense[float(taus.pop())] = triplet
 
-    u = snapshots[-1][1]
-    q = flow_operator(u, grid, phi.values_on(grid), with_fields=True)
-    state = FlowState(u=u, t=final["t_final"], u_t=q["op"],
-                      sup_du2=final["sup_du2"], sup_ut=final["sup_ut"],
-                      H_field=q["op"] / q["v"], step_count=final["steps"])
-    return FlowRun(grid=grid, phi=phi, cfg=scenario.stepper, state=state,
-                   converged=final["converged"], speed_estimate=final["speed_estimate"],
-                   series=table(files["series"]), energy=table(files["energy"]),
-                   snapshots=snapshots, dense=dense, monitor_c0=final["monitor"]["c0"],
-                   message=final["message"], rejected=final.get("rejected"),
-                   lu_factorizations=final.get("lu_factorizations"),
-                   lu_refreshes=final.get("lu_refreshes"),
-                   dt_min=final.get("dt_min"), dt_max=final.get("dt_max"))
+    return FlowRun.from_record(manifest["final"], scenario.grid, scenario.phi,
+                               scenario.stepper, series=table(files["series"]),
+                               energy=table(files["energy"]), snapshots=snapshots,
+                               dense=dense)
 
 
 def load_translator_solution(run_dir, manifest: dict,

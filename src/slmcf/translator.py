@@ -125,7 +125,7 @@ class TranslatorSolution:
                    eps_trace_mean=[tuple(p) for p in record["eps_trace_mean"]],
                    residuals=record["residuals"], grid_shape=tuple(record["grid"]),
                    newton_iterations=record["newton_iterations"],
-                   limit=record.get("limit", {}))
+                   limit=record["limit"])
 
 
 def _new_factor():

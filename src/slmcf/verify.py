@@ -180,7 +180,7 @@ def check_translator_agreement(run, solution, h) -> CheckReport:
     profile_gap = float(np.max(np.abs(aligned)))
 
     c8 = max(float(np.max(np.abs(u - c3 * t))) for t, u in run.snapshots)
-    late_rate = float(np.max(np.abs(run.state.u_t - c3)))
+    late_rate = float(np.max(np.abs(run.u_t - c3)))
     drift_bounded = late_rate <= max(1e-3, 1e-2 * c8)
 
     passed = speed_gap < tol_speed and profile_gap < 1e-3 and drift_bounded
@@ -205,7 +205,7 @@ def check_maximal_limit(run, phi: ContactAngle, h, skip_initial=3,
         raise CheckPreconditionError(
             f"maximal-limit check requires zero total contact angle, "
             f"got integral {phi.boundary_integral:.3e}")
-    H_max = float(np.max(np.abs(run.state.H_field)))
+    H_max = float(np.max(np.abs(run.H_field)))
     t = np.asarray(run.energy["t"])
     res = np.abs(np.asarray(run.energy["residual"]))
     dts = np.diff(t)

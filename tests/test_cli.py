@@ -5,8 +5,9 @@ import pytest
 
 from slmcf.cli import cmd_flow, cmd_sweep, cmd_translator, cmd_verify, main
 from slmcf.errors import ScenarioError
-from slmcf.runio import (load_scenario, read_csv, read_field_csv, scenario_core_hash,
-                         scenario_hash, validate_manifest, write_field_csv)
+from slmcf.runio import (load_run, load_scenario, read_csv, read_field_csv,
+                         scenario_core_hash, scenario_hash, validate_manifest,
+                         write_field_csv)
 
 BASE = {
     "name": "disk_small",
@@ -310,7 +311,9 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     ("stepper", "delta_space", "x"), ("stepper", "snapshot_interval", "x"),
     ("stepper", "max_steps", "x"), ("stepper", "dense_sample_times", 5),
     ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2),
-    ("stepper", "max_steps", 0)])
+    ("stepper", "max_steps", 0), ("stepper", "dt", float("inf")),
+    ("stepper", "max_time", float("nan")), ("stepper", "tol_speed", float("nan")),
+    ("stepper", "snapshot_interval", 0)])
 def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):
     config = dict(BASE, **{section: {key: value}})
     with pytest.raises(ScenarioError, match=key):
@@ -365,6 +368,28 @@ def test_malformed_run_directory_exits_2(tmp_path):
     del manifest["final"]
     (tmp_path / "flow" / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", str(tmp_path / "flow")]) == 2
+
+
+@pytest.mark.parametrize("key", ["rejected", "lu_refreshes", "dt_min", "dt_max",
+                                 "max_H_final"])
+def test_flow_manifest_without_a_recorded_key_exits_2(tmp_path, key):
+    cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
+    manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
+    del manifest["final"][key]
+    (tmp_path / "flow" / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ScenarioError, match=key):
+        load_run(tmp_path / "flow")
+    assert main(["verify", str(tmp_path / "flow")]) == 2
+
+
+def test_translator_result_without_limit_exits_2(tmp_path):
+    cmd_translator(_write(tmp_path, BASE), tmp_path / "tr")
+    result = json.loads((tmp_path / "tr" / "result.json").read_text())
+    del result["limit"]
+    (tmp_path / "tr" / "result.json").write_text(json.dumps(result))
+    with pytest.raises(ScenarioError, match="limit"):
+        load_run(tmp_path / "tr")
+    assert main(["verify", str(tmp_path / "tr")]) == 2
 
 
 def test_sweep_spec_of_non_objects_exits_2(tmp_path):
