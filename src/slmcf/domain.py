@@ -32,7 +32,7 @@ import dataclasses
 import numpy as np
 
 from .errors import NonConvexDomainError, ScenarioError
-from .metrics import Metric, get_metric
+from .metrics import INDEX_PAIRS, Metric, einsum_sum, get_metric
 
 
 class BoundaryCurve:
@@ -172,7 +172,7 @@ class ConvexDomain:
         g = self.curve.gamma(s)
         dg = self.curve.dgamma(s)
         sig = self.metric.sigma(g)
-        w = np.sqrt(np.einsum("...i,...ij,...j->...", dg, sig, dg))
+        w = np.sqrt(_pair(dg, sig, dg))
         T = dg / w[..., None]
         N = -_rotate90(self.metric, g, T)
         return T, N, w
@@ -181,7 +181,7 @@ class ConvexDomain:
         """Geodesic curvature of the boundary at parameters s: <nabla_T T, N>_sigma."""
         _, N, _ = self.frame(s)
         sig = self.metric.sigma(self.curve.gamma(s))
-        return np.einsum("...i,...ij,...j->...", self.nabla_T_T(s), sig, N)
+        return _pair(self.nabla_T_T(s), sig, N)
 
     def nabla_T_T(self, s):
         """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
@@ -194,16 +194,18 @@ class ConvexDomain:
         T, _, w = self.frame(s)
         # d sigma_ij / ds along the curve from metric compatibility
         # d_k sigma_ij = sigma_lj Gamma^l_{ki} + sigma_il Gamma^l_{kj}
-        dsig_ds = np.einsum("...lj,...lki,...k->...ij", sig, gam, dg) + np.einsum(
-            "...il,...lkj,...k->...ij", sig, gam, dg
-        )
-        dw2 = np.einsum("...ij,...i,...j->...", dsig_ds, dg, dg) + 2.0 * np.einsum(
-            "...ij,...i,...j->...", sig, d2g, dg
-        )
+        dsig_ds = np.empty_like(sig)
+        for i, j in INDEX_PAIRS:
+            dsig_ds[..., i, j] = (
+                einsum_sum(sig[..., l, j] * gam[..., l, k, i] * dg[..., k] for l, k in INDEX_PAIRS)
+                + einsum_sum(sig[..., i, l] * gam[..., l, k, j] * dg[..., k]
+                             for l, k in INDEX_PAIRS))
+        dw2 = _pair(dg, dsig_ds, dg) + 2.0 * _pair(d2g, sig, dg)
         dw = 0.5 * dw2 / w
         dT = d2g / w[..., None] - dg * (dw / w ** 2)[..., None]
         # nabla_{gamma'} T, then normalize by w to get nabla_T T
-        covT = dT + np.einsum("...kij,...i,...j->...k", gam, dg, T)
+        covT = dT + np.stack([einsum_sum(gam[..., k, i, j] * dg[..., i] * T[..., j]
+                                         for i, j in INDEX_PAIRS) for k in range(2)], axis=-1)
         return covT / w[..., None]
 
     # -- collar ------------------------------------------------------------
@@ -260,12 +262,17 @@ class ConvexDomain:
         return T, N, d
 
 
+def _pair(u, sig, v):
+    """u^i sig_ij v^j at each point, as np.einsum("...i,...ij,...j->...") gives it."""
+    return einsum_sum(u[..., i] * sig[..., i, j] * v[..., j] for i, j in INDEX_PAIRS)
+
+
 def _rotate90(metric, points, V):
     """Rotation by +90 degrees w.r.t. sigma: (JV)^k = eps^{kl} sigma_lm V^m / sqrt(det sigma)."""
     sig = metric.sigma(points)
     det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2
-    low = np.einsum("...lm,...m->...l", sig, V)
-    out = np.stack([low[..., 1], -low[..., 0]], axis=-1)
+    low = [einsum_sum(sig[..., l, m] * V[..., m] for m in range(2)) for l in range(2)]
+    out = np.stack([low[1], -low[0]], axis=-1)
     return out / np.sqrt(det)[..., None]
 
 
@@ -344,7 +351,6 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
     else:
         c = domain.curve.center
         sig = metric.sigma(g)
-        domain.inradius = float(np.min(np.sqrt(
-            np.einsum("...i,...ij,...j->...", g - c, sig, g - c))))
+        domain.inradius = float(np.min(np.sqrt(_pair(g - c, sig, g - c))))
     domain.collar_depth = min(0.2 * domain.inradius, 0.5 / domain.kappa_max)
     return domain

@@ -15,6 +15,11 @@ stencils downstream act on the uniform computational grid with these
 coefficients, which keeps every covariant operation a plain centered
 difference plus analytic data.
 
+The pullback is computed in 2 x 2 components, each contraction written out
+term by term in the order np.einsum sums it, so sigma~, its inverse,
+Gamma~ and the inverse Jacobian are bit-identical to the tensor formulas
+in the comments without their per-element loops.
+
 ``sigma_t_inv`` and ``gamma_t`` are indexed [..., a, b] and [..., c, a, b]
 like the other tensors, but stored component-major: each component
 ``S[..., a, b]`` is a contiguous (n_radial, n_angular) array, which is how
@@ -33,7 +38,7 @@ import numpy as np
 
 from .domain import ConvexDomain
 from .errors import GridError, ScenarioError
-from .metrics import inv2
+from .metrics import INDEX_PAIRS, einsum_sum, inv2
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
 
@@ -93,19 +98,27 @@ class CurvilinearGrid:
 
         self.X = X
         self.jac_det = jac_det
-        self.jac_inv = inv2(J)
-        self.sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
+        self.jac_inv = B = inv2(J)
+        # sigma~_ab = J^i_a sigma_ij J^j_b
+        self.sigma_t = np.empty_like(J)
+        for a, b in INDEX_PAIRS:
+            self.sigma_t[..., a, b] = einsum_sum(J[..., i, a] * sig[..., i, j] * J[..., j, b]
+                                                 for i, j in INDEX_PAIRS)
         self.sigma_t_inv = _component_major(inv2(self.sigma_t))
         det = self.sigma_t[..., 0, 0] * self.sigma_t[..., 1, 1] - self.sigma_t[..., 0, 1] ** 2
         self.sqrt_det = np.sqrt(det)
 
         # Gamma~^c_{ab} = B^c_k ( x^k_{,ab} + Gamma^k_{ij} J^i_a J^j_b )
-        d2x = np.zeros(X.shape[:-1] + (2, 2, 2))  # index [..., k, a, b]
-        d2x[..., :, 0, 1] = x_rs
-        d2x[..., :, 1, 0] = x_rs
-        d2x[..., :, 1, 1] = x_ss
-        inner = d2x + np.einsum("...kij,...ia,...jb->...kab", gam_chart, J, J)
-        self.gamma_t = _component_major(np.einsum("...ck,...kab->...cab", self.jac_inv, inner))
+        # x^k_{,ab}, indexed [..., k]
+        d2x = {(0, 0): np.zeros_like(X), (0, 1): x_rs, (1, 0): x_rs, (1, 1): x_ss}
+        inner = {(k, a, b): d2x[a, b][..., k] + einsum_sum(
+                     gam_chart[..., k, i, j] * J[..., i, a] * J[..., j, b] for i, j in INDEX_PAIRS)
+                 for k in range(2) for a, b in INDEX_PAIRS}
+        gamma_t = np.empty((2, 2, 2) + jac_det.shape)
+        for c in range(2):
+            for a, b in INDEX_PAIRS:
+                gamma_t[c, a, b] = einsum_sum(B[..., c, k] * inner[k, a, b] for k in range(2))
+        self.gamma_t = np.moveaxis(gamma_t, (3, 4), (0, 1))
         self.gauss = self.metric.gauss_curvature(X)
 
         # quadrature weights: midpoint cells, half cell on the boundary ring

@@ -22,19 +22,21 @@ can be validated against its files.
 
 CSV conventions: UTF-8, comma delimiter, "." decimal point, float cells in
 repr (shortest round-trip) form; identical configs produce byte-identical
-files.
+files.  The "i,j,rho,s,x1,x2," start of the field-file rows is one table per
+grid content (the bytes of rho, s and X), shared by every grid built alike and
+kept in a bounded cache that holds no grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import numbers
 import pathlib
 import typing
-import weakref
 
 import numpy as np
 
@@ -283,19 +285,19 @@ def write_energy_csv(path, run, header):
               "int u_t^2/v, per-step identity residual"})
 
 
-# The "i,j,rho,s,x1,x2," start of every field-file row, per grid.  Weak keys:
-# the cache does not keep a grid alive.
-_NODE_COLUMNS = weakref.WeakKeyDictionary()
-
-
 def _node_columns(grid: CurvilinearGrid):
-    cells = _NODE_COLUMNS.get(grid)
-    if cells is None:
-        rho, s, X = grid.rho.tolist(), grid.s.tolist(), grid.X.tolist()
-        cells = [f"{i},{j},{rho[i]!r},{s[j]!r},{X[i][j][0]!r},{X[i][j][1]!r},"
-                 for i in range(grid.n_radial) for j in range(grid.n_angular)]
-        _NODE_COLUMNS[grid] = cells
-    return cells
+    """The "i,j,rho,s,x1,x2," start of every field-file row of ``grid``."""
+    return _node_table(grid.rho.tobytes(), grid.s.tobytes(), grid.X.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _node_table(rho, s, X):
+    """The row starts of a grid by the bytes of its rho, s and X: grids built
+    alike share one table, and the cache holds no grid."""
+    rho, s = ([repr(x) for x in np.frombuffer(b).tolist()] for b in (rho, s))
+    x = [repr(v) for v in np.frombuffer(X).tolist()]   # x1, x2 of each node in turn
+    heads = [f"{i},{j},{r},{sj}," for i, r in enumerate(rho) for j, sj in enumerate(s)]
+    return tuple(f"{h}{x1},{x2}," for h, x1, x2 in zip(heads, x[0::2], x[1::2]))
 
 
 def write_field_csv(path, grid: CurvilinearGrid, values, header):

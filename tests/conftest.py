@@ -4,6 +4,7 @@ from scipy.sparse.linalg import splu
 
 from slmcf.domain import build_domain
 from slmcf.grid import ContactAngle, build_grid
+from slmcf.metrics import Metric
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,33 @@ def cap_grid(sphere_cap):
 @pytest.fixture(scope="session")
 def phi02(unit_disk):
     return ContactAngle({"kind": "constant", "value": 0.2}, unit_disk)
+
+
+class SkewMetric(Metric):
+    """A cartesian metric with no zero component, so that the order in which a
+    contraction sums its terms shows in the last bits (not a real surface: the
+    Christoffel symbols are not those of sigma)."""
+
+    metric_id = "skew"
+    chart = "cartesian"
+
+    def sigma(self, points):
+        x, y = points[..., 0], points[..., 1]
+        off = 0.2 * np.sin(x + 2 * y)
+        return np.stack([np.stack([1.3 + x * x, off], -1), np.stack([off, 0.7 + y * y], -1)], -2)
+
+    def christoffel(self, points):
+        x, y = points[..., 0], points[..., 1]
+        return np.stack([np.cos(k + 0.3 * x - 0.7 * y) for k in range(8)], -1).reshape(
+            points.shape[:-1] + (2, 2, 2))
+
+    def gauss_curvature(self, points):
+        return np.ones(points.shape[:-1])
+
+
+@pytest.fixture(scope="session")
+def skew_metric():
+    return SkewMetric()
 
 
 def chart_radius(grid):

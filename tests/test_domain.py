@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,49 @@ def test_distance_field(unit_disk, ellipse21, sphere_cap):
 def test_collar_depth_positive(unit_disk, ellipse21, sphere_cap):
     for dom in (unit_disk, ellipse21, sphere_cap):
         assert 0 < dom.collar_depth <= 0.2 * dom.inradius + 1e-12
+
+
+def _tensor_frame(dom, s):
+    """T, N, w, nabla_T T and kappa at s by the einsum formulas."""
+    g, dg, d2g = dom.curve.gamma(s), dom.curve.dgamma(s), dom.curve.d2gamma(s)
+    sig, gam = dom.metric.sigma(g), dom.metric.christoffel(g)
+    w = np.sqrt(np.einsum("...i,...ij,...j->...", dg, sig, dg))
+    T = dg / w[..., None]
+    low = np.einsum("...lm,...m->...l", sig, T)
+    det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2
+    N = -(np.stack([low[..., 1], -low[..., 0]], axis=-1) / np.sqrt(det)[..., None])
+    dsig_ds = (np.einsum("...lj,...lki,...k->...ij", sig, gam, dg)
+               + np.einsum("...il,...lkj,...k->...ij", sig, gam, dg))
+    dw2 = (np.einsum("...ij,...i,...j->...", dsig_ds, dg, dg)
+           + 2.0 * np.einsum("...ij,...i,...j->...", sig, d2g, dg))
+    dw = 0.5 * dw2 / w
+    dT = d2g / w[..., None] - dg * (dw / w ** 2)[..., None]
+    nTT = (dT + np.einsum("...kij,...i,...j->...k", gam, dg, T)) / w[..., None]
+    return T, N, w, nTT, np.einsum("...i,...ij,...j->...", nTT, sig, N)
+
+
+@pytest.mark.parametrize("spec,metric", [
+    ({"kind": "disk", "radius": 1.0}, "flat"), ({"kind": "ellipse", "a": 1.5, "b": 1.0}, "flat"),
+    ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat"),
+    ({"kind": "chart_circle", "r0": 0.8}, "sphere"), ({"kind": "chart_circle", "r0": 1.0}, "dome"),
+    ("skew", None)])
+def test_frame_is_bit_identical_to_the_tensor_formulas(spec, metric, skew_metric):
+    s = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    if spec == "skew":   # every summation order differs in the last bits here
+        dom = dataclasses.replace(build_domain({"kind": "ellipse", "a": 1.5, "b": 1.0}),
+                                  metric=skew_metric)
+    else:
+        dom = build_domain(spec, metric)
+    T, N, w, nTT, kappa = _tensor_frame(dom, s)
+    got = dom.frame(s) + (dom.nabla_T_T(s), dom.kappa(s))
+    for name, a, b in zip(("T", "N", "w", "nabla_T_T", "kappa"), got, (T, N, w, nTT, kappa)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    if spec == "skew":
+        return
+    assert (dom.kappa0, dom.kappa_max) == (np.min(kappa), np.max(kappa))
+    if dom.curve.kind != "chart_circle":
+        g, c = dom.curve.gamma(s), dom.curve.center
+        sig = dom.metric.sigma(g)
+        assert dom.inradius == np.min(np.sqrt(np.einsum("...i,...ij,...j->...", g - c, sig,
+                                                        g - c)))
+    assert dom.collar_depth == min(0.2 * dom.inradius, 0.5 / dom.kappa_max)

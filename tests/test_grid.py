@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from slmcf.domain import build_domain
 from slmcf.errors import GridError, ScenarioError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
+from slmcf.metrics import inv2
 
 
 def test_grid_parameter_validation(unit_disk):
@@ -116,3 +120,64 @@ def test_contact_angle_kinds(unit_disk):
     with pytest.raises(ScenarioError):
         ContactAngle({"kind": "table", "values": [0.1] * 10}, unit_disk, n_angular=64)
 
+
+
+# -- the pullback against the tensor formulas ------------------------------------
+
+DOMAIN_KINDS = [({"kind": "disk", "radius": 1.0}, "flat"),
+                ({"kind": "ellipse", "a": 1.5, "b": 1.0}, "flat"),
+                ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat"),
+                ({"kind": "chart_circle", "r0": 0.8}, "sphere"),
+                ({"kind": "chart_circle", "r0": 1.0}, "dome")]
+
+
+def _tensor_pullback(grid):
+    """The grid arrays by the einsum formulas, from the map x(rho, s) rebuilt here."""
+    R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
+    curve = grid.domain.curve
+    if curve.kind == "chart_circle":
+        X = np.stack([R * curve.r0, S], axis=-1)
+        J = np.zeros(X.shape + (2,))
+        J[..., 0, 0] = curve.r0
+        J[..., 1, 1] = 1.0
+        x_rs = x_ss = np.zeros_like(X)
+    else:
+        c = curve.center
+        X = c + R[..., None] * (curve.gamma(S) - c)
+        J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
+        x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
+    sig, gam = grid.metric.sigma(X), grid.metric.christoffel(X)
+    jac_inv = inv2(J)
+    sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
+    d2x = np.zeros(X.shape[:-1] + (2, 2, 2))
+    d2x[..., :, 0, 1] = x_rs
+    d2x[..., :, 1, 0] = x_rs
+    d2x[..., :, 1, 1] = x_ss
+    inner = d2x + np.einsum("...kij,...ia,...jb->...kab", gam, J, J)
+    sqrt_det = np.sqrt(sigma_t[..., 0, 0] * sigma_t[..., 1, 1] - sigma_t[..., 0, 1] ** 2)
+    drho = np.full(grid.n_radial, grid.hr)
+    drho[-1] = 0.5 * grid.hr
+    return {"X": X, "jac_inv": jac_inv, "sigma_t": sigma_t, "sigma_t_inv": inv2(sigma_t),
+            "gamma_t": np.einsum("...ck,...kab->...cab", jac_inv, inner),
+            "sqrt_det": sqrt_det, "weights": sqrt_det * drho[:, None] * grid.hs,
+            "gauss": grid.metric.gauss_curvature(X)}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(16, 32), (48, 96)])
+@pytest.mark.parametrize("spec,metric", DOMAIN_KINDS + [("skew", None)])
+def test_pullback_is_bit_identical_to_the_tensor_formulas(spec, metric, shape, skew_metric):
+    if spec == "skew":
+        domain = dataclasses.replace(build_domain({"kind": "ellipse", "a": 1.5, "b": 1.0}),
+                                     metric=skew_metric)
+    else:
+        domain = build_domain(spec, metric)
+    grid = build_grid(domain, *shape)
+    for name, ref in _tensor_pullback(grid).items():
+        got = getattr(grid, name)
+        assert got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+        assert np.array_equal(_bits(got), _bits(ref)), name   # the signs of zeros too

@@ -13,8 +13,9 @@ from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
 from slmcf.flow import FlowRun, PairRun, run_to_convergence
 from slmcf.grid import build_grid
-from slmcf.runio import (load_run, load_scenario, read_field_csv, save_flow_run,
-                         save_translator_solution, write_field_csv)
+from slmcf.runio import (_node_columns, _node_table, load_run, load_scenario,
+                         read_field_csv, save_flow_run, save_translator_solution,
+                         write_field_csv)
 from slmcf.translator import TranslatorSolution, continuation
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
                           check_spacelike_bound, check_translator_agreement,
@@ -284,3 +285,30 @@ def test_field_csv_node_columns_do_not_keep_the_grid_alive(tmp_path):
     del grid
     gc.collect()
     assert ref() is None
+
+
+def test_field_row_table_is_one_per_grid_content():
+    _node_table.cache_clear()
+    first, second = (load_scenario(CONFIG).grid for _ in range(2))   # built apart
+    assert first is not second
+    table = _node_columns(first)
+    assert _node_columns(second) is table
+    assert _node_table.cache_info().misses == 1
+    assert table == tuple(line.rpartition(",")[0] + "," for line in
+                          _row_by_row_field_csv(first, np.zeros((16, 32)), {})
+                          .decode().splitlines()[1:])
+
+    # a different domain of the same shape has its own table
+    ellipse = load_scenario({**CONFIG, "domain": {"kind": "ellipse", "a": 1.5, "b": 1.0}}).grid
+    other = _node_columns(ellipse)
+    assert other is not table and other != table
+    assert _node_table.cache_info().misses == 2
+
+    # bounded: more grids than the cache holds evict the oldest tables
+    maxsize = _node_table.cache_info().maxsize
+    disk = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    for n in range(maxsize + 2):
+        _node_columns(build_grid(disk, 8 + n, 16))
+    assert _node_table.cache_info().currsize == maxsize
+    assert _node_columns(second) is not table      # evicted, built again
+    assert _node_columns(second) == table
