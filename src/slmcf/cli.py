@@ -4,6 +4,7 @@
     slmcf translator <config.json> -o <dir>  solve for the translator and c3
     slmcf verify <dir> [<dir> ...]           run all applicable checks
     slmcf sweep <template.json> --grid <spec> -o <dir>   parameter sweeps
+    slmcf export <dir> -o <out>              write a run's field files as CSVs
 
 Exit codes: 0 all good, 1 a verification check failed or a run did not
 converge, 2 a typed error (``SlmcfError``: configuration, run directory or
@@ -22,7 +23,8 @@ import time
 from . import __version__
 from .errors import SlmcfError
 from .flow import FlowRun, PairRun, run_to_convergence
-from .runio import load_run, load_scenario_file, save_flow_run, save_translator_solution
+from .runio import (export_field_csvs, load_run, load_scenario_file, save_flow_run,
+                    save_translator_solution)
 # unused here: perfbench/spans.py wraps these names on this module to time run I/O
 from .runio import (load_scenario, read_csv, read_field_csv, validate_manifest,  # noqa: F401
                     write_energy_csv, write_field_csv, write_manifest, write_series_csv)
@@ -197,6 +199,11 @@ def main(argv=None) -> int:
                       help='JSON: {"dotted.key": [values...]} or [{...}, ...]')
     p_sw.add_argument("-o", "--output", required=True)
 
+    p_ex = sub.add_parser("export", help="write the field files of a run directory as "
+                                         "i,j,rho,s,x1,x2,u CSVs")
+    p_ex.add_argument("run_dir")
+    p_ex.add_argument("-o", "--output", required=True)
+
     args = parser.parse_args(argv)
     try:
         if args.command == "flow":
@@ -221,6 +228,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             summary = cmd_sweep(args.template, args.grid, args.output)
             print(f"sweep summary written to {summary}")
+            return 0
+        if args.command == "export":
+            written = export_field_csvs(args.run_dir, args.output)
+            print(f"{len(written)} field CSVs written to {args.output}")
             return 0
     except (SlmcfError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

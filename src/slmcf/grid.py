@@ -196,12 +196,6 @@ class GridFunction:
         """Sample a chart-coordinate callable fn(x1, x2)."""
         return cls(fn(grid.X[..., 0], grid.X[..., 1]), grid)
 
-    @classmethod
-    def from_comp(cls, grid, fn):
-        """Sample a computational-coordinate callable fn(rho, s)."""
-        R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
-        return cls(fn(R, S), grid)
-
     def __add__(self, other):
         other = other.values if isinstance(other, GridFunction) else other
         return GridFunction(self.values + other, self.grid)

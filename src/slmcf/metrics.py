@@ -90,18 +90,6 @@ class Metric:
     def check_chart(self, points: np.ndarray) -> None:
         """Raise ChartDomainError if any point leaves the chart."""
 
-    def riemann_lower(self, points: np.ndarray) -> np.ndarray:
-        """Curvature tensor R_{limj} = K (sigma_lm sigma_ij - sigma_lj sigma_im).
-
-        The only curvature tensor structure available in two dimensions.
-        """
-        sig = self.sigma(points)
-        K = self.gauss_curvature(points)
-        term = np.einsum("...lm,...ij->...limj", sig, sig) - np.einsum(
-            "...lj,...im->...limj", sig, sig
-        )
-        return K[..., None, None, None, None] * term
-
 
 class FlatMetric(Metric):
     """Euclidean plane in cartesian coordinates."""

@@ -17,21 +17,25 @@ A scenario is a single JSON document:
 Validation on load rejects non-convex domains, negative ambient curvature on
 the closure, non-space-like initial data and mismatched phi tables.  The
 scenario hash is the sha256 of the canonical (sorted-keys, compact) JSON
-encoding; every CSV artifact carries it in a leading comment so a manifest
-can be validated against its files.
+encoding; series.csv and energy.csv carry it in a leading comment, and the
+manifest records it with the sha256 of every field file, so a manifest can
+be validated against its files.
 
-CSV conventions: UTF-8, comma delimiter, "." decimal point, float cells in
-repr (shortest round-trip) form; identical configs produce byte-identical
-files.  The "i,j,rho,s,x1,x2," start of the field-file rows is one table per
-grid content (the bytes of rho, s and X), shared by every grid built alike and
+CSV conventions (series.csv, energy.csv and the field CSVs of ``slmcf
+export``): UTF-8, comma delimiter, "." decimal point, float cells in repr
+(shortest round-trip) form; identical configs produce byte-identical files.
+The "i,j,rho,s,x1,x2," start of the exported field rows is one table per grid
+content (the bytes of rho, s and X), shared by every grid built alike and
 kept in a bounded cache that holds no grid.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -345,22 +349,62 @@ def load_manifest(path):
     return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
+# The keys of a field entry of the manifest besides "file" and "sha256", by the
+# ``files`` group that lists it.
+_FIELD_KEYS = {"snapshots": ("time",), "dense": ("time", "tau"), "profile": ()}
+
+
+def _entries(manifest):
+    """(group, entry) of every file the manifest lists: a field entry is a
+    dict, any other entry a file name."""
+    for group, listed in manifest["files"].items():
+        for entry in listed if isinstance(listed, list) else [listed]:
+            yield group, entry
+
+
+def _listed_file(run_dir, rel):
+    """``run_dir / rel`` for a file the manifest lists: ``rel`` must be a
+    relative path that stays in the run directory, and the file must exist."""
+    path = pathlib.PurePosixPath(rel) if isinstance(rel, str) else None
+    if path is None or path.is_absolute() or ".." in path.parts or not path.parts:
+        raise ScenarioError(f"manifest of {run_dir} lists {rel!r}, which is not a path "
+                            f"inside the run directory")
+    if not (run_dir / path).is_file():
+        raise ScenarioError(f"manifest of {run_dir} lists missing file {rel}")
+    return run_dir / path
+
+
+def _check_field_entry(run_dir, group, entry):
+    keys = ("file", "sha256") + _FIELD_KEYS[group]
+    missing = [k for k in keys if k not in entry] if isinstance(entry, dict) else keys
+    if missing:
+        raise ScenarioError(f"a '{group}' entry of the manifest of {run_dir} has no "
+                            f"{', '.join(missing)}: {entry!r}")
+    for key in _FIELD_KEYS[group]:
+        if isinstance(entry[key], bool) or not isinstance(entry[key], numbers.Real):
+            raise ScenarioError(f"'{key}' of {entry['file']} in the manifest of {run_dir} "
+                                f"is not a number: {entry[key]!r}")
+
+
 def validate_manifest(run_dir) -> dict:
-    """Check the manifest's files exist and carry the scenario hash."""
+    """The manifest of ``run_dir``, once every file it lists is present inside
+    the run directory, every field file has the sha256 its entry records and
+    every other CSV carries the scenario hash."""
     run_dir = pathlib.Path(run_dir)
     manifest = load_manifest(run_dir / "manifest.json")
     expect = manifest["scenario_hash"]
-    files = []
-    for entry in manifest["files"].values():
-        files.extend(entry if isinstance(entry, list) else [entry])
-    for rel in files:
-        fp = run_dir / rel
-        if not fp.exists():
-            raise ScenarioError(f"manifest lists missing file {rel}")
-        if fp.suffix == ".csv":
-            header = read_csv_header(fp)
+    for group, entry in _entries(manifest):
+        if group in _FIELD_KEYS:
+            _check_field_entry(run_dir, group, entry)
+            fp = _listed_file(run_dir, entry["file"])
+            digest = hashlib.sha256(fp.read_bytes()).hexdigest()
+            if digest != entry["sha256"]:
+                raise ScenarioError(f"{fp} has sha256 {digest}, not the {entry['sha256']} "
+                                    f"its manifest records")
+        elif _listed_file(run_dir, entry).suffix == ".csv":
+            header = read_csv_header(run_dir / entry)
             if header.get("scenario") != expect:
-                raise ScenarioError(f"{rel} carries scenario hash "
+                raise ScenarioError(f"{entry} carries scenario hash "
                                     f"{header.get('scenario')} != {expect}")
     return manifest
 
@@ -372,11 +416,43 @@ def standard_header(scenario: Scenario) -> dict:
 # -- run directories --------------------------------------------------------------
 #
 # A flow run directory holds scenario.json, series.csv, energy.csv, one
-# snapshots/snap_<k>.csv per snapshot, snapshots/dense_<k>_<m>.csv (m = 0, 1, 2)
-# per dense triplet k, in ascending tau, whose header records tau (repr), and
-# manifest.json; a translator run directory holds
-# scenario.json, profile.csv, result.json and manifest.json.  ``load_run``
-# gives back the FlowRun or TranslatorSolution that was saved.
+# snapshots/snap_<k>.npy per snapshot, snapshots/dense_<k>_<m>.npy (m = 0, 1, 2)
+# per dense triplet k, in ascending tau, and manifest.json; a translator run
+# directory holds scenario.json, profile.npy, result.json and manifest.json.
+# A field file is one float64 (n_radial, n_angular) .npy array.  Its manifest
+# entry {"file", "time", "tau", "sha256"} records its time (not for the
+# profile), its tau (dense files only) and the sha256 of its bytes.
+# ``load_run`` gives back the FlowRun or TranslatorSolution that was saved;
+# ``export_field_csvs`` writes the field files as i,j,rho,s,x1,x2,u CSVs.
+
+def _save_field(outdir, rel, values, **keys) -> dict:
+    """Write ``values`` to ``outdir / rel`` as a float64 .npy file; returns its
+    manifest entry: ``rel``, ``keys`` and the sha256 of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, np.asarray(values, dtype=np.float64), allow_pickle=False)
+    data = buf.getvalue()
+    (outdir / rel).write_bytes(data)
+    return {"file": rel, **keys, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _load_field(path, grid: CurvilinearGrid) -> np.ndarray:
+    """The array of the .npy field file ``path``: float64 of the grid's shape,
+    never unpickled."""
+    try:
+        with open(path, "rb") as fh:
+            values = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as err:
+        raise ScenarioError(f"field file {path} is not a readable .npy array: {err}") from None
+    if not isinstance(values, np.ndarray):
+        raise ScenarioError(f"field file {path} is an .npz archive, not an .npy array")
+    if values.dtype != np.float64:
+        raise ScenarioError(f"field file {path} holds {values.dtype} values, not float64")
+    shape = (grid.n_radial, grid.n_angular)
+    if values.shape != shape:
+        raise ScenarioError(f"field file {path} holds an array of shape {values.shape}, "
+                            f"not the grid's {shape}")
+    return values
+
 
 def _save(outdir, scenario: Scenario, kind, files, seconds, final) -> dict:
     manifest = {
@@ -401,19 +477,16 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
     header = standard_header(scenario)
     write_series_csv(outdir / "series.csv", run, header)
     write_energy_csv(outdir / "energy.csv", run, header)
-    taus = sorted(run.dense)
-    snap_files = [f"snapshots/snap_{k:06d}.csv" for k in range(len(run.snapshots))]
-    dense_files = [f"snapshots/dense_{k:06d}_{m}.csv"
-                   for k in range(len(taus)) for m in range(3)]
-    fields = ([(t, u, {}) for t, u in run.snapshots]
-              + [(t, u, {"tau": repr(float(tau))})
-                 for tau in taus for t, u in run.dense[tau]])
-    for rel, (t, u, extra) in zip(snap_files + dense_files, fields):
-        write_field_csv(outdir / rel, run.grid, u, {**header, "time": t, **extra})
+    snapshots = [_save_field(outdir, f"snapshots/snap_{k:06d}.npy", u, time=float(t))
+                 for k, (t, u) in enumerate(run.snapshots)]
+    dense = [_save_field(outdir, f"snapshots/dense_{k:06d}_{m}.npy", u, time=float(t),
+                         tau=float(tau))
+             for k, tau in enumerate(sorted(run.dense))
+             for m, (t, u) in enumerate(run.dense[tau])]
 
     mc = monitor_constants(scenario.u0, run.phi, run.grid, c0=run.monitor_c0)
     files = {"series": "series.csv", "energy": "energy.csv",
-             "snapshots": snap_files, "dense": dense_files}
+             "snapshots": snapshots, "dense": dense}
     return _save(outdir, scenario, "flow", files, seconds, run.to_record(mc.as_dict()))
 
 
@@ -423,10 +496,9 @@ def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSol
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = solution.profile.grid
-    write_field_csv(outdir / "profile.csv", grid, solution.profile.values,
-                    standard_header(scenario))
     write_manifest(outdir / "result.json", solution.to_record())
-    files = {"profile": "profile.csv", "result": "result.json"}
+    files = {"profile": _save_field(outdir, "profile.npy", solution.profile.values),
+             "result": "result.json"}
     final = {"c3": solution.c3, "residuals": solution.residuals, "h": grid.h}
     return _save(outdir, scenario, "translator", files, seconds, final)
 
@@ -440,28 +512,24 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
         _, cols, data = read_csv(run_dir / rel)
         return {c: data[:, k] for k, c in enumerate(cols)}
 
-    def field(rel):
-        header, values = read_field_csv(run_dir / rel, scenario.grid)
-        return header, (float(header["time"]), values)
+    def field(entry):
+        return float(entry["time"]), _load_field(run_dir / entry["file"], scenario.grid)
 
-    snapshots = [field(rel)[1] for rel in files["snapshots"]]
+    snapshots = [field(entry) for entry in files["snapshots"]]
     if not snapshots:
         raise ScenarioError(f"flow run {run_dir} lists no snapshots")
-    dense_files = files["dense"]
-    if len(dense_files) % 3:
-        raise ScenarioError(f"flow run {run_dir} lists {len(dense_files)} dense files, "
+    dense_entries = files["dense"]
+    if len(dense_entries) % 3:
+        raise ScenarioError(f"flow run {run_dir} lists {len(dense_entries)} dense files, "
                             f"not a whole number of triplets")
     dense = {}
-    for k in range(0, len(dense_files), 3):
-        headers, triplet = zip(*map(field, dense_files[k:k + 3]))
-        if not all("tau" in h for h in headers):
-            raise ScenarioError(f"a dense file of {run_dir} has no tau header "
-                                f"({', '.join(dense_files[k:k + 3])})")
-        taus = {h["tau"] for h in headers}
+    for k in range(0, len(dense_entries), 3):
+        triplet = dense_entries[k:k + 3]
+        taus = {entry["tau"] for entry in triplet}
         if len(taus) != 1:
-            raise ScenarioError(f"dense triplet {', '.join(dense_files[k:k + 3])} of "
+            raise ScenarioError(f"dense triplet {', '.join(e['file'] for e in triplet)} of "
                                 f"{run_dir} records more than one tau")
-        dense[float(taus.pop())] = triplet
+        dense[float(taus.pop())] = tuple(map(field, triplet))
 
     return FlowRun.from_record(manifest["final"], scenario.grid, scenario.phi,
                                scenario.stepper, series=table(files["series"]),
@@ -474,20 +542,30 @@ def load_translator_solution(run_dir, manifest: dict,
     """The TranslatorSolution saved in ``run_dir``."""
     run_dir = pathlib.Path(run_dir)
     files = manifest["files"]
-    _, profile = read_field_csv(run_dir / files["profile"], scenario.grid)
+    profile = _load_field(run_dir / files["profile"]["file"], scenario.grid)
     record = load_manifest(run_dir / files["result"])
     return TranslatorSolution.from_record(record, GridFunction(profile, scenario.grid))
+
+
+@contextlib.contextmanager
+def _typed_errors(run_dir):
+    """A KeyError, TypeError or ValueError (JSONDecodeError too) inside is a
+    ScenarioError naming ``run_dir``: a manifest or file lacks a key or holds
+    a value of the wrong type."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as err:
+        raise ScenarioError(f"malformed run directory {run_dir}: "
+                            f"{type(err).__name__}: {err}") from err
 
 
 def load_run(run_dir, scenarios=None):
     """(scenario, FlowRun or TranslatorSolution) of a validated run directory.
 
     scenarios: optional dict of built scenarios by scenario hash.  A run whose
-    scenario is in it shares that build; a new one is built and added.  A
-    manifest or file that lacks a key or holds a value of the wrong type is a
-    ScenarioError.
+    scenario is in it shares that build; a new one is built and added.
     """
-    try:
+    with _typed_errors(run_dir):
         manifest = validate_manifest(run_dir)
         scenarios = {} if scenarios is None else scenarios
         key = scenario_hash(manifest["scenario"])
@@ -500,6 +578,28 @@ def load_run(run_dir, scenarios=None):
                                 f"scenario")
         load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
         return scenario, load(run_dir, manifest, scenario)
-    except (KeyError, TypeError, ValueError) as err:   # JSONDecodeError too
-        raise ScenarioError(f"malformed run directory {run_dir}: "
-                            f"{type(err).__name__}: {err}") from err
+
+
+def export_field_csvs(run_dir, outdir) -> list:
+    """Write every field file of the run directory ``run_dir`` to ``outdir`` as
+    the i,j,rho,s,x1,x2,u CSV of the same relative name with ".csv"; returns
+    the paths written.
+
+    The header holds the scenario hash, the manifest's tool version, the
+    field's time and its tau (dense files), each in repr form.
+    """
+    run_dir, outdir = pathlib.Path(run_dir), pathlib.Path(outdir)
+    scenario, _ = load_run(run_dir)      # checks the manifest and every field
+    with _typed_errors(run_dir):
+        manifest = load_manifest(run_dir / "manifest.json")
+        header = {"scenario": scenario.hash, "tool": f"slmcf {manifest['tool_version']}"}
+        written = []
+        for group, entry in _entries(manifest):
+            if group in _FIELD_KEYS:
+                path = outdir / pathlib.PurePosixPath(entry["file"]).with_suffix(".csv")
+                path.parent.mkdir(parents=True, exist_ok=True)
+                values = _load_field(run_dir / entry["file"], scenario.grid)
+                keys = {key: float(entry[key]) for key in _FIELD_KEYS[group]}
+                write_field_csv(path, scenario.grid, values, {**header, **keys})
+                written.append(path)
+    return written

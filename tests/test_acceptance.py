@@ -144,7 +144,8 @@ def sphere_family(sphere):
     compat = run_to_convergence(sol.profile, phi, grid,
                                 StepperConfig(max_time=2.0, tol_speed=1e-9,
                                               snapshot_interval=10))
-    u0b = GridFunction.from_comp(grid, lambda rho, s: 0.1 * rho ** 2)
+    rho, _ = np.meshgrid(grid.rho, grid.s, indexing="ij")
+    u0b = GridFunction(0.1 * rho ** 2, grid)
     pair = run_pair(GridFunction.constant(grid, 0.0), u0b, phi, grid,
                     StepperConfig(max_time=10.0, tol_speed=1e-8))
     return grid, phi, sol, flow, compat, pair

@@ -68,10 +68,16 @@ def test_flow_run_artifacts(tmp_path):
 
 
 def test_flow_deterministic_bytes(tmp_path):
-    cfg = _write(tmp_path, BASE)
+    cfg = _write(tmp_path, dict(BASE, stepper=dict(BASE["stepper"],
+                                                   dense_sample_times=[0.5])))
     cmd_flow(cfg, tmp_path / "a")
     cmd_flow(cfg, tmp_path / "b")
-    for rel in ("series.csv", "energy.csv", "snapshots/snap_000000.csv"):
+    files = [json.loads((tmp_path / run / "manifest.json").read_text())["files"]
+             for run in ("a", "b")]
+    assert files[0] == files[1]     # names, times, taus and sha256 digests
+    fields = [entry["file"] for entry in files[0]["snapshots"] + files[0]["dense"]]
+    assert len(fields) > 4 and all(rel.endswith(".npy") for rel in fields)
+    for rel in ("series.csv", "energy.csv", *fields):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
@@ -259,16 +265,27 @@ def test_flow_manifest_step_counters(tmp_path):
 
 
 def test_verify_detects_tampered_hash(tmp_path):
+    """A field file whose bytes no longer have the manifest's sha256, and a CSV
+    whose header carries another scenario hash, are both refused."""
     cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
-    snap = tmp_path / "flow" / "snapshots" / "snap_000000.csv"
-    text = snap.read_text()
+    snap = tmp_path / "flow" / "snapshots" / "snap_000001.npy"
+    data = bytearray(snap.read_bytes())
+    data[-1] ^= 1                   # the last bit of the last value
+    snap.write_bytes(bytes(data))
+    with pytest.raises(ScenarioError, match="sha256"):
+        validate_manifest(tmp_path / "flow")
+    assert main(["verify", str(tmp_path / "flow")]) == 2
+
+    cmd_flow(_write(tmp_path, BASE), tmp_path / "flow2")
+    series = tmp_path / "flow2" / "series.csv"
+    text = series.read_text()
     tampered = text.replace(f"# scenario: {scenario_hash(BASE)}",
                             "# scenario: 0123456789abcdef")
     assert tampered != text
-    snap.write_text(tampered)
+    series.write_text(tampered)
     with pytest.raises(ScenarioError, match="scenario hash"):
-        validate_manifest(tmp_path / "flow")
-    assert main(["verify", str(tmp_path / "flow")]) == 2
+        validate_manifest(tmp_path / "flow2")
+    assert main(["verify", str(tmp_path / "flow2")]) == 2
 
 
 def test_verify_osc_decay_without_shared_times_fails(tmp_path):

@@ -91,17 +91,6 @@ def test_christoffel_matches_metric_derivatives(metric_id):
     assert errs[1] < max(errs[0] / 2.5, 1e-11)
 
 
-def test_riemann_reconstruction_sphere():
-    metric = get_metric("sphere")
-    pt = np.array([0.7, 2.0])
-    R = metric.riemann_lower(pt)
-    sig = metric.sigma(pt)
-    expected = np.einsum("lm,ij->limj", sig, sig) - np.einsum("lj,im->limj", sig, sig)
-    assert np.allclose(R, expected, atol=1e-14)  # K = 1
-    # antisymmetry in the outer pair: R_limj = -R_ilmj
-    assert np.allclose(R, -np.transpose(R, (1, 0, 2, 3)), atol=1e-14)
-
-
 def test_chart_bounds_rejected():
     with pytest.raises(ChartDomainError):
         metric_at("sphere", (3.5, 0.0))

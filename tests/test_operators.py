@@ -33,11 +33,9 @@ def test_ghost_closure_examples(disk_grid_small):
     assert dn[0] == pytest.approx(0.4472136, abs=1e-7)
 
     # phi = 1, D_T u = 0.6: v^2 = 0.32, D_N u = sqrt(0.32)
-    u_t = GridFunction.from_comp(grid, lambda rho, s: 0.6 * s * 0.0)  # placeholder
     # build boundary values with exact tangential slope 0.6 in arc length:
     # boundary of the unit disk has |gamma'| = 1, so u = 0.6 * s wraps badly;
     # instead impose the slope locally via a sine and read off one node
-    amp = 0.6 / np.cos(grid.s[1])  # not used; kept simple below
     u2 = np.zeros_like(u)
     u2[-1] = 0.6 * np.sin(grid.s)  # D_T u = 0.6 cos(s); at s=0: exactly 0.6
     # the discrete tangential derivative at j=0 is 0.6 sin(hs)/hs, adjust:

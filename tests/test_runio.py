@@ -2,20 +2,25 @@
 
 import dataclasses
 import gc
+import hashlib
+import io
 import json
+import pickle
+import shutil
 import weakref
 
 import numpy as np
 import pytest
 
+from slmcf import __version__
 from slmcf.cli import cmd_flow, main
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
 from slmcf.flow import FlowRun, PairRun, run_to_convergence
 from slmcf.grid import build_grid
-from slmcf.runio import (_node_columns, _node_table, load_run, load_scenario,
-                         read_field_csv, save_flow_run, save_translator_solution,
-                         write_field_csv)
+from slmcf.runio import (_node_columns, _node_table, export_field_csvs, load_run,
+                         load_scenario, read_field_csv, save_flow_run,
+                         save_translator_solution, write_field_csv)
 from slmcf.translator import TranslatorSolution, continuation
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit, check_osc_decay,
                           check_spacelike_bound, check_translator_agreement,
@@ -45,9 +50,15 @@ def _flow(tmp_path, config, name):
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory):
+def runs_dir(tmp_path_factory):
+    """The folder of the run directories of ``saved``: flow, bump and tr."""
+    return tmp_path_factory.mktemp("runs")
+
+
+@pytest.fixture(scope="module")
+def saved(runs_dir):
     """(in-memory, loaded) pairs of two flow runs and one translator solution."""
-    tmp_path = tmp_path_factory.mktemp("runs")
+    tmp_path = runs_dir
     flow = _flow(tmp_path, CONFIG, "flow")
     bump = _flow(tmp_path, dict(CONFIG, name="disk_cos_bump", u0=BUMP), "bump")
     scenario = load_scenario(CONFIG)
@@ -108,7 +119,9 @@ def test_dense_triplets_round_trip_under_exact_keys(tmp_path):
     run, loaded = _flow(tmp_path, config, "flow")
     assert list(run.dense) == list(loaded.dense) == taus
     manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
-    assert len(set(manifest["files"]["dense"])) == 9
+    dense = manifest["files"]["dense"]
+    assert len({entry["file"] for entry in dense}) == 9
+    assert [entry["tau"] for entry in dense] == [tau for tau in taus for _ in range(3)]
     for tau in taus:
         assert [t for t, _ in loaded.dense[tau]] == [t for t, _ in run.dense[tau]]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded.dense[tau],
@@ -154,35 +167,162 @@ def _flow_dir(tmp_path, config):
     return tmp_path / "flow"
 
 
-def _rewrite_rows(path, change):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(line if line.startswith("#") else change(line)
-                              for line in lines) + "\n")
-
-
 SMALL = dict(CONFIG, grid={"n_radial": 12, "n_angular": 24},
              stepper={"tol_speed": 1e-7, "max_time": 1.0, "dense_sample_times": [0.25]})
 
 
-def test_field_node_outside_the_grid_is_a_scenario_error(tmp_path):
-    run_dir = _flow_dir(tmp_path, SMALL)
-    snap = run_dir / "snapshots" / "snap_000000.csv"
-    lines = snap.read_text().splitlines()
-    row = next(k for k, line in enumerate(lines) if line[0].isdigit())
-    lines[row] = "99" + lines[row][lines[row].index(","):]
-    snap.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ScenarioError, match="outside"):
+def _npy(values):
+    buf = io.BytesIO()
+    np.save(buf, values, allow_pickle=True)
+    return buf.getvalue()
+
+
+def _replace_field(run_dir, rel, data, digest=True):
+    """Write ``data`` as the field file ``rel``; with ``digest``, the manifest
+    records its sha256, so only the loader's own checks can catch it."""
+    (run_dir / rel).write_bytes(data)
+    if digest:
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["files"]["snapshots"] + manifest["files"]["dense"]:
+            if entry["file"] == rel:
+                entry["sha256"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(manifest))
+
+
+def _edit_manifest(run_dir, change):
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _rejected(run_dir, match):
+    """load_run raises a ScenarioError matching ``match`` and verify exits 2."""
+    with pytest.raises(ScenarioError, match=match):
         load_run(run_dir)
     assert main(["verify", str(run_dir)]) == 2
 
 
-def test_field_file_without_seven_columns_is_a_scenario_error(tmp_path):
-    run_dir = _flow_dir(tmp_path, SMALL)
-    _rewrite_rows(run_dir / "snapshots" / "snap_000000.csv",
-                  lambda line: line.rsplit(",", 1)[0])
-    with pytest.raises(ScenarioError, match="6 columns"):
-        load_run(run_dir)
-    assert main(["verify", str(run_dir)]) == 2
+@pytest.fixture(scope="module")
+def small_dir(tmp_path_factory):
+    """A pristine SMALL flow run directory; tests corrupt copies of it."""
+    return _flow_dir(tmp_path_factory.mktemp("small"), SMALL)
+
+
+@pytest.fixture
+def small_run(small_dir, tmp_path):
+    shutil.copytree(small_dir, tmp_path / "flow")
+    return tmp_path / "flow"
+
+
+SNAP = "snapshots/snap_000000.npy"
+
+
+def test_saved_fields_are_float64_npy_with_their_digest(small_run):
+    """Every field of a flow run is one .npy file whose sha256 the manifest
+    records; no field CSV is written."""
+    manifest = json.loads((small_run / "manifest.json").read_text())
+    entries = manifest["files"]["snapshots"] + manifest["files"]["dense"]
+    assert len(manifest["files"]["dense"]) == 3
+    for entry in entries:
+        data = (small_run / entry["file"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert np.load(io.BytesIO(data)).dtype == np.float64
+    assert all(set(e) == {"file", "time", "sha256"} for e in manifest["files"]["snapshots"])
+    assert all(set(e) == {"file", "time", "tau", "sha256"} for e in manifest["files"]["dense"])
+    assert sorted(p.name for p in small_run.rglob("*.csv")) == ["energy.csv", "series.csv"]
+
+
+def test_field_file_of_wrong_shape_is_a_scenario_error(small_run):
+    """A field with a node outside the grid, or short of one, or transposed."""
+    for shape in ((13, 24), (12, 23), (24, 12), (288,)):
+        _replace_field(small_run, SNAP, _npy(np.zeros(shape)))
+        _rejected(small_run, "shape")
+
+
+def test_truncated_field_file_is_a_scenario_error(small_run):
+    data = (small_run / SNAP).read_bytes()
+    for cut in (data[:-8], data[:40], b""):
+        _replace_field(small_run, SNAP, cut)
+        _rejected(small_run, "not a readable .npy")
+
+
+def test_field_file_of_wrong_dtype_is_a_scenario_error(small_run):
+    for dtype in (np.int64, np.float32, ">f8"):
+        _replace_field(small_run, SNAP, _npy(np.zeros((12, 24), dtype=dtype)))
+        _rejected(small_run, "not float64")
+
+
+def test_pickled_field_file_is_a_scenario_error(small_run):
+    """Neither a pickle nor an object array is ever unpickled."""
+    objects = np.empty((12, 24), dtype=object)
+    objects[...] = 0.0
+    for data in (_npy(objects), pickle.dumps(np.zeros((12, 24)))):
+        _replace_field(small_run, SNAP, data)
+        _rejected(small_run, "not a readable .npy")
+
+
+def test_npz_field_file_is_a_scenario_error(small_run):
+    buf = io.BytesIO()
+    np.savez(buf, u=np.zeros((12, 24)))
+    _replace_field(small_run, SNAP, buf.getvalue())
+    _rejected(small_run, "npz archive")
+
+
+def test_missing_field_file_is_a_scenario_error(small_run):
+    (small_run / "snapshots" / "dense_000000_2.npy").unlink()
+    _rejected(small_run, "missing file snapshots/dense_000000_2.npy")
+
+
+def test_field_digest_mismatch_is_a_scenario_error(small_run):
+    values = np.load(small_run / SNAP)
+    values[3, 5] = np.nextafter(values[3, 5], np.inf)
+    _replace_field(small_run, SNAP, _npy(values), digest=False)
+    _rejected(small_run, "sha256")
+
+
+@pytest.mark.parametrize("group, key", [("snapshots", "time"), ("snapshots", "sha256"),
+                                        ("dense", "time"), ("dense", "sha256"),
+                                        ("dense", "file")])
+def test_field_entry_without_a_key_is_a_scenario_error(small_run, group, key):
+    _edit_manifest(small_run, lambda m: m["files"][group][1].pop(key))
+    _rejected(small_run, f"'{group}' entry .* has no {key}")
+
+
+def test_field_entry_time_must_be_a_number(small_run):
+    def change(manifest):
+        entry = manifest["files"]["snapshots"][0]
+        entry["time"] = repr(entry["time"])
+    _edit_manifest(small_run, change)
+    _rejected(small_run, "not a number")
+
+
+def test_dense_file_without_tau_is_a_scenario_error(small_run):
+    _edit_manifest(small_run, lambda m: m["files"]["dense"][1].pop("tau"))
+    _rejected(small_run, "'dense' entry .* has no tau")
+
+
+def test_dense_triplet_of_two_taus_is_a_scenario_error(small_run):
+    def change(manifest):
+        manifest["files"]["dense"][2]["tau"] += 1e-9
+    _edit_manifest(small_run, change)
+    _rejected(small_run, "more than one tau")
+
+
+def test_manifest_paths_outside_the_run_are_a_scenario_error(small_run):
+    """A listed file outside the run directory is refused, though it exists and
+    has the recorded digest."""
+    outside = small_run.parent / "outside.npy"
+    shutil.copy(small_run / SNAP, outside)
+    for rel in ("../outside.npy", str(outside), "snapshots/../../outside.npy", "", 7):
+        _edit_manifest(small_run, lambda m: m["files"]["snapshots"][0].update(file=rel))
+        _rejected(small_run, "not a path inside the run directory")
+    _edit_manifest(small_run, lambda m: m["files"]["snapshots"][0].update(file=SNAP))
+    load_run(small_run)
+    shutil.copy(small_run / "series.csv", small_run.parent / "series.csv")
+    _edit_manifest(small_run, lambda m: m["files"].update(series="../series.csv"))
+    _rejected(small_run, "not a path inside the run directory")
 
 
 def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_path):
@@ -209,25 +349,9 @@ def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_pa
         read(six)
 
 
-def test_dense_file_without_tau_is_a_scenario_error(tmp_path):
-    run_dir = _flow_dir(tmp_path, SMALL)
-    dense = run_dir / "snapshots" / "dense_000000_1.csv"
-    dense.write_text("".join(line for line in dense.read_text().splitlines(keepends=True)
-                             if not line.startswith("# tau:")))
-    with pytest.raises(ScenarioError, match="no tau header"):
-        load_run(run_dir)
-    assert main(["verify", str(run_dir)]) == 2
-
-
-def test_dense_files_not_in_triplets_are_a_scenario_error(tmp_path):
-    run_dir = _flow_dir(tmp_path, SMALL)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert len(manifest["files"]["dense"]) == 3
-    manifest["files"]["dense"].pop()
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ScenarioError, match="triplets"):
-        load_run(run_dir)
-    assert main(["verify", str(run_dir)]) == 2
+def test_dense_files_not_in_triplets_are_a_scenario_error(small_run):
+    _edit_manifest(small_run, lambda m: m["files"]["dense"].pop())
+    _rejected(small_run, "triplets")
 
 
 def test_default_stepper_run_verifies_against_translator(tmp_path):
@@ -312,3 +436,32 @@ def test_field_row_table_is_one_per_grid_content():
     assert _node_table.cache_info().currsize == maxsize
     assert _node_columns(second) is not table      # evicted, built again
     assert _node_columns(second) == table
+
+
+def test_export_writes_the_field_csvs_of_the_saved_values(saved, runs_dir, tmp_path):
+    """``slmcf export`` of a flow with dense samples and of its translator gives,
+    byte for byte, the CSVs write_field_csv makes of the in-memory fields."""
+    (run, _), _, (solution, _) = saved
+    scenario = load_scenario(CONFIG)
+    header = {"scenario": scenario.hash, "tool": f"slmcf {__version__}"}
+    expect = {f"snapshots/snap_{k:06d}.csv": (u, {**header, "time": t})
+              for k, (t, u) in enumerate(run.snapshots)}
+    expect.update({f"snapshots/dense_{k:06d}_{m}.csv": (u, {**header, "time": t,
+                                                             "tau": repr(tau)})
+                   for k, tau in enumerate(run.dense)
+                   for m, (t, u) in enumerate(run.dense[tau])})
+    assert len(run.dense) == 2
+    written = export_field_csvs(runs_dir / "flow", tmp_path / "flow")
+    assert sorted(p.relative_to(tmp_path / "flow").as_posix() for p in written) == sorted(expect)
+    assert main(["export", str(runs_dir / "tr"), "-o", str(tmp_path / "tr")]) == 0
+    expect["profile.csv"] = (solution.profile.values, header)
+    for rel, (values, head) in expect.items():
+        write_field_csv(tmp_path / "expect.csv", scenario.grid, values, head)
+        exported = tmp_path / ("tr" if rel == "profile.csv" else "flow") / rel
+        assert exported.read_bytes() == (tmp_path / "expect.csv").read_bytes(), rel
+
+
+def test_export_of_a_bad_run_directory_exits_2(small_run, tmp_path):
+    _replace_field(small_run, SNAP, _npy(np.zeros((12, 24), dtype=np.float32)))
+    assert main(["export", str(small_run), "-o", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
