@@ -16,15 +16,14 @@ from .errors import (CheckPreconditionError, ContinuationError, GridError,
                      StepSizeUnderflowError, UnknownMetricError)
 from .flow import (FlowRun, FlowState, PairRun, StepperConfig, run_pair,
                    run_to_convergence)
-from .geometry import (EVO_DU_CONVENTIONS, GraphGeometry, covariant_hessian,
-                       evo_du_rhs, evo_du_time_residual, graph_geometry,
-                       graph_geometry_from_components, mean_curvature_field)
+from .geometry import (EVO_DU_CONVENTIONS, evo_du_rhs, evo_du_time_residual,
+                       mean_curvature_field)
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
-from .metrics import MetricSample, get_metric, metric_at, metric_ids
+from .metrics import get_metric, metric_ids
 from .oracle import (RadialOracle, RegularizedOracle, oracle_c3_from_flux,
                      regularized_oracle, translator_oracle)
 from .translator import (ContinuationSchedule, TranslatorSolution, compute_c3,
-                         continuation, solve_regularized, translate_solution)
+                         continuation, solve_regularized)
 from .verify import (CheckReport, MonitorConstants, c1_formula,
                      check_evo_du_residual, check_maximal_limit, check_osc_decay,
                      check_spacelike_bound, check_translator_agreement,

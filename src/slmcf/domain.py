@@ -11,7 +11,8 @@ The boundary frame is computed covariantly:
 
 The derivative of T along the curve uses the analytic curve derivatives and
 the metric-compatibility identity d sigma = sigma Gamma + Gamma sigma, so no
-finite differencing of the metric enters.
+finite differencing of the metric enters.  The frame is given on the boundary
+only; nothing in the solver extends it into the domain.
 
 Curve kinds
 -----------
@@ -207,59 +208,6 @@ class ConvexDomain:
         covT = dT + np.stack([einsum_sum(gam[..., k, i, j] * dg[..., i] * T[..., j]
                                          for i, j in INDEX_PAIRS) for k in range(2)], axis=-1)
         return covT / w[..., None]
-
-    # -- collar ------------------------------------------------------------
-
-    def closest_boundary_param(self, x, s_init=None, iters=40):
-        """Parameter of the boundary point closest to chart point x.
-
-        Flat-chart domains only (chart distance is the sigma-distance there).
-        """
-        x = np.asarray(x, dtype=float)
-        if self.curve.kind == "chart_circle":
-            return float(x[1])
-        s = float(np.arctan2(x[1] - self.curve.center[1], x[0] - self.curve.center[0])) \
-            if s_init is None else float(s_init)
-        for _ in range(iters):
-            g = self.curve.gamma(s)
-            dg = self.curve.dgamma(s)
-            d2g = self.curve.d2gamma(s)
-            r = x - g
-            fp = -np.dot(r, dg)
-            fpp = np.dot(dg, dg) - np.dot(r, d2g)
-            step = fp / fpp
-            s -= step
-            if abs(step) < 1e-15:
-                break
-        return s
-
-    def distance(self, x):
-        """sigma-distance from x to the boundary (valid in the collar)."""
-        x = np.asarray(x, dtype=float)
-        if self.curve.kind == "chart_circle":
-            return float(self.curve.r0 - x[0])
-        s = self.closest_boundary_param(x)
-        return float(np.linalg.norm(x - self.curve.gamma(s)))
-
-    def collar_frame(self, x):
-        """Extended frame (T, N) and signed distance d at a collar point x.
-
-        The frame is parallel along the normal geodesics of the boundary: in
-        the flat charts those are straight lines, so (T, N) at x equal the
-        Frenet frame at the projected boundary parameter; in radial charts
-        they are the radial lines.  d > 0 inside the domain.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.curve.kind == "chart_circle":
-            N = np.array([-1.0, 0.0])
-            T = _rotate90(self.metric, x, N)
-            return T, N, float(self.curve.r0 - x[0])
-        s = self.closest_boundary_param(x)
-        g = self.curve.gamma(s)
-        T, N, _ = self.frame(np.atleast_1d(s))
-        T, N = T[0], N[0]
-        d = float(N @ (x - g))
-        return T, N, d
 
 
 def _pair(u, sig, v):

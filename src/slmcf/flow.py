@@ -1,15 +1,11 @@
 """Time integration of the contact-angle flow u_t = g~^{ab} D_a D_b u.
 
-Two schemes share the spatial operator from :mod:`slmcf.operators`:
-
-- ``semi_implicit`` (default): backward Euler on the affine model
-  F(u') ~ L u' + k, k = F(w) - L w, with L the exact Jacobian of F at the
-  current state (``operators.linearized_affine``; the translator's Newton
-  matrix).  A translator orbit u(x) + c t is an exact fixed orbit: F(w) = c
-  and L annihilates constants, so (I - dt L) w' = w + dt k is solved by
-  w' = w + dt c for any L, and long-time speeds carry no dt bias.
-- ``explicit``: forward Euler under a CFL bound, kept for debugging and
-  cross-checks at small sizes (the center rings make it severely stiff).
+The scheme is backward Euler on the affine model F(u') ~ L u' + k,
+k = F(w) - L w, with F the spatial operator of :mod:`slmcf.operators` and L
+its exact Jacobian at the current state (``operators.linearized_affine``; the
+translator's Newton matrix).  A translator orbit u(x) + c t is an exact fixed
+orbit: F(w) = c and L annihilates constants, so (I - dt L) w' = w + dt k is
+solved by w' = w + dt c for any L, and long-time speeds carry no dt bias.
 
 One stepping core serves ``run_to_convergence`` and ``run_pair`` (two
 fields in lockstep on one time grid):
@@ -17,9 +13,9 @@ fields in lockstep on one time grid):
 - Step control.  A step is rejected and dt halved whenever the update would
   push sup |Du|^2 above 1 - delta_space or break the boundary closure;
   persistent rejections surface as StepSizeUnderflowError rather than being
-  clamped.  With ``StepperConfig.dt`` unset, the semi-implicit scheme
-  multiplies dt by ``_GROW_BY`` = 4 after every ``_GROW_AFTER`` consecutive
-  accepted steps, up to ``_DT_CAP`` times the domain inradius: near a
+  clamped.  With ``StepperConfig.dt`` unset, the stepper multiplies dt by
+  ``_GROW_BY`` = 4 after every ``_GROW_AFTER`` consecutive accepted steps,
+  up to ``_DT_CAP`` times the domain inradius: near a
   translator backward Euler is a fixed-point iteration, so steps can grow as
   the speed field settles, and each rung of the ladder costs one
   factorization.  Faster ladders (x4 after 3 or 4 steps, x8 after 2) let the
@@ -77,19 +73,17 @@ from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowErr
 # unused here: perfbench/spans.py wraps this name on this module to time curvature
 from .geometry import mean_curvature_field  # noqa: F401
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import RingSolver, explicit_stable_dt, flow_operator, linearized_affine
+from .operators import RingSolver, flow_operator, linearized_affine
 
-_DT_FLOOR = 1e-14
+_DT_FLOOR = 1e-14     # smallest step: a given dt below it is a ScenarioError, a halved one an underflow
 _GROW_AFTER = 5      # consecutive accepted steps before dt grows
 _GROW_BY = 4.0       # factor dt grows by, once per _GROW_AFTER accepted steps
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
 _REFRESH_INTERVAL = 10   # accepted steps after which the LU is refactored
-_CFL = 0.8           # explicit scheme: fraction of the CFL bound a step may take
 
 
 @dataclasses.dataclass
 class StepperConfig:
-    scheme: str = "semi_implicit"
     dt: float | None = None           # default: diameter / (2 n_radial), grown
     tol_speed: float = 1e-7
     max_time: float = 10.0
@@ -103,10 +97,8 @@ class StepperConfig:
         if not all(isinstance(tau, numbers.Real) and not isinstance(tau, bool)
                    for tau in self.dense_sample_times):
             raise ScenarioError("dense_sample_times must be an array of numbers")
-        if self.scheme not in ("semi_implicit", "explicit"):
-            raise ScenarioError(f"unknown scheme '{self.scheme}'")
-        if self.dt is not None and self.dt <= 0:
-            raise ScenarioError("dt must be positive")
+        if self.dt is not None and not self.dt >= _DT_FLOOR:     # NaN included
+            raise ScenarioError(f"dt must be at least {_DT_FLOOR:g}, the stepper's smallest step")
         if not (0.0 < self.delta_space <= 1e-2):
             raise ScenarioError("delta_space must lie in (0, 1e-2]")
         if self.max_time <= 0:
@@ -195,9 +187,9 @@ class FlowRun:
 class _Field:
     """One evolving field u = mean + w with grid.mean(w) = 0.
 
-    Holds the operator evaluation ``q`` at the current w and, for the
-    semi-implicit scheme, the affine model (L, k) with the solver of its step
-    matrix I - dt L (``RingSolver``) and the log of its refreshes.
+    Holds the operator evaluation ``q`` at the current w, the affine model
+    (L, k) with the solver of its step matrix I - dt L (``RingSolver``) and
+    the log of its refreshes.
     """
 
     def __init__(self, u, grid, phi_vals):
@@ -239,12 +231,9 @@ class _Field:
         w = w - shift
         return shift, w, flow_operator(w, self.grid, self.phi_vals, with_fields=True)
 
-    def candidate(self, dt, implicit):
+    def candidate(self, dt):
         """The next step of this field, as accepted by ``accept``."""
-        if implicit:
-            w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
-        else:
-            w = self.w + dt * self.q["op"]
+        w = self.lu.solve(self.w.ravel() + dt * self._k).reshape(self.w.shape)
         return self._centered(w)
 
     def accept(self, candidate):
@@ -312,12 +301,11 @@ class _Stepper:
         self.grid = grid
         self.phi = phi
         phi_vals = phi.values_on(grid)
-        self.implicit = cfg.scheme == "semi_implicit"
         self.fields = [_Field(u, grid, phi_vals) for u in fields]
         self.t = 0.0
         self.dt = cfg.initial_dt(grid)
         self.dt_cap = _DT_CAP * grid.domain.inradius
-        self.grow = cfg.dt is None and self.implicit
+        self.grow = cfg.dt is None
         self.streak = 0          # accepted steps since dt last changed
         self.steps = 0
         self.rejected = 0
@@ -335,9 +323,8 @@ class _Stepper:
                 f"time step underflow at t = {self.t:.6g} (blow-up or bad scenario)")
         self.dt = dt
         self.streak = 0
-        if self.implicit:
-            for f in self.fields:
-                self._refresh(f, reason)
+        for f in self.fields:
+            self._refresh(f, reason)
 
     def _update_models(self):
         """Grow dt and refresh stale LUs before a step.
@@ -358,15 +345,11 @@ class _Stepper:
 
     def advance(self) -> float:
         """Take and record one accepted step of every field; returns the dt taken."""
-        if self.implicit:
-            self._update_models()
+        self._update_models()
         ceiling = 1.0 - self.cfg.delta_space
         while True:
-            if not self.implicit:
-                for f in self.fields:
-                    self.dt = min(self.dt, explicit_stable_dt(f.q, self.grid, _CFL))
             try:
-                cands = [f.candidate(self.dt, self.implicit) for f in self.fields]
+                cands = [f.candidate(self.dt) for f in self.fields]
                 ok = all(float(np.max(c[2]["du2"])) <= ceiling for c in cands)
             except SpacelikeViolationError:
                 ok = False

@@ -14,11 +14,8 @@ distinct components of the symmetric D_a D_b u and g~^{ab}, each a plain
 (n_radial, n_angular) array, read off the grid's component-major metric
 data; it builds no (..., 2, 2) arrays.  ``sym_tensor`` stacks a component
 triple into one for the tensor consumers (``covariant_hessian_field``, the
-|Du|^2 evolution diagnostic).
-
-Chart-component quantities (the pointwise API) are obtained from
-computational components through the inverse Jacobian of the grid mapping;
-scalars (v, H, |Du|^2) need no transformation.
+|Du|^2 evolution diagnostic).  Tensors stay in computational components;
+the scalars (v, H, |Du|^2) are the same in every chart.
 
 The |Du|^2 evolution diagnostic supports two coefficient conventions for the
 identity satisfied along the flow; an independent symbolic oracle in the test
@@ -33,12 +30,10 @@ three terms.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import SpacelikeViolationError
-from .grid import _SPACELIKE_EPS, CurvilinearGrid, GridFunction
+from .grid import _SPACELIKE_EPS, CurvilinearGrid
 
 
 # -- stencils ----------------------------------------------------------------
@@ -151,75 +146,6 @@ def mean_curvature_field(values, grid: CurvilinearGrid, ghost=None):
     """Scalar mean curvature H = (1/v) g~^{ab} D_a D_b u."""
     q = quasilinear_operator(values, grid, ghost)
     return q["op"] / q["v"]
-
-
-# -- chart-component kernel API -----------------------------------------------
-
-def hess_to_chart(grid: CurvilinearGrid, hess):
-    """Covariant Hessian components in chart coordinates."""
-    return np.einsum("...ai,...bj,...ab->...ij", grid.jac_inv, grid.jac_inv, hess)
-
-
-def covariant_hessian(u: GridFunction, node):
-    """Covariant Hessian D_i D_j u at a grid node, in chart components.
-
-    Uses centered stencils; the boundary ring falls back to one-sided
-    second-order closures.
-    """
-    i, j = node
-    H = covariant_hessian_field(u.values, u.grid)
-    return hess_to_chart(u.grid, H)[i, j]
-
-
-@dataclasses.dataclass(frozen=True)
-class GraphGeometry:
-    """Pointwise graph data in chart components."""
-
-    du: np.ndarray        # covariant gradient D_i u
-    v: float              # sqrt(1 - |Du|^2)
-    g_lower: np.ndarray   # induced metric g_ij = sigma_ij - D_i u D_j u
-    g_upper: np.ndarray   # inverse metric
-    hessian: np.ndarray   # covariant Hessian D_i D_j u
-    H: float              # scalar mean curvature
-
-
-def graph_geometry_from_components(sigma, sigma_inv, du, hessian):
-    """Algebraic core: graph geometry from exact pointwise data.
-
-    du and hessian are covariant chart components; raising uses sigma_inv.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    sigma_inv = np.asarray(sigma_inv, dtype=float)
-    du = np.asarray(du, dtype=float)
-    hessian = np.asarray(hessian, dtype=float)
-    P = sigma_inv @ du
-    du2 = float(P @ du)
-    if du2 >= 1.0 - _SPACELIKE_EPS:
-        raise SpacelikeViolationError(None, du2)
-    v = float(np.sqrt(1.0 - du2))
-    g_lower = sigma - np.outer(du, du)
-    g_upper = sigma_inv + np.outer(P, P) / (1.0 - du2)
-    Hv = float(np.einsum("ij,ij->", g_upper, hessian))
-    return GraphGeometry(du=du, v=v, g_lower=g_lower, g_upper=g_upper,
-                         hessian=hessian, H=Hv / v)
-
-
-def graph_geometry(u: GridFunction, node):
-    """GraphGeometry at a grid node (stencil gradient/Hessian, chart components)."""
-    i, j = node
-    grid = u.grid
-    d = derivatives(u.values, grid)
-    du_comp = np.array([d["r"][i, j], d["s"][i, j]])
-    hess_comp = covariant_hessian_field(u.values, grid, derivs=d)[i, j]
-    B = grid.jac_inv[i, j]
-    du_chart = B.T @ du_comp
-    hess_chart = B.T @ hess_comp @ B
-    sig = grid.metric.sigma(grid.X[i, j])
-    sig_inv = grid.metric.sigma_inv(grid.X[i, j])
-    try:
-        return graph_geometry_from_components(sig, sig_inv, du_chart, hess_chart)
-    except SpacelikeViolationError as err:
-        raise SpacelikeViolationError((i, j), err.value) from None
 
 
 # -- |Du|^2 evolution diagnostic ------------------------------------------------

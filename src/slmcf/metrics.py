@@ -18,7 +18,6 @@ All evaluation functions are vectorized over a trailing point axis:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -55,18 +54,6 @@ def einsum_sum(terms):
     for term in terms:
         out += term
     return out
-
-
-@dataclasses.dataclass(frozen=True)
-class MetricSample:
-    """Metric data at a single chart point."""
-
-    metric_id: str
-    point: np.ndarray
-    sigma: np.ndarray            # (2, 2)
-    sigma_inv: np.ndarray        # (2, 2)
-    christoffel: np.ndarray      # (2, 2, 2), index order [k, i, j] for Gamma^k_ij
-    gauss_curvature: float
 
 
 class Metric:
@@ -209,19 +196,3 @@ def get_metric(metric_id: str) -> Metric:
             f"unknown metric '{metric_id}'; catalog: {metric_ids()}"
         ) from None
 
-
-def metric_at(metric_id: str, point) -> MetricSample:
-    """Evaluate sigma, sigma^{-1}, Christoffel symbols and K at one chart point."""
-    metric = get_metric(metric_id)
-    point = np.asarray(point, dtype=float)
-    if point.shape != (2,):
-        raise ValueError(f"point must have shape (2,), got {point.shape}")
-    metric.check_chart(point)
-    return MetricSample(
-        metric_id=metric_id,
-        point=point,
-        sigma=metric.sigma(point),
-        sigma_inv=metric.sigma_inv(point),
-        christoffel=metric.christoffel(point),
-        gauss_curvature=float(metric.gauss_curvature(point)),
-    )

@@ -532,10 +532,3 @@ def linearized_affine(values, grid: CurvilinearGrid, phi_vals):
     L, q = assemble_operator_matrix(values, grid, phi_vals)
     k = q["op"].ravel() - L @ values.ravel()
     return L, k, q
-
-
-def explicit_stable_dt(q, grid: CurvilinearGrid, cfl):
-    """CFL bound cfl / (2 max_nodes sum of second-order stencil scales)."""
-    g11, g12, g22 = q["gup"]
-    lam = g11 / grid.hr ** 2 + g22 / grid.hs ** 2 + 2.0 * np.abs(g12) / (grid.hr * grid.hs)
-    return float(cfl / (2.0 * np.max(lam)))

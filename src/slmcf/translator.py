@@ -359,8 +359,3 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
                               grid_shape=(grid.n_radial, grid.n_angular),
                               newton_iterations=newton_iters, limit=limit)
 
-
-def translate_solution(solution: TranslatorSolution, t: float) -> GridFunction:
-    """The rigidly moving graph profile + c3 * t at time t."""
-    return GridFunction(solution.profile.values + solution.c3 * t,
-                        solution.profile.grid)

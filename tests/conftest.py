@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from slmcf.domain import build_domain
+from slmcf.domain import _rotate90, build_domain
+from slmcf.geometry import derivatives, g_upper_components, gradient_fields
 from slmcf.grid import ContactAngle, build_grid
 from slmcf.metrics import Metric
 
@@ -69,8 +70,61 @@ def skew_metric():
     return SkewMetric()
 
 
-def chart_radius(grid):
-    return np.sqrt(grid.X[..., 0] ** 2 + grid.X[..., 1] ** 2)
+def _inverse_metric_error(grid, values):
+    """max |g~^{ab} g~_bc - delta^a_c| over the nodes: g~^{ab} from the field
+    kernel, g~_ab = sigma~_ab - u_a u_b from the grid's sigma~ and the stencil
+    gradient."""
+    d = derivatives(values, grid)
+    du = (d["r"], d["s"])
+    P, du2, _ = gradient_fields(values, grid, derivs=d)
+    g11, g12, g22 = g_upper_components(grid, P, du2)
+    up = ((g11, g12), (g12, g22))
+    low = [[grid.sigma_t[..., a, b] - du[a] * du[b] for b in range(2)] for a in range(2)]
+    return max(float(np.max(np.abs(up[a][0] * low[0][c] + up[a][1] * low[1][c]
+                                   - float(a == c))))
+               for a in range(2) for c in range(2))
+
+
+@pytest.fixture(scope="session")
+def inverse_metric_error():
+    """``inverse_metric_error(grid, values)``: see ``_inverse_metric_error``."""
+    return _inverse_metric_error
+
+
+def _closest_boundary_param(dom, x, iters=40):
+    """Parameter of the boundary point closest to the flat-chart point x (Newton
+    on the squared chart distance, from the polar angle of x about the center)."""
+    curve = dom.curve
+    s = float(np.arctan2(x[1] - curve.center[1], x[0] - curve.center[0]))
+    for _ in range(iters):
+        r = x - curve.gamma(s)
+        dg = curve.dgamma(s)
+        step = -np.dot(r, dg) / (np.dot(dg, dg) - np.dot(r, curve.d2gamma(s)))
+        s -= step
+        if abs(step) < 1e-15:
+            break
+    return s
+
+
+def _collar_frame(dom, x):
+    """Boundary frame (T, N) extended to a collar point x.
+
+    The extension is parallel along the normal geodesics of the boundary: in
+    the flat charts those are straight lines, so (T, N) at x equal the frame
+    at the closest boundary point; in radial charts they are the radial lines.
+    """
+    x = np.asarray(x, dtype=float)
+    if dom.curve.kind == "chart_circle":
+        N = np.array([-1.0, 0.0])
+        return _rotate90(dom.metric, x, N), N
+    T, N, _ = dom.frame(np.atleast_1d(_closest_boundary_param(dom, x)))
+    return T[0], N[0]
+
+
+@pytest.fixture(scope="session")
+def collar_frame():
+    """``collar_frame(domain, x)`` -> (T, N): the frame extended into the collar."""
+    return _collar_frame
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ import pytest
 
 from slmcf.domain import build_domain
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
-from slmcf.geometry import covariant_hessian_field, hess_to_chart
+from slmcf.geometry import covariant_hessian_field
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.metrics import get_metric, metric_at
+from slmcf.metrics import get_metric
 from slmcf.oracle import translator_oracle
 from slmcf.translator import (ContinuationSchedule, compute_c3, continuation)
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit,
@@ -293,23 +293,26 @@ def test_criterion_6_nonflat_metric(sphere_family):
             f"{oracle_gap:.2e}; osc/spacelike/ut/translator checks all pass")
 
 
-def test_criterion_7_geometry_kernel(disk, sphere):
+def test_criterion_7_geometry_kernel(disk, sphere, collar_frame, inverse_metric_error):
     """Catalog exactness, Hessian convergence, metric inverses, frame identities."""
     ok = True
     notes = []
 
-    m = metric_at("flat_polar", (2.0, 0.0))
-    ok &= abs(m.christoffel[0, 1, 1] + 2.0) < 1e-12
-    ok &= abs(m.christoffel[1, 0, 1] - 0.5) < 1e-12
-    ok &= abs(metric_at("sphere", (0.8, 1.0)).gauss_curvature - 1.0) < 1e-8
-    ok &= np.allclose(metric_at("flat", (0.2, 0.4)).christoffel, 0.0)
+    gam = get_metric("flat_polar").christoffel(np.array([2.0, 0.0]))
+    ok &= abs(gam[0, 1, 1] + 2.0) < 1e-12
+    ok &= abs(gam[1, 0, 1] - 0.5) < 1e-12
+    ok &= abs(get_metric("sphere").gauss_curvature(np.array([0.8, 1.0])) - 1.0) < 1e-8
+    ok &= np.allclose(get_metric("flat").christoffel(np.array([0.2, 0.4])), 0.0)
     notes.append("catalog exact")
 
     for mid, pts in (("flat", [(0.1, 0.2)]), ("sphere", [(0.5, 1.0), (1.2, 2.0)]),
                      ("dome", [(0.5, 0.1)]), ("flat_polar", [(1.5, 2.0)])):
+        metric = get_metric(mid)
         for pt in pts:
-            s = metric_at(mid, pt)
-            ok &= float(np.max(np.abs(s.sigma_inv @ s.sigma - np.eye(2)))) < 1e-12
+            pt = np.asarray(pt, dtype=float)
+            metric.check_chart(pt)
+            ok &= float(np.max(np.abs(metric.sigma_inv(pt) @ metric.sigma(pt)
+                                      - np.eye(2)))) < 1e-12
     notes.append("sigma^-1 sigma = I to 1e-12")
 
     # covariant Hessian second-order convergence on the sphere cap
@@ -320,7 +323,8 @@ def test_criterion_7_geometry_kernel(disk, sphere):
     for n in (24, 48):
         grid = build_grid(sphere, n, 2 * n)
         u = GridFunction.from_chart(grid, fn)
-        H = hess_to_chart(grid, covariant_hessian_field(u.values, grid))
+        H = np.einsum("...ai,...bj,...ab->...ij", grid.jac_inv, grid.jac_inv,
+                      covariant_hessian_field(u.values, grid))
         rows = [i for i in range(n) if 0.2 <= grid.rho[i] <= 0.9]
         err = 0.0
         for i in rows:
@@ -333,16 +337,15 @@ def test_criterion_7_geometry_kernel(disk, sphere):
     ok &= 3.6 <= ratio <= 4.4
     notes.append(f"hessian order 2 (ratio {ratio:.2f})")
 
-    from slmcf.geometry import graph_geometry_from_components
+    # random chart-linear gradients up to |Du|^2 = 0.99 on a 16x32 disk grid
+    grid = build_grid(disk, 16, 32)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(100):
         th = rng.uniform(0, 2 * np.pi)
         mag = np.sqrt(rng.uniform(0, 0.99))
-        gg = graph_geometry_from_components(np.eye(2), np.eye(2),
-                                            mag * np.array([np.cos(th), np.sin(th)]),
-                                            np.zeros((2, 2)))
-        worst = max(worst, float(np.max(np.abs(gg.g_upper @ gg.g_lower - np.eye(2)))))
+        u = GridFunction.from_chart(grid, lambda x, y: mag * (np.cos(th) * x + np.sin(th) * y))
+        worst = max(worst, inverse_metric_error(grid, u.values))
     ok &= worst < 1e-10
     notes.append(f"g^ij g_jk = delta to {worst:.1e}")
 
@@ -357,14 +360,14 @@ def test_criterion_7_geometry_kernel(disk, sphere):
     eps = 1e-3
     for s0 in s:
         x0 = dom.curve.gamma(np.array([s0]))[0]
-        T0, N0, _ = dom.collar_frame(x0)
+        T0, N0 = collar_frame(dom, x0)
         kap0 = float(dom.kappa(np.array([s0]))[0])
 
         def d_t(y):
-            return float(grad_f @ dom.collar_frame(y)[0])
+            return float(grad_f @ collar_frame(dom, y)[0])
 
         def d_n(y):
-            return float(grad_f @ dom.collar_frame(y)[1])
+            return float(grad_f @ collar_frame(dom, y)[1])
 
         def d4(fn_, V):
             return (fn_(x0 - 2 * eps * V) - 8 * fn_(x0 - eps * V)

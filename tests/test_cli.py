@@ -309,6 +309,7 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
 
 @pytest.mark.parametrize("section, key", [("stepper", "dtt"),
                                           ("stepper", "refresh_interval"),
+                                          ("stepper", "scheme"),
                                           ("continuation", "cauchy_tol"),
                                           ("continuation", "newton"),
                                           ("continuation", "eps0"),
@@ -319,8 +320,9 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     with pytest.raises(ScenarioError, match=key):
         load_scenario(config)
     cfg = _write(tmp_path, config)
-    assert main(["translator", str(cfg), "-o", str(tmp_path / "tr")]) == 2
-    assert key in capsys.readouterr().err
+    for command in ("flow", "translator"):
+        assert main([command, str(cfg), "-o", str(tmp_path / command)]) == 2
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -328,7 +330,7 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     ("stepper", "delta_space", "x"), ("stepper", "snapshot_interval", "x"),
     ("stepper", "max_steps", "x"), ("stepper", "dense_sample_times", 5),
     ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2),
-    ("stepper", "max_steps", 0), ("stepper", "dt", float("inf")),
+    ("stepper", "max_steps", 0), ("stepper", "dt", float("inf")), ("stepper", "dt", 1e-300),
     ("stepper", "max_time", float("nan")), ("stepper", "tol_speed", float("nan")),
     ("stepper", "snapshot_interval", 0)])
 def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):

@@ -10,8 +10,9 @@ from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError, StepSizeUnderflowError
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import (boundary_gradient_data, linearized_affine,
+from slmcf.operators import (boundary_gradient_data, flow_operator, linearized_affine,
                              nested_dissection_order)
+from slmcf.runio import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -31,25 +32,21 @@ def test_constant_stationary_with_zero_phi(disk24):
 
 
 def test_linear_field_zero_interior_update(disk24):
-    """Explicit step on linear data only acts through the boundary closure.
+    """The flow operator on linear data only acts through the boundary closure.
 
     The covariant Hessian of a chart-linear field vanishes; discretely the
     center rings keep an O(h) local truncation for first-harmonic data (the
-    usual polar-center behavior), so the interior update is zero at the
-    dt * truncation scale rather than machine zero.
+    usual polar-center behavior), so the interior update u_t is zero at the
+    truncation scale rather than machine zero.
     """
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.0}, dom)
     u0 = GridFunction.from_chart(grid, lambda x, y: 0.3 * x)
-    cfg = StepperConfig(scheme="explicit", max_time=1e30, tol_speed=0.0,
-                        max_steps=1, dt=1e-6)
-    run = run_to_convergence(u0, phi, grid, cfg)
-    dt_used = run.state.t
-    interior_update = (run.state.u - u0.values)[:-2, :]
-    assert np.max(np.abs(interior_update)) < 0.05 * dt_used
+    interior_update = flow_operator(u0.values, grid, phi.values_on(grid))[:-2, :]
+    assert np.max(np.abs(interior_update)) < 0.05
     # away from the center patch the Hessian is clean second-order small
     away = interior_update[grid.rho[:-2] > 0.25, :]
-    assert np.max(np.abs(away)) < 2e-3 * dt_used
+    assert np.max(np.abs(away)) < 2e-3
 
 
 def test_phi_zero_converges_to_constant(disk24):
@@ -96,18 +93,32 @@ def test_series_columns_complete(disk24):
     assert np.all(np.diff(run.series["t"]) > 0)
 
 
+def _forward_euler(u0, phi, grid, dt, t_end):
+    """Reference integrator: forward Euler up to t_end, each step clamped to
+    0.8 / (2 max over nodes of the second-order stencil scale)."""
+    pv = phi.values_on(grid)
+    u, t = np.array(u0, dtype=float), 0.0
+    while t < t_end:
+        q = flow_operator(u, grid, pv, with_fields=True)
+        g11, g12, g22 = q["gup"]
+        lam = g11 / grid.hr ** 2 + g22 / grid.hs ** 2 + 2.0 * np.abs(g12) / (grid.hr * grid.hs)
+        dt = min(dt, 0.8 / (2.0 * float(np.max(lam))))
+        u += dt * q["op"]
+        t += dt
+    return u
+
+
 def test_explicit_matches_semi_implicit_short(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    u0 = GridFunction.constant(grid, 0.0)
+    u0 = np.zeros((grid.n_radial, grid.n_angular))
     t_end = 0.02
-    run_e = run_to_convergence(u0, phi, grid, StepperConfig(
-        scheme="explicit", dt=1e-5, max_time=t_end, tol_speed=0.0))
+    u_e = _forward_euler(u0, phi, grid, 1e-5, t_end)
     run_s = run_to_convergence(u0, phi, grid, StepperConfig(
         dt=1e-4, max_time=t_end, tol_speed=0.0))
     # both first order in time; difference is O(dt_larger) after the transient
     mask = slice(0, grid.n_radial - 1)
-    gap = np.max(np.abs(run_e.state.u[mask] - run_s.state.u[mask]))
+    gap = np.max(np.abs(u_e[mask] - run_s.state.u[mask]))
     assert gap < 5e-3
 
 
@@ -178,17 +189,25 @@ def test_max_steps_stop_names_max_steps():
 
 
 def test_stepper_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(ScenarioError, match="delta_space"):
         StepperConfig(delta_space=0.5)
-    with pytest.raises(Exception):
-        StepperConfig(dt=-1.0)
-    with pytest.raises(Exception):
-        StepperConfig(scheme="magic")
-    with pytest.raises(Exception):
+    # a given dt below the stepper's smallest step would never move t
+    for dt in (-1.0, 0.0, 1e-300, 0.5 * flow._DT_FLOOR, float("nan")):
+        with pytest.raises(ScenarioError, match="dt"):
+            StepperConfig(dt=dt)
+    assert StepperConfig(dt=flow._DT_FLOOR).dt == flow._DT_FLOOR
+    with pytest.raises(ScenarioError, match="max_time"):
         StepperConfig(max_time=0.0)
     for max_steps in (0, -1):
         with pytest.raises(ScenarioError, match="max_steps"):
             StepperConfig(max_steps=max_steps)
+    # the stepper has one scheme: a scenario that names one is refused
+    scenario = {"metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},
+                "phi": {"kind": "constant", "value": 0.2},
+                "grid": {"n_radial": 16, "n_angular": 32},
+                "stepper": {"scheme": "explicit"}}
+    with pytest.raises(ScenarioError, match="scheme"):
+        load_scenario(scenario)
 
 
 # -- stepping core: step control, LU refresh and the mean split ---------------------

@@ -3,19 +3,24 @@ import pytest
 
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeViolationError
-from slmcf.geometry import (EVO_DU_CONVENTIONS, covariant_hessian,
-                            covariant_hessian_field, evo_du_rhs, graph_geometry,
-                            graph_geometry_from_components, hess_to_chart,
-                            mean_curvature_field, quasilinear_operator)
+from slmcf.geometry import (EVO_DU_CONVENTIONS, covariant_hessian_field, evo_du_rhs,
+                            g_upper_components, gradient_fields, mean_curvature_field,
+                            quasilinear_operator)
 from slmcf.grid import GridFunction, build_grid
 from slmcf.metrics import get_metric
 
 
 # -- covariant Hessian ----------------------------------------------------------
 
+def _chart_hessian(u):
+    """The covariant Hessian field of ``u`` in chart components."""
+    B = u.grid.jac_inv
+    return np.einsum("...ai,...bj,...ab->...ij", B, B, covariant_hessian_field(u.values, u.grid))
+
+
 def test_hessian_flat_xy(disk_grid):
     u = GridFunction.from_chart(disk_grid, lambda x, y: x * y)
-    H = covariant_hessian(u, (24, 10))
+    H = _chart_hessian(u)[24, 10]
     assert np.allclose(H, [[0.0, 1.0], [1.0, 0.0]], atol=2e-3)
 
 
@@ -23,12 +28,12 @@ def test_hessian_polar_radial_field():
     dom = build_domain({"kind": "chart_circle", "r0": 2.0}, "flat_polar")
     grid = build_grid(dom, 24, 48)
     u = GridFunction.from_chart(grid, lambda r, th: r)
+    H = _chart_hessian(u)
     # D_th D_th u = -Gamma^r_{thth} * 1 = r; field is linear in the chart
     for node in [(5, 0), (12, 7), (20, 30)]:
         r_node = grid.X[node][0]
-        H = covariant_hessian(u, node)
-        assert H[1, 1] == pytest.approx(r_node, abs=1e-9)
-        assert abs(H[0, 0]) < 1e-9
+        assert H[node][1, 1] == pytest.approx(r_node, abs=1e-9)
+        assert abs(H[node][0, 0]) < 1e-9
 
 
 def _fourth_order_hessian_oracle(metric, fn, point, eps=1e-3):
@@ -75,7 +80,7 @@ def test_hessian_second_order_on_sphere(sphere_cap):
     for n in (24, 48):
         grid = build_grid(sphere_cap, n, 2 * n)
         u = GridFunction.from_chart(grid, lambda r, th: 0.3 * r ** 2 + 0.1 * r ** 3 * np.cos(th))
-        H = hess_to_chart(grid, covariant_hessian_field(u.values, grid))
+        H = _chart_hessian(u)
         err = 0.0
         # fixed physical annulus so both resolutions see the same region
         rows = [i for i in range(n) if 0.2 <= grid.rho[i] <= 0.9]
@@ -92,46 +97,46 @@ def test_hessian_second_order_on_sphere(sphere_cap):
 
 def test_graph_geometry_constant(disk_grid):
     u = GridFunction.constant(disk_grid, 4.0)
-    gg = graph_geometry(u, (20, 5))
-    assert gg.v == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(gg.du, 0.0, atol=1e-12)
-    assert np.allclose(gg.g_upper, np.eye(2), atol=1e-12)
-    assert gg.H == pytest.approx(0.0, abs=1e-12)
+    P, du2, v = gradient_fields(u.values, disk_grid)
+    assert np.max(np.abs(v - 1.0)) < 1e-12
+    assert np.max(np.abs(du2)) < 1e-12
+    gup = g_upper_components(disk_grid, P, du2)
+    S = disk_grid.sigma_t_inv
+    for g, ab in zip(gup, ((0, 0), (0, 1), (1, 1))):
+        assert np.array_equal(g, S[..., ab[0], ab[1]])
+    assert np.max(np.abs(mean_curvature_field(u.values, disk_grid))) < 1e-12
 
 
-def test_graph_geometry_algebra_prescribed_gradient():
-    # flat metric, Du = (0.6, 0), Hessian = 0
-    gg = graph_geometry_from_components(np.eye(2), np.eye(2),
-                                        np.array([0.6, 0.0]), np.zeros((2, 2)))
-    assert gg.v == pytest.approx(0.8, abs=1e-15)
-    assert gg.g_upper[0, 0] == pytest.approx(1.5625, abs=1e-12)
-    assert gg.g_upper[1, 1] == pytest.approx(1.0, abs=1e-12)
-    assert gg.g_upper[0, 1] == pytest.approx(0.0, abs=1e-15)
-    assert gg.H == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(gg.g_lower, np.eye(2) - np.outer([0.6, 0], [0.6, 0]), atol=1e-15)
+def test_graph_geometry_algebra_prescribed_gradient(disk_grid):
+    # flat metric, u = 0.6 x: on the ray s = 0 (where sigma~ = diag(1, rho^2))
+    # the stencil gradient is (u_rho, u_s) = (0.6, 0)
+    u = GridFunction.from_chart(disk_grid, lambda x, y: 0.6 * x)
+    P, du2, v = gradient_fields(u.values, disk_grid)
+    g11, g12, g22 = g_upper_components(disk_grid, P, du2)
+    rho = disk_grid.rho
+    assert np.max(np.abs(v[:, 0] - 0.8)) < 1e-14
+    assert np.max(np.abs(g11[:, 0] - 1.5625)) < 1e-12
+    assert np.max(np.abs(g12[:, 0])) < 1e-15
+    assert np.max(np.abs(g22[:, 0] * rho ** 2 - 1.0)) < 1e-12
 
 
 def test_graph_geometry_paraboloid_center():
     # u = (x^2 + y^2)/8: at the origin Du = 0 and H = laplacian = 1/2
-    gg = graph_geometry_from_components(np.eye(2), np.eye(2), np.zeros(2),
-                                        np.diag([0.25, 0.25]))
-    assert gg.H == pytest.approx(0.5, abs=1e-15)
-    # grid path near the center agrees to discretization accuracy
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 48, 96)
     u = GridFunction.from_chart(grid, lambda x, y: (x ** 2 + y ** 2) / 8.0)
-    gg_grid = graph_geometry(u, (0, 0))
-    assert gg_grid.H == pytest.approx(0.5, abs=5e-3)
+    H = mean_curvature_field(u.values, grid)
+    assert H[0, 0] == pytest.approx(0.5, abs=5e-3)
 
 
-def test_inverse_metric_identity_up_to_099():
+def test_inverse_metric_identity_up_to_099(disk_grid_small, inverse_metric_error):
     rng = np.random.default_rng(3)
     for _ in range(200):
         theta = rng.uniform(0, 2 * np.pi)
         mag = np.sqrt(rng.uniform(0.0, 0.99))
-        du = mag * np.array([np.cos(theta), np.sin(theta)])
-        gg = graph_geometry_from_components(np.eye(2), np.eye(2), du, np.zeros((2, 2)))
-        assert np.max(np.abs(gg.g_upper @ gg.g_lower - np.eye(2))) < 1e-10
+        u = GridFunction.from_chart(
+            disk_grid_small, lambda x, y: mag * (np.cos(theta) * x + np.sin(theta) * y))
+        assert inverse_metric_error(disk_grid_small, u.values) < 1e-10
 
 
 def test_h_times_v_identity(disk_grid, phi02):
@@ -360,6 +365,8 @@ def test_graph_geometry_error_carries_node():
     grid = build_grid(dom, 16, 32)
     u = GridFunction.from_chart(grid, lambda x, y: 1.2 * x)
     with pytest.raises(SpacelikeViolationError) as err:
-        graph_geometry(u, (8, 3))
-    assert err.value.node == (8, 3)
-    assert err.value.value >= 1.0 - 1e-10
+        gradient_fields(u.values, grid)
+    _, du2, _ = gradient_fields(u.values, grid, guard=False)
+    node = np.unravel_index(int(np.argmax(du2)), du2.shape)
+    assert err.value.node == (int(node[0]), int(node[1]))
+    assert err.value.value == du2[node] >= 1.0 - 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slmcf.errors import ChartDomainError, UnknownMetricError
-from slmcf.metrics import get_metric, metric_at, metric_ids
+from slmcf.metrics import get_metric, metric_ids
 
 SAMPLE_POINTS = {
     "flat": [(0.0, 0.0), (0.3, -0.7), (1.5, 2.0)],
@@ -20,24 +20,25 @@ def test_catalog_ids():
 
 
 def test_flat_metric_trivial():
-    m = metric_at("flat", (0.7, -0.2))
-    assert np.allclose(m.sigma, np.eye(2))
-    assert np.allclose(m.christoffel, 0.0)
-    assert m.gauss_curvature == 0.0
+    m, pt = get_metric("flat"), np.array([0.7, -0.2])
+    assert np.allclose(m.sigma(pt), np.eye(2))
+    assert np.allclose(m.christoffel(pt), 0.0)
+    assert m.gauss_curvature(pt) == 0.0
 
 
 def test_polar_christoffel_at_r2():
-    m = metric_at("flat_polar", (2.0, 0.3))
-    assert m.christoffel[0, 1, 1] == pytest.approx(-2.0, abs=1e-14)
-    assert m.christoffel[1, 0, 1] == pytest.approx(0.5, abs=1e-14)
-    assert m.christoffel[1, 1, 0] == pytest.approx(0.5, abs=1e-14)
-    assert m.gauss_curvature == pytest.approx(0.0, abs=1e-14)
+    m, pt = get_metric("flat_polar"), np.array([2.0, 0.3])
+    gam = m.christoffel(pt)
+    assert gam[0, 1, 1] == pytest.approx(-2.0, abs=1e-14)
+    assert gam[1, 0, 1] == pytest.approx(0.5, abs=1e-14)
+    assert gam[1, 1, 0] == pytest.approx(0.5, abs=1e-14)
+    assert m.gauss_curvature(pt) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sphere_curvature_is_one():
     for r in (0.2, 0.8, 1.3):
-        m = metric_at("sphere", (r, 1.0))
-        assert m.gauss_curvature == pytest.approx(1.0, abs=1e-8)
+        assert get_metric("sphere").gauss_curvature(np.array([r, 1.0])) == pytest.approx(
+            1.0, abs=1e-8)
 
 
 def test_dome_curvature_positive_and_matches_f():
@@ -52,18 +53,21 @@ def test_dome_curvature_positive_and_matches_f():
 
 
 def test_hyperbolic_curvature_negative():
-    m = metric_at("hyperbolic", (0.7, 0.0))
-    assert m.gauss_curvature == pytest.approx(-1.0, abs=1e-12)
+    K = get_metric("hyperbolic").gauss_curvature(np.array([0.7, 0.0]))
+    assert K == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("metric_id", sorted(SAMPLE_POINTS))
 def test_sigma_inverse_and_positivity(metric_id):
+    m = get_metric(metric_id)
     for pt in SAMPLE_POINTS[metric_id]:
-        m = metric_at(metric_id, pt)
-        assert np.max(np.abs(m.sigma_inv @ m.sigma - np.eye(2))) < 1e-12
-        eigs = np.linalg.eigvalsh(m.sigma)
+        pt = np.asarray(pt, dtype=float)
+        m.check_chart(pt)
+        sigma = m.sigma(pt)
+        assert np.max(np.abs(m.sigma_inv(pt) @ sigma - np.eye(2))) < 1e-12
+        eigs = np.linalg.eigvalsh(sigma)
         assert np.all(eigs > 0)
-        assert np.max(np.abs(m.sigma - m.sigma.T)) == 0.0
+        assert np.max(np.abs(sigma - sigma.T)) == 0.0
 
 
 @pytest.mark.parametrize("metric_id", ["flat_polar", "sphere", "dome"])
@@ -93,11 +97,6 @@ def test_christoffel_matches_metric_derivatives(metric_id):
 
 def test_chart_bounds_rejected():
     with pytest.raises(ChartDomainError):
-        metric_at("sphere", (3.5, 0.0))
+        get_metric("sphere").check_chart(np.array([3.5, 0.0]))
     with pytest.raises(ChartDomainError):
-        metric_at("flat_polar", (-0.1, 0.0))
-
-
-def test_metric_at_validates_shape():
-    with pytest.raises(ValueError):
-        metric_at("flat", (1.0, 2.0, 3.0))
+        get_metric("flat_polar").check_chart(np.array([-0.1, 0.0]))

@@ -9,9 +9,8 @@ from slmcf.errors import SpacelikeBoundaryError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.geometry import derivatives
 from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
-                             boundary_gradient_data, contact_ghost, explicit_stable_dt,
-                             flow_operator, linearized_affine, nested_dissection_order,
-                             operator_structure)
+                             boundary_gradient_data, contact_ghost, flow_operator,
+                             linearized_affine, nested_dissection_order, operator_structure)
 
 
 def _test_field(grid, metric_id):
@@ -118,14 +117,6 @@ def test_operator_invariant_under_constants(disk_grid, phi02):
     a = flow_operator(u, disk_grid, pv)
     b = flow_operator(u + 7.5, disk_grid, pv)
     assert np.max(np.abs(a - b)) < 1e-8
-
-
-def test_explicit_dt_scaling(disk_grid_small, phi02):
-    pv = phi02.values_on(disk_grid_small)
-    u = np.zeros((disk_grid_small.n_radial, disk_grid_small.n_angular))
-    q = flow_operator(u, disk_grid_small, pv, with_fields=True)
-    dt = explicit_stable_dt(q, disk_grid_small, 0.8)
-    assert 0 < dt < disk_grid_small.hr ** 2  # center ring stiffness dominates
 
 
 KERNEL_CASES = [

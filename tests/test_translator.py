@@ -11,7 +11,7 @@ from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import OrderedLU, flow_operator, nested_dissection_order
 from slmcf.oracle import regularized_oracle, translator_oracle
 from slmcf.translator import (ContinuationSchedule, compute_c3, continuation,
-                              solve_regularized, translate_solution)
+                              solve_regularized)
 
 
 @pytest.fixture(scope="module")
@@ -128,27 +128,17 @@ def test_gradient_bound_uniform_in_eps(disk_setup):
     assert max(sup_du2_all) < 1.0
 
 
-def test_translate_solution(disk_solution):
-    grid = disk_solution.profile.grid
-    assert np.array_equal(translate_solution(disk_solution, 0.0).values,
-                          disk_solution.profile.values)
-    moved = translate_solution(disk_solution, 2.5)
-    assert np.allclose(moved.values - disk_solution.profile.values,
-                       2.5 * disk_solution.c3, atol=1e-14)
-
-
 def test_translator_orbit_speed_under_flow(disk_setup, disk_solution):
     """One flow evaluation on the translated profile returns the speed c3."""
     _, grid, phi = disk_setup
-    from slmcf.operators import flow_operator
-    moved = translate_solution(disk_solution, 1.0)
-    op = flow_operator(moved.values, grid, phi.values_on(grid))
+    moved = disk_solution.profile.values + disk_solution.c3 * 1.0
+    op = flow_operator(moved, grid, phi.values_on(grid))
     assert abs(grid.mean(op) - disk_solution.c3) < 1e-5
     # and a full semi-implicit step preserves the orbit
     run = run_to_convergence(moved, phi, grid,
                              StepperConfig(max_time=1e30, tol_speed=0.0, max_steps=1))
     dt = run.state.t - 0.0
-    drift = run.state.u - (moved.values + disk_solution.c3 * dt)
+    drift = run.state.u - (moved + disk_solution.c3 * dt)
     # the profile solves op = c3 to Newton tolerance, so the orbit holds to rounding
     assert np.max(np.abs(drift - grid.mean(drift))) < 1e-7
 
