@@ -67,13 +67,12 @@ import functools
 import numbers
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 # unused here: perfbench/spans.py wraps this name on this module to time curvature
 from .geometry import mean_curvature_field  # noqa: F401
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import RingSolver, flow_operator, linearized_affine
+from .operators import RingSolver, flow_operator, linearized_affine, splu
 
 _DT_FLOOR = 1e-14     # smallest step: a given dt below it is a ScenarioError, a halved one an underflow
 _GROW_AFTER = 5      # consecutive accepted steps before dt grows
@@ -101,11 +100,14 @@ class StepperConfig:
             raise ScenarioError(f"dt must be at least {_DT_FLOOR:g}, the stepper's smallest step")
         if not (0.0 < self.delta_space <= 1e-2):
             raise ScenarioError("delta_space must lie in (0, 1e-2]")
-        if self.max_time <= 0:
+        # each "not x >= bound" below refuses NaN too
+        if not self.tol_speed >= 0:
+            raise ScenarioError("tol_speed must be non-negative (0 runs to max_time)")
+        if not self.max_time > 0:
             raise ScenarioError("max_time must be positive")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ScenarioError("max_steps must be at least 1")
-        if self.snapshot_interval < 1:
+        if not self.snapshot_interval >= 1:
             raise ScenarioError("snapshot_interval must be at least 1")
 
     def initial_dt(self, grid: CurvilinearGrid) -> float:

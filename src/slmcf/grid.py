@@ -37,7 +37,7 @@ import dataclasses
 import numpy as np
 
 from .domain import ConvexDomain
-from .errors import GridError, ScenarioError
+from .errors import GridError, ScenarioError, SpacelikeViolationError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
@@ -143,8 +143,6 @@ class CurvilinearGrid:
             return float(np.sum(self.weights * values))
         du2 = np.asarray(du2)
         if np.any(du2 >= 1.0 - _SPACELIKE_EPS):
-            from .errors import SpacelikeViolationError
-
             idx = np.unravel_index(int(np.argmax(du2)), du2.shape)
             raise SpacelikeViolationError(idx, float(du2[idx]))
         return float(np.sum(self.weights * values / np.sqrt(1.0 - du2)))

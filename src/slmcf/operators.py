@@ -48,6 +48,11 @@ roundoff u.  Otherwise the solver escalates to ``OrderedLU``, a sparse LU on
 a nested-dissection order of the grid shape (computed only then, so a run
 that never escalates computes none), which then serves every later solve on
 that matrix.
+
+Of scipy, this module imports only ``scipy.sparse`` at load.  The sparse LU
+(``scipy.sparse.linalg``) is imported by ``splu`` on the first escalation,
+and ``scipy.linalg`` by ``RingSolver`` where it builds a bordered mode 0: a
+flow that the ring solves serve imports neither.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import SpacelikeBoundaryError
 from .geometry import gradient_fields, quasilinear_operator
@@ -315,11 +319,21 @@ def nested_dissection_order(n_radial, n_angular):
 _DIAG_PIVOT_THRESH = 0.1
 
 
+def splu(A, *args, **kwargs):
+    """``scipy.sparse.linalg.splu``, imported on the first call: only a ring
+    solve that escalates factorizes, so a run that never does loads none of
+    ``scipy.sparse.linalg``.  ``flow`` and ``translator`` bind this name."""
+    # deferred: scipy.sparse.linalg takes about 0.4 s to import
+    from scipy.sparse.linalg import splu
+    return splu(A, *args, **kwargs)
+
+
 class OrderedLU:
     """LU of ``A[p][:, p]`` that solves in unpermuted coordinates; ``splu`` is
-    the caller's binding of scipy's.  SuperLU keeps the order ``p``: its own
-    column ordering is off and its symmetric mode on.  The explicit zeros of
-    A's shape-fixed structure are dropped first: they would only add fill."""
+    the caller's binding of this module's ``splu``, which imports scipy's on
+    its first call.  SuperLU keeps the order ``p``: its own column ordering is
+    off and its symmetric mode on.  The explicit zeros of A's shape-fixed
+    structure are dropped first: they would only add fill."""
 
     def __init__(self, splu, A, p):
         self.p = p
@@ -398,7 +412,10 @@ class RingSolver:
             M0[i[:-1], i[1:]] = sup[:-1, 0].real
             M0[:n_r, n_r] = -n_a
             M0[n_r, :n_r] = border.reshape(n_r, n_a).mean(axis=1)
-            self._mode0 = lu_factor(M0, check_finite=False)
+            # deferred: scipy.linalg serves only the bordered mode 0, not a flow's start-up
+            from scipy.linalg import lu_factor, lu_solve
+            self._mode0 = functools.partial(lu_solve, lu_factor(M0, check_finite=False),
+                                            check_finite=False)
             sub, diag, sup = sub[:, 1:], diag[:, 1:], sup[:, 1:]
         # Thomas elimination, batched over the modes
         low = np.zeros_like(sub)
@@ -430,7 +447,7 @@ class RingSolver:
             y = np.fft.rfft(b[:N].reshape(n_r, n_a), axis=1)
             x = np.empty_like(b)
             if b.size > N:
-                z = lu_solve(self._mode0, np.append(y[:, 0].real, b[N]), check_finite=False)
+                z = self._mode0(np.append(y[:, 0].real, b[N]))
                 y[:, 0], x[N] = z[:n_r], z[n_r]
                 y[:, 1:] = self._thomas(y[:, 1:])
             else:

@@ -11,6 +11,10 @@ with c the translation speed; the regularized family replaces c by eps * u.
 Both are solved here by shooting with a high-order adaptive integrator,
 entirely independent of the two-dimensional grid discretization.  These
 routines provide the reference values for the acceptance experiments.
+
+No command of the CLI calls them, so ``scipy.integrate`` and
+``scipy.optimize`` are imported inside the functions that use them, on the
+first call, and ``import slmcf`` loads neither.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 _R_START = 1e-8
 
@@ -41,6 +43,8 @@ def _f_ratio(metric):
 
 
 def _shoot_slope(c, r0, fratio):
+    from scipy.integrate import solve_ivp  # deferred: see the module docstring
+
     def rhs(r, y):
         p = y[0]
         return [(1.0 - p * p) * (c - fratio(r) * p)]
@@ -55,6 +59,9 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
     phi_const: constant contact angle; r0: boundary radius; metric: a
     catalog metric with a radial chart, or None/flat for the flat disk.
     """
+    from scipy.integrate import quad, solve_ivp  # deferred: see the module docstring
+    from scipy.optimize import brentq
+
     fratio, f = _f_ratio(metric)
     target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
 
@@ -101,6 +108,8 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
 
 def oracle_c3_from_flux(oracle: RadialOracle, phi_const, metric=None):
     """Cross-check: speed from the flux balance on the oracle profile."""
+    from scipy.integrate import quad  # deferred: see the module docstring
+
     fratio, f = _f_ratio(metric)
     num = phi_const * 2.0 * np.pi * f(oracle.r0)
     den = 2.0 * np.pi * quad(
@@ -120,6 +129,9 @@ class RegularizedOracle:
 
 def regularized_oracle(eps, phi_const, r0, metric=None) -> RegularizedOracle:
     """Shooting solution of the regularized radial problem (zeroth-order term eps*u)."""
+    from scipy.integrate import quad, solve_ivp  # deferred: see the module docstring
+    from scipy.optimize import brentq
+
     fratio, f = _f_ratio(metric)
     target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
 

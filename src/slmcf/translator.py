@@ -61,12 +61,12 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import ContinuationError, NewtonError, ScenarioError, SpacelikeViolationError
+from .geometry import gradient_fields
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
 from .operators import (RingSolver, assemble_operator_matrix, boundary_gradient_data,
-                        contact_ghost, flow_operator)
+                        contact_ghost, flow_operator, splu)
 
 _MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
 _TOL = 1e-10             # residual max(max|R|, |area-mean(w)|) that ends a solve
@@ -276,8 +276,6 @@ def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
     """Speed from the flux balance, with the (1-|Du|^2)^(-1/2) volume weight."""
     values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile, float)
     phi_vals = phi.values_on(grid)
-    from .geometry import gradient_fields
-
     ghost, _, _ = contact_ghost(values, grid, phi_vals)
     _, du2, _ = gradient_fields(values, grid, ghost)
     denominator = grid.domain_integral(np.ones_like(du2), du2=du2)

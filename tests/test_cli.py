@@ -332,7 +332,7 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2),
     ("stepper", "max_steps", 0), ("stepper", "dt", float("inf")), ("stepper", "dt", 1e-300),
     ("stepper", "max_time", float("nan")), ("stepper", "tol_speed", float("nan")),
-    ("stepper", "snapshot_interval", 0)])
+    ("stepper", "tol_speed", -1e-7), ("stepper", "snapshot_interval", 0)])
 def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):
     config = dict(BASE, **{section: {key: value}})
     with pytest.raises(ScenarioError, match=key):

@@ -196,9 +196,18 @@ def test_stepper_config_validation():
         with pytest.raises(ScenarioError, match="dt"):
             StepperConfig(dt=dt)
     assert StepperConfig(dt=flow._DT_FLOOR).dt == flow._DT_FLOOR
-    with pytest.raises(ScenarioError, match="max_time"):
-        StepperConfig(max_time=0.0)
-    for max_steps in (0, -1):
+    nan = float("nan")
+    for max_time in (0.0, -1.0, nan):
+        with pytest.raises(ScenarioError, match="max_time"):
+            StepperConfig(max_time=max_time)
+    for tol_speed in (-1e-7, nan):
+        with pytest.raises(ScenarioError, match="tol_speed"):
+            StepperConfig(tol_speed=tol_speed)
+    assert StepperConfig(tol_speed=0.0).tol_speed == 0.0     # runs to max_time
+    for snapshot_interval in (0, nan):
+        with pytest.raises(ScenarioError, match="snapshot_interval"):
+            StepperConfig(snapshot_interval=snapshot_interval)
+    for max_steps in (0, -1, nan):
         with pytest.raises(ScenarioError, match="max_steps"):
             StepperConfig(max_steps=max_steps)
     # the stepper has one scheme: a scenario that names one is refused
