@@ -156,10 +156,7 @@ class ConvexDomain:
     metric: Metric
     curve: BoundaryCurve
     kappa0: float
-    kappa_max: float
-    collar_depth: float
     inradius: float
-    spec: dict
 
     # -- frame -------------------------------------------------------------
 
@@ -262,8 +259,7 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
         if metric.chart != "cartesian":
             raise ScenarioError(f"domain kind '{kind}' requires a cartesian-chart metric")
 
-    domain = ConvexDomain(metric=metric, curve=curve, kappa0=np.nan, kappa_max=np.nan,
-                          collar_depth=np.nan, inradius=np.nan, spec=dict(spec))
+    domain = ConvexDomain(metric=metric, curve=curve, kappa0=np.nan, inradius=np.nan)
 
     s = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     # closed + centrally symmetric about the star center (cross-center stencils)
@@ -292,7 +288,6 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
             f"domain is not strictly convex: min boundary curvature = {kappa0:.3e}"
         )
     domain.kappa0 = kappa0
-    domain.kappa_max = float(np.max(kap))
 
     if kind == "chart_circle":
         domain.inradius = curve.r0
@@ -300,5 +295,4 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
         c = domain.curve.center
         sig = metric.sigma(g)
         domain.inradius = float(np.min(np.sqrt(_pair(g - c, sig, g - c))))
-    domain.collar_depth = min(0.2 * domain.inradius, 0.5 / domain.kappa_max)
     return domain

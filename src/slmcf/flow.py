@@ -11,11 +11,12 @@ One stepping core serves ``run_to_convergence`` and ``run_pair`` (two
 fields in lockstep on one time grid):
 
 - Step control.  A step is rejected and dt halved whenever the update would
-  push sup |Du|^2 above 1 - delta_space or break the boundary closure;
-  persistent rejections surface as StepSizeUnderflowError rather than being
-  clamped.  With ``StepperConfig.dt`` unset, the stepper multiplies dt by
-  ``_GROW_BY`` = 4 after every ``_GROW_AFTER`` consecutive accepted steps,
-  up to ``_DT_CAP`` times the domain inradius: near a
+  push sup |Du|^2 above 1 - ``grid._DELTA_SPACE`` (1e-3) or break the
+  boundary closure; persistent rejections surface as StepSizeUnderflowError
+  rather than being clamped; a run unsettled after ``_MAX_STEPS`` steps
+  stops unconverged.  With ``StepperConfig.dt`` unset, the stepper
+  multiplies dt by ``_GROW_BY`` = 4 after every ``_GROW_AFTER`` consecutive
+  accepted steps, up to ``_DT_CAP`` times the domain inradius: near a
   translator backward Euler is a fixed-point iteration, so steps can grow as
   the speed field settles, and each rung of the ladder costs one
   factorization.  Faster ladders (x4 after 3 or 4 steps, x8 after 2) let the
@@ -71,7 +72,7 @@ import numpy as np
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
 # unused here: perfbench/spans.py wraps this name on this module to time curvature
 from .geometry import mean_curvature_field  # noqa: F401
-from .grid import ContactAngle, CurvilinearGrid, GridFunction
+from .grid import _DELTA_SPACE, ContactAngle, CurvilinearGrid, GridFunction
 from .operators import RingSolver, flow_operator, linearized_affine, splu
 
 _DT_FLOOR = 1e-14     # smallest step: a given dt below it is a ScenarioError, a halved one an underflow
@@ -79,6 +80,7 @@ _GROW_AFTER = 5      # consecutive accepted steps before dt grows
 _GROW_BY = 4.0       # factor dt grows by, once per _GROW_AFTER accepted steps
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
 _REFRESH_INTERVAL = 10   # accepted steps after which the LU is refactored
+_MAX_STEPS = 2_000_000   # runaway bound: a run stops unconverged after this many steps
 
 
 @dataclasses.dataclass
@@ -86,10 +88,8 @@ class StepperConfig:
     dt: float | None = None           # default: diameter / (2 n_radial), grown
     tol_speed: float = 1e-7
     max_time: float = 10.0
-    delta_space: float = 1e-3
     snapshot_interval: int = 50
     dense_sample_times: tuple = ()
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         self.dense_sample_times = tuple(self.dense_sample_times)
@@ -98,15 +98,11 @@ class StepperConfig:
             raise ScenarioError("dense_sample_times must be an array of numbers")
         if self.dt is not None and not self.dt >= _DT_FLOOR:     # NaN included
             raise ScenarioError(f"dt must be at least {_DT_FLOOR:g}, the stepper's smallest step")
-        if not (0.0 < self.delta_space <= 1e-2):
-            raise ScenarioError("delta_space must lie in (0, 1e-2]")
         # each "not x >= bound" below refuses NaN too
         if not self.tol_speed >= 0:
             raise ScenarioError("tol_speed must be non-negative (0 runs to max_time)")
         if not self.max_time > 0:
             raise ScenarioError("max_time must be positive")
-        if not self.max_steps >= 1:
-            raise ScenarioError("max_steps must be at least 1")
         if not self.snapshot_interval >= 1:
             raise ScenarioError("snapshot_interval must be at least 1")
 
@@ -174,7 +170,7 @@ class FlowRun:
         derived = ("lu_factorizations", "sup_du2", "sup_ut")
         return {**{k: getattr(self, k) for k in _RECORDED + derived},
                 "t_final": self.state.t, "steps": self.state.step_count,
-                "monitor": monitor, "h": self.grid.h, "delta_space": self.cfg.delta_space}
+                "monitor": monitor, "h": self.grid.h, "delta_space": _DELTA_SPACE}
 
     @classmethod
     def from_record(cls, record: dict, grid: CurvilinearGrid, phi: ContactAngle,
@@ -348,7 +344,7 @@ class _Stepper:
     def advance(self) -> float:
         """Take and record one accepted step of every field; returns the dt taken."""
         self._update_models()
-        ceiling = 1.0 - self.cfg.delta_space
+        ceiling = 1.0 - _DELTA_SPACE
         while True:
             try:
                 cands = [f.candidate(self.dt) for f in self.fields]
@@ -378,7 +374,7 @@ class _Stepper:
 
     def running(self):
         return (not self.settled() and self.t < self.cfg.max_time
-                and self.steps < self.cfg.max_steps)
+                and self.steps < _MAX_STEPS)
 
     def runs(self) -> list:
         """The FlowRun of every field, in the order of ``fields``."""
@@ -387,7 +383,7 @@ class _Stepper:
             converged = f.dev < cfg.tol_speed
             if not converged:
                 limit = (f"max_time = {cfg.max_time}" if self.t >= cfg.max_time else
-                         f"max_steps = {cfg.max_steps} at t = {self.t:.6g}")
+                         f"max_steps = {_MAX_STEPS} at t = {self.t:.6g}")
                 message = (f"not converged by {limit} "
                            f"(speed deviation {f.dev:.3e} > tol {cfg.tol_speed:.1e})")
             elif self.steps == 0:

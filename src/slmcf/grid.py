@@ -41,6 +41,7 @@ from .errors import GridError, ScenarioError, SpacelikeViolationError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
+_DELTA_SPACE = 1e-3     # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
 
 
 class CurvilinearGrid:
@@ -130,7 +131,6 @@ class CurvilinearGrid:
         # boundary ring data (rho = 1)
         self.sqrt_sigma_ss_bd = np.sqrt(self.sigma_t[-1, :, 1, 1])
         self.boundary_weights = self.sqrt_sigma_ss_bd * self.hs
-        self.perimeter = float(np.sum(self.boundary_weights))
         # physical radial spacing, used for h^2-scaled tolerances
         self.h = float(np.max(np.sqrt(self.sigma_t[..., 0, 0])) * self.hr)
 
@@ -217,8 +217,6 @@ class ContactAngle:
     """
 
     def __init__(self, spec: dict, domain: ConvexDomain, n_angular: int | None = None):
-        self.spec = dict(spec)
-        self.domain = domain
         kind = spec.get("kind")
         if kind == "constant":
             c = float(spec["value"])
@@ -289,6 +287,8 @@ class ContactAngle:
         _, _, w = domain.frame(sdense)
         self.phi2 = float(np.max(np.abs(self._dphi(sdense) / w)))  # max |D_T phi|
         self.boundary_integral = float(np.sum(vals * w) * (2.0 * np.pi / len(sdense)))
+        # zero total contact angle, so zero translator speed: the maximal-limit case
+        self.zero_flux = abs(self.boundary_integral) <= 1e-8
 
     def __call__(self, s):
         return self._phi(s)

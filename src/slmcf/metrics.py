@@ -65,9 +65,6 @@ class Metric:
     def sigma(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sigma_inv(self, points: np.ndarray) -> np.ndarray:
-        return inv2(self.sigma(points))
-
     def christoffel(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -91,9 +88,6 @@ class FlatMetric(Metric):
         out[..., 1, 1] = 1.0
         return out
 
-    def sigma_inv(self, points):
-        return self.sigma(points)
-
     def christoffel(self, points):
         points = np.asarray(points, dtype=float)
         return np.zeros(points.shape[:-1] + (2, 2, 2))
@@ -108,12 +102,11 @@ class RadialMetric(Metric):
 
     chart = "radial"
 
-    def __init__(self, metric_id: str, f: Callable, fp: Callable, fpp: Callable,
-                 gauss: Callable, r_max: float):
+    def __init__(self, metric_id: str, f: Callable, fp: Callable, gauss: Callable,
+                 r_max: float):
         self.metric_id = metric_id
         self.f = f
         self.fp = fp
-        self.fpp = fpp
         self._gauss = gauss
         self.r_max = r_max
 
@@ -167,19 +160,17 @@ _register(FlatMetric())
 _register(RadialMetric("flat_polar", lambda r: np.asarray(r, dtype=float),
                        lambda r: np.ones_like(np.asarray(r, dtype=float)),
                        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                       lambda r: np.zeros_like(np.asarray(r, dtype=float)),
                        r_max=np.inf))
-_register(RadialMetric("sphere", np.sin, np.cos, lambda r: -np.sin(r),
+_register(RadialMetric("sphere", np.sin, np.cos,
                        lambda r: np.ones_like(np.asarray(r, dtype=float)),
                        r_max=np.pi))
 _register(RadialMetric("dome", lambda r: r - r ** 3 / 8.0,
                        lambda r: 1.0 - 3.0 * np.asarray(r) ** 2 / 8.0,
-                       lambda r: -0.75 * np.asarray(r),
                        _dome_gauss,
                        r_max=1.6))
 # Negative curvature entry: constructible for testing, but scenario
 # validation rejects it (K >= 0 is required for admissible runs).
-_register(RadialMetric("hyperbolic", np.sinh, np.cosh, np.sinh,
+_register(RadialMetric("hyperbolic", np.sinh, np.cosh,
                        lambda r: -np.ones_like(np.asarray(r, dtype=float)),
                        r_max=np.inf))
 

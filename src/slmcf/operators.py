@@ -368,10 +368,9 @@ class RingSolver:
     returned once it meets the componentwise bound (see the module
     docstring); else, and for every later solve, ``OrderedLU`` of A with the
     caller's ``splu`` on the ``nested_dissection_order`` of the grid shape,
-    border index last, computed only then.  ``kind`` says which of the two
-    serves, "ring" or "lu", and is written into ``log``, the caller's log
-    entry (a list): "ring" is appended on construction and becomes "lu"
-    where the solver escalates.
+    border index last, computed only then.  ``log``, the caller's log entry
+    (a list), says which of the two serves: "ring" is appended on
+    construction and becomes "lu" where the solver escalates.
 
     ``abs`` (|A|, on A's index arrays) and ``gamma`` (gamma_i per row) serve
     the check and ``floor``.
@@ -426,10 +425,6 @@ class RingSolver:
                 low[i] = sub[i] * inv[i - 1]
                 inv[i] = 1.0 / (diag[i] - low[i] * sup[i - 1])
         self._low, self._inv, self._sup = low, inv, sup
-
-    @property
-    def kind(self):
-        return "ring" if self.lu is None else "lu"
 
     def _thomas(self, y):
         low, inv, sup = self._low, self._inv, self._sup

@@ -49,7 +49,7 @@ from .domain import build_domain
 from .errors import ScenarioError
 from .flow import FlowRun, StepperConfig
 from .geometry import gradient_fields
-from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
+from .grid import _SPACELIKE_EPS, ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric
 from .translator import ContinuationSchedule, TranslatorSolution
 from .verify import monitor_constants
@@ -94,13 +94,15 @@ class Scenario:
 
 
 def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
-    if not isinstance(spec, dict):
-        raise ScenarioError("scenario section 'u0' must be a JSON object")
     kind = spec.get("kind", "constant")
     if kind == "constant":
         return GridFunction.constant(grid, float(spec.get("value", 0.0)))
     if kind == "polynomial":
         terms = spec.get("terms", [])
+        bad = [p for _, *powers in terms for p in powers if p != int(p)]
+        if bad:
+            raise ScenarioError(f"scenario section 'u0': the exponents in 'terms' must be "
+                                f"integers, not {bad[0]!r}")
 
         def poly(x, y):
             out = np.zeros_like(x)
@@ -147,6 +149,14 @@ def _solver_config(cls, section, spec):
     return cls(**spec)
 
 
+def _is_numeric(value):
+    """Whether ``value`` is a JSON number (booleans are not) or an array of them,
+    nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_numeric, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _from_section(section, build, *args, **kwargs):
     """``build(*args, **kwargs)``, where a missing key or a value of the wrong
     type in the scenario section it reads is a ScenarioError naming it."""
@@ -173,11 +183,18 @@ def load_scenario(config: dict) -> Scenario:
     keys = _non_finite_keys(config)
     if keys:
         raise ScenarioError(f"scenario holds NaN or Infinity at {', '.join(keys)}")
-    for key in ("metric", "domain", "phi", "grid"):
-        if key not in config:
+    sections = {"u0": {"kind": "constant", "value": 0.0}, **config}
+    for key in ("metric", "domain", "phi", "grid", "u0"):
+        if key not in sections:
             raise ScenarioError(f"scenario missing required section '{key}'")
-        if not isinstance(config[key], dict):
+        if not isinstance(sections[key], dict):
             raise ScenarioError(f"scenario section '{key}' must be a JSON object")
+    # numbers only: float() and int() would take booleans and strings, and truncate
+    for key in ("domain", "phi", "u0"):
+        for name, value in sections[key].items():
+            if name != "kind" and not _is_numeric(value):
+                raise ScenarioError(f"scenario section '{key}': '{name}' must be a number "
+                                    f"or an array of numbers, not {value!r}")
 
     metric = _from_section("metric", get_metric, config["metric"].get("id", "flat"))
     domain = _from_section("domain", build_domain, config["domain"], metric)  # kappa0 > 0
@@ -196,10 +213,9 @@ def load_scenario(config: dict) -> Scenario:
             f"(min K = {np.min(grid.gauss):.3e}); scenario rejected")
 
     phi = _from_section("phi", ContactAngle, config["phi"], domain, n_angular=grid.n_angular)
-    u0 = _from_section("u0", _build_u0, config.get("u0", {"kind": "constant", "value": 0.0}),
-                       grid)
+    u0 = _from_section("u0", _build_u0, sections["u0"], grid)
     _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
-    if float(np.max(du2)) >= 1.0 - 1e-10:
+    if float(np.max(du2)) >= 1.0 - _SPACELIKE_EPS:
         raise ScenarioError(
             f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
 
@@ -484,7 +500,7 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
              for k, tau in enumerate(sorted(run.dense))
              for m, (t, u) in enumerate(run.dense[tau])]
 
-    mc = monitor_constants(scenario.u0, run.phi, run.grid, c0=run.monitor_c0)
+    mc = monitor_constants(run.phi, run.grid, run.monitor_c0)
     files = {"series": "series.csv", "energy": "energy.csv",
              "snapshots": snapshots, "dense": dense}
     return _save(outdir, scenario, "flow", files, seconds, run.to_record(mc.as_dict()))

@@ -2,10 +2,15 @@
 
 Every check is a pure function of recorded run data (series arrays,
 snapshots, translator records) returning a CheckReport; re-running a check on
-the same artifacts gives a bit-identical report.  A check takes the same
-FlowRun, PairRun or TranslatorSolution whether it was just computed or loaded
-from a run directory by ``runio.load_run``.  Tolerances involving the
-grid scale use 5 h^2 with h the physical radial spacing of the grid.
+the same artifacts gives a bit-identical report.  A check reads the run it
+judges: a FlowRun carries its grid, phi and stepper settings and a
+TranslatorSolution the grid of its profile, so no check takes them as
+separate arguments; only ``check_ut_max_principle`` and
+``check_spacelike_bound`` take bare series, which tests build by hand.  A
+check takes the same FlowRun, PairRun or TranslatorSolution whether it was
+just computed or loaded from a run directory by ``runio.load_run``.
+Tolerances involving the grid scale use 5 h^2 with h the physical radial
+spacing of the run's grid.
 
 The gradient-bound monitor instantiates the a-priori estimate
 
@@ -27,8 +32,12 @@ import numpy as np
 
 from .errors import CheckPreconditionError
 from .geometry import EVO_DU_CONVENTIONS, evo_du_time_residual
-from .grid import ContactAngle, CurvilinearGrid
-from .operators import contact_ghost, flow_operator
+from .grid import _DELTA_SPACE, ContactAngle, CurvilinearGrid
+from .operators import contact_ghost
+
+_ENERGY_SKIP = 3      # leading steps maximal_limit's energy residual skips (boundary layer)
+_ENERGY_CONST = 10.0  # maximal_limit: the energy residual stays under this * (dt^2 + h^2)
+_EVO_DU_CONST = 5.0   # evo_du_residual: a convention passes under this * (h^2 + dt_snapshot)
 
 
 # -- monitor constants ---------------------------------------------------------
@@ -56,20 +65,9 @@ class MonitorConstants:
         return dataclasses.asdict(self)
 
 
-def monitor_constants(u0, phi: ContactAngle, grid: CurvilinearGrid,
-                      c0=None) -> MonitorConstants:
-    """Compute the monitor constants from the initial state.
-
-    c0 defaults to the squared max of the discrete flow operator applied to
-    u0; pass an externally measured value to reuse (e.g. max |eps u_eps|^2
-    when monitoring the regularized elliptic family).
-    """
-    if grid.domain.kappa0 <= 0:
-        raise ValueError("kappa0 must be positive")
-    if c0 is None:
-        values = u0.values if hasattr(u0, "values") else np.asarray(u0, float)
-        op = flow_operator(values, grid, phi.values_on(grid))
-        c0 = float(np.max(np.abs(op)) ** 2)
+def monitor_constants(phi: ContactAngle, grid: CurvilinearGrid, c0) -> MonitorConstants:
+    """The monitor constants of ``phi`` on ``grid``, with c0 the squared sup
+    of the initial speed field (``FlowRun.monitor_c0``)."""
     big_phi = max(abs(phi.phi0), abs(phi.phi1))
     c2 = big_phi * np.sqrt(c0) + 3.0 * phi.phi2
     return MonitorConstants(c0=float(c0), kappa0=grid.domain.kappa0,
@@ -117,12 +115,12 @@ def check_ut_max_principle(series) -> CheckReport:
                  "max_increment": float(np.max(np.diff(sup_ut))) if len(sup_ut) > 1 else 0.0})
 
 
-def check_spacelike_bound(series, constants: MonitorConstants, h,
-                          delta_space=1e-3) -> CheckReport:
-    """sup |Du|^2 stays under max(initial, c1) + 5 h^2 and under 1 - delta_space."""
+def check_spacelike_bound(series, constants: MonitorConstants, h) -> CheckReport:
+    """sup |Du|^2 stays under max(initial, c1) + 5 h^2 and under the
+    stepper's ceiling 1 - ``grid._DELTA_SPACE``."""
     sup_du2 = np.asarray(series["sup_du2"])
     bound_monitor = max(sup_du2[0], constants.c1) + 5.0 * h ** 2
-    bound_ceiling = 1.0 - delta_space
+    bound_ceiling = 1.0 - _DELTA_SPACE
     measured = float(np.max(sup_du2))
     passed = measured <= bound_monitor and measured < bound_ceiling
     return CheckReport(
@@ -159,19 +157,23 @@ def check_osc_decay(pair) -> CheckReport:
                  "nonincreasing": bool(nonincreasing), "bounded": bool(bounded)})
 
 
-def check_translator_agreement(run, solution, h) -> CheckReport:
+def check_translator_agreement(run, solution) -> CheckReport:
     """Long-time flow state agrees with the rigidly translating profile.
 
-    run: FlowRun; solution: TranslatorSolution on the same grid.  The drift
-    max|u - c3 t| must saturate: c8 is its largest value over the snapshots,
-    and its late rate is max|u_t - c3| of the final state, which bounds
-    d/dt max|u - c3 t| there.  Snapshot differences would not do: a run that
-    settles before its second snapshot has one difference quotient, over the
-    whole run.
+    run: FlowRun; solution: TranslatorSolution on a grid of the same shape
+    (else CheckPreconditionError).  The drift max|u - c3 t| must saturate:
+    c8 is its largest value over the snapshots, and its late rate is
+    max|u_t - c3| of the final state, which bounds d/dt max|u - c3 t| there.
+    Snapshot differences would not do: a run that settles before its second
+    snapshot has one difference quotient, over the whole run.
     """
     c3 = solution.c3
     grid = solution.profile.grid
-    tol_speed = max(1e-4, 5.0 * h ** 2)
+    shapes = [(g.n_radial, g.n_angular) for g in (run.grid, grid)]
+    if shapes[0] != shapes[1]:
+        raise CheckPreconditionError(f"flow run on a {shapes[0]} grid, translator on a "
+                                     f"{shapes[1]} grid")
+    tol_speed = max(1e-4, 5.0 * run.grid.h ** 2)
     speed_gap = abs(run.speed_estimate - c3)
 
     t_final, u_final = run.snapshots[-1]
@@ -192,16 +194,15 @@ def check_translator_agreement(run, solution, h) -> CheckReport:
                  "drift_bounded": bool(drift_bounded), "profile_tol": 1e-3})
 
 
-def check_maximal_limit(run, phi: ContactAngle, h, skip_initial=3,
-                        energy_const=10.0) -> CheckReport:
-    """Zero-flux scenarios converge to a stationary (H ~ 0) limit and satisfy
-    the energy balance step by step.
+def check_maximal_limit(run) -> CheckReport:
+    """Zero-flux runs (``ContactAngle.zero_flux``) converge to a stationary
+    (H ~ 0) limit and satisfy the energy balance step by step.
 
-    skip_initial: number of leading steps excluded from the energy residual
-    (incompatible initial data relaxes its boundary layer there).
+    The energy residual skips the first ``_ENERGY_SKIP`` steps: incompatible
+    initial data relaxes its boundary layer there.
     """
-    scale = abs(phi.phi0) + abs(phi.phi1) + 1e-30
-    if abs(phi.boundary_integral) > 1e-8 * max(1.0, scale):
+    phi, h = run.phi, run.grid.h
+    if not phi.zero_flux:
         raise CheckPreconditionError(
             f"maximal-limit check requires zero total contact angle, "
             f"got integral {phi.boundary_integral:.3e}")
@@ -209,8 +210,8 @@ def check_maximal_limit(run, phi: ContactAngle, h, skip_initial=3,
     t = np.asarray(run.energy["t"])
     res = np.abs(np.asarray(run.energy["residual"]))
     dts = np.diff(t)
-    k0 = min(skip_initial, max(0, len(res) - 2))
-    thresholds = energy_const * (dts ** 2 + h ** 2)
+    k0 = min(_ENERGY_SKIP, max(0, len(res) - 2))
+    thresholds = _ENERGY_CONST * (dts ** 2 + h ** 2)
     ok_energy = bool(np.all(res[1 + k0:] <= thresholds[k0:]))
     worst = float(np.max(res[1 + k0:] / thresholds[k0:])) if len(res) > 1 + k0 else 0.0
     passed = H_max < 5e-3 and ok_energy
@@ -218,17 +219,16 @@ def check_maximal_limit(run, phi: ContactAngle, h, skip_initial=3,
         name="maximal_limit", passed=bool(passed), measured=H_max, threshold=5e-3,
         details={"energy_ok": ok_energy, "energy_worst_ratio": worst,
                  "mean_ut": float(run.speed_estimate),
-                 "skip_initial": int(k0), "energy_const": float(energy_const)})
+                 "skip_initial": int(k0), "energy_const": _ENERGY_CONST})
 
 
-def check_evo_du_residual(run, grid: CurvilinearGrid, phi: ContactAngle,
-                          const=5.0) -> CheckReport:
+def check_evo_du_residual(run) -> CheckReport:
     """Identify the coefficient convention satisfied by the gradient evolution.
 
     Evaluates the time-differenced |Du|^2 evolution residual on interior
     rings for every dense snapshot triplet the run recorded, for each
     candidate convention; passes iff exactly one convention's residual is
-    below const * (h^2 + dt_snapshot).  A requested time of
+    below ``_EVO_DU_CONST`` * (h^2 + dt_snapshot).  A requested time of
     ``run.cfg.dense_sample_times`` without a triplet (it lies past the end of
     the run) raises CheckPreconditionError, and so does a triplet that
     straddles a dt change: the centred difference needs its two steps to be
@@ -245,7 +245,8 @@ def check_evo_du_residual(run, grid: CurvilinearGrid, phi: ContactAngle,
             raise CheckPreconditionError(
                 f"dense triplet at tau = {tau} has unequal steps "
                 f"{t1 - t0:.6g} and {t2 - t1:.6g}")
-    phi_vals = phi.values_on(grid)
+    grid = run.grid
+    phi_vals = run.phi.values_on(grid)
     interior = (slice(2, grid.n_radial - 3), slice(None))
     h = grid.h
     results = {}
@@ -259,7 +260,7 @@ def check_evo_du_residual(run, grid: CurvilinearGrid, phi: ContactAngle,
             res = evo_du_time_residual(u0, u1, u2, dt, grid, name, ghosts)
             worst = max(worst, float(np.max(np.abs(res[interior]))))
         results[name] = worst
-    threshold = const * (h ** 2 + dt_max)
+    threshold = _EVO_DU_CONST * (h ** 2 + dt_max)
     validated = [name for name, val in results.items() if val <= threshold]
     passed = len(validated) == 1
     return CheckReport(

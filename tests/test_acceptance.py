@@ -13,7 +13,7 @@ from slmcf.domain import build_domain
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.geometry import covariant_hessian_field
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.metrics import get_metric
+from slmcf.metrics import get_metric, inv2
 from slmcf.oracle import translator_oracle
 from slmcf.translator import (ContinuationSchedule, compute_c3, continuation)
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit,
@@ -188,7 +188,7 @@ def test_criterion_2_zero_speed_maximal_limit(cos_setup):
     grid, phi, sol, run = cos_setup
     c3_ok = abs(sol.c3) < 1e-6
     speed_ok = abs(run.speed_estimate) < 1e-4
-    rep = check_maximal_limit(run, phi, grid.h, skip_initial=3, energy_const=10.0)
+    rep = check_maximal_limit(run)
     ok = c3_ok and speed_ok and rep.passed and run.converged
     _report(2, ok, f"|c3| = {abs(sol.c3):.2e} < 1e-6; |mean u_t| = "
                    f"{abs(run.speed_estimate):.2e} < 1e-4; max|H| = "
@@ -204,7 +204,7 @@ def test_criterion_3_spacelike_preservation(compat_family, flow128, cos_setup,
     # refinement family with compatible data
     excesses = {}
     for n, (grid, sol, run) in compat_family.items():
-        mc = monitor_constants(sol.profile, phi02, grid, c0=run.monitor_c0)
+        mc = monitor_constants(phi02, grid, run.monitor_c0)
         rep = check_spacelike_bound(run.series, mc, grid.h)
         entries.append((f"disk-compat-{n}", rep))
         excesses[n] = rep.details["excess"]
@@ -213,24 +213,21 @@ def test_criterion_3_spacelike_preservation(compat_family, flow128, cos_setup,
 
     # the remaining shipped runs
     grid_c, phi_c, sol_c, run_c = cos_setup
-    mc = monitor_constants(GridFunction(run_c.snapshots[0][1], grid_c), phi_c,
-                           grid_c, c0=run_c.monitor_c0)
+    mc = monitor_constants(phi_c, grid_c, run_c.monitor_c0)
     entries.append(("disk-cos", check_spacelike_bound(run_c.series, mc, grid_c.h)))
 
     grid_b, sol_b, run_b = bump_run
-    mc = monitor_constants(sol_b.profile, phi02, grid_b, c0=run_b.monitor_c0)
+    mc = monitor_constants(phi02, grid_b, run_b.monitor_c0)
     entries.append(("disk-bump", check_spacelike_bound(run_b.series, mc, grid_b.h)))
 
-    mc = monitor_constants(GridFunction.constant(flow128.grid, 0.0), phi02,
-                           flow128.grid, c0=flow128.monitor_c0)
+    mc = monitor_constants(phi02, flow128.grid, flow128.monitor_c0)
     entries.append(("disk-128", check_spacelike_bound(flow128.series, mc,
                                                       flow128.grid.h)))
 
     grid_s, phi_s, sol_s, flow_s, compat_s, _ = sphere_family
-    mc = monitor_constants(GridFunction.constant(grid_s, 0.0), phi_s, grid_s,
-                           c0=flow_s.monitor_c0)
+    mc = monitor_constants(phi_s, grid_s, flow_s.monitor_c0)
     entries.append(("sphere", check_spacelike_bound(flow_s.series, mc, grid_s.h)))
-    mc = monitor_constants(sol_s.profile, phi_s, grid_s, c0=compat_s.monitor_c0)
+    mc = monitor_constants(phi_s, grid_s, compat_s.monitor_c0)
     entries.append(("sphere-compat", check_spacelike_bound(compat_s.series, mc,
                                                            grid_s.h)))
 
@@ -261,7 +258,7 @@ def test_criterion_4_ut_max_principle(compat_family, bump_run, sphere_family):
 def test_criterion_5_osc_decay_and_uniqueness(pair64):
     grid, sol, pair = pair64
     rep_osc = check_osc_decay(pair)
-    rep_tr = check_translator_agreement(pair.run_a, sol, grid.h)
+    rep_tr = check_translator_agreement(pair.run_a, sol)
     ok = rep_osc.passed and rep_tr.passed
     _report(5, ok,
             f"osc {pair.osc[0]:.4f} -> {pair.osc[-1]:.2e} "
@@ -278,9 +275,8 @@ def test_criterion_6_nonflat_metric(sphere_family):
     c = compute_c3(sol.profile, phi, grid)
     gaps = [abs(a - b), abs(a - c), abs(b - c)]
     rep_osc = check_osc_decay(pair)
-    rep_tr = check_translator_agreement(flow, sol, grid.h)
-    mc = monitor_constants(GridFunction.constant(grid, 0.0), phi, grid,
-                           c0=flow.monitor_c0)
+    rep_tr = check_translator_agreement(flow, sol)
+    mc = monitor_constants(phi, grid, flow.monitor_c0)
     rep_sp = check_spacelike_bound(flow.series, mc, grid.h)
     rep_ut = check_ut_max_principle(compat.series)
     orc = translator_oracle(0.1, 0.8, get_metric("sphere"))
@@ -311,7 +307,7 @@ def test_criterion_7_geometry_kernel(disk, sphere, collar_frame, inverse_metric_
         for pt in pts:
             pt = np.asarray(pt, dtype=float)
             metric.check_chart(pt)
-            ok &= float(np.max(np.abs(metric.sigma_inv(pt) @ metric.sigma(pt)
+            ok &= float(np.max(np.abs(inv2(metric.sigma(pt)) @ metric.sigma(pt)
                                       - np.eye(2)))) < 1e-12
     notes.append("sigma^-1 sigma = I to 1e-12")
 
@@ -433,7 +429,7 @@ def test_criterion_9_evo_du_convention(evo_du_runs):
     ok = True
     notes = []
     for label, runs in evo_du_runs.items():
-        reps = [check_evo_du_residual(run, grid, phi) for grid, phi, run in runs]
+        reps = [check_evo_du_residual(run) for _, _, run in runs]
         ok &= all(r.passed and r.details["validated"] == "derived" for r in reps)
         coarse = reps[0].details["residuals"]
         fine = reps[1].details["residuals"]

@@ -310,6 +310,8 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
 @pytest.mark.parametrize("section, key", [("stepper", "dtt"),
                                           ("stepper", "refresh_interval"),
                                           ("stepper", "scheme"),
+                                          ("stepper", "delta_space"),
+                                          ("stepper", "max_steps"),
                                           ("continuation", "cauchy_tol"),
                                           ("continuation", "newton"),
                                           ("continuation", "eps0"),
@@ -332,9 +334,11 @@ def test_unknown_solver_key_is_a_scenario_error(tmp_path, capsys, section, key):
     ("stepper", "dense_sample_times", ["x"]), ("continuation", "eps_min", 2),
     ("stepper", "max_steps", 0), ("stepper", "dt", float("inf")), ("stepper", "dt", 1e-300),
     ("stepper", "max_time", float("nan")), ("stepper", "tol_speed", float("nan")),
-    ("stepper", "tol_speed", -1e-7), ("stepper", "snapshot_interval", 0)])
+    ("stepper", "tol_speed", -1e-7), ("stepper", "snapshot_interval", 0),
+    ("phi", "value", "0.2"), ("phi", "value", True), ("u0", "value", True),
+    ("domain", "radius", True)])
 def test_solver_value_of_the_wrong_type_or_range_exits_2(tmp_path, capsys, section, key, value):
-    config = dict(BASE, **{section: {key: value}})
+    config = dict(BASE, **{section: {**BASE[section], key: value}})
     with pytest.raises(ScenarioError, match=key):
         load_scenario(config)
     assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
@@ -373,10 +377,12 @@ def test_missing_or_ill_typed_grid_key_exits_2(tmp_path, capsys, grid, message):
     ("domain", {"kind": "disk", "radius": "x"}),
     ("phi", {"kind": "constant"}),
     ("u0", {"kind": "sampled"}),
+    ("u0", {"kind": "polynomial", "terms": [[0.1, 2.5, 0]]}),
 ])
 def test_missing_or_ill_typed_section_key_exits_2(tmp_path, section, spec):
     config = dict(BASE, **{section: spec})
-    with pytest.raises(ScenarioError, match=f"'{section}'"):
+    # the message names the section, then the key at fault
+    with pytest.raises(ScenarioError, match=rf"section '{section}': .*'\w+'"):
         load_scenario(config)
     assert main(["flow", str(_write(tmp_path, config)), "-o", str(tmp_path / "run")]) == 2
 

@@ -178,19 +178,18 @@ def test_nonconvergence_reported(disk24):
     assert run.message.startswith("not converged by max_time = 0.05 ")
 
 
-def test_max_steps_stop_names_max_steps():
+def test_max_steps_stop_names_max_steps(monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_STEPS", 2)
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    run = run_to_convergence(np.zeros((16, 32)), phi, grid, StepperConfig(max_steps=2))
+    run = run_to_convergence(np.zeros((16, 32)), phi, grid, StepperConfig())
     assert not run.converged and run.state.step_count == 2
     assert run.state.t == pytest.approx(0.125) and run.state.t < run.cfg.max_time
     assert run.message.startswith("not converged by max_steps = 2 at t = 0.125 ")
 
 
 def test_stepper_config_validation():
-    with pytest.raises(ScenarioError, match="delta_space"):
-        StepperConfig(delta_space=0.5)
     # a given dt below the stepper's smallest step would never move t
     for dt in (-1.0, 0.0, 1e-300, 0.5 * flow._DT_FLOOR, float("nan")):
         with pytest.raises(ScenarioError, match="dt"):
@@ -207,16 +206,14 @@ def test_stepper_config_validation():
     for snapshot_interval in (0, nan):
         with pytest.raises(ScenarioError, match="snapshot_interval"):
             StepperConfig(snapshot_interval=snapshot_interval)
-    for max_steps in (0, -1, nan):
-        with pytest.raises(ScenarioError, match="max_steps"):
-            StepperConfig(max_steps=max_steps)
-    # the stepper has one scheme: a scenario that names one is refused
+    # the stepper has one scheme, one space-like margin and one runaway bound:
+    # a scenario that sets any of them is refused
     scenario = {"metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},
                 "phi": {"kind": "constant", "value": 0.2},
-                "grid": {"n_radial": 16, "n_angular": 32},
-                "stepper": {"scheme": "explicit"}}
-    with pytest.raises(ScenarioError, match="scheme"):
-        load_scenario(scenario)
+                "grid": {"n_radial": 16, "n_angular": 32}}
+    for key, value in (("scheme", "explicit"), ("delta_space", 0.01), ("max_steps", 10)):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario({**scenario, "stepper": {key: value}})
 
 
 # -- stepping core: step control, LU refresh and the mean split ---------------------
@@ -351,12 +348,12 @@ def test_nonfinite_u0_raises_scenario_error(runner):
 
 @pytest.mark.parametrize("runner", ["single", "pair"])
 def test_persistent_rejection_underflows(runner):
-    """phi = 10 forces |Du|^2 = 100/101 on the boundary, above 1 - 1e-2:
+    """phi = 40 drives |Du|^2 toward 1600/1601 on the boundary, above 1 - 1e-3:
     every step is rejected and halved until the typed underflow error."""
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
-    phi = ContactAngle({"kind": "constant", "value": 10.0}, dom)
-    cfg = StepperConfig(delta_space=1e-2)
+    phi = ContactAngle({"kind": "constant", "value": 40.0}, dom)
+    cfg = StepperConfig()
     u0 = GridFunction.constant(grid, 0.0)
     with pytest.raises(StepSizeUnderflowError):
         if runner == "single":
@@ -407,8 +404,8 @@ def test_lu_refresh_log(disk24, record_splu):
 
     # a rejected step halves dt and refactors every field
     stepper = flow._Stepper([u0, u0 + 1.0], grid,
-                            ContactAngle({"kind": "constant", "value": 10.0}, dom),
-                            StepperConfig(delta_space=1e-2))
+                            ContactAngle({"kind": "constant", "value": 40.0}, dom),
+                            StepperConfig())
     with pytest.raises(StepSizeUnderflowError):
         stepper.advance()
     for f in stepper.fields:
@@ -420,7 +417,7 @@ def test_lu_refresh_log(disk24, record_splu):
 
 def _one_step(u, cfg, grid, phi):
     """The first accepted step from ``u``."""
-    cfg = dataclasses.replace(cfg, max_steps=1, tol_speed=0.0)
+    cfg = dataclasses.replace(cfg, max_time=cfg.initial_dt(grid), tol_speed=0.0)
     return run_to_convergence(u, phi, grid, cfg).state
 
 

@@ -323,7 +323,7 @@ def test_ring_solve_on_radial_states(name, n_radial, record_splu):
         x = solver.solve(b)
         plain, refined = _reference_solve(A, p, b)
         scale = np.max(np.abs(refined))
-        assert solver.kind == "ring"
+        assert solver.log[-1] == "ring"
         assert np.max(np.abs(x - refined)) <= 1e-12 * scale
         assert np.max(np.abs(x - plain)) <= 2e-12 * scale
         assert _oettli_prager(A, x, b)
@@ -343,7 +343,7 @@ def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
         for _ in range(2):
             b = rng.standard_normal(A.shape[0])
             assert np.array_equal(solver.solve(b), reference.solve(b))
-            assert solver.kind == "lu"
+            assert solver.log[-1] == "lu"
     assert [len(m) for m in made] == [3, 2]
 
 
@@ -351,7 +351,7 @@ def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
 def test_ring_solver_owns_abs_floor_and_log(name):
     """|A| sits on A's own index arrays; ``floor`` is max gamma (|A| |x|) as
     scipy's abs(A) gives it, bit for bit; the caller's log entry gets the
-    kind, "ring", which becomes "lu" where the solver escalates."""
+    solver's kind, "ring", which becomes "lu" where the solver escalates."""
     grid, pv, w = _ring_case({**RADIAL, **NON_RADIAL}[name], 16)
     L, q = assemble_operator_matrix(w, grid, pv)
     x = np.random.default_rng(3).standard_normal(w.size + 1)
@@ -365,8 +365,8 @@ def test_ring_solver_owns_abs_floor_and_log(name):
         assert np.shares_memory(solver.abs.indptr, A.indptr)
         assert solver.floor(x[:n]) == float(np.max(solver.gamma * (abs(A) @ np.abs(x[:n]))))
         solver.solve(x[:n])
-        assert entry == [0, solver.kind]
-        assert solver.kind == ("ring" if name == "disk" else "lu")
+        assert entry == [0, "ring" if name == "disk" else "lu"]
+        assert (solver.lu is None) == (name == "disk")
 
 
 def test_disk_flow_and_translator_call_no_splu(record_splu):

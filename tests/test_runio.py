@@ -140,14 +140,13 @@ def test_translator_solution_round_trip(saved):
 
 
 def _all_checks(flow, bump, solution):
-    scenario = load_scenario(CONFIG)
-    mc = monitor_constants(scenario.u0, flow.phi, flow.grid, c0=flow.monitor_c0)
+    mc = monitor_constants(flow.phi, flow.grid, flow.monitor_c0)
     h = flow.grid.h
     return [check_ut_max_principle(flow.series),
-            check_spacelike_bound(flow.series, mc, h, flow.cfg.delta_space),
-            check_maximal_limit(flow, flow.phi, h),
-            check_evo_du_residual(flow, flow.grid, flow.phi),
-            check_translator_agreement(flow, solution, h),
+            check_spacelike_bound(flow.series, mc, h),
+            check_maximal_limit(flow),
+            check_evo_du_residual(flow),
+            check_translator_agreement(flow, solution),
             check_osc_decay(PairRun.from_snapshots(flow, bump))]
 
 

@@ -7,6 +7,7 @@ from slmcf.domain import build_domain
 from slmcf.errors import CheckPreconditionError
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
+from slmcf.operators import flow_operator
 from slmcf.translator import ContinuationSchedule, continuation
 from slmcf.verify import (CheckReport, MonitorConstants, c1_formula,
                           check_evo_du_residual, check_maximal_limit,
@@ -62,10 +63,16 @@ def test_c1_formula_monotonicity():
         assert all(np.diff(vals) < 0)
 
 
+def _c0_from_zero(phi, grid):
+    """c0 of u0 = 0: the squared sup of the flow operator there."""
+    op = flow_operator(np.zeros((grid.n_radial, grid.n_angular)), grid, phi.values_on(grid))
+    return float(np.max(np.abs(op)) ** 2)
+
+
 def test_monitor_constants_zero_phi(disk32):
     dom, grid = disk32
     phi0 = ContactAngle({"kind": "constant", "value": 0.0}, dom)
-    mc = monitor_constants(GridFunction.constant(grid, 0.0), phi0, grid)
+    mc = monitor_constants(phi0, grid, _c0_from_zero(phi0, grid))
     assert mc.c0 == 0.0
     assert mc.c2 == 0.0
     assert mc.c1 == 0.0
@@ -74,7 +81,7 @@ def test_monitor_constants_zero_phi(disk32):
 def test_monitor_constants_disk_run(disk32):
     dom, grid = disk32
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    mc = monitor_constants(GridFunction.constant(grid, 0.0), phi, grid)
+    mc = monitor_constants(phi, grid, _c0_from_zero(phi, grid))
     assert mc.c0 > 0
     assert 0 < mc.c1 < 1
     assert mc.kappa0 == pytest.approx(1.0)
@@ -115,8 +122,7 @@ def test_spacelike_bound_stationary():
 def test_spacelike_bound_on_run(run_phi02, disk32):
     _, grid = disk32
     phi, run = run_phi02
-    mc = monitor_constants(GridFunction.constant(grid, 0.0), phi, grid,
-                           c0=run.monitor_c0)
+    mc = monitor_constants(phi, grid, run.monitor_c0)
     rep = check_spacelike_bound(run.series, mc, grid.h)
     assert rep.passed
     assert rep.details["excess"] == 0.0
@@ -163,7 +169,7 @@ def test_translator_agreement_on_run(run_phi02, disk32):
     dom, grid = disk32
     phi, run = run_phi02
     sol = continuation(ContinuationSchedule(), phi, grid)
-    rep = check_translator_agreement(run, sol, grid.h)
+    rep = check_translator_agreement(run, sol)
     assert rep.passed
     assert rep.details["speed_gap"] < 1e-6
     assert rep.details["profile_gap"] < 1e-5
@@ -175,7 +181,12 @@ def test_translator_agreement_negative(run_phi02, disk32):
     phi, run = run_phi02
     sol = continuation(ContinuationSchedule(), phi, grid)
     wrong = dataclasses.replace(sol, c3=sol.c3 + 0.05)
-    assert not check_translator_agreement(run, wrong, grid.h).passed
+    assert not check_translator_agreement(run, wrong).passed
+    # a translator on another grid shape is refused, not broadcast
+    grid16 = build_grid(dom, 16, 32)
+    other = dataclasses.replace(sol, profile=GridFunction.constant(grid16, 0.0))
+    with pytest.raises(CheckPreconditionError, match=r"\(32, 64\).*\(16, 32\)"):
+        check_translator_agreement(run, other)
 
 
 # -- maximal limit --------------------------------------------------------------------
@@ -185,17 +196,17 @@ def test_maximal_limit_on_cos_run(disk32):
     phi = ContactAngle({"kind": "fourier", "cos": [0.3]}, dom)
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid,
                              StepperConfig(max_time=6.0, tol_speed=1e-8))
-    rep = check_maximal_limit(run, phi, grid.h)
+    rep = check_maximal_limit(run)
     assert rep.passed
     assert rep.measured < 5e-3
     assert abs(rep.details["mean_ut"]) < 1e-4
 
 
-def test_maximal_limit_precondition(run_phi02, disk32):
-    _, grid = disk32
+def test_maximal_limit_precondition(run_phi02):
     phi, run = run_phi02   # phi = 0.2 has nonzero total flux
+    assert not phi.zero_flux
     with pytest.raises(CheckPreconditionError):
-        check_maximal_limit(run, phi, grid.h)
+        check_maximal_limit(run)
 
 
 def test_maximal_limit_negative_tampered(disk32):
@@ -206,7 +217,7 @@ def test_maximal_limit_negative_tampered(disk32):
     tampered = dataclasses.replace(run)
     tampered.energy = {k: np.array(v, copy=True) for k, v in run.energy.items()}
     tampered.energy["residual"] = tampered.energy["residual"] + 1.0
-    assert not check_maximal_limit(tampered, phi, grid.h).passed
+    assert not check_maximal_limit(tampered).passed
 
 
 # -- evo-du convention --------------------------------------------------------------
@@ -217,19 +228,18 @@ def test_evo_du_check_identifies_derived(disk32):
     cfg = StepperConfig(max_time=0.5, tol_speed=0.0, dt=0.002,
                         dense_sample_times=(0.1, 0.25))
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
-    rep = check_evo_du_residual(run, grid, phi)
+    rep = check_evo_du_residual(run)
     assert rep.passed
     assert rep.details["validated"] == "derived"
     assert rep.details["residuals"]["printed"] > 10 * rep.details["residuals"]["derived"]
 
 
-def test_evo_du_check_needs_dense(run_phi02, disk32):
-    _, grid = disk32
-    phi, run = run_phi02
+def test_evo_du_check_needs_dense(run_phi02):
+    _, run = run_phi02
     if run.dense:
         pytest.skip("run unexpectedly has dense data")
     with pytest.raises(CheckPreconditionError):
-        check_evo_du_residual(run, grid, phi)
+        check_evo_du_residual(run)
 
 
 def test_dense_times_in_the_first_step_and_past_the_end():
@@ -245,7 +255,7 @@ def test_dense_times_in_the_first_step_and_past_the_end():
     assert t0 == 0.0 and t1 == cfg.initial_dt(grid) > 0.01 and t2 == 2 * t1
     assert np.array_equal(u0, run.snapshots[0][1])
     with pytest.raises(CheckPreconditionError, match="tau = 50.0"):
-        check_evo_du_residual(run, grid, phi)
+        check_evo_du_residual(run)
 
 
 def test_evo_du_check_rejects_unequal_steps(disk32):
@@ -258,7 +268,7 @@ def test_evo_du_check_rejects_unequal_steps(disk32):
     (t0, u0), (t1, u1), (t2, u2) = run.dense[tau]
     run.dense[tau] = ((t0, u0), (t1, u1), (t2 + (t2 - t1), u2))
     with pytest.raises(CheckPreconditionError, match="unequal steps"):
-        check_evo_du_residual(run, grid, phi)
+        check_evo_du_residual(run)
 
 
 # -- report plumbing -----------------------------------------------------------------
@@ -289,5 +299,5 @@ def test_evo_du_negative_corrupted_snapshots(disk32):
     (t0, u0), (t1, u1), (t2, u2) = run.dense[tau]
     bad = u2 + 0.01 * np.cos(3 * grid.s)[None, :] * grid.rho[:, None] ** 2
     run.dense[tau] = ((t0, u0), (t1, u1), (t2, bad))
-    rep = check_evo_du_residual(run, grid, phi)
+    rep = check_evo_du_residual(run)
     assert not rep.passed
