@@ -23,8 +23,8 @@ import time
 from . import __version__
 from .errors import SlmcfError
 from .flow import FlowRun, PairRun, run_to_convergence
-from .runio import (export_field_csvs, load_run, load_scenario_file, save_flow_run,
-                    save_translator_solution)
+from .runio import (check_config, export_field_csvs, load_run, load_scenario_file,
+                    save_flow_run, save_translator_solution)
 # unused here: perfbench/spans.py wraps these names on this module to time run I/O
 from .runio import (load_scenario, read_csv, read_field_csv, validate_manifest,  # noqa: F401
                     write_energy_csv, write_field_csv, write_manifest, write_series_csv)
@@ -109,11 +109,7 @@ def _apply_override(config, dotted_key, value):
     node[parts[-1]] = value
 
 
-def _sweep_case(template, overrides, outdir, idx):
-    config = json.loads(json.dumps(template))
-    for key, value in overrides.items():
-        _apply_override(config, key, value)
-    config["name"] = f"{config.get('name', 'case')}_{idx:03d}"
+def _sweep_case(config, outdir, idx):
     case_dir = pathlib.Path(outdir) / f"case_{idx:03d}"
     case_dir.mkdir(parents=True, exist_ok=True)
     cfg_path = case_dir / "scenario.json"
@@ -123,7 +119,6 @@ def _sweep_case(template, overrides, outdir, idx):
     trans_manifest = cmd_translator(cfg_path, case_dir / "translator")
     return {
         "case": idx,
-        "overrides": overrides,
         "speed_estimate": flow_manifest["final"]["speed_estimate"],
         "converged": flow_manifest["final"]["converged"],
         "sup_du2": flow_manifest["final"]["sup_du2"],
@@ -150,10 +145,15 @@ def cmd_sweep(template_path, grid_spec, outdir) -> pathlib.Path:
     if not combos or combos == [{}]:
         raise SlmcfError("sweep grid spec is empty")
 
+    configs = [json.loads(json.dumps(template)) for _ in combos]
+    for idx, (config, overrides) in enumerate(zip(configs, combos)):
+        for key, value in overrides.items():
+            _apply_override(config, key, value)
+        config["name"] = f"{config.get('name', 'case')}_{idx:03d}"
+        check_config(config)    # every case fits the scenario tables before any case runs
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = [_sweep_case(template, overrides, outdir, idx)
-               for idx, overrides in enumerate(combos)]
+    results = [_sweep_case(config, outdir, idx) for idx, config in enumerate(configs)]
 
     override_keys = sorted({k for c in combos for k in c})
     columns = (["case"] + override_keys +
@@ -162,7 +162,7 @@ def cmd_sweep(template_path, grid_spec, outdir) -> pathlib.Path:
     lines = ["# slmcf sweep summary", ",".join(columns)]
     for res in results:
         row = [str(res["case"])]
-        row += [repr(res["overrides"].get(k, "")) for k in override_keys]
+        row += [repr(combos[res["case"]].get(k, "")) for k in override_keys]
         row += [repr(res["speed_estimate"]), repr(res["c3"]),
                 repr(res["c3_quadrature"]), repr(res["sup_du2"]),
                 repr(res["max_H_final"]), str(int(res["converged"]))]

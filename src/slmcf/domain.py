@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import NonConvexDomainError, ScenarioError
 from .metrics import INDEX_PAIRS, Metric, einsum_sum, get_metric
+from .schema import check
 
 
 class BoundaryCurve:
@@ -57,8 +58,6 @@ class _Ellipse(BoundaryCurve):
     kind = "ellipse"
 
     def __init__(self, a, b, center=(0.0, 0.0)):
-        if a <= 0 or b <= 0:
-            raise ScenarioError("ellipse semi-axes must be positive")
         self.a = float(a)
         self.b = float(b)
         self.center = np.asarray(center, dtype=float)
@@ -85,11 +84,6 @@ class _SupportCurve(BoundaryCurve):
     kind = "smooth_convex"
 
     def __init__(self, r0, amp, k, phase=0.0):
-        if r0 <= 0:
-            raise ScenarioError("smooth_convex r0 must be positive")
-        k = int(k)
-        if k % 2 != 0:
-            raise ScenarioError("smooth_convex harmonic k must be even (central symmetry)")
         self.r0 = float(r0)
         self.amp = float(amp)
         self.k = k
@@ -131,8 +125,6 @@ class _ChartCircle(BoundaryCurve):
     kind = "chart_circle"
 
     def __init__(self, r0):
-        if r0 <= 0:
-            raise ScenarioError("chart_circle r0 must be positive")
         self.r0 = float(r0)
         self.center = None  # radial charts have no center node in the chart
 
@@ -222,42 +214,31 @@ def _rotate90(metric, points, V):
 
 
 def build_domain(spec: dict, metric=None) -> ConvexDomain:
-    """Construct a ConvexDomain from a spec dict and verify strict convexity.
-
-    spec keys: kind (disk | ellipse | smooth_convex | chart_circle) plus the
-    kind's parameters; ``metric`` may be a Metric or a metric id string.
+    """Construct a ConvexDomain from a domain section (its table is in ``schema``)
+    and verify strict convexity; ``metric`` may be a Metric or a metric id string.
     """
     if metric is None:
         metric = "flat"
     if isinstance(metric, str):
         metric = get_metric(metric)
 
-    kind = spec.get("kind")
+    spec = check("domain", spec)
+    kind = spec["kind"]
     if kind == "disk":
-        radius = spec.get("radius", 1.0)
-        if radius <= 0:
-            raise ScenarioError("disk radius must be positive")
-        curve = _Ellipse(radius, radius, spec.get("center", (0.0, 0.0)))
+        curve = _Ellipse(spec["radius"], spec["radius"], spec["center"])
     elif kind == "ellipse":
-        curve = _Ellipse(spec["a"], spec["b"], spec.get("center", (0.0, 0.0)))
+        curve = _Ellipse(spec["a"], spec["b"], spec["center"])
     elif kind == "smooth_convex":
-        curve = _SupportCurve(spec.get("r0", 1.0), spec.get("amp", 0.0),
-                              spec.get("k", 2), spec.get("phase", 0.0))
-    elif kind == "chart_circle":
+        curve = _SupportCurve(spec["r0"], spec["amp"], spec["k"], spec["phase"])
+    else:
         curve = _ChartCircle(spec["r0"])
-    else:
-        raise ScenarioError(f"unknown domain kind '{kind}'")
 
-    if kind == "chart_circle":
-        if metric.chart != "radial":
-            raise ScenarioError("chart_circle domains require a radial-chart metric")
-        if curve.r0 >= metric.r_max:
-            raise ScenarioError(
-                f"chart_circle r0 = {curve.r0} outside chart of metric '{metric.metric_id}'"
-            )
-    else:
-        if metric.chart != "cartesian":
-            raise ScenarioError(f"domain kind '{kind}' requires a cartesian-chart metric")
+    chart = "radial" if kind == "chart_circle" else "cartesian"
+    if metric.chart != chart:
+        raise ScenarioError(f"domain kind '{kind}' requires a {chart}-chart metric")
+    if kind == "chart_circle" and curve.r0 >= metric.r_max:
+        raise ScenarioError(
+            f"chart_circle r0 = {curve.r0} outside chart of metric '{metric.metric_id}'")
 
     domain = ConvexDomain(metric=metric, curve=curve, kappa0=np.nan, inradius=np.nan)
 

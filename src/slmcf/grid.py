@@ -39,6 +39,7 @@ import numpy as np
 from .domain import ConvexDomain
 from .errors import GridError, ScenarioError, SpacelikeViolationError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
+from .schema import check
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
 _DELTA_SPACE = 1e-3     # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
@@ -211,21 +212,22 @@ class GridFunction:
 class ContactAngle:
     """Prescribed contact-angle function phi on the boundary.
 
-    Built from a spec dict: {"kind": "constant", "value": c} or
-    {"kind": "fourier", "a0": ..., "cos": [...], "sin": [...]} or
+    Built from a phi section (its table is in ``schema``): {"kind": "constant",
+    "value": c}, {"kind": "fourier", "a0": ..., "cos": [...], "sin": [...]} or
     {"kind": "table", "values": [...]} (one value per angular node).
     """
 
     def __init__(self, spec: dict, domain: ConvexDomain, n_angular: int | None = None):
-        kind = spec.get("kind")
+        spec = check("phi", spec)
+        kind = spec["kind"]
         if kind == "constant":
-            c = float(spec["value"])
+            c = spec["value"]
             self._phi = lambda s: np.full_like(np.asarray(s, dtype=float), c)
             self._dphi = lambda s: np.zeros_like(np.asarray(s, dtype=float))
         elif kind == "fourier":
-            a0 = float(spec.get("a0", 0.0))
-            ac = np.asarray(spec.get("cos", []), dtype=float)
-            asn = np.asarray(spec.get("sin", []), dtype=float)
+            a0 = spec["a0"]
+            ac = np.asarray(spec["cos"], dtype=float)
+            asn = np.asarray(spec["sin"], dtype=float)
 
             def _phi(s, a0=a0, ac=ac, asn=asn):
                 s = np.asarray(s, dtype=float)
@@ -246,7 +248,7 @@ class ContactAngle:
                 return out
 
             self._phi, self._dphi = _phi, _dphi
-        elif kind == "table":
+        else:
             vals = np.asarray(spec["values"], dtype=float)
             if n_angular is not None and len(vals) != n_angular:
                 raise ScenarioError(
@@ -275,8 +277,6 @@ class ContactAngle:
                 return (modes.real @ scale / n).reshape(s.shape)
 
             self._phi, self._dphi = _phi, _dphi
-        else:
-            raise ScenarioError(f"unknown phi kind '{kind}'")
 
         sdense = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         vals = self._phi(sdense)

@@ -1,25 +1,12 @@
 """Scenario configuration, validation, and run persistence.
 
-A scenario is a single JSON document:
-
-    {
-      "name": "disk_phi02",
-      "metric": {"id": "flat"},
-      "domain": {"kind": "disk", "radius": 1.0},
-      "phi": {"kind": "constant", "value": 0.2},
-      "u0": {"kind": "constant", "value": 0.0},
-      "grid": {"n_radial": 64, "n_angular": 128},
-      "stepper": {"dt": 0.01, "tol_speed": 1e-7, "max_time": 10.0},
-      "continuation": {"eps_min": 1e-6},
-      "seed_label": "baseline"
-    }
-
-Validation on load rejects non-convex domains, negative ambient curvature on
-the closure, non-space-like initial data and mismatched phi tables.  The
-scenario hash is the sha256 of the canonical (sorted-keys, compact) JSON
-encoding; series.csv and energy.csv carry it in a leading comment, and the
-manifest records it with the sha256 of every field file, so a manifest can
-be validated against its files.
+A scenario is one JSON document, held to the tables of ``schema`` before
+anything is built; the builders then reject non-convex domains, negative
+ambient curvature on the closure, non-space-like initial data and mismatched
+phi tables.  The scenario hash is the sha256 of the canonical (sorted-keys,
+compact) JSON encoding; series.csv and energy.csv carry it in a leading
+comment, and the manifest records it with the sha256 of every field file,
+so a manifest can be validated against its files.
 
 CSV conventions (series.csv, energy.csv and the field CSVs of ``slmcf
 export``): UTF-8, comma delimiter, "." decimal point, float cells in repr
@@ -37,10 +24,8 @@ import functools
 import hashlib
 import io
 import json
-import math
 import numbers
 import pathlib
-import typing
 
 import numpy as np
 
@@ -50,7 +35,7 @@ from .errors import ScenarioError
 from .flow import FlowRun, StepperConfig
 from .geometry import gradient_fields
 from .grid import _SPACELIKE_EPS, ContactAngle, CurvilinearGrid, GridFunction, build_grid
-from .metrics import get_metric
+from .schema import SCENARIO, SECTIONS, check, fields
 from .translator import ContinuationSchedule, TranslatorSolution
 from .verify import monitor_constants
 
@@ -90,138 +75,53 @@ class Scenario:
 
     @property
     def name(self):
-        return self.config.get("name", "scenario")
+        return self.config.get("name", SCENARIO[None]["name"].default)
 
 
 def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
-    kind = spec.get("kind", "constant")
-    if kind == "constant":
-        return GridFunction.constant(grid, float(spec.get("value", 0.0)))
-    if kind == "polynomial":
-        terms = spec.get("terms", [])
-        bad = [p for _, *powers in terms for p in powers if p != int(p)]
-        if bad:
-            raise ScenarioError(f"scenario section 'u0': the exponents in 'terms' must be "
-                                f"integers, not {bad[0]!r}")
-
-        def poly(x, y):
-            out = np.zeros_like(x)
-            for c, px, py in terms:
-                out = out + float(c) * x ** int(px) * y ** int(py)
-            return out
-
-        return GridFunction.from_chart(grid, poly)
-    if kind == "sampled":
-        vals = np.asarray(spec["values"], dtype=float)
-        if vals.shape != (grid.n_radial, grid.n_angular):
-            raise ScenarioError(
-                f"sampled u0 shape {vals.shape} != grid ({grid.n_radial}, {grid.n_angular})")
-        return GridFunction(vals, grid)
-    raise ScenarioError(f"unknown u0 kind '{kind}'")
+    """u0 from a u0 section that ``check_config`` filled in."""
+    if spec["kind"] == "constant":
+        return GridFunction.constant(grid, spec["value"])
+    x, y = grid.X[..., 0], grid.X[..., 1]
+    values = (sum((c * x ** px * y ** py for c, px, py in spec["terms"]), np.zeros_like(x))
+              if spec["kind"] == "polynomial" else np.asarray(spec["values"], dtype=float))
+    if values.shape != x.shape or not np.all(np.isfinite(values)):
+        raise ScenarioError(f"scenario section 'u0': the {spec['kind']} u0 of shape "
+                            f"{values.shape} is not a finite field on the {x.shape} grid")
+    return GridFunction(values, grid)
 
 
-# The JSON values a solver setting of each annotated type accepts, and their name.
-_JSON_TYPES = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
-               str: (str, "a string"), tuple: ((list, tuple), "an array"),
-               type(None): (type(None), "null")}
+# every scenario section's table: the solver sections' keys are their configs' fields
+_SECTIONS = {**SECTIONS, "stepper": fields(StepperConfig),
+             "continuation": fields(ContinuationSchedule)}
 
 
-def _solver_config(cls, section, spec):
-    """``cls`` from a scenario section.
-
-    A section that is not a JSON object, that has a key ``cls`` does not
-    know, or whose value does not have the JSON type of its field (booleans
-    are no numbers) is a ScenarioError naming the section and the key.
-    """
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"scenario section '{section}' must be a JSON object")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(spec) - set(hints))
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in scenario section '{section}': "
-                            f"{', '.join(unknown)} (known: {', '.join(sorted(hints))})")
-    for key, value in spec.items():
-        kinds = [_JSON_TYPES[t] for t in typing.get_args(hints[key]) or (hints[key],)]
-        if isinstance(value, bool) or not isinstance(value, tuple(t for t, _ in kinds)):
-            raise ScenarioError(f"scenario section '{section}': '{key}' must be "
-                                f"{' or '.join(name for _, name in kinds)}, "
-                                f"not {value!r}")
-    return cls(**spec)
-
-
-def _is_numeric(value):
-    """Whether ``value`` is a JSON number (booleans are not) or an array of them,
-    nested to any depth."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_is_numeric, value))
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _from_section(section, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, where a missing key or a value of the wrong
-    type in the scenario section it reads is a ScenarioError naming it."""
-    try:
-        return build(*args, **kwargs)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioError(f"scenario section '{section}': "
-                            f"{type(err).__name__}: {err}") from err
-
-
-def _non_finite_keys(node, key=""):
-    """The dotted keys of the NaN and infinite numbers in a JSON value."""
-    if isinstance(node, (dict, list, tuple)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        return [k for i, v in items for k in _non_finite_keys(v, f"{key}.{i}".lstrip("."))]
-    return [key] if isinstance(node, float) and not math.isfinite(node) else []
+def check_config(config) -> dict:
+    """Every section of the scenario ``config`` with its defaults filled in, once
+    the scenario and each section fit their tables (see ``schema.check``)."""
+    config = check(None, config, SCENARIO)
+    return {name: check(name, config[name], table) for name, table in _SECTIONS.items()}
 
 
 def load_scenario(config: dict) -> Scenario:
     """Validate a config dict and build all runtime objects."""
-    if not isinstance(config, dict):
-        raise ScenarioError("scenario config must be a JSON object")
-    # json reads NaN and Infinity, which no setting admits and canonical_json refuses
-    keys = _non_finite_keys(config)
-    if keys:
-        raise ScenarioError(f"scenario holds NaN or Infinity at {', '.join(keys)}")
-    sections = {"u0": {"kind": "constant", "value": 0.0}, **config}
-    for key in ("metric", "domain", "phi", "grid", "u0"):
-        if key not in sections:
-            raise ScenarioError(f"scenario missing required section '{key}'")
-        if not isinstance(sections[key], dict):
-            raise ScenarioError(f"scenario section '{key}' must be a JSON object")
-    # numbers only: float() and int() would take booleans and strings, and truncate
-    for key in ("domain", "phi", "u0"):
-        for name, value in sections[key].items():
-            if name != "kind" and not _is_numeric(value):
-                raise ScenarioError(f"scenario section '{key}': '{name}' must be a number "
-                                    f"or an array of numbers, not {value!r}")
-
-    metric = _from_section("metric", get_metric, config["metric"].get("id", "flat"))
-    domain = _from_section("domain", build_domain, config["domain"], metric)  # kappa0 > 0
-    shape = []
-    for key in ("n_radial", "n_angular"):
-        value = config["grid"].get(key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ScenarioError(f"scenario section 'grid': '{key}' must be an integer, "
-                                f"not {value!r}")
-        shape.append(int(value))
-    grid = build_grid(domain, *shape)
+    spec = check_config(config)
+    stepper = StepperConfig(**spec["stepper"])
+    continuation = ContinuationSchedule(**spec["continuation"])
+    domain = build_domain(spec["domain"], spec["metric"]["id"])  # kappa0 > 0
+    grid = build_grid(domain, spec["grid"]["n_radial"], spec["grid"]["n_angular"])
 
     if np.min(grid.gauss) < _CURVATURE_FLOOR:
         raise ScenarioError(
             f"ambient Gaussian curvature is negative on the domain closure "
             f"(min K = {np.min(grid.gauss):.3e}); scenario rejected")
 
-    phi = _from_section("phi", ContactAngle, config["phi"], domain, n_angular=grid.n_angular)
-    u0 = _from_section("u0", _build_u0, sections["u0"], grid)
+    phi = ContactAngle(spec["phi"], domain, n_angular=grid.n_angular)
+    u0 = _build_u0(spec["u0"], grid)
     _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
     if float(np.max(du2)) >= 1.0 - _SPACELIKE_EPS:
         raise ScenarioError(
             f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
-
-    stepper = _solver_config(StepperConfig, "stepper", config.get("stepper", {}))
-    continuation = _solver_config(ContinuationSchedule, "continuation",
-                                  config.get("continuation", {}))
 
     return Scenario(config=config, grid=grid, phi=phi, u0=u0, stepper=stepper,
                     continuation=continuation)

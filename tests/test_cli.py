@@ -426,6 +426,15 @@ def test_sweep_spec_of_non_objects_exits_2(tmp_path):
     assert main(["sweep", str(tpl), "--grid", spec, "-o", str(tmp_path / "s2")]) == 2
 
 
+def test_sweep_checks_every_case_before_it_runs_one(tmp_path, capsys):
+    """A misspelled override in the second case exits 2 before the first runs."""
+    tpl = _write(tmp_path, BASE, "template.json")
+    spec = json.dumps([{"phi.value": 0.1}, {"phi.valeu": 0.3}])
+    assert main(["sweep", str(tpl), "--grid", spec, "-o", str(tmp_path / "sweep")]) == 2
+    assert "'valeu'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep/case_*/flow"))
+
+
 def test_field_csv_round_trip_is_bit_identical(tmp_path):
     scenario = load_scenario(BASE)
     grid = scenario.grid
