@@ -31,13 +31,14 @@ fields in lockstep on one time grid):
   On the Jacobian the defect is second order in the step, so factorizations
   mostly follow the dt ladder; the interval rule keeps fixed-dt transients
   off a stale model.  The rules are checked just before a step, so a
-  stopped run pays for no factorization.  A refresh hands L and dt to an
-  ``operators.RingSolver``, which builds I - dt L, solves it by FFT in s on
-  the ring-averaged stencil and accepts a solution only at its componentwise
-  rounding floor; where the ring solve misses it (a state off rotational
-  symmetry) the solver escalates to the sparse LU on the grid shape's
-  nested-dissection order.  On a rotationally symmetric state no LU and no
-  order is built.  Each field logs its refreshes as
+  stopped run pays for no factorization.  A refresh hands L (its stencil,
+  ``operators.Jacobian``) and dt to an ``operators.RingSolver``, which forms
+  the stencil of I - dt L, solves it by FFT in s on the ring-averaged stencil
+  and accepts a solution only at its componentwise rounding floor; where the
+  ring solve misses it (a state off rotational symmetry) the solver builds
+  the CSC matrix of I - dt L and escalates to its sparse LU on the grid
+  shape's nested-dissection order.  On a rotationally symmetric state no
+  sparse matrix, LU or order is built.  Each field logs its refreshes as
   ``[step, t, dt, reason, solver]`` (``FlowRun.lu_refreshes``): step and t
   are the accepted steps and the time before the refresh, dt is the step it
   factors for, reason is ``start``, ``dt`` (growth), ``interval``,
@@ -210,11 +211,10 @@ class _Field:
         """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
         the log line [step, t, dt, reason], which the solver completes with
         its kind."""
-        self._L, self._k, q = linearized_affine(self.w, self.grid, self.phi_vals)
-        ring = q["ring"]
-        del q                       # the operator fields go before the solver is built
+        # the operator fields go before the solver is built
+        self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals)[:2]
         self.lu = None              # the old factors go before the new ones are built
-        self.lu = RingSolver(splu, self._L, ring, 1.0, -dt, log=entry)
+        self.lu = RingSolver(splu, self._L, 1.0, -dt, log=entry)
         self.refreshes.append(entry)
         self.since_refresh = 0
 

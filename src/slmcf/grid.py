@@ -39,7 +39,7 @@ import numpy as np
 from .domain import ConvexDomain
 from .errors import GridError, ScenarioError, SpacelikeViolationError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
-from .schema import check
+from .schema import N_ANGULAR, N_RADIAL, check
 
 _SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
 _DELTA_SPACE = 1e-3     # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
@@ -49,10 +49,11 @@ class CurvilinearGrid:
     """Structured grid over a convex domain with pulled-back metric data."""
 
     def __init__(self, domain: ConvexDomain, n_radial: int, n_angular: int):
-        if n_radial < 8:
-            raise GridError("n_radial must be at least 8")
-        if n_angular < 16:
-            raise GridError("n_angular must be at least 16")
+        # before anything is allocated: a huge size would fail as a raw numpy error
+        for name, n, (least, largest) in (("n_radial", n_radial, N_RADIAL),
+                                          ("n_angular", n_angular, N_ANGULAR)):
+            if not least <= n <= largest:
+                raise GridError(f"{name} must be in [{least}, {largest}], not {n}")
         if n_angular % 2 != 0:
             raise GridError("n_angular must be even (cross-center stencils)")
 

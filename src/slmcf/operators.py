@@ -18,29 +18,26 @@ Jacobian assembly is exact: stencil weights carry the per-node coefficient
 fields and the derivative of g~^{ab} with respect to Du, and the ghost row is
 eliminated through its three-entry dependence on the unknowns (chain rule
 through the tangential derivative).  A finite-difference verification of the
-assembled matrix lives in the test suite.  The nine weights are computed
-from the component arrays of ``geometry.quasilinear_operator`` and written
-straight into CSC data through ``operator_structure``, a per-grid-shape
-cache (int32 ``indptr`` and ``indices``, and a slot map that sums the
-entries several stencil entries hit in a fixed order), so an assembly does
-no index work and no COO to CSC sort.  The same structure gives the graph of
-``nested_dissection_order``, the shifted and bordered matrices of
-``StencilStructure.shifted``, and the per-row entry counts of
-``RingSolver``.  Matrices built on it share its read-only index arrays and
-keep its exact zeros; ``OrderedLU`` drops those before factoring.
+assembled matrix lives in the test suite.  The Jacobian is its stencil
+(``Jacobian``): the nine weight arrays, computed from the component arrays
+of ``geometry.quasilinear_operator``, and the boundary ring's eight entries
+with the ghost folded in, so ``L @ x`` is a stencil product.  A CSC matrix
+exists only where a solve escalates to the LU (``RingSolver.matrix``), on
+the positions of ``_stencil_coo``, a per-grid-shape cache that also gives
+the graph of ``nested_dissection_order``.
 
 Every linear solve with the Jacobian goes through ``RingSolver``, which owns
-all of it: from L and its ring-averaged stencil it builds the matrix of the
-solve (the flow's I - dt L, or the translator's bordered [[L - eps I, -1],
-[a^T, 0]] with the ring means of a for mode 0), picks the solver, logs which
-one served into the caller's log entry, and gives the componentwise rounding
-floor of a residual (``RingSolver.floor``).  Averaging each
+all of it: from L it forms the matrix of the solve (the flow's I - dt L, or
+the translator's bordered [[L - eps I, -1], [a^T, 0]] with the ring means of
+a for mode 0), picks the solver, logs which one served into the caller's log
+entry, and gives the componentwise rounding floor of a residual
+(``RingSolver.floor``).  Averaging each
 stencil weight and the ghost sensitivity over s on every ring gives an
 operator that is diagonal in the angular Fourier modes, with one tridiagonal
 system in rho per mode: the half-offset polar grid of the fast disk solvers
 (Mohseni & Colonius, J. Comput. Phys. 157, 2000; Lai, Numer. Methods PDE 17,
 2001).  On rotationally symmetric states it is the Jacobian up to rounding.
-Every ring solution is checked against the real matrix: after at most
+Every ring solution is checked against the solve's matrix: after at most
 ``_RING_SWEEPS`` refinement sweeps it must meet the Oettli-Prager
 componentwise bound |b - A x|_i <= gamma_i (|A| |x| + |b|)_i, with
 gamma_i = m_i u / (1 - m_i u) for the row's m_i entries and the unit
@@ -49,19 +46,18 @@ a nested-dissection order of the grid shape (computed only then, so a run
 that never escalates computes none), which then serves every later solve on
 that matrix.
 
-Of scipy, this module imports only ``scipy.sparse`` at load.  The sparse LU
-(``scipy.sparse.linalg``) is imported by ``splu`` on the first escalation,
-and ``scipy.linalg`` by ``RingSolver`` where it builds a bordered mode 0: a
-flow that the ring solves serve imports neither.
+This module imports no scipy at load.  ``scipy.sparse`` is imported where a
+solve escalates and builds its CSC matrix, the sparse LU
+(``scipy.sparse.linalg``) by ``splu`` on the first escalation, and
+``scipy.linalg`` by ``RingSolver`` where it builds a bordered mode 0: a
+flow that the ring solves serve imports none of them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SpacelikeBoundaryError
 from .geometry import gradient_fields, quasilinear_operator
@@ -110,152 +106,114 @@ def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
     return dnu, dtu, v[-1]
 
 
-# -- sparse assembly -----------------------------------------------------------
+# -- the Jacobian as its stencil -------------------------------------------------
 
 _OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+# (ring, angular) offsets of the boundary ring's entries once the ghost is folded in
+_BOUNDARY = ((-1, -1), (-1, 0), (-1, 1), (0, -2), (0, -1), (0, 0), (0, 1), (0, 2))
 _ND_LEAF = 64   # nested dissection stops at parts of at most this many nodes
 
 
-def _stencil_coo(n_radial, n_angular):
-    """The operator matrix's entries on a grid shape as a COO list (rows, cols, src)
-    over the source vector, plus the stencil entries that reach the ghost row.
+class Jacobian:
+    """The operator matrix L as its stencil: ``L @ x`` is the stencil product.
 
-    The nine-point stencil at offsets ``_OFFSETS`` writes one weight per
-    offset and node: the 9N stencil weights, offset-major.  ``ghost`` indexes
-    the ones that reach beyond the boundary ring and ``gj`` gives their ghost
-    column.  Each ghost entry w is folded into the three unknowns the ghost
-    value depends on, ghost[j] = u[-2, j] + g[j] (u[-1, j+1] - u[-1, j-1]) +
-    const, as w, w g and -w g.  The source vector is [the 9N weights, the G
-    values w g, the G values -w g] and entry k, at (rows[k], cols[k]), holds
-    source[src[k]]: first the stencil entries inside the grid, then the
-    folded ones in three blocks.
-    """
-    n_r, n_a = n_radial, n_angular
-    N = n_r * n_a
-    half = n_a // 2
-    I, J = np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij")
-    cols = []
-    for di, dj in _OFFSETS:
-        ti = I + di
-        tj = (J + dj) % n_a
-        # cross-center: (-1, j) is (0, j + half)
-        center = ti == -1
-        tj = np.where(center, (tj + half) % n_a, tj)
-        ti = np.where(center, 0, ti)
-        # beyond the boundary: ghost pseudo-columns N + j
-        cols.append(np.where(ti == n_r, N + tj, ti * n_a + tj).ravel())
-    cols = np.concatenate(cols)
-    rows = np.tile(np.arange(N), len(_OFFSETS))
-    beyond = cols >= N
-    ghost, inside = np.flatnonzero(beyond), np.flatnonzero(~beyond)
-    gj = cols[ghost] - N
-    grows = rows[ghost]
-    rows = np.concatenate([rows[inside], grows, grows, grows])
-    cols = np.concatenate([cols[inside], (n_r - 2) * n_a + gj,
-                           (n_r - 1) * n_a + (gj + 1) % n_a,
-                           (n_r - 1) * n_a + (gj - 1) % n_a])
-    src = np.concatenate([inside, ghost, 9 * N + np.arange(2 * ghost.size)])
-    return rows, cols, src, ghost, gj
-
-
-def _index_array(a):
-    """A read-only int32 copy of ``a``."""
-    out = np.array(a, dtype=np.int32)
-    out.flags.writeable = False
-    return out
-
-
-def _csc(data, indices, indptr):
-    """The square CSC matrix on index arrays in canonical order; it shares them."""
-    n = indptr.size - 1
-    A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    A.has_canonical_format = True
-    return A
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class StencilStructure:
-    """The CSC structure of the operator matrix on one grid shape, and how
-    the source vector of ``_stencil_coo`` fills it.
-
-    Slot k of the matrix's ``data`` takes source[first[k]]; each pair
-    (slots, sources) of ``adds`` then adds source[sources] at slots, so an
-    entry that several stencil entries hit is their sum in COO order, as a
-    COO to CSC conversion sums it.  All arrays are int32 and read-only.
+    ``padded`` holds the nine weights per node in ``_OFFSETS`` order (9 x
+    n_radial x (n_angular + 2), a zero column each side, so that every offset
+    reads one contiguous slice of the flattened, padded x); ``weights`` is
+    their view without the padding.  Rings 0 .. n_radial - 2 apply them, the
+    center crossing (-1, j) reading (0, j + n_angular/2).  On the boundary
+    ring the weights that reach the ghost row are folded into the three
+    unknowns the ghost depends on, ghost[j] = u[-2, j] + g[j] (u[-1, j+1] -
+    u[-1, j-1]) + const, and merged with the stencil's own entries:
+    ``boundary`` holds the 8 x n_angular entries at the ``_BOUNDARY``
+    offsets, each a sum in a fixed order (stencil entry, ghost entry, then
+    the +g and the -g term).  ``sens`` is g per boundary node, and ``ring``
+    the ring means of the nine weights and of g (9 x n_radial, one number):
+    the ring-averaged stencil that ``RingSolver`` solves on.  The mixed
+    derivative's weights at (-1, -1) and (-1, 1) repeat those at (1, 1) and
+    (1, -1), as the assembly writes them and ``shifted`` and ``abs`` keep
+    them; the product reads one weight per pair.
     """
 
-    indptr: np.ndarray      # N + 1 column starts
-    indices: np.ndarray     # row of each slot, ascending within each column
-    first: np.ndarray       # per slot: the source entry stored there
-    adds: tuple             # (slots, sources) per further summand
-    diag: np.ndarray        # per node: the slot of its diagonal entry
-    ghost: np.ndarray       # positions of the ghost-reaching stencil weights
-    gj: np.ndarray          # their ghost columns
-    row_counts: np.ndarray  # entries per row
+    def __init__(self, padded, boundary, sens=None):
+        self.padded, self.boundary, self.sens = padded, boundary, sens
+        n_r, m = padded.shape[1:]
+        self.shape = (n_r * (m - 2),) * 2
 
     @property
-    def n_nodes(self):
-        return self.indptr.size - 1
-
-    def matrix(self, source):
-        """The matrix whose entries the source vector gives; it shares the index arrays."""
-        data = source[self.first]
-        for slots, sources in self.adds:
-            data[slots] += source[sources]
-        return _csc(data, self.indices, self.indptr)
+    def weights(self):
+        return self.padded[:, :, 1:-1]
 
     @functools.cached_property
-    def _bordered(self):
-        """(indptr, indices, L's slots, border-row slots) of the bordered
-        matrix: each column j < N gains row N at its end, column N holds
-        rows 0 .. N-1."""
-        N, nnz = self.n_nodes, self.indices.size
-        indptr = np.append(self.indptr + np.arange(N + 1), nnz + 2 * N)
-        slots = np.arange(nnz) + np.repeat(np.arange(N), np.diff(self.indptr))
-        border = indptr[1:N + 1] - 1
-        indices = np.empty(nnz + 2 * N, dtype=np.int64)
-        indices[slots] = self.indices
-        indices[border] = N
-        indices[nnz + N:] = np.arange(N)
-        return tuple(map(_index_array, (indptr, indices, slots, border)))
+    def ring(self):
+        return self.weights.mean(axis=2), float(np.mean(self.sens))
 
-    def shifted(self, L, alpha, beta, border=None):
-        """alpha I + beta L for an ``L`` on this structure, which it keeps,
-        explicit zeros included; given ``border`` (the border row a, N
-        values) the bordered [[alpha I + beta L, -1], [a^T, 0]]."""
-        data = beta * L.data
-        data[self.diag] += alpha
-        if border is None:
-            return _csc(data, self.indices, self.indptr)
-        indptr, indices, slots, bslots = self._bordered
-        full = np.empty(indices.size)
-        full[slots] = data
-        full[bslots] = border
-        full[-self.n_nodes:] = -1.0
-        return _csc(full, indices, indptr)
+    def shifted(self, alpha, beta):
+        """alpha I + beta L: each entry of L, the merged ones summed first,
+        times beta, and alpha added on the diagonal."""
+        padded, boundary = beta * self.padded, beta * self.boundary
+        padded[0, :, 1:-1] += alpha
+        boundary[_BOUNDARY.index((0, 0))] += alpha
+        return Jacobian(padded, boundary)
+
+    def __abs__(self):
+        return Jacobian(np.abs(self.padded), np.abs(self.boundary))
+
+    def __matmul__(self, x):
+        _, n_r, m = self.padded.shape
+        n_a = m - 2
+        u = x.reshape(n_r, n_a)
+        # x on rings -1 .. n_radial - 1, ring -1 the cross-center one, with one
+        # periodic column each side, flattened with a spare zero at each end
+        flat = np.empty((n_r + 1) * m + 2)
+        flat[0] = flat[-1] = 0.0
+        P = flat[1:-1].reshape(n_r + 1, m)
+        P[1:, 1:-1] = u
+        half = n_a // 2
+        P[0, 1:1 + half], P[0, 1 + half:-1] = u[0, half:], u[0, :half]
+        P[:, 0], P[:, -1] = P[:, -2], P[:, 1]
+        size = (n_r - 1) * m
+        start = [1 + (1 + di) * m + dj for di, dj in _OFFSETS]
+        at = [flat[k:k + size] for k in start]              # x at each offset of every node
+        w = [v.ravel() for v in self.padded[:, :-1]]
+        y, term = w[0] * at[0], np.empty(size)
+        for o in 1, 2, 3, 4:
+            y += np.multiply(w[o], at[o], out=term)
+        for o in 5, 7:          # (1, 1) with (-1, -1), then (1, -1) with (-1, 1)
+            y += np.multiply(w[o], np.add(at[o], at[o + 1], out=term), out=term)
+        out = np.empty((n_r, n_a))
+        out[:-1] = y.reshape(n_r - 1, m)[:, 1:-1]
+        # the last two rings with two periodic columns each side
+        last = np.concatenate([u[-2:, -2:], u[-2:], u[-2:, :2]], axis=1)
+        out[-1] = sum(e * last[1 + di, 2 + dj:2 + dj + n_a]
+                      for e, (di, dj) in zip(self.boundary, _BOUNDARY))
+        return out.ravel()
+
+    def entries(self):
+        """L's entries at the positions ``_stencil_coo`` gives."""
+        return np.concatenate([self.padded[:, :-1, 1:-1], self.boundary], axis=None)
 
 
 @functools.lru_cache(maxsize=8)
-def operator_structure(n_radial, n_angular) -> StencilStructure:
-    """The ``StencilStructure`` of a grid shape, built once per shape."""
-    rows, cols, src, ghost, gj = _stencil_coo(n_radial, n_angular)
-    N = n_radial * n_angular
-    key = cols * N + rows
-    order = np.argsort(key, kind="stable")   # column-major, COO order in a tie
-    key = key[order]
-    new = np.r_[True, key[1:] != key[:-1]]
-    slot = np.cumsum(new) - 1
-    rank = np.arange(key.size) - np.flatnonzero(new)[slot]
-    indices = key[new] % N
-    indptr = np.searchsorted(key[new] // N, np.arange(N + 1))
-    diag = np.flatnonzero(indices == np.repeat(np.arange(N), np.diff(indptr)))
-    adds = tuple((_index_array(slot[rank == r]), _index_array(src[order[rank == r]]))
-                 for r in range(1, int(rank.max()) + 1))
-    return StencilStructure(
-        indptr=_index_array(indptr), indices=_index_array(indices),
-        first=_index_array(src[order[new]]), adds=adds, diag=_index_array(diag),
-        ghost=_index_array(ghost), gj=_index_array(gj),
-        row_counts=_index_array(np.bincount(indices, minlength=N)))
+def _stencil_coo(n_radial, n_angular):
+    """(rows, cols) of the operator matrix's entries on a grid shape, int32,
+    read-only and in ``Jacobian.entries`` order: the nine offsets on rings 0
+    .. n_radial - 2, offset-major, then the ``_BOUNDARY`` offsets on the
+    boundary ring.  No position occurs twice."""
+    n_r, n_a = n_radial, n_angular
+    I, J = np.meshgrid(np.arange(n_r - 1), np.arange(n_a), indexing="ij")
+    j = np.arange(n_a)
+    cols = []
+    for di, dj in _OFFSETS:
+        center = I + di == -1           # (-1, j) is (0, j + n_angular/2)
+        cols.append((np.where(center, 0, I + di) * n_a
+                     + (J + dj + np.where(center, n_a // 2, 0)) % n_a).ravel())
+    cols += [(n_r - 1 + di) * n_a + (j + dj) % n_a for di, dj in _BOUNDARY]
+    rows = np.concatenate([np.tile(np.arange((n_r - 1) * n_a), len(_OFFSETS)),
+                           np.tile((n_r - 1) * n_a + j, len(_BOUNDARY))]).astype(np.int32)
+    cols = np.concatenate(cols).astype(np.int32)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,17 +226,16 @@ def nested_dissection_order(n_radial, n_angular):
     nodes of the first half that have a stencil neighbour in the second half
     form the separator, which is ordered after both halves.  Parts of at
     most ``_ND_LEAF`` nodes keep their natural order.  The graph is the one
-    of ``operator_structure``, which depends on the shape alone: a pattern
-    read off the values of an assembled matrix would lack the entries that
-    happen to be exact zeros (A12 = 0 on a radially symmetric state), and an
-    order built on it fills the factors of every later, curved state.
+    of ``_stencil_coo``, which depends on the shape alone: a pattern read
+    off the values of an assembled matrix would lack the entries that happen
+    to be exact zeros (A12 = 0 on a radially symmetric state), and an order
+    built on it fills the factors of every later, curved state.
     """
-    st = operator_structure(n_radial, n_angular)
-    N = st.n_nodes
-    graph = sp.csc_matrix((np.ones(st.indices.size), st.indices, st.indptr), shape=(N, N))
-    graph = (graph + graph.T).tocoo()           # symmetric
-    loop = graph.row == graph.col
-    a, b = graph.row[~loop], graph.col[~loop]   # each edge in both directions
+    rows, cols = (a.astype(np.int64) for a in _stencil_coo(n_radial, n_angular))
+    N = n_radial * n_angular
+    off = rows != cols
+    edges = np.unique(np.concatenate([rows[off] * N + cols[off], cols[off] * N + rows[off]]))
+    a, b = edges // N, edges % N                # each edge in both directions
     rho = (np.arange(n_radial) + 0.5) / (n_radial - 0.5)
     rho[-1] = 1.0
     R, S = np.meshgrid(rho, 2.0 * np.pi * np.arange(n_angular) / n_angular, indexing="ij")
@@ -355,9 +312,9 @@ _RING_SWEEPS = 2     # refinement sweeps of a ring solve before it escalates to 
 class RingSolver:
     """Solves A x = b for the matrix of one Jacobian solve: A = alpha I + beta L
     or, given ``border`` (the border row a, one value per node), the bordered
-    A = [[alpha I + beta L, -1], [a^T, 0]].  L is the Jacobian that
-    ``assemble_operator_matrix`` returned together with ``ring``, its
-    ring-averaged stencil, and A is built on L's ``operator_structure``.
+    A = [[alpha I + beta L, -1], [a^T, 0]].  L is the ``Jacobian`` that
+    ``assemble_operator_matrix`` returns, and A is kept as the stencil of
+    ``L.shifted`` and the border.
 
     Each angular mode k of the ring-averaged operator is tridiagonal in rho:
     the center crossing (-1, j) = (0, j + n_angular/2) folds the inward
@@ -366,29 +323,31 @@ class RingSolver:
     singular at alpha = 0, is solved as its own bordered system of n_radial
     + 1 unknowns, with the ring means of a as its border row.  A solution is
     returned once it meets the componentwise bound (see the module
-    docstring); else, and for every later solve, ``OrderedLU`` of A with the
-    caller's ``splu`` on the ``nested_dissection_order`` of the grid shape,
-    border index last, computed only then.  ``log``, the caller's log entry
-    (a list), says which of the two serves: "ring" is appended on
-    construction and becomes "lu" where the solver escalates.
+    docstring); else, and for every later solve, ``OrderedLU`` of A's CSC
+    matrix (``matrix``) with the caller's ``splu`` on the
+    ``nested_dissection_order`` of the grid shape, border index last, all
+    built only then.  ``log``, the caller's log entry (a list), says which
+    of the two serves: "ring" is appended on construction and becomes "lu"
+    where the solver escalates.
 
-    ``abs`` (|A|, on A's index arrays) and ``gamma`` (gamma_i per row) serve
+    ``gamma`` (gamma_i per row, from its entry count m_i: 9, or 8 on the
+    boundary ring, one more where bordered, and N in the border row) serves
     the check and ``floor``.
     """
 
-    def __init__(self, splu, L, ring, alpha, beta, border=None, log=None):
-        weights, sens = ring
-        n_r = weights.shape[1]
-        n_a = L.shape[0] // n_r
-        st = operator_structure(n_r, n_a)
-        self.A = A = st.shifted(L, alpha, beta, border=border)
-        self.abs = _csc(np.abs(A.data), A.indices, A.indptr)
+    def __init__(self, splu, L, alpha, beta, border=None, log=None):
+        weights, sens = L.ring
+        n_r, n_a = L.weights.shape[1:]
+        self._A = (L.shifted(alpha, beta), border, -1.0)
+        self._abs = (abs(self._A[0]), None if border is None else np.abs(border), 1.0)
         self.lu = None
         self._splu, self._shape = splu, (n_r, n_a)
         self.log = [] if log is None else log
         self.log.append("ring")
 
-        counts = st.row_counts
+        counts = np.full((n_r, n_a), len(_OFFSETS))
+        counts[-1] = len(_BOUNDARY)
+        counts = counts.ravel()
         if border is not None:
             counts = np.append(counts + 1, n_r * n_a)
         mu = counts * _UNIT_ROUNDOFF
@@ -450,20 +409,47 @@ class RingSolver:
             x[:N] = np.fft.irfft(y, n=n_a, axis=1).ravel()
         return x
 
+    @staticmethod
+    def _times(x, stencil, border, corner):
+        """A x for A the ``stencil``, bordered by the column ``corner`` and the
+        row ``border`` where the solve is bordered."""
+        N = stencil.shape[0]
+        if border is None:
+            return stencil @ x
+        out = np.empty(N + 1)
+        np.add(stencil @ x[:N], corner * x[N], out=out[:N])
+        out[N] = border @ x[:N]
+        return out
+
+    def matrix(self):
+        """A as a CSC matrix: built only where the solver escalates to the LU."""
+        # deferred: a run whose ring solves all succeed builds no sparse matrix
+        import scipy.sparse as sp
+        stencil, border, _ = self._A
+        rows, cols = _stencil_coo(*self._shape)
+        data, N = stencil.entries(), stencil.shape[0]
+        if border is not None:
+            nodes, last = np.arange(N, dtype=np.int32), np.full(N, N, dtype=np.int32)
+            rows, cols = np.concatenate([rows, last, nodes]), np.concatenate([cols, nodes, last])
+            data, N = np.concatenate([data, border, np.full(N, -1.0)]), N + 1
+        return sp.csc_matrix((data, (rows, cols)), shape=(N, N))
+
     def solve(self, b):
         if self.lu is None:
             x = self._ring_solve(b)
             for sweep in range(_RING_SWEEPS + 1):
-                r = b - self.A @ x
-                if (np.all(np.isfinite(x)) and
-                        np.all(np.abs(r) <= self.gamma * (self.abs @ np.abs(x) + np.abs(b)))):
+                if not np.all(np.isfinite(x)):      # a sweep would keep it so
+                    break
+                r = b - self._times(x, *self._A)
+                if np.all(np.abs(r) <= self.gamma * (self._times(np.abs(x), *self._abs)
+                                                     + np.abs(b))):
                     return x
                 if sweep < _RING_SWEEPS:
                     x = x + self._ring_solve(r)
             p = nested_dissection_order(*self._shape)
-            if self.A.shape[0] > p.size:
+            if b.size > p.size:
                 p = np.append(p, p.size)        # the border index last
-            self.lu = OrderedLU(self._splu, self.A, p)
+            self.lu = OrderedLU(self._splu, self.matrix(), p)
             self.log[-1] = "lu"
         return self.lu.solve(b)
 
@@ -472,25 +458,19 @@ class RingSolver:
         error of (A x)_i (Higham, *Accuracy and Stability of Numerical
         Algorithms*, 3.1), so a residual at x below the largest of them
         carries no information."""
-        return float(np.max(self.gamma * (self.abs @ np.abs(x))))
+        return float(np.max(self.gamma * self._times(np.abs(x), *self._abs)))
 
 
 def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
-    """Jacobian L of F at ``values`` (CSC) and the operator evaluation there.
+    """Jacobian L of F at ``values`` (a ``Jacobian``, L as its stencil) and
+    the operator evaluation there.
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
-    derivatives.  Its entries sit on the ``operator_structure`` of the grid
-    shape, exact zeros included, and it shares that structure's index
-    arrays.  ``q["stencil"]`` holds the nine stencil weights (9 x n_radial x
-    n_angular, in ``_OFFSETS`` order) and the ghost sensitivity g per
-    boundary node; ``q["ring"]`` their ring means (9 x n_radial, and one
-    number): the ring-averaged stencil that ``RingSolver`` takes.
+    derivatives.
     """
     n_r, n_a = grid.n_radial, grid.n_angular
-    N = n_r * n_a
     hr, hs = grid.hr, grid.hs
-    st = operator_structure(n_r, n_a)
 
     q = flow_operator(values, grid, phi_vals, with_fields=True)
     (A11, A12, A22), (h11, h12, h22), (P1, P2) = q["gup"], q["hess"], q["P"]
@@ -507,9 +487,8 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
         B.append(-gG + 2.0 * Mc / v2 + 2.0 * quad * Pc / v2 ** 2)
     B1, B2 = B
 
-    G_n = st.ghost.size
-    source = np.empty(9 * N + 2 * G_n)     # see _stencil_coo
-    W = source[:9 * N].reshape(9, n_r, n_a)
+    padded = np.zeros((9, n_r, n_a + 2))
+    W = padded[:, :, 1:-1]
     W[0] = -2.0 * A11 / hr ** 2 - 2.0 * A22 / hs ** 2      # in _OFFSETS order
     a, b = A11 / hr ** 2, B1 / (2.0 * hr)
     np.add(a, b, out=W[1])
@@ -527,13 +506,12 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
     srr, srs = S[-1, :, 0, 0], S[-1, :, 0, 1]
     dphi_dq = -phi_vals * dtu / (np.sqrt(1.0 + phi_vals ** 2) * np.sqrt(1.0 - dtu ** 2))
     sens = -(hr / hs) * (srs + np.sqrt(srr) * dphi_dq / grid.sqrt_sigma_ss_bd) / srr
-    folded = source[st.ghost] * sens[st.gj]
-    source[9 * N:9 * N + G_n] = folded
-    np.negative(folded, out=source[9 * N + G_n:])
-
-    q["stencil"] = (W, sens)
-    q["ring"] = (W.mean(axis=2), float(np.mean(sens)))
-    return st.matrix(source), q
+    # the ghost's terms g w of the weights w that reach it, at (1, 0), (1, 1), (1, -1)
+    w = W[:, -1]
+    g1, g5, g7 = w[1] * sens, w[5] * np.roll(sens, -1), w[7] * np.roll(sens, 1)
+    boundary = np.stack([w[6] + w[7], w[2] + w[1], w[8] + w[5], -g7,     # in _BOUNDARY order
+                         w[4] - g1, w[0] + g7 - g5, w[3] + g1, g5])
+    return Jacobian(padded, boundary, sens), q
 
 
 def linearized_affine(values, grid: CurvilinearGrid, phi_vals):

@@ -49,8 +49,14 @@ TYPES = {"number": ("a finite number", _number), "integer": ("an integer", _inte
                    lambda v: _array(v, 2) and all(len(t) == 3 and all(
                        _integer(p) and p >= 0 for p in t[1:]) for t in v)),
          "2-D array": ("a rectangular 2-D array of numbers", lambda v: _array(v, 2))}
+N_RADIAL, N_ANGULAR = (8, 1024), (16, 2048)     # the grid sizes' bounds; n_angular is even
 RANGES = {"positive": ("positive", lambda v: v > 0),
-          "even": ("a positive even integer", lambda v: v > 0 and v % 2 == 0)}
+          "even": ("a positive even integer", lambda v: v > 0 and v % 2 == 0),
+          "non-empty": ("non-empty", lambda v: len(v) > 0),
+          "n_radial": ("an integer in [%d, %d]" % N_RADIAL,
+                       lambda v: N_RADIAL[0] <= v <= N_RADIAL[1]),
+          "n_angular": ("an even integer in [%d, %d]" % N_ANGULAR,
+                        lambda v: N_ANGULAR[0] <= v <= N_ANGULAR[1] and v % 2 == 0)}
 
 # section -> kind -> key -> Key; a section without kinds has the one kind None
 SECTIONS = {
@@ -65,12 +71,13 @@ SECTIONS = {
     "phi": {
         "constant": {"value": Key("number")},
         "fourier": {"a0": Key("number", 0.0), "cos": Key("numbers", ()), "sin": Key("numbers", ())},
-        "table": {"values": Key("numbers")}},
+        "table": {"values": Key("numbers", range="non-empty")}},
     "u0": {
         "constant": {"value": Key("number", 0.0)},
         "polynomial": {"terms": Key("terms", ())},
         "sampled": {"values": Key("2-D array")}},
-    "grid": {None: {"n_radial": Key("integer"), "n_angular": Key("integer")}},
+    "grid": {None: {"n_radial": Key("integer", range="n_radial"),
+                    "n_angular": Key("integer", range="n_angular")}},
 }
 KINDS = {"domain": REQUIRED, "phi": REQUIRED, "u0": "constant"}     # the default kind
 
@@ -113,6 +120,6 @@ def check(name, spec, table=None) -> dict:
                                 f"{' or '.join(TYPES[t][0] for t in types.split('|'))}, not "
                                 f"{'None (it is missing)' if value is REQUIRED else repr(value)}")
         if limit and not RANGES[limit][1](value):
-            raise ScenarioError(f"{where}: {kind} {key} must be {RANGES[limit][0]}, "
-                                f"not {value!r}")
+            raise ScenarioError(f"{where}: {f'{kind} {key}' if kind else repr(key)} must be "
+                                f"{RANGES[limit][0]}, not {value!r}")
     return out

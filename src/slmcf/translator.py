@@ -46,14 +46,14 @@ a stalled step refactors or raises.
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
 backtracking damping that keeps iterates space-like.  Each factorization
-hands L, its ring-averaged stencil, eps and the border row a to an
-``operators.RingSolver``, which builds the bordered matrix and solves it:
-FFT in s, with angular mode 0 (singular at eps = 0) solved as its own
-bordered system of n_radial + 1 unknowns, and the sparse LU where the ring
-solve misses the componentwise rounding floor.  The solver writes which of
-the two served into its entry of ``limit["solvers"]``, [eps, "ring" or
-"lu"] per factorization, the trace's included.  At most one LU is alive at
-a time.
+hands L (its stencil, ``operators.Jacobian``), eps and the border row a to
+an ``operators.RingSolver``, which solves the bordered system: FFT in s,
+with angular mode 0 (singular at eps = 0) solved as its own bordered system
+of n_radial + 1 unknowns, and, where the ring solve misses the componentwise
+rounding floor, the sparse LU of the bordered CSC matrix, built only then.
+The solver writes which of the two served into its entry of
+``limit["solvers"]``, [eps, "ring" or "lu"] per factorization, the trace's
+included.  At most one LU is alive at a time.
 """
 
 from __future__ import annotations
@@ -139,11 +139,9 @@ def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
     at (w, eps), a = quadrature weights / area, into ``factor``, the old one
     dropped first; the solver writes its kind into the log entry [eps]."""
     factor["lu"] = None
-    L, q = assemble_operator_matrix(w, grid, phi_vals)
-    ring = q["ring"]
-    del q                       # the operator fields go before the solver is built
+    L = assemble_operator_matrix(w, grid, phi_vals)[0]   # without the operator fields
     entry = [eps]
-    factor["lu"] = RingSolver(splu, L, ring, -eps, 1.0,
+    factor["lu"] = RingSolver(splu, L, -eps, 1.0,
                               border=(grid.weights / grid.area).ravel(), log=entry)
     factor["log"].append(entry)
 

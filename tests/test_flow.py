@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from slmcf import flow
@@ -436,7 +435,7 @@ def _step_matrix(u, grid, phi, dt):
     """(I - dt L, k) of the affine model at u, as the stepper builds it."""
     w = u - grid.mean(u)
     L, k, _ = linearized_affine(w, grid, phi.values_on(grid))
-    return (sp.identity(u.size, format="csc") - dt * L).tocsc(), k, w
+    return flow.RingSolver(splu, L, 1.0, -dt).matrix(), k, w
 
 
 @pytest.mark.parametrize("domain", [{"kind": "disk", "radius": 1.0},

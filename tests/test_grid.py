@@ -17,6 +17,11 @@ def test_grid_parameter_validation(unit_disk):
         build_grid(unit_disk, 16, 8)
     with pytest.raises(GridError):
         build_grid(unit_disk, 16, 33)
+    # refused before anything is allocated
+    with pytest.raises(GridError, match="n_radial"):
+        build_grid(unit_disk, 10 ** 30, 32)
+    with pytest.raises(GridError, match="n_angular"):
+        build_grid(unit_disk, 16, 2050)
 
 
 def test_boundary_ring_on_curve(disk_grid, cap_grid):

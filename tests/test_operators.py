@@ -10,7 +10,7 @@ from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.geometry import derivatives
 from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
                              boundary_gradient_data, contact_ghost, flow_operator,
-                             linearized_affine, nested_dissection_order, operator_structure)
+                             linearized_affine, nested_dissection_order)
 
 
 def _test_field(grid, metric_id):
@@ -86,7 +86,7 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
     u = _test_field(grid, metric_id) + 0.01 * rng.standard_normal((8, 16))
 
     L, _ = assemble_operator_matrix(u, grid, pv)
-    La = L.toarray()
+    La = np.column_stack([L @ e for e in np.eye(u.size)])
     N = u.size
     Jfd = np.zeros((N, N))
     h = 1e-6
@@ -168,75 +168,79 @@ def _tensor_reference(values, grid, phi_vals):
 def test_component_kernel_matches_the_tensor_reference(dom_spec, metric_id):
     grid, pv, u = _kernel_case(dom_spec, metric_id)
     op, weights = _tensor_reference(u, grid, pv)
-    _, q = assemble_operator_matrix(u, grid, pv)
+    L, q = assemble_operator_matrix(u, grid, pv)
     assert np.max(np.abs(flow_operator(u, grid, pv) - op)) <= 1e-14 * np.max(np.abs(op))
     assert np.max(np.abs(q["op"] - op)) <= 1e-14 * np.max(np.abs(op))
-    W, _ = q["stencil"]
+    W = L.weights
     for k in range(9):
         assert np.max(np.abs(W[k] - weights[k])) <= 1e-14 * np.max(np.abs(weights[k]))
 
 
-def _coo_reference(q, n_radial, n_angular):
-    """The operator matrix of q's stencil built as a COO list and converted by scipy."""
-    W, sens = q["stencil"]
-    rows, cols, src, ghost, gj = _stencil_coo(n_radial, n_angular)
-    folded = W.ravel()[ghost] * sens[gj]
-    source = np.concatenate([W.ravel(), folded, -folded])
-    N = n_radial * n_angular
-    return sp.coo_matrix((source[src], (rows, cols)), shape=(N, N)).tocsc()
+OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-def _assert_within_ulps(A, ref, ulps):
-    """A and ref agree to ``ulps`` units in the last place in every entry."""
-    A, ref = A.toarray(), ref.toarray()
-    assert np.all(np.abs(A - ref) <= ulps * np.spacing(np.abs(ref)))
+def _coo_reference(L):
+    """The operator matrix of L's nine weights and ghost sensitivities, built as
+    a COO list (the stencil entries inside the grid, then each entry w that
+    reaches the ghost row folded into the ghost's three unknowns as w, w g and
+    -w g) and converted by scipy, which sums the duplicates in that order."""
+    W, sens = L.weights, L.sens
+    _, n_r, n_a = W.shape
+    I, J = np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij")
+    rows, cols, vals, ghost = [], [], [], ([], [], [])
+    for (di, dj), w in zip(OFFSETS, W):
+        ti, tj = I + di, (J + dj) % n_a
+        tj = np.where(ti == -1, (tj + n_a // 2) % n_a, tj)     # (-1, j) is (0, j + n_a/2)
+        ti = np.where(ti == -1, 0, ti)
+        inside = ti < n_r
+        rows.append((I * n_a + J)[inside])
+        cols.append((ti * n_a + tj)[inside])
+        vals.append(w[inside])
+        for out, part in zip(ghost, ((I * n_a + J)[~inside], tj[~inside], w[~inside])):
+            out.append(part)
+    grow, gj, gw = map(np.concatenate, ghost)
+    g = gw * sens[gj]
+    rows += [grow] * 3
+    cols += [(n_r - 2) * n_a + gj, (n_r - 1) * n_a + (gj + 1) % n_a,
+             (n_r - 1) * n_a + (gj - 1) % n_a]
+    vals += [gw, g, -g]
+    N = n_r * n_a
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N, N)).tocsc()
+
+
+def _assert_product(y, A, x):
+    """y is A x summed in another order: |y - A x|_i <= 2 gamma_{m_i} (|A| |x|)_i
+    for the m_i entries of row i (Higham, Accuracy and Stability, 3.1)."""
+    bound = A.getnnz(axis=1) * np.finfo(float).eps * (abs(A) @ np.abs(x))
+    assert np.all(np.abs(y - A @ x) <= bound)
 
 
 @pytest.mark.parametrize("dom_spec,metric_id", KERNEL_CASES)
-def test_shape_cache_fills_the_matrix_a_coo_build_gives(dom_spec, metric_id):
+def test_stencil_products_and_escalated_matrix_match_the_coo_reference(dom_spec, metric_id):
+    """L @ x and a solver's A x and |A| |x| are the reference's up to the
+    order of the sums; the matrix a solver factors on escalation is the
+    reference shifted, or bordered, exactly: duplicates summed first, then
+    times beta, plus alpha."""
     grid, pv, u = _kernel_case(dom_spec, metric_id)
-    L, q = assemble_operator_matrix(u, grid, pv)
-    ref = _coo_reference(q, 16, 32)
-    ref.sort_indices()
-    assert np.array_equal(L.indptr, ref.indptr) and np.array_equal(L.indices, ref.indices)
-    _assert_within_ulps(L, ref, 4)
-
-    st = operator_structure(16, 32)
-    N = u.size
-    I = sp.identity(N, format="csc")
-    _assert_within_ulps(st.shifted(L, 1.0, -0.05), (I - 0.05 * L.tocoo()).tocsc(), 0)
+    L, _ = assemble_operator_matrix(u, grid, pv)
+    ref, N = _coo_reference(L), u.size
+    x = np.random.default_rng(7).standard_normal(N + 1)
+    _assert_product(L @ x[:N], ref, x[:N])
     a = (grid.weights / grid.area).ravel()
-    nodes, border = np.arange(N), np.full(N, N)
-    Lc = L.tocoo()
-    ref = sp.coo_matrix((np.concatenate([Lc.data, -np.ones(N), a, np.full(N, -0.25)]),
-                         (np.concatenate([Lc.row, nodes, border, nodes]),
-                          np.concatenate([Lc.col, border, nodes, nodes]))), shape=(N + 1, N + 1))
-    _assert_within_ulps(st.shifted(L, -0.25, 1.0, border=a), ref, 0)
-
-
-def test_shape_cache_is_read_only_per_shape_and_shares_no_data():
-    grid, pv, u = _kernel_case(*KERNEL_CASES[1])
-    L1, _ = assemble_operator_matrix(u, grid, pv)
-    L2, _ = assemble_operator_matrix(1.5 * u, grid, pv)
-    st = operator_structure(16, 32)
-    J = st.shifted(L1, -0.25, 1.0, border=np.ones(u.size))
-    arrays = [st.indptr, st.indices, st.first, st.diag, st.ghost, st.gj, st.row_counts,
-              *(a for pair in st.adds for a in pair), *st._bordered]
-    assert all(a.dtype == np.int32 and not a.flags.writeable for a in arrays)
-    for A in (L1, L2):
-        assert np.shares_memory(A.indices, st.indices) and np.shares_memory(A.indptr, st.indptr)
-    shifted = st.shifted(L1, 1.0, -0.1)
-    for A, B in [(L1, L2), (L1, shifted), (L1, J), (L2, shifted)]:
-        assert not np.shares_memory(A.data, B.data)
-    assert not np.array_equal(L1.data, L2.data)
-
-    small = operator_structure(8, 16)
-    assert small is not st and small.n_nodes == 128 and st.n_nodes == 512
-    assert operator_structure(16, 32) is st
-    grid8 = build_grid(grid.domain, 8, 16)
-    L8, q8 = assemble_operator_matrix(u[::2, ::2], grid8, pv[::2])
-    _assert_within_ulps(L8, _coo_reference(q8, 8, 16), 4)
-    _assert_within_ulps(L1, _coo_reference(assemble_operator_matrix(u, grid, pv)[1], 16, 32), 4)
+    for alpha, beta, border in ((1.0, -0.05, None), (-0.25, 1.0, a)):
+        A = beta * ref + alpha * sp.identity(N)
+        if border is not None:
+            A = sp.bmat([[A, np.full((N, 1), -1.0)], [border[None, :], None]])
+        A = A.tocsc()
+        solver = RingSolver(splu, L, alpha, beta, border=border)
+        y = x[:A.shape[0]]
+        _assert_product(solver._times(y, *solver._A), A, y)
+        _assert_product(solver._times(np.abs(y), *solver._abs), abs(A), np.abs(y))
+        assert (solver.matrix() != A).nnz == 0
+    # the escalation's positions are computed once per shape and shared read-only
+    rows, cols = _stencil_coo(16, 32)
+    assert _stencil_coo(16, 32)[1] is cols and not (rows.flags.writeable or cols.flags.writeable)
 
 
 @pytest.mark.parametrize("shape", [(8, 16), (32, 64), (64, 128)])
@@ -273,16 +277,16 @@ def _systems(grid, pv, w):
     """(A, p, solver) for I - dt L at three dt and the bordered matrix at eps = 0,
     0.25, each solver built as the flow and the translator build it; p is the
     order an escalated solver factors on."""
-    L, q = assemble_operator_matrix(w, grid, pv)
+    L, _ = assemble_operator_matrix(w, grid, pv)
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
     out = []
     for dt in (1e-3, 0.05, 0.5):
-        solver = RingSolver(flow.splu, L, q["ring"], 1.0, -dt)
-        out.append((solver.A, p, solver))
+        solver = RingSolver(flow.splu, L, 1.0, -dt)
+        out.append((solver.matrix(), p, solver))
     for eps in (0.0, 0.25):
         factor = translator._new_factor()
         translator._factor(factor, w, eps, grid, pv)
-        out.append((factor["lu"].A, np.append(p, p.size), factor["lu"]))
+        out.append((factor["lu"].matrix(), np.append(p, p.size), factor["lu"]))
     return out
 
 
@@ -349,21 +353,23 @@ def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
 
 @pytest.mark.parametrize("name", ["disk", "zero_flux"])
 def test_ring_solver_owns_abs_floor_and_log(name):
-    """|A| sits on A's own index arrays; ``floor`` is max gamma (|A| |x|) as
-    scipy's abs(A) gives it, bit for bit; the caller's log entry gets the
-    solver's kind, "ring", which becomes "lu" where the solver escalates."""
+    """gamma_i comes from the entry count of row i of A; ``floor`` is max
+    gamma (|A| |x|) as scipy's abs(A) gives it, to a few ulps; the caller's log
+    entry gets the solver's kind, "ring", which becomes "lu" where the solver
+    escalates."""
     grid, pv, w = _ring_case({**RADIAL, **NON_RADIAL}[name], 16)
-    L, q = assemble_operator_matrix(w, grid, pv)
+    L, _ = assemble_operator_matrix(w, grid, pv)
     x = np.random.default_rng(3).standard_normal(w.size + 1)
     a = (grid.weights / grid.area).ravel()
     for border, n in ((None, w.size), (a, w.size + 1)):
         entry = [0]
-        solver = RingSolver(splu, L, q["ring"], 1.0, -0.05, border=border, log=entry)
-        A = solver.A
+        solver = RingSolver(splu, L, 1.0, -0.05, border=border, log=entry)
+        A = solver.matrix()
         assert entry == [0, "ring"] and solver.log is entry
-        assert np.shares_memory(solver.abs.indices, A.indices)
-        assert np.shares_memory(solver.abs.indptr, A.indptr)
-        assert solver.floor(x[:n]) == float(np.max(solver.gamma * (abs(A) @ np.abs(x[:n]))))
+        mu = A.getnnz(axis=1) * np.finfo(float).eps / 2
+        assert np.array_equal(solver.gamma, mu / (1.0 - mu))
+        floor = float(np.max(solver.gamma * (abs(A) @ np.abs(x[:n]))))
+        assert abs(solver.floor(x[:n]) - floor) <= 4 * np.spacing(floor)
         solver.solve(x[:n])
         assert entry == [0, "ring" if name == "disk" else "lu"]
         assert (solver.lu is None) == (name == "disk")

@@ -117,6 +117,11 @@ def test_every_key_refuses_what_its_table_does_not_admit(section, kind, key, pro
     pytest.param("metric", {"id": "flat", "idd": "sphere"}, "idd", id="metric-idd"),
     pytest.param("grid", {"n_radial": 16, "n_angular": 32, "n_theta": 64}, "n_theta",
                  id="grid-extra-key"),
+    pytest.param("grid", {"n_radial": 10 ** 30, "n_angular": 32}, "n_radial",
+                 id="grid-n_radial-huge"),
+    pytest.param("grid", {"n_radial": 4, "n_angular": 32}, "n_radial", id="grid-n_radial-4"),
+    pytest.param("grid", {"n_radial": 16, "n_angular": 2050}, "n_angular",
+                 id="grid-n_angular-2050"),
     pytest.param("phi", {"kind": "constant", "value": 0.2, "valeu": 0.3}, "valeu",
                  id="phi-extra-key"),
     pytest.param("stepp", {"dt": 0.01}, "stepp", id="top-level-stepp"),
@@ -153,6 +158,8 @@ def test_library_builders_hold_their_section_to_the_table():
     disk = build_domain({"kind": "disk"}, "flat")
     with pytest.raises(ScenarioError, match="section 'phi': 'cos'"):
         ContactAngle({"kind": "fourier", "cos": [[0.3]]}, disk)
+    with pytest.raises(ScenarioError, match="section 'phi': table values must be non-empty"):
+        ContactAngle({"kind": "table", "values": []}, disk)
 
 
 # -- the README documents the tables -------------------------------------------------

@@ -329,7 +329,7 @@ def _bordered_matrix(w, grid, pv):
     """[[L, -1], [a^T, 0]] at w, as the translator's solver builds it."""
     factor = translator._new_factor()
     translator._factor(factor, w, 0.0, grid, pv)
-    return factor["lu"].A
+    return factor["lu"].matrix()
 
 
 def _bordered_order(grid):
