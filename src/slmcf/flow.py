@@ -211,8 +211,9 @@ class _Field:
         """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
         the log line [step, t, dt, reason], which the solver completes with
         its kind."""
-        # the operator fields go before the solver is built
-        self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals)[:2]
+        # the operator fields go before the solver is built; the assembly
+        # reads the evaluation ``q`` already held at w
+        self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals, self.q)[:2]
         self.lu = None              # the old factors go before the new ones are built
         self.lu = RingSolver(splu, self._L, 1.0, -dt, log=entry)
         self.refreshes.append(entry)

@@ -62,10 +62,32 @@ def radial_diff2(F, grid: CurvilinearGrid, ghost=None):
     return out
 
 def angular_diff(F, grid: CurvilinearGrid):
-    return (np.roll(F, -1, axis=-1) - np.roll(F, 1, axis=-1)) / (2.0 * grid.hs)
+    """First derivative in s (periodic in the last axis).
+
+    The s-neighbours of a node are the next and previous entries of the
+    flattened F, except in the first and last column, which wrap within their
+    row and are written afterwards; no shifted copy of F is made."""
+    F = np.ascontiguousarray(F, dtype=float)
+    out = np.empty(F.shape)
+    f, o = F.reshape(-1), out.reshape(-1)
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    out[..., 0] = F[..., 1] - F[..., -1]
+    out[..., -1] = F[..., 0] - F[..., -2]
+    out /= 2.0 * grid.hs
+    return out
 
 def angular_diff2(F, grid: CurvilinearGrid):
-    return (np.roll(F, -1, axis=-1) - 2.0 * F + np.roll(F, 1, axis=-1)) / grid.hs ** 2
+    """Second derivative in s (periodic), read as ``angular_diff`` reads F."""
+    F = np.ascontiguousarray(F, dtype=float)
+    out = 2.0 * F
+    f, o = F.reshape(-1), out.reshape(-1)
+    inner = o[1:-1]
+    np.subtract(f[2:], inner, out=inner)
+    np.add(inner, f[:-2], out=inner)
+    out[..., 0] = F[..., 1] - 2.0 * F[..., 0] + F[..., -1]
+    out[..., -1] = F[..., 0] - 2.0 * F[..., -1] + F[..., -2]
+    out /= grid.hs ** 2
+    return out
 
 def derivatives(F, grid: CurvilinearGrid, ghost=None):
     """All first and second computational derivatives of a nodal field."""

@@ -60,7 +60,7 @@ import functools
 import numpy as np
 
 from .errors import SpacelikeBoundaryError
-from .geometry import gradient_fields, quasilinear_operator
+from .geometry import angular_diff, gradient_fields, quasilinear_operator
 from .grid import CurvilinearGrid
 
 
@@ -71,7 +71,7 @@ def contact_ghost(values, grid: CurvilinearGrid, phi_vals):
     derivative D_T u and the normal-derivative target phi*sqrt((1-q^2)/(1+phi^2)).
     """
     ub = values[-1]
-    us = (np.roll(ub, -1) - np.roll(ub, 1)) / (2.0 * grid.hs)
+    us = angular_diff(ub, grid)
     dtu = us / grid.sqrt_sigma_ss_bd
     one_minus = 1.0 - dtu ** 2
     if np.any(one_minus <= 0.0):
@@ -101,7 +101,7 @@ def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
     srr = grid.sigma_t_inv[-1, :, 0, 0]
     srs = grid.sigma_t_inv[-1, :, 0, 1]
     ur = (ghost - values[-2]) / (2.0 * grid.hr)
-    us = (np.roll(values[-1], -1) - np.roll(values[-1], 1)) / (2.0 * grid.hs)
+    us = angular_diff(values[-1], grid)
     dnu = -(srr * ur + srs * us) / np.sqrt(srr)
     return dnu, dtu, v[-1]
 
@@ -461,9 +461,11 @@ class RingSolver:
         return float(np.max(self.gamma * self._times(np.abs(x), *self._abs)))
 
 
-def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
+def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     """Jacobian L of F at ``values`` (a ``Jacobian``, L as its stencil) and
-    the operator evaluation there.
+    the operator evaluation there: ``q``, the caller's
+    ``flow_operator(values, grid, phi_vals, with_fields=True)`` where it holds
+    one, else computed here.
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
@@ -472,7 +474,8 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
     n_r, n_a = grid.n_radial, grid.n_angular
     hr, hs = grid.hr, grid.hs
 
-    q = flow_operator(values, grid, phi_vals, with_fields=True)
+    if q is None:
+        q = flow_operator(values, grid, phi_vals, with_fields=True)
     (A11, A12, A22), (h11, h12, h22), (P1, P2) = q["gup"], q["hess"], q["P"]
     v2 = 1.0 - q["du2"]
     S, G = grid.sigma_t_inv, grid.gamma_t
@@ -514,11 +517,12 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals):
     return Jacobian(padded, boundary, sens), q
 
 
-def linearized_affine(values, grid: CurvilinearGrid, phi_vals):
-    """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F.
+def linearized_affine(values, grid: CurvilinearGrid, phi_vals, q=None):
+    """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F,
+    ``q`` the operator evaluation there as ``assemble_operator_matrix`` takes it.
 
     Exact at the linearization point by construction of k.
     """
-    L, q = assemble_operator_matrix(values, grid, phi_vals)
+    L, q = assemble_operator_matrix(values, grid, phi_vals, q)
     k = q["op"].ravel() - L @ values.ravel()
     return L, k, q

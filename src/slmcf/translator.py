@@ -28,11 +28,17 @@ The regularization trace (eps, eps u_eps - c3), which acceptance criterion 8
 reads, is computed afterwards over the schedule's eps list in ascending
 order, on one more factorization, taken at the converged limit.  On that LU
 one solve gives the tangent: differentiating F(w) - eps w - c = 0 in eps,
-[[L, -1], [a^T, 0]] [w'; c'] = [w; 0], and each level starts at
-(w + eps w', c3 + eps c') (Allgower & Georg, Numerical Continuation
-Methods, ch. 2) and takes chord steps on the limit LU.  A chord step that
-fails to halve the residual is dropped and the Jacobian refactored at that
-level, so a default solve factors twice unless a level's chord steps stall.
+[[L, -1], [a^T, 0]] [w'; c'] = [w; 0].  Each level takes chord steps on the
+limit LU from a predicted start (Allgower & Georg, Numerical Continuation
+Methods, ch. 2): the quadratic through the limit, its tangent and the
+converged level (eps_p, w_p, c_p) below, that is the tangent start
+(w + eps w', c3 + eps c') plus (eps/eps_p)^2 (w_p - w - eps_p w',
+c_p - c3 - eps_p c'), which needs no further solve.  The smallest level, a
+level whose predecessor took no step (its departure from the tangent is
+rounding only) and a level whose quadratic start is not space-like start on
+the tangent.  A chord step that fails to halve the residual is dropped and
+the Jacobian refactored at that level, so a default solve factors twice
+unless a level's chord steps stall.
 
 The residual of a non-radial scenario has a rounding floor near tol at fine
 grids (about 1e-9 at 128 x 256), amplified by the O(1/rho^2) center
@@ -146,7 +152,18 @@ def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
     factor["log"].append(entry)
 
 
-def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None):
+def _quadratic_start(eps, tangent_start, below):
+    """The start (w, c) of the trace level at eps on the quadratic through the
+    limit, its tangent and the converged level ``below`` = (eps_p, dw, dc),
+    dw and dc that level's departure from the tangent: the tangent start
+    plus (eps / eps_p)^2 (dw, dc)."""
+    eps_p, dw, dc = below
+    r = (eps / eps_p) ** 2
+    return tangent_start[0] + r * dw, tangent_start[1] + r * dc
+
+
+def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None,
+                     fallback=None):
     """Damped Newton-chord on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
 
     ``factor`` (see ``_new_factor``) holds the one live solver and the log of
@@ -163,6 +180,9 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
     a chord step that reduces the residual by less than half is kept, and
     Newton stagnation counts as a failure to reduce.
 
+    A start (w, c) that is not space-like is replaced by ``fallback`` (w, c)
+    where one is given.
+
     Returns (w, c, info); info holds the residual history, the counts of
     accepted chord steps, Newton steps and factorizations, the floor stops,
     and ``steps``, every solve on an LU including dropped chord steps.
@@ -177,7 +197,13 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
     factor = _new_factor() if factor is None else factor
-    R = residual(w, c)
+    try:
+        R = residual(w, c)
+    except SpacelikeViolationError:
+        if fallback is None:
+            raise
+        w, c = fallback
+        R = residual(w, c)
     norms = [norm(R, w)]
     info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
     while norms[-1] > _TOL:
@@ -311,17 +337,25 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
              "floor_stops": info["floor_stops"], "trace_refactors": [],
              "trace_residuals": [], "solvers": factor["log"]}
 
-    # eps trace, smallest eps first, each level started on the tangent:
+    # eps trace, smallest eps first, each level started on the tangent or,
+    # above a level that took a step, on the quadratic through that level:
     # eps u_eps = c + eps w_eps
     stats = []       # (eps, mean eps*u, min eps*u, max eps*u)
     newton_iters = []
+    below = None     # (eps, second-order part of w, of c) of the level below
     for eps in reversed(schedule.eps_values()):
+        tangent_start = (w + eps * w_dot, c3 + eps * c_dot)
+        start = tangent_start if below is None else _quadratic_start(eps, tangent_start, below)
         try:
-            w_eps, c_eps, level = _bordered_newton(eps, w + eps * w_dot, c3 + eps * c_dot,
-                                                   grid, phi_vals, factor=factor)
+            w_eps, c_eps, level = _bordered_newton(eps, *start, grid, phi_vals, factor=factor,
+                                                   fallback=tangent_start)
         except (NewtonError, SpacelikeViolationError) as err:
             raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
                                     trace=stats[::-1]) from err
+        # a level that took no step is its start: its second-order part would
+        # only carry the rounding of the start onward
+        below = (eps, w_eps - w - eps * w_dot, c_eps - c3 - eps * c_dot) \
+            if level["chord"] + level["newton"] else None
         newton_iters.append(level["steps"])
         limit["trace_residuals"].append([eps, level["residuals"]])
         limit["floor_stops"].extend(level["floor_stops"])

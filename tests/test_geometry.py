@@ -3,11 +3,35 @@ import pytest
 
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeViolationError
-from slmcf.geometry import (EVO_DU_CONVENTIONS, covariant_hessian_field, evo_du_rhs,
+from slmcf.geometry import (EVO_DU_CONVENTIONS, angular_diff, angular_diff2,
+                            covariant_hessian_field, derivatives, evo_du_rhs,
                             g_upper_components, gradient_fields, mean_curvature_field,
                             quasilinear_operator)
 from slmcf.grid import GridFunction, build_grid
 from slmcf.metrics import get_metric
+
+
+# -- periodic differences in s ----------------------------------------------------
+
+def test_s_differences_match_the_roll_reference(disk_grid):
+    """The s differences read the flattened F and write the wrapping columns
+    apart; the np.roll formulas, with the same operands in the same order,
+    are the reference, equal bit for bit, on a field and on one ring."""
+    grid = disk_grid
+    F = np.cos(3.0 * grid.s)[None, :] * (1.0 + grid.rho[:, None] ** 2) + 0.1 * grid.rho[:, None]
+    hs = grid.hs
+
+    def ds(G):
+        return (np.roll(G, -1, axis=-1) - np.roll(G, 1, axis=-1)) / (2.0 * hs)
+
+    d = derivatives(F, grid)
+    assert np.array_equal(d["s"], ds(F))
+    assert np.array_equal(d["ss"], (np.roll(F, -1, axis=-1) - 2.0 * F
+                                    + np.roll(F, 1, axis=-1)) / hs ** 2)
+    assert np.array_equal(d["rs"], ds(d["r"]))
+    assert np.array_equal(angular_diff(F[-1], grid), ds(F[-1]))
+    assert np.array_equal(angular_diff2(F[-1], grid),
+                          (np.roll(F[-1], -1) - 2.0 * F[-1] + np.roll(F[-1], 1)) / hs ** 2)
 
 
 # -- covariant Hessian ----------------------------------------------------------

@@ -111,6 +111,19 @@ def test_frozen_affine_exact_at_linearization(disk_grid, phi02):
     assert np.max(np.abs(L @ np.ones(u.size))) < 1e-8
 
 
+def test_affine_model_reads_the_callers_evaluation(disk_grid, phi02):
+    """Handed the operator evaluation at u, the assembly builds the same model
+    bit for bit, and returns that evaluation."""
+    u = _test_field(disk_grid, "flat")
+    pv = phi02.values_on(disk_grid)
+    L, k, _ = linearized_affine(u, disk_grid, pv)
+    q = flow_operator(u, disk_grid, pv, with_fields=True)
+    L_q, k_q, q_out = linearized_affine(u, disk_grid, pv, q)
+    assert q_out is q
+    assert np.array_equal(L_q.padded, L.padded) and np.array_equal(L_q.boundary, L.boundary)
+    assert np.array_equal(k_q, k)
+
+
 def test_operator_invariant_under_constants(disk_grid, phi02):
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)

@@ -383,7 +383,74 @@ def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
     assert np.max(np.abs(solved - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-# -- the default solve: two factorizations, a tangent predictor, floor stops ----------
+# -- the default solve: two factorizations, a quadratic predictor, floor stops --------
+
+def _tangent_start_residuals(sol, grid, pv):
+    """max(max|R|, |area-mean(w)|) at the tangent start (w + eps w', c3 + eps c')
+    of every trace level, with the tangent solved on a plain splu of the
+    bordered limit matrix."""
+    w = sol.profile.values
+    t = splu(_bordered_matrix(w, grid, pv)).solve(np.append(w.ravel(), 0.0))
+    w_dot, c_dot = t[:-1].reshape(w.shape), float(t[-1])
+    out = []
+    for eps, _ in sol.limit["trace_residuals"]:
+        ws, cs = w + eps * w_dot, sol.c3 + eps * c_dot
+        R = flow_operator(ws, grid, pv) - eps * ws - cs
+        out.append(max(float(np.max(np.abs(R))), abs(grid.mean(ws))))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tangent_solution(disk_setup):
+    """The 48 x 96 disk solved with every trace level started on the tangent."""
+    _, grid, phi = disk_setup
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translator, "_quadratic_start", lambda eps, start, below: start)
+        return continuation(ContinuationSchedule(), phi, grid)
+
+
+def test_quadratic_start_is_closer_than_the_tangent(disk_setup, disk_solution):
+    """Above the smallest levels every trace level starts closer to its
+    solution than the tangent start: the level below holds the O(eps^2) term.
+    The margin (a tenth; the 48 x 96 disk shows 1/29 or less) keeps a tangent
+    start, whose residual here differs from the plain-splu one by rounding,
+    from passing."""
+    _, grid, phi = disk_setup
+    tangent = _tangent_start_residuals(disk_solution, grid, phi.values_on(grid))
+    levels = disk_solution.limit["trace_residuals"]
+    checked = 0
+    for (eps, history), r_tangent in zip(levels, tangent):
+        if eps >= 1.0 / 16:
+            assert history[0] < 0.1 * r_tangent
+            checked += 1
+    assert checked == 5
+
+
+def test_quadratic_starts_take_fewer_trace_steps(disk_solution, tangent_solution):
+    """The same limit and trace in fewer steps than from tangent starts."""
+    assert sum(disk_solution.newton_iterations) < sum(tangent_solution.newton_iterations)
+    assert disk_solution.c3 == tangent_solution.c3
+    assert np.array_equal(disk_solution.profile.values, tangent_solution.profile.values)
+    for (e1, d1), (e2, d2) in zip(disk_solution.eps_trace, tangent_solution.eps_trace):
+        assert e1 == e2 and abs(d1 - d2) < 1e-10
+
+
+def test_quadratic_start_off_the_spacelike_set_falls_back(disk_setup, tangent_solution,
+                                                          monkeypatch):
+    """A quadratic start that is not space-like gives way to the tangent start."""
+    _, grid, phi = disk_setup
+    calls = []
+
+    def steep(eps, start, below):
+        calls.append(eps)
+        return start[0] + 2.0 * grid.rho[:, None] * np.ones(grid.n_angular), start[1]
+
+    monkeypatch.setattr(translator, "_quadratic_start", steep)
+    sol = continuation(ContinuationSchedule(), phi, grid)
+    assert calls
+    assert sol.newton_iterations == tangent_solution.newton_iterations
+    assert sol.limit["trace_residuals"] == tangent_solution.limit["trace_residuals"]
+    assert sol.eps_trace == tangent_solution.eps_trace
 
 CATALOG = {
     "disk": ({"id": "flat"}, DISK, PHI02),
