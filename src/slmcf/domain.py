@@ -16,14 +16,17 @@ only; nothing in the solver extends it into the domain.
 
 Curve kinds
 -----------
-- ``disk``: circle of given radius about a center (cartesian charts).
-- ``ellipse``: axis-aligned ellipse (cartesian charts).
+- ``disk``: circle of given radius about a center.
+- ``ellipse``: axis-aligned ellipse.
 - ``smooth_convex``: support-function curve h(s) = r0 + amp*cos(k s), k even;
   strictly convex iff h + h'' > 0, checked numerically like every other kind.
-- ``chart_circle``: the curve r = r0 in a radial chart (geodesic circle).
+- ``chart_circle``: the disk of radius r0 about the pole, the geodesic circle
+  r = r0 of the metric.
 
-All kinds are centrally symmetric about the center; the grid's cross-center
-stencils rely on that and it is asserted at build time.
+Every kind runs on every metric.  All kinds are centrally symmetric about the
+center; the grid's cross-center stencils rely on that and it is asserted at
+build time, as is that the domain stays inside the metric's chart, |x| <
+r_max.
 """
 
 from __future__ import annotations
@@ -32,15 +35,13 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NonConvexDomainError, ScenarioError
+from .errors import ChartDomainError, NonConvexDomainError, ScenarioError
 from .metrics import INDEX_PAIRS, Metric, einsum_sum, get_metric
 from .schema import check
 
 
 class BoundaryCurve:
     """Closed parameterized curve with analytic derivatives."""
-
-    kind: str
 
     def gamma(self, s):
         raise NotImplementedError
@@ -54,8 +55,6 @@ class BoundaryCurve:
 
 class _Ellipse(BoundaryCurve):
     """Axis-aligned ellipse with semi-axes a, b; a disk is the ellipse with a = b."""
-
-    kind = "ellipse"
 
     def __init__(self, a, b, center=(0.0, 0.0)):
         self.a = float(a)
@@ -80,8 +79,6 @@ class _SupportCurve(BoundaryCurve):
 
     s is the outward-normal angle; the curvature radius is h + h''.
     """
-
-    kind = "smooth_convex"
 
     def __init__(self, r0, amp, k, phase=0.0):
         self.r0 = float(r0)
@@ -121,26 +118,6 @@ class _SupportCurve(BoundaryCurve):
         return drr[..., None] * ep - rr[..., None] * e
 
 
-class _ChartCircle(BoundaryCurve):
-    kind = "chart_circle"
-
-    def __init__(self, r0):
-        self.r0 = float(r0)
-        self.center = None  # radial charts have no center node in the chart
-
-    def gamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.full_like(s, self.r0), s], axis=-1)
-
-    def dgamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.stack([np.zeros_like(s), np.ones_like(s)], axis=-1)
-
-    def d2gamma(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.zeros(s.shape + (2,))
-
-
 @dataclasses.dataclass
 class ConvexDomain:
     """Strictly convex domain with its boundary frame data."""
@@ -158,30 +135,32 @@ class ConvexDomain:
         T, N are sigma-unit chart vectors with T counterclockwise and N
         inward; w = |gamma'(s)|_sigma is the boundary speed.
         """
-        s = np.asarray(s, dtype=float)
+        return self._frame(np.asarray(s, dtype=float))[3:]
+
+    def kappa(self, s):
+        """Geodesic curvature of the boundary at parameters s: <nabla_T T, N>_sigma."""
+        nTT, sig, N = self._nabla_T_T(np.asarray(s, dtype=float))
+        return _pair(nTT, sig, N)
+
+    def nabla_T_T(self, s):
+        """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
+        return self._nabla_T_T(np.asarray(s, dtype=float))[0]
+
+    def _frame(self, s):
+        """(gamma, gamma', sigma at gamma, T, N, w): the frame and what it is built from."""
         g = self.curve.gamma(s)
         dg = self.curve.dgamma(s)
         sig = self.metric.sigma(g)
         w = np.sqrt(_pair(dg, sig, dg))
         T = dg / w[..., None]
-        N = -_rotate90(self.metric, g, T)
-        return T, N, w
+        N = -_rotate90(sig, T)
+        return g, dg, sig, T, N, w
 
-    def kappa(self, s):
-        """Geodesic curvature of the boundary at parameters s: <nabla_T T, N>_sigma."""
-        _, N, _ = self.frame(s)
-        sig = self.metric.sigma(self.curve.gamma(s))
-        return _pair(self.nabla_T_T(s), sig, N)
-
-    def nabla_T_T(self, s):
-        """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
-        s = np.asarray(s, dtype=float)
-        g = self.curve.gamma(s)
-        dg = self.curve.dgamma(s)
+    def _nabla_T_T(self, s):
+        """(nabla_T T, sigma, N) at boundary parameters s, on one metric evaluation."""
+        g, dg, sig, T, N, w = self._frame(s)
         d2g = self.curve.d2gamma(s)
-        sig = self.metric.sigma(g)
         gam = self.metric.christoffel(g)
-        T, _, w = self.frame(s)
         # d sigma_ij / ds along the curve from metric compatibility
         # d_k sigma_ij = sigma_lj Gamma^l_{ki} + sigma_il Gamma^l_{kj}
         dsig_ds = np.empty_like(sig)
@@ -196,7 +175,7 @@ class ConvexDomain:
         # nabla_{gamma'} T, then normalize by w to get nabla_T T
         covT = dT + np.stack([einsum_sum(gam[..., k, i, j] * dg[..., i] * T[..., j]
                                          for i, j in INDEX_PAIRS) for k in range(2)], axis=-1)
-        return covT / w[..., None]
+        return covT / w[..., None], sig, N
 
 
 def _pair(u, sig, v):
@@ -204,9 +183,8 @@ def _pair(u, sig, v):
     return einsum_sum(u[..., i] * sig[..., i, j] * v[..., j] for i, j in INDEX_PAIRS)
 
 
-def _rotate90(metric, points, V):
+def _rotate90(sig, V):
     """Rotation by +90 degrees w.r.t. sigma: (JV)^k = eps^{kl} sigma_lm V^m / sqrt(det sigma)."""
-    sig = metric.sigma(points)
     det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2
     low = [einsum_sum(sig[..., l, m] * V[..., m] for m in range(2)) for l in range(2)]
     out = np.stack([low[1], -low[0]], axis=-1)
@@ -230,35 +208,32 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
         curve = _Ellipse(spec["a"], spec["b"], spec["center"])
     elif kind == "smooth_convex":
         curve = _SupportCurve(spec["r0"], spec["amp"], spec["k"], spec["phase"])
-    else:
-        curve = _ChartCircle(spec["r0"])
-
-    chart = "radial" if kind == "chart_circle" else "cartesian"
-    if metric.chart != chart:
-        raise ScenarioError(f"domain kind '{kind}' requires a {chart}-chart metric")
-    if kind == "chart_circle" and curve.r0 >= metric.r_max:
-        raise ScenarioError(
-            f"chart_circle r0 = {curve.r0} outside chart of metric '{metric.metric_id}'")
+    else:   # chart_circle: the disk of radius r0 about the pole
+        curve = _Ellipse(spec["r0"], spec["r0"])
 
     domain = ConvexDomain(metric=metric, curve=curve, kappa0=np.nan, inradius=np.nan)
 
     s = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     # closed + centrally symmetric about the star center (cross-center stencils)
-    g = domain.curve.gamma(s)
-    g_pi = domain.curve.gamma(s + np.pi)
-    if kind != "chart_circle":
-        c = domain.curve.center
-        sym = np.max(np.abs((g - c) + (g_pi - c)))
-        if sym > 1e-10:
-            raise ScenarioError(f"boundary curve not centrally symmetric (defect {sym:.2e})")
-        # regular, counterclockwise, star-shaped about the center: rules out
-        # reversing/self-intersecting parameterizations before any curvature math
-        dg = domain.curve.dgamma(s)
-        star = (g[:, 0] - c[0]) * dg[:, 1] - (g[:, 1] - c[1]) * dg[:, 0]
-        if np.min(star) <= 0.0:
-            raise NonConvexDomainError(
-                "boundary parameterization reverses or loses star-shapedness "
-                f"(min det[gamma - c, gamma'] = {np.min(star):.3e})")
+    g = curve.gamma(s)
+    c = curve.center
+    sym = np.max(np.abs((g - c) + (curve.gamma(s + np.pi) - c)))
+    if sym > 1e-10:
+        raise ScenarioError(f"boundary curve not centrally symmetric (defect {sym:.2e})")
+    # regular, counterclockwise, star-shaped about the center: rules out
+    # reversing/self-intersecting parameterizations before any curvature math
+    dg = curve.dgamma(s)
+    star = (g[:, 0] - c[0]) * dg[:, 1] - (g[:, 1] - c[1]) * dg[:, 0]
+    if np.min(star) <= 0.0:
+        raise NonConvexDomainError(
+            "boundary parameterization reverses or loses star-shapedness "
+            f"(min det[gamma - c, gamma'] = {np.min(star):.3e})")
+    # |x| is convex, so the closure's largest |x| lies on the boundary
+    reach = float(np.max(np.hypot(g[:, 0], g[:, 1])))
+    if reach >= metric.r_max:
+        raise ChartDomainError(
+            f"domain leaves the chart of metric '{metric.metric_id}': max |x| = {reach:.6g} "
+            f">= r_max = {metric.r_max:.6g}")
 
     kap = domain.kappa(s)
     if not np.all(np.isfinite(kap)):
@@ -270,10 +245,6 @@ def build_domain(spec: dict, metric=None) -> ConvexDomain:
         )
     domain.kappa0 = kappa0
 
-    if kind == "chart_circle":
-        domain.inradius = curve.r0
-    else:
-        c = domain.curve.center
-        sig = metric.sigma(g)
-        domain.inradius = float(np.min(np.sqrt(_pair(g - c, sig, g - c))))
+    sig = metric.sigma(g)
+    domain.inradius = float(np.min(np.sqrt(_pair(g - c, sig, g - c))))
     return domain

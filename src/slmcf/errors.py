@@ -13,8 +13,8 @@ class UnknownMetricError(ScenarioError):
     """Requested metric id is not in the catalog."""
 
 
-class ChartDomainError(SlmcfError):
-    """Chart point outside the validity region of the selected metric."""
+class ChartDomainError(ScenarioError):
+    """A domain that reaches past the chart of its metric (|x| >= r_max)."""
 
 
 class NonConvexDomainError(ScenarioError):

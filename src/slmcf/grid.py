@@ -8,12 +8,13 @@ exactly on the boundary.  The angular direction is uniform and periodic; the
 number of angular nodes must be even so that the ray (-rho, s) coincides
 with (rho, s + pi) when stencils cross the center.
 
-The ambient metric is pulled back onto (rho, s) through the mapping x(rho, s),
-giving nodal arrays for sigma~, its inverse, sqrt(det), the Christoffel
-symbols of the pulled-back metric, and the Gaussian curvature.  All PDE
-stencils downstream act on the uniform computational grid with these
-coefficients, which keeps every covariant operation a plain centered
-difference plus analytic data.
+The ambient metric is pulled back onto (rho, s) through the mapping
+x(rho, s) = c + rho (gamma(s) - c) into its chart (every metric has one, its
+geodesic normal chart; see ``metrics``), giving nodal arrays for sigma~, its
+inverse, sqrt(det), the Christoffel symbols of the pulled-back metric, and
+the Gaussian curvature.  All PDE stencils downstream act on the uniform
+computational grid with these coefficients, which keeps every covariant
+operation a plain centered difference plus analytic data.
 
 The pullback is computed in 2 x 2 components, each contraction written out
 term by term in the order np.einsum sums it, so sigma~, its inverse,
@@ -70,23 +71,11 @@ class CurvilinearGrid:
 
         R, S = np.meshgrid(self.rho, self.s, indexing="ij")
         curve = domain.curve
+        c = curve.center
         gam = curve.gamma(S)
         dgam = curve.dgamma(S)
-        d2gam = curve.d2gamma(S)
-
-        if curve.kind == "chart_circle":
-            X = np.stack([R * curve.r0, S], axis=-1)
-            J = np.zeros(X.shape + (2,))
-            J[..., 0, 0] = curve.r0
-            J[..., 1, 1] = 1.0
-            x_rs = np.zeros_like(X)
-            x_ss = np.zeros_like(X)
-        else:
-            c = curve.center
-            X = c + R[..., None] * (gam - c)
-            J = np.stack([gam - c, R[..., None] * dgam], axis=-1)  # J[..., i, a]
-            x_rs = dgam
-            x_ss = R[..., None] * d2gam
+        X = c + R[..., None] * (gam - c)
+        J = np.stack([gam - c, R[..., None] * dgam], axis=-1)  # J[..., i, a]
 
         jac_det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
         if np.any(jac_det <= 0.0):
@@ -95,7 +84,6 @@ class CurvilinearGrid:
                 f"degenerate grid mapping at node ({i}, {j}): det J = {jac_det[i, j]:.3e}"
             )
 
-        self.metric.check_chart(X.reshape(-1, 2))
         sig = self.metric.sigma(X)
         gam_chart = self.metric.christoffel(X)
 
@@ -113,7 +101,8 @@ class CurvilinearGrid:
 
         # Gamma~^c_{ab} = B^c_k ( x^k_{,ab} + Gamma^k_{ij} J^i_a J^j_b )
         # x^k_{,ab}, indexed [..., k]
-        d2x = {(0, 0): np.zeros_like(X), (0, 1): x_rs, (1, 0): x_rs, (1, 1): x_ss}
+        d2x = {(0, 0): np.zeros_like(X), (0, 1): dgam, (1, 0): dgam,
+               (1, 1): R[..., None] * curve.d2gamma(S)}
         inner = {(k, a, b): d2x[a, b][..., k] + einsum_sum(
                      gam_chart[..., k, i, j] * J[..., i, a] * J[..., j, b] for i, j in INDEX_PAIRS)
                  for k in range(2) for a, b in INDEX_PAIRS}

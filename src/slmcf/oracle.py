@@ -1,8 +1,8 @@
 """Independent radial ODE oracles for rotationally symmetric scenarios.
 
-For a constant contact angle on a rotationally symmetric domain (a disk in
-the flat chart, or a chart circle r < r0 in a radial metric dr^2 + f^2 dth^2)
-the translator profile depends on r alone and the PDE collapses to
+For a constant contact angle on the disk r < r0 about the pole of a catalog
+metric dr^2 + f^2 dth^2 (a flat disk, a sphere cap, a dome), the translator
+profile depends on r alone and the PDE collapses to
 
     u'' = (1 - u'^2) (c - (f'/f) u'),    u'(0) = 0,
     u'(r0) = -phi / sqrt(1 + phi^2)      (contact angle at the boundary),
@@ -23,6 +23,8 @@ import dataclasses
 
 import numpy as np
 
+from .metrics import get_metric
+
 _R_START = 1e-8
 
 
@@ -36,9 +38,9 @@ class RadialOracle:
 
 
 def _f_ratio(metric):
-    """f'/f for the metric's radial chart; the flat chart uses f = r."""
-    if metric is None or getattr(metric, "chart", "cartesian") == "cartesian":
-        return (lambda r: 1.0 / r), (lambda r: r)
+    """f'/f and f of the metric; None is the flat metric, f = r."""
+    if metric is None:
+        metric = get_metric("flat")
     return (lambda r: metric.fp(r) / metric.f(r)), metric.f
 
 
@@ -57,7 +59,7 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
     """Shooting solution of the radial translator problem.
 
     phi_const: constant contact angle; r0: boundary radius; metric: a
-    catalog metric with a radial chart, or None/flat for the flat disk.
+    catalog metric, None for the flat one.
     """
     from scipy.integrate import quad, solve_ivp  # deferred: see the module docstring
     from scipy.optimize import brentq

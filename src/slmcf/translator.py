@@ -135,17 +135,29 @@ class TranslatorSolution:
 
 
 def _new_factor():
-    """The state of a bordered solve: the one live solver ("lu") and the log
-    [eps, solver] of every factorization ("log")."""
-    return {"lu": None, "log": []}
+    """The state of a bordered solve: the one live solver ("lu"), the log
+    [eps, solver] of every factorization ("log"), and the operator
+    evaluation of the last residual, as (w, flow_operator(w, ...,
+    with_fields=True)) ("held"), which a factorization at that w reuses;
+    ``_bordered_newton`` drops it before each solve, so none is alive
+    while an LU solves."""
+    return {"lu": None, "log": [], "held": None}
+
+
+def _take_held(factor, w):
+    """The held evaluation if it was made at this very w, else None; the
+    slot is emptied either way, so no evaluation outlives its use."""
+    held, factor["held"] = factor["held"], None
+    return held[1] if held is not None and held[0] is w else None
 
 
 def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
     """Build the solver of the bordered Jacobian [[L - eps I, -1], [a^T, 0]]
     at (w, eps), a = quadrature weights / area, into ``factor``, the old one
-    dropped first; the solver writes its kind into the log entry [eps]."""
+    dropped first; the solver writes its kind into the log entry [eps].
+    The Jacobian is assembled from the held evaluation where it is at w."""
     factor["lu"] = None
-    L = assemble_operator_matrix(w, grid, phi_vals)[0]   # without the operator fields
+    L = assemble_operator_matrix(w, grid, phi_vals, _take_held(factor, w))[0]
     entry = [eps]
     factor["lu"] = RingSolver(splu, L, -eps, 1.0,
                               border=(grid.weights / grid.area).ravel(), log=entry)
@@ -183,14 +195,23 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
     A start (w, c) that is not space-like is replaced by ``fallback`` (w, c)
     where one is given.
 
+    The operator evaluation of the last residual is held in ``factor`` (see
+    ``_new_factor``) until the next solve on an LU, so the factorization at
+    the start, and the caller's at the returned w, do not evaluate the
+    operator again.
+
     Returns (w, c, info); info holds the residual history, the counts of
     accepted chord steps, Newton steps and factorizations, the floor stops,
-    and ``steps``, every solve on an LU including dropped chord steps.
+    ``steps``, every solve on an LU including dropped chord steps, and
+    ``residual_max``, max |R| over the nodes at the returned (w, c).
     Raises NewtonError on stagnation or a failed line search above the floor,
     and SpacelikeViolationError if no damped step stays space-like.
     """
     def residual(wv, cv):
-        out = flow_operator(wv, grid, phi_vals) - eps * wv - cv
+        factor["held"] = None            # one evaluation alive at a time
+        q = flow_operator(wv, grid, phi_vals, with_fields=True)
+        factor["held"] = (wv, q)
+        out = q["op"] - eps * wv - cv
         return out if source is None else out - source
 
     def norm(R, wv):
@@ -216,6 +237,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
         if not reused:
             _factor(factor, w, eps, grid, phi_vals)
             info["factorizations"] += 1
+        factor["held"] = None            # not kept through a solve: a refactor evaluates afresh
         delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
@@ -268,7 +290,7 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
                 f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
         info["floor_stops"].append([eps, norms[-1], bound])
         break
-    info["residuals"] = norms
+    info.update(residuals=norms, residual_max=float(np.max(np.abs(R))))
     return w, c, info
 
 
@@ -364,7 +386,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
                 [eps, level["factorizations"], level["residuals"][-1]])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
-    factor["lu"] = None
+    factor["lu"] = factor["held"] = None
     stats.reverse()
     newton_iters.reverse()
     limit["trace_residuals"].reverse()
@@ -376,10 +398,9 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     # integration-by-parts mismatch, O(h^2)
     c3_quadrature = compute_c3(profile, phi, grid)
 
-    op = flow_operator(w, grid, phi_vals)
     dnu, dtu, v_bd = boundary_gradient_data(w, grid, phi_vals)
     residuals = {
-        "interior_max": float(np.max(np.abs(op - c3))),
+        "interior_max": info["residual_max"],          # max |F(w) - c3| at the limit
         "boundary_max": float(np.max(np.abs(dnu - phi_vals * v_bd))),
         "c3_quadrature": c3_quadrature,
         "c3_cross_check": abs(c3 - c3_quadrature),

@@ -5,6 +5,7 @@ from scipy.sparse.linalg import splu
 from slmcf.domain import _rotate90, build_domain
 from slmcf.geometry import derivatives, g_upper_components, gradient_fields
 from slmcf.grid import ContactAngle, build_grid
+from slmcf import metrics
 from slmcf.metrics import Metric
 
 
@@ -43,13 +44,14 @@ def phi02(unit_disk):
     return ContactAngle({"kind": "constant", "value": 0.2}, unit_disk)
 
 
-class SkewMetric(Metric):
-    """A cartesian metric with no zero component, so that the order in which a
-    contraction sums its terms shows in the last bits (not a real surface: the
-    Christoffel symbols are not those of sigma)."""
+class SkewMetric:
+    """A metric with no zero component, so that the order in which a
+    contraction sums its terms shows in the last bits.  It is not a real
+    surface (the Christoffel symbols are not those of sigma) and not
+    rotationally symmetric, so it stands in for a ``Metric`` with the three
+    evaluations the domain and the grid call."""
 
     metric_id = "skew"
-    chart = "cartesian"
 
     def sigma(self, points):
         x, y = points[..., 0], points[..., 1]
@@ -68,6 +70,23 @@ class SkewMetric(Metric):
 @pytest.fixture(scope="session")
 def skew_metric():
     return SkewMetric()
+
+
+def _hyperbolic_a(r):
+    """(r - sinh r cosh r) / r^2, by its closed form (no node sits at the pole)."""
+    return (r - np.sinh(r) * np.cosh(r)) / r ** 2
+
+
+@pytest.fixture
+def hyperbolic_metric(monkeypatch):
+    """The hyperbolic plane f = sinh r, K = -1, registered in the catalog for
+    one test: scenario loading must refuse it."""
+    metric = Metric("hyperbolic", f=np.sinh, fp=np.cosh,
+                    f_over_r=lambda r: np.sinh(r) / r, a=_hyperbolic_a,
+                    b=lambda r: 1.0 / np.tanh(r) - 1.0 / r,
+                    gauss=lambda r: -np.ones_like(r), r_max=np.inf)
+    monkeypatch.setitem(metrics._CATALOG, "hyperbolic", metric)
+    return metric
 
 
 def _inverse_metric_error(grid, values):
@@ -109,14 +128,16 @@ def _closest_boundary_param(dom, x, iters=40):
 def _collar_frame(dom, x):
     """Boundary frame (T, N) extended to a collar point x.
 
-    The extension is parallel along the normal geodesics of the boundary: in
-    the flat charts those are straight lines, so (T, N) at x equal the frame
-    at the closest boundary point; in radial charts they are the radial lines.
+    The extension is parallel along the normal geodesics of the boundary: on
+    the flat metric those are straight lines, so (T, N) at x equal the frame
+    at the closest boundary point; for a disk about the pole of a curved
+    metric they are the radial lines of the normal chart, along which the
+    sigma-unit N = -x/|x| is parallel and T is its rotation.
     """
     x = np.asarray(x, dtype=float)
-    if dom.curve.kind == "chart_circle":
-        N = np.array([-1.0, 0.0])
-        return _rotate90(dom.metric, x, N), N
+    if dom.metric.metric_id != "flat":
+        N = -x / np.hypot(x[0], x[1])
+        return _rotate90(dom.metric.sigma(x), N), N
     T, N, _ = dom.frame(np.atleast_1d(_closest_boundary_param(dom, x)))
     return T[0], N[0]
 

@@ -28,7 +28,7 @@ def _write(tmp_path, config, name="cfg.json"):
     return p
 
 
-def test_scenario_validation_errors():
+def test_scenario_validation_errors(hyperbolic_metric):
     bad = dict(BASE, domain={"kind": "smooth_convex", "r0": 1.0, "amp": 0.3, "k": 4})
     with pytest.raises(ScenarioError):
         load_scenario(bad)
@@ -247,6 +247,63 @@ def test_sphere_scenario_via_cli(tmp_path):
     assert abs(fm["final"]["speed_estimate"] - tm["final"]["c3"]) < 1e-6
     reports, summary = cmd_verify([tmp_path / "flow", tmp_path / "tr"])
     assert summary["all_passed"]
+
+
+# speed, c3, flow steps and factorizations, summed translator iterations of
+# the radial curved scenarios, as the polar chart they ran on before gave them
+RADIAL_CURVED = {
+    ("sphere", 16): (-0.2359497723800555, -0.23594977236090306, 12, 3, 17),
+    ("sphere", 48): (-0.23596465700162106, -0.2359646569719378, 15, 3, 17),
+    ("dome", 16): (-0.27852201138949145, -0.2785220112466207, 12, 3, 23),
+    ("dome", 48): (-0.27854822820488095, -0.2785482281600008, 16, 4, 23),
+}
+
+
+def _curved_config(metric, domain, phi, n):
+    return {"name": f"{metric}_{domain['kind']}", "metric": {"id": metric}, "domain": domain,
+            "phi": {"kind": "constant", "value": phi},
+            "grid": {"n_radial": n, "n_angular": 2 * n},
+            "stepper": {"tol_speed": 1e-7, "max_time": 10.0, "snapshot_interval": 25}}
+
+
+@pytest.mark.parametrize("metric,n", sorted(RADIAL_CURVED))
+def test_chart_circle_keeps_its_polar_chart_numbers(tmp_path, metric, n):
+    """A chart_circle, now the disk of radius r0 about the pole of the normal
+    chart, reproduces the polar-chart runs: speed and c3 within 1e-13, the
+    same step, factorization and Newton counts, and ring solves only."""
+    speed, c3, steps, factors, newton = RADIAL_CURVED[metric, n]
+    r0, phi = {"sphere": (0.8, 0.1), "dome": (1.0, 0.15)}[metric]
+    cfg = _write(tmp_path, _curved_config(metric, {"kind": "chart_circle", "r0": r0}, phi, n))
+    final = cmd_flow(cfg, tmp_path / "flow")["final"]
+    cmd_translator(cfg, tmp_path / "tr")
+    result = json.loads((tmp_path / "tr" / "result.json").read_text())
+    assert final["speed_estimate"] == pytest.approx(speed, abs=1e-13)
+    assert result["c3"] == pytest.approx(c3, abs=1e-13)
+    assert (final["steps"], final["lu_factorizations"]) == (steps, factors)
+    assert sum(result["newton_iterations"]) == newton
+    assert {r[4] for r in final["lu_refreshes"]} == {"ring"}
+    assert {kind for _, kind in result["limit"]["solvers"]} == {"ring"}
+
+
+@pytest.mark.parametrize("metric,domain,phi", [
+    ("sphere", {"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]}, 0.1),
+    ("dome", {"kind": "ellipse", "a": 0.9, "b": 0.6}, 0.15)])
+def test_curved_scenarios_off_symmetry_pass_verify(tmp_path, metric, domain, phi):
+    """Every domain kind runs on every metric: an off-center sphere cap and a
+    dome ellipse converge, and their flow and translator pass every check."""
+    cfg = _write(tmp_path, _curved_config(metric, domain, phi, 16))
+    assert cmd_flow(cfg, tmp_path / "flow")["final"]["converged"]
+    cmd_translator(cfg, tmp_path / "tr")
+    reports, summary = cmd_verify([tmp_path / "flow", tmp_path / "tr"])
+    assert any(r.name.endswith("translator_agreement") for r in reports)
+    assert summary["all_passed"], [(r.name, r.details) for r in reports if not r.passed]
+
+
+def test_a_domain_that_leaves_the_chart_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, _curved_config("dome", {"kind": "disk", "radius": 0.7,
+                                                   "center": [1.0, 0.0]}, 0.1, 16))
+    assert main(["flow", str(cfg), "-o", str(tmp_path / "flow")]) == 2
+    assert "leaves the chart of metric 'dome'" in capsys.readouterr().err
 
 
 def test_flow_manifest_step_counters(tmp_path):

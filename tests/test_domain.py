@@ -83,11 +83,20 @@ def test_odd_harmonic_rejected():
         build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 3}, "flat")
 
 
-def test_chart_kind_mismatch():
-    with pytest.raises(ScenarioError):
-        build_domain({"kind": "chart_circle", "r0": 0.5}, "flat")
-    with pytest.raises(ScenarioError):
-        build_domain({"kind": "disk", "radius": 1.0}, "sphere")
+def test_every_domain_kind_runs_on_every_metric():
+    """One chart for every metric: a chart_circle is the disk of radius r0 about
+    the pole, bit for bit, and the Cartesian kinds build on curved metrics."""
+    for metric in ("flat", "sphere", "dome"):
+        circle = build_domain({"kind": "chart_circle", "r0": 0.5}, metric)
+        disk = build_domain({"kind": "disk", "radius": 0.5}, metric)
+        s = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        assert np.array_equal(circle.curve.gamma(s), disk.curve.gamma(s))
+        assert (circle.kappa0, circle.inradius) == (disk.kappa0, disk.inradius)
+        assert circle.inradius == pytest.approx(0.5, rel=1e-15)
+        for spec in ({"kind": "ellipse", "a": 0.6, "b": 0.4},
+                     {"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]},
+                     {"kind": "smooth_convex", "r0": 0.5, "amp": 0.02, "k": 4}):
+            assert build_domain(spec, metric).kappa0 > 0
 
 
 def _d4(fn, x0, V, eps):
@@ -204,8 +213,6 @@ def test_frame_is_bit_identical_to_the_tensor_formulas(spec, metric, skew_metric
     if spec == "skew":
         return
     assert dom.kappa0 == np.min(kappa)
-    if dom.curve.kind != "chart_circle":
-        g, c = dom.curve.gamma(s), dom.curve.center
-        sig = dom.metric.sigma(g)
-        assert dom.inradius == np.min(np.sqrt(np.einsum("...i,...ij,...j->...", g - c, sig,
-                                                        g - c)))
+    g, c = dom.curve.gamma(s), dom.curve.center
+    sig = dom.metric.sigma(g)
+    assert dom.inradius == np.min(np.sqrt(np.einsum("...i,...ij,...j->...", g - c, sig, g - c)))

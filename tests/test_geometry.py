@@ -48,16 +48,25 @@ def test_hessian_flat_xy(disk_grid):
     assert np.allclose(H, [[0.0, 1.0], [1.0, 0.0]], atol=2e-3)
 
 
+def _polar(x, y):
+    """(r, th) of chart points of the normal chart."""
+    return np.hypot(x, y), np.arctan2(y, x)
+
+
 def test_hessian_polar_radial_field():
-    dom = build_domain({"kind": "chart_circle", "r0": 2.0}, "flat_polar")
+    """u = r = |x| on the flat disk of radius 2 about the pole is linear in rho
+    and constant in s, so its stencil Hessian is exact: D D r = (I - n n^T)/r,
+    whose polar components are D_rr r = 0 and D_thth r = r."""
+    dom = build_domain({"kind": "chart_circle", "r0": 2.0}, "flat")
     grid = build_grid(dom, 24, 48)
-    u = GridFunction.from_chart(grid, lambda r, th: r)
+    u = GridFunction.from_chart(grid, lambda x, y: np.hypot(x, y))
     H = _chart_hessian(u)
-    # D_th D_th u = -Gamma^r_{thth} * 1 = r; field is linear in the chart
     for node in [(5, 0), (12, 7), (20, 30)]:
-        r_node = grid.X[node][0]
-        assert H[node][1, 1] == pytest.approx(r_node, abs=1e-9)
-        assert abs(H[node][0, 0]) < 1e-9
+        r, th = _polar(*grid.X[node])
+        n, t = np.array([np.cos(th), np.sin(th)]), np.array([-np.sin(th), np.cos(th)])
+        assert np.max(np.abs(H[node] - (np.eye(2) - np.outer(n, n)) / r)) < 1e-9
+        assert abs(n @ H[node] @ n) < 1e-9
+        assert (r * t) @ H[node] @ (r * t) == pytest.approx(r, abs=1e-9)
 
 
 def _fourth_order_hessian_oracle(metric, fn, point, eps=1e-3):
@@ -96,14 +105,16 @@ def _fourth_order_hessian_oracle(metric, fn, point, eps=1e-3):
 def test_hessian_second_order_on_sphere(sphere_cap):
     metric = get_metric("sphere")
 
+    def u_of(x, y):      # 0.3 r^2 + 0.1 r^3 cos(th) in normal coordinates
+        return (x * x + y * y) * (0.3 + 0.1 * x)
+
     def fn(p):
-        r, th = p[..., 0], p[..., 1]
-        return 0.3 * r ** 2 + 0.1 * r ** 3 * np.cos(th)
+        return u_of(p[..., 0], p[..., 1])
 
     errs = []
     for n in (24, 48):
         grid = build_grid(sphere_cap, n, 2 * n)
-        u = GridFunction.from_chart(grid, lambda r, th: 0.3 * r ** 2 + 0.1 * r ** 3 * np.cos(th))
+        u = GridFunction.from_chart(grid, u_of)
         H = _chart_hessian(u)
         err = 0.0
         # fixed physical annulus so both resolutions see the same region
@@ -214,7 +225,7 @@ def _evo_du_symbolic_residual(metric_kind, convention):
     sympy = pytest.importorskip("sympy")
     r, th = sympy.symbols("r theta", positive=True)
     X = (r, th)
-    f = {"flat_polar": r, "sphere": sympy.sin(r),
+    f = {"flat": r, "sphere": sympy.sin(r),
          "dome": r - r ** 3 / 8}[metric_kind]
     sig = sympy.Matrix([[1, 0], [0, f ** 2]])
     sigi = sig.inv()
@@ -258,9 +269,12 @@ def _evo_du_symbolic_residual(metric_kind, convention):
     return float(sympy.N((lhs - rhs).subs(pt), 25))
 
 
-@pytest.mark.parametrize("metric_kind", ["flat_polar", "sphere", "dome"])
+@pytest.mark.parametrize("metric_kind", ["flat", "sphere", "dome"])
 def test_evo_du_symbolic_oracle(metric_kind):
-    """The 'derived' coefficients satisfy the identity exactly; 'printed' does not."""
+    """The 'derived' coefficients satisfy the identity exactly; 'printed' does not.
+
+    The identity is between scalars, so it holds in any chart; the polar chart
+    keeps the symbolic algebra small."""
     assert abs(_evo_du_symbolic_residual(metric_kind, "derived")) < 1e-12
     assert abs(_evo_du_symbolic_residual(metric_kind, "printed")) > 1e-3
 
@@ -309,9 +323,11 @@ def test_evo_du_rhs_matches_symbolic_on_grid(sphere_cap):
     errs = []
     for n in (16, 32):
         grid = build_grid(sphere_cap, n, 2 * n)
-        uu = GridFunction.from_chart(grid, lambda rr, tt: 0.2 * rr ** 2 + 0.1 * rr ** 3 * np.cos(tt))
+        # the right side is a scalar: the grid's normal-chart nodes are read in polar form
+        rr, tt = _polar(grid.X[..., 0], grid.X[..., 1])
+        uu = GridFunction(0.2 * rr ** 2 + 0.1 * rr ** 3 * np.cos(tt), grid)
         num = evo_du_rhs(uu.values, grid, "derived")
-        exact = rhs_fn(grid.X[..., 0], grid.X[..., 1])
+        exact = rhs_fn(rr, tt)
         errs.append(float(np.max(np.abs(num - exact)[2:-3, :])))
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 5e-3
@@ -354,12 +370,12 @@ def test_evo_du_rhs_vanishes_on_translator_profile():
 
 
 def test_evo_du_curvature_term_isolated_on_sphere(sphere_cap):
-    """Chart-linear field on the unit sphere: grid evaluation matches the
-    symbolic value of the identity's right side at a sample point."""
+    """u = 0.3 r on the unit sphere, linear in the polar chart: grid evaluation
+    matches the symbolic value of the identity's right side at a sample point."""
     sympy = pytest.importorskip("sympy")
     r, th = sympy.symbols("r theta", positive=True)
     a = sympy.Rational(3, 10)
-    u = a * r                       # linear in the chart
+    u = a * r                       # linear in the polar chart
     f = sympy.sin(r)
     sig = sympy.Matrix([[1, 0], [0, f ** 2]])
     sigi = sig.inv()
@@ -376,10 +392,11 @@ def test_evo_du_curvature_term_isolated_on_sphere(sphere_cap):
                 for i in range(2) for j in range(2) for aa in range(2) for b in range(2))
     rhs_sym = -2 * hess2 - 2 * 1 * w       # K = 1; gradient terms vanish
     grid = build_grid(sphere_cap, 48, 96)
-    u_grid = GridFunction.from_chart(grid, lambda rr, tt: 0.3 * rr)
+    u_grid = GridFunction.from_chart(grid, lambda x, y: 0.3 * np.hypot(x, y))
     rhs_num = evo_du_rhs(u_grid.values, grid, "derived")
     i, j = 24, 10
-    pt = {r: grid.X[i, j, 0], th: grid.X[i, j, 1]}
+    r_node, th_node = _polar(*grid.X[i, j])
+    pt = {r: r_node, th: th_node}
     expected = float(sympy.N(rhs_sym.subs(pt), 25))
     assert rhs_num[i, j] == pytest.approx(expected, abs=2e-4)
 

@@ -133,24 +133,19 @@ DOMAIN_KINDS = [({"kind": "disk", "radius": 1.0}, "flat"),
                 ({"kind": "ellipse", "a": 1.5, "b": 1.0}, "flat"),
                 ({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4}, "flat"),
                 ({"kind": "chart_circle", "r0": 0.8}, "sphere"),
-                ({"kind": "chart_circle", "r0": 1.0}, "dome")]
+                ({"kind": "chart_circle", "r0": 1.0}, "dome"),
+                ({"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]}, "sphere"),
+                ({"kind": "ellipse", "a": 0.9, "b": 0.6}, "dome")]
 
 
 def _tensor_pullback(grid):
     """The grid arrays by the einsum formulas, from the map x(rho, s) rebuilt here."""
     R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
     curve = grid.domain.curve
-    if curve.kind == "chart_circle":
-        X = np.stack([R * curve.r0, S], axis=-1)
-        J = np.zeros(X.shape + (2,))
-        J[..., 0, 0] = curve.r0
-        J[..., 1, 1] = 1.0
-        x_rs = x_ss = np.zeros_like(X)
-    else:
-        c = curve.center
-        X = c + R[..., None] * (curve.gamma(S) - c)
-        J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
-        x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
+    c = curve.center
+    X = c + R[..., None] * (curve.gamma(S) - c)
+    J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
+    x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
     sig, gam = grid.metric.sigma(X), grid.metric.christoffel(X)
     jac_inv = inv2(J)
     sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
@@ -186,3 +181,18 @@ def test_pullback_is_bit_identical_to_the_tensor_formulas(spec, metric, shape, s
         assert got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
         assert np.array_equal(_bits(got), _bits(ref)), name   # the signs of zeros too
+
+
+@pytest.mark.parametrize("metric", ["sphere", "dome"])
+def test_a_node_at_the_pole_is_a_regular_node(metric):
+    """Off-center domains can put a node on the pole of the normal chart: its
+    metric data are those of the pole (sigma~ from sigma = I, Gamma = 0) and
+    finite, and the grid's arrays are finite everywhere."""
+    rho = 3.5 / 15.5
+    dom = build_domain({"kind": "disk", "radius": 1.0, "center": [-rho, 0.0]}, metric)
+    grid = build_grid(dom, 16, 32)
+    assert np.array_equal(grid.X[3, 0], [0.0, 0.0])
+    for name in ("sigma_t", "sigma_t_inv", "gamma_t", "sqrt_det", "weights", "gauss"):
+        assert np.all(np.isfinite(getattr(grid, name))), name
+    J = np.linalg.inv(grid.jac_inv[3, 0])
+    assert np.allclose(grid.sigma_t[3, 0], J.T @ J, rtol=0, atol=1e-15)

@@ -8,7 +8,8 @@ from slmcf.errors import ContinuationError, ScenarioError
 from slmcf.flow import StepperConfig, run_to_convergence
 from slmcf.geometry import quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import OrderedLU, flow_operator, nested_dissection_order
+from slmcf.operators import (OrderedLU, assemble_operator_matrix, flow_operator,
+                             nested_dissection_order)
 from slmcf.oracle import regularized_oracle, translator_oracle
 from slmcf.translator import (ContinuationSchedule, compute_c3, continuation,
                               solve_regularized)
@@ -61,6 +62,38 @@ def test_continuation_residual_invariants(disk_solution):
     # flux-balance cross-check agrees to quadrature accuracy (O(h^2))
     grid_h = 1.0 / (48 - 0.5)
     assert disk_solution.residuals["c3_cross_check"] < 5.0 * grid_h ** 2
+
+
+def test_every_operator_evaluation_is_used_once(disk_setup, disk_solution, monkeypatch):
+    """The residual keeps its operator evaluation: a factorization assembles
+    the Jacobian from the evaluation of the iterate it holds, and
+    ``interior_max`` reads the limit solve's last residual.  So the one
+    evaluation without fields is the start's speed, and the solution is the
+    same as with every evaluation made afresh."""
+    _, grid, phi = disk_setup
+    calls = {"plain": 0, "fields": 0, "assembled": 0}
+
+    def counting_operator(values, grid, phi_vals, with_fields=False):
+        calls["fields" if with_fields else "plain"] += 1
+        return flow_operator(values, grid, phi_vals, with_fields)
+
+    def checking_assembly(values, grid, phi_vals, q=None):
+        assert q is not None
+        fresh = flow_operator(values, grid, phi_vals, with_fields=True)
+        assert all(np.array_equal(q[k], fresh[k]) for k in ("op", "du2", "dtu"))
+        calls["assembled"] += 1
+        return assemble_operator_matrix(values, grid, phi_vals, q)
+
+    monkeypatch.setattr(translator, "flow_operator", counting_operator)
+    monkeypatch.setattr(translator, "assemble_operator_matrix", checking_assembly)
+    sol = continuation(ContinuationSchedule(), phi, grid)
+    assert calls["plain"] == 1
+    assert calls["assembled"] == sol.limit["lu_factorizations"] == 2
+    assert sol.c3 == disk_solution.c3
+    assert np.array_equal(sol.profile.values, disk_solution.profile.values)
+    assert sol.residuals == disk_solution.residuals
+    F = flow_operator(sol.profile.values, grid, phi.values_on(grid))
+    assert sol.residuals["interior_max"] == float(np.max(np.abs(F - sol.c3)))
 
 
 def test_profile_zero_mean(disk_solution):
