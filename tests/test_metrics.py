@@ -8,6 +8,7 @@ from slmcf.metrics import get_metric, inv2, metric_ids
 
 SAMPLE_POINTS = {
     "flat": [(0.0, 0.0), (0.3, -0.7), (1.5, 2.0)],
+    "flat_polar": [(0.2, 0.1), (1.0, 3.0), (2.0, 5.5)],   # (r, th): flat pulled back
     "sphere": [(0.0, 0.0), (0.3, 0.0), (0.5, -0.6), (-1.0, 1.0)],
     "dome": [(0.0, 0.0), (0.2, 0.1), (-0.6, 0.7), (1.0, -1.0)],
     "hyperbolic": [(0.5, 1.0), (1.2, 2.0)],     # the test-local K < 0 metric
@@ -131,10 +132,14 @@ def test_hyperbolic_curvature_negative(hyperbolic_metric):
 def test_sigma_inverse_and_positivity(metric_id, request):
     if metric_id == "hyperbolic":
         request.getfixturevalue("hyperbolic_metric")
-    m = get_metric(metric_id)
+    if metric_id == "flat_polar":
+        def sigma_at(pt):
+            return _polar_pullback(get_metric("flat"), *pt)[0]
+    else:
+        sigma_at = get_metric(metric_id).sigma
     for pt in SAMPLE_POINTS[metric_id]:
         pt = np.asarray(pt, dtype=float)
-        sigma = m.sigma(pt)
+        sigma = sigma_at(pt)
         assert np.max(np.abs(inv2(sigma) @ sigma - np.eye(2))) < 1e-12
         eigs = np.linalg.eigvalsh(sigma)
         assert np.all(eigs > 0)
