@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 
 import numpy as np
 
@@ -75,8 +74,8 @@ from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowErr
 from .geometry import mean_curvature_field  # noqa: F401
 from .grid import _DELTA_SPACE, ContactAngle, CurvilinearGrid, GridFunction
 from .operators import RingSolver, flow_operator, linearized_affine, splu
+from .schema import DT_FLOOR as _DT_FLOOR, check, fields   # a halved dt below it: underflow
 
-_DT_FLOOR = 1e-14     # smallest step: a given dt below it is a ScenarioError, a halved one an underflow
 _GROW_AFTER = 5      # consecutive accepted steps before dt grows
 _GROW_BY = 4.0       # factor dt grows by, once per _GROW_AFTER accepted steps
 _DT_CAP = 0.5        # largest grown dt, in units of the domain inradius
@@ -94,18 +93,7 @@ class StepperConfig:
 
     def __post_init__(self):
         self.dense_sample_times = tuple(self.dense_sample_times)
-        if not all(isinstance(tau, numbers.Real) and not isinstance(tau, bool)
-                   for tau in self.dense_sample_times):
-            raise ScenarioError("dense_sample_times must be an array of numbers")
-        if self.dt is not None and not self.dt >= _DT_FLOOR:     # NaN included
-            raise ScenarioError(f"dt must be at least {_DT_FLOOR:g}, the stepper's smallest step")
-        # each "not x >= bound" below refuses NaN too
-        if not self.tol_speed >= 0:
-            raise ScenarioError("tol_speed must be non-negative (0 runs to max_time)")
-        if not self.max_time > 0:
-            raise ScenarioError("max_time must be positive")
-        if not self.snapshot_interval >= 1:
-            raise ScenarioError("snapshot_interval must be at least 1")
+        check("stepper", vars(self), fields("stepper", StepperConfig))
 
     def initial_dt(self, grid: CurvilinearGrid) -> float:
         if self.dt is not None:
@@ -165,19 +153,20 @@ class FlowRun:
                           with_fields=True)
         return q["op"], q["op"] / q["v"]
 
-    def to_record(self, monitor: dict) -> dict:
-        """The manifest's ``final`` block: the recorded scalars, derived maxima
-        and ``monitor``, the monitor constants of the scenario's u0."""
+    def to_record(self) -> dict:
+        """The manifest's ``final`` block: the recorded scalars, the step count
+        and the derived maxima.  The final time is the last series row and
+        the monitor constants are ``verify.monitor_constants`` of the run."""
         derived = ("lu_factorizations", "sup_du2", "sup_ut")
         return {**{k: getattr(self, k) for k in _RECORDED + derived},
-                "t_final": self.state.t, "steps": self.state.step_count,
-                "monitor": monitor, "h": self.grid.h, "delta_space": _DELTA_SPACE}
+                "steps": self.state.step_count}
 
     @classmethod
     def from_record(cls, record: dict, grid: CurvilinearGrid, phi: ContactAngle,
                     cfg: StepperConfig, series, energy, snapshots, dense) -> FlowRun:
-        """Inverse of ``to_record``; the rest are the data stored beside it."""
-        state = FlowState(u=snapshots[-1][1], t=record["t_final"],
+        """Inverse of ``to_record``; the rest are the data stored beside it, the
+        final time the last row of ``series``."""
+        state = FlowState(u=snapshots[-1][1], t=float(series["t"][-1]),
                           step_count=record["steps"])
         return cls(grid=grid, phi=phi, cfg=cfg, state=state, series=series, energy=energy,
                    snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
@@ -394,10 +383,9 @@ class _Stepper:
             snapshots = rec.snapshots
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
-            record = {"converged": converged, "message": message, "t_final": self.t,
-                      "steps": self.steps, "rejected": self.rejected,
-                      "lu_refreshes": f.refreshes, "dt_min": self.dt_min,
-                      "dt_max": self.dt_max, "speed_estimate": f.speed,
+            record = {"converged": converged, "message": message, "steps": self.steps,
+                      "rejected": self.rejected, "lu_refreshes": f.refreshes,
+                      "dt_min": self.dt_min, "dt_max": self.dt_max, "speed_estimate": f.speed,
                       "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
             runs.append(FlowRun.from_record(
                 record, self.grid, self.phi, cfg,

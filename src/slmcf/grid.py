@@ -38,7 +38,7 @@ import dataclasses
 import numpy as np
 
 from .domain import ConvexDomain
-from .errors import GridError, ScenarioError, SpacelikeViolationError
+from .errors import ChartDomainError, GridError, ScenarioError, SpacelikeViolationError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
 from .schema import N_ANGULAR, N_RADIAL, check
 
@@ -83,6 +83,15 @@ class CurvilinearGrid:
             raise GridError(
                 f"degenerate grid mapping at node ({i}, {j}): det J = {jac_det[i, j]:.3e}"
             )
+
+        # |x| is convex, so the node farthest from the pole is on the boundary
+        # ring, whose nodes can fall between the samples ``build_domain`` checks
+        reach = np.hypot(X[-1, :, 0], X[-1, :, 1])
+        j = int(np.argmax(reach))
+        if reach[j] >= self.metric.r_max:
+            raise ChartDomainError(f"grid leaves the chart of metric '{self.metric.metric_id}': "
+                                   f"boundary node {j} at |x| = {reach[j]:.10g} >= r_max = "
+                                   f"{self.metric.r_max:.10g}")
 
         sig = self.metric.sigma(X)
         gam_chart = self.metric.christoffel(X)

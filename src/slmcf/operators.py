@@ -60,7 +60,7 @@ import functools
 import numpy as np
 
 from .errors import SpacelikeBoundaryError
-from .geometry import angular_diff, gradient_fields, quasilinear_operator
+from .geometry import angular_diff, quasilinear_operator
 from .grid import CurvilinearGrid
 
 
@@ -92,18 +92,6 @@ def flow_operator(values, grid: CurvilinearGrid, phi_vals, with_fields=False):
     if not with_fields:
         return q["op"]
     return dict(q, ghost=ghost, dtu=dtu, dn_target=dn_target)
-
-
-def boundary_gradient_data(values, grid: CurvilinearGrid, phi_vals):
-    """(D_N u, D_T u, v) on the boundary ring using the ghost-closed gradient."""
-    ghost, dtu, _ = contact_ghost(values, grid, phi_vals)
-    _, du2, v = gradient_fields(values, grid, ghost)
-    srr = grid.sigma_t_inv[-1, :, 0, 0]
-    srs = grid.sigma_t_inv[-1, :, 0, 1]
-    ur = (ghost - values[-2]) / (2.0 * grid.hr)
-    us = angular_diff(values[-1], grid)
-    dnu = -(srr * ur + srs * us) / np.sqrt(srr)
-    return dnu, dtu, v[-1]
 
 
 # -- the Jacobian as its stencil -------------------------------------------------

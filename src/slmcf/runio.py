@@ -6,7 +6,9 @@ ambient curvature on the closure, non-space-like initial data and mismatched
 phi tables.  The scenario hash is the sha256 of the canonical (sorted-keys,
 compact) JSON encoding; series.csv and energy.csv carry it in a leading
 comment, and the manifest records it with the sha256 of every field file,
-so a manifest can be validated against its files.
+so a manifest can be validated against its files.  The ``final`` block and
+result.json hold what no other file states (the final time is the last
+series row) and nothing ``slmcf verify`` computes (the monitor constants).
 
 CSV conventions (series.csv, energy.csv and the field CSVs of ``slmcf
 export``): UTF-8, comma delimiter, "." decimal point, float cells in repr
@@ -37,7 +39,6 @@ from .geometry import gradient_fields
 from .grid import _SPACELIKE_EPS, ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .schema import SCENARIO, SECTIONS, check, fields
 from .translator import ContinuationSchedule, TranslatorSolution
-from .verify import monitor_constants
 
 _CURVATURE_FLOOR = -1e-12
 
@@ -92,8 +93,8 @@ def _build_u0(spec: dict, grid: CurvilinearGrid) -> GridFunction:
 
 
 # every scenario section's table: the solver sections' keys are their configs' fields
-_SECTIONS = {**SECTIONS, "stepper": fields(StepperConfig),
-             "continuation": fields(ContinuationSchedule)}
+_SECTIONS = {**SECTIONS, "stepper": fields("stepper", StepperConfig),
+             "continuation": fields("continuation", ContinuationSchedule)}
 
 
 def check_config(config) -> dict:
@@ -399,11 +400,9 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
                          tau=float(tau))
              for k, tau in enumerate(sorted(run.dense))
              for m, (t, u) in enumerate(run.dense[tau])]
-
-    mc = monitor_constants(run.phi, run.grid, run.monitor_c0)
     files = {"series": "series.csv", "energy": "energy.csv",
              "snapshots": snapshots, "dense": dense}
-    return _save(outdir, scenario, "flow", files, seconds, run.to_record(mc.as_dict()))
+    return _save(outdir, scenario, "flow", files, seconds, run.to_record())
 
 
 def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSolution,
@@ -411,11 +410,10 @@ def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSol
     """Write ``solution`` of ``scenario`` to ``outdir``; returns the manifest."""
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = solution.profile.grid
     write_manifest(outdir / "result.json", solution.to_record())
     files = {"profile": _save_field(outdir, "profile.npy", solution.profile.values),
              "result": "result.json"}
-    final = {"c3": solution.c3, "residuals": solution.residuals, "h": grid.h}
+    final = {"c3": solution.c3, "residuals": solution.residuals}
     return _save(outdir, scenario, "translator", files, seconds, final)
 
 

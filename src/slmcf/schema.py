@@ -1,10 +1,12 @@
 """The scenario format: one table of the keys of a scenario and of its sections.
 
 ``SECTIONS`` gives each key's JSON type, default and range, by section and
-kind; the stepper and continuation keys are the fields of their config
-classes (``fields``), which check their ranges themselves.  ``check`` refuses
-an unknown key, a value of the wrong type (booleans, NaN and Infinity are no
-numbers) or out of range with a ScenarioError naming the section and the key.
+kind.  The stepper and continuation keys, types and defaults are the fields
+of their config classes and their ranges are ``SOLVER_RANGES`` (``fields``);
+the classes hold themselves to that table, as a scenario is held.  ``check``
+refuses an unknown key, a value of the wrong type (booleans, NaN and
+Infinity are no numbers) or out of range with a ScenarioError naming the
+section and the key.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ TYPES = {"number": ("a finite number", _number), "integer": ("an integer", _inte
                        _integer(p) and p >= 0 for p in t[1:]) for t in v)),
          "2-D array": ("a rectangular 2-D array of numbers", lambda v: _array(v, 2))}
 N_RADIAL, N_ANGULAR = (8, 1024), (16, 2048)     # the grid sizes' bounds; n_angular is even
+DT_FLOOR = 1e-14    # the stepper's smallest step: a given dt below it is refused
 RANGES = {"positive": ("positive", lambda v: v > 0),
+          "non-negative": ("non-negative (0 runs to max_time)", lambda v: v >= 0),
+          "step": (f"at least {DT_FLOOR:g}, the stepper's smallest step",
+                   lambda v: v >= DT_FLOOR),
+          "(0, 1)": ("in (0, 1)", lambda v: 0 < v < 1),
           "even": ("a positive even integer", lambda v: v > 0 and v % 2 == 0),
           "non-empty": ("non-empty", lambda v: len(v) > 0),
           "n_radial": ("an integer in [%d, %d]" % N_RADIAL,
@@ -86,14 +93,20 @@ SCENARIO = {None: {"name": Key("string", "scenario"), "seed_label": Key("string"
                    "u0": Key("object", {}), "grid": Key("object"), "stepper": Key("object", {}),
                    "continuation": Key("object", {})}}
 
+# the ranges of the solver sections, whose keys are the fields of their config classes
+SOLVER_RANGES = {"stepper": {"dt": "step", "tol_speed": "non-negative", "max_time": "positive",
+                             "snapshot_interval": "positive"},
+                 "continuation": {"eps_min": "(0, 1)"}}
 _ANNOTATED = {"float": "number", "int": "integer", "tuple": "numbers", "None": "null"}
 
 
-def fields(cls) -> dict:
-    """The table of a section whose keys are the fields of the dataclass ``cls``,
-    whose annotations are strings (``from __future__ import annotations``)."""
+def fields(name, cls) -> dict:
+    """The table of section ``name``, whose keys are the fields of the dataclass
+    ``cls`` (annotations are strings: ``from __future__ import annotations``)
+    and whose ranges are ``SOLVER_RANGES[name]``."""
+    ranges = SOLVER_RANGES[name]
     return {None: {f.name: Key("|".join(_ANNOTATED[t] for t in f.type.split(" | ")),
-                               f.default) for f in dataclasses.fields(cls)}}
+                               f.default, ranges.get(f.name)) for f in dataclasses.fields(cls)}}
 
 
 def check(name, spec, table=None) -> dict:
@@ -119,7 +132,7 @@ def check(name, spec, table=None) -> dict:
             raise ScenarioError(f"{where}: '{key}' must be "
                                 f"{' or '.join(TYPES[t][0] for t in types.split('|'))}, not "
                                 f"{'None (it is missing)' if value is REQUIRED else repr(value)}")
-        if limit and not RANGES[limit][1](value):
+        if limit and value is not None and not RANGES[limit][1](value):  # null: no range
             raise ScenarioError(f"{where}: {f'{kind} {key}' if kind else repr(key)} must be "
                                 f"{RANGES[limit][0]}, not {value!r}")
     return out

@@ -61,9 +61,6 @@ class MonitorConstants:
     c2: float
     c1: float
 
-    def as_dict(self):
-        return dataclasses.asdict(self)
-
 
 def monitor_constants(phi: ContactAngle, grid: CurvilinearGrid, c0) -> MonitorConstants:
     """The monitor constants of ``phi`` on ``grid``, with c0 the squared sup

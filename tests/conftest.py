@@ -3,10 +3,11 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from slmcf.domain import _rotate90, build_domain
-from slmcf.geometry import derivatives, g_upper_components, gradient_fields
+from slmcf.geometry import angular_diff, derivatives, g_upper_components, gradient_fields
 from slmcf.grid import ContactAngle, build_grid
 from slmcf import metrics
 from slmcf.metrics import Metric
+from slmcf.operators import contact_ghost
 
 
 @pytest.fixture(scope="session")
@@ -49,9 +50,10 @@ class SkewMetric:
     contraction sums its terms shows in the last bits.  It is not a real
     surface (the Christoffel symbols are not those of sigma) and not
     rotationally symmetric, so it stands in for a ``Metric`` with the three
-    evaluations the domain and the grid call."""
+    evaluations the domain and the grid call, and a chart without bound."""
 
     metric_id = "skew"
+    r_max = np.inf
 
     def sigma(self, points):
         x, y = points[..., 0], points[..., 1]
@@ -108,6 +110,26 @@ def _inverse_metric_error(grid, values):
 def inverse_metric_error():
     """``inverse_metric_error(grid, values)``: see ``_inverse_metric_error``."""
     return _inverse_metric_error
+
+
+def _boundary_gradient_data(values, grid, phi_vals):
+    """(D_N u, D_T u, v) on the boundary ring from the gradient closed by the
+    contact-angle ghost row: D_N u from the ghost difference in rho and the
+    stencil difference in s, v from ``gradient_fields``."""
+    ghost, dtu, _ = contact_ghost(values, grid, phi_vals)
+    _, _, v = gradient_fields(values, grid, ghost)
+    srr = grid.sigma_t_inv[-1, :, 0, 0]
+    srs = grid.sigma_t_inv[-1, :, 0, 1]
+    ur = (ghost - values[-2]) / (2.0 * grid.hr)
+    us = angular_diff(values[-1], grid)
+    dnu = -(srr * ur + srs * us) / np.sqrt(srr)
+    return dnu, dtu, v[-1]
+
+
+@pytest.fixture(scope="session")
+def boundary_gradient_data():
+    """``boundary_gradient_data(values, grid, phi_vals)``: see ``_boundary_gradient_data``."""
+    return _boundary_gradient_data
 
 
 def _closest_boundary_param(dom, x, iters=40):

@@ -9,8 +9,7 @@ from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError, StepSizeUnderflowError
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import (boundary_gradient_data, flow_operator, linearized_affine,
-                             nested_dissection_order)
+from slmcf.operators import flow_operator, linearized_affine, nested_dissection_order
 from slmcf.runio import load_scenario
 
 
@@ -70,7 +69,7 @@ def test_translation_equivariance(disk24):
     assert np.max(np.abs(run_b.state.u - run_a.state.u - 3.0)) < 1e-9
 
 
-def test_boundary_identities_along_run(disk24):
+def test_boundary_identities_along_run(disk24, boundary_gradient_data):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     pv = phi.values_on(grid)
@@ -202,9 +201,12 @@ def test_stepper_config_validation():
         with pytest.raises(ScenarioError, match="tol_speed"):
             StepperConfig(tol_speed=tol_speed)
     assert StepperConfig(tol_speed=0.0).tol_speed == 0.0     # runs to max_time
-    for snapshot_interval in (0, nan):
+    for snapshot_interval in (0, nan, 2.5):
         with pytest.raises(ScenarioError, match="snapshot_interval"):
             StepperConfig(snapshot_interval=snapshot_interval)
+    # the ends of the ranges, and sample times in a numpy array, are admitted
+    StepperConfig(tol_speed=0, max_time=1e-300, snapshot_interval=1,
+                  dense_sample_times=np.array([0.1, 0.2]))
     # the stepper has one scheme, one space-like margin and one runaway bound:
     # a scenario that sets any of them is refused
     scenario = {"metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},

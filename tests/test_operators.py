@@ -9,8 +9,8 @@ from slmcf.errors import SpacelikeBoundaryError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.geometry import derivatives
 from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
-                             boundary_gradient_data, contact_ghost, flow_operator,
-                             linearized_affine, nested_dissection_order)
+                             contact_ghost, flow_operator, linearized_affine,
+                             nested_dissection_order)
 
 
 def _test_field(grid, metric_id):
@@ -60,7 +60,7 @@ def test_ghost_boundary_spacelike_error(disk_grid_small):
         contact_ghost(u, grid, np.zeros(grid.n_angular))
 
 
-def test_boundary_identities_exact(disk_grid, phi02):
+def test_boundary_identities_exact(disk_grid, phi02, boundary_gradient_data):
     """|D_N u|^2 = phi^2 v^2 and |D_T u|^2 = 1 - (1+phi^2) v^2 under the closure."""
     grid = disk_grid
     u = GridFunction.from_chart(grid, lambda x, y: 0.1 * x ** 2 + 0.2 * np.sin(y)).values

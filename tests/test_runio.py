@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import pathlib
 import pickle
 import shutil
 import weakref
@@ -135,8 +136,32 @@ def test_translator_solution_round_trip(saved):
     assert np.array_equal(loaded.profile.values, solution.profile.values)
     assert loaded.to_record() == solution.to_record()
     assert loaded.limit == solution.limit
-    assert {"chord_steps", "trace_residuals", "floor_stops"} <= set(loaded.limit)
-    assert (loaded.eps_trace, loaded.grid_shape) == (solution.eps_trace, solution.grid_shape)
+    assert {"trace_residuals", "floor_stops"} <= set(loaded.limit)
+    assert loaded.eps_trace == solution.eps_trace
+
+
+# the keys of the run records, as the README lists them: each is a measurement
+# that nothing else in the run directory states
+FLOW_FINAL = {"converged", "message", "steps", "rejected", "dt_min", "dt_max", "lu_refreshes",
+              "lu_factorizations", "speed_estimate", "max_H_final", "sup_ut", "sup_du2"}
+TRANSLATOR_FINAL = {"c3", "residuals"}
+RESULT = {"c3", "eps_trace", "eps_trace_mean", "residuals", "newton_iterations", "limit"}
+RESIDUALS = {"interior_max", "c3_quadrature"}
+LIMIT = {"residuals", "newton_steps", "lu_factorizations", "floor_stops", "trace_residuals",
+         "trace_refactors", "solvers"}
+
+
+def test_records_hold_exactly_the_documented_keys(saved, runs_dir):
+    flow = json.loads((runs_dir / "flow" / "manifest.json").read_text())["final"]
+    translator = json.loads((runs_dir / "tr" / "manifest.json").read_text())["final"]
+    result = json.loads((runs_dir / "tr" / "result.json").read_text())
+    assert set(flow) == FLOW_FINAL
+    assert set(translator) == TRANSLATOR_FINAL
+    assert set(result) == RESULT
+    assert set(result["residuals"]) == set(translator["residuals"]) == RESIDUALS
+    assert set(result["limit"]) == LIMIT
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [k for k in FLOW_FINAL | RESULT | RESIDUALS | LIMIT if f"`{k}`" not in readme] == []
 
 
 def _all_checks(flow, bump, solution):

@@ -15,8 +15,10 @@ from slmcf import runio, schema
 from slmcf.cli import main
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
+from slmcf.flow import StepperConfig
 from slmcf.grid import ContactAngle
 from slmcf.runio import load_scenario, scenario_hash
+from slmcf.translator import ContinuationSchedule
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,7 +34,8 @@ BASE = {
 }
 
 # A value of each JSON type that its tables admit, whatever the key's range
-EXAMPLE = {"number": 1.0, "integer": 16, "string": "flat", "null": None, "object": {},
+# (0.5: a number in (0, 1), the range of continuation eps_min)
+EXAMPLE = {"number": 0.5, "integer": 16, "string": "flat", "null": None, "object": {},
            "numbers": [0.1], "2-vector": [0.0, 0.0], "terms": [[0.1, 2, 0]],
            "2-D array": [[0.0]]}
 
@@ -160,6 +163,26 @@ def test_library_builders_hold_their_section_to_the_table():
         ContactAngle({"kind": "fourier", "cos": [[0.3]]}, disk)
     with pytest.raises(ScenarioError, match="section 'phi': table values must be non-empty"):
         ContactAngle({"kind": "table", "values": []}, disk)
+
+
+# the solver sections' ranges, in the table like every other section's
+SOLVER_OUT_OF_RANGE = [
+    ("stepper", "dt", 1e-300), ("stepper", "tol_speed", -1e-7), ("stepper", "max_time", 0),
+    ("stepper", "max_time", float("nan")), ("stepper", "snapshot_interval", 0),
+    ("stepper", "snapshot_interval", 2.5), ("continuation", "eps_min", 2.0),
+    ("continuation", "eps_min", 0.0), ("continuation", "eps_min", 1.0)]
+
+
+@pytest.mark.parametrize("section, key, value", SOLVER_OUT_OF_RANGE)
+def test_solver_ranges_name_the_section_in_scenarios_and_library(section, key, value):
+    """``load_scenario`` and the config classes refuse alike, naming the
+    section and the key: a library config is held to the scenario's table."""
+    message = f"scenario section '{section}': '{key}' must be"
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(dict(BASE, **{section: {key: value}}))
+    config_class = StepperConfig if section == "stepper" else ContinuationSchedule
+    with pytest.raises(ScenarioError, match=message):
+        config_class(**{key: value})
 
 
 # -- the README documents the tables -------------------------------------------------
