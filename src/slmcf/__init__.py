@@ -20,10 +20,8 @@ from .geometry import (EVO_DU_CONVENTIONS, evo_du_rhs, evo_du_time_residual,
                        mean_curvature_field)
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric, metric_ids
-from .oracle import (RadialOracle, RegularizedOracle, oracle_c3_from_flux,
-                     regularized_oracle, translator_oracle)
-from .translator import (ContinuationSchedule, TranslatorSolution, compute_c3,
-                         continuation, solve_regularized)
+from .oracle import RadialOracle, translator_oracle
+from .translator import ContinuationSchedule, TranslatorSolution, compute_c3, continuation
 from .verify import (CheckReport, MonitorConstants, c1_formula,
                      check_evo_du_residual, check_maximal_limit, check_osc_decay,
                      check_spacelike_bound, check_translator_agreement,

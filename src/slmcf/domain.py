@@ -142,10 +142,6 @@ class ConvexDomain:
         nTT, sig, N = self._nabla_T_T(np.asarray(s, dtype=float))
         return _pair(nTT, sig, N)
 
-    def nabla_T_T(self, s):
-        """Covariant derivative nabla_T T at boundary parameters (chart vector)."""
-        return self._nabla_T_T(np.asarray(s, dtype=float))[0]
-
     def _frame(self, s):
         """(gamma, gamma', sigma at gamma, T, N, w): the frame and what it is built from."""
         g = self.curve.gamma(s)

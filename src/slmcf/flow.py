@@ -92,8 +92,8 @@ class StepperConfig:
     dense_sample_times: tuple = ()
 
     def __post_init__(self):
-        self.dense_sample_times = tuple(self.dense_sample_times)
         check("stepper", vars(self), fields("stepper", StepperConfig))
+        self.dense_sample_times = tuple(self.dense_sample_times)
 
     def initial_dt(self, grid: CurvilinearGrid) -> float:
         if self.dt is not None:
@@ -149,8 +149,7 @@ class FlowRun:
     @functools.cached_property
     def _final_fields(self):
         """(u_t, H = u_t / v): the operator at the final u."""
-        q = flow_operator(self.state.u, self.grid, self.phi.values_on(self.grid),
-                          with_fields=True)
+        q = flow_operator(self.state.u, self.grid, self.phi.values_on(self.grid))
         return q["op"], q["op"] / q["v"]
 
     def to_record(self) -> dict:
@@ -217,7 +216,7 @@ class _Field:
         """(shift, w - shift, operator evaluation) with shift the area mean of w."""
         shift = float(self.grid.mean(w))
         w = w - shift
-        return shift, w, flow_operator(w, self.grid, self.phi_vals, with_fields=True)
+        return shift, w, flow_operator(w, self.grid, self.phi_vals)
 
     def candidate(self, dt):
         """The next step of this field, as accepted by ``accept``."""

@@ -172,7 +172,7 @@ def build_grid(domain: ConvexDomain, n_radial: int, n_angular: int) -> Curviline
 
 @dataclasses.dataclass
 class GridFunction:
-    """Scalar nodal field on a curvilinear grid; arithmetic is nodewise."""
+    """Scalar nodal field on a curvilinear grid."""
 
     values: np.ndarray
     grid: CurvilinearGrid
@@ -189,24 +189,6 @@ class GridFunction:
     def constant(cls, grid, value=0.0):
         return cls(np.full((grid.n_radial, grid.n_angular), float(value)), grid)
 
-    @classmethod
-    def from_chart(cls, grid, fn):
-        """Sample a chart-coordinate callable fn(x1, x2)."""
-        return cls(fn(grid.X[..., 0], grid.X[..., 1]), grid)
-
-    def __add__(self, other):
-        other = other.values if isinstance(other, GridFunction) else other
-        return GridFunction(self.values + other, self.grid)
-
-    def __sub__(self, other):
-        other = other.values if isinstance(other, GridFunction) else other
-        return GridFunction(self.values - other, self.grid)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.values * scalar, self.grid)
-
-    __rmul__ = __mul__
-
 
 class ContactAngle:
     """Prescribed contact-angle function phi on the boundary.
@@ -219,14 +201,10 @@ class ContactAngle:
     def __init__(self, spec: dict, domain: ConvexDomain, n_angular: int | None = None):
         spec = check("phi", spec)
         kind = spec["kind"]
-        if kind == "constant":
-            c = spec["value"]
-            self._phi = lambda s: np.full_like(np.asarray(s, dtype=float), c)
-            self._dphi = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-        elif kind == "fourier":
-            a0 = spec["a0"]
-            ac = np.asarray(spec["cos"], dtype=float)
-            asn = np.asarray(spec["sin"], dtype=float)
+        if kind != "table":     # a constant is the Fourier series a0 = value, no harmonics
+            a0 = spec["value"] if kind == "constant" else spec["a0"]
+            ac = np.asarray(spec.get("cos", ()), dtype=float)
+            asn = np.asarray(spec.get("sin", ()), dtype=float)
 
             def _phi(s, a0=a0, ac=ac, asn=asn):
                 s = np.asarray(s, dtype=float)
@@ -288,9 +266,6 @@ class ContactAngle:
         self.boundary_integral = float(np.sum(vals * w) * (2.0 * np.pi / len(sdense)))
         # zero total contact angle, so zero translator speed: the maximal-limit case
         self.zero_flux = abs(self.boundary_integral) <= 1e-8
-
-    def __call__(self, s):
-        return self._phi(s)
 
     def values_on(self, grid: CurvilinearGrid):
         return self._phi(grid.s)

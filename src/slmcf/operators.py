@@ -85,13 +85,13 @@ def contact_ghost(values, grid: CurvilinearGrid, phi_vals):
     return ghost, dtu, dn_target
 
 
-def flow_operator(values, grid: CurvilinearGrid, phi_vals, with_fields=False):
-    """g~^{ab} D_a D_b u with the contact-angle ghost closure applied."""
+def flow_operator(values, grid: CurvilinearGrid, phi_vals):
+    """The evaluation of F(u) = g~^{ab} D_a D_b u with the contact-angle ghost
+    closure applied: the fields of ``geometry.quasilinear_operator``, F as
+    "op", and the closure's "ghost", "dtu" and "dn_target" (``contact_ghost``)."""
     ghost, dtu, dn_target = contact_ghost(values, grid, phi_vals)
-    q = quasilinear_operator(values, grid, ghost)
-    if not with_fields:
-        return q["op"]
-    return dict(q, ghost=ghost, dtu=dtu, dn_target=dn_target)
+    return dict(quasilinear_operator(values, grid, ghost), ghost=ghost, dtu=dtu,
+                dn_target=dn_target)
 
 
 # -- the Jacobian as its stencil -------------------------------------------------
@@ -323,14 +323,14 @@ class RingSolver:
     the check and ``floor``.
     """
 
-    def __init__(self, splu, L, alpha, beta, border=None, log=None):
+    def __init__(self, splu, L, alpha, beta, log, border=None):
         weights, sens = L.ring
         n_r, n_a = L.weights.shape[1:]
         self._A = (L.shifted(alpha, beta), border, -1.0)
         self._abs = (abs(self._A[0]), None if border is None else np.abs(border), 1.0)
         self.lu = None
         self._splu, self._shape = splu, (n_r, n_a)
-        self.log = [] if log is None else log
+        self.log = log
         self.log.append("ring")
 
         counts = np.full((n_r, n_a), len(_OFFSETS))
@@ -452,8 +452,8 @@ class RingSolver:
 def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     """Jacobian L of F at ``values`` (a ``Jacobian``, L as its stencil) and
     the operator evaluation there: ``q``, the caller's
-    ``flow_operator(values, grid, phi_vals, with_fields=True)`` where it holds
-    one, else computed here.
+    ``flow_operator(values, grid, phi_vals)`` where it holds one, else
+    computed here.
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
@@ -463,7 +463,7 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     hr, hs = grid.hr, grid.hs
 
     if q is None:
-        q = flow_operator(values, grid, phi_vals, with_fields=True)
+        q = flow_operator(values, grid, phi_vals)
     (A11, A12, A22), (h11, h12, h22), (P1, P2) = q["gup"], q["hess"], q["P"]
     v2 = 1.0 - q["du2"]
     S, G = grid.sigma_t_inv, grid.gamma_t
@@ -505,7 +505,7 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     return Jacobian(padded, boundary, sens), q
 
 
-def linearized_affine(values, grid: CurvilinearGrid, phi_vals, q=None):
+def linearized_affine(values, grid: CurvilinearGrid, phi_vals, q):
     """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F,
     ``q`` the operator evaluation there as ``assemble_operator_matrix`` takes it.
 

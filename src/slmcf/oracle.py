@@ -1,4 +1,4 @@
-"""Independent radial ODE oracles for rotationally symmetric scenarios.
+"""Independent radial ODE oracle for rotationally symmetric scenarios.
 
 For a constant contact angle on the disk r < r0 about the pole of a catalog
 metric dr^2 + f^2 dth^2 (a flat disk, a sphere cap, a dome), the translator
@@ -7,12 +7,12 @@ profile depends on r alone and the PDE collapses to
     u'' = (1 - u'^2) (c - (f'/f) u'),    u'(0) = 0,
     u'(r0) = -phi / sqrt(1 + phi^2)      (contact angle at the boundary),
 
-with c the translation speed; the regularized family replaces c by eps * u.
-Both are solved here by shooting with a high-order adaptive integrator,
-entirely independent of the two-dimensional grid discretization.  These
-routines provide the reference values for the acceptance experiments.
+with c the translation speed.  It is solved here by shooting with a
+high-order adaptive integrator, entirely independent of the two-dimensional
+grid discretization, and gives the reference speed of the acceptance
+experiments and the benchmark.
 
-No command of the CLI calls them, so ``scipy.integrate`` and
+No command of the CLI calls it, so ``scipy.integrate`` and
 ``scipy.optimize`` are imported inside the functions that use them, on the
 first call, and ``import slmcf`` loads neither.
 """
@@ -106,69 +106,3 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
         return out if out.size > 1 else float(out.flat[0])
 
     return RadialOracle(c3=c3, r0=r0, profile=profile, slope=slope, mean_offset=mean)
-
-
-def oracle_c3_from_flux(oracle: RadialOracle, phi_const, metric=None):
-    """Cross-check: speed from the flux balance on the oracle profile."""
-    from scipy.integrate import quad  # deferred: see the module docstring
-
-    fratio, f = _f_ratio(metric)
-    num = phi_const * 2.0 * np.pi * f(oracle.r0)
-    den = 2.0 * np.pi * quad(
-        lambda r: f(r) / np.sqrt(1.0 - np.minimum(oracle.slope(r) ** 2, 1.0 - 1e-15)),
-        _R_START, oracle.r0, limit=200)[0]
-    return -num / den
-
-
-@dataclasses.dataclass
-class RegularizedOracle:
-    eps: float
-    r0: float
-    u: callable
-    slope: callable
-    mean_eps_u: float
-
-
-def regularized_oracle(eps, phi_const, r0, metric=None) -> RegularizedOracle:
-    """Shooting solution of the regularized radial problem (zeroth-order term eps*u)."""
-    from scipy.integrate import quad, solve_ivp  # deferred: see the module docstring
-    from scipy.optimize import brentq
-
-    fratio, f = _f_ratio(metric)
-    target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
-
-    def solve(a):
-        def rhs(r, y):
-            u, p = y
-            return [p, (1.0 - p * p) * (eps * u - fratio(r) * p)]
-        return solve_ivp(rhs, [_R_START, r0],
-                         [a * (1.0 + eps * _R_START ** 2 / 4.0), eps * a * _R_START / 2.0],
-                         method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-
-    def g(a):
-        return solve(a).y[1, -1] - target
-
-    guess = translator_oracle(phi_const, r0, metric).c3 / eps if phi_const != 0 else 0.0
-    lo, hi = guess - max(2.0, abs(guess)), guess + max(2.0, abs(guess))
-    while g(lo) * g(hi) > 0:
-        span = hi - lo
-        lo -= span
-        hi += span
-        if span > 1e8:
-            raise RuntimeError("regularized oracle: bracketing failed")
-    a = brentq(g, lo, hi, xtol=1e-13 * max(1.0, abs(guess)))
-    sol = solve(a)
-    mean_eu = eps * (quad(lambda r: sol.sol(r)[0] * f(r), _R_START, r0, limit=200)[0]
-                     / quad(f, _R_START, r0, limit=200)[0])
-
-    def u_of_r(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[0].reshape(r.shape)
-        return out if out.size > 1 else float(out.flat[0])
-
-    def slope(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[1].reshape(r.shape)
-        return out if out.size > 1 else float(out.flat[0])
-
-    return RegularizedOracle(eps=eps, r0=r0, u=u_of_r, slope=slope, mean_eps_u=mean_eu)

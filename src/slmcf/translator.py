@@ -18,7 +18,7 @@ and the Jacobian [[L - eps I, -1], [a^T, 0]], a = quadrature weights / area.
 At eps = 0 this is the translator itself and c is the operator-limit speed
 c3, which ``continuation`` solves for directly from u = 0.  At eps > 0 it is
 the regularized problem g~^{ab} D_a D_b u = eps u with u = c / eps + w,
-which ``solve_regularized`` solves.  Every bordered solve runs one loop,
+whose levels make the trace below.  Every bordered solve runs one loop,
 Newton-chord: one factorization at the start iterate, then chord steps on
 that LU while each halves the residual; a step that does not is dropped and
 the Jacobian refactored.  Its iteration limit, tol (1e-10) and damping are
@@ -132,10 +132,9 @@ class TranslatorSolution:
 def _new_factor():
     """The state of a bordered solve: the one live solver ("lu"), the log
     [eps, solver] of every factorization ("log"), and the operator
-    evaluation of the last residual, as (w, flow_operator(w, ...,
-    with_fields=True)) ("held"), which a factorization at that w reuses;
-    ``_bordered_newton`` drops it before each solve, so none is alive
-    while an LU solves."""
+    evaluation of the last residual, as (w, flow_operator(w, ...)) ("held"),
+    which a factorization at that w reuses; ``_bordered_newton`` drops it
+    before each solve, so none is alive while an LU solves."""
     return {"lu": None, "log": [], "held": None}
 
 
@@ -169,9 +168,8 @@ def _quadratic_start(eps, tangent_start, below):
     return tangent_start[0] + r * dw, tangent_start[1] + r * dc
 
 
-def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, factor=None,
-                     fallback=None):
-    """Damped Newton-chord on F(w) - eps w - c (- source) = 0, area-mean(w) = 0.
+def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, factor, fallback=None):
+    """Damped Newton-chord on F(w) - eps w - c = 0, area-mean(w) = 0.
 
     ``factor`` (see ``_new_factor``) holds the one live solver and the log of
     factorizations; the solver is dropped before each new one is built, so
@@ -205,18 +203,16 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
     """
     def operator(wv):
         factor["held"] = None            # one evaluation alive at a time
-        q = flow_operator(wv, grid, phi_vals, with_fields=True)
+        q = flow_operator(wv, grid, phi_vals)
         factor["held"] = (wv, q)
         return q["op"]
 
     def residual(wv, cv, op=None):
-        out = (operator(wv) if op is None else op) - eps * wv - cv
-        return out if source is None else out - source
+        return (operator(wv) if op is None else op) - eps * wv - cv
 
     def norm(R, wv):
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
-    factor = _new_factor() if factor is None else factor
     try:
         op = operator(w)
     except SpacelikeViolationError:
@@ -293,30 +289,6 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, source=None, fa
         break
     info.update(residuals=norms, residual_max=float(np.max(np.abs(R))))
     return w, c, info
-
-
-def solve_regularized(eps, init, phi, grid: CurvilinearGrid, source=None):
-    """Damped Newton-chord solve of g~^{ab} D_a D_b u = eps u (+ source) with
-    the contact-angle boundary closure.
-
-    The solution level grows like 1/eps, so Newton acts on the zero-mean part
-    w and the scalar c = eps * (level), started from A = area-mean(init) as
-    c = eps A: the operator sees only derivatives, hence the residual is
-    F(w) - eps w - c and the large constant never enters a stencil
-    difference.  ``source`` (a nodal field, default zero) supports
-    manufactured-solution testing.  Returns (values, info); info's
-    ``iterations`` counts every solve on an LU, dropped chord steps
-    included, as the trace's ``newton_iterations`` does.  Raises NewtonError
-    on stagnation and SpacelikeViolationError if no damped step stays
-    space-like.
-    """
-    u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
-    A = float(grid.mean(u0))
-    factor = _new_factor()
-    w, c, info = _bordered_newton(eps, u0 - A, eps * A, grid, phi.values_on(grid),
-                                  source=source, factor=factor)
-    return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
-                         "floor_stops": info["floor_stops"], "solvers": factor["log"]}
 
 
 def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):

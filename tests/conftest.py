@@ -1,13 +1,118 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
+from slmcf import translator
 from slmcf.domain import _rotate90, build_domain
 from slmcf.geometry import angular_diff, derivatives, g_upper_components, gradient_fields
-from slmcf.grid import ContactAngle, build_grid
+from slmcf.grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from slmcf import metrics
 from slmcf.metrics import Metric
 from slmcf.operators import contact_ghost
+from slmcf.oracle import _R_START, RadialOracle, _f_ratio, translator_oracle
+
+
+# -- reference code the tests compare against; the library does not call it ------
+
+def from_chart(grid, fn):
+    """The ``GridFunction`` of a chart-coordinate callable fn(x1, x2) sampled at
+    the grid's nodes."""
+    return GridFunction(fn(grid.X[..., 0], grid.X[..., 1]), grid)
+
+
+def nabla_T_T(domain, s):
+    """Covariant derivative nabla_T T of the boundary's unit tangent at
+    parameters s (chart vector), as ``ConvexDomain.kappa`` computes it."""
+    return domain._nabla_T_T(np.asarray(s, dtype=float))[0]
+
+
+def solve_regularized(eps, init, phi, grid: CurvilinearGrid):
+    """Damped Newton-chord solve of g~^{ab} D_a D_b u = eps u with the
+    contact-angle boundary closure: the translator's bordered solve at eps.
+
+    The solution level grows like 1/eps, so Newton acts on the zero-mean part
+    w and the scalar c = eps * (level), started from A = area-mean(init) as
+    c = eps A: the operator sees only derivatives, hence the residual is
+    F(w) - eps w - c and the large constant never enters a stencil
+    difference.  A manufactured source enters where a test replaces
+    ``translator.flow_operator``.  Returns (values, info); info's
+    ``iterations`` counts every solve on an LU, dropped chord steps
+    included, as the trace's ``newton_iterations`` does.  Raises NewtonError
+    on stagnation and SpacelikeViolationError if no damped step stays
+    space-like.
+    """
+    u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
+    A = float(grid.mean(u0))
+    factor = translator._new_factor()
+    w, c, info = translator._bordered_newton(eps, u0 - A, eps * A, grid, phi.values_on(grid),
+                                             factor=factor)
+    return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
+                         "floor_stops": info["floor_stops"], "solvers": factor["log"]}
+
+
+def oracle_c3_from_flux(oracle: RadialOracle, phi_const, metric=None):
+    """Cross-check: speed from the flux balance on the oracle profile."""
+    fratio, f = _f_ratio(metric)
+    num = phi_const * 2.0 * np.pi * f(oracle.r0)
+    den = 2.0 * np.pi * quad(
+        lambda r: f(r) / np.sqrt(1.0 - np.minimum(oracle.slope(r) ** 2, 1.0 - 1e-15)),
+        _R_START, oracle.r0, limit=200)[0]
+    return -num / den
+
+
+@dataclasses.dataclass
+class RegularizedOracle:
+    eps: float
+    r0: float
+    u: callable
+    slope: callable
+    mean_eps_u: float
+
+
+def regularized_oracle(eps, phi_const, r0, metric=None) -> RegularizedOracle:
+    """Shooting solution of the regularized radial problem (zeroth-order term eps*u)."""
+    fratio, f = _f_ratio(metric)
+    target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
+
+    def solve(a):
+        def rhs(r, y):
+            u, p = y
+            return [p, (1.0 - p * p) * (eps * u - fratio(r) * p)]
+        return solve_ivp(rhs, [_R_START, r0],
+                         [a * (1.0 + eps * _R_START ** 2 / 4.0), eps * a * _R_START / 2.0],
+                         method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+
+    def g(a):
+        return solve(a).y[1, -1] - target
+
+    guess = translator_oracle(phi_const, r0, metric).c3 / eps if phi_const != 0 else 0.0
+    lo, hi = guess - max(2.0, abs(guess)), guess + max(2.0, abs(guess))
+    while g(lo) * g(hi) > 0:
+        span = hi - lo
+        lo -= span
+        hi += span
+        if span > 1e8:
+            raise RuntimeError("regularized oracle: bracketing failed")
+    a = brentq(g, lo, hi, xtol=1e-13 * max(1.0, abs(guess)))
+    sol = solve(a)
+    mean_eu = eps * (quad(lambda r: sol.sol(r)[0] * f(r), _R_START, r0, limit=200)[0]
+                     / quad(f, _R_START, r0, limit=200)[0])
+
+    def u_of_r(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[0].reshape(r.shape)
+        return out if out.size > 1 else float(out.flat[0])
+
+    def slope(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[1].reshape(r.shape)
+        return out if out.size > 1 else float(out.flat[0])
+
+    return RegularizedOracle(eps=eps, r0=r0, u=u_of_r, slope=slope, mean_eps_u=mean_eu)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from conftest import from_chart
 from slmcf import flow
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError, StepSizeUnderflowError
@@ -39,8 +40,8 @@ def test_linear_field_zero_interior_update(disk24):
     """
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.0}, dom)
-    u0 = GridFunction.from_chart(grid, lambda x, y: 0.3 * x)
-    interior_update = flow_operator(u0.values, grid, phi.values_on(grid))[:-2, :]
+    u0 = from_chart(grid, lambda x, y: 0.3 * x)
+    interior_update = flow_operator(u0.values, grid, phi.values_on(grid))["op"][:-2, :]
     assert np.max(np.abs(interior_update)) < 0.05
     # away from the center patch the Hessian is clean second-order small
     away = interior_update[grid.rho[:-2] > 0.25, :]
@@ -50,7 +51,7 @@ def test_linear_field_zero_interior_update(disk24):
 def test_phi_zero_converges_to_constant(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.0}, dom)
-    u0 = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
+    u0 = from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
     run = run_to_convergence(u0, phi, grid, StepperConfig(max_time=8.0, tol_speed=1e-9))
     assert run.converged
     assert abs(run.speed_estimate) < 1e-6
@@ -62,9 +63,9 @@ def test_translation_equivariance(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(max_time=0.3, tol_speed=0.0)
-    u0 = GridFunction.from_chart(grid, lambda x, y: 0.05 * x ** 2)
+    u0 = from_chart(grid, lambda x, y: 0.05 * x ** 2)
     run_a = run_to_convergence(u0, phi, grid, cfg)
-    run_b = run_to_convergence(u0 + 3.0, phi, grid, cfg)
+    run_b = run_to_convergence(u0.values + 3.0, phi, grid, cfg)
     assert run_a.state.t == run_b.state.t
     assert np.max(np.abs(run_b.state.u - run_a.state.u - 3.0)) < 1e-9
 
@@ -97,7 +98,7 @@ def _forward_euler(u0, phi, grid, dt, t_end):
     pv = phi.values_on(grid)
     u, t = np.array(u0, dtype=float), 0.0
     while t < t_end:
-        q = flow_operator(u, grid, pv, with_fields=True)
+        q = flow_operator(u, grid, pv)
         g11, g12, g22 = q["gup"]
         lam = g11 / grid.hr ** 2 + g22 / grid.hs ** 2 + 2.0 * np.abs(g12) / (grid.hr * grid.hs)
         dt = min(dt, 0.8 / (2.0 * float(np.max(lam))))
@@ -134,7 +135,7 @@ def test_osc_nonincreasing_pair(kind, n):
     grid = build_grid(dom, n, 2 * n)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0a = GridFunction.constant(grid, 0.0)
-    u0b = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
+    u0b = from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
     # the disk settles by t = 3.6; the ellipse's slower mode needs about t = 7
     pair = run_pair(u0a, u0b, phi, grid, StepperConfig(max_time=10.0, tol_speed=1e-8))
     assert pair.osc[0] == pytest.approx(0.1 * a ** 2, abs=1e-3)
@@ -147,7 +148,7 @@ def test_pair_constant_shift_trivial(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0a = GridFunction.constant(grid, 0.0)
-    pair = run_pair(u0a, u0a + 3.0, phi, grid,
+    pair = run_pair(u0a, u0a.values + 3.0, phi, grid,
                     StepperConfig(max_time=0.3, tol_speed=0.0))
     # the difference field stays exactly the constant 3
     assert np.max(pair.osc) < 1e-9
@@ -215,6 +216,16 @@ def test_stepper_config_validation():
     for key, value in (("scheme", "explicit"), ("delta_space", 0.01), ("max_steps", 10)):
         with pytest.raises(ScenarioError, match=key):
             load_scenario({**scenario, "stepper": {key: value}})
+
+
+def test_dense_sample_times_checked_before_conversion():
+    """A value that is no array of numbers is refused as the scenario path
+    refuses it, not turned into a tuple first: an int raised a raw TypeError,
+    a string was split into characters and a generator was consumed."""
+    for value in (5, "ab", (t for t in (0.1, 0.2)), [0.1, "a"], [[0.1]]):
+        with pytest.raises(ScenarioError, match="'stepper': 'dense_sample_times'"):
+            StepperConfig(dense_sample_times=value)
+    assert StepperConfig(dense_sample_times=[0.2, 0.1]).dense_sample_times == (0.2, 0.1)
 
 
 # -- stepping core: step control, LU refresh and the mean split ---------------------
@@ -294,7 +305,7 @@ def test_pair_core_grows_dt_and_matches_single_run_times():
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(max_time=10.0, tol_speed=1e-8)
     u0a = GridFunction.constant(grid, 0.0)
-    u0b = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
+    u0b = from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
     pair = run_pair(u0a, u0b, phi, grid, cfg)
     assert pair.run_a.converged and pair.run_b.converged
     assert pair.run_a.dt_max > cfg.initial_dt(grid)
@@ -313,7 +324,7 @@ def test_pair_members_are_single_runs(disk24):
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(snapshot_interval=5)
     u0a = GridFunction.constant(grid, 0.0)
-    u0b = GridFunction.from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
+    u0b = from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
     pair = run_pair(u0a, u0b, phi, grid, cfg)
     snap_every = cfg.snapshot_interval * cfg.initial_dt(grid)
     for member, u0 in ((pair.run_a, u0a), (pair.run_b, u0b)):
@@ -360,7 +371,7 @@ def test_persistent_rejection_underflows(runner):
         if runner == "single":
             run_to_convergence(u0, phi, grid, cfg)
         else:
-            run_pair(u0, u0 + 1.0, phi, grid, cfg)
+            run_pair(u0, u0.values + 1.0, phi, grid, cfg)
 
 
 def _lu_entries(run):
@@ -404,7 +415,7 @@ def test_lu_refresh_log(disk24, record_splu):
     assert rungs[-1][1][2] == pytest.approx(0.5 * dom.inradius)
 
     # a rejected step halves dt and refactors every field
-    stepper = flow._Stepper([u0, u0 + 1.0], grid,
+    stepper = flow._Stepper([u0, u0.values + 1.0], grid,
                             ContactAngle({"kind": "constant", "value": 40.0}, dom),
                             StepperConfig())
     with pytest.raises(StepSizeUnderflowError):
@@ -436,8 +447,9 @@ def factored(record_splu):
 def _step_matrix(u, grid, phi, dt):
     """(I - dt L, k) of the affine model at u, as the stepper builds it."""
     w = u - grid.mean(u)
-    L, k, _ = linearized_affine(w, grid, phi.values_on(grid))
-    return flow.RingSolver(splu, L, 1.0, -dt).matrix(), k, w
+    pv = phi.values_on(grid)
+    L, k, _ = linearized_affine(w, grid, pv, flow_operator(w, grid, pv))
+    return flow.RingSolver(splu, L, 1.0, -dt, log=[]).matrix(), k, w
 
 
 @pytest.mark.parametrize("domain", [{"kind": "disk", "radius": 1.0},
@@ -485,7 +497,7 @@ def test_ordered_factor_fills_less_than_colamd(factored):
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(dt=0.02)
     _one_step(np.zeros((64, 128)), cfg, grid, phi)
-    u = GridFunction.from_chart(grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y).values
+    u = from_chart(grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y).values
     _one_step(u, cfg, grid, phi)
     A, _, _ = _step_matrix(u, grid, phi, 0.02)
     assert factored[-1][2].nnz < splu(A).nnz

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import from_chart
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeViolationError
 from slmcf.geometry import (EVO_DU_CONVENTIONS, angular_diff, angular_diff2,
@@ -43,7 +44,7 @@ def _chart_hessian(u):
 
 
 def test_hessian_flat_xy(disk_grid):
-    u = GridFunction.from_chart(disk_grid, lambda x, y: x * y)
+    u = from_chart(disk_grid, lambda x, y: x * y)
     H = _chart_hessian(u)[24, 10]
     assert np.allclose(H, [[0.0, 1.0], [1.0, 0.0]], atol=2e-3)
 
@@ -59,7 +60,7 @@ def test_hessian_polar_radial_field():
     whose polar components are D_rr r = 0 and D_thth r = r."""
     dom = build_domain({"kind": "chart_circle", "r0": 2.0}, "flat")
     grid = build_grid(dom, 24, 48)
-    u = GridFunction.from_chart(grid, lambda x, y: np.hypot(x, y))
+    u = from_chart(grid, lambda x, y: np.hypot(x, y))
     H = _chart_hessian(u)
     for node in [(5, 0), (12, 7), (20, 30)]:
         r, th = _polar(*grid.X[node])
@@ -114,7 +115,7 @@ def test_hessian_second_order_on_sphere(sphere_cap):
     errs = []
     for n in (24, 48):
         grid = build_grid(sphere_cap, n, 2 * n)
-        u = GridFunction.from_chart(grid, u_of)
+        u = from_chart(grid, u_of)
         H = _chart_hessian(u)
         err = 0.0
         # fixed physical annulus so both resolutions see the same region
@@ -145,7 +146,7 @@ def test_graph_geometry_constant(disk_grid):
 def test_graph_geometry_algebra_prescribed_gradient(disk_grid):
     # flat metric, u = 0.6 x: on the ray s = 0 (where sigma~ = diag(1, rho^2))
     # the stencil gradient is (u_rho, u_s) = (0.6, 0)
-    u = GridFunction.from_chart(disk_grid, lambda x, y: 0.6 * x)
+    u = from_chart(disk_grid, lambda x, y: 0.6 * x)
     P, du2, v = gradient_fields(u.values, disk_grid)
     g11, g12, g22 = g_upper_components(disk_grid, P, du2)
     rho = disk_grid.rho
@@ -159,7 +160,7 @@ def test_graph_geometry_paraboloid_center():
     # u = (x^2 + y^2)/8: at the origin Du = 0 and H = laplacian = 1/2
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 48, 96)
-    u = GridFunction.from_chart(grid, lambda x, y: (x ** 2 + y ** 2) / 8.0)
+    u = from_chart(grid, lambda x, y: (x ** 2 + y ** 2) / 8.0)
     H = mean_curvature_field(u.values, grid)
     assert H[0, 0] == pytest.approx(0.5, abs=5e-3)
 
@@ -169,14 +170,14 @@ def test_inverse_metric_identity_up_to_099(disk_grid_small, inverse_metric_error
     for _ in range(200):
         theta = rng.uniform(0, 2 * np.pi)
         mag = np.sqrt(rng.uniform(0.0, 0.99))
-        u = GridFunction.from_chart(
+        u = from_chart(
             disk_grid_small, lambda x, y: mag * (np.cos(theta) * x + np.sin(theta) * y))
         assert inverse_metric_error(disk_grid_small, u.values) < 1e-10
 
 
 def test_h_times_v_identity(disk_grid, phi02):
     # H v = g^{ab} D_a D_b u as an algebraic identity of the field routines
-    u = GridFunction.from_chart(disk_grid, lambda x, y: 0.2 * x ** 2 - 0.1 * y ** 2 + 0.05 * x * y)
+    u = from_chart(disk_grid, lambda x, y: 0.2 * x ** 2 - 0.1 * y ** 2 + 0.05 * x * y)
     q = quasilinear_operator(u.values, disk_grid)
     H = mean_curvature_field(u.values, disk_grid)
     assert np.max(np.abs(H * q["v"] - q["op"])) < 1e-12
@@ -185,7 +186,7 @@ def test_h_times_v_identity(disk_grid, phi02):
 def test_spacelike_guard():
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
-    u = GridFunction.from_chart(grid, lambda x, y: 1.2 * x)
+    u = from_chart(grid, lambda x, y: 1.2 * x)
     with pytest.raises(SpacelikeViolationError) as err:
         quasilinear_operator(u.values, grid)
     assert err.value.value >= 1.0 - 1e-10
@@ -210,7 +211,7 @@ def test_mms_operator_convergence(unit_disk):
     errs = []
     for n in (16, 32, 64):
         grid = build_grid(unit_disk, n, 2 * n)
-        u = GridFunction.from_chart(grid, u_fn)
+        u = from_chart(grid, u_fn)
         q = quasilinear_operator(u.values, grid)
         exact = op_fn(grid.X[..., 0], grid.X[..., 1])
         errs.append(float(np.max(np.abs(q["op"] - exact)[1:-1, :])))
@@ -392,7 +393,7 @@ def test_evo_du_curvature_term_isolated_on_sphere(sphere_cap):
                 for i in range(2) for j in range(2) for aa in range(2) for b in range(2))
     rhs_sym = -2 * hess2 - 2 * 1 * w       # K = 1; gradient terms vanish
     grid = build_grid(sphere_cap, 48, 96)
-    u_grid = GridFunction.from_chart(grid, lambda x, y: 0.3 * np.hypot(x, y))
+    u_grid = from_chart(grid, lambda x, y: 0.3 * np.hypot(x, y))
     rhs_num = evo_du_rhs(u_grid.values, grid, "derived")
     i, j = 24, 10
     r_node, th_node = _polar(*grid.X[i, j])
@@ -404,7 +405,7 @@ def test_evo_du_curvature_term_isolated_on_sphere(sphere_cap):
 def test_graph_geometry_error_carries_node():
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
-    u = GridFunction.from_chart(grid, lambda x, y: 1.2 * x)
+    u = from_chart(grid, lambda x, y: 1.2 * x)
     with pytest.raises(SpacelikeViolationError) as err:
         gradient_fields(u.values, grid)
     _, du2, _ = gradient_fields(u.values, grid, guard=False)

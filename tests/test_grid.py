@@ -92,11 +92,6 @@ def test_weighted_integral_rejects_null(disk_grid):
 
 
 def test_grid_function_basics(disk_grid):
-    u = GridFunction.from_chart(disk_grid, lambda x, y: x + 2 * y)
-    v = u + 1.0
-    assert np.allclose(v.values, u.values + 1.0)
-    w = 2.0 * u - u
-    assert np.allclose(w.values, u.values)
     with pytest.raises(ValueError):
         GridFunction(np.zeros((3, 3)), disk_grid)
     bad = np.zeros((disk_grid.n_radial, disk_grid.n_angular))
@@ -120,11 +115,24 @@ def test_contact_angle_kinds(unit_disk):
     s = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     table = ContactAngle({"kind": "table", "values": 0.1 + 0.05 * np.sin(s)},
                          unit_disk, n_angular=64)
-    assert np.allclose(table(s), 0.1 + 0.05 * np.sin(s), atol=1e-12)
-    assert np.allclose(table(s[3] + 2 * np.pi), table(s[3]), atol=1e-12)
+    assert np.allclose(table._phi(s), 0.1 + 0.05 * np.sin(s), atol=1e-12)
+    assert np.allclose(table._phi(s[3] + 2 * np.pi), table._phi(s[3]), atol=1e-12)
     with pytest.raises(ScenarioError):
         ContactAngle({"kind": "table", "values": [0.1] * 10}, unit_disk, n_angular=64)
 
+
+@pytest.mark.parametrize("domain", [{"kind": "disk", "radius": 1.0},
+                                    {"kind": "ellipse", "a": 1.5, "b": 1.0}])
+def test_constant_phi_is_the_fourier_phi_of_its_value(domain):
+    """A constant phi is the Fourier phi with a0 = value and no harmonics, bit for bit."""
+    dom = build_domain(domain, "flat")
+    grid = build_grid(dom, 16, 32)
+    for value in (0.2, -0.15, 0):
+        const = ContactAngle({"kind": "constant", "value": value}, dom)
+        four = ContactAngle({"kind": "fourier", "a0": value}, dom)
+        assert np.array_equal(const.values_on(grid), four.values_on(grid))
+        for name in ("phi0", "phi1", "phi2", "boundary_integral", "zero_flux"):
+            assert getattr(const, name) == getattr(four, name), name
 
 
 # -- the pullback against the tensor formulas ------------------------------------

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from conftest import from_chart
 from slmcf import flow, translator
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeBoundaryError
-from slmcf.grid import ContactAngle, GridFunction, build_grid
+from slmcf.grid import ContactAngle, build_grid
 from slmcf.geometry import derivatives
 from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
                              contact_ghost, flow_operator, linearized_affine,
@@ -15,10 +16,8 @@ from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_opera
 
 def _test_field(grid, metric_id):
     if metric_id in ("sphere", "dome"):     # 0.2 r^2 + 0.08 r^3 cos(th)
-        return GridFunction.from_chart(
-            grid, lambda x, y: (x * x + y * y) * (0.2 + 0.08 * x)).values
-    return GridFunction.from_chart(
-        grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y + 0.05 * y ** 2).values
+        return from_chart(grid, lambda x, y: (x * x + y * y) * (0.2 + 0.08 * x)).values
+    return from_chart(grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y + 0.05 * y ** 2).values
 
 
 def test_ghost_closure_examples(disk_grid_small):
@@ -63,7 +62,7 @@ def test_ghost_boundary_spacelike_error(disk_grid_small):
 def test_boundary_identities_exact(disk_grid, phi02, boundary_gradient_data):
     """|D_N u|^2 = phi^2 v^2 and |D_T u|^2 = 1 - (1+phi^2) v^2 under the closure."""
     grid = disk_grid
-    u = GridFunction.from_chart(grid, lambda x, y: 0.1 * x ** 2 + 0.2 * np.sin(y)).values
+    u = from_chart(grid, lambda x, y: 0.1 * x ** 2 + 0.2 * np.sin(y)).values
     pv = phi02.values_on(grid)
     dnu, dtu, v = boundary_gradient_data(u, grid, pv)
     assert np.max(np.abs(dnu ** 2 - pv ** 2 * v ** 2)) < 1e-14
@@ -95,8 +94,8 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
         um = u.ravel().copy()
         up[k] += h
         um[k] -= h
-        Jfd[:, k] = (flow_operator(up.reshape(u.shape), grid, pv).ravel()
-                     - flow_operator(um.reshape(u.shape), grid, pv).ravel()) / (2 * h)
+        Jfd[:, k] = (flow_operator(up.reshape(u.shape), grid, pv)["op"].ravel()
+                     - flow_operator(um.reshape(u.shape), grid, pv)["op"].ravel()) / (2 * h)
     scale = max(1.0, float(np.abs(Jfd).max()))
     assert np.abs(La - Jfd).max() / scale < 1e-6
 
@@ -104,8 +103,8 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
 def test_frozen_affine_exact_at_linearization(disk_grid, phi02):
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)
-    L, k, _ = linearized_affine(u, disk_grid, pv)
-    assert np.max(np.abs(L @ u.ravel() + k - flow_operator(u, disk_grid, pv).ravel())) < 1e-12
+    L, k, _ = linearized_affine(u, disk_grid, pv, flow_operator(u, disk_grid, pv))
+    assert np.max(np.abs(L @ u.ravel() + k - flow_operator(u, disk_grid, pv)["op"].ravel())) < 1e-12
     # constants are in the kernel of the linearized operator (up to roundoff
     # amplified by the O(1/rho^2) angular coefficients at the center rings)
     assert np.max(np.abs(L @ np.ones(u.size))) < 1e-8
@@ -113,11 +112,12 @@ def test_frozen_affine_exact_at_linearization(disk_grid, phi02):
 
 def test_affine_model_reads_the_callers_evaluation(disk_grid, phi02):
     """Handed the operator evaluation at u, the assembly builds the same model
-    bit for bit, and returns that evaluation."""
+    bit for bit as on its own evaluation, and returns the one handed."""
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)
-    L, k, _ = linearized_affine(u, disk_grid, pv)
-    q = flow_operator(u, disk_grid, pv, with_fields=True)
+    L, own = assemble_operator_matrix(u, disk_grid, pv)
+    k = own["op"].ravel() - L @ u.ravel()
+    q = flow_operator(u, disk_grid, pv)
     L_q, k_q, q_out = linearized_affine(u, disk_grid, pv, q)
     assert q_out is q
     assert np.array_equal(L_q.padded, L.padded) and np.array_equal(L_q.boundary, L.boundary)
@@ -127,8 +127,8 @@ def test_affine_model_reads_the_callers_evaluation(disk_grid, phi02):
 def test_operator_invariant_under_constants(disk_grid, phi02):
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)
-    a = flow_operator(u, disk_grid, pv)
-    b = flow_operator(u + 7.5, disk_grid, pv)
+    a = flow_operator(u, disk_grid, pv)["op"]
+    b = flow_operator(u + 7.5, disk_grid, pv)["op"]
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -182,7 +182,7 @@ def test_component_kernel_matches_the_tensor_reference(dom_spec, metric_id):
     grid, pv, u = _kernel_case(dom_spec, metric_id)
     op, weights = _tensor_reference(u, grid, pv)
     L, q = assemble_operator_matrix(u, grid, pv)
-    assert np.max(np.abs(flow_operator(u, grid, pv) - op)) <= 1e-14 * np.max(np.abs(op))
+    assert np.max(np.abs(flow_operator(u, grid, pv)["op"] - op)) <= 1e-14 * np.max(np.abs(op))
     assert np.max(np.abs(q["op"] - op)) <= 1e-14 * np.max(np.abs(op))
     W = L.weights
     for k in range(9):
@@ -246,7 +246,7 @@ def test_stencil_products_and_escalated_matrix_match_the_coo_reference(dom_spec,
         if border is not None:
             A = sp.bmat([[A, np.full((N, 1), -1.0)], [border[None, :], None]])
         A = A.tocsc()
-        solver = RingSolver(splu, L, alpha, beta, border=border)
+        solver = RingSolver(splu, L, alpha, beta, log=[], border=border)
         y = x[:A.shape[0]]
         _assert_product(solver._times(y, *solver._A), A, y)
         _assert_product(solver._times(np.abs(y), *solver._abs), abs(A), np.abs(y))
@@ -294,7 +294,7 @@ def _systems(grid, pv, w):
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
     out = []
     for dt in (1e-3, 0.05, 0.5):
-        solver = RingSolver(flow.splu, L, 1.0, -dt)
+        solver = RingSolver(flow.splu, L, 1.0, -dt, log=[])
         out.append((solver.matrix(), p, solver))
     for eps in (0.0, 0.25):
         factor = translator._new_factor()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import oracle_c3_from_flux, regularized_oracle
 from slmcf.metrics import get_metric
-from slmcf.oracle import (oracle_c3_from_flux, regularized_oracle,
-                          translator_oracle)
+from slmcf.oracle import translator_oracle
 
 
 def test_flux_consistency_flat():

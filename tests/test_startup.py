@@ -2,7 +2,7 @@
 
 The oracle's ODE and quadrature stack, ``scipy.sparse`` with the sparse LU,
 and ``scipy.linalg`` are imported where they are first called.  ``conftest`` imports
-``scipy.sparse.linalg`` into this process, so the script runs in a fresh
+``scipy.sparse.linalg`` and the ODE stack into this process, so the script runs in a fresh
 interpreter and reports which of the deferred modules each stage has loaded.
 """
 

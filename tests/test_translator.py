@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from conftest import from_chart, regularized_oracle, solve_regularized
 from slmcf import translator
 from slmcf.domain import build_domain
 from slmcf.errors import ContinuationError, ScenarioError
@@ -10,9 +11,8 @@ from slmcf.geometry import quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import (OrderedLU, assemble_operator_matrix, flow_operator,
                              nested_dissection_order)
-from slmcf.oracle import regularized_oracle, translator_oracle
-from slmcf.translator import (ContinuationSchedule, compute_c3, continuation,
-                              solve_regularized)
+from slmcf.oracle import translator_oracle
+from slmcf.translator import ContinuationSchedule, compute_c3, continuation
 
 
 @pytest.fixture(scope="module")
@@ -73,32 +73,25 @@ def test_every_operator_evaluation_is_used_once(disk_setup, disk_solution, monke
     """The residual keeps its operator evaluation: the start speed is the
     area mean of the first residual's, a factorization assembles the Jacobian
     from the evaluation of the iterate it holds, and ``interior_max`` reads
-    the limit solve's last residual.  So no evaluation is made without
-    fields, and the solution is the same as with every evaluation made
-    afresh."""
+    the limit solve's last residual.  So the solution is the same as with
+    every evaluation made afresh."""
     _, grid, phi = disk_setup
-    calls = {"plain": 0, "fields": 0, "assembled": 0}
-
-    def counting_operator(values, grid, phi_vals, with_fields=False):
-        calls["fields" if with_fields else "plain"] += 1
-        return flow_operator(values, grid, phi_vals, with_fields)
+    calls = {"assembled": 0}
 
     def checking_assembly(values, grid, phi_vals, q=None):
         assert q is not None
-        fresh = flow_operator(values, grid, phi_vals, with_fields=True)
+        fresh = flow_operator(values, grid, phi_vals)
         assert all(np.array_equal(q[k], fresh[k]) for k in ("op", "du2", "dtu"))
         calls["assembled"] += 1
         return assemble_operator_matrix(values, grid, phi_vals, q)
 
-    monkeypatch.setattr(translator, "flow_operator", counting_operator)
     monkeypatch.setattr(translator, "assemble_operator_matrix", checking_assembly)
     sol = continuation(ContinuationSchedule(), phi, grid)
-    assert calls["plain"] == 0
     assert calls["assembled"] == sol.limit["lu_factorizations"] == 2
     assert sol.c3 == disk_solution.c3
     assert np.array_equal(sol.profile.values, disk_solution.profile.values)
     assert sol.residuals == disk_solution.residuals
-    F = flow_operator(sol.profile.values, grid, phi.values_on(grid))
+    F = flow_operator(sol.profile.values, grid, phi.values_on(grid))["op"]
     assert sol.residuals["interior_max"] == float(np.max(np.abs(F - sol.c3)))
 
 
@@ -133,7 +126,7 @@ def test_c3_sign_opposite_to_flux(disk_setup):
 def test_uniqueness_up_to_constant(disk_setup, disk_solution):
     """Different warm starts land on the same profile and speed."""
     _, grid, phi = disk_setup
-    init = GridFunction.from_chart(grid, lambda x, y: 0.05 * (x ** 2 + y ** 2) - 0.4)
+    init = from_chart(grid, lambda x, y: 0.05 * (x ** 2 + y ** 2) - 0.4)
     sol2 = continuation(ContinuationSchedule(), phi, grid, init=init)
     d = sol2.profile.values - disk_solution.profile.values
     d = d - grid.mean(d)
@@ -171,7 +164,7 @@ def test_translator_orbit_speed_under_flow(disk_setup, disk_solution):
     """One flow evaluation on the translated profile returns the speed c3."""
     _, grid, phi = disk_setup
     moved = disk_solution.profile.values + disk_solution.c3 * 1.0
-    op = flow_operator(moved, grid, phi.values_on(grid))
+    op = flow_operator(moved, grid, phi.values_on(grid))["op"]
     assert abs(grid.mean(op) - disk_solution.c3) < 1e-5
     # and a full semi-implicit step preserves the orbit
     one_step = StepperConfig().initial_dt(grid)
@@ -284,12 +277,14 @@ def test_schedule_validation():
     assert ContinuationSchedule(eps_min=0.5).eps_values() == [1.0, 0.5]
 
 
-def test_full_solve_manufactured_asymmetric():
+def test_full_solve_manufactured_asymmetric(monkeypatch):
     """Manufactured solution of the complete nonlinear boundary value solve.
 
     An asymmetric analytic space-like field defines its own contact angle
     (sampled as a table) and interior source; Newton with the ghost closure
-    must reproduce the field at second order under refinement.
+    must reproduce the field at second order under refinement.  The source
+    is subtracted from the operator the solve evaluates; the Jacobian does
+    not read that field.
     """
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y", real=True)
@@ -319,8 +314,13 @@ def test_full_solve_manufactured_asymmetric():
                            n_angular=grid.n_angular)
         u_exact = u_fn(grid.X[..., 0], grid.X[..., 1])
         src = op_fn(grid.X[..., 0], grid.X[..., 1]) - eps * u_exact
-        u_h, info = solve_regularized(eps, GridFunction.constant(grid, 0.0),
-                                      phi, grid, source=src)
+
+        def with_source(values, grid, phi_vals, src=src):
+            q = flow_operator(values, grid, phi_vals)
+            return dict(q, op=q["op"] - src)
+
+        monkeypatch.setattr(translator, "flow_operator", with_source)
+        u_h, info = solve_regularized(eps, GridFunction.constant(grid, 0.0), phi, grid)
         errs.append(float(np.max(np.abs(u_h - u_exact))))
     assert errs[-1] < 5e-4
     assert errs[0] / errs[1] > 3.0
@@ -414,7 +414,7 @@ def test_ordered_bordered_solve_matches_plain_splu(domain, metric, phi):
     w = u - grid.mean(u)
     pv = phi.values_on(grid)
     B = _bordered_matrix(w, grid, pv)
-    R = flow_operator(w, grid, pv)
+    R = flow_operator(w, grid, pv)["op"]
     b = -np.append(R - grid.mean(R), grid.mean(w))
     expected = splu(B).solve(b)
     solved = OrderedLU(splu, B, _bordered_order(grid)).solve(b)
@@ -433,7 +433,7 @@ def _tangent_start_residuals(sol, grid, pv):
     out = []
     for eps, _ in sol.limit["trace_residuals"]:
         ws, cs = w + eps * w_dot, sol.c3 + eps * c_dot
-        R = flow_operator(ws, grid, pv) - eps * ws - cs
+        R = flow_operator(ws, grid, pv)["op"] - eps * ws - cs
         out.append(max(float(np.max(np.abs(R))), abs(grid.mean(ws))))
     return out
 
