@@ -32,20 +32,16 @@ def _code(path):
     return tree
 
 
-def _public(name):
-    return not name.startswith("_")
-
-
 def _definitions(tree):
     """(body, index, node) of every public module-level function and class and
     of every public method of a module-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for i, node in enumerate(tree.body):
-        if isinstance(node, defs) and _public(node.name):
+        if isinstance(node, defs) and not node.name.startswith("_"):
             yield tree.body, i, node
         if isinstance(node, ast.ClassDef):
             for j, member in enumerate(node.body):
-                if isinstance(member, defs) and _public(member.name):
+                if isinstance(member, defs) and not member.name.startswith("_"):
                     yield node.body, j, member
 
 
