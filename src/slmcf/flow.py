@@ -110,8 +110,7 @@ class FlowState:
 
 
 # FlowRun fields the stepper records and the manifest's "final" block holds by name
-_RECORDED = ("converged", "message", "rejected", "lu_refreshes", "dt_min", "dt_max",
-             "speed_estimate", "max_H_final")
+_RECORDED = ("converged", "message", "lu_refreshes", "dt_min", "dt_max", "max_H_final")
 
 
 @dataclasses.dataclass
@@ -126,13 +125,11 @@ class FlowRun:
     cfg: StepperConfig
     state: FlowState
     converged: bool
-    speed_estimate: float       # area mean of the stepper's final u_t
     series: dict
     energy: dict
     snapshots: list
     dense: dict
     message: str
-    rejected: int               # rejected step attempts
     lu_refreshes: list          # [step, t, dt, reason, solver] per refresh of the step solver
     dt_min: float | None        # smallest and largest accepted dt (None: no step)
     dt_max: float | None
@@ -143,6 +140,9 @@ class FlowRun:
     sup_ut = property(lambda self: float(np.max(self.series["sup_ut"])))
     monitor_c0 = property(lambda self: float(self.series["sup_ut"][0]) ** 2)  # at t = 0
     lu_factorizations = property(lambda self: len(self.lu_refreshes))
+    # a rejected step attempt halves dt and refreshes every field
+    rejected = property(lambda self: sum(r[3] == "reject" for r in self.lu_refreshes))
+    speed_estimate = property(lambda self: float(self.series["mean_ut"][-1]))  # final u_t mean
     u_t = property(lambda self: self._final_fields[0])
     H_field = property(lambda self: self._final_fields[1])
 
@@ -156,7 +156,7 @@ class FlowRun:
         """The manifest's ``final`` block: the recorded scalars, the step count
         and the derived maxima.  The final time is the last series row and
         the monitor constants are ``verify.monitor_constants`` of the run."""
-        derived = ("lu_factorizations", "sup_du2", "sup_ut")
+        derived = ("rejected", "speed_estimate", "lu_factorizations", "sup_du2", "sup_ut")
         return {**{k: getattr(self, k) for k in _RECORDED + derived},
                 "steps": self.state.step_count}
 
@@ -183,6 +183,9 @@ class _Field:
         u = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
         if not np.all(np.isfinite(u)):
             raise ScenarioError("initial data contains non-finite values")
+        if u.shape != (grid.n_radial, grid.n_angular):
+            raise ScenarioError(f"initial data has shape {u.shape}, the grid "
+                                f"{(grid.n_radial, grid.n_angular)}")
         self.grid = grid
         self.phi_vals = phi_vals
         self.mean = 0.0
@@ -295,7 +298,6 @@ class _Stepper:
         self.grow = cfg.dt is None
         self.streak = 0          # accepted steps since dt last changed
         self.steps = 0
-        self.rejected = 0
         self.dt_min = self.dt_max = None
         self.records = [_Record(f, cfg) for f in self.fields]
         for rec in self.records:
@@ -342,7 +344,6 @@ class _Stepper:
                 ok = False
             if ok:
                 break
-            self.rejected += 1
             self._set_dt(self.dt * 0.5, "reject")
 
         dt = self.dt
@@ -383,8 +384,7 @@ class _Stepper:
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
             record = {"converged": converged, "message": message, "steps": self.steps,
-                      "rejected": self.rejected, "lu_refreshes": f.refreshes,
-                      "dt_min": self.dt_min, "dt_max": self.dt_max, "speed_estimate": f.speed,
+                      "lu_refreshes": f.refreshes, "dt_min": self.dt_min, "dt_max": self.dt_max,
                       "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
             runs.append(FlowRun.from_record(
                 record, self.grid, self.phi, cfg,

@@ -13,9 +13,9 @@ scalar component arrays of the grid shape: P^a, |Du|^2, v, the three
 distinct components of the symmetric D_a D_b u and g~^{ab}, each a plain
 (n_radial, n_angular) array, read off the grid's component-major metric
 data; it builds no (..., 2, 2) arrays.  ``sym_tensor`` stacks a component
-triple into one for the tensor consumers (``covariant_hessian_field``, the
-|Du|^2 evolution diagnostic).  Tensors stay in computational components;
-the scalars (v, H, |Du|^2) are the same in every chart.
+triple into one for the tensor consumer, the |Du|^2 evolution diagnostic.
+Tensors stay in computational components; the scalars (v, H, |Du|^2) are
+the same in every chart.
 
 The |Du|^2 evolution diagnostic supports two coefficient conventions for the
 identity satisfied along the flow; an independent symbolic oracle in the test
@@ -121,11 +121,6 @@ def sym_tensor(t11, t12, t22):
     return np.stack([t11, t12, t12, t22], axis=-1).reshape(t11.shape + (2, 2))
 
 
-def covariant_hessian_field(values, grid: CurvilinearGrid, ghost=None, derivs=None):
-    """Covariant Hessian D_a D_b u in computational components, shape (..., 2, 2)."""
-    return sym_tensor(*hessian_components(derivs or derivatives(values, grid, ghost), grid))
-
-
 def gradient_fields(values, grid: CurvilinearGrid, ghost=None, guard=True, derivs=None):
     """Gradient data: raised (P^1, P^2), |Du|^2 and v."""
     d = derivs or derivatives(values, grid, ghost)
@@ -151,12 +146,12 @@ def g_upper_components(grid: CurvilinearGrid, P, du2):
             S[..., 1, 1] + P2 * P2 / v2)
 
 
-def quasilinear_operator(values, grid: CurvilinearGrid, ghost=None, guard=True):
+def quasilinear_operator(values, grid: CurvilinearGrid, ghost=None):
     """g~^{ab} D_a D_b u and its ingredient fields (the flow right-hand side).
 
     ``P``, ``hess`` and ``gup`` are component tuples (see above)."""
     d = derivatives(values, grid, ghost)
-    P, du2, v = gradient_fields(values, grid, ghost, guard=guard, derivs=d)
+    P, du2, v = gradient_fields(values, grid, ghost, derivs=d)
     hess = h11, h12, h22 = hessian_components(d, grid)
     gup = g11, g12, g22 = g_upper_components(grid, P, du2)
     cross = g12 * h12
@@ -164,9 +159,10 @@ def quasilinear_operator(values, grid: CurvilinearGrid, ghost=None, guard=True):
     return {"op": op, "P": P, "du2": du2, "v": v, "hess": hess, "gup": gup}
 
 
-def mean_curvature_field(values, grid: CurvilinearGrid, ghost=None):
-    """Scalar mean curvature H = (1/v) g~^{ab} D_a D_b u."""
-    q = quasilinear_operator(values, grid, ghost)
+def mean_curvature_field(values, grid: CurvilinearGrid):
+    """Scalar mean curvature H = (1/v) g~^{ab} D_a D_b u, one-sided on the
+    boundary ring."""
+    q = quasilinear_operator(values, grid)
     return q["op"] / q["v"]
 
 
@@ -193,7 +189,7 @@ def evo_du_rhs(values, grid: CurvilinearGrid, convention="derived", ghost=None):
 
     dw = derivatives(w, grid)
     dwvec = np.stack([dw["r"], dw["s"]], axis=-1)
-    hess_w = covariant_hessian_field(w, grid, derivs=dw)
+    hess_w = sym_tensor(*hessian_components(dw, grid))
     gup, hess_u = sym_tensor(*q["gup"]), sym_tensor(*q["hess"])
 
     grad_w_g = np.einsum("...ab,...a,...b->...", gup, dwvec, dwvec)

@@ -10,16 +10,18 @@ with (rho, s + pi) when stencils cross the center.
 
 The ambient metric is pulled back onto (rho, s) through the mapping
 x(rho, s) = c + rho (gamma(s) - c) into its chart (every metric has one, its
-geodesic normal chart; see ``metrics``), giving nodal arrays for sigma~, its
-inverse, sqrt(det), the Christoffel symbols of the pulled-back metric, and
-the Gaussian curvature.  All PDE stencils downstream act on the uniform
-computational grid with these coefficients, which keeps every covariant
-operation a plain centered difference plus analytic data.
+geodesic normal chart; see ``metrics``), giving nodal arrays for the inverse
+of sigma~, the Christoffel symbols of the pulled-back metric, the Gaussian
+curvature and the quadrature weights.  All PDE stencils downstream act on
+the uniform computational grid with these coefficients, which keeps every
+covariant operation a plain centered difference plus analytic data.
 
 The pullback is computed in 2 x 2 components, each contraction written out
 term by term in the order np.einsum sums it, so sigma~, its inverse,
 Gamma~ and the inverse Jacobian are bit-identical to the tensor formulas
-in the comments without their per-element loops.
+in the comments without their per-element loops.  sigma~ itself, the
+Jacobian and sqrt(det sigma~) are intermediates of the construction and are
+not kept.
 
 ``sigma_t_inv`` and ``gamma_t`` are indexed [..., a, b] and [..., c, a, b]
 like the other tensors, but stored component-major: each component
@@ -97,16 +99,14 @@ class CurvilinearGrid:
         gam_chart = self.metric.christoffel(X)
 
         self.X = X
-        self.jac_det = jac_det
-        self.jac_inv = B = inv2(J)
+        B = inv2(J)
         # sigma~_ab = J^i_a sigma_ij J^j_b
-        self.sigma_t = np.empty_like(J)
+        sigma_t = np.empty_like(J)
         for a, b in INDEX_PAIRS:
-            self.sigma_t[..., a, b] = einsum_sum(J[..., i, a] * sig[..., i, j] * J[..., j, b]
-                                                 for i, j in INDEX_PAIRS)
-        self.sigma_t_inv = _component_major(inv2(self.sigma_t))
-        det = self.sigma_t[..., 0, 0] * self.sigma_t[..., 1, 1] - self.sigma_t[..., 0, 1] ** 2
-        self.sqrt_det = np.sqrt(det)
+            sigma_t[..., a, b] = einsum_sum(J[..., i, a] * sig[..., i, j] * J[..., j, b]
+                                            for i, j in INDEX_PAIRS)
+        self.sigma_t_inv = _component_major(inv2(sigma_t))
+        sqrt_det = np.sqrt(sigma_t[..., 0, 0] * sigma_t[..., 1, 1] - sigma_t[..., 0, 1] ** 2)
 
         # Gamma~^c_{ab} = B^c_k ( x^k_{,ab} + Gamma^k_{ij} J^i_a J^j_b )
         # x^k_{,ab}, indexed [..., k]
@@ -125,14 +125,14 @@ class CurvilinearGrid:
         # quadrature weights: midpoint cells, half cell on the boundary ring
         drho = np.full(self.n_radial, self.hr)
         drho[-1] = 0.5 * self.hr
-        self.weights = self.sqrt_det * drho[:, None] * self.hs
+        self.weights = sqrt_det * drho[:, None] * self.hs
         self.area = float(np.sum(self.weights))
 
         # boundary ring data (rho = 1)
-        self.sqrt_sigma_ss_bd = np.sqrt(self.sigma_t[-1, :, 1, 1])
+        self.sqrt_sigma_ss_bd = np.sqrt(sigma_t[-1, :, 1, 1])
         self.boundary_weights = self.sqrt_sigma_ss_bd * self.hs
         # physical radial spacing, used for h^2-scaled tolerances
-        self.h = float(np.max(np.sqrt(self.sigma_t[..., 0, 0])) * self.hr)
+        self.h = float(np.max(np.sqrt(sigma_t[..., 0, 0])) * self.hr)
 
     # -- integrals ----------------------------------------------------------
 

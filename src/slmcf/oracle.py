@@ -9,7 +9,8 @@ profile depends on r alone and the PDE collapses to
 
 with c the translation speed.  It is solved here by shooting with a
 high-order adaptive integrator, entirely independent of the two-dimensional
-grid discretization, and gives the reference speed of the acceptance
+grid discretization, for the speed alone: c is the root of the boundary
+slope's mismatch, and it is the reference speed of the acceptance
 experiments and the benchmark.
 
 No command of the CLI calls it, so ``scipy.integrate`` and
@@ -30,11 +31,9 @@ _R_START = 1e-8
 
 @dataclasses.dataclass
 class RadialOracle:
+    """The speed c3 of the radial translator on the disk r < r0."""
     c3: float
     r0: float
-    profile: callable       # u(r), zero area mean
-    slope: callable          # u'(r)
-    mean_offset: float
 
 
 def _f_ratio(metric):
@@ -56,20 +55,19 @@ def _shoot_slope(c, r0, fratio):
 
 
 def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
-    """Shooting solution of the radial translator problem.
+    """Speed of the radial translator problem, by shooting on the slope u'.
 
     phi_const: constant contact angle; r0: boundary radius; metric: a
     catalog metric, None for the flat one.
     """
-    from scipy.integrate import quad, solve_ivp  # deferred: see the module docstring
+    from scipy.integrate import quad  # deferred: see the module docstring
     from scipy.optimize import brentq
 
     fratio, f = _f_ratio(metric)
     target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
 
     if phi_const == 0.0:
-        return RadialOracle(c3=0.0, r0=r0, profile=lambda r: np.zeros_like(np.asarray(r, float)),
-                            slope=lambda r: np.zeros_like(np.asarray(r, float)), mean_offset=0.0)
+        return RadialOracle(c3=0.0, r0=r0)
 
     def g(c):
         return _shoot_slope(c, r0, fratio) - target
@@ -84,25 +82,4 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
         hi *= 2.0
         if abs(lo) > 1e3:
             raise RuntimeError("translator oracle: bracketing failed")
-    c3 = brentq(g, lo, hi, xtol=1e-14)
-
-    def rhs(r, y):
-        u, p = y
-        return [p, (1.0 - p * p) * (c3 - fratio(r) * p)]
-
-    sol = solve_ivp(rhs, [_R_START, r0], [0.0, c3 * _R_START / 2.0],
-                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
-    mean = (quad(lambda r: sol.sol(r)[0] * f(r), _R_START, r0, limit=200)[0]
-            / quad(f, _R_START, r0, limit=200)[0])
-
-    def profile(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[0].reshape(r.shape) - mean
-        return out if out.size > 1 else float(out.flat[0])
-
-    def slope(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[1].reshape(r.shape)
-        return out if out.size > 1 else float(out.flat[0])
-
-    return RadialOracle(c3=c3, r0=r0, profile=profile, slope=slope, mean_offset=mean)
+    return RadialOracle(c3=brentq(g, lo, hi, xtol=1e-14), r0=r0)

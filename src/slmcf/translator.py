@@ -303,24 +303,22 @@ def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
 
 
 def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
-                 grid: CurvilinearGrid, init=None) -> TranslatorSolution:
+                 grid: CurvilinearGrid) -> TranslatorSolution:
     """The translator profile and c3 from one bordered Newton solve, plus the
     regularization trace over ``schedule.eps_values()``.
 
-    ``init`` (default zero) is the Newton start, with the area mean of the
-    operator there as start speed; only its derivatives matter.  The ghost
-    row makes the contact-angle closure exact, so ``residuals`` records only
-    ``interior_max`` and ``c3_quadrature``.  Raises NewtonError or
-    SpacelikeViolationError if the limit solve fails, and ContinuationError if
-    a trace level does not converge; its ``trace`` holds the levels solved so
-    far as (eps, mean, min, max of eps u_eps), in schedule order.
+    The Newton start is u = 0, with the area mean of the operator there as
+    start speed.  The ghost row makes the contact-angle closure exact, so
+    ``residuals`` records only ``interior_max`` and ``c3_quadrature``.
+    Raises NewtonError or SpacelikeViolationError if the limit solve fails,
+    and ContinuationError if a trace level does not converge; its ``trace``
+    holds the levels solved so far as (eps, mean, min, max of eps u_eps), in
+    schedule order.
     """
     phi_vals = phi.values_on(grid)
-    u = np.zeros((grid.n_radial, grid.n_angular)) if init is None else \
-        (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
-    w = u - grid.mean(u)
+    w = np.zeros((grid.n_radial, grid.n_angular))
     factor = _new_factor()
-    # Newton-chord from the speed that fits F(init) best in the area mean
+    # Newton-chord from the speed that fits F(0) best in the area mean
     w, c3, info = _bordered_newton(0.0, w, None, grid, phi_vals, factor=factor)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]

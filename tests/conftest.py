@@ -8,10 +8,11 @@ from scipy.sparse.linalg import splu
 
 from slmcf import translator
 from slmcf.domain import _rotate90, build_domain
-from slmcf.geometry import angular_diff, derivatives, g_upper_components, gradient_fields
+from slmcf.geometry import (angular_diff, derivatives, g_upper_components, gradient_fields,
+                            hessian_components, sym_tensor)
 from slmcf.grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from slmcf import metrics
-from slmcf.metrics import Metric
+from slmcf.metrics import Metric, inv2
 from slmcf.operators import contact_ghost
 from slmcf.oracle import _R_START, RadialOracle, _f_ratio, translator_oracle
 
@@ -22,6 +23,38 @@ def from_chart(grid, fn):
     """The ``GridFunction`` of a chart-coordinate callable fn(x1, x2) sampled at
     the grid's nodes."""
     return GridFunction(fn(grid.X[..., 0], grid.X[..., 1]), grid)
+
+
+def covariant_hessian_field(values, grid: CurvilinearGrid, ghost=None, derivs=None):
+    """Covariant Hessian D_a D_b u in computational components, shape (..., 2, 2)."""
+    return sym_tensor(*hessian_components(derivs or derivatives(values, grid, ghost), grid))
+
+
+def tensor_pullback(grid):
+    """The grid arrays by the einsum formulas, from the map x(rho, s) rebuilt
+    here, with the intermediates the grid does not keep: the inverse
+    Jacobian, sigma~ and sqrt(det sigma~)."""
+    R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
+    curve = grid.domain.curve
+    c = curve.center
+    X = c + R[..., None] * (curve.gamma(S) - c)
+    J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
+    x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
+    sig, gam = grid.metric.sigma(X), grid.metric.christoffel(X)
+    jac_inv = inv2(J)
+    sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
+    d2x = np.zeros(X.shape[:-1] + (2, 2, 2))
+    d2x[..., :, 0, 1] = x_rs
+    d2x[..., :, 1, 0] = x_rs
+    d2x[..., :, 1, 1] = x_ss
+    inner = d2x + np.einsum("...kij,...ia,...jb->...kab", gam, J, J)
+    sqrt_det = np.sqrt(sigma_t[..., 0, 0] * sigma_t[..., 1, 1] - sigma_t[..., 0, 1] ** 2)
+    drho = np.full(grid.n_radial, grid.hr)
+    drho[-1] = 0.5 * grid.hr
+    return {"X": X, "jac_inv": jac_inv, "sigma_t": sigma_t, "sigma_t_inv": inv2(sigma_t),
+            "gamma_t": np.einsum("...ck,...kab->...cab", jac_inv, inner),
+            "sqrt_det": sqrt_det, "weights": sqrt_det * drho[:, None] * grid.hs,
+            "gauss": grid.metric.gauss_curvature(X)}
 
 
 def nabla_T_T(domain, s):
@@ -54,12 +87,50 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid):
                          "floor_stops": info["floor_stops"], "solvers": factor["log"]}
 
 
+@dataclasses.dataclass
+class RadialProfile:
+    profile: callable       # u(r), zero area mean
+    slope: callable          # u'(r)
+
+
+def radial_profile(oracle: RadialOracle, metric=None) -> RadialProfile:
+    """The radial translator profile at the oracle's speed: a dense shooting
+    solve of (u, u') from u(0) = u'(0) = 0, shifted to zero area mean."""
+    c3, r0 = oracle.c3, oracle.r0
+    fratio, f = _f_ratio(metric)
+    if c3 == 0.0:
+        return RadialProfile(profile=lambda r: np.zeros_like(np.asarray(r, float)),
+                             slope=lambda r: np.zeros_like(np.asarray(r, float)))
+
+    def rhs(r, y):
+        u, p = y
+        return [p, (1.0 - p * p) * (c3 - fratio(r) * p)]
+
+    sol = solve_ivp(rhs, [_R_START, r0], [0.0, c3 * _R_START / 2.0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+    mean = (quad(lambda r: sol.sol(r)[0] * f(r), _R_START, r0, limit=200)[0]
+            / quad(f, _R_START, r0, limit=200)[0])
+
+    def profile(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[0].reshape(r.shape) - mean
+        return out if out.size > 1 else float(out.flat[0])
+
+    def slope(r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = sol.sol(np.clip(r.ravel(), _R_START, r0))[1].reshape(r.shape)
+        return out if out.size > 1 else float(out.flat[0])
+
+    return RadialProfile(profile=profile, slope=slope)
+
+
 def oracle_c3_from_flux(oracle: RadialOracle, phi_const, metric=None):
     """Cross-check: speed from the flux balance on the oracle profile."""
     fratio, f = _f_ratio(metric)
+    slope = radial_profile(oracle, metric).slope
     num = phi_const * 2.0 * np.pi * f(oracle.r0)
     den = 2.0 * np.pi * quad(
-        lambda r: f(r) / np.sqrt(1.0 - np.minimum(oracle.slope(r) ** 2, 1.0 - 1e-15)),
+        lambda r: f(r) / np.sqrt(1.0 - np.minimum(slope(r) ** 2, 1.0 - 1e-15)),
         _R_START, oracle.r0, limit=200)[0]
     return -num / den
 
@@ -198,14 +269,15 @@ def hyperbolic_metric(monkeypatch):
 
 def _inverse_metric_error(grid, values):
     """max |g~^{ab} g~_bc - delta^a_c| over the nodes: g~^{ab} from the field
-    kernel, g~_ab = sigma~_ab - u_a u_b from the grid's sigma~ and the stencil
-    gradient."""
+    kernel, g~_ab = sigma~_ab - u_a u_b from the reference sigma~ and the
+    stencil gradient."""
     d = derivatives(values, grid)
     du = (d["r"], d["s"])
     P, du2, _ = gradient_fields(values, grid, derivs=d)
     g11, g12, g22 = g_upper_components(grid, P, du2)
     up = ((g11, g12), (g12, g22))
-    low = [[grid.sigma_t[..., a, b] - du[a] * du[b] for b in range(2)] for a in range(2)]
+    sigma_t = tensor_pullback(grid)["sigma_t"]
+    low = [[sigma_t[..., a, b] - du[a] * du[b] for b in range(2)] for a in range(2)]
     return max(float(np.max(np.abs(up[a][0] * low[0][c] + up[a][1] * low[1][c]
                                    - float(a == c))))
                for a in range(2) for c in range(2))

@@ -9,10 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import from_chart, nabla_T_T
+from conftest import covariant_hessian_field, from_chart, nabla_T_T, tensor_pullback
 from slmcf.domain import build_domain
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
-from slmcf.geometry import covariant_hessian_field
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.metrics import get_metric, inv2
 from slmcf.oracle import translator_oracle
@@ -320,8 +319,8 @@ def test_criterion_7_geometry_kernel(disk, sphere, collar_frame, inverse_metric_
     for n in (24, 48):
         grid = build_grid(sphere, n, 2 * n)
         u = from_chart(grid, fn)
-        H = np.einsum("...ai,...bj,...ab->...ij", grid.jac_inv, grid.jac_inv,
-                      covariant_hessian_field(u.values, grid))
+        B = tensor_pullback(grid)["jac_inv"]
+        H = np.einsum("...ai,...bj,...ab->...ij", B, B, covariant_hessian_field(u.values, grid))
         rows = [i for i in range(n) if 0.2 <= grid.rho[i] <= 0.9]
         err = 0.0
         for i in rows:

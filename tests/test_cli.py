@@ -467,8 +467,7 @@ def test_malformed_run_directory_exits_2(tmp_path):
     assert main(["verify", str(tmp_path / "flow")]) == 2
 
 
-@pytest.mark.parametrize("key", ["rejected", "lu_refreshes", "dt_min", "dt_max",
-                                 "max_H_final"])
+@pytest.mark.parametrize("key", ["lu_refreshes", "dt_min", "dt_max", "max_H_final"])
 def test_flow_manifest_without_a_recorded_key_exits_2(tmp_path, key):
     cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
     manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())

@@ -359,6 +359,21 @@ def test_nonfinite_u0_raises_scenario_error(runner):
 
 
 @pytest.mark.parametrize("runner", ["single", "pair"])
+def test_wrong_shaped_u0_raises_scenario_error(runner):
+    """A u0 that is not of the grid's shape is refused with both shapes named,
+    not left to fail as a numpy broadcast error."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    u0 = np.zeros((16, 31))
+    with pytest.raises(ScenarioError, match=r"\(16, 31\).*\(16, 32\)"):
+        if runner == "single":
+            run_to_convergence(u0, phi, grid, StepperConfig(max_time=1.0))
+        else:
+            run_pair(np.zeros((16, 32)), u0, phi, grid, StepperConfig(max_time=1.0))
+
+
+@pytest.mark.parametrize("runner", ["single", "pair"])
 def test_persistent_rejection_underflows(runner):
     """phi = 40 drives |Du|^2 toward 1600/1601 on the boundary, above 1 - 1e-3:
     every step is rejected and halved until the typed underflow error."""
@@ -378,7 +393,7 @@ def _lu_entries(run):
     return sum(entry[4] == "lu" for entry in run.lu_refreshes)
 
 
-def test_lu_refresh_log(disk24, record_splu):
+def test_lu_refresh_log(disk24, record_splu, monkeypatch):
     """Every refresh is logged as [step, t, dt, reason, solver]; the solver is
     "ring" or "lu", and each "lu" entry is one splu call."""
     made = record_splu(flow)
@@ -423,6 +438,21 @@ def test_lu_refresh_log(disk24, record_splu):
     for f in stepper.fields:
         assert [r[3] for r in f.refreshes[:3]] == ["start", "reject", "reject"]
         assert f.refreshes[1][2] == 0.5 * f.refreshes[0][2]
+
+    # so a run's rejected count is its "reject" entries: phi = 5 rejects steps
+    # and recovers, and each member counts every halving of the pair's dt
+    halvings = []
+    set_dt = flow._Stepper._set_dt
+
+    def counting(self, dt, reason):
+        halvings.append(reason == "reject")
+        return set_dt(self, dt, reason)
+
+    monkeypatch.setattr(flow._Stepper, "_set_dt", counting)
+    pair = run_pair(u0, u0.values + 1.0, ContactAngle({"kind": "constant", "value": 5.0}, dom),
+                    grid, StepperConfig(max_time=1.0))
+    assert sum(halvings) > 0
+    assert pair.run_a.rejected == pair.run_b.rejected == sum(halvings)
 
 
 # -- the step matrix, factored on the nested-dissection order of the grid shape -----

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import from_chart
+from conftest import covariant_hessian_field, from_chart, tensor_pullback
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeViolationError
-from slmcf.geometry import (EVO_DU_CONVENTIONS, angular_diff, angular_diff2,
-                            covariant_hessian_field, derivatives, evo_du_rhs,
-                            g_upper_components, gradient_fields, mean_curvature_field,
-                            quasilinear_operator)
+from slmcf.geometry import (EVO_DU_CONVENTIONS, angular_diff, angular_diff2, derivatives,
+                            evo_du_rhs, g_upper_components, gradient_fields,
+                            mean_curvature_field, quasilinear_operator)
 from slmcf.grid import GridFunction, build_grid
 from slmcf.metrics import get_metric
 
@@ -39,7 +38,7 @@ def test_s_differences_match_the_roll_reference(disk_grid):
 
 def _chart_hessian(u):
     """The covariant Hessian field of ``u`` in chart components."""
-    B = u.grid.jac_inv
+    B = tensor_pullback(u.grid)["jac_inv"]
     return np.einsum("...ai,...bj,...ab->...ij", B, B, covariant_hessian_field(u.values, u.grid))
 
 

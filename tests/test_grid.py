@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import tensor_pullback
 from slmcf.domain import build_domain
 from slmcf.errors import GridError, ScenarioError
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.metrics import inv2
 
 
 def test_grid_parameter_validation(unit_disk):
@@ -32,7 +32,7 @@ def test_boundary_ring_on_curve(disk_grid, cap_grid):
 
 def test_jacobian_positive(disk_grid, cap_grid, ellipse21):
     for grid in (disk_grid, cap_grid, build_grid(ellipse21, 32, 64)):
-        assert np.min(grid.jac_det) > 0
+        assert np.min(np.linalg.det(tensor_pullback(grid)["jac_inv"])) > 0
 
 
 def test_disk_area_and_perimeter(unit_disk):
@@ -146,31 +146,6 @@ DOMAIN_KINDS = [({"kind": "disk", "radius": 1.0}, "flat"),
                 ({"kind": "ellipse", "a": 0.9, "b": 0.6}, "dome")]
 
 
-def _tensor_pullback(grid):
-    """The grid arrays by the einsum formulas, from the map x(rho, s) rebuilt here."""
-    R, S = np.meshgrid(grid.rho, grid.s, indexing="ij")
-    curve = grid.domain.curve
-    c = curve.center
-    X = c + R[..., None] * (curve.gamma(S) - c)
-    J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
-    x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
-    sig, gam = grid.metric.sigma(X), grid.metric.christoffel(X)
-    jac_inv = inv2(J)
-    sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
-    d2x = np.zeros(X.shape[:-1] + (2, 2, 2))
-    d2x[..., :, 0, 1] = x_rs
-    d2x[..., :, 1, 0] = x_rs
-    d2x[..., :, 1, 1] = x_ss
-    inner = d2x + np.einsum("...kij,...ia,...jb->...kab", gam, J, J)
-    sqrt_det = np.sqrt(sigma_t[..., 0, 0] * sigma_t[..., 1, 1] - sigma_t[..., 0, 1] ** 2)
-    drho = np.full(grid.n_radial, grid.hr)
-    drho[-1] = 0.5 * grid.hr
-    return {"X": X, "jac_inv": jac_inv, "sigma_t": sigma_t, "sigma_t_inv": inv2(sigma_t),
-            "gamma_t": np.einsum("...ck,...kab->...cab", jac_inv, inner),
-            "sqrt_det": sqrt_det, "weights": sqrt_det * drho[:, None] * grid.hs,
-            "gauss": grid.metric.gauss_curvature(X)}
-
-
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -184,11 +159,15 @@ def test_pullback_is_bit_identical_to_the_tensor_formulas(spec, metric, shape, s
     else:
         domain = build_domain(spec, metric)
     grid = build_grid(domain, *shape)
-    for name, ref in _tensor_pullback(grid).items():
+    ref = tensor_pullback(grid)
+    ref["sqrt_sigma_ss_bd"] = np.sqrt(ref["sigma_t"][-1, :, 1, 1])
+    for name in ("X", "sigma_t_inv", "gamma_t", "weights", "gauss", "sqrt_sigma_ss_bd"):
         got = getattr(grid, name)
-        assert got.shape == ref.shape, name
-        assert np.array_equal(got, ref), name
-        assert np.array_equal(_bits(got), _bits(ref)), name   # the signs of zeros too
+        assert got.shape == ref[name].shape, name
+        assert np.array_equal(got, ref[name]), name
+        assert np.array_equal(_bits(got), _bits(ref[name])), name   # the signs of zeros too
+    h = float(np.max(np.sqrt(ref["sigma_t"][..., 0, 0])) * grid.hr)
+    assert np.array_equal(_bits(grid.h), _bits(h))
 
 
 @pytest.mark.parametrize("metric", ["sphere", "dome"])
@@ -200,7 +179,8 @@ def test_a_node_at_the_pole_is_a_regular_node(metric):
     dom = build_domain({"kind": "disk", "radius": 1.0, "center": [-rho, 0.0]}, metric)
     grid = build_grid(dom, 16, 32)
     assert np.array_equal(grid.X[3, 0], [0.0, 0.0])
-    for name in ("sigma_t", "sigma_t_inv", "gamma_t", "sqrt_det", "weights", "gauss"):
+    for name in ("sigma_t_inv", "gamma_t", "weights", "gauss"):
         assert np.all(np.isfinite(getattr(grid, name))), name
-    J = np.linalg.inv(grid.jac_inv[3, 0])
-    assert np.allclose(grid.sigma_t[3, 0], J.T @ J, rtol=0, atol=1e-15)
+    ref = tensor_pullback(grid)
+    J = np.linalg.inv(ref["jac_inv"][3, 0])
+    assert np.allclose(ref["sigma_t"][3, 0], J.T @ J, rtol=0, atol=1e-15)

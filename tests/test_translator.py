@@ -7,7 +7,7 @@ from slmcf import translator
 from slmcf.domain import build_domain
 from slmcf.errors import ContinuationError, ScenarioError
 from slmcf.flow import StepperConfig, run_to_convergence
-from slmcf.geometry import quasilinear_operator
+from slmcf.geometry import gradient_fields, quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import (OrderedLU, assemble_operator_matrix, flow_operator,
                              nested_dissection_order)
@@ -123,15 +123,22 @@ def test_c3_sign_opposite_to_flux(disk_setup):
         assert np.sign(sol.c3) == -np.sign(phi.boundary_integral)
 
 
+def _warm_limit(u, grid, phi):
+    """The bordered solve at eps = 0 started from the zero-mean part of u."""
+    w0 = u - grid.mean(u)
+    return translator._bordered_newton(0.0, w0, None, grid, phi.values_on(grid),
+                                       translator._new_factor())
+
+
 def test_uniqueness_up_to_constant(disk_setup, disk_solution):
     """Different warm starts land on the same profile and speed."""
     _, grid, phi = disk_setup
     init = from_chart(grid, lambda x, y: 0.05 * (x ** 2 + y ** 2) - 0.4)
-    sol2 = continuation(ContinuationSchedule(), phi, grid, init=init)
-    d = sol2.profile.values - disk_solution.profile.values
+    w, c3, _ = _warm_limit(init.values, grid, phi)
+    d = w - disk_solution.profile.values
     d = d - grid.mean(d)
     assert np.max(np.abs(d)) < 1e-6
-    assert abs(sol2.c3 - disk_solution.c3) < 1e-8
+    assert abs(c3 - disk_solution.c3) < 1e-8
 
 
 def test_monotone_regularization_tail(disk_solution):
@@ -149,9 +156,9 @@ def test_gradient_bound_uniform_in_eps(disk_setup):
     eps_list = ContinuationSchedule(eps_min=1e-4).eps_values()
     for eps in eps_list:
         u, _ = solve_regularized(eps, u, phi, grid)
-        q = quasilinear_operator(u, grid, ghost=None, guard=False)
+        du2 = gradient_fields(u, grid, guard=False)[1]
         sup_eu = max(sup_eu, float(np.max(np.abs(eps * u))))
-        sup_du2_all.append(float(np.max(q["du2"])))
+        sup_du2_all.append(float(np.max(du2)))
     c0 = sup_eu ** 2
     c2 = max(abs(phi.phi0), abs(phi.phi1)) * np.sqrt(c0) + 3 * phi.phi2
     c1 = c1_formula(c2, grid.domain.kappa0)
@@ -194,7 +201,7 @@ def test_barrier_bound(disk_setup):
 
     rr = np.sqrt(grid.X[..., 0] ** 2 + grid.X[..., 1] ** 2)
     psi = A * q(rr)
-    qq = quasilinear_operator(psi, grid, ghost=None, guard=True)
+    qq = quasilinear_operator(psi, grid)
     c4 = float(np.max(qq["op"]))
 
     u = GridFunction.constant(grid, 0.0).values
@@ -204,17 +211,26 @@ def test_barrier_bound(disk_setup):
         assert float(np.max(eps * u)) <= bound + 1e-10
 
 
-def test_non_cauchy_detection(disk_setup, disk_solution, monkeypatch):
+def test_non_cauchy_detection(disk_setup, monkeypatch):
     """A trace level that cannot converge raises with the levels solved so far.
 
     Started from the converged limit with one Newton step allowed per level,
     the small-eps levels converge in one step each and a larger one cannot.
+    The limit solve itself keeps its iteration limit.
     """
     _, grid, phi = disk_setup
-    monkeypatch.setattr(translator, "_MAX_ITER", 1)
+    bordered_newton = translator._bordered_newton
+
+    def one_step_per_level(eps, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            if eps > 0:
+                mp.setattr(translator, "_MAX_ITER", 1)
+            return bordered_newton(eps, *args, **kwargs)
+
+    monkeypatch.setattr(translator, "_bordered_newton", one_step_per_level)
     schedule = ContinuationSchedule(eps_min=1e-4)
     with pytest.raises(ContinuationError) as err:
-        continuation(schedule, phi, grid, init=disk_solution.profile)
+        continuation(schedule, phi, grid)
     trace = err.value.trace
     assert trace
     eps_done = [e for e, _, _, _ in trace]
@@ -241,18 +257,6 @@ def test_limit_solve_record(disk_solution):
         assert history[-1] <= 1e-10
     record = disk_solution.to_record()
     assert record["limit"] == limit
-
-
-def test_trace_factors_once_without_limit_lu(disk_setup, disk_solution):
-    """Started at the limit, Newton takes no step; the limit LU serves the trace."""
-    _, grid, phi = disk_setup
-    sol = continuation(ContinuationSchedule(), phi, grid, init=disk_solution.profile)
-    assert sol.limit["newton_steps"] == 0
-    assert sol.limit["lu_factorizations"] == 1
-    assert sol.limit["trace_refactors"] == []
-    assert abs(sol.c3 - disk_solution.c3) < 1e-12
-    for (e1, d1), (e2, d2) in zip(sol.eps_trace_mean, disk_solution.eps_trace_mean):
-        assert e1 == e2 and abs(d1 - d2) < 1e-10
 
 
 def test_regularized_solution_is_bordered_newton(disk_setup, disk_solution, record_splu):
@@ -385,7 +389,7 @@ def factored(record_splu):
 @pytest.mark.parametrize("domain", [DISK, {"kind": "ellipse", "a": 2.0, "b": 1.0}])
 def test_bordered_newton_factors_on_the_shape_order(domain, factored):
     grid, phi, u = _curved(domain, 32)
-    continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
+    _warm_limit(u, grid, phi)
     A, kw, _ = factored[0]
     q = _bordered_order(grid)
     reference = _bordered_matrix(u - grid.mean(u), grid, phi.values_on(grid))
@@ -395,7 +399,7 @@ def test_bordered_newton_factors_on_the_shape_order(domain, factored):
 
 def test_ordered_bordered_factor_fills_less_than_colamd(factored):
     grid, phi, u = _curved(DISK, 64)
-    continuation(ContinuationSchedule(eps_min=0.5), phi, grid, init=u)
+    _warm_limit(u, grid, phi)
     B = _bordered_matrix(u - grid.mean(u), grid, phi.values_on(grid))
     assert factored[0][2].nnz < splu(B).nnz
 
