@@ -22,7 +22,6 @@ from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric, metric_ids
 from .oracle import RadialOracle, translator_oracle
 from .translator import ContinuationSchedule, TranslatorSolution, compute_c3, continuation
-from .verify import (CheckReport, MonitorConstants, c1_formula,
-                     check_evo_du_residual, check_maximal_limit, check_osc_decay,
-                     check_spacelike_bound, check_translator_agreement,
+from .verify import (CheckReport, c1_formula, check_evo_du_residual, check_maximal_limit,
+                     check_osc_decay, check_spacelike_bound, check_translator_agreement,
                      check_ut_max_principle, monitor_constants, render_reports)

@@ -23,11 +23,12 @@ import time
 from . import __version__
 from .errors import SlmcfError
 from .flow import FlowRun, PairRun, run_to_convergence
-from .runio import (check_config, export_field_csvs, load_run, load_scenario_file,
-                    save_flow_run, save_translator_solution)
+from .runio import (check_config, export_field_csvs, load_manifest, load_run,
+                    load_scenario_file, save_flow_run, save_translator_solution,
+                    write_manifest)
 # unused here: perfbench/spans.py wraps these names on this module to time run I/O
 from .runio import (load_scenario, read_csv, read_field_csv, validate_manifest,  # noqa: F401
-                    write_energy_csv, write_field_csv, write_manifest, write_series_csv)
+                    write_energy_csv, write_field_csv, write_series_csv)
 from .translator import continuation
 from .verify import (CheckReport, check_evo_du_residual, check_maximal_limit,
                      check_osc_decay, check_spacelike_bound,
@@ -65,9 +66,9 @@ def cmd_verify(run_dirs) -> tuple[list, dict]:
 
     for scenario, run in flows:
         tag = f"[{scenario.name}] "
-        mc = monitor_constants(run.phi, run.grid, run.monitor_c0)
+        c1 = monitor_constants(run.phi, run.grid, run.monitor_c0)
         add(tag, check_ut_max_principle(run.series))
-        add(tag, check_spacelike_bound(run.series, mc, run.grid.h))
+        add(tag, check_spacelike_bound(run.series, c1, run.grid.h))
         if run.phi.zero_flux:
             add(tag, check_maximal_limit(run))
         if run.cfg.dense_sample_times:
@@ -113,8 +114,7 @@ def _sweep_case(config, outdir, idx):
     case_dir = pathlib.Path(outdir) / f"case_{idx:03d}"
     case_dir.mkdir(parents=True, exist_ok=True)
     cfg_path = case_dir / "scenario.json"
-    cfg_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    write_manifest(cfg_path, config)
     flow_manifest = cmd_flow(cfg_path, case_dir / "flow")
     trans_manifest = cmd_translator(cfg_path, case_dir / "translator")
     return {
@@ -129,7 +129,7 @@ def _sweep_case(config, outdir, idx):
 
 
 def cmd_sweep(template_path, grid_spec, outdir) -> pathlib.Path:
-    template = json.loads(pathlib.Path(template_path).read_text(encoding="utf-8"))
+    template = load_manifest(template_path)
     spec = json.loads(grid_spec)
     if isinstance(spec, dict) and all(isinstance(v, list) for v in spec.values()):
         # cartesian product over the listed keys, in sorted key order
@@ -220,9 +220,7 @@ def main(argv=None) -> int:
             reports, summary = cmd_verify(args.run_dirs)
             print(render_reports(reports))
             if args.output:
-                pathlib.Path(args.output).write_text(
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+                write_manifest(args.output, summary)
             return 0 if summary["all_passed"] else 1
         if args.command == "sweep":
             summary = cmd_sweep(args.template, args.grid, args.output)

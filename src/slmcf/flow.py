@@ -155,7 +155,7 @@ class FlowRun:
     def to_record(self) -> dict:
         """The manifest's ``final`` block: the recorded scalars, the step count
         and the derived maxima.  The final time is the last series row and
-        the monitor constants are ``verify.monitor_constants`` of the run."""
+        the monitor bound c1 is ``verify.monitor_constants`` of the run."""
         derived = ("rejected", "speed_estimate", "lu_factorizations", "sup_du2", "sup_ut")
         return {**{k: getattr(self, k) for k in _RECORDED + derived},
                 "steps": self.state.step_count}
@@ -204,7 +204,7 @@ class _Field:
         its kind."""
         # the operator fields go before the solver is built; the assembly
         # reads the evaluation ``q`` already held at w
-        self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals, self.q)[:2]
+        self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals, self.q)
         self.lu = None              # the old factors go before the new ones are built
         self.lu = RingSolver(splu, self._L, 1.0, -dt, log=entry)
         self.refreshes.append(entry)

@@ -8,6 +8,11 @@ pulled-back metric data stored on the grid object.  Stencil closure rules:
 - boundary ring: either a caller-supplied ghost row (contact-angle closure,
   see the flow solver) or one-sided second-order differences.
 
+Space-like test: ``gradient_fields``, under every operator evaluation, flux
+quadrature and initial-data check, is the one place that compares |Du|^2
+with 1 - ``_SPACELIKE_EPS`` (SpacelikeViolationError at the largest |Du|^2);
+the stepper's wider ceiling is ``grid._DELTA_SPACE``.
+
 The field kernel (``gradient_fields``, ``quasilinear_operator``) works on
 scalar component arrays of the grid shape: P^a, |Du|^2, v, the three
 distinct components of the symmetric D_a D_b u and g~^{ab}, each a plain
@@ -33,7 +38,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpacelikeViolationError
-from .grid import _SPACELIKE_EPS, CurvilinearGrid
+from .grid import CurvilinearGrid
+
+_SPACELIKE_EPS = 1e-10  # gradient_fields rejects |Du|^2 >= 1 - this margin
 
 
 # -- stencils ----------------------------------------------------------------
@@ -121,15 +128,16 @@ def sym_tensor(t11, t12, t22):
     return np.stack([t11, t12, t12, t22], axis=-1).reshape(t11.shape + (2, 2))
 
 
-def gradient_fields(values, grid: CurvilinearGrid, ghost=None, guard=True, derivs=None):
-    """Gradient data: raised (P^1, P^2), |Du|^2 and v."""
+def gradient_fields(values, grid: CurvilinearGrid, ghost=None, derivs=None):
+    """Gradient data: raised (P^1, P^2), |Du|^2 and v; SpacelikeViolationError
+    where |Du|^2 >= 1 - ``_SPACELIKE_EPS`` at some node."""
     d = derivs or derivatives(values, grid, ghost)
     S = grid.sigma_t_inv
     ur, us = d["r"], d["s"]
     P1 = S[..., 0, 0] * ur + S[..., 0, 1] * us
     P2 = S[..., 0, 1] * ur + S[..., 1, 1] * us
     du2 = P1 * ur + P2 * us
-    if guard and np.any(du2 >= 1.0 - _SPACELIKE_EPS):
+    if np.any(du2 >= 1.0 - _SPACELIKE_EPS):
         idx = np.unravel_index(int(np.argmax(du2)), du2.shape)
         raise SpacelikeViolationError((int(idx[0]), int(idx[1])), float(du2[idx]))
     v = np.sqrt(np.maximum(1.0 - du2, 0.0))

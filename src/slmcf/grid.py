@@ -40,12 +40,11 @@ import dataclasses
 import numpy as np
 
 from .domain import ConvexDomain
-from .errors import ChartDomainError, GridError, ScenarioError, SpacelikeViolationError
+from .errors import ChartDomainError, GridError, ScenarioError
 from .metrics import INDEX_PAIRS, einsum_sum, inv2
 from .schema import N_ANGULAR, N_RADIAL, check
 
-_SPACELIKE_EPS = 1e-10  # operations reject |Du|^2 >= 1 - this margin
-_DELTA_SPACE = 1e-3     # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
+_DELTA_SPACE = 1e-3  # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
 
 
 class CurvilinearGrid:
@@ -136,16 +135,10 @@ class CurvilinearGrid:
 
     # -- integrals ----------------------------------------------------------
 
-    def domain_integral(self, values, du2=None):
-        """Integral over the domain; optional weight (1 - |Du|^2)^(-1/2)."""
-        values = np.asarray(values)
-        if du2 is None:
-            return float(np.sum(self.weights * values))
-        du2 = np.asarray(du2)
-        if np.any(du2 >= 1.0 - _SPACELIKE_EPS):
-            idx = np.unravel_index(int(np.argmax(du2)), du2.shape)
-            raise SpacelikeViolationError(idx, float(du2[idx]))
-        return float(np.sum(self.weights * values / np.sqrt(1.0 - du2)))
+    def domain_integral(self, values):
+        """Integral over the domain by the quadrature weights; a (1 - |Du|^2)^(-1/2)
+        weight is the caller's 1 / v (``geometry.gradient_fields``)."""
+        return float(np.sum(self.weights * np.asarray(values)))
 
     def boundary_integral(self, boundary_values):
         """Periodic trapezoid rule along the boundary ring."""

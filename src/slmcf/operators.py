@@ -67,8 +67,9 @@ from .grid import CurvilinearGrid
 def contact_ghost(values, grid: CurvilinearGrid, phi_vals):
     """Ghost row beyond rho = 1 enforcing the contact-angle closure.
 
-    Returns (ghost, dtu, dn_target): the ghost values, the tangential
-    derivative D_T u and the normal-derivative target phi*sqrt((1-q^2)/(1+phi^2)).
+    Returns (ghost, dtu): the ghost values, placed so that the centered D_N u
+    of the boundary ring is phi sqrt((1 - q^2) / (1 + phi^2)) at q = D_T u,
+    and the tangential derivative D_T u.
     """
     ub = values[-1]
     us = angular_diff(ub, grid)
@@ -82,16 +83,15 @@ def contact_ghost(values, grid: CurvilinearGrid, phi_vals):
     srs = grid.sigma_t_inv[-1, :, 0, 1]
     dn_target = phi_vals * np.sqrt(one_minus / (1.0 + phi_vals ** 2))
     ghost = values[-2] - (2.0 * grid.hr / srr) * (np.sqrt(srr) * dn_target + srs * us)
-    return ghost, dtu, dn_target
+    return ghost, dtu
 
 
 def flow_operator(values, grid: CurvilinearGrid, phi_vals):
     """The evaluation of F(u) = g~^{ab} D_a D_b u with the contact-angle ghost
     closure applied: the fields of ``geometry.quasilinear_operator``, F as
-    "op", and the closure's "ghost", "dtu" and "dn_target" (``contact_ghost``)."""
-    ghost, dtu, dn_target = contact_ghost(values, grid, phi_vals)
-    return dict(quasilinear_operator(values, grid, ghost), ghost=ghost, dtu=dtu,
-                dn_target=dn_target)
+    "op", and the closure's "dtu", which the Jacobian assembly reads."""
+    ghost, dtu = contact_ghost(values, grid, phi_vals)
+    return dict(quasilinear_operator(values, grid, ghost), dtu=dtu)
 
 
 # -- the Jacobian as its stencil -------------------------------------------------
@@ -512,5 +512,4 @@ def linearized_affine(values, grid: CurvilinearGrid, phi_vals, q):
     Exact at the linearization point by construction of k.
     """
     L, q = assemble_operator_matrix(values, grid, phi_vals, q)
-    k = q["op"].ravel() - L @ values.ravel()
-    return L, k, q
+    return L, q["op"].ravel() - L @ values.ravel()

@@ -8,7 +8,11 @@ compact) JSON encoding; series.csv and energy.csv carry it in a leading
 comment, and the manifest records it with the sha256 of every field file,
 so a manifest can be validated against its files.  The ``final`` block and
 result.json hold what no other file states (the final time is the last
-series row) and nothing ``slmcf verify`` computes (the monitor constants).
+series row) and nothing ``slmcf verify`` computes (the monitor bound c1).
+
+JSON: ``load_manifest`` reads every JSON file as UTF-8 in any locale (bytes
+that are not UTF-8 or not JSON are a ScenarioError naming the file), and
+``write_manifest`` writes every one.
 
 CSV conventions (series.csv, energy.csv and the field CSVs of ``slmcf
 export``): UTF-8, comma delimiter, "." decimal point, float cells in repr
@@ -33,10 +37,10 @@ import numpy as np
 
 from . import __version__
 from .domain import build_domain
-from .errors import ScenarioError
+from .errors import ScenarioError, SpacelikeViolationError
 from .flow import FlowRun, StepperConfig
 from .geometry import gradient_fields
-from .grid import _SPACELIKE_EPS, ContactAngle, CurvilinearGrid, GridFunction, build_grid
+from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .schema import SCENARIO, SECTIONS, check, fields
 from .translator import ContinuationSchedule, TranslatorSolution
 
@@ -119,22 +123,18 @@ def load_scenario(config: dict) -> Scenario:
 
     phi = ContactAngle(spec["phi"], domain, n_angular=grid.n_angular)
     u0 = _build_u0(spec["u0"], grid)
-    _, du2, _ = gradient_fields(u0.values, grid, ghost=None, guard=False)
-    if float(np.max(du2)) >= 1.0 - _SPACELIKE_EPS:
+    try:
+        gradient_fields(u0.values, grid)
+    except SpacelikeViolationError as err:      # err.value is the largest |Du0|^2
         raise ScenarioError(
-            f"initial data is not space-like: sup |Du0|^2 = {float(np.max(du2)):.6f}")
+            f"initial data is not space-like: sup |Du0|^2 = {err.value:.6f}") from None
 
     return Scenario(config=config, grid=grid, phi=phi, u0=u0, stepper=stepper,
                     continuation=continuation)
 
 
 def load_scenario_file(path) -> Scenario:
-    path = pathlib.Path(path)
-    try:
-        config = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"invalid JSON in {path}: {err}") from None
-    return load_scenario(config)
+    return load_scenario(load_manifest(path))
 
 
 # -- CSV ------------------------------------------------------------------------
@@ -257,13 +257,19 @@ def read_field_csv(path, grid: CurvilinearGrid):
 # -- manifests --------------------------------------------------------------------
 
 def write_manifest(path, manifest: dict):
-    """Indented, key-sorted JSON; scenario.json and result.json use it too."""
+    """Indented, key-sorted UTF-8 JSON: every JSON file the package writes."""
     pathlib.Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")
 
 
 def load_manifest(path):
-    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    """The JSON document of the UTF-8 file ``path``: every JSON file the package
+    reads.  Bytes that are not UTF-8 or not JSON, or JSON nested past the
+    decoder's recursion limit, are a ScenarioError naming it."""
+    try:
+        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise ScenarioError(f"invalid JSON in {path}: {err}") from None
 
 
 # The keys of a field entry of the manifest besides "file" and "sha256", by the
@@ -271,10 +277,14 @@ def load_manifest(path):
 _FIELD_KEYS = {"snapshots": ("time",), "dense": ("time", "tau"), "profile": ()}
 
 
-def _entries(manifest):
-    """(group, entry) of every file the manifest lists: a field entry is a
-    dict, any other entry a file name."""
-    for group, listed in manifest["files"].items():
+def _entries(run_dir, manifest):
+    """(group, entry) of every file the manifest of ``run_dir`` lists: a field
+    entry is a dict, any other entry a file name."""
+    files = manifest["files"]
+    if not isinstance(files, dict):
+        raise ScenarioError(f"manifest of {run_dir} lists its files as a JSON "
+                            f"{type(files).__name__}, not an object")
+    for group, listed in files.items():
         for entry in listed if isinstance(listed, list) else [listed]:
             yield group, entry
 
@@ -310,7 +320,7 @@ def validate_manifest(run_dir) -> dict:
     run_dir = pathlib.Path(run_dir)
     manifest = load_manifest(run_dir / "manifest.json")
     expect = manifest["scenario_hash"]
-    for group, entry in _entries(manifest):
+    for group, entry in _entries(run_dir, manifest):
         if group in _FIELD_KEYS:
             _check_field_entry(run_dir, group, entry)
             fp = _listed_file(run_dir, entry["file"])
@@ -463,9 +473,8 @@ def load_translator_solution(run_dir, manifest: dict,
 
 @contextlib.contextmanager
 def _typed_errors(run_dir):
-    """A KeyError, TypeError or ValueError (JSONDecodeError too) inside is a
-    ScenarioError naming ``run_dir``: a manifest or file lacks a key or holds
-    a value of the wrong type."""
+    """A KeyError, TypeError or ValueError inside is a ScenarioError naming
+    ``run_dir``: a manifest or file lacks a key or holds a wrongly typed value."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as err:
@@ -481,6 +490,10 @@ def load_run(run_dir, scenarios=None):
     """
     with _typed_errors(run_dir):
         manifest = validate_manifest(run_dir)
+        kind = manifest["kind"]
+        if kind not in ("flow", "translator"):
+            raise ScenarioError(f"manifest of {run_dir} records kind {kind!r}, not 'flow' "
+                                f"or 'translator'")
         scenarios = {} if scenarios is None else scenarios
         key = scenario_hash(manifest["scenario"])
         if key not in scenarios:
@@ -490,7 +503,7 @@ def load_run(run_dir, scenarios=None):
             raise ScenarioError(f"manifest of {run_dir} records scenario hash "
                                 f"{manifest['scenario_hash']} != {scenario.hash} of its "
                                 f"scenario")
-        load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
+        load = load_flow_run if kind == "flow" else load_translator_solution
         return scenario, load(run_dir, manifest, scenario)
 
 
@@ -508,7 +521,7 @@ def export_field_csvs(run_dir, outdir) -> list:
         manifest = load_manifest(run_dir / "manifest.json")
         header = {"scenario": scenario.hash, "tool": f"slmcf {manifest['tool_version']}"}
         written = []
-        for group, entry in _entries(manifest):
+        for group, entry in _entries(run_dir, manifest):
             if group in _FIELD_KEYS:
                 path = outdir / pathlib.PurePosixPath(entry["file"]).with_suffix(".csv")
                 path.parent.mkdir(parents=True, exist_ok=True)

@@ -291,15 +291,12 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, factor, fallbac
     return w, c, info
 
 
-def compute_c3(profile, phi: ContactAngle, grid: CurvilinearGrid):
-    """Speed from the flux balance, with the (1-|Du|^2)^(-1/2) volume weight."""
-    values = profile.values if isinstance(profile, GridFunction) else np.asarray(profile, float)
+def compute_c3(profile: GridFunction, phi: ContactAngle, grid: CurvilinearGrid):
+    """Speed from the flux balance, with the (1-|Du|^2)^(-1/2) = 1 / v volume weight."""
     phi_vals = phi.values_on(grid)
-    ghost, _, _ = contact_ghost(values, grid, phi_vals)
-    _, du2, _ = gradient_fields(values, grid, ghost)
-    denominator = grid.domain_integral(np.ones_like(du2), du2=du2)
-    numerator = grid.boundary_integral(phi_vals)
-    return -numerator / denominator
+    ghost, _ = contact_ghost(profile.values, grid, phi_vals)
+    _, _, v = gradient_fields(profile.values, grid, ghost)
+    return -grid.boundary_integral(phi_vals) / float(np.sum(grid.weights / v))
 
 
 def continuation(schedule: ContinuationSchedule, phi: ContactAngle,

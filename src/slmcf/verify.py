@@ -22,6 +22,8 @@ discrete operator at t = 0 and never updated.  The c2 expression is a
 concrete conservative bound for the boundary-maximum analysis (the three
 non-curvature terms are estimated using |D_T u| > 1/2, v <= 1 and
 phi^2/(1+phi^2) <= 1) and degenerates cleanly to c1 = 0 when c2 = 0.
+``monitor_constants`` gives c1 alone, the bound ``check_spacelike_bound``
+takes; c0, kappa0 and phi0, phi1, phi2 are the run's and its scenario's.
 """
 
 from __future__ import annotations
@@ -51,25 +53,11 @@ def c1_formula(c2, kappa0):
     return (np.sqrt(c2 ** 4 + 4.0 * c2 ** 2 * kappa0 ** 2) - c2 ** 2) / (2.0 * kappa0 ** 2)
 
 
-@dataclasses.dataclass(frozen=True)
-class MonitorConstants:
-    c0: float
-    kappa0: float
-    phi0: float
-    phi1: float
-    phi2: float
-    c2: float
-    c1: float
-
-
-def monitor_constants(phi: ContactAngle, grid: CurvilinearGrid, c0) -> MonitorConstants:
-    """The monitor constants of ``phi`` on ``grid``, with c0 the squared sup
+def monitor_constants(phi: ContactAngle, grid: CurvilinearGrid, c0) -> float:
+    """The monitor bound c1 of ``phi`` on ``grid``, with c0 the squared sup
     of the initial speed field (``FlowRun.monitor_c0``)."""
-    big_phi = max(abs(phi.phi0), abs(phi.phi1))
-    c2 = big_phi * np.sqrt(c0) + 3.0 * phi.phi2
-    return MonitorConstants(c0=float(c0), kappa0=grid.domain.kappa0,
-                            phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,
-                            c2=float(c2), c1=float(c1_formula(c2, grid.domain.kappa0)))
+    c2 = max(abs(phi.phi0), abs(phi.phi1)) * np.sqrt(c0) + 3.0 * phi.phi2
+    return float(c1_formula(c2, grid.domain.kappa0))
 
 
 # -- reports -------------------------------------------------------------------
@@ -112,11 +100,11 @@ def check_ut_max_principle(series) -> CheckReport:
                  "max_increment": float(np.max(np.diff(sup_ut))) if len(sup_ut) > 1 else 0.0})
 
 
-def check_spacelike_bound(series, constants: MonitorConstants, h) -> CheckReport:
-    """sup |Du|^2 stays under max(initial, c1) + 5 h^2 and under the
-    stepper's ceiling 1 - ``grid._DELTA_SPACE``."""
+def check_spacelike_bound(series, c1, h) -> CheckReport:
+    """sup |Du|^2 stays under max(initial, c1) + 5 h^2 (c1 of
+    ``monitor_constants``) and under the stepper's ceiling 1 - ``grid._DELTA_SPACE``."""
     sup_du2 = np.asarray(series["sup_du2"])
-    bound_monitor = max(sup_du2[0], constants.c1) + 5.0 * h ** 2
+    bound_monitor = max(sup_du2[0], c1) + 5.0 * h ** 2
     bound_ceiling = 1.0 - _DELTA_SPACE
     measured = float(np.max(sup_du2))
     passed = measured <= bound_monitor and measured < bound_ceiling
@@ -124,9 +112,9 @@ def check_spacelike_bound(series, constants: MonitorConstants, h) -> CheckReport
         name="spacelike_bound", passed=bool(passed), measured=measured,
         threshold=float(min(bound_monitor, bound_ceiling)),
         details={"monitor_bound": float(bound_monitor),
-                 "ceiling": float(bound_ceiling), "c1": constants.c1,
+                 "ceiling": float(bound_ceiling), "c1": float(c1),
                  "initial": float(sup_du2[0]),
-                 "excess": float(max(0.0, measured - max(sup_du2[0], constants.c1)))})
+                 "excess": float(max(0.0, measured - max(sup_du2[0], c1)))})
 
 
 def check_osc_decay(pair) -> CheckReport:

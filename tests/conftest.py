@@ -30,6 +30,17 @@ def covariant_hessian_field(values, grid: CurvilinearGrid, ghost=None, derivs=No
     return sym_tensor(*hessian_components(derivs or derivatives(values, grid, ghost), grid))
 
 
+def gradient_norm2(values, grid: CurvilinearGrid):
+    """|Du|^2 = sigma~^{ab} u_a u_b at every node, as ``gradient_fields``
+    contracts it but with no space-like test, so it also serves a field that
+    is not space-like."""
+    d = derivatives(values, grid)
+    S = grid.sigma_t_inv
+    P1 = S[..., 0, 0] * d["r"] + S[..., 0, 1] * d["s"]
+    P2 = S[..., 0, 1] * d["r"] + S[..., 1, 1] * d["s"]
+    return P1 * d["r"] + P2 * d["s"]
+
+
 def tensor_pullback(grid):
     """The grid arrays by the einsum formulas, from the map x(rho, s) rebuilt
     here, with the intermediates the grid does not keep: the inverse
@@ -293,7 +304,7 @@ def _boundary_gradient_data(values, grid, phi_vals):
     """(D_N u, D_T u, v) on the boundary ring from the gradient closed by the
     contact-angle ghost row: D_N u from the ghost difference in rho and the
     stencil difference in s, v from ``gradient_fields``."""
-    ghost, dtu, _ = contact_ghost(values, grid, phi_vals)
+    ghost, dtu = contact_ghost(values, grid, phi_vals)
     _, _, v = gradient_fields(values, grid, ghost)
     srr = grid.sigma_t_inv[-1, :, 0, 0]
     srs = grid.sigma_t_inv[-1, :, 0, 1]

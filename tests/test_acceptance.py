@@ -204,8 +204,8 @@ def test_criterion_3_spacelike_preservation(compat_family, flow128, cos_setup,
     # refinement family with compatible data
     excesses = {}
     for n, (grid, sol, run) in compat_family.items():
-        mc = monitor_constants(phi02, grid, run.monitor_c0)
-        rep = check_spacelike_bound(run.series, mc, grid.h)
+        c1 = monitor_constants(phi02, grid, run.monitor_c0)
+        rep = check_spacelike_bound(run.series, c1, grid.h)
         entries.append((f"disk-compat-{n}", rep))
         excesses[n] = rep.details["excess"]
     order_ok = (excesses[64] <= max(excesses[32] / 4 * 1.2, 1e-12)
@@ -213,22 +213,22 @@ def test_criterion_3_spacelike_preservation(compat_family, flow128, cos_setup,
 
     # the remaining shipped runs
     grid_c, phi_c, sol_c, run_c = cos_setup
-    mc = monitor_constants(phi_c, grid_c, run_c.monitor_c0)
-    entries.append(("disk-cos", check_spacelike_bound(run_c.series, mc, grid_c.h)))
+    c1 = monitor_constants(phi_c, grid_c, run_c.monitor_c0)
+    entries.append(("disk-cos", check_spacelike_bound(run_c.series, c1, grid_c.h)))
 
     grid_b, sol_b, run_b = bump_run
-    mc = monitor_constants(phi02, grid_b, run_b.monitor_c0)
-    entries.append(("disk-bump", check_spacelike_bound(run_b.series, mc, grid_b.h)))
+    c1 = monitor_constants(phi02, grid_b, run_b.monitor_c0)
+    entries.append(("disk-bump", check_spacelike_bound(run_b.series, c1, grid_b.h)))
 
-    mc = monitor_constants(phi02, flow128.grid, flow128.monitor_c0)
-    entries.append(("disk-128", check_spacelike_bound(flow128.series, mc,
+    c1 = monitor_constants(phi02, flow128.grid, flow128.monitor_c0)
+    entries.append(("disk-128", check_spacelike_bound(flow128.series, c1,
                                                       flow128.grid.h)))
 
     grid_s, phi_s, sol_s, flow_s, compat_s, _ = sphere_family
-    mc = monitor_constants(phi_s, grid_s, flow_s.monitor_c0)
-    entries.append(("sphere", check_spacelike_bound(flow_s.series, mc, grid_s.h)))
-    mc = monitor_constants(phi_s, grid_s, compat_s.monitor_c0)
-    entries.append(("sphere-compat", check_spacelike_bound(compat_s.series, mc,
+    c1 = monitor_constants(phi_s, grid_s, flow_s.monitor_c0)
+    entries.append(("sphere", check_spacelike_bound(flow_s.series, c1, grid_s.h)))
+    c1 = monitor_constants(phi_s, grid_s, compat_s.monitor_c0)
+    entries.append(("sphere-compat", check_spacelike_bound(compat_s.series, c1,
                                                            grid_s.h)))
 
     all_ok = all(rep.passed for _, rep in entries) and order_ok
@@ -276,8 +276,8 @@ def test_criterion_6_nonflat_metric(sphere_family):
     gaps = [abs(a - b), abs(a - c), abs(b - c)]
     rep_osc = check_osc_decay(pair)
     rep_tr = check_translator_agreement(flow, sol)
-    mc = monitor_constants(phi, grid, flow.monitor_c0)
-    rep_sp = check_spacelike_bound(flow.series, mc, grid.h)
+    c1 = monitor_constants(phi, grid, flow.monitor_c0)
+    rep_sp = check_spacelike_bound(flow.series, c1, grid.h)
     rep_ut = check_ut_max_principle(compat.series)
     orc = translator_oracle(0.1, 0.8, get_metric("sphere"))
     oracle_gap = abs(b - orc.c3)

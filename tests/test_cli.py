@@ -1,13 +1,18 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slmcf
 from slmcf.cli import cmd_flow, cmd_sweep, cmd_translator, cmd_verify, main
 from slmcf.errors import ScenarioError
-from slmcf.runio import (load_run, load_scenario, read_csv, read_field_csv,
-                         scenario_core_hash, scenario_hash, validate_manifest,
-                         write_field_csv)
+from slmcf.runio import (load_run, load_scenario, load_scenario_file, read_csv,
+                         read_field_csv, scenario_core_hash, scenario_hash,
+                         validate_manifest, write_field_csv)
 
 BASE = {
     "name": "disk_small",
@@ -37,7 +42,7 @@ def test_scenario_validation_errors(hyperbolic_metric):
     with pytest.raises(ScenarioError):
         load_scenario(bad)   # negative ambient curvature rejected
     bad = dict(BASE, u0={"kind": "polynomial", "terms": [[2.0, 1, 0]]})
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"not space-like: sup \|Du0\|\^2 = 4\.000000$"):
         load_scenario(bad)   # |Du0| >= 1
     bad = dict(BASE, phi={"kind": "table", "values": [0.1] * 7})
     with pytest.raises(ScenarioError):
@@ -521,3 +526,35 @@ def test_field_csv_round_trip_is_bit_identical(tmp_path):
     _, cols, data = read_csv(tmp_path / "f.csv")
     assert cols == ["i", "j", "rho", "s", "x1", "x2", "u"]
     assert data.shape == (values.size, 7)
+
+
+def test_scenario_file_is_read_as_utf8_in_any_locale(tmp_path):
+    """A UTF-8 scenario file runs under the C locale, whose encoding is ASCII."""
+    cfg = tmp_path / "cafe.json"
+    cfg.write_text(json.dumps(dict(BASE, name="caf\u00e9"), ensure_ascii=False),
+                   encoding="utf-8")
+    src = pathlib.Path(slmcf.__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join([str(src)] + [
+                   p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "slmcf.cli", "flow", str(cfg),
+                           "-o", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert load_run(tmp_path / "run")[0].name == "caf\u00e9"
+
+
+def test_scenario_file_not_in_utf8_exits_2(tmp_path, capsys):
+    """A latin-1 byte in a scenario file or sweep template is a ScenarioError
+    that names the file, and the CLI exits 2."""
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(json.dumps(dict(BASE, name="caf\u00e9"), ensure_ascii=False)
+                    .encode("latin-1"))
+    with pytest.raises(ScenarioError, match="invalid JSON in .*latin1.json"):
+        load_scenario_file(cfg)
+    assert main(["flow", str(cfg), "-o", str(tmp_path / "run")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert main(["sweep", str(cfg), "--grid", '{"phi.value": [0.1]}',
+                 "-o", str(tmp_path / "sweep")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()

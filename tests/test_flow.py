@@ -478,7 +478,7 @@ def _step_matrix(u, grid, phi, dt):
     """(I - dt L, k) of the affine model at u, as the stepper builds it."""
     w = u - grid.mean(u)
     pv = phi.values_on(grid)
-    L, k, _ = linearized_affine(w, grid, pv, flow_operator(w, grid, pv))
+    L, k = linearized_affine(w, grid, pv, flow_operator(w, grid, pv))
     return flow.RingSolver(splu, L, 1.0, -dt, log=[]).matrix(), k, w
 
 

@@ -77,20 +77,6 @@ def test_boundary_quadrature_spectral(unit_disk):
     assert e2 < max(e1 / 100, 1e-13)
 
 
-def test_weighted_integral_unit_weight(disk_grid):
-    du2 = np.zeros((disk_grid.n_radial, disk_grid.n_angular))
-    ones = np.ones_like(du2)
-    assert abs(disk_grid.domain_integral(ones, du2=du2) - np.pi) < 1e-3
-
-
-def test_weighted_integral_rejects_null(disk_grid):
-    from slmcf.errors import SpacelikeViolationError
-    du2 = np.zeros((disk_grid.n_radial, disk_grid.n_angular))
-    du2[3, 4] = 1.0
-    with pytest.raises(SpacelikeViolationError):
-        disk_grid.domain_integral(np.ones_like(du2), du2=du2)
-
-
 def test_grid_function_basics(disk_grid):
     with pytest.raises(ValueError):
         GridFunction(np.zeros((3, 3)), disk_grid)

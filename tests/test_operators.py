@@ -20,34 +20,32 @@ def _test_field(grid, metric_id):
     return from_chart(grid, lambda x, y: 0.15 * x ** 2 - 0.1 * x * y + 0.05 * y ** 2).values
 
 
-def test_ghost_closure_examples(disk_grid_small):
+def test_ghost_closure_examples(disk_grid_small, boundary_gradient_data):
+    """D_N u of the boundary ring, centered on the returned ghost row, meets
+    the closed-form targets."""
     grid = disk_grid_small
     # phi = 0.5, D_T u = 0: D_N u = 0.5 / sqrt(1.25)
     u = np.zeros((grid.n_radial, grid.n_angular))
     phi = np.full(grid.n_angular, 0.5)
-    _, dtu, dn = contact_ghost(u, grid, phi)
+    dn, dtu, _ = boundary_gradient_data(u, grid, phi)
     assert np.allclose(dtu, 0.0, atol=1e-15)
     assert np.allclose(dn, 0.5 / np.sqrt(1.25), atol=1e-12)
     assert dn[0] == pytest.approx(0.4472136, abs=1e-7)
 
     # phi = 1, D_T u = 0.6: v^2 = 0.32, D_N u = sqrt(0.32)
-    # build boundary values with exact tangential slope 0.6 in arc length:
-    # boundary of the unit disk has |gamma'| = 1, so u = 0.6 * s wraps badly;
-    # instead impose the slope locally via a sine and read off one node
-    u2 = np.zeros_like(u)
-    u2[-1] = 0.6 * np.sin(grid.s)  # D_T u = 0.6 cos(s); at s=0: exactly 0.6
-    # the discrete tangential derivative at j=0 is 0.6 sin(hs)/hs, adjust:
-    target_q = 0.6
-    scale = target_q / (0.6 * np.sin(grid.hs) / grid.hs)
-    u2[-1] *= scale
+    # u = 0.6 y is space-like with D_T u = 0.6 cos(s) on the unit circle, 0.6
+    # at s = 0; the discrete tangential derivative at j = 0 is 0.6 sin(hs)/hs,
+    # so the field is scaled to make it exactly 0.6 there
+    scale = 1.0 / (np.sin(grid.hs) / grid.hs)
+    u2 = from_chart(grid, lambda x, y: 0.6 * scale * y).values
     phi1 = np.ones(grid.n_angular)
-    _, dtu2, dn2 = contact_ghost(u2, grid, phi1)
+    dn2, dtu2, _ = boundary_gradient_data(u2, grid, phi1)
     assert dtu2[0] == pytest.approx(0.6, abs=1e-12)
     assert dn2[0] == pytest.approx(np.sqrt(0.32), abs=1e-12)
     assert dn2[0] == pytest.approx(0.5656854, abs=1e-7)
 
     # phi = 0: homogeneous Neumann
-    _, _, dn0 = contact_ghost(u2, grid, np.zeros(grid.n_angular))
+    dn0, _, _ = boundary_gradient_data(u2, grid, np.zeros(grid.n_angular))
     assert np.allclose(dn0, 0.0, atol=1e-15)
 
 
@@ -103,7 +101,7 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
 def test_frozen_affine_exact_at_linearization(disk_grid, phi02):
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)
-    L, k, _ = linearized_affine(u, disk_grid, pv, flow_operator(u, disk_grid, pv))
+    L, k = linearized_affine(u, disk_grid, pv, flow_operator(u, disk_grid, pv))
     assert np.max(np.abs(L @ u.ravel() + k - flow_operator(u, disk_grid, pv)["op"].ravel())) < 1e-12
     # constants are in the kernel of the linearized operator (up to roundoff
     # amplified by the O(1/rho^2) angular coefficients at the center rings)
@@ -118,8 +116,8 @@ def test_affine_model_reads_the_callers_evaluation(disk_grid, phi02):
     L, own = assemble_operator_matrix(u, disk_grid, pv)
     k = own["op"].ravel() - L @ u.ravel()
     q = flow_operator(u, disk_grid, pv)
-    L_q, k_q, q_out = linearized_affine(u, disk_grid, pv, q)
-    assert q_out is q
+    L_q, k_q = linearized_affine(u, disk_grid, pv, q)
+    assert assemble_operator_matrix(u, disk_grid, pv, q)[1] is q
     assert np.array_equal(L_q.padded, L.padded) and np.array_equal(L_q.boundary, L.boundary)
     assert np.array_equal(k_q, k)
 
@@ -153,7 +151,7 @@ def _kernel_case(dom_spec, metric_id):
 def _tensor_reference(values, grid, phi_vals):
     """F and the nine stencil weights (in _OFFSETS order) from (..., 2, 2) tensor
     contractions of the gradient, Hessian, g~^{ab} and Christoffel symbols."""
-    ghost, _, _ = contact_ghost(values, grid, phi_vals)
+    ghost, _ = contact_ghost(values, grid, phi_vals)
     d = derivatives(values, grid, ghost)
     S, G = grid.sigma_t_inv, grid.gamma_t
     du = np.stack([d["r"], d["s"]], axis=-1)

@@ -7,6 +7,7 @@ import io
 import json
 import pathlib
 import pickle
+import re
 import shutil
 import weakref
 
@@ -165,10 +166,10 @@ def test_records_hold_exactly_the_documented_keys(saved, runs_dir):
 
 
 def _all_checks(flow, bump, solution):
-    mc = monitor_constants(flow.phi, flow.grid, flow.monitor_c0)
+    c1 = monitor_constants(flow.phi, flow.grid, flow.monitor_c0)
     h = flow.grid.h
     return [check_ut_max_principle(flow.series),
-            check_spacelike_bound(flow.series, mc, h),
+            check_spacelike_bound(flow.series, c1, h),
             check_maximal_limit(flow),
             check_evo_du_residual(flow),
             check_translator_agreement(flow, solution),
@@ -347,6 +348,29 @@ def test_manifest_paths_outside_the_run_are_a_scenario_error(small_run):
     shutil.copy(small_run / "series.csv", small_run.parent / "series.csv")
     _edit_manifest(small_run, lambda m: m["files"].update(series="../series.csv"))
     _rejected(small_run, "not a path inside the run directory")
+
+
+@pytest.mark.parametrize("files", [[], "series.csv", None])
+def test_manifest_files_not_an_object_is_a_scenario_error(small_run, tmp_path, files):
+    _edit_manifest(small_run, lambda m: m.update(files=files))
+    _rejected(small_run, f"manifest of {re.escape(str(small_run))} lists its files")
+    assert main(["export", str(small_run), "-o", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("kind", ["Flow", "pair", None])
+def test_unknown_manifest_kind_is_a_scenario_error(small_run, kind):
+    _edit_manifest(small_run, lambda m: m.update(kind=kind))
+    _rejected(small_run, f"records kind {re.escape(repr(kind))}, not 'flow' or 'translator'")
+
+
+@pytest.mark.parametrize("data", [b'{"kind": ', '{"kind": "caf\u00e9"}'.encode("latin-1"),
+                                  b"[" * 100000 + b"]" * 100000],
+                         ids=["truncated", "latin-1", "nested"])
+def test_manifest_that_is_not_readable_json_is_a_scenario_error(small_run, data):
+    """A truncated manifest, a latin-1 byte in it or arrays nested past the
+    decoder's recursion limit: the error names the file."""
+    (small_run / "manifest.json").write_bytes(data)
+    _rejected(small_run, f"invalid JSON in {re.escape(str(small_run / 'manifest.json'))}")
 
 
 def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_path):

@@ -156,7 +156,7 @@ def test_gradient_bound_uniform_in_eps(disk_setup):
     eps_list = ContinuationSchedule(eps_min=1e-4).eps_values()
     for eps in eps_list:
         u, _ = solve_regularized(eps, u, phi, grid)
-        du2 = gradient_fields(u, grid, guard=False)[1]
+        du2 = gradient_fields(u, grid)[1]
         sup_eu = max(sup_eu, float(np.max(np.abs(eps * u))))
         sup_du2_all.append(float(np.max(du2)))
     c0 = sup_eu ** 2

@@ -10,7 +10,7 @@ from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.operators import flow_operator
 from slmcf.translator import ContinuationSchedule, continuation
-from slmcf.verify import (CheckReport, MonitorConstants, c1_formula,
+from slmcf.verify import (CheckReport, c1_formula,
                           check_evo_du_residual, check_maximal_limit,
                           check_osc_decay, check_spacelike_bound,
                           check_translator_agreement, check_ut_max_principle,
@@ -73,20 +73,18 @@ def _c0_from_zero(phi, grid):
 def test_monitor_constants_zero_phi(disk32):
     dom, grid = disk32
     phi0 = ContactAngle({"kind": "constant", "value": 0.0}, dom)
-    mc = monitor_constants(phi0, grid, _c0_from_zero(phi0, grid))
-    assert mc.c0 == 0.0
-    assert mc.c2 == 0.0
-    assert mc.c1 == 0.0
+    assert monitor_constants(phi0, grid, _c0_from_zero(phi0, grid)) == 0.0
 
 
 def test_monitor_constants_disk_run(disk32):
     dom, grid = disk32
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    mc = monitor_constants(phi, grid, _c0_from_zero(phi, grid))
-    assert mc.c0 > 0
-    assert 0 < mc.c1 < 1
-    assert mc.kappa0 == pytest.approx(1.0)
-    assert mc.phi0 == mc.phi1 == pytest.approx(0.2)
+    c0 = _c0_from_zero(phi, grid)
+    c1 = monitor_constants(phi, grid, c0)
+    assert c0 > 0
+    assert 0 < c1 < 1
+    # c2 = max(|phi0|, |phi1|) sqrt(c0) + 3 phi2 with phi = 0.2 constant
+    assert c1 == pytest.approx(c1_formula(0.2 * np.sqrt(c0), grid.domain.kappa0), rel=1e-12)
 
 
 # -- u_t maximum principle ----------------------------------------------------------
@@ -110,28 +108,23 @@ def test_ut_max_principle_negative():
 
 # -- space-like bound ------------------------------------------------------------------
 
-def _const_mc(c1):
-    return MonitorConstants(c0=1.0, kappa0=1.0, phi0=0.2, phi1=0.2, phi2=0.0,
-                            c2=1.0, c1=c1)
-
-
 def test_spacelike_bound_stationary():
     series = {"sup_du2": np.zeros(4)}
-    assert check_spacelike_bound(series, _const_mc(0.5), h=0.05).passed
+    assert check_spacelike_bound(series, 0.5, h=0.05).passed
 
 
 def test_spacelike_bound_on_run(run_phi02, disk32):
     _, grid = disk32
     phi, run = run_phi02
-    mc = monitor_constants(phi, grid, run.monitor_c0)
-    rep = check_spacelike_bound(run.series, mc, grid.h)
+    c1 = monitor_constants(phi, grid, run.monitor_c0)
+    rep = check_spacelike_bound(run.series, c1, grid.h)
     assert rep.passed
     assert rep.details["excess"] == 0.0
 
 
 def test_spacelike_bound_negative():
     series = {"sup_du2": np.array([0.0, 0.5, 1.0])}
-    rep = check_spacelike_bound(series, _const_mc(0.6), h=0.05)
+    rep = check_spacelike_bound(series, 0.6, h=0.05)
     assert not rep.passed
 
 
