@@ -40,20 +40,7 @@ from .metrics import INDEX_PAIRS, Metric, einsum_sum, get_metric
 from .schema import check
 
 
-class BoundaryCurve:
-    """Closed parameterized curve with analytic derivatives."""
-
-    def gamma(self, s):
-        raise NotImplementedError
-
-    def dgamma(self, s):
-        raise NotImplementedError
-
-    def d2gamma(self, s):
-        raise NotImplementedError
-
-
-class _Ellipse(BoundaryCurve):
+class _Ellipse:
     """Axis-aligned ellipse with semi-axes a, b; a disk is the ellipse with a = b."""
 
     def __init__(self, a, b, center=(0.0, 0.0)):
@@ -74,7 +61,7 @@ class _Ellipse(BoundaryCurve):
         return np.stack([-self.a * np.cos(s), -self.b * np.sin(s)], axis=-1)
 
 
-class _SupportCurve(BoundaryCurve):
+class _SupportCurve:
     """gamma(s) = h(s) e(s) + h'(s) e'(s) with e = (cos s, sin s).
 
     s is the outward-normal angle; the curvature radius is h + h''.
@@ -123,19 +110,15 @@ class ConvexDomain:
     """Strictly convex domain with its boundary frame data."""
 
     metric: Metric
-    curve: BoundaryCurve
+    curve: _Ellipse | _SupportCurve
     kappa0: float
     inradius: float
 
     # -- frame -------------------------------------------------------------
 
-    def frame(self, s):
-        """Return (T, N, w) at boundary parameters s.
-
-        T, N are sigma-unit chart vectors with T counterclockwise and N
-        inward; w = |gamma'(s)|_sigma is the boundary speed.
-        """
-        return self._frame(np.asarray(s, dtype=float))[3:]
+    def boundary_speed(self, s):
+        """w = |gamma'(s)|_sigma at boundary parameters s."""
+        return self._frame(np.asarray(s, dtype=float))[5]
 
     def kappa(self, s):
         """Geodesic curvature of the boundary at parameters s: <nabla_T T, N>_sigma."""
@@ -143,7 +126,8 @@ class ConvexDomain:
         return _pair(nTT, sig, N)
 
     def _frame(self, s):
-        """(gamma, gamma', sigma at gamma, T, N, w): the frame and what it is built from."""
+        """(gamma, gamma', sigma at gamma, T, N, w): the frame (T, N sigma-unit
+        chart vectors, T counterclockwise and N inward) and what it is built from."""
         g = self.curve.gamma(s)
         dg = self.curve.dgamma(s)
         sig = self.metric.sigma(g)

@@ -105,7 +105,6 @@ class StepperConfig:
 @dataclasses.dataclass
 class FlowState:
     u: np.ndarray
-    t: float
     step_count: int
 
 
@@ -165,8 +164,7 @@ class FlowRun:
                     cfg: StepperConfig, series, energy, snapshots, dense) -> FlowRun:
         """Inverse of ``to_record``; the rest are the data stored beside it, the
         final time the last row of ``series``."""
-        state = FlowState(u=snapshots[-1][1], t=float(series["t"][-1]),
-                          step_count=record["steps"])
+        state = FlowState(u=snapshots[-1][1], step_count=record["steps"])
         return cls(grid=grid, phi=phi, cfg=cfg, state=state, series=series, energy=energy,
                    snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
 
@@ -179,8 +177,8 @@ class _Field:
     the log of its refreshes.
     """
 
-    def __init__(self, u, grid, phi_vals):
-        u = u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
+    def __init__(self, u: GridFunction, grid, phi_vals):
+        u = u.values
         if not np.all(np.isfinite(u)):
             raise ScenarioError("initial data contains non-finite values")
         if u.shape != (grid.n_radial, grid.n_angular):

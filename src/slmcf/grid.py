@@ -60,7 +60,7 @@ class CurvilinearGrid:
             raise GridError("n_angular must be even (cross-center stencils)")
 
         self.domain = domain
-        self.metric = domain.metric
+        metric = domain.metric
         self.n_radial = int(n_radial)
         self.n_angular = int(n_angular)
         self.hr = 1.0 / (n_radial - 0.5)
@@ -89,13 +89,13 @@ class CurvilinearGrid:
         # ring, whose nodes can fall between the samples ``build_domain`` checks
         reach = np.hypot(X[-1, :, 0], X[-1, :, 1])
         j = int(np.argmax(reach))
-        if reach[j] >= self.metric.r_max:
-            raise ChartDomainError(f"grid leaves the chart of metric '{self.metric.metric_id}': "
+        if reach[j] >= metric.r_max:
+            raise ChartDomainError(f"grid leaves the chart of metric '{metric.metric_id}': "
                                    f"boundary node {j} at |x| = {reach[j]:.10g} >= r_max = "
-                                   f"{self.metric.r_max:.10g}")
+                                   f"{metric.r_max:.10g}")
 
-        sig = self.metric.sigma(X)
-        gam_chart = self.metric.christoffel(X)
+        sig = metric.sigma(X)
+        gam_chart = metric.christoffel(X)
 
         self.X = X
         B = inv2(J)
@@ -119,7 +119,7 @@ class CurvilinearGrid:
             for a, b in INDEX_PAIRS:
                 gamma_t[c, a, b] = einsum_sum(B[..., c, k] * inner[k, a, b] for k in range(2))
         self.gamma_t = np.moveaxis(gamma_t, (3, 4), (0, 1))
-        self.gauss = self.metric.gauss_curvature(X)
+        self.gauss = metric.gauss_curvature(X)
 
         # quadrature weights: midpoint cells, half cell on the boundary ring
         drho = np.full(self.n_radial, self.hr)
@@ -188,65 +188,30 @@ class ContactAngle:
 
     Built from a phi section (its table is in ``schema``): {"kind": "constant",
     "value": c}, {"kind": "fourier", "a0": ..., "cos": [...], "sin": [...]} or
-    {"kind": "table", "values": [...]} (one value per angular node).
+    {"kind": "table", "values": [...]} (one value per angular node).  Every
+    kind is one Fourier series a0 + sum_k (cos_k cos ks + sin_k sin ks): a
+    constant is a0 alone, and a table is its trigonometric interpolant, the
+    series of its discrete Fourier coefficients (for an even length the
+    Nyquist cosine is halved, so the series reproduces the table at the nodes).
     """
 
     def __init__(self, spec: dict, domain: ConvexDomain, n_angular: int | None = None):
         spec = check("phi", spec)
         kind = spec["kind"]
-        if kind != "table":     # a constant is the Fourier series a0 = value, no harmonics
-            a0 = spec["value"] if kind == "constant" else spec["a0"]
-            ac = np.asarray(spec.get("cos", ()), dtype=float)
-            asn = np.asarray(spec.get("sin", ()), dtype=float)
-
-            def _phi(s, a0=a0, ac=ac, asn=asn):
-                s = np.asarray(s, dtype=float)
-                out = np.full_like(s, a0)
-                for k, c in enumerate(ac, start=1):
-                    out = out + c * np.cos(k * s)
-                for k, c in enumerate(asn, start=1):
-                    out = out + c * np.sin(k * s)
-                return out
-
-            def _dphi(s, ac=ac, asn=asn):
-                s = np.asarray(s, dtype=float)
-                out = np.zeros_like(s)
-                for k, c in enumerate(ac, start=1):
-                    out = out - c * k * np.sin(k * s)
-                for k, c in enumerate(asn, start=1):
-                    out = out + c * k * np.cos(k * s)
-                return out
-
-            self._phi, self._dphi = _phi, _dphi
-        else:
+        if kind == "table":
             vals = np.asarray(spec["values"], dtype=float)
             if n_angular is not None and len(vals) != n_angular:
                 raise ScenarioError(
                     f"phi table length {len(vals)} does not match n_angular {n_angular}"
                 )
-            n = len(vals)
-            coef = np.fft.rfft(vals)
-            kvec = np.arange(len(coef))
-
-            def _phi(s, coef=coef, n=n):
-                s = np.asarray(s, dtype=float)
-                modes = coef[None, :] * np.exp(1j * np.outer(s, kvec))
-                scale = np.ones(len(coef))
-                scale[1:] = 2.0
-                if n % 2 == 0:
-                    scale[-1] = 1.0
-                return (modes.real @ scale / n).reshape(s.shape)
-
-            def _dphi(s, coef=coef, n=n):
-                s = np.asarray(s, dtype=float)
-                modes = (1j * kvec)[None, :] * coef[None, :] * np.exp(1j * np.outer(s, kvec))
-                scale = np.ones(len(coef))
-                scale[1:] = 2.0
-                if n % 2 == 0:
-                    scale[-1] = 1.0
-                return (modes.real @ scale / n).reshape(s.shape)
-
-            self._phi, self._dphi = _phi, _dphi
+            c = np.fft.rfft(vals) * (2.0 / len(vals))
+            if len(vals) % 2 == 0:
+                c[-1] /= 2.0
+            self._a0, self._cos, self._sin = c[0].real / 2.0, c[1:].real, -c[1:].imag
+        else:
+            self._a0 = spec["value"] if kind == "constant" else spec["a0"]
+            self._cos = np.asarray(spec.get("cos", ()), dtype=float)
+            self._sin = np.asarray(spec.get("sin", ()), dtype=float)
 
         sdense = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         vals = self._phi(sdense)
@@ -254,11 +219,27 @@ class ContactAngle:
             raise ScenarioError("phi evaluates to non-finite values")
         self.phi0 = float(np.min(vals))
         self.phi1 = float(np.max(vals))
-        _, _, w = domain.frame(sdense)
+        w = domain.boundary_speed(sdense)
         self.phi2 = float(np.max(np.abs(self._dphi(sdense) / w)))  # max |D_T phi|
         self.boundary_integral = float(np.sum(vals * w) * (2.0 * np.pi / len(sdense)))
         # zero total contact angle, so zero translator speed: the maximal-limit case
         self.zero_flux = abs(self.boundary_integral) <= 1e-8
+
+    def _phi(self, s):
+        out = np.full_like(s, self._a0)
+        for k, c in enumerate(self._cos, start=1):
+            out = out + c * np.cos(k * s)
+        for k, c in enumerate(self._sin, start=1):
+            out = out + c * np.sin(k * s)
+        return out
+
+    def _dphi(self, s):
+        out = np.zeros_like(s)
+        for k, c in enumerate(self._cos, start=1):
+            out = out - c * k * np.sin(k * s)
+        for k, c in enumerate(self._sin, start=1):
+            out = out + c * k * np.cos(k * s)
+        return out
 
     def values_on(self, grid: CurvilinearGrid):
         return self._phi(grid.s)

@@ -33,7 +33,6 @@ _R_START = 1e-8
 class RadialOracle:
     """The speed c3 of the radial translator on the disk r < r0."""
     c3: float
-    r0: float
 
 
 def _f_ratio(metric):
@@ -67,7 +66,7 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
     target = -phi_const / np.sqrt(1.0 + phi_const ** 2)
 
     if phi_const == 0.0:
-        return RadialOracle(c3=0.0, r0=r0)
+        return RadialOracle(c3=0.0)
 
     def g(c):
         return _shoot_slope(c, r0, fratio) - target
@@ -82,4 +81,4 @@ def translator_oracle(phi_const, r0, metric=None) -> RadialOracle:
         hi *= 2.0
         if abs(lo) > 1e3:
             raise RuntimeError("translator oracle: bracketing failed")
-    return RadialOracle(c3=brentq(g, lo, hi, xtol=1e-14), r0=r0)
+    return RadialOracle(c3=brentq(g, lo, hi, xtol=1e-14))

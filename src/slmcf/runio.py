@@ -10,9 +10,11 @@ so a manifest can be validated against its files.  The ``final`` block and
 result.json hold what no other file states (the final time is the last
 series row) and nothing ``slmcf verify`` computes (the monitor bound c1).
 
-JSON: ``load_manifest`` reads every JSON file as UTF-8 in any locale (bytes
-that are not UTF-8 or not JSON are a ScenarioError naming the file), and
-``write_manifest`` writes every one.
+JSON: ``decode_json`` decodes all JSON the package reads, the files that
+``load_manifest`` reads as UTF-8 in any locale and the ``--grid`` string of
+``slmcf sweep``; bytes that are not UTF-8, text that is not JSON and JSON
+nested past the decoder's recursion limit are a ScenarioError naming the
+source.  ``write_manifest`` writes every JSON file.
 
 CSV conventions (series.csv, energy.csv and the field CSVs of ``slmcf
 export``): UTF-8, comma delimiter, "." decimal point, float cells in repr
@@ -263,13 +265,18 @@ def write_manifest(path, manifest: dict):
 
 
 def load_manifest(path):
-    """The JSON document of the UTF-8 file ``path``: every JSON file the package
-    reads.  Bytes that are not UTF-8 or not JSON, or JSON nested past the
-    decoder's recursion limit, are a ScenarioError naming it."""
+    """The JSON document of the UTF-8 file ``path``: every JSON file the package reads."""
+    return decode_json(pathlib.Path(path).read_bytes(), path)
+
+
+def decode_json(text, source):
+    """The JSON document in ``text``, a str or UTF-8 bytes: all JSON the package
+    decodes.  Bytes that are not UTF-8, text that is not JSON, or JSON nested
+    past the decoder's recursion limit, are a ScenarioError naming ``source``."""
     try:
-        return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        return json.loads(text if isinstance(text, str) else text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
-        raise ScenarioError(f"invalid JSON in {path}: {err}") from None
+        raise ScenarioError(f"invalid JSON in {source}: {err}") from None
 
 
 # The keys of a field entry of the manifest besides "file" and "sha256", by the

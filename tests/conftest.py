@@ -14,7 +14,7 @@ from slmcf.grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from slmcf import metrics
 from slmcf.metrics import Metric, inv2
 from slmcf.operators import contact_ghost
-from slmcf.oracle import _R_START, RadialOracle, _f_ratio, translator_oracle
+from slmcf.oracle import _R_START, _f_ratio, translator_oracle
 
 
 # -- reference code the tests compare against; the library does not call it ------
@@ -51,7 +51,7 @@ def tensor_pullback(grid):
     X = c + R[..., None] * (curve.gamma(S) - c)
     J = np.stack([curve.gamma(S) - c, R[..., None] * curve.dgamma(S)], axis=-1)
     x_rs, x_ss = curve.dgamma(S), R[..., None] * curve.d2gamma(S)
-    sig, gam = grid.metric.sigma(X), grid.metric.christoffel(X)
+    sig, gam = grid.domain.metric.sigma(X), grid.domain.metric.christoffel(X)
     jac_inv = inv2(J)
     sigma_t = np.einsum("...ia,...ij,...jb->...ab", J, sig, J)
     d2x = np.zeros(X.shape[:-1] + (2, 2, 2))
@@ -65,7 +65,14 @@ def tensor_pullback(grid):
     return {"X": X, "jac_inv": jac_inv, "sigma_t": sigma_t, "sigma_t_inv": inv2(sigma_t),
             "gamma_t": np.einsum("...ck,...kab->...cab", jac_inv, inner),
             "sqrt_det": sqrt_det, "weights": sqrt_det * drho[:, None] * grid.hs,
-            "gauss": grid.metric.gauss_curvature(X)}
+            "gauss": grid.domain.metric.gauss_curvature(X)}
+
+
+def boundary_frame(domain, s):
+    """(T, N, w) at boundary parameters s, as ``ConvexDomain`` builds them: T, N
+    are sigma-unit chart vectors, T counterclockwise and N inward, and
+    w = |gamma'(s)|_sigma is the boundary speed."""
+    return domain._frame(np.asarray(s, dtype=float))[3:]
 
 
 def nabla_T_T(domain, s):
@@ -104,10 +111,9 @@ class RadialProfile:
     slope: callable          # u'(r)
 
 
-def radial_profile(oracle: RadialOracle, metric=None) -> RadialProfile:
-    """The radial translator profile at the oracle's speed: a dense shooting
-    solve of (u, u') from u(0) = u'(0) = 0, shifted to zero area mean."""
-    c3, r0 = oracle.c3, oracle.r0
+def radial_profile(c3, r0, metric=None) -> RadialProfile:
+    """The radial translator profile on the disk r < r0 at the speed c3: a dense
+    shooting solve of (u, u') from u(0) = u'(0) = 0, shifted to zero area mean."""
     fratio, f = _f_ratio(metric)
     if c3 == 0.0:
         return RadialProfile(profile=lambda r: np.zeros_like(np.asarray(r, float)),
@@ -135,14 +141,15 @@ def radial_profile(oracle: RadialOracle, metric=None) -> RadialProfile:
     return RadialProfile(profile=profile, slope=slope)
 
 
-def oracle_c3_from_flux(oracle: RadialOracle, phi_const, metric=None):
-    """Cross-check: speed from the flux balance on the oracle profile."""
+def oracle_c3_from_flux(c3, phi_const, r0, metric=None):
+    """Cross-check: speed from the flux balance on the profile at speed c3 of
+    the disk r < r0."""
     fratio, f = _f_ratio(metric)
-    slope = radial_profile(oracle, metric).slope
-    num = phi_const * 2.0 * np.pi * f(oracle.r0)
+    slope = radial_profile(c3, r0, metric).slope
+    num = phi_const * 2.0 * np.pi * f(r0)
     den = 2.0 * np.pi * quad(
         lambda r: f(r) / np.sqrt(1.0 - np.minimum(slope(r) ** 2, 1.0 - 1e-15)),
-        _R_START, oracle.r0, limit=200)[0]
+        _R_START, r0, limit=200)[0]
     return -num / den
 
 
@@ -348,7 +355,7 @@ def _collar_frame(dom, x):
     if dom.metric.metric_id != "flat":
         N = -x / np.hypot(x[0], x[1])
         return _rotate90(dom.metric.sigma(x), N), N
-    T, N, _ = dom.frame(np.atleast_1d(_closest_boundary_param(dom, x)))
+    T, N, _ = boundary_frame(dom, np.atleast_1d(_closest_boundary_param(dom, x)))
     return T[0], N[0]
 
 

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import covariant_hessian_field, from_chart, nabla_T_T, tensor_pullback
+from conftest import (boundary_frame, covariant_hessian_field, from_chart, nabla_T_T,
+                      tensor_pullback)
 from slmcf.domain import build_domain
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
@@ -348,7 +349,7 @@ def test_criterion_7_geometry_kernel(disk, sphere, collar_frame, inverse_metric_
     # Lemma-type frame identities at 32 boundary samples
     s = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     dom = disk
-    T, N, _ = dom.frame(s)
+    T, N, _ = boundary_frame(dom, s)
     resid_i = nabla_T_T(dom, s) - dom.kappa(s)[:, None] * N
     ok &= float(np.max(np.abs(resid_i))) < 1e-8
     resid_ii = []

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -380,7 +381,7 @@ def test_verify_osc_decay_without_shared_times_fails(tmp_path):
     assert len(osc) == 1
     assert not osc[0].passed
     assert osc[0].measured == 1    # only t = 0 is shared
-    assert "fewer than two snapshot times" in osc[0].details["precondition"]
+    assert "fewer than two samples" in osc[0].details["precondition"]
     assert not summary["all_passed"]
 
 
@@ -500,6 +501,29 @@ def test_sweep_spec_of_non_objects_exits_2(tmp_path):
                  "-o", str(tmp_path / "s3")]) == 2
     spec = json.dumps({"phi.value.x": [1]})
     assert main(["sweep", str(tpl), "--grid", spec, "-o", str(tmp_path / "s2")]) == 2
+
+
+def test_sweep_summary_rows_have_the_header_cell_count(tmp_path):
+    """A list override's repr holds commas: its cell is quoted (RFC 4180), so
+    csv.reader reads as many cells in each row as in the header."""
+    template = dict(BASE, phi={"kind": "fourier", "a0": 0.2},
+                    grid={"n_radial": 8, "n_angular": 16})
+    tpl = _write(tmp_path, template, "template.json")
+    spec = json.dumps({"phi.cos": [[0.01, 0.02]], "name": ["x"]})
+    summary = cmd_sweep(tpl, spec, tmp_path / "sweep")
+    lines = summary.read_text(encoding="utf-8").splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert len(rows) == 2 and len(rows[1]) == len(rows[0])
+    assert rows[1][rows[0].index("phi.cos")] == "[0.01, 0.02]"
+    assert rows[1][rows[0].index("name")] == "'x'"
+
+
+def test_sweep_grid_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    tpl = _write(tmp_path, BASE, "template.json")
+    spec = "[" * 10000 + "]" * 10000
+    assert main(["sweep", str(tpl), "--grid", spec, "-o", str(tmp_path / "sweep")]) == 2
+    assert "invalid JSON in --grid" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_checks_every_case_before_it_runs_one(tmp_path, capsys):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import nabla_T_T
+from conftest import boundary_frame, nabla_T_T
 from slmcf.domain import build_domain
 from slmcf.errors import NonConvexDomainError, ScenarioError
 
@@ -13,7 +13,7 @@ def test_unit_disk_frame_and_curvature(unit_disk):
     kap = unit_disk.kappa(s)
     assert np.allclose(kap, 1.0, atol=1e-12)
     assert unit_disk.kappa0 == pytest.approx(1.0, abs=1e-12)
-    T, N, w = unit_disk.frame(s)
+    T, N, w = boundary_frame(unit_disk, s)
     assert np.allclose(N, -np.stack([np.cos(s), np.sin(s)], axis=-1), atol=1e-12)
     assert np.allclose(T, np.stack([-np.sin(s), np.cos(s)], axis=-1), atol=1e-12)
     assert np.allclose(w, 1.0)
@@ -31,7 +31,7 @@ def test_frame_orthonormal_all_kinds(unit_disk, ellipse21, sphere_cap):
                 build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 4},
                              "flat")):
         s = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        T, N, _ = dom.frame(s)
+        T, N, _ = boundary_frame(dom, s)
         g = dom.curve.gamma(s)
         sig = dom.metric.sigma(g)
         tt = np.einsum("...i,...ij,...j->...", T, sig, T)
@@ -110,7 +110,7 @@ def test_frame_identities_lemma_i(unit_disk, sphere_cap, collar_frame):
     """nabla_T T = kappa N and the parallel frame relations in the collar."""
     s = np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for dom in (unit_disk, sphere_cap):
-        T, N, _ = dom.frame(s)
+        T, N, _ = boundary_frame(dom, s)
         kap = dom.kappa(s)
         resid = nabla_T_T(dom, s) - kap[:, None] * N
         sig = dom.metric.sigma(dom.curve.gamma(s))
@@ -208,7 +208,7 @@ def test_frame_is_bit_identical_to_the_tensor_formulas(spec, metric, skew_metric
     else:
         dom = build_domain(spec, metric)
     T, N, w, nTT, kappa = _tensor_frame(dom, s)
-    got = dom.frame(s) + (nabla_T_T(dom, s), dom.kappa(s))
+    got = boundary_frame(dom, s)[:2] + (dom.boundary_speed(s), nabla_T_T(dom, s), dom.kappa(s))
     for name, a, b in zip(("T", "N", "w", "nabla_T_T", "kappa"), got, (T, N, w, nTT, kappa)):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
     if spec == "skew":

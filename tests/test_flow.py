@@ -65,8 +65,8 @@ def test_translation_equivariance(disk24):
     cfg = StepperConfig(max_time=0.3, tol_speed=0.0)
     u0 = from_chart(grid, lambda x, y: 0.05 * x ** 2)
     run_a = run_to_convergence(u0, phi, grid, cfg)
-    run_b = run_to_convergence(u0.values + 3.0, phi, grid, cfg)
-    assert run_a.state.t == run_b.state.t
+    run_b = run_to_convergence(GridFunction(u0.values + 3.0, grid), phi, grid, cfg)
+    assert run_a.series["t"][-1] == run_b.series["t"][-1]
     assert np.max(np.abs(run_b.state.u - run_a.state.u - 3.0)) < 1e-9
 
 
@@ -113,7 +113,7 @@ def test_explicit_matches_semi_implicit_short(disk24):
     u0 = np.zeros((grid.n_radial, grid.n_angular))
     t_end = 0.02
     u_e = _forward_euler(u0, phi, grid, 1e-5, t_end)
-    run_s = run_to_convergence(u0, phi, grid, StepperConfig(
+    run_s = run_to_convergence(GridFunction(u0, grid), phi, grid, StepperConfig(
         dt=1e-4, max_time=t_end, tol_speed=0.0))
     # both first order in time; difference is O(dt_larger) after the transient
     mask = slice(0, grid.n_radial - 1)
@@ -148,7 +148,7 @@ def test_pair_constant_shift_trivial(disk24):
     dom, grid = disk24
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0a = GridFunction.constant(grid, 0.0)
-    pair = run_pair(u0a, u0a.values + 3.0, phi, grid,
+    pair = run_pair(u0a, GridFunction(u0a.values + 3.0, grid), phi, grid,
                     StepperConfig(max_time=0.3, tol_speed=0.0))
     # the difference field stays exactly the constant 3
     assert np.max(pair.osc) < 1e-9
@@ -182,9 +182,9 @@ def test_max_steps_stop_names_max_steps(monkeypatch):
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    run = run_to_convergence(np.zeros((16, 32)), phi, grid, StepperConfig())
+    run = run_to_convergence(GridFunction.constant(grid), phi, grid, StepperConfig())
     assert not run.converged and run.state.step_count == 2
-    assert run.state.t == pytest.approx(0.125) and run.state.t < run.cfg.max_time
+    assert run.series["t"][-1] == pytest.approx(0.125) and run.series["t"][-1] < run.cfg.max_time
     assert run.message.startswith("not converged by max_steps = 2 at t = 0.125 ")
 
 
@@ -263,7 +263,7 @@ def test_controlled_run_few_steps_and_factorizations():
     # snapshots fall on the first step reaching each multiple of 25 initial steps
     every = 25 * cfg.initial_dt(grid)
     snap_t = [t for t, _ in run.snapshots]
-    assert snap_t[0] == 0.0 and snap_t[-1] == run.state.t
+    assert snap_t[0] == 0.0 and snap_t[-1] == run.series["t"][-1]
     assert len(snap_t) > 3
     for t in snap_t[1:-1]:
         prev = run.series["t"][np.searchsorted(run.series["t"], t) - 1]
@@ -337,7 +337,7 @@ def test_pair_members_are_single_runs(disk24):
         assert member.monitor_c0 == single.monitor_c0
         assert np.array_equal(member.series["t"], pair.t)
         times = [t for t, _ in member.snapshots]
-        assert times[0] == 0.0 and times[-1] == member.state.t and len(times) > 2
+        assert times[0] == 0.0 and times[-1] == member.series["t"][-1] and len(times) > 2
         marks = np.floor(np.asarray(times[:-1]) / snap_every + 1e-6)
         assert np.all(np.diff(marks) >= 1)
         assert all(np.array_equal(u, single_u) for (t, u), (s, single_u)
@@ -349,28 +349,28 @@ def test_nonfinite_u0_raises_scenario_error(runner):
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    u0 = np.zeros((16, 32))
-    u0[3, 5] = np.nan
+    u0 = GridFunction.constant(grid)
+    u0.values[3, 5] = np.nan    # a GridFunction checks its values once, when built
     with pytest.raises(ScenarioError, match="non-finite"):
         if runner == "single":
             run_to_convergence(u0, phi, grid, StepperConfig(max_time=1.0))
         else:
-            run_pair(np.zeros((16, 32)), u0, phi, grid, StepperConfig(max_time=1.0))
+            run_pair(GridFunction.constant(grid), u0, phi, grid, StepperConfig(max_time=1.0))
 
 
 @pytest.mark.parametrize("runner", ["single", "pair"])
 def test_wrong_shaped_u0_raises_scenario_error(runner):
-    """A u0 that is not of the grid's shape is refused with both shapes named,
-    not left to fail as a numpy broadcast error."""
+    """A u0 that is not of the grid's shape (a GridFunction of another grid) is
+    refused with both shapes named, not left to fail as a numpy broadcast error."""
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
-    u0 = np.zeros((16, 31))
-    with pytest.raises(ScenarioError, match=r"\(16, 31\).*\(16, 32\)"):
+    u0 = GridFunction.constant(build_grid(dom, 16, 30))
+    with pytest.raises(ScenarioError, match=r"\(16, 30\).*\(16, 32\)"):
         if runner == "single":
             run_to_convergence(u0, phi, grid, StepperConfig(max_time=1.0))
         else:
-            run_pair(np.zeros((16, 32)), u0, phi, grid, StepperConfig(max_time=1.0))
+            run_pair(GridFunction.constant(grid), u0, phi, grid, StepperConfig(max_time=1.0))
 
 
 @pytest.mark.parametrize("runner", ["single", "pair"])
@@ -386,7 +386,7 @@ def test_persistent_rejection_underflows(runner):
         if runner == "single":
             run_to_convergence(u0, phi, grid, cfg)
         else:
-            run_pair(u0, u0.values + 1.0, phi, grid, cfg)
+            run_pair(u0, GridFunction(u0.values + 1.0, grid), phi, grid, cfg)
 
 
 def _lu_entries(run):
@@ -412,7 +412,8 @@ def test_lu_refresh_log(disk24, record_splu, monkeypatch):
         assert solver in ("ring", "lu")
 
     # a state off rotational symmetry escalates to the LU
-    bumped = run_to_convergence(_bump(grid), phi, grid, StepperConfig(dt=0.01, max_time=0.05))
+    bumped = run_to_convergence(GridFunction(_bump(grid), grid), phi, grid,
+                                StepperConfig(dt=0.01, max_time=0.05))
     assert _lu_entries(bumped) > 0
     assert len(made) == _lu_entries(fixed) + _lu_entries(bumped)
     del made[:]
@@ -430,7 +431,7 @@ def test_lu_refresh_log(disk24, record_splu, monkeypatch):
     assert rungs[-1][1][2] == pytest.approx(0.5 * dom.inradius)
 
     # a rejected step halves dt and refactors every field
-    stepper = flow._Stepper([u0, u0.values + 1.0], grid,
+    stepper = flow._Stepper([u0, GridFunction(u0.values + 1.0, grid)], grid,
                             ContactAngle({"kind": "constant", "value": 40.0}, dom),
                             StepperConfig())
     with pytest.raises(StepSizeUnderflowError):
@@ -449,8 +450,9 @@ def test_lu_refresh_log(disk24, record_splu, monkeypatch):
         return set_dt(self, dt, reason)
 
     monkeypatch.setattr(flow._Stepper, "_set_dt", counting)
-    pair = run_pair(u0, u0.values + 1.0, ContactAngle({"kind": "constant", "value": 5.0}, dom),
-                    grid, StepperConfig(max_time=1.0))
+    pair = run_pair(u0, GridFunction(u0.values + 1.0, grid),
+                    ContactAngle({"kind": "constant", "value": 5.0}, dom), grid,
+                    StepperConfig(max_time=1.0))
     assert sum(halvings) > 0
     assert pair.run_a.rejected == pair.run_b.rejected == sum(halvings)
 
@@ -460,7 +462,7 @@ def test_lu_refresh_log(disk24, record_splu, monkeypatch):
 def _one_step(u, cfg, grid, phi):
     """The first accepted step from ``u``."""
     cfg = dataclasses.replace(cfg, max_time=cfg.initial_dt(grid), tol_speed=0.0)
-    return run_to_convergence(u, phi, grid, cfg).state
+    return run_to_convergence(GridFunction(u, grid), phi, grid, cfg).state
 
 
 def _bump(grid):
@@ -540,7 +542,8 @@ def test_pair_computes_the_order_once():
     grid = build_grid(dom, 32, 64)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     nested_dissection_order.cache_clear()
-    pair = run_pair(np.zeros((32, 64)), _bump(grid), phi, grid, StepperConfig(max_time=0.2))
+    pair = run_pair(GridFunction.constant(grid), GridFunction(_bump(grid), grid), phi, grid,
+                    StepperConfig(max_time=0.2))
     assert pair.run_a.lu_factorizations > 0 and pair.run_b.lu_factorizations > 0
     assert _lu_entries(pair.run_a) == 0 and _lu_entries(pair.run_b) > 0
     assert nested_dissection_order.cache_info().misses == 1

@@ -7,7 +7,7 @@ from conftest import from_chart
 from slmcf import flow, translator
 from slmcf.domain import build_domain
 from slmcf.errors import SpacelikeBoundaryError
-from slmcf.grid import ContactAngle, build_grid
+from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.geometry import derivatives
 from slmcf.operators import (OrderedLU, RingSolver, _stencil_coo, assemble_operator_matrix,
                              contact_ghost, flow_operator, linearized_affine,
@@ -394,7 +394,7 @@ def test_disk_flow_and_translator_call_no_splu(record_splu):
     grid = build_grid(dom, 48, 96)
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     nested_dissection_order.cache_clear()
-    run = flow.run_to_convergence(np.zeros((48, 96)), phi, grid, flow.StepperConfig())
+    run = flow.run_to_convergence(GridFunction.constant(grid), phi, grid, flow.StepperConfig())
     sol = translator.continuation(translator.ContinuationSchedule(), phi, grid)
     assert run.converged and abs(run.speed_estimate - sol.c3) < 1e-6
     assert {entry[4] for entry in run.lu_refreshes} == {"ring"}

@@ -175,8 +175,9 @@ def test_translator_orbit_speed_under_flow(disk_setup, disk_solution):
     assert abs(grid.mean(op) - disk_solution.c3) < 1e-5
     # and a full semi-implicit step preserves the orbit
     one_step = StepperConfig().initial_dt(grid)
-    run = run_to_convergence(moved, phi, grid, StepperConfig(max_time=one_step, tol_speed=0.0))
-    dt = run.state.t - 0.0
+    run = run_to_convergence(GridFunction(moved, grid), phi, grid,
+                             StepperConfig(max_time=one_step, tol_speed=0.0))
+    dt = run.series["t"][-1] - 0.0
     drift = run.state.u - (moved + disk_solution.c3 * dt)
     # the profile solves op = c3 to Newton tolerance, so the orbit holds to rounding
     assert np.max(np.abs(drift - grid.mean(drift))) < 1e-7

@@ -145,9 +145,21 @@ def test_osc_decay_constant_shift(disk32):
     dom, grid = disk32
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     u0 = GridFunction.constant(grid, 0.0)
-    pair = run_pair(u0, u0.values + 3.0, phi, grid, StepperConfig(max_time=0.3, tol_speed=0.0))
+    pair = run_pair(u0, GridFunction(u0.values + 3.0, grid), phi, grid,
+                    StepperConfig(max_time=0.3, tol_speed=0.0))
     rep = check_osc_decay(pair)
     assert rep.passed  # osc of a constant difference is identically zero
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_osc_decay_of_a_pair_with_fewer_than_two_samples_fails(samples):
+    """A pair with nothing to compare is a failed check, not an exception."""
+    Pair = dataclasses.make_dataclass("Pair", ["t", "osc", "max_abs"])
+    pair = Pair(t=np.zeros(samples), osc=np.full(samples, 0.1), max_abs=np.full(samples, 0.1))
+    rep = check_osc_decay(pair)
+    assert not rep.passed
+    assert rep.measured == samples and rep.threshold == 2
+    assert "fewer than two samples" in rep.details["precondition"]
 
 
 def test_osc_decay_negative_reversed():
