@@ -245,7 +245,7 @@ class _Record:
         self._targets = sorted(float(tau) for tau in cfg.dense_sample_times)
         self._snap_every = cfg.snapshot_interval * cfg.initial_dt(field.grid)
         self._snap_index = 0
-        self._pending = None    # (tau, left, middle) of a triplet awaiting its right end
+        self._pending = []      # (tau, left, middle) of the triplets awaiting their right end
         self.last = None        # (t, u) of the latest record
 
     def add(self, t, dt=None):
@@ -270,13 +270,13 @@ class _Record:
             self._snap_index = k
             self.snapshots.append((t, u))
 
-        # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study
-        if self._pending is not None:
-            tau, left, middle = self._pending
+        # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study:
+        # every tau that step k reaches is completed at step k + 1
+        for tau, left, middle in self._pending:
             self.dense[tau] = (left, middle, (t, u))
-            self._pending = None
-        if dt is not None and self._targets and t >= self._targets[0]:
-            self._pending = (self._targets.pop(0), self.last, (t, u))
+        self._pending = []
+        while dt is not None and self._targets and t >= self._targets[0]:
+            self._pending.append((self._targets.pop(0), self.last, (t, u)))
         self.last = (t, u)
 
 

@@ -19,10 +19,11 @@ At eps = 0 this is the translator itself and c is the operator-limit speed
 c3, which ``continuation`` solves for directly from u = 0.  At eps > 0 it is
 the regularized problem g~^{ab} D_a D_b u = eps u with u = c / eps + w,
 whose levels make the trace below.  Every bordered solve runs one loop,
-Newton-chord: one factorization at the start iterate, then chord steps on
-that LU while each halves the residual; a step that does not is dropped and
-the Jacobian refactored.  Its iteration limit, tol (1e-10) and damping are
-module constants.
+Newton-chord, with one step rule (see ``_bordered_newton``): a Newton step
+on a fresh factorization, then chord steps on that LU while each halves the
+residual; a chord step that does not, above the rounding floor, drops the
+LU and the Jacobian is refactored.  Its iteration limit, tol (1e-10) and
+damping are module constants.
 
 The regularization trace (eps, eps u_eps - c3), which acceptance criterion 8
 reads, is computed afterwards over the schedule's eps list in ascending
@@ -36,18 +37,15 @@ converged level (eps_p, w_p, c_p) below, that is the tangent start
 c_p - c3 - eps_p c'), which needs no further solve.  The smallest level, a
 level whose predecessor took no step (its departure from the tangent is
 rounding only) and a level whose quadratic start is not space-like start on
-the tangent.  A chord step that fails to halve the residual is dropped and
-the Jacobian refactored at that level, so a default solve factors twice
-unless a level's chord steps stall.
+the tangent.  A default solve factors twice unless a level's chord steps
+stall above the floor.
 
 The residual of a non-radial scenario has a rounding floor near tol at fine
 grids (about 1e-9 at 128 x 256), amplified by the O(1/rho^2) center
-coefficients.  A solve stops above tol only where a step on the current LU
-fails to reduce the residual and the residual is at or below the
-componentwise floor max_i gamma_{m_i} (|J| |x|)_i (``RingSolver.floor``); every
-such stop is recorded.  At the floor a chord step that reduces the residual
-by less than half is kept, since it says nothing about the LU; anywhere else
-a stalled step refactors or raises.
+coefficients.  A failed step, or a stagnating Newton step, compares the
+residual once with the componentwise floor max_i gamma_{m_i} (|J| |x|)_i
+(``RingSolver.floor``): at or below it the solve stops, and every such stop
+is recorded; above it a chord step refactors and a Newton step raises.
 
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
@@ -129,33 +127,45 @@ class TranslatorSolution:
                    limit=record["limit"])
 
 
-def _new_factor():
-    """The state of a bordered solve: the one live solver ("lu"), the log
-    [eps, solver] of every factorization ("log"), and the operator
-    evaluation of the last residual, as (w, flow_operator(w, ...)) ("held"),
-    which a factorization at that w reuses; ``_bordered_newton`` drops it
-    before each solve, so none is alive while an LU solves."""
-    return {"lu": None, "log": [], "held": None}
+class _Bordered:
+    """The state of the bordered solves of one continuation: the grid, the
+    contact angle, the border row a = quadrature weights / area, the one
+    live solver, the log [eps, solver] of every factorization, and the
+    operator evaluation of the last residual, held as (w, flow_operator(w,
+    ...)) for a factorization at that very w."""
 
+    def __init__(self, grid: CurvilinearGrid, phi_vals):
+        self.grid, self.phi_vals = grid, phi_vals
+        self.border = (grid.weights / grid.area).ravel()
+        self.solver = None
+        self.log = []
+        self._held = None
 
-def _take_held(factor, w):
-    """The held evaluation if it was made at this very w, else None; the
-    slot is emptied either way, so no evaluation outlives its use."""
-    held, factor["held"] = factor["held"], None
-    return held[1] if held is not None and held[0] is w else None
+    def operator(self, w):
+        """F(w), held for a factorization at this w."""
+        self._held = None                # one evaluation alive at a time
+        q = flow_operator(w, self.grid, self.phi_vals)
+        self._held = (w, q)
+        return q["op"]
 
+    def factor(self, w, eps):
+        """Build the solver of [[L - eps I, -1], [a^T, 0]] at (w, eps), the old
+        one dropped first, from the held evaluation where it is at w; the
+        solver writes its kind into the log entry [eps]."""
+        self.solver = None
+        held, self._held = self._held, None
+        L = assemble_operator_matrix(w, self.grid, self.phi_vals,
+                                     held[1] if held is not None and held[0] is w else None)[0]
+        entry = [eps]
+        self.solver = RingSolver(splu, L, -eps, 1.0, border=self.border, log=entry)
+        self.log.append(entry)
 
-def _factor(factor, w, eps, grid: CurvilinearGrid, phi_vals):
-    """Build the solver of the bordered Jacobian [[L - eps I, -1], [a^T, 0]]
-    at (w, eps), a = quadrature weights / area, into ``factor``, the old one
-    dropped first; the solver writes its kind into the log entry [eps].
-    The Jacobian is assembled from the held evaluation where it is at w."""
-    factor["lu"] = None
-    L = assemble_operator_matrix(w, grid, phi_vals, _take_held(factor, w))[0]
-    entry = [eps]
-    factor["lu"] = RingSolver(splu, L, -eps, 1.0,
-                              border=(grid.weights / grid.area).ravel(), log=entry)
-    factor["log"].append(entry)
+    def solve(self, b):
+        self._held = None                # no evaluation is alive while an LU solves
+        return self.solver.solve(b)
+
+    def drop(self):
+        self.solver = self._held = None
 
 
 def _quadratic_start(eps, tangent_start, below):
@@ -168,60 +178,48 @@ def _quadratic_start(eps, tangent_start, below):
     return tangent_start[0] + r * dw, tangent_start[1] + r * dc
 
 
-def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, factor, fallback=None):
+def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
     """Damped Newton-chord on F(w) - eps w - c = 0, area-mean(w) = 0.
 
-    ``factor`` (see ``_new_factor``) holds the one live solver and the log of
-    factorizations; the solver is dropped before each new one is built, so
-    the caller keeps no stale LU alive.  The solver is reused across steps:
-    a step on a reused solver is kept only if it halves the residual (or
-    meets tol), otherwise it is dropped and the Jacobian refactored at the
-    current iterate, where a damped Newton step follows.
-
-    The solve stops above tol only where a step on the current LU fails to
-    reduce the residual and the residual is at or below its rounding floor
-    max_i gamma_i (|J| |[w; c]|)_i (``RingSolver.floor``); each such stop is
-    recorded as [eps, residual, floor] in info["floor_stops"].  At the floor
-    a chord step that reduces the residual by less than half is kept, and
-    Newton stagnation counts as a failure to reduce.
+    Every iteration solves on the live solver of ``system``, which is reused
+    across steps and solves.  On a fresh solver the step is a Newton step,
+    damped by backtracking under the Armijo test; on a reused one it is a
+    chord step, taken whole, which must halve the residual.  Either is
+    accepted at tol.  A failed step, or a Newton step that stagnates,
+    compares the residual once with its rounding floor max_i gamma_i
+    (|J| |[w; c]|)_i (``RingSolver.floor``).  At or below the floor the
+    solve stops and records [eps, residual, floor] in info["floor_stops"];
+    above it a chord step drops the solver, so the next iteration refactors
+    at the current iterate, and a Newton step raises NewtonError.
 
     A start (w, c) that is not space-like is replaced by ``fallback`` (w, c)
     where one is given.  A start c of None is the area mean of F(w), taken
-    from the first residual's evaluation.
-
-    The operator evaluation of the last residual is held in ``factor`` (see
-    ``_new_factor``) until the next solve on an LU, so the factorization at
-    the start, and the caller's at the returned w, do not evaluate the
-    operator again.
+    from the first residual's evaluation.  The evaluation of the last
+    residual stays held in ``system``, so the factorization at the start,
+    and the caller's at the returned w, do not evaluate the operator again.
 
     Returns (w, c, info); info holds the residual history, the counts of
     accepted chord steps, Newton steps and factorizations, the floor stops,
-    ``steps``, every solve on an LU including dropped chord steps, and
+    ``steps``, every solve on an LU including failed chord steps, and
     ``residual_max``, max |R| over the nodes at the returned (w, c).
-    Raises NewtonError on stagnation or a failed line search above the floor,
-    and SpacelikeViolationError if no damped step stays space-like.
+    Raises NewtonError on stagnation or a failed line search above the floor
+    (a trial step that is not space-like fails), and SpacelikeViolationError
+    where the start is not space-like and no fallback is given.
     """
-    def operator(wv):
-        factor["held"] = None            # one evaluation alive at a time
-        q = flow_operator(wv, grid, phi_vals)
-        factor["held"] = (wv, q)
-        return q["op"]
-
-    def residual(wv, cv, op=None):
-        return (operator(wv) if op is None else op) - eps * wv - cv
+    grid = system.grid
 
     def norm(R, wv):
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
     try:
-        op = operator(w)
+        op = system.operator(w)
     except SpacelikeViolationError:
         if fallback is None:
             raise
         w, c = fallback
-        op = operator(w)
+        op = system.operator(w)
     c = grid.mean(op) if c is None else c
-    R = residual(w, c, op)
+    R = op - eps * w - c
     norms = [norm(R, w)]
     info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
     while norms[-1] > _TOL:
@@ -230,63 +228,45 @@ def _bordered_newton(eps, w, c, grid: CurvilinearGrid, phi_vals, factor, fallbac
                 f"Newton: no convergence in {_MAX_ITER} iterations "
                 f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
         info["steps"] += 1
-        reused = factor["lu"] is not None
-        if not reused:
-            _factor(factor, w, eps, grid, phi_vals)
+        newton = system.solver is None
+        if newton:
+            system.factor(w, eps)
             info["factorizations"] += 1
-        factor["held"] = None            # not kept through a solve: a refactor evaluates afresh
-        delta = factor["lu"].solve(-np.append(R.ravel(), grid.mean(w)))
+        delta = system.solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
-
-        if reused:
-            try:
-                trial_w, trial_c = w + dw, c + dc
-                R_trial = residual(trial_w, trial_c)
-                norm_trial = norm(R_trial, trial_w)
-            except SpacelikeViolationError:
-                norm_trial = np.inf
-            if norm_trial > 0.5 * norms[-1] and norm_trial > _TOL:
-                bound = factor["lu"].floor(np.append(w.ravel(), c))
-                if norms[-1] > bound:            # a slow step above the floor: refactor
-                    factor["lu"] = None
-                    continue
-                if norm_trial >= norms[-1]:      # stalled at the floor
-                    info["floor_stops"].append([eps, norms[-1], bound])
-                    break
-                # at the floor a slow step says nothing about the LU: keep it
-            w, c, R = trial_w, trial_c, R_trial
-            norms.append(norm_trial)
-            info["chord"] += 1
-            continue
 
         t = 1.0
         accepted = False
-        for _ in range(_MAX_BACKTRACKS):
+        for _ in range(_MAX_BACKTRACKS if newton else 1):
             try:
                 trial_w, trial_c = w + t * dw, c + t * dc
-                R_trial = residual(trial_w, trial_c)
+                R_trial = system.operator(trial_w) - eps * trial_w - trial_c
             except SpacelikeViolationError:
                 t *= _DAMPING
                 continue
             norm_trial = norm(R_trial, trial_w)
-            if norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < _TOL:
+            if (norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < _TOL) if newton \
+                    else (norm_trial <= 0.5 * norms[-1] or norm_trial <= _TOL):
                 w, c, R = trial_w, trial_c, R_trial
                 norms.append(norm_trial)
                 accepted = True
                 break
             t *= _DAMPING
         if accepted:
-            info["newton"] += 1
-            # stagnation: less than 0.1% total reduction over the last 5 steps
-            if len(norms) <= 5 or norms[-1] <= max(_TOL, norms[-6] * (1.0 - 1e-3)):
+            info["newton" if newton else "chord"] += 1
+            # Newton stagnation: less than 0.1% total reduction over the last 5 steps
+            if not newton or len(norms) <= 5 or norms[-1] <= max(_TOL, norms[-6] * (1.0 - 1e-3)):
                 continue
-        bound = factor["lu"].floor(np.append(w.ravel(), c))
-        if norms[-1] > bound:
-            raise NewtonError(
-                f"Newton {'stagnation' if accepted else 'line search failed'} "
-                f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
-        info["floor_stops"].append([eps, norms[-1], bound])
-        break
+        bound = system.solver.floor(np.append(w.ravel(), c))
+        if norms[-1] <= bound:
+            info["floor_stops"].append([eps, norms[-1], bound])
+            break
+        if not newton:                   # refactor at the current iterate
+            system.drop()
+            continue
+        raise NewtonError(
+            f"Newton {'stagnation' if accepted else 'line search failed'} "
+            f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
     info.update(residuals=norms, residual_max=float(np.max(np.abs(R))))
     return w, c, info
 
@@ -314,18 +294,18 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     """
     phi_vals = phi.values_on(grid)
     w = np.zeros((grid.n_radial, grid.n_angular))
-    factor = _new_factor()
+    system = _Bordered(grid, phi_vals)
     # Newton-chord from the speed that fits F(0) best in the area mean
-    w, c3, info = _bordered_newton(0.0, w, None, grid, phi_vals, factor=factor)
+    w, c3, info = _bordered_newton(0.0, w, None, system)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
-    _factor(factor, w, 0.0, grid, phi_vals)
-    tangent = factor["lu"].solve(np.append(w.ravel(), 0.0))
+    system.factor(w, 0.0)
+    tangent = system.solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
              "lu_factorizations": info["factorizations"] + 1,
              "floor_stops": info["floor_stops"], "trace_refactors": [],
-             "trace_residuals": [], "solvers": factor["log"]}
+             "trace_residuals": [], "solvers": system.log}
 
     # eps trace, smallest eps first, each level started on the tangent or,
     # above a level that took a step, on the quadratic through that level:
@@ -337,8 +317,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         tangent_start = (w + eps * w_dot, c3 + eps * c_dot)
         start = tangent_start if below is None else _quadratic_start(eps, tangent_start, below)
         try:
-            w_eps, c_eps, level = _bordered_newton(eps, *start, grid, phi_vals, factor=factor,
-                                                   fallback=tangent_start)
+            w_eps, c_eps, level = _bordered_newton(eps, *start, system, fallback=tangent_start)
         except (NewtonError, SpacelikeViolationError) as err:
             raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
                                     trace=stats[::-1]) from err
@@ -354,7 +333,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
                 [eps, level["factorizations"], level["residuals"][-1]])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
-    factor["lu"] = factor["held"] = None
+    system.drop()
     stats.reverse()
     newton_iters.reverse()
     limit["trace_residuals"].reverse()

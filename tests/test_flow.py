@@ -228,6 +228,24 @@ def test_dense_sample_times_checked_before_conversion():
     assert StepperConfig(dense_sample_times=[0.2, 0.1]).dense_sample_times == (0.2, 0.1)
 
 
+def test_dense_triplet_is_centred_on_the_first_step_at_tau():
+    """Each tau's triplet is (u_{k-1}, u_k, u_{k+1}) with t_k the first step
+    time >= tau, also where one step reaches two taus and where a tau is
+    listed twice."""
+    taus = [0.1, 0.3000001, 0.3000004, 0.3000004]
+    scenario = load_scenario({
+        "metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},
+        "phi": {"kind": "constant", "value": 0.2}, "grid": {"n_radial": 16, "n_angular": 32},
+        "stepper": {"dt": 0.01, "max_time": 0.5, "dense_sample_times": taus}})
+    run = run_to_convergence(scenario.u0, scenario.phi, scenario.grid, scenario.stepper)
+    times = run.series["t"]
+    assert list(run.dense) == [0.1, 0.3000001, 0.3000004]
+    for tau, triplet in run.dense.items():
+        k = next(i for i, t in enumerate(times) if t >= tau)
+        assert [t for t, _ in triplet] == list(times[k - 1:k + 2])
+    assert [t for t, _ in run.dense[0.3000004]] == [t for t, _ in run.dense[0.3000001]]
+
+
 # -- stepping core: step control, LU refresh and the mean split ---------------------
 
 def test_large_constant_u0_steps_like_zero():

@@ -295,9 +295,9 @@ def _systems(grid, pv, w):
         solver = RingSolver(flow.splu, L, 1.0, -dt, log=[])
         out.append((solver.matrix(), p, solver))
     for eps in (0.0, 0.25):
-        factor = translator._new_factor()
-        translator._factor(factor, w, eps, grid, pv)
-        out.append((factor["lu"].matrix(), np.append(p, p.size), factor["lu"]))
+        system = translator._Bordered(grid, pv)
+        system.factor(w, eps)
+        out.append((system.solver.matrix(), np.append(p, p.size), system.solver))
     return out
 
 

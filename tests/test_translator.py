@@ -5,11 +5,12 @@ from scipy.sparse.linalg import splu
 from conftest import from_chart, regularized_oracle, solve_regularized
 from slmcf import translator
 from slmcf.domain import build_domain
-from slmcf.errors import ContinuationError, ScenarioError
+from slmcf.errors import (ContinuationError, NewtonError, ScenarioError,
+                          SpacelikeViolationError)
 from slmcf.flow import StepperConfig, run_to_convergence
 from slmcf.geometry import gradient_fields, quasilinear_operator
 from slmcf.grid import ContactAngle, GridFunction, build_grid
-from slmcf.operators import (OrderedLU, assemble_operator_matrix, flow_operator,
+from slmcf.operators import (OrderedLU, RingSolver, assemble_operator_matrix, flow_operator,
                              nested_dissection_order)
 from slmcf.oracle import translator_oracle
 from slmcf.translator import ContinuationSchedule, compute_c3, continuation
@@ -123,11 +124,14 @@ def test_c3_sign_opposite_to_flux(disk_setup):
         assert np.sign(sol.c3) == -np.sign(phi.boundary_integral)
 
 
+def _limit_solve(w, c, grid, phi):
+    """The bordered solve at eps = 0 from (w, c); c = None takes the area mean of F(w)."""
+    return translator._bordered_newton(0.0, w, c, translator._Bordered(grid, phi.values_on(grid)))
+
+
 def _warm_limit(u, grid, phi):
     """The bordered solve at eps = 0 started from the zero-mean part of u."""
-    w0 = u - grid.mean(u)
-    return translator._bordered_newton(0.0, w0, None, grid, phi.values_on(grid),
-                                       translator._new_factor())
+    return _limit_solve(u - grid.mean(u), None, grid, phi)
 
 
 def test_uniqueness_up_to_constant(disk_setup, disk_solution):
@@ -370,9 +374,9 @@ def _curved(domain, n_radial, metric="flat", phi=PHI02):
 
 def _bordered_matrix(w, grid, pv):
     """[[L, -1], [a^T, 0]] at w, as the translator's solver builds it."""
-    factor = translator._new_factor()
-    translator._factor(factor, w, 0.0, grid, pv)
-    return factor["lu"].matrix()
+    system = translator._Bordered(grid, pv)
+    system.factor(w, 0.0)
+    return system.solver.matrix()
 
 
 def _bordered_order(grid):
@@ -546,3 +550,170 @@ def test_floor_stops_sit_at_the_floor():
     stops = {(eps, residual) for eps, residual, _ in limit["floor_stops"]}
     for eps, history in [[0.0, limit["residuals"]]] + limit["trace_residuals"]:
         assert history[-1] <= 1e-10 or (eps, history[-1]) in stops
+
+
+# -- the exits of the bordered step loop ------------------------------------------------
+
+@pytest.fixture(scope="module")
+def small_disk():
+    """(grid, phi, limit w, c3): the 16 x 32 unit disk, phi = 0.2, and its limit."""
+    dom = build_domain(DISK, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle(PHI02, dom)
+    return (grid, phi) + _warm_limit(np.zeros((16, 32)), grid, phi)[:2]
+
+
+def _near_limit(grid, w_limit):
+    """A zero-mean start 1e-6 off the limit: started there with c3, the
+    residual is L times the offset to 1e-12, so a Newton step on a scaled
+    Jacobian reduces it by a known factor."""
+    x2 = grid.X[..., 0] ** 2
+    return w_limit + 1e-6 * (x2 - grid.mean(x2))
+
+
+def _evaluations(monkeypatch, off_spacelike=()):
+    """The iterates at which the translator evaluates F, in call order; the
+    calls numbered in ``off_spacelike`` raise as if the iterate were not
+    space-like."""
+    seen = []
+
+    def spy(values, grid, phi_vals):
+        seen.append(values.copy())
+        if len(seen) - 1 in off_spacelike:
+            raise SpacelikeViolationError((0, 0), 1.0)
+        return flow_operator(values, grid, phi_vals)
+
+    monkeypatch.setattr(translator, "flow_operator", spy)
+    return seen
+
+
+def _scaled_jacobian(monkeypatch, factor, first_only=False):
+    """Scale L by ``factor`` in the translator's solvers (only the first one's
+    with ``first_only``): a Newton step on it is 1 / factor of the true one."""
+    built = []
+
+    def solver(splu_, L, alpha, beta, **kwargs):
+        scale = factor if not (first_only and built) else 1.0
+        built.append(scale)
+        return RingSolver(splu_, L, alpha, scale * beta, **kwargs)
+
+    monkeypatch.setattr(translator, "RingSolver", solver)
+    return built
+
+
+def test_start_off_the_spacelike_set_raises_without_fallback(small_disk):
+    grid, phi, _, _ = small_disk
+    with pytest.raises(SpacelikeViolationError):
+        _warm_limit(1.5 * grid.X[..., 0], grid, phi)
+
+
+def test_newton_trial_off_the_spacelike_set_is_damped(small_disk, monkeypatch):
+    """A Newton trial that is not space-like halves the step and tries again."""
+    grid, phi, w_limit, _ = small_disk
+    seen = _evaluations(monkeypatch, off_spacelike={1})
+    w, _, info = _warm_limit(np.zeros((16, 32)), grid, phi)
+    full, damped = seen[1] - seen[0], seen[2] - seen[0]
+    assert np.allclose(damped, 0.5 * full, rtol=0.0, atol=1e-15 * np.max(np.abs(full)))
+    assert info["residuals"][-1] <= 1e-10 and info["floor_stops"] == []
+    assert np.max(np.abs(w - w_limit)) < 1e-9
+
+
+def test_chord_trial_off_the_spacelike_set_refactors(small_disk, monkeypatch):
+    """A chord trial that is not space-like fails above the floor: the solve
+    drops its solver and refactors at the current iterate."""
+    grid, phi, w_limit, _ = small_disk
+    _, _, clean = _warm_limit(np.zeros((16, 32)), grid, phi)
+    # evaluations: the start, the Newton trial, then the first chord trial
+    assert clean["factorizations"] == 1 and clean["newton"] == 1 and clean["chord"] >= 1
+    _evaluations(monkeypatch, off_spacelike={2})
+    w, _, info = _warm_limit(np.zeros((16, 32)), grid, phi)
+    assert info["factorizations"] == 2 and info["newton"] == 2
+    assert info["steps"] == len(info["residuals"])    # one solve was dropped
+    assert info["residuals"][-1] <= 1e-10 and info["floor_stops"] == []
+    assert np.max(np.abs(w - w_limit)) < 1e-9
+
+
+def test_newton_step_backtracks_under_the_armijo_test(small_disk, monkeypatch):
+    """On a Jacobian 2.5 times too flat the full Newton step overshoots the
+    residual (by 1.5 times) and the half step is taken; the chord step on that
+    solver fails to halve the residual, and the refactored solve converges."""
+    grid, phi, w_limit, _ = small_disk
+    seen = _evaluations(monkeypatch)
+    built = _scaled_jacobian(monkeypatch, 0.4, first_only=True)
+    w, _, info = _warm_limit(np.zeros((16, 32)), grid, phi)
+    full, damped = seen[1] - seen[0], seen[2] - seen[0]
+    assert np.allclose(damped, 0.5 * full, rtol=0.0, atol=1e-15 * np.max(np.abs(full)))
+    assert info["residuals"][1] < 0.5 * info["residuals"][0]
+    assert built[:2] == [0.4, 1.0] and info["factorizations"] == 2
+    assert info["residuals"][-1] <= 1e-10 and info["floor_stops"] == []
+    assert np.max(np.abs(w - w_limit)) < 1e-9
+
+
+def test_newton_stagnation_raises(small_disk, monkeypatch):
+    """On a Jacobian 7000 times too steep every Newton step passes the Armijo
+    test (a reduction of 1.4e-4) but five reduce less than 0.1%, far above
+    the floor."""
+    grid, phi, w_limit, c3 = small_disk
+    _scaled_jacobian(monkeypatch, 7000.0)
+    with pytest.raises(NewtonError, match="stagnation"):
+        _limit_solve(_near_limit(grid, w_limit), c3, grid, phi)
+
+
+def test_newton_line_search_failure_raises(small_disk, monkeypatch):
+    """On a Jacobian 1e6 times too steep no damped step passes the Armijo test."""
+    grid, phi, w_limit, c3 = small_disk
+    _scaled_jacobian(monkeypatch, 1e6)
+    with pytest.raises(NewtonError, match="line search failed"):
+        _limit_solve(_near_limit(grid, w_limit), c3, grid, phi)
+
+
+def test_newton_failure_at_the_floor_stops(small_disk, monkeypatch):
+    """The same failed line search with the floor above the residual is a
+    floor stop: the solve returns its start, recorded as [eps, residual, floor]."""
+    grid, phi, w_limit, c3 = small_disk
+    _scaled_jacobian(monkeypatch, 1e6)
+    monkeypatch.setattr(RingSolver, "floor", lambda self, x: 1e-3)
+    w0 = _near_limit(grid, w_limit)
+    w, _, info = _limit_solve(w0, c3, grid, phi)
+    r0 = info["residuals"][0]
+    assert info["residuals"] == [r0] and r0 < 1e-3
+    assert info["floor_stops"] == [[0.0, r0, 1e-3]] and w is w0
+    assert (info["steps"], info["newton"], info["chord"], info["factorizations"]) == (1, 0, 0, 1)
+
+
+def test_failed_trace_chord_step_refactors_and_is_recorded():
+    """On the radius-3 disk the spectral gap of L is below eps = 1, so chord
+    steps on the limit solver cannot halve that level's residual: the level
+    refactors once, converges to tol, and ``trace_refactors`` records it."""
+    dom = build_domain({"kind": "disk", "radius": 3.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    sol = continuation(ContinuationSchedule(), ContactAngle(PHI02, dom), grid)
+    limit = sol.limit
+    ((eps, n, residual),) = limit["trace_refactors"]
+    assert (eps, n) == (1.0, 1) and residual <= 1e-10
+    assert [e for e, _ in limit["solvers"]] == [0.0, 0.0, 1.0]
+    assert limit["lu_factorizations"] == 2 and limit["floor_stops"] == []
+    history = dict(limit["trace_residuals"])[1.0]
+    assert history[-1] == residual
+    # the dropped chord step is a solve with no residual of its own
+    assert len(history) == sol.newton_iterations[0]
+
+
+@pytest.mark.parametrize("metric, domain, phi", [
+    ("sphere", {"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]},
+     {"kind": "constant", "value": 0.1}),
+    ("flat", {"kind": "smooth_convex", "r0": 1.0, "amp": 0.02, "k": 6}, PHI02),
+], ids=["sphere_off", "smooth_convex_k6"])
+def test_trace_steps_halve_the_residual_down_to_the_floor(metric, domain, phi):
+    """Off rotational symmetry at 64 x 128 the trace levels end at their
+    rounding floor, and every kept step halves the residual: a chord step
+    that does not stops the level at the floor rather than being kept."""
+    dom = build_domain(domain, metric)
+    sol = continuation(ContinuationSchedule(), ContactAngle(phi, dom), build_grid(dom, 64, 128))
+    limit = sol.limit
+    assert limit["floor_stops"]
+    assert all(residual <= floor for _, residual, floor in limit["floor_stops"])
+    refactored = {eps for eps, _, _ in limit["trace_refactors"]}
+    for eps, history in limit["trace_residuals"]:
+        if eps not in refactored:
+            assert all(b <= 0.5 * a or b <= 1e-10 for a, b in zip(history, history[1:])), eps
