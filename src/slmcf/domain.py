@@ -36,7 +36,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ChartDomainError, NonConvexDomainError, ScenarioError
-from .metrics import INDEX_PAIRS, Metric, einsum_sum, get_metric
+from .metrics import INDEX_PAIRS, Metric, get_metric
 from .schema import check
 
 
@@ -146,27 +146,26 @@ class ConvexDomain:
         dsig_ds = np.empty_like(sig)
         for i, j in INDEX_PAIRS:
             dsig_ds[..., i, j] = (
-                einsum_sum(sig[..., l, j] * gam[..., l, k, i] * dg[..., k] for l, k in INDEX_PAIRS)
-                + einsum_sum(sig[..., i, l] * gam[..., l, k, j] * dg[..., k]
-                             for l, k in INDEX_PAIRS))
+                sum(sig[..., l, j] * gam[..., l, k, i] * dg[..., k] for l, k in INDEX_PAIRS)
+                + sum(sig[..., i, l] * gam[..., l, k, j] * dg[..., k] for l, k in INDEX_PAIRS))
         dw2 = _pair(dg, dsig_ds, dg) + 2.0 * _pair(d2g, sig, dg)
         dw = 0.5 * dw2 / w
         dT = d2g / w[..., None] - dg * (dw / w ** 2)[..., None]
         # nabla_{gamma'} T, then normalize by w to get nabla_T T
-        covT = dT + np.stack([einsum_sum(gam[..., k, i, j] * dg[..., i] * T[..., j]
-                                         for i, j in INDEX_PAIRS) for k in range(2)], axis=-1)
+        covT = dT + np.stack([sum(gam[..., k, i, j] * dg[..., i] * T[..., j]
+                                  for i, j in INDEX_PAIRS) for k in range(2)], axis=-1)
         return covT / w[..., None], sig, N
 
 
 def _pair(u, sig, v):
     """u^i sig_ij v^j at each point, as np.einsum("...i,...ij,...j->...") gives it."""
-    return einsum_sum(u[..., i] * sig[..., i, j] * v[..., j] for i, j in INDEX_PAIRS)
+    return sum(u[..., i] * sig[..., i, j] * v[..., j] for i, j in INDEX_PAIRS)
 
 
 def _rotate90(sig, V):
     """Rotation by +90 degrees w.r.t. sigma: (JV)^k = eps^{kl} sigma_lm V^m / sqrt(det sigma)."""
     det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] ** 2
-    low = [einsum_sum(sig[..., l, m] * V[..., m] for m in range(2)) for l in range(2)]
+    low = [sum(sig[..., l, m] * V[..., m] for m in range(2)) for l in range(2)]
     out = np.stack([low[1], -low[0]], axis=-1)
     return out / np.sqrt(det)[..., None]
 

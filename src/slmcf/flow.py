@@ -52,9 +52,9 @@ fields in lockstep on one time grid):
 
 Each field's ``_Record`` takes, at t = 0 and after every accepted step, the
 series row (t, sup|u_t|, sup|Du|^2, area-mean u_t, osc u) and the energy pair
-E = int v - bdry int u phi, I = int u_t^2 / v, whose per-step mismatch
-|dE - dt (I_k + I_{k+1})/2| is the energy-identity residual of the
-verification suite.  The row has no max|u_t - H v|: H is u_t / v of the same
+E = int v - bdry int u phi, I = int u_t^2 / v; the verification suite
+computes the energy identity's per-step residual dE - dt (I_k + I_{k+1})/2
+from them.  The row has no max|u_t - H v|: H is u_t / v of the same
 operator.  Snapshots are taken at the first step reaching each multiple of
 snapshot_interval * initial_dt.  The dense triplet of a requested tau is
 (u_{k-1}, u_k, u_{k+1}) with t_k the first step time >= tau; the initial
@@ -152,9 +152,9 @@ class FlowRun:
         return q["op"], q["op"] / q["v"]
 
     def to_record(self) -> dict:
-        """The manifest's ``final`` block: the recorded scalars, the step count
-        and the derived maxima.  The final time is the last series row and
-        the monitor bound c1 is ``verify.monitor_constants`` of the run."""
+        """The manifest's ``final`` block: the recorded scalars and the derived
+        counts and maxima.  The final time is the last series row and the
+        monitor bound c1 is ``verify.monitor_constants`` of the run."""
         derived = ("rejected", "speed_estimate", "lu_factorizations", "sup_du2", "sup_ut")
         return {**{k: getattr(self, k) for k in _RECORDED + derived},
                 "steps": self.state.step_count}
@@ -163,8 +163,9 @@ class FlowRun:
     def from_record(cls, record: dict, grid: CurvilinearGrid, phi: ContactAngle,
                     cfg: StepperConfig, series, energy, snapshots, dense) -> FlowRun:
         """Inverse of ``to_record``; the rest are the data stored beside it, the
-        final time the last row of ``series``."""
-        state = FlowState(u=snapshots[-1][1], step_count=record["steps"])
+        final time the last row of ``series``, which has one row per step and
+        one for t = 0."""
+        state = FlowState(u=snapshots[-1][1], step_count=len(series["t"]) - 1)
         return cls(grid=grid, phi=phi, cfg=cfg, state=state, series=series, energy=energy,
                    snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
 
@@ -239,7 +240,7 @@ class _Record:
     def __init__(self, field, cfg: StepperConfig):
         self.field = field
         self.series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut", "osc_u")}
-        self.energy = {k: [] for k in ("t", "E", "I", "residual")}
+        self.energy = {k: [] for k in ("t", "E", "I")}
         self.snapshots = []
         self.dense = {}
         self._targets = sorted(float(tau) for tau in cfg.dense_sample_times)
@@ -259,9 +260,7 @@ class _Record:
             self.series[key].append(val)
         E = grid.domain_integral(v) - grid.boundary_integral(u[-1] * f.phi_vals)
         I = grid.domain_integral(u_t ** 2 / v)
-        res = 0.0 if dt is None else (
-            (E - self.energy["E"][-1]) - dt * 0.5 * (I + self.energy["I"][-1]))
-        for key, val in zip(self.energy, (t, E, I, res)):
+        for key, val in zip(self.energy, (t, E, I)):
             self.energy[key].append(val)
 
         # the slack absorbs the rounding of the accumulated time
@@ -381,8 +380,8 @@ class _Stepper:
             snapshots = rec.snapshots
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
-            record = {"converged": converged, "message": message, "steps": self.steps,
-                      "lu_refreshes": f.refreshes, "dt_min": self.dt_min, "dt_max": self.dt_max,
+            record = {"converged": converged, "message": message, "lu_refreshes": f.refreshes,
+                      "dt_min": self.dt_min, "dt_max": self.dt_max,
                       "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
             runs.append(FlowRun.from_record(
                 record, self.grid, self.phi, cfg,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .domain import ConvexDomain
 from .errors import ChartDomainError, GridError, ScenarioError
-from .metrics import INDEX_PAIRS, einsum_sum, inv2
+from .metrics import INDEX_PAIRS, inv2
 from .schema import N_ANGULAR, N_RADIAL, check
 
 _DELTA_SPACE = 1e-3  # the stepper rejects, and spacelike_bound fails, sup |Du|^2 above 1 - this
@@ -102,8 +102,8 @@ class CurvilinearGrid:
         # sigma~_ab = J^i_a sigma_ij J^j_b
         sigma_t = np.empty_like(J)
         for a, b in INDEX_PAIRS:
-            sigma_t[..., a, b] = einsum_sum(J[..., i, a] * sig[..., i, j] * J[..., j, b]
-                                            for i, j in INDEX_PAIRS)
+            sigma_t[..., a, b] = sum(J[..., i, a] * sig[..., i, j] * J[..., j, b]
+                                     for i, j in INDEX_PAIRS)
         self.sigma_t_inv = _component_major(inv2(sigma_t))
         sqrt_det = np.sqrt(sigma_t[..., 0, 0] * sigma_t[..., 1, 1] - sigma_t[..., 0, 1] ** 2)
 
@@ -111,13 +111,13 @@ class CurvilinearGrid:
         # x^k_{,ab}, indexed [..., k]
         d2x = {(0, 0): np.zeros_like(X), (0, 1): dgam, (1, 0): dgam,
                (1, 1): R[..., None] * curve.d2gamma(S)}
-        inner = {(k, a, b): d2x[a, b][..., k] + einsum_sum(
+        inner = {(k, a, b): d2x[a, b][..., k] + sum(
                      gam_chart[..., k, i, j] * J[..., i, a] * J[..., j, b] for i, j in INDEX_PAIRS)
                  for k in range(2) for a, b in INDEX_PAIRS}
         gamma_t = np.empty((2, 2, 2) + jac_det.shape)
         for c in range(2):
             for a, b in INDEX_PAIRS:
-                gamma_t[c, a, b] = einsum_sum(B[..., c, k] * inner[k, a, b] for k in range(2))
+                gamma_t[c, a, b] = sum(B[..., c, k] * inner[k, a, b] for k in range(2))
         self.gamma_t = np.moveaxis(gamma_t, (3, 4), (0, 1))
         self.gauss = metric.gauss_curvature(X)
 

@@ -42,24 +42,12 @@ def inv2(M):
     return out
 
 
-# The (i, j) terms of a contraction over two indices, in np.einsum's order
+# The (i, j) terms of a contraction over two indices, in np.einsum's order.
+# np.einsum sums its contracted indices from 0.0, one term at a time, when the
+# points axis holds more than one point; so ``sum`` of a contraction's terms
+# in this order, each term's factors in operand order, is bit-identical to the
+# einsum and runs without its per-element loop.
 INDEX_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def einsum_sum(terms):
-    """The terms added to 0.0 one at a time, in the order given.
-
-    This is how np.einsum sums over its contracted indices when the points
-    axis holds more than one point, so a contraction written term by term in
-    its label order (INDEX_PAIRS for two labels), with each term's factors in
-    operand order, is bit-identical to the einsum and runs without its
-    per-element loop.
-    """
-    terms = iter(terms)
-    out = next(terms) + 0.0
-    for term in terms:
-        out += term
-    return out
 
 
 class Metric:

@@ -6,9 +6,11 @@ ambient curvature on the closure, non-space-like initial data and mismatched
 phi tables.  The scenario hash is the sha256 of the canonical (sorted-keys,
 compact) JSON encoding; series.csv and energy.csv carry it in a leading
 comment, and the manifest records it with the sha256 of every field file,
-so a manifest can be validated against its files.  The ``final`` block and
-result.json hold what no other file states (the final time is the last
-series row) and nothing ``slmcf verify`` computes (the monitor bound c1).
+so a manifest can be validated against its files.  A run directory states
+each value once: the ``final`` block and result.json hold what no other file
+states (the final time is the last series row, a translator's ``c3`` and
+``residuals`` are in ``final`` alone) and nothing ``slmcf verify`` computes
+(the monitor bound c1, the energy identity's per-step residual).
 
 JSON: ``decode_json`` decodes all JSON the package reads, the files that
 ``load_manifest`` reads as UTF-8 in any locale and the ``--grid`` string of
@@ -141,12 +143,6 @@ def load_scenario_file(path) -> Scenario:
 
 # -- CSV ------------------------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def _write_lines(path, columns, body, header: dict):
     lines = [f"# {k}: {v}" for k, v in header.items()]
     lines.append(",".join(columns))
@@ -155,7 +151,7 @@ def _write_lines(path, columns, body, header: dict):
 
 
 def write_csv(path, columns, rows, header: dict):
-    _write_lines(path, columns, (",".join(_fmt(x) for x in row) for row in rows), header)
+    _write_lines(path, columns, (",".join(repr(float(x)) for x in row) for row in rows), header)
 
 
 def _header_entry(line, header):
@@ -202,10 +198,10 @@ def write_series_csv(path, run, header):
 
 
 def write_energy_csv(path, run, header):
-    cols = ["t", "E", "I", "residual"]
+    cols = ["t", "E", "I"]
     rows = zip(*(run.energy[c] for c in cols))
     write_csv(path, cols, rows, {**header, "columns": "time, int v - bdry int u phi, "
-              "int u_t^2/v, per-step identity residual"})
+              "int u_t^2/v"})
 
 
 def _node_columns(grid: CurvilinearGrid):
@@ -475,7 +471,8 @@ def load_translator_solution(run_dir, manifest: dict,
     files = manifest["files"]
     profile = _load_field(run_dir / files["profile"]["file"], scenario.grid)
     record = load_manifest(run_dir / files["result"])
-    return TranslatorSolution.from_record(record, GridFunction(profile, scenario.grid))
+    return TranslatorSolution.from_record(manifest["final"], record,
+                                          GridFunction(profile, scenario.grid))
 
 
 @contextlib.contextmanager

@@ -57,7 +57,8 @@ of n_radial + 1 unknowns, and, where the ring solve misses the componentwise
 rounding floor, the sparse LU of the bordered CSC matrix, built only then.
 The solver writes which of the two served into its entry of
 ``limit["solvers"]``, [eps, "ring" or "lu"] per factorization, the trace's
-included.  At most one LU is alive at a time.
+included: the entries at eps = 0 count the limit's factorizations, those at
+eps > 0 a trace level's refactors.  At most one LU is alive at a time.
 """
 
 from __future__ import annotations
@@ -108,22 +109,23 @@ class TranslatorSolution:
     limit: dict                    # the bordered solve at eps = 0
 
     def to_record(self):
+        """result.json: everything but the profile and the manifest's ``final``
+        block, ``c3`` and ``residuals``."""
         return {
-            "c3": self.c3,
             "eps_trace": [[e, d] for e, d in self.eps_trace],
             "eps_trace_mean": [[e, d] for e, d in self.eps_trace_mean],
-            "residuals": self.residuals,
             "newton_iterations": self.newton_iterations,
             "limit": self.limit,
         }
 
     @classmethod
-    def from_record(cls, record: dict, profile: GridFunction) -> TranslatorSolution:
-        """Inverse of ``to_record``; ``profile`` is the field stored beside the record."""
-        return cls(profile=profile, c3=record["c3"],
+    def from_record(cls, final: dict, record: dict, profile: GridFunction) -> TranslatorSolution:
+        """Inverse of ``to_record``; ``final`` is the manifest's final block and
+        ``profile`` the field stored beside the record."""
+        return cls(profile=profile, c3=final["c3"],
                    eps_trace=[tuple(p) for p in record["eps_trace"]],
                    eps_trace_mean=[tuple(p) for p in record["eps_trace_mean"]],
-                   residuals=record["residuals"], newton_iterations=record["newton_iterations"],
+                   residuals=final["residuals"], newton_iterations=record["newton_iterations"],
                    limit=record["limit"])
 
 
@@ -188,9 +190,10 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
     accepted at tol.  A failed step, or a Newton step that stagnates,
     compares the residual once with its rounding floor max_i gamma_i
     (|J| |[w; c]|)_i (``RingSolver.floor``).  At or below the floor the
-    solve stops and records [eps, residual, floor] in info["floor_stops"];
-    above it a chord step drops the solver, so the next iteration refactors
-    at the current iterate, and a Newton step raises NewtonError.
+    solve stops and records [eps, floor] in info["floor_stops"], the residual
+    being the last of info["residuals"]; above it a chord step drops the
+    solver, so the next iteration refactors at the current iterate, and a
+    Newton step raises NewtonError.
 
     A start (w, c) that is not space-like is replaced by ``fallback`` (w, c)
     where one is given.  A start c of None is the area mean of F(w), taken
@@ -199,9 +202,10 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
     and the caller's at the returned w, do not evaluate the operator again.
 
     Returns (w, c, info); info holds the residual history, the counts of
-    accepted chord steps, Newton steps and factorizations, the floor stops,
-    ``steps``, every solve on an LU including failed chord steps, and
-    ``residual_max``, max |R| over the nodes at the returned (w, c).
+    accepted chord steps and Newton steps, the floor stops, ``steps``, every
+    solve on an LU including failed chord steps, and ``residual_max``,
+    max |R| over the nodes at the returned (w, c); each factorization is an
+    entry of ``system.log``.
     Raises NewtonError on stagnation or a failed line search above the floor
     (a trial step that is not space-like fails), and SpacelikeViolationError
     where the start is not space-like and no fallback is given.
@@ -221,7 +225,7 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
     c = grid.mean(op) if c is None else c
     R = op - eps * w - c
     norms = [norm(R, w)]
-    info = {"chord": 0, "newton": 0, "factorizations": 0, "steps": 0, "floor_stops": []}
+    info = {"chord": 0, "newton": 0, "steps": 0, "floor_stops": []}
     while norms[-1] > _TOL:
         if info["steps"] >= _MAX_ITER:
             raise NewtonError(
@@ -231,7 +235,6 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
         newton = system.solver is None
         if newton:
             system.factor(w, eps)
-            info["factorizations"] += 1
         delta = system.solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
@@ -259,7 +262,7 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
                 continue
         bound = system.solver.floor(np.append(w.ravel(), c))
         if norms[-1] <= bound:
-            info["floor_stops"].append([eps, norms[-1], bound])
+            info["floor_stops"].append([eps, bound])
             break
         if not newton:                   # refactor at the current iterate
             system.drop()
@@ -303,9 +306,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     tangent = system.solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
-             "lu_factorizations": info["factorizations"] + 1,
-             "floor_stops": info["floor_stops"], "trace_refactors": [],
-             "trace_residuals": [], "solvers": system.log}
+             "floor_stops": info["floor_stops"], "trace_residuals": [], "solvers": system.log}
 
     # eps trace, smallest eps first, each level started on the tangent or,
     # above a level that took a step, on the quadratic through that level:
@@ -328,9 +329,6 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         newton_iters.append(level["steps"])
         limit["trace_residuals"].append([eps, level["residuals"]])
         limit["floor_stops"].extend(level["floor_stops"])
-        if level["factorizations"]:
-            limit["trace_refactors"].append(
-                [eps, level["factorizations"], level["residuals"][-1]])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
     system.drop()

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -102,6 +103,31 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid):
     w, c, info = translator._bordered_newton(eps, u0 - A, eps * A, system)
     return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
                          "floor_stops": info["floor_stops"], "solvers": system.log}
+
+
+# -- counts and residuals a translator's limit record states once, derived ------------
+
+def limit_factorizations(limit):
+    """The factorizations of the limit solve and of the trace's LU: the
+    ``solvers`` entries at eps = 0."""
+    return sum(eps == 0 for eps, _ in limit["solvers"])
+
+
+def trace_refactors(limit):
+    """[eps, factorizations, last residual] of every trace level that
+    refactored, in ascending eps: its ``solvers`` entries and the last value
+    of its ``trace_residuals`` history."""
+    counts = collections.Counter(eps for eps, _ in limit["solvers"] if eps > 0)
+    last = {eps: history[-1] for eps, history in limit["trace_residuals"]}
+    return [[eps, n, last[eps]] for eps, n in counts.items()]
+
+
+def floor_stop_residuals(limit):
+    """[eps, residual, floor] of every floor stop: the residual is the last
+    value of that level's history (``residuals`` at eps = 0)."""
+    last = {eps: history[-1] for eps, history in limit["trace_residuals"]}
+    last[0.0] = limit["residuals"][-1]
+    return [[eps, last[eps], floor] for eps, floor in limit["floor_stops"]]
 
 
 @dataclasses.dataclass

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import slmcf
+from conftest import floor_stop_residuals, limit_factorizations
 from slmcf.cli import cmd_flow, cmd_sweep, cmd_translator, cmd_verify, main
 from slmcf.errors import ScenarioError
 from slmcf.runio import (load_run, load_scenario, load_scenario_file, read_csv,
@@ -95,11 +96,11 @@ def test_translator_artifacts(tmp_path):
     assert result["eps_trace"]
     assert len(result["newton_iterations"]) == len(result["eps_trace"])
     limit = result["limit"]
-    assert limit["lu_factorizations"] >= 1
+    assert limit_factorizations(limit) >= 1
     assert limit["residuals"][-1] <= 1e-10
     assert 0 <= limit["newton_steps"] <= len(limit["residuals"]) - 1
     assert [e for e, _ in limit["trace_residuals"]] == [e for e, _ in result["eps_trace"]]
-    assert all(r <= f for _, r, f in limit["floor_stops"])
+    assert all(r <= f for _, r, f in floor_stop_residuals(limit))
     validate_manifest(tmp_path / "tr")
 
 
@@ -141,7 +142,7 @@ def test_verify_detects_tampering(tmp_path):
     assert not summary["all_passed"]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     assert main(["flow", str(cfg), "-o", str(tmp_path / "r1")]) == 0
     assert main(["verify", str(tmp_path / "r1")]) == 0
@@ -150,6 +151,10 @@ def test_cli_exit_codes(tmp_path):
     # invalid scenario: exit 2
     bad = _write(tmp_path, dict(BASE, grid={"n_radial": 4, "n_angular": 8}), "bad.json")
     assert main(["flow", str(bad), "-o", str(tmp_path / "y")]) == 2
+    # a scenario file holding a JSON array, not an object: exit 2
+    listed = _write(tmp_path, [BASE], "list.json")
+    assert main(["flow", str(listed), "-o", str(tmp_path / "z")]) == 2
+    assert "scenario must be a JSON object" in capsys.readouterr().err
     # tampered run: exit 1
     series = tmp_path / "r1" / "series.csv"
     lines = series.read_text().splitlines()
@@ -280,10 +285,10 @@ def test_chart_circle_keeps_its_polar_chart_numbers(tmp_path, metric, n):
     r0, phi = {"sphere": (0.8, 0.1), "dome": (1.0, 0.15)}[metric]
     cfg = _write(tmp_path, _curved_config(metric, {"kind": "chart_circle", "r0": r0}, phi, n))
     final = cmd_flow(cfg, tmp_path / "flow")["final"]
-    cmd_translator(cfg, tmp_path / "tr")
+    translator_final = cmd_translator(cfg, tmp_path / "tr")["final"]
     result = json.loads((tmp_path / "tr" / "result.json").read_text())
     assert final["speed_estimate"] == pytest.approx(speed, abs=1e-13)
-    assert result["c3"] == pytest.approx(c3, abs=1e-13)
+    assert translator_final["c3"] == pytest.approx(c3, abs=1e-13)
     assert (final["steps"], final["lu_factorizations"]) == (steps, factors)
     assert sum(result["newton_iterations"]) == newton
     assert {r[4] for r in final["lu_refreshes"]} == {"ring"}

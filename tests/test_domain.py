@@ -79,6 +79,15 @@ def test_nonconvex_rejected():
         build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.2, "k": 4}, "flat")
 
 
+def test_sphere_cap_past_the_equator_rejected():
+    """A geodesic circle of radius r0 about the pole of the sphere's normal
+    chart has geodesic curvature cot(r0): the cap of r0 = 1.5 is convex, the
+    one of r0 = 1.6, past the equator at pi / 2, is not."""
+    assert build_domain({"kind": "chart_circle", "r0": 1.5}, "sphere").kappa0 > 0.07
+    with pytest.raises(NonConvexDomainError, match="min boundary curvature = -2.921e-02"):
+        build_domain({"kind": "chart_circle", "r0": 1.6}, "sphere")
+
+
 def test_odd_harmonic_rejected():
     with pytest.raises(ScenarioError):
         build_domain({"kind": "smooth_convex", "r0": 1.0, "amp": 0.05, "k": 3}, "flat")

@@ -14,7 +14,8 @@ import weakref
 import numpy as np
 import pytest
 
-from slmcf import __version__
+from conftest import floor_stop_residuals, limit_factorizations, trace_refactors
+from slmcf import __version__, translator
 from slmcf.cli import cmd_flow, main
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
@@ -136,6 +137,7 @@ def test_translator_solution_round_trip(saved):
     assert isinstance(loaded, TranslatorSolution)
     assert np.array_equal(loaded.profile.values, solution.profile.values)
     assert loaded.to_record() == solution.to_record()
+    assert (loaded.c3, loaded.residuals) == (solution.c3, solution.residuals)
     assert loaded.limit == solution.limit
     assert {"trace_residuals", "floor_stops"} <= set(loaded.limit)
     assert loaded.eps_trace == solution.eps_trace
@@ -146,10 +148,9 @@ def test_translator_solution_round_trip(saved):
 FLOW_FINAL = {"converged", "message", "steps", "rejected", "dt_min", "dt_max", "lu_refreshes",
               "lu_factorizations", "speed_estimate", "max_H_final", "sup_ut", "sup_du2"}
 TRANSLATOR_FINAL = {"c3", "residuals"}
-RESULT = {"c3", "eps_trace", "eps_trace_mean", "residuals", "newton_iterations", "limit"}
+RESULT = {"eps_trace", "eps_trace_mean", "newton_iterations", "limit"}
 RESIDUALS = {"interior_max", "c3_quadrature"}
-LIMIT = {"residuals", "newton_steps", "lu_factorizations", "floor_stops", "trace_residuals",
-         "trace_refactors", "solvers"}
+LIMIT = {"residuals", "newton_steps", "floor_stops", "trace_residuals", "solvers"}
 
 
 def test_records_hold_exactly_the_documented_keys(saved, runs_dir):
@@ -159,10 +160,57 @@ def test_records_hold_exactly_the_documented_keys(saved, runs_dir):
     assert set(flow) == FLOW_FINAL
     assert set(translator) == TRANSLATOR_FINAL
     assert set(result) == RESULT
-    assert set(result["residuals"]) == set(translator["residuals"]) == RESIDUALS
+    assert set(translator["residuals"]) == RESIDUALS
     assert set(result["limit"]) == LIMIT
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert [k for k in FLOW_FINAL | RESULT | RESIDUALS | LIMIT if f"`{k}`" not in readme] == []
+
+
+@pytest.mark.parametrize("metric, domain, phi, n", [
+    ("flat", {"kind": "disk", "radius": 3.0}, 0.2, 16),
+    ("sphere", {"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]}, 0.1, 64),
+], ids=["disk_r3", "sphere_off"])
+def test_translator_record_states_each_value_once(tmp_path, monkeypatch, metric, domain, phi, n):
+    """result.json and the manifest's ``final`` block share no key, and the
+    counts and residuals the limit record does not state derive from what it
+    does: the limit's factorizations, each trace level's refactors with its
+    last residual, and each floor stop's residual, as every bordered solve
+    reports them.  The radius-3 disk refactors at eps = 1; the off-centre
+    sphere cap at 64 x 128 stops at its rounding floor."""
+    factored, solves = [], []    # eps per factorization; per bordered solve
+    factor, bordered_newton = translator._Bordered.factor, translator._bordered_newton
+
+    def spy_factor(system, w, eps):
+        factored.append(eps)
+        factor(system, w, eps)
+
+    def spy_solve(eps, w, c, system, fallback=None):
+        start = len(factored)
+        w, c, info = bordered_newton(eps, w, c, system, fallback)
+        solves.append((eps, len(factored) - start, info["residuals"][-1],
+                       list(info["floor_stops"])))    # the limit's list grows by the trace's
+        return w, c, info
+
+    monkeypatch.setattr(translator._Bordered, "factor", spy_factor)
+    monkeypatch.setattr(translator, "_bordered_newton", spy_solve)
+    scenario = load_scenario({"name": "record", "metric": {"id": metric}, "domain": domain,
+                              "phi": {"kind": "constant", "value": phi},
+                              "grid": {"n_radial": n, "n_angular": 2 * n}})
+    solution = continuation(scenario.continuation, scenario.phi, scenario.grid)
+    manifest = save_translator_solution(tmp_path, scenario, solution, 0.0)
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert not set(result) & set(manifest["final"])
+
+    limit = result["limit"]
+    (eps0, limit_factors, _, _), *levels = solves
+    assert eps0 == 0.0 and factored.count(0.0) == limit_factors + 1    # and the trace's LU
+    assert limit_factorizations(limit) == limit_factors + 1
+    refactors = [[eps, k, last] for eps, k, last, _ in levels if k]
+    assert trace_refactors(limit) == refactors
+    stops = [[eps, last, floor] for eps, _, last, stops in solves for _, floor in stops]
+    assert floor_stop_residuals(limit) == stops
+    assert [eps for eps, *_ in refactors] == ([1.0] if domain["radius"] == 3.0 else [])
+    assert bool(stops) == (metric == "sphere")
 
 
 def _all_checks(flow, bump, solution):
@@ -328,6 +376,20 @@ def test_dense_file_without_tau_is_a_scenario_error(small_run):
     _rejected(small_run, "'dense' entry .* has no tau")
 
 
+def test_flow_run_without_snapshots_is_a_scenario_error(small_run):
+    _edit_manifest(small_run, lambda m: m["files"].update(snapshots=[]))
+    _rejected(small_run, "lists no snapshots")
+
+
+def test_translator_manifest_of_another_scenario_hash_is_a_scenario_error(saved, runs_dir,
+                                                                          tmp_path):
+    """A translator run has no CSV whose header could disagree: the manifest's
+    hash is held to the hash of the scenario it records."""
+    shutil.copytree(runs_dir / "tr", tmp_path / "tr")
+    _edit_manifest(tmp_path / "tr", lambda m: m.update(scenario_hash="0123456789abcdef"))
+    _rejected(tmp_path / "tr", "records scenario hash 0123456789abcdef != ")
+
+
 def test_dense_triplet_of_two_taus_is_a_scenario_error(small_run):
     def change(manifest):
         manifest["files"]["dense"][2]["tau"] += 1e-9
@@ -419,7 +481,7 @@ def test_default_stepper_run_verifies_against_translator(tmp_path):
 
 
 def _row_by_row_field_csv(grid, values, header):
-    """The field file as the earlier writer built it, one _fmt cell at a time."""
+    """The field file as the earlier writer built it, one cell at a time."""
     def fmt(x):
         if isinstance(x, (int, np.integer)):
             return str(int(x))

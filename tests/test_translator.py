@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from conftest import from_chart, regularized_oracle, solve_regularized
+from conftest import (floor_stop_residuals, from_chart, limit_factorizations, regularized_oracle,
+                      solve_regularized, trace_refactors)
 from slmcf import translator
 from slmcf.domain import build_domain
 from slmcf.errors import (ContinuationError, NewtonError, ScenarioError,
@@ -88,7 +89,7 @@ def test_every_operator_evaluation_is_used_once(disk_setup, disk_solution, monke
 
     monkeypatch.setattr(translator, "assemble_operator_matrix", checking_assembly)
     sol = continuation(ContinuationSchedule(), phi, grid)
-    assert calls["assembled"] == sol.limit["lu_factorizations"] == 2
+    assert calls["assembled"] == limit_factorizations(sol.limit) == 2
     assert sol.c3 == disk_solution.c3
     assert np.array_equal(sol.profile.values, disk_solution.profile.values)
     assert sol.residuals == disk_solution.residuals
@@ -125,8 +126,11 @@ def test_c3_sign_opposite_to_flux(disk_setup):
 
 
 def _limit_solve(w, c, grid, phi):
-    """The bordered solve at eps = 0 from (w, c); c = None takes the area mean of F(w)."""
-    return translator._bordered_newton(0.0, w, c, translator._Bordered(grid, phi.values_on(grid)))
+    """The bordered solve at eps = 0 from (w, c); c = None takes the area mean
+    of F(w).  Its info gains ``factorizations``, the entries of its log."""
+    system = translator._Bordered(grid, phi.values_on(grid))
+    w, c, info = translator._bordered_newton(0.0, w, c, system)
+    return w, c, {**info, "factorizations": len(system.log)}
 
 
 def _warm_limit(u, grid, phi):
@@ -248,7 +252,7 @@ def test_non_cauchy_detection(disk_setup, monkeypatch):
 def test_limit_solve_record(disk_solution):
     """The bordered solve at eps = 0 is recorded: every step, every LU, no fallback."""
     limit = disk_solution.limit
-    assert 1 <= limit["lu_factorizations"] <= 5
+    assert 1 <= limit_factorizations(limit) <= 5
     assert 0 <= limit["newton_steps"] <= len(limit["residuals"]) - 1
     assert limit["residuals"][-1] <= 1e-10
     assert limit["floor_stops"] == []
@@ -521,8 +525,8 @@ def test_default_solve_factors_twice(name):
     """One LU for the Newton-chord limit solve, one at the limit for the trace."""
     grid, phi = _catalog_case(name, 32)
     sol = continuation(ContinuationSchedule(), phi, grid)
-    assert sol.limit["lu_factorizations"] == 2
-    assert sol.limit["trace_refactors"] == []
+    assert limit_factorizations(sol.limit) == 2
+    assert trace_refactors(sol.limit) == []
 
 
 def test_trace_levels_match_fresh_regularized_solves():
@@ -542,12 +546,12 @@ def test_floor_stops_sit_at_the_floor():
     grid, phi = _catalog_case("ellipse_fourier", 128)
     sol = continuation(ContinuationSchedule(), phi, grid)
     limit = sol.limit
-    assert limit["lu_factorizations"] + sum(n for _, n, _ in limit["trace_refactors"]) <= 3
+    assert limit_factorizations(limit) + sum(n for _, n, _ in trace_refactors(limit)) <= 3
     assert limit["floor_stops"]
-    for eps, residual, floor in limit["floor_stops"]:
+    for eps, residual, floor in floor_stop_residuals(limit):
         assert residual <= floor
     # every level ends at tol or at a recorded floor stop
-    stops = {(eps, residual) for eps, residual, _ in limit["floor_stops"]}
+    stops = {(eps, residual) for eps, residual, _ in floor_stop_residuals(limit)}
     for eps, history in [[0.0, limit["residuals"]]] + limit["trace_residuals"]:
         assert history[-1] <= 1e-10 or (eps, history[-1]) in stops
 
@@ -669,7 +673,7 @@ def test_newton_line_search_failure_raises(small_disk, monkeypatch):
 
 def test_newton_failure_at_the_floor_stops(small_disk, monkeypatch):
     """The same failed line search with the floor above the residual is a
-    floor stop: the solve returns its start, recorded as [eps, residual, floor]."""
+    floor stop: the solve returns its start, recorded as [eps, floor]."""
     grid, phi, w_limit, c3 = small_disk
     _scaled_jacobian(monkeypatch, 1e6)
     monkeypatch.setattr(RingSolver, "floor", lambda self, x: 1e-3)
@@ -677,24 +681,23 @@ def test_newton_failure_at_the_floor_stops(small_disk, monkeypatch):
     w, _, info = _limit_solve(w0, c3, grid, phi)
     r0 = info["residuals"][0]
     assert info["residuals"] == [r0] and r0 < 1e-3
-    assert info["floor_stops"] == [[0.0, r0, 1e-3]] and w is w0
+    assert info["floor_stops"] == [[0.0, 1e-3]] and w is w0
     assert (info["steps"], info["newton"], info["chord"], info["factorizations"]) == (1, 0, 0, 1)
 
 
 def test_failed_trace_chord_step_refactors_and_is_recorded():
     """On the radius-3 disk the spectral gap of L is below eps = 1, so chord
     steps on the limit solver cannot halve that level's residual: the level
-    refactors once, converges to tol, and ``trace_refactors`` records it."""
+    refactors once, converges to tol, and its solver entry records it."""
     dom = build_domain({"kind": "disk", "radius": 3.0}, "flat")
     grid = build_grid(dom, 16, 32)
     sol = continuation(ContinuationSchedule(), ContactAngle(PHI02, dom), grid)
     limit = sol.limit
-    ((eps, n, residual),) = limit["trace_refactors"]
+    ((eps, n, residual),) = trace_refactors(limit)
     assert (eps, n) == (1.0, 1) and residual <= 1e-10
     assert [e for e, _ in limit["solvers"]] == [0.0, 0.0, 1.0]
-    assert limit["lu_factorizations"] == 2 and limit["floor_stops"] == []
+    assert limit_factorizations(limit) == 2 and limit["floor_stops"] == []
     history = dict(limit["trace_residuals"])[1.0]
-    assert history[-1] == residual
     # the dropped chord step is a solve with no residual of its own
     assert len(history) == sol.newton_iterations[0]
 
@@ -712,8 +715,8 @@ def test_trace_steps_halve_the_residual_down_to_the_floor(metric, domain, phi):
     sol = continuation(ContinuationSchedule(), ContactAngle(phi, dom), build_grid(dom, 64, 128))
     limit = sol.limit
     assert limit["floor_stops"]
-    assert all(residual <= floor for _, residual, floor in limit["floor_stops"])
-    refactored = {eps for eps, _, _ in limit["trace_refactors"]}
+    assert all(residual <= floor for _, residual, floor in floor_stop_residuals(limit))
+    refactored = {eps for eps, _, _ in trace_refactors(limit)}
     for eps, history in limit["trace_residuals"]:
         if eps not in refactored:
             assert all(b <= 0.5 * a or b <= 1e-10 for a, b in zip(history, history[1:])), eps

@@ -222,7 +222,8 @@ def test_maximal_limit_negative_tampered(disk32):
                              StepperConfig(max_time=6.0, tol_speed=1e-8))
     tampered = dataclasses.replace(run)
     tampered.energy = {k: np.array(v, copy=True) for k, v in run.energy.items()}
-    tampered.energy["residual"] = tampered.energy["residual"] + 1.0
+    # every step's energy residual dE - dt (I_k + I_{k-1})/2 grows by 1
+    tampered.energy["E"] = tampered.energy["E"] + np.arange(len(run.energy["E"]))
     assert not check_maximal_limit(tampered).passed
 
 
