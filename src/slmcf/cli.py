@@ -6,10 +6,10 @@
     slmcf sweep <template.json> --grid <spec> -o <dir>   parameter sweeps
     slmcf export <dir> -o <out>              write a run's field files as CSVs
 
-Exit codes: 0 all good, 1 a verification check failed or a run did not
-converge, 2 a typed error (``SlmcfError``: configuration, run directory or
-solver) or an OS error.  Any other exception is a fault of the program and
-propagates with its traceback.
+Exit codes: 0 all good, 1 a verification check failed, no check applied to
+the runs given or a run did not converge, 2 a typed error (``SlmcfError``:
+configuration, run directory or solver) or an OS error.  Any other exception
+is a fault of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .runio import (check_config, decode_json, export_field_csvs, load_manifest,
 from .runio import (load_scenario, read_csv, read_field_csv, validate_manifest,  # noqa: F401
                     write_energy_csv, write_field_csv, write_series_csv)
 from .translator import continuation
-from .verify import (check_evo_du_residual, check_maximal_limit,
+from .verify import (CheckReport, check_evo_du_residual, check_maximal_limit,
                      check_osc_decay, check_spacelike_bound,
                      check_translator_agreement, check_ut_max_principle,
                      monitor_constants, render_reports)
@@ -87,6 +87,12 @@ def cmd_verify(run_dirs) -> tuple[list, dict]:
             if scen_a.core_hash == scen_b.core_hash and scen_a.hash != scen_b.hash:
                 add(f"[{scen_a.name}|{scen_b.name}] ",
                     check_osc_decay(PairRun.from_snapshots(run_a, run_b)))
+
+    if not reports:          # a verify that checks nothing does not pass
+        reports.append(CheckReport(
+            name="no_check", passed=False, measured=0, threshold=1,
+            details={"precondition": "no check applies to the run directories given",
+                     "run_dirs": [str(rd) for rd in run_dirs]}))
 
     summary = {"tool_version": __version__,
                "reports": [r.as_dict() for r in reports],

@@ -109,7 +109,7 @@ class FlowState:
 
 
 # FlowRun fields the stepper records and the manifest's "final" block holds by name
-_RECORDED = ("converged", "message", "lu_refreshes", "dt_min", "dt_max", "max_H_final")
+_RECORDED = ("converged", "message", "lu_refreshes", "max_H_final")
 
 
 @dataclasses.dataclass
@@ -130,8 +130,6 @@ class FlowRun:
     dense: dict
     message: str
     lu_refreshes: list          # [step, t, dt, reason, solver] per refresh of the step solver
-    dt_min: float | None        # smallest and largest accepted dt (None: no step)
-    dt_max: float | None
     max_H_final: float          # max |H| of the stepper's final operator evaluation
 
     # derived: computed alike in memory and on disk
@@ -295,7 +293,6 @@ class _Stepper:
         self.grow = cfg.dt is None
         self.streak = 0          # accepted steps since dt last changed
         self.steps = 0
-        self.dt_min = self.dt_max = None
         self.records = [_Record(f, cfg) for f in self.fields]
         for rec in self.records:
             rec.add(self.t)
@@ -349,8 +346,6 @@ class _Stepper:
         self.t += dt
         self.steps += 1
         self.streak += 1
-        self.dt_min = dt if self.dt_min is None else min(self.dt_min, dt)
-        self.dt_max = dt if self.dt_max is None else max(self.dt_max, dt)
         for rec in self.records:
             rec.add(self.t, dt)
         return dt
@@ -381,7 +376,6 @@ class _Stepper:
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
             record = {"converged": converged, "message": message, "lu_refreshes": f.refreshes,
-                      "dt_min": self.dt_min, "dt_max": self.dt_max,
                       "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
             runs.append(FlowRun.from_record(
                 record, self.grid, self.phi, cfg,

@@ -5,8 +5,9 @@ anything is built; the builders then reject non-convex domains, negative
 ambient curvature on the closure, non-space-like initial data and mismatched
 phi tables.  The scenario hash is the sha256 of the canonical (sorted-keys,
 compact) JSON encoding; series.csv and energy.csv carry it in a leading
-comment, and the manifest records it with the sha256 of every field file,
-so a manifest can be validated against its files.  A run directory states
+comment, provenance for a file read outside its run directory.  The manifest
+records it with the sha256 of every other file of the run directory, which
+``validate_manifest`` holds each file to.  A run directory states
 each value once: the ``final`` block and result.json hold what no other file
 states (the final time is the last series row, a translator's ``c3`` and
 ``residuals`` are in ``final`` alone) and nothing ``slmcf verify`` computes
@@ -32,7 +33,6 @@ import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import numbers
 import pathlib
@@ -154,18 +154,14 @@ def write_csv(path, columns, rows, header: dict):
     _write_lines(path, columns, (",".join(repr(float(x)) for x in row) for row in rows), header)
 
 
-def _header_entry(line, header):
-    key, _, val = line[1:].partition(":")
-    header[key.strip()] = val.strip()
-
-
 def _csv_lines(path):
     """(header dict, column names, data lines) of a CSV file."""
     header = {}
     lines = pathlib.Path(path).read_text(encoding="utf-8").splitlines()
     k = 0
     while k < len(lines) and lines[k].startswith("#"):
-        _header_entry(lines[k], header)
+        key, _, val = lines[k][1:].partition(":")
+        header[key.strip()] = val.strip()
         k += 1
     columns = lines[k].split(",") if k < len(lines) else None
     return header, columns, [line for line in lines[k + 1:] if line]
@@ -177,17 +173,6 @@ def read_csv(path):
     if not rows:
         return header, columns, np.empty((0, len(columns or ())))
     return header, columns, np.loadtxt(rows, delimiter=",", ndmin=2)
-
-
-def read_csv_header(path) -> dict:
-    """The leading ``# key: value`` lines of a CSV file; data rows are not read."""
-    header = {}
-    with pathlib.Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            _header_entry(line, header)
-    return header
 
 
 def write_series_csv(path, run, header):
@@ -275,14 +260,14 @@ def decode_json(text, source):
         raise ScenarioError(f"invalid JSON in {source}: {err}") from None
 
 
-# The keys of a field entry of the manifest besides "file" and "sha256", by the
-# ``files`` group that lists it.
-_FIELD_KEYS = {"snapshots": ("time",), "dense": ("time", "tau"), "profile": ()}
+# The keys of a manifest entry besides "file" and "sha256", by the ``files``
+# group that lists it; the entries of any other group have none.
+_FIELD_KEYS = {"snapshots": ("time",), "dense": ("time", "tau")}
 
 
 def _entries(run_dir, manifest):
-    """(group, entry) of every file the manifest of ``run_dir`` lists: a field
-    entry is a dict, any other entry a file name."""
+    """(group, entry) of every file the manifest of ``run_dir`` lists: a group
+    lists one entry or a list of them."""
     files = manifest["files"]
     if not isinstance(files, dict):
         raise ScenarioError(f"manifest of {run_dir} lists its files as a JSON "
@@ -304,38 +289,30 @@ def _listed_file(run_dir, rel):
     return run_dir / path
 
 
-def _check_field_entry(run_dir, group, entry):
-    keys = ("file", "sha256") + _FIELD_KEYS[group]
-    missing = [k for k in keys if k not in entry] if isinstance(entry, dict) else keys
-    if missing:
-        raise ScenarioError(f"a '{group}' entry of the manifest of {run_dir} has no "
-                            f"{', '.join(missing)}: {entry!r}")
-    for key in _FIELD_KEYS[group]:
-        if isinstance(entry[key], bool) or not isinstance(entry[key], numbers.Real):
-            raise ScenarioError(f"'{key}' of {entry['file']} in the manifest of {run_dir} "
-                                f"is not a number: {entry[key]!r}")
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def validate_manifest(run_dir) -> dict:
-    """The manifest of ``run_dir``, once every file it lists is present inside
-    the run directory, every field file has the sha256 its entry records and
-    every other CSV carries the scenario hash."""
+    """The manifest of ``run_dir``, once every entry it lists holds its keys
+    and names a file inside the run directory with the sha256 it records."""
     run_dir = pathlib.Path(run_dir)
     manifest = load_manifest(run_dir / "manifest.json")
-    expect = manifest["scenario_hash"]
     for group, entry in _entries(run_dir, manifest):
-        if group in _FIELD_KEYS:
-            _check_field_entry(run_dir, group, entry)
-            fp = _listed_file(run_dir, entry["file"])
-            digest = hashlib.sha256(fp.read_bytes()).hexdigest()
-            if digest != entry["sha256"]:
-                raise ScenarioError(f"{fp} has sha256 {digest}, not the {entry['sha256']} "
-                                    f"its manifest records")
-        elif _listed_file(run_dir, entry).suffix == ".csv":
-            header = read_csv_header(run_dir / entry)
-            if header.get("scenario") != expect:
-                raise ScenarioError(f"{entry} carries scenario hash "
-                                    f"{header.get('scenario')} != {expect}")
+        keys = ("file", "sha256") + _FIELD_KEYS.get(group, ())
+        missing = [k for k in keys if k not in entry] if isinstance(entry, dict) else keys
+        if missing:
+            raise ScenarioError(f"a '{group}' entry of the manifest of {run_dir} has no "
+                                f"{', '.join(missing)}: {entry!r}")
+        for key in _FIELD_KEYS.get(group, ()):
+            if isinstance(entry[key], bool) or not isinstance(entry[key], numbers.Real):
+                raise ScenarioError(f"'{key}' of {entry['file']} in the manifest of "
+                                    f"{run_dir} is not a number: {entry[key]!r}")
+        fp = _listed_file(run_dir, entry["file"])
+        digest = _sha256(fp)
+        if digest != entry["sha256"]:
+            raise ScenarioError(f"{fp} has sha256 {digest}, not the {entry['sha256']} "
+                                f"its manifest records")
     return manifest
 
 
@@ -349,20 +326,24 @@ def standard_header(scenario: Scenario) -> dict:
 # snapshots/snap_<k>.npy per snapshot, snapshots/dense_<k>_<m>.npy (m = 0, 1, 2)
 # per dense triplet k, in ascending tau, and manifest.json; a translator run
 # directory holds scenario.json, profile.npy, result.json and manifest.json.
-# A field file is one float64 (n_radial, n_angular) .npy array.  Its manifest
-# entry {"file", "time", "tau", "sha256"} records its time (not for the
-# profile), its tau (dense files only) and the sha256 of its bytes.
-# ``load_run`` gives back the FlowRun or TranslatorSolution that was saved;
-# ``export_field_csvs`` writes the field files as i,j,rho,s,x1,x2,u CSVs.
+# The manifest lists every other file as an entry {"file", "sha256"} with the
+# sha256 of its bytes; a snapshot's entry adds its "time", a dense file's its
+# "time" and "tau".  A field file is one float64 (n_radial, n_angular) .npy
+# array.  ``load_run`` gives back the FlowRun or TranslatorSolution that was
+# saved; ``export_field_csvs`` writes the field files as i,j,rho,s,x1,x2,u CSVs.
+
+def _listing(outdir, rel, **keys) -> dict:
+    """The manifest entry of the file ``outdir / rel`` just written: ``rel``,
+    ``keys`` and the sha256 of the file's bytes."""
+    return {"file": rel, **keys, "sha256": _sha256(outdir / rel)}
+
 
 def _save_field(outdir, rel, values, **keys) -> dict:
     """Write ``values`` to ``outdir / rel`` as a float64 .npy file; returns its
-    manifest entry: ``rel``, ``keys`` and the sha256 of the bytes written."""
-    buf = io.BytesIO()
-    np.save(buf, np.asarray(values, dtype=np.float64), allow_pickle=False)
-    data = buf.getvalue()
-    (outdir / rel).write_bytes(data)
-    return {"file": rel, **keys, "sha256": hashlib.sha256(data).hexdigest()}
+    manifest entry."""
+    with open(outdir / rel, "wb") as fh:
+        np.save(fh, np.asarray(values, dtype=np.float64), allow_pickle=False)
+    return _listing(outdir, rel, **keys)
 
 
 def _load_field(path, grid: CurvilinearGrid) -> np.ndarray:
@@ -385,18 +366,17 @@ def _load_field(path, grid: CurvilinearGrid) -> np.ndarray:
 
 
 def _save(outdir, scenario: Scenario, kind, files, seconds, final) -> dict:
+    write_manifest(outdir / "scenario.json", scenario.config)
     manifest = {
         "kind": kind,
         "scenario_hash": scenario.hash,
-        "scenario_core_hash": scenario.core_hash,
         "tool_version": __version__,
         "scenario": scenario.config,
-        "files": files,
+        "files": {**files, "scenario": _listing(outdir, "scenario.json")},
         "timing": {"seconds": seconds},
         "final": final,
     }
-    write_manifest(pathlib.Path(outdir) / "scenario.json", scenario.config)
-    write_manifest(pathlib.Path(outdir) / "manifest.json", manifest)
+    write_manifest(outdir / "manifest.json", manifest)
     return manifest
 
 
@@ -413,7 +393,7 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
                          tau=float(tau))
              for k, tau in enumerate(sorted(run.dense))
              for m, (t, u) in enumerate(run.dense[tau])]
-    files = {"series": "series.csv", "energy": "energy.csv",
+    files = {"series": _listing(outdir, "series.csv"), "energy": _listing(outdir, "energy.csv"),
              "snapshots": snapshots, "dense": dense}
     return _save(outdir, scenario, "flow", files, seconds, run.to_record())
 
@@ -425,7 +405,7 @@ def save_translator_solution(outdir, scenario: Scenario, solution: TranslatorSol
     outdir.mkdir(parents=True, exist_ok=True)
     write_manifest(outdir / "result.json", solution.to_record())
     files = {"profile": _save_field(outdir, "profile.npy", solution.profile.values),
-             "result": "result.json"}
+             "result": _listing(outdir, "result.json")}
     final = {"c3": solution.c3, "residuals": solution.residuals}
     return _save(outdir, scenario, "translator", files, seconds, final)
 
@@ -435,8 +415,8 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
     run_dir = pathlib.Path(run_dir)
     files = manifest["files"]
 
-    def table(rel):
-        _, cols, data = read_csv(run_dir / rel)
+    def table(entry):
+        _, cols, data = read_csv(run_dir / entry["file"])
         return {c: data[:, k] for k, c in enumerate(cols)}
 
     def field(entry):
@@ -470,7 +450,7 @@ def load_translator_solution(run_dir, manifest: dict,
     run_dir = pathlib.Path(run_dir)
     files = manifest["files"]
     profile = _load_field(run_dir / files["profile"]["file"], scenario.grid)
-    record = load_manifest(run_dir / files["result"])
+    record = load_manifest(run_dir / files["result"]["file"])
     return TranslatorSolution.from_record(manifest["final"], record,
                                           GridFunction(profile, scenario.grid))
 
@@ -526,11 +506,12 @@ def export_field_csvs(run_dir, outdir) -> list:
         header = {"scenario": scenario.hash, "tool": f"slmcf {manifest['tool_version']}"}
         written = []
         for group, entry in _entries(run_dir, manifest):
-            if group in _FIELD_KEYS:
-                path = outdir / pathlib.PurePosixPath(entry["file"]).with_suffix(".csv")
+            rel = pathlib.PurePosixPath(entry["file"])
+            if rel.suffix == ".npy":
+                path = outdir / rel.with_suffix(".csv")
                 path.parent.mkdir(parents=True, exist_ok=True)
-                values = _load_field(run_dir / entry["file"], scenario.grid)
-                keys = {key: float(entry[key]) for key in _FIELD_KEYS[group]}
+                values = _load_field(run_dir / rel, scenario.grid)
+                keys = {key: float(entry[key]) for key in _FIELD_KEYS.get(group, ())}
                 write_field_csv(path, scenario.grid, values, {**header, **keys})
                 written.append(path)
     return written

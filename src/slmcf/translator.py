@@ -305,8 +305,10 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     system.factor(w, 0.0)
     tangent = system.solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
+    # a copy, so the trace levels' stops leave the limit solve's own list as it returned it
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
-             "floor_stops": info["floor_stops"], "trace_residuals": [], "solvers": system.log}
+             "floor_stops": list(info["floor_stops"]), "trace_residuals": [],
+             "solvers": system.log}
 
     # eps trace, smallest eps first, each level started on the tangent or,
     # above a level that took a step, on the quadratic through that level:

@@ -1,5 +1,8 @@
 import collections
 import dataclasses
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -128,6 +131,21 @@ def floor_stop_residuals(limit):
     last = {eps: history[-1] for eps, history in limit["trace_residuals"]}
     last[0.0] = limit["residuals"][-1]
     return [[eps, last[eps], floor] for eps, floor in limit["floor_stops"]]
+
+
+# -- run directories -------------------------------------------------------------------
+
+def record_sha256(run_dir, rel):
+    """Record the sha256 of the file ``rel`` of ``run_dir`` in its manifest
+    entry, so that an edit of the file passes the digest and reaches the
+    checks after it."""
+    path = pathlib.Path(run_dir) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entries = [entry for listed in manifest["files"].values()
+               for entry in (listed if isinstance(listed, list) else [listed])]
+    (entry,) = [entry for entry in entries if entry["file"] == rel]
+    entry["sha256"] = hashlib.sha256((pathlib.Path(run_dir) / rel).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
 
 
 @dataclasses.dataclass

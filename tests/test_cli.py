@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import slmcf
-from conftest import floor_stop_residuals, limit_factorizations
+from conftest import floor_stop_residuals, limit_factorizations, record_sha256
 from slmcf.cli import cmd_flow, cmd_sweep, cmd_translator, cmd_verify, main
 from slmcf.errors import ScenarioError
 from slmcf.runio import (load_run, load_scenario, load_scenario_file, read_csv,
@@ -138,6 +138,9 @@ def test_verify_detects_tampering(tmp_path):
     parts[1] = repr(float(parts[1]) + 50.0)
     lines[-1] = ",".join(parts)
     series.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError, match="series.csv has sha256"):
+        cmd_verify([tmp_path / "flow"])
+    record_sha256(tmp_path / "flow", "series.csv")
     reports, summary = cmd_verify([tmp_path / "flow"])
     assert not summary["all_passed"]
 
@@ -155,13 +158,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     listed = _write(tmp_path, [BASE], "list.json")
     assert main(["flow", str(listed), "-o", str(tmp_path / "z")]) == 2
     assert "scenario must be a JSON object" in capsys.readouterr().err
-    # tampered run: exit 1
+    # tampered run: exit 2 on the digest, exit 1 on the check once the digest is recorded
     series = tmp_path / "r1" / "series.csv"
     lines = series.read_text().splitlines()
     parts = lines[-1].split(",")
     parts[1] = repr(float(parts[1]) + 50.0)
     lines[-1] = ",".join(parts)
     series.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(tmp_path / "r1")]) == 2
+    assert "series.csv has sha256" in capsys.readouterr().err
+    record_sha256(tmp_path / "r1", "series.csv")
     assert main(["verify", str(tmp_path / "r1")]) == 1
 
 
@@ -338,18 +344,20 @@ def test_flow_manifest_step_counters(tmp_path):
     assert final["rejected"] == 0
     assert 1 <= final["lu_factorizations"] <= final["steps"] + 1
     assert len(final["lu_refreshes"]) == final["lu_factorizations"]
-    assert final["lu_refreshes"][0] == [0, 0.0, final["dt_min"], "start", "ring"]
+    dts = [r[2] for r in final["lu_refreshes"]]     # with no rejection, every dt taken
+    assert final["lu_refreshes"][0] == [0, 0.0, min(dts), "start", "ring"]
     assert {r[3] for r in final["lu_refreshes"]} <= {"start", "dt", "interval", "defect"}
     assert {r[4] for r in final["lu_refreshes"]} == {"ring"}     # a radial state
     # default stepping starts at diameter / (2 n_radial) and grows from there
-    assert final["dt_min"] == pytest.approx(1.0 / 16)
-    assert final["dt_min"] < final["dt_max"] <= 0.5
+    assert min(dts) == pytest.approx(1.0 / 16)
+    assert min(dts) < max(dts) <= 0.5
     assert json.loads((tmp_path / "run" / "manifest.json").read_text())["final"] == final
 
 
 def test_verify_detects_tampered_hash(tmp_path):
     """A field file whose bytes no longer have the manifest's sha256, and a CSV
-    whose header carries another scenario hash, are both refused."""
+    whose header carries another scenario hash, are both refused by the digest
+    of their entry."""
     cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
     snap = tmp_path / "flow" / "snapshots" / "snap_000001.npy"
     data = bytearray(snap.read_bytes())
@@ -366,7 +374,7 @@ def test_verify_detects_tampered_hash(tmp_path):
                             "# scenario: 0123456789abcdef")
     assert tampered != text
     series.write_text(tampered)
-    with pytest.raises(ScenarioError, match="scenario hash"):
+    with pytest.raises(ScenarioError, match="series.csv has sha256"):
         validate_manifest(tmp_path / "flow2")
     assert main(["verify", str(tmp_path / "flow2")]) == 2
 
@@ -478,7 +486,7 @@ def test_malformed_run_directory_exits_2(tmp_path):
     assert main(["verify", str(tmp_path / "flow")]) == 2
 
 
-@pytest.mark.parametrize("key", ["lu_refreshes", "dt_min", "dt_max", "max_H_final"])
+@pytest.mark.parametrize("key", ["lu_refreshes", "max_H_final"])
 def test_flow_manifest_without_a_recorded_key_exits_2(tmp_path, key):
     cmd_flow(_write(tmp_path, BASE), tmp_path / "flow")
     manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
@@ -494,6 +502,10 @@ def test_translator_result_without_limit_exits_2(tmp_path):
     result = json.loads((tmp_path / "tr" / "result.json").read_text())
     del result["limit"]
     (tmp_path / "tr" / "result.json").write_text(json.dumps(result))
+    with pytest.raises(ScenarioError, match="result.json has sha256"):
+        load_run(tmp_path / "tr")
+    assert main(["verify", str(tmp_path / "tr")]) == 2
+    record_sha256(tmp_path / "tr", "result.json")
     with pytest.raises(ScenarioError, match="limit"):
         load_run(tmp_path / "tr")
     assert main(["verify", str(tmp_path / "tr")]) == 2
@@ -587,3 +599,17 @@ def test_scenario_file_not_in_utf8_exits_2(tmp_path, capsys):
                  "-o", str(tmp_path / "sweep")]) == 2
     assert str(cfg) in capsys.readouterr().err
     assert not (tmp_path / "run").exists() and not (tmp_path / "sweep").exists()
+
+
+def test_verify_that_admits_no_check_fails(tmp_path):
+    """A translator run alone admits no check: verify reports one failed
+    no_check entry and exits 1, not an empty passing report."""
+    cmd_translator(_write(tmp_path, BASE), tmp_path / "tr")
+    reports, summary = cmd_verify([tmp_path / "tr"])
+    assert [(r.name, r.passed) for r in reports] == [("no_check", False)]
+    assert not summary["all_passed"]
+    assert main(["verify", str(tmp_path / "tr"), "-o", str(tmp_path / "report.json")]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [(r["name"], r["passed"]) for r in report["reports"]] == [("no_check", False)]
+    assert report["reports"][0]["details"]["run_dirs"] == [str(tmp_path / "tr")]
+    assert not report["all_passed"]

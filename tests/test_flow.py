@@ -273,9 +273,11 @@ def test_controlled_run_few_steps_and_factorizations():
     assert run.state.step_count <= 40
     assert run.lu_factorizations <= 10
     assert run.rejected == 0
-    # dt grew from the initial step, never past the cap
-    assert run.dt_min == pytest.approx(cfg.initial_dt(grid))
-    assert cfg.initial_dt(grid) < run.dt_max <= 0.5 * dom.inradius
+    # dt grew from the initial step, never past the cap; with no rejection
+    # every dt taken is the dt of a refresh
+    dts = [r[2] for r in run.lu_refreshes]
+    assert min(dts) == pytest.approx(cfg.initial_dt(grid))
+    assert cfg.initial_dt(grid) < max(dts) <= 0.5 * dom.inradius
     steps = np.diff(run.series["t"])
     assert np.all(steps[1:] >= steps[:-1] * (1.0 - 1e-9))
     # snapshots fall on the first step reaching each multiple of 25 initial steps
@@ -308,7 +310,7 @@ def test_explicit_dt_keeps_fixed_step_times(disk24):
     while expected[-1] < cfg.max_time:
         expected.append(expected[-1] + 0.01)
     assert run.series["t"].tolist() == expected
-    assert run.dt_min == run.dt_max == 0.01
+    assert {r[2] for r in run.lu_refreshes} == {0.01}
     assert run.rejected == 0
     # fixed step: one snapshot every snapshot_interval steps, plus the final state
     assert len(expected) == 31
@@ -326,7 +328,7 @@ def test_pair_core_grows_dt_and_matches_single_run_times():
     u0b = from_chart(grid, lambda x, y: 0.1 * (x ** 2 + y ** 2))
     pair = run_pair(u0a, u0b, phi, grid, cfg)
     assert pair.run_a.converged and pair.run_b.converged
-    assert pair.run_a.dt_max > cfg.initial_dt(grid)
+    assert max(r[2] for r in pair.run_a.lu_refreshes) > cfg.initial_dt(grid)
     assert np.max(np.diff(pair.osc)) <= 1e-10
     assert pair.osc[-1] < 1e-4 * pair.osc[0]
     single = run_to_convergence(u0b, phi, grid, cfg)

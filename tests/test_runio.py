@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import floor_stop_residuals, limit_factorizations, trace_refactors
+from conftest import floor_stop_residuals, limit_factorizations, record_sha256, trace_refactors
 from slmcf import __version__, translator
 from slmcf.cli import cmd_flow, main
 from slmcf.domain import build_domain
@@ -145,8 +145,9 @@ def test_translator_solution_round_trip(saved):
 
 # the keys of the run records, as the README lists them: each is a measurement
 # that nothing else in the run directory states
-FLOW_FINAL = {"converged", "message", "steps", "rejected", "dt_min", "dt_max", "lu_refreshes",
-              "lu_factorizations", "speed_estimate", "max_H_final", "sup_ut", "sup_du2"}
+FLOW_FINAL = {"converged", "message", "steps", "rejected", "lu_refreshes", "lu_factorizations",
+              "speed_estimate", "max_H_final", "sup_ut", "sup_du2"}
+MANIFEST = {"kind", "scenario_hash", "tool_version", "scenario", "files", "timing", "final"}
 TRANSLATOR_FINAL = {"c3", "residuals"}
 RESULT = {"eps_trace", "eps_trace_mean", "newton_iterations", "limit"}
 RESIDUALS = {"interior_max", "c3_quadrature"}
@@ -157,6 +158,8 @@ def test_records_hold_exactly_the_documented_keys(saved, runs_dir):
     flow = json.loads((runs_dir / "flow" / "manifest.json").read_text())["final"]
     translator = json.loads((runs_dir / "tr" / "manifest.json").read_text())["final"]
     result = json.loads((runs_dir / "tr" / "result.json").read_text())
+    for run in ("flow", "tr"):
+        assert set(json.loads((runs_dir / run / "manifest.json").read_text())) == MANIFEST
     assert set(flow) == FLOW_FINAL
     assert set(translator) == TRANSLATOR_FINAL
     assert set(result) == RESULT
@@ -255,12 +258,7 @@ def _replace_field(run_dir, rel, data, digest=True):
     records its sha256, so only the loader's own checks can catch it."""
     (run_dir / rel).write_bytes(data)
     if digest:
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        for entry in manifest["files"]["snapshots"] + manifest["files"]["dense"]:
-            if entry["file"] == rel:
-                entry["sha256"] = hashlib.sha256(data).hexdigest()
-        path.write_text(json.dumps(manifest))
+        record_sha256(run_dir, rel)
 
 
 def _edit_manifest(run_dir, change):
@@ -397,6 +395,58 @@ def test_dense_triplet_of_two_taus_is_a_scenario_error(small_run):
     _rejected(small_run, "more than one tau")
 
 
+def _listed(manifest):
+    return [entry for listed in manifest["files"].values()
+            for entry in (listed if isinstance(listed, list) else [listed])]
+
+
+def test_manifest_lists_every_file_but_itself_with_its_digest(saved, runs_dir):
+    for run in ("flow", "tr"):
+        manifest = json.loads((runs_dir / run / "manifest.json").read_text())
+        held = {p.relative_to(runs_dir / run).as_posix()
+                for p in (runs_dir / run).rglob("*") if p.is_file()}
+        assert sorted(e["file"] for e in _listed(manifest)) == sorted(held - {"manifest.json"})
+        for entry in _listed(manifest):
+            data = (runs_dir / run / entry["file"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        for group in {"flow": ("series", "energy", "scenario"),
+                      "tr": ("profile", "result", "scenario")}[run]:
+            assert set(manifest["files"][group]) == {"file", "sha256"}
+
+
+@pytest.mark.parametrize("run, rel", [("flow", "series.csv"), ("flow", "energy.csv"),
+                                      ("flow", "scenario.json"), ("flow", SNAP),
+                                      ("tr", "result.json"), ("tr", "scenario.json"),
+                                      ("tr", "profile.npy")])
+def test_one_byte_changed_in_any_listed_file_is_a_scenario_error(saved, runs_dir, tmp_path,
+                                                                 run, rel):
+    """A CSV or JSON file is held to its sha256 as a field file is: one digit
+    changed (the last bit of a field file) is refused, naming the file."""
+    shutil.copytree(runs_dir / run, tmp_path / run)
+    path = tmp_path / run / rel
+    data = bytearray(path.read_bytes())
+    k = -1 if rel.endswith(".npy") else max(i for i, b in enumerate(data) if chr(b).isdigit())
+    data[k] ^= 1                    # a digit stays a digit
+    path.write_bytes(bytes(data))
+    _rejected(tmp_path / run, f"{re.escape(rel)} has sha256 ")
+
+
+@pytest.mark.parametrize("run, group", [("flow", "series"), ("flow", "energy"),
+                                        ("tr", "result")])
+def test_manifest_that_lists_a_file_by_bare_name_is_a_scenario_error(saved, runs_dir,
+                                                                     tmp_path, run, group):
+    """A manifest written before every listed file had a digest names series,
+    energy and result by file name alone: it is refused, naming the entry."""
+    shutil.copytree(runs_dir / run, tmp_path / run)
+    rel = {"series": "series.csv", "energy": "energy.csv", "result": "result.json"}[group]
+
+    def old_format(manifest):
+        manifest["files"][group] = rel
+        del manifest["files"]["scenario"]
+    _edit_manifest(tmp_path / run, old_format)
+    _rejected(tmp_path / run, f"a '{group}' entry .* has no file, sha256: '{re.escape(rel)}'")
+
+
 def test_manifest_paths_outside_the_run_are_a_scenario_error(small_run):
     """A listed file outside the run directory is refused, though it exists and
     has the recorded digest."""
@@ -408,7 +458,7 @@ def test_manifest_paths_outside_the_run_are_a_scenario_error(small_run):
     _edit_manifest(small_run, lambda m: m["files"]["snapshots"][0].update(file=SNAP))
     load_run(small_run)
     shutil.copy(small_run / "series.csv", small_run.parent / "series.csv")
-    _edit_manifest(small_run, lambda m: m["files"].update(series="../series.csv"))
+    _edit_manifest(small_run, lambda m: m["files"]["series"].update(file="../series.csv"))
     _rejected(small_run, "not a path inside the run directory")
 
 

@@ -720,3 +720,23 @@ def test_trace_steps_halve_the_residual_down_to_the_floor(metric, domain, phi):
     for eps, history in limit["trace_residuals"]:
         if eps not in refactored:
             assert all(b <= 0.5 * a or b <= 1e-10 for a, b in zip(history, history[1:])), eps
+
+
+def test_trace_leaves_the_floor_stops_the_limit_solve_returned(monkeypatch):
+    """The trace levels' floor stops join a copy of the limit solve's list:
+    the list the limit's ``_bordered_newton`` returned keeps its length."""
+    dom = build_domain({"kind": "disk", "radius": 0.4, "center": [0.3, 0.0]}, "sphere")
+    bordered_newton = translator._bordered_newton
+    returned = []
+
+    def recorded(*args, **kwargs):
+        w, c, info = bordered_newton(*args, **kwargs)
+        returned.append((info["floor_stops"], len(info["floor_stops"])))
+        return w, c, info
+
+    monkeypatch.setattr(translator, "_bordered_newton", recorded)
+    sol = continuation(ContinuationSchedule(), ContactAngle({"kind": "constant", "value": 0.1},
+                                                            dom), build_grid(dom, 64, 128))
+    (limit_stops, n_limit), *levels = returned
+    assert len(sol.limit["floor_stops"]) == n_limit + sum(n for _, n in levels) > n_limit
+    assert len(limit_stops) == n_limit
