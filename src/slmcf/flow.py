@@ -199,8 +199,8 @@ class _Field:
         """Relinearize and rebuild the step solver for ``dt``; ``entry`` is
         the log line [step, t, dt, reason], which the solver completes with
         its kind."""
-        # the operator fields go before the solver is built; the assembly
-        # reads the evaluation ``q`` already held at w
+        # the model is built from ``q``, the field's one evaluation, at w,
+        # before the solver is built
         self._L, self._k = linearized_affine(self.w, self.grid, self.phi_vals, self.q)
         self.lu = None              # the old factors go before the new ones are built
         self.lu = RingSolver(splu, self._L, 1.0, -dt, log=entry)

@@ -449,11 +449,10 @@ class RingSolver:
         return float(np.max(self.gamma * self._times(np.abs(x), *self._abs)))
 
 
-def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
-    """Jacobian L of F at ``values`` (a ``Jacobian``, L as its stencil) and
-    the operator evaluation there: ``q``, the caller's
-    ``flow_operator(values, grid, phi_vals)`` where it holds one, else
-    computed here.
+def assemble_operator_matrix(q, grid: CurvilinearGrid, phi_vals):
+    """Jacobian L of F (a ``Jacobian``, L as its stencil) at the state that
+    ``q``, its ``flow_operator`` evaluation, was taken at: L is a function of
+    the evaluation alone.
 
     L is the full derivative of F(u), including dg~/dDu and the nonlinear
     part of the ghost closure.  It annihilates constants, since F sees only
@@ -462,8 +461,6 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     n_r, n_a = grid.n_radial, grid.n_angular
     hr, hs = grid.hr, grid.hs
 
-    if q is None:
-        q = flow_operator(values, grid, phi_vals)
     (A11, A12, A22), (h11, h12, h22), (P1, P2) = q["gup"], q["hess"], q["P"]
     v2 = 1.0 - q["du2"]
     S, G = grid.sigma_t_inv, grid.gamma_t
@@ -502,14 +499,14 @@ def assemble_operator_matrix(values, grid: CurvilinearGrid, phi_vals, q=None):
     g1, g5, g7 = w[1] * sens, w[5] * np.roll(sens, -1), w[7] * np.roll(sens, 1)
     boundary = np.stack([w[6] + w[7], w[2] + w[1], w[8] + w[5], -g7,     # in _BOUNDARY order
                          w[4] - g1, w[0] + g7 - g5, w[3] + g1, g5])
-    return Jacobian(padded, boundary, sens), q
+    return Jacobian(padded, boundary, sens)
 
 
 def linearized_affine(values, grid: CurvilinearGrid, phi_vals, q):
-    """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F,
-    ``q`` the operator evaluation there as ``assemble_operator_matrix`` takes it.
+    """Affine model F(u') ~ L u' + k around ``values``: L the Jacobian of F
+    built from ``q``, the caller's operator evaluation at ``values``.
 
     Exact at the linearization point by construction of k.
     """
-    L, q = assemble_operator_matrix(values, grid, phi_vals, q)
+    L = assemble_operator_matrix(q, grid, phi_vals)
     return L, q["op"].ravel() - L @ values.ravel()

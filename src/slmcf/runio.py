@@ -466,6 +466,27 @@ def _typed_errors(run_dir):
                             f"{type(err).__name__}: {err}") from err
 
 
+def _validated(run_dir, scenarios=None):
+    """(manifest, scenario) of the run directory ``run_dir``: the manifest
+    validated, its kind known and its scenario built, with the hash it
+    records; ``scenarios`` as for ``load_run``."""
+    manifest = validate_manifest(run_dir)
+    kind = manifest["kind"]
+    if kind not in ("flow", "translator"):
+        raise ScenarioError(f"manifest of {run_dir} records kind {kind!r}, not 'flow' "
+                            f"or 'translator'")
+    scenarios = {} if scenarios is None else scenarios
+    key = scenario_hash(manifest["scenario"])
+    if key not in scenarios:
+        scenarios[key] = load_scenario(manifest["scenario"])
+    scenario = scenarios[key]
+    if scenario.hash != manifest["scenario_hash"]:
+        raise ScenarioError(f"manifest of {run_dir} records scenario hash "
+                            f"{manifest['scenario_hash']} != {scenario.hash} of its "
+                            f"scenario")
+    return manifest, scenario
+
+
 def load_run(run_dir, scenarios=None):
     """(scenario, FlowRun or TranslatorSolution) of a validated run directory.
 
@@ -473,45 +494,32 @@ def load_run(run_dir, scenarios=None):
     scenario is in it shares that build; a new one is built and added.
     """
     with _typed_errors(run_dir):
-        manifest = validate_manifest(run_dir)
-        kind = manifest["kind"]
-        if kind not in ("flow", "translator"):
-            raise ScenarioError(f"manifest of {run_dir} records kind {kind!r}, not 'flow' "
-                                f"or 'translator'")
-        scenarios = {} if scenarios is None else scenarios
-        key = scenario_hash(manifest["scenario"])
-        if key not in scenarios:
-            scenarios[key] = load_scenario(manifest["scenario"])
-        scenario = scenarios[key]
-        if scenario.hash != manifest["scenario_hash"]:
-            raise ScenarioError(f"manifest of {run_dir} records scenario hash "
-                                f"{manifest['scenario_hash']} != {scenario.hash} of its "
-                                f"scenario")
-        load = load_flow_run if kind == "flow" else load_translator_solution
+        manifest, scenario = _validated(run_dir, scenarios)
+        load = load_flow_run if manifest["kind"] == "flow" else load_translator_solution
         return scenario, load(run_dir, manifest, scenario)
 
 
 def export_field_csvs(run_dir, outdir) -> list:
     """Write every field file of the run directory ``run_dir`` to ``outdir`` as
     the i,j,rho,s,x1,x2,u CSV of the same relative name with ".csv"; returns
-    the paths written.
+    the paths written.  The directory is validated as ``load_run`` validates
+    it, and every field is loaded, once, before any CSV is written.
 
     The header holds the scenario hash, the manifest's tool version, the
     field's time and its tau (dense files), each in repr form.
     """
     run_dir, outdir = pathlib.Path(run_dir), pathlib.Path(outdir)
-    scenario, _ = load_run(run_dir)      # checks the manifest and every field
     with _typed_errors(run_dir):
-        manifest = load_manifest(run_dir / "manifest.json")
+        manifest, scenario = _validated(run_dir)
         header = {"scenario": scenario.hash, "tool": f"slmcf {manifest['tool_version']}"}
+        fields = [(group, entry, _load_field(run_dir / entry["file"], scenario.grid))
+                  for group, entry in _entries(run_dir, manifest)
+                  if pathlib.PurePosixPath(entry["file"]).suffix == ".npy"]
         written = []
-        for group, entry in _entries(run_dir, manifest):
-            rel = pathlib.PurePosixPath(entry["file"])
-            if rel.suffix == ".npy":
-                path = outdir / rel.with_suffix(".csv")
-                path.parent.mkdir(parents=True, exist_ok=True)
-                values = _load_field(run_dir / rel, scenario.grid)
-                keys = {key: float(entry[key]) for key in _FIELD_KEYS.get(group, ())}
-                write_field_csv(path, scenario.grid, values, {**header, **keys})
-                written.append(path)
+        for group, entry, values in fields:
+            path = outdir / pathlib.PurePosixPath(entry["file"]).with_suffix(".csv")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            keys = {key: float(entry[key]) for key in _FIELD_KEYS.get(group, ())}
+            write_field_csv(path, scenario.grid, values, {**header, **keys})
+            written.append(path)
     return written

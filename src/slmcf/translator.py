@@ -50,15 +50,17 @@ is recorded; above it a chord step refactors and a Newton step raises.
 Newton uses the exact Jacobian (including the derivative of g~^{ab} with
 respect to Du and the nonlinear boundary closure), the flow's too, with
 backtracking damping that keeps iterates space-like.  Each factorization
-hands L (its stencil, ``operators.Jacobian``), eps and the border row a to
-an ``operators.RingSolver``, which solves the bordered system: FFT in s,
+hands L (its stencil, ``operators.Jacobian``, built from the evaluation of F
+at the iterate alone, which the Newton loop owns), eps and the border row a
+to an ``operators.RingSolver``, which solves the bordered system: FFT in s,
 with angular mode 0 (singular at eps = 0) solved as its own bordered system
 of n_radial + 1 unknowns, and, where the ring solve misses the componentwise
 rounding floor, the sparse LU of the bordered CSC matrix, built only then.
 The solver writes which of the two served into its entry of
 ``limit["solvers"]``, [eps, "ring" or "lu"] per factorization, the trace's
 included: the entries at eps = 0 count the limit's factorizations, those at
-eps > 0 a trace level's refactors.  At most one LU is alive at a time.
+eps > 0 a trace level's refactors.  At most one LU is alive at a time, and
+no operator evaluation while it solves.
 """
 
 from __future__ import annotations
@@ -132,42 +134,25 @@ class TranslatorSolution:
 class _Bordered:
     """The state of the bordered solves of one continuation: the grid, the
     contact angle, the border row a = quadrature weights / area, the one
-    live solver, the log [eps, solver] of every factorization, and the
-    operator evaluation of the last residual, held as (w, flow_operator(w,
-    ...)) for a factorization at that very w."""
+    live solver and the log [eps, solver] of every factorization.  It holds
+    no operator evaluation: ``factor`` is handed one."""
 
     def __init__(self, grid: CurvilinearGrid, phi_vals):
         self.grid, self.phi_vals = grid, phi_vals
         self.border = (grid.weights / grid.area).ravel()
         self.solver = None
         self.log = []
-        self._held = None
 
-    def operator(self, w):
-        """F(w), held for a factorization at this w."""
-        self._held = None                # one evaluation alive at a time
-        q = flow_operator(w, self.grid, self.phi_vals)
-        self._held = (w, q)
-        return q["op"]
-
-    def factor(self, w, eps):
-        """Build the solver of [[L - eps I, -1], [a^T, 0]] at (w, eps), the old
-        one dropped first, from the held evaluation where it is at w; the
-        solver writes its kind into the log entry [eps]."""
+    def factor(self, q, eps):
+        """Build the solver of [[L - eps I, -1], [a^T, 0]] at eps, L the
+        Jacobian at the iterate whose ``flow_operator`` evaluation is ``q``,
+        the old solver dropped first; the solver writes its kind into the log
+        entry [eps]."""
         self.solver = None
-        held, self._held = self._held, None
-        L = assemble_operator_matrix(w, self.grid, self.phi_vals,
-                                     held[1] if held is not None and held[0] is w else None)[0]
         entry = [eps]
-        self.solver = RingSolver(splu, L, -eps, 1.0, border=self.border, log=entry)
+        self.solver = RingSolver(splu, assemble_operator_matrix(q, self.grid, self.phi_vals),
+                                 -eps, 1.0, border=self.border, log=entry)
         self.log.append(entry)
-
-    def solve(self, b):
-        self._held = None                # no evaluation is alive while an LU solves
-        return self.solver.solve(b)
-
-    def drop(self):
-        self.solver = self._held = None
 
 
 def _quadratic_start(eps, tangent_start, below):
@@ -197,33 +182,37 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
 
     A start (w, c) that is not space-like is replaced by ``fallback`` (w, c)
     where one is given.  A start c of None is the area mean of F(w), taken
-    from the first residual's evaluation.  The evaluation of the last
-    residual stays held in ``system``, so the factorization at the start,
-    and the caller's at the returned w, do not evaluate the operator again.
+    from the first residual's evaluation.  The solve owns q, the
+    ``flow_operator`` evaluation of its iterate w, for a factorization at w.
+    No evaluation is alive while the solver solves: q is dropped before every
+    solve and set again only where a trial is accepted, so a rejected trial's
+    evaluation is never reused.  A factorization at a w whose q was dropped
+    (after a failed chord step) evaluates F there once more.
 
-    Returns (w, c, info); info holds the residual history, the counts of
-    accepted chord steps and Newton steps, the floor stops, ``steps``, every
-    solve on an LU including failed chord steps, and ``residual_max``,
-    max |R| over the nodes at the returned (w, c); each factorization is an
-    entry of ``system.log``.
+    Returns (w, c, q, info), q None where the last trial was rejected (a
+    floor stop); info holds the residual history, the counts of accepted
+    chord steps and Newton steps, the floor stops, ``steps``, every solve on
+    an LU including failed chord steps, and ``residual_max``, max |R| over
+    the nodes at the returned (w, c); each factorization is an entry of
+    ``system.log``.
     Raises NewtonError on stagnation or a failed line search above the floor
     (a trial step that is not space-like fails), and SpacelikeViolationError
     where the start is not space-like and no fallback is given.
     """
-    grid = system.grid
+    grid, phi_vals = system.grid, system.phi_vals
 
     def norm(R, wv):
         return max(float(np.max(np.abs(R))), abs(grid.mean(wv)))
 
     try:
-        op = system.operator(w)
+        q = flow_operator(w, grid, phi_vals)
     except SpacelikeViolationError:
         if fallback is None:
             raise
         w, c = fallback
-        op = system.operator(w)
-    c = grid.mean(op) if c is None else c
-    R = op - eps * w - c
+        q = flow_operator(w, grid, phi_vals)
+    c = grid.mean(q["op"]) if c is None else c
+    R = q["op"] - eps * w - c
     norms = [norm(R, w)]
     info = {"chord": 0, "newton": 0, "steps": 0, "floor_stops": []}
     while norms[-1] > _TOL:
@@ -234,27 +223,31 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
         info["steps"] += 1
         newton = system.solver is None
         if newton:
-            system.factor(w, eps)
-        delta = system.solve(-np.append(R.ravel(), grid.mean(w)))
+            system.factor(flow_operator(w, grid, phi_vals) if q is None else q, eps)
+        q = None                         # no evaluation is alive while the solver solves
+        delta = system.solver.solve(-np.append(R.ravel(), grid.mean(w)))
         dw, dc = delta[:-1].reshape(w.shape), float(delta[-1])
 
         t = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS if newton else 1):
+            trial = None                 # one evaluation alive at a time
             try:
                 trial_w, trial_c = w + t * dw, c + t * dc
-                R_trial = system.operator(trial_w) - eps * trial_w - trial_c
+                trial = flow_operator(trial_w, grid, phi_vals)
+                R_trial = trial["op"] - eps * trial_w - trial_c
             except SpacelikeViolationError:
                 t *= _DAMPING
                 continue
             norm_trial = norm(R_trial, trial_w)
             if (norm_trial < norms[-1] * (1.0 - 1e-4 * t) or norm_trial < _TOL) if newton \
                     else (norm_trial <= 0.5 * norms[-1] or norm_trial <= _TOL):
-                w, c, R = trial_w, trial_c, R_trial
+                w, c, R, q = trial_w, trial_c, R_trial, trial
                 norms.append(norm_trial)
                 accepted = True
                 break
             t *= _DAMPING
+        trial = None                     # a rejected trial's evaluation is never reused
         if accepted:
             info["newton" if newton else "chord"] += 1
             # Newton stagnation: less than 0.1% total reduction over the last 5 steps
@@ -265,13 +258,13 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
             info["floor_stops"].append([eps, bound])
             break
         if not newton:                   # refactor at the current iterate
-            system.drop()
+            system.solver = None
             continue
         raise NewtonError(
             f"Newton {'stagnation' if accepted else 'line search failed'} "
             f"(eps = {eps:.3e}, residual = {norms[-1]:.3e})")
     info.update(residuals=norms, residual_max=float(np.max(np.abs(R))))
-    return w, c, info
+    return w, c, q, info
 
 
 def compute_c3(profile: GridFunction, phi: ContactAngle, grid: CurvilinearGrid):
@@ -299,11 +292,12 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     w = np.zeros((grid.n_radial, grid.n_angular))
     system = _Bordered(grid, phi_vals)
     # Newton-chord from the speed that fits F(0) best in the area mean
-    w, c3, info = _bordered_newton(0.0, w, None, system)
+    w, c3, q, info = _bordered_newton(0.0, w, None, system)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
-    system.factor(w, 0.0)
-    tangent = system.solve(np.append(w.ravel(), 0.0))
+    system.factor(flow_operator(w, grid, phi_vals) if q is None else q, 0.0)
+    q = None                         # no evaluation is alive while the solver solves
+    tangent = system.solver.solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
     # a copy, so the trace levels' stops leave the limit solve's own list as it returned it
     limit = {"residuals": info["residuals"], "newton_steps": info["newton"],
@@ -320,10 +314,12 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         tangent_start = (w + eps * w_dot, c3 + eps * c_dot)
         start = tangent_start if below is None else _quadratic_start(eps, tangent_start, below)
         try:
-            w_eps, c_eps, level = _bordered_newton(eps, *start, system, fallback=tangent_start)
+            w_eps, c_eps, q, level = _bordered_newton(eps, *start, system,
+                                                      fallback=tangent_start)
         except (NewtonError, SpacelikeViolationError) as err:
             raise ContinuationError(f"eps trace: no convergence at eps = {eps:.3e}: {err}",
                                     trace=stats[::-1]) from err
+        q = None                     # the level's evaluation goes before the next level starts
         # a level that took no step is its start: its second-order part would
         # only carry the rounding of the start onward
         below = (eps, w_eps - w - eps * w_dot, c_eps - c3 - eps * c_dot) \
@@ -333,7 +329,7 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
         limit["floor_stops"].extend(level["floor_stops"])
         eu = c_eps + eps * w_eps
         stats.append((eps, float(grid.mean(eu)), float(np.min(eu)), float(np.max(eu))))
-    system.drop()
+    system.solver = None
     stats.reverse()
     newton_iters.reverse()
     limit["trace_residuals"].reverse()

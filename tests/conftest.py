@@ -103,7 +103,7 @@ def solve_regularized(eps, init, phi, grid: CurvilinearGrid):
     u0 = (init.values if isinstance(init, GridFunction) else np.asarray(init, float))
     A = float(grid.mean(u0))
     system = translator._Bordered(grid, phi.values_on(grid))
-    w, c, info = translator._bordered_newton(eps, u0 - A, eps * A, system)
+    w, c, _, info = translator._bordered_newton(eps, u0 - A, eps * A, system)
     return c / eps + w, {"iterations": info["steps"], "residual": info["residuals"][-1],
                          "floor_stops": info["floor_stops"], "solvers": system.log}
 

@@ -82,7 +82,7 @@ def test_jacobian_matches_finite_differences(dom_spec, metric_id):
     rng = np.random.default_rng(11)
     u = _test_field(grid, metric_id) + 0.01 * rng.standard_normal((8, 16))
 
-    L, _ = assemble_operator_matrix(u, grid, pv)
+    L = assemble_operator_matrix(flow_operator(u, grid, pv), grid, pv)
     La = np.column_stack([L @ e for e in np.eye(u.size)])
     N = u.size
     Jfd = np.zeros((N, N))
@@ -110,14 +110,13 @@ def test_frozen_affine_exact_at_linearization(disk_grid, phi02):
 
 def test_affine_model_reads_the_callers_evaluation(disk_grid, phi02):
     """Handed the operator evaluation at u, the assembly builds the same model
-    bit for bit as on its own evaluation, and returns the one handed."""
+    bit for bit as on a fresh evaluation."""
     u = _test_field(disk_grid, "flat")
     pv = phi02.values_on(disk_grid)
-    L, own = assemble_operator_matrix(u, disk_grid, pv)
-    k = own["op"].ravel() - L @ u.ravel()
-    q = flow_operator(u, disk_grid, pv)
-    L_q, k_q = linearized_affine(u, disk_grid, pv, q)
-    assert assemble_operator_matrix(u, disk_grid, pv, q)[1] is q
+    fresh = flow_operator(u, disk_grid, pv)
+    L = assemble_operator_matrix(fresh, disk_grid, pv)
+    k = fresh["op"].ravel() - L @ u.ravel()
+    L_q, k_q = linearized_affine(u, disk_grid, pv, flow_operator(u, disk_grid, pv))
     assert np.array_equal(L_q.padded, L.padded) and np.array_equal(L_q.boundary, L.boundary)
     assert np.array_equal(k_q, k)
 
@@ -179,7 +178,8 @@ def _tensor_reference(values, grid, phi_vals):
 def test_component_kernel_matches_the_tensor_reference(dom_spec, metric_id):
     grid, pv, u = _kernel_case(dom_spec, metric_id)
     op, weights = _tensor_reference(u, grid, pv)
-    L, q = assemble_operator_matrix(u, grid, pv)
+    q = flow_operator(u, grid, pv)
+    L = assemble_operator_matrix(q, grid, pv)
     assert np.max(np.abs(flow_operator(u, grid, pv)["op"] - op)) <= 1e-14 * np.max(np.abs(op))
     assert np.max(np.abs(q["op"] - op)) <= 1e-14 * np.max(np.abs(op))
     W = L.weights
@@ -234,7 +234,7 @@ def test_stencil_products_and_escalated_matrix_match_the_coo_reference(dom_spec,
     reference shifted, or bordered, exactly: duplicates summed first, then
     times beta, plus alpha."""
     grid, pv, u = _kernel_case(dom_spec, metric_id)
-    L, _ = assemble_operator_matrix(u, grid, pv)
+    L = assemble_operator_matrix(flow_operator(u, grid, pv), grid, pv)
     ref, N = _coo_reference(L), u.size
     x = np.random.default_rng(7).standard_normal(N + 1)
     _assert_product(L @ x[:N], ref, x[:N])
@@ -288,7 +288,7 @@ def _systems(grid, pv, w):
     """(A, p, solver) for I - dt L at three dt and the bordered matrix at eps = 0,
     0.25, each solver built as the flow and the translator build it; p is the
     order an escalated solver factors on."""
-    L, _ = assemble_operator_matrix(w, grid, pv)
+    L = assemble_operator_matrix(flow_operator(w, grid, pv), grid, pv)
     p = nested_dissection_order(grid.n_radial, grid.n_angular)
     out = []
     for dt in (1e-3, 0.05, 0.5):
@@ -296,7 +296,7 @@ def _systems(grid, pv, w):
         out.append((solver.matrix(), p, solver))
     for eps in (0.0, 0.25):
         system = translator._Bordered(grid, pv)
-        system.factor(w, eps)
+        system.factor(flow_operator(w, grid, pv), eps)
         out.append((system.solver.matrix(), np.append(p, p.size), system.solver))
     return out
 
@@ -362,6 +362,27 @@ def test_ring_solve_escalates_off_symmetry(name, n_radial, record_splu):
     assert [len(m) for m in made] == [3, 2]
 
 
+def test_non_finite_ring_solution_escalates_to_the_lu(monkeypatch):
+    """A ring solution that is not finite is not refined: the solver
+    escalates at once, logs "lu" and returns the ordered LU's solution, bit
+    for bit, for the flow's and the translator's matrices alike."""
+    grid, pv, w = _ring_case(RADIAL["disk"], 16)
+    rng = np.random.default_rng(5)
+    for A, p, solver in _systems(grid, pv, w):
+        ring_solve, calls = solver._ring_solve, []
+
+        def non_finite(b, ring_solve=ring_solve, calls=calls):
+            calls.append(b)
+            x = ring_solve(b)
+            x[x.size // 2] = np.inf
+            return x
+
+        monkeypatch.setattr(solver, "_ring_solve", non_finite)
+        b = rng.standard_normal(A.shape[0])
+        assert np.array_equal(solver.solve(b), OrderedLU(splu, A, p).solve(b))
+        assert solver.log[-1] == "lu" and len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["disk", "zero_flux"])
 def test_ring_solver_owns_abs_floor_and_log(name):
     """gamma_i comes from the entry count of row i of A; ``floor`` is max
@@ -369,7 +390,7 @@ def test_ring_solver_owns_abs_floor_and_log(name):
     entry gets the solver's kind, "ring", which becomes "lu" where the solver
     escalates."""
     grid, pv, w = _ring_case({**RADIAL, **NON_RADIAL}[name], 16)
-    L, _ = assemble_operator_matrix(w, grid, pv)
+    L = assemble_operator_matrix(flow_operator(w, grid, pv), grid, pv)
     x = np.random.default_rng(3).standard_normal(w.size + 1)
     a = (grid.weights / grid.area).ravel()
     for border, n in ((None, w.size), (a, w.size + 1)):

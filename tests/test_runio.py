@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import floor_stop_residuals, limit_factorizations, record_sha256, trace_refactors
-from slmcf import __version__, translator
+from slmcf import __version__, runio, translator
 from slmcf.cli import cmd_flow, main
 from slmcf.domain import build_domain
 from slmcf.errors import ScenarioError
@@ -183,16 +183,16 @@ def test_translator_record_states_each_value_once(tmp_path, monkeypatch, metric,
     factored, solves = [], []    # eps per factorization; per bordered solve
     factor, bordered_newton = translator._Bordered.factor, translator._bordered_newton
 
-    def spy_factor(system, w, eps):
+    def spy_factor(system, q, eps):
         factored.append(eps)
-        factor(system, w, eps)
+        factor(system, q, eps)
 
     def spy_solve(eps, w, c, system, fallback=None):
         start = len(factored)
-        w, c, info = bordered_newton(eps, w, c, system, fallback)
+        w, c, q, info = bordered_newton(eps, w, c, system, fallback)
         solves.append((eps, len(factored) - start, info["residuals"][-1],
                        list(info["floor_stops"])))    # the limit's list grows by the trace's
-        return w, c, info
+        return w, c, q, info
 
     monkeypatch.setattr(translator._Bordered, "factor", spy_factor)
     monkeypatch.setattr(translator, "_bordered_newton", spy_solve)
@@ -507,6 +507,10 @@ def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_pa
         read(six, header[:-1] + [header[-1].rsplit(",", 1)[0]])
     with pytest.raises(ScenarioError, match="malformed row"):
         read(six)
+    # a negative index too: it would address a node from the end
+    for i, j in ((8, 0), (-1, 3), (2, 16), (2, -1)):
+        with pytest.raises(ScenarioError, match="node outside the 8 x 16 grid"):
+            read(body + [f"{i},{j},0.5,0.0,0.0,0.0,1.0"])
 
 
 def test_dense_files_not_in_triplets_are_a_scenario_error(small_run):
@@ -619,6 +623,24 @@ def test_export_writes_the_field_csvs_of_the_saved_values(saved, runs_dir, tmp_p
         write_field_csv(tmp_path / "expect.csv", scenario.grid, values, head)
         exported = tmp_path / ("tr" if rel == "profile.csv" else "flow") / rel
         assert exported.read_bytes() == (tmp_path / "expect.csv").read_bytes(), rel
+
+
+def test_export_loads_each_field_once(small_run, tmp_path, monkeypatch):
+    """``slmcf export`` validates the run directory by its digests and reads
+    every field file once, not once to load the run and once to write it."""
+    load_field, loaded = runio._load_field, []
+
+    def counted(path, grid):
+        loaded.append(pathlib.Path(path).relative_to(small_run).as_posix())
+        return load_field(path, grid)
+
+    monkeypatch.setattr(runio, "_load_field", counted)
+    written = export_field_csvs(small_run, tmp_path / "out")
+    files = json.loads((small_run / "manifest.json").read_text())["files"]
+    fields = sorted(entry["file"] for entry in files["snapshots"] + files["dense"])
+    assert len(fields) > 3 and sorted(loaded) == fields
+    assert sorted(p.relative_to(tmp_path / "out").as_posix() for p in written) == \
+        [rel.replace(".npy", ".csv") for rel in fields]
 
 
 def test_export_of_a_bad_run_directory_exits_2(small_run, tmp_path):

@@ -74,19 +74,27 @@ def test_continuation_residual_invariants(disk_setup, disk_solution, boundary_gr
 def test_every_operator_evaluation_is_used_once(disk_setup, disk_solution, monkeypatch):
     """The residual keeps its operator evaluation: the start speed is the
     area mean of the first residual's, a factorization assembles the Jacobian
-    from the evaluation of the iterate it holds, and ``interior_max`` reads
-    the limit solve's last residual.  So the solution is the same as with
-    every evaluation made afresh."""
+    from the evaluation of the iterate the solve holds, and ``interior_max``
+    reads the limit solve's last residual.  So the solution is the same as
+    with every evaluation made afresh."""
     _, grid, phi = disk_setup
     calls = {"assembled": 0}
+    taken = {}          # id of each evaluation -> (the evaluation, the state it was taken at)
 
-    def checking_assembly(values, grid, phi_vals, q=None):
-        assert q is not None
+    def recorded(values, grid, phi_vals):
+        q = flow_operator(values, grid, phi_vals)
+        taken[id(q)] = (q, values.copy())
+        return q
+
+    def checking_assembly(q, grid, phi_vals):
+        held, values = taken[id(q)]
+        assert held is q
         fresh = flow_operator(values, grid, phi_vals)
         assert all(np.array_equal(q[k], fresh[k]) for k in ("op", "du2", "dtu"))
         calls["assembled"] += 1
-        return assemble_operator_matrix(values, grid, phi_vals, q)
+        return assemble_operator_matrix(q, grid, phi_vals)
 
+    monkeypatch.setattr(translator, "flow_operator", recorded)
     monkeypatch.setattr(translator, "assemble_operator_matrix", checking_assembly)
     sol = continuation(ContinuationSchedule(), phi, grid)
     assert calls["assembled"] == limit_factorizations(sol.limit) == 2
@@ -129,7 +137,7 @@ def _limit_solve(w, c, grid, phi):
     """The bordered solve at eps = 0 from (w, c); c = None takes the area mean
     of F(w).  Its info gains ``factorizations``, the entries of its log."""
     system = translator._Bordered(grid, phi.values_on(grid))
-    w, c, info = translator._bordered_newton(0.0, w, c, system)
+    w, c, _, info = translator._bordered_newton(0.0, w, c, system)
     return w, c, {**info, "factorizations": len(system.log)}
 
 
@@ -379,7 +387,7 @@ def _curved(domain, n_radial, metric="flat", phi=PHI02):
 def _bordered_matrix(w, grid, pv):
     """[[L, -1], [a^T, 0]] at w, as the translator's solver builds it."""
     system = translator._Bordered(grid, pv)
-    system.factor(w, 0.0)
+    system.factor(flow_operator(w, grid, pv), 0.0)
     return system.solver.matrix()
 
 
@@ -730,9 +738,9 @@ def test_trace_leaves_the_floor_stops_the_limit_solve_returned(monkeypatch):
     returned = []
 
     def recorded(*args, **kwargs):
-        w, c, info = bordered_newton(*args, **kwargs)
+        w, c, q, info = bordered_newton(*args, **kwargs)
         returned.append((info["floor_stops"], len(info["floor_stops"])))
-        return w, c, info
+        return w, c, q, info
 
     monkeypatch.setattr(translator, "_bordered_newton", recorded)
     sol = continuation(ContinuationSchedule(), ContactAngle({"kind": "constant", "value": 0.1},
