@@ -16,8 +16,7 @@ from .errors import (CheckPreconditionError, ContinuationError, GridError,
                      StepSizeUnderflowError, UnknownMetricError)
 from .flow import (FlowRun, FlowState, PairRun, StepperConfig, run_pair,
                    run_to_convergence)
-from .geometry import (EVO_DU_CONVENTIONS, evo_du_rhs, evo_du_time_residual,
-                       mean_curvature_field)
+from .geometry import EVO_DU_CONVENTIONS, evo_du_rhs, mean_curvature_field
 from .grid import ContactAngle, CurvilinearGrid, GridFunction, build_grid
 from .metrics import get_metric, metric_ids
 from .oracle import RadialOracle, translator_oracle

@@ -70,8 +70,7 @@ import functools
 import numpy as np
 
 from .errors import ScenarioError, SpacelikeViolationError, StepSizeUnderflowError
-# unused here: perfbench/spans.py wraps this name on this module to time curvature
-from .geometry import mean_curvature_field  # noqa: F401
+from .geometry import mean_curvature_field
 from .grid import _DELTA_SPACE, ContactAngle, CurvilinearGrid, GridFunction
 from .operators import RingSolver, flow_operator, linearized_affine, splu
 from .schema import DT_FLOOR as _DT_FLOOR, check, fields   # a halved dt below it: underflow
@@ -122,7 +121,6 @@ class FlowRun:
     grid: CurvilinearGrid
     phi: ContactAngle
     cfg: StepperConfig
-    state: FlowState
     converged: bool
     series: dict
     energy: dict
@@ -133,6 +131,7 @@ class FlowRun:
     max_H_final: float          # max |H| of the stepper's final operator evaluation
 
     # derived: computed alike in memory and on disk
+    state = property(lambda self: FlowState(self.snapshots[-1][1], len(self.series["t"]) - 1))
     sup_du2 = property(lambda self: float(np.max(self.series["sup_du2"])))
     sup_ut = property(lambda self: float(np.max(self.series["sup_ut"])))
     monitor_c0 = property(lambda self: float(self.series["sup_ut"][0]) ** 2)  # at t = 0
@@ -147,7 +146,7 @@ class FlowRun:
     def _final_fields(self):
         """(u_t, H = u_t / v): the operator at the final u."""
         q = flow_operator(self.state.u, self.grid, self.phi.values_on(self.grid))
-        return q["op"], q["op"] / q["v"]
+        return q["op"], mean_curvature_field(q)
 
     def to_record(self) -> dict:
         """The manifest's ``final`` block: the recorded scalars and the derived
@@ -163,8 +162,7 @@ class FlowRun:
         """Inverse of ``to_record``; the rest are the data stored beside it, the
         final time the last row of ``series``, which has one row per step and
         one for t = 0."""
-        state = FlowState(u=snapshots[-1][1], step_count=len(series["t"]) - 1)
-        return cls(grid=grid, phi=phi, cfg=cfg, state=state, series=series, energy=energy,
+        return cls(grid=grid, phi=phi, cfg=cfg, series=series, energy=energy,
                    snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
 
 
@@ -376,7 +374,7 @@ class _Stepper:
             if snapshots[-1][0] != self.t:
                 snapshots = snapshots + [rec.last]
             record = {"converged": converged, "message": message, "lu_refreshes": f.refreshes,
-                      "max_H_final": float(np.max(np.abs(f.q["op"] / f.q["v"])))}
+                      "max_H_final": float(np.max(np.abs(mean_curvature_field(f.q))))}
             runs.append(FlowRun.from_record(
                 record, self.grid, self.phi, cfg,
                 series={k: np.asarray(v) for k, v in rec.series.items()},

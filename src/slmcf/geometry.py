@@ -8,10 +8,10 @@ pulled-back metric data stored on the grid object.  Stencil closure rules:
 - boundary ring: either a caller-supplied ghost row (contact-angle closure,
   see the flow solver) or one-sided second-order differences.
 
-Space-like test: ``gradient_fields``, under every operator evaluation, flux
-quadrature and initial-data check, is the one place that compares |Du|^2
-with 1 - ``_SPACELIKE_EPS`` (SpacelikeViolationError at the largest |Du|^2);
-the stepper's wider ceiling is ``grid._DELTA_SPACE``.
+Space-like test: ``gradient_fields``, under every operator evaluation and
+initial-data check, is the one place that compares |Du|^2 with
+1 - ``_SPACELIKE_EPS`` (SpacelikeViolationError at the largest |Du|^2); the
+stepper's wider ceiling is ``grid._DELTA_SPACE``.
 
 The field kernel (``gradient_fields``, ``quasilinear_operator``) works on
 scalar component arrays of the grid shape: P^a, |Du|^2, v, the three
@@ -30,7 +30,9 @@ suite and the run-based verification check both single out "derived":
                  - 2 |D^2 u|^2 - |Dw|^2 / (2 v^2) - 2 K |Du|^2,   w = |Du|^2,
 
 whereas "printed" uses coefficients (1, 1 without the 1/v^2, 1) on the last
-three terms.
+three terms.  The right side (``evo_du_rhs``, every convention at once) and
+H (``mean_curvature_field``) are functions of the operator evaluation q of a
+state, as the Jacobian is: neither evaluates the operator itself.
 """
 
 from __future__ import annotations
@@ -167,10 +169,9 @@ def quasilinear_operator(values, grid: CurvilinearGrid, ghost=None):
     return {"op": op, "P": P, "du2": du2, "v": v, "hess": hess, "gup": gup}
 
 
-def mean_curvature_field(values, grid: CurvilinearGrid):
-    """Scalar mean curvature H = (1/v) g~^{ab} D_a D_b u, one-sided on the
-    boundary ring."""
-    q = quasilinear_operator(values, grid)
+def mean_curvature_field(q):
+    """Scalar mean curvature H = (1/v) g~^{ab} D_a D_b u of the state whose
+    operator evaluation (``quasilinear_operator`` or ``flow_operator``) is q."""
     return q["op"] / q["v"]
 
 
@@ -183,15 +184,13 @@ EVO_DU_CONVENTIONS = {
 }
 
 
-def evo_du_rhs(values, grid: CurvilinearGrid, convention="derived", ghost=None):
-    """Right-hand side of the |Du|^2 evolution identity as a nodal field.
+def evo_du_rhs(q, grid: CurvilinearGrid):
+    """{convention: right-hand side of the |Du|^2 evolution identity} as nodal
+    fields, from the du2, gup and hess of the operator evaluation ``q``.
 
     The w = |Du|^2 derivatives always use one-sided boundary closures (w obeys
-    no boundary condition of its own); the u-derivatives accept the
-    contact-angle ghost row so the field matches the flow's own gradient.
+    no boundary condition of its own); the u-derivatives are the evaluation's.
     """
-    hc, dc, over_v2, kc = EVO_DU_CONVENTIONS[convention]
-    q = quasilinear_operator(values, grid, ghost)
     w = q["du2"]
     v2 = 1.0 - w
 
@@ -206,17 +205,6 @@ def evo_du_rhs(values, grid: CurvilinearGrid, convention="derived", ghost=None):
                           grid.sigma_t_inv, grid.sigma_t_inv, hess_u, hess_u)
     dw_sq = np.einsum("...ab,...a,...b->...", grid.sigma_t_inv, dwvec, dwvec)
 
-    rhs = grad_w_g / v2 + hess_w_g - hc * hess_u_sq - kc * grid.gauss * w
-    rhs -= dc * (dw_sq / v2 if over_v2 else dw_sq)
-    return rhs
-
-
-def evo_du_time_residual(u_prev, u_mid, u_next, dt, grid: CurvilinearGrid,
-                         convention="derived", ghosts=(None, None, None)):
-    """Residual field: centered d|Du|^2/dt minus the identity's right side."""
-    fields = []
-    for vals, gh in zip((u_prev, u_mid, u_next), ghosts):
-        _, du2, _ = gradient_fields(vals, grid, gh)
-        fields.append(du2)
-    dwdt = (fields[2] - fields[0]) / (2.0 * dt)
-    return dwdt - evo_du_rhs(u_mid, grid, convention, ghosts[1])
+    return {name: grad_w_g / v2 + hess_w_g - hc * hess_u_sq - kc * grid.gauss * w
+                  - dc * (dw_sq / v2 if over_v2 else dw_sq)
+            for name, (hc, dc, over_v2, kc) in EVO_DU_CONVENTIONS.items()}

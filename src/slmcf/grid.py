@@ -214,9 +214,14 @@ class ContactAngle:
             self._sin = np.asarray(spec.get("sin", ()), dtype=float)
 
         sdense = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        vals = self._phi(sdense)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned
+            vals = self._phi(sdense)
+            closure = 1.0 + vals ** 2    # the contact-angle closure divides by its root
         if not np.all(np.isfinite(vals)):
             raise ScenarioError("phi evaluates to non-finite values")
+        if not np.all(np.isfinite(closure)):    # there D_N u = 0: the zero-flux closure
+            raise ScenarioError(f"scenario section 'phi': 1 + phi^2 is not finite at "
+                                f"max |phi| = {np.max(np.abs(vals)):.6g}")
         self.phi0 = float(np.min(vals))
         self.phi1 = float(np.max(vals))
         w = domain.boundary_speed(sdense)

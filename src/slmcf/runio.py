@@ -417,6 +417,8 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
 
     def table(entry):
         _, cols, data = read_csv(run_dir / entry["file"])
+        if not len(data):           # every run records t = 0
+            raise ScenarioError(f"flow run {run_dir}: {entry['file']} holds no data row")
         return {c: data[:, k] for k, c in enumerate(cols)}
 
     def field(entry):

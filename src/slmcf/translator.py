@@ -6,6 +6,9 @@ by the flux balance
 
     c3 = - (boundary integral of phi) / (domain integral of (1 - |Du|^2)^{-1/2}).
 
+``compute_c3`` reads it off an evaluation of F; ``continuation`` hands it the
+limit's, the one the limit factorization is built from.
+
 The operator F(u) = g~^{ab} D_a D_b u (``flow_operator``, ghost-closed on the
 boundary ring) sees only derivatives, so its Jacobian L annihilates constants
 and is singular.  Keller's bordering (1977) removes the constant and adds the
@@ -70,9 +73,8 @@ import dataclasses
 import numpy as np
 
 from .errors import ContinuationError, NewtonError, SpacelikeViolationError
-from .geometry import gradient_fields
 from .grid import ContactAngle, CurvilinearGrid, GridFunction
-from .operators import RingSolver, assemble_operator_matrix, contact_ghost, flow_operator, splu
+from .operators import RingSolver, assemble_operator_matrix, flow_operator, splu
 from .schema import check, fields
 
 _MAX_ITER = 40           # solves on an LU per bordered solve, dropped chord steps included
@@ -267,12 +269,10 @@ def _bordered_newton(eps, w, c, system: _Bordered, fallback=None):
     return w, c, q, info
 
 
-def compute_c3(profile: GridFunction, phi: ContactAngle, grid: CurvilinearGrid):
-    """Speed from the flux balance, with the (1-|Du|^2)^(-1/2) = 1 / v volume weight."""
-    phi_vals = phi.values_on(grid)
-    ghost, _ = contact_ghost(profile.values, grid, phi_vals)
-    _, _, v = gradient_fields(profile.values, grid, ghost)
-    return -grid.boundary_integral(phi_vals) / float(np.sum(grid.weights / v))
+def compute_c3(q, grid: CurvilinearGrid, phi_vals):
+    """Speed from the flux balance, with the (1-|Du|^2)^(-1/2) = 1 / v volume
+    weight read off ``q``, the ``flow_operator`` evaluation of the profile."""
+    return -grid.boundary_integral(phi_vals) / float(np.sum(grid.weights / q["v"]))
 
 
 def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
@@ -293,9 +293,13 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     system = _Bordered(grid, phi_vals)
     # Newton-chord from the speed that fits F(0) best in the area mean
     w, c3, q, info = _bordered_newton(0.0, w, None, system)
+    q = flow_operator(w, grid, phi_vals) if q is None else q   # None: a rejected last trial
+    # the flux balance by quadrature: its gap to c3 is the discrete
+    # integration-by-parts mismatch, O(h^2)
+    c3_quadrature = compute_c3(q, grid, phi_vals)
     # the limit LU serves the tangent and every trace level: differentiating
     # F(w) - eps w - c = 0 in eps gives [[L, -1], [a^T, 0]] [w'; c'] = [w; 0]
-    system.factor(flow_operator(w, grid, phi_vals) if q is None else q, 0.0)
+    system.factor(q, 0.0)
     q = None                         # no evaluation is alive while the solver solves
     tangent = system.solver.solve(np.append(w.ravel(), 0.0))
     w_dot, c_dot = tangent[:-1].reshape(w.shape), float(tangent[-1])
@@ -336,14 +340,9 @@ def continuation(schedule: ContinuationSchedule, phi: ContactAngle,
     eps_trace = [(e, max(abs(mx - c3), abs(mn - c3))) for e, _, mn, mx in stats]
     eps_trace_mean = [(e, abs(m - c3)) for e, m, _, _ in stats]
 
-    profile = GridFunction(w, grid)
-    residuals = {
-        "interior_max": info["residual_max"],          # max |F(w) - c3| at the limit
-        # the flux balance by quadrature: its gap to c3 is the discrete
-        # integration-by-parts mismatch, O(h^2)
-        "c3_quadrature": compute_c3(profile, phi, grid),
-    }
-    return TranslatorSolution(profile=profile, c3=c3, eps_trace=eps_trace,
+    residuals = {"interior_max": info["residual_max"],     # max |F(w) - c3| at the limit
+                 "c3_quadrature": c3_quadrature}
+    return TranslatorSolution(profile=GridFunction(w, grid), c3=c3, eps_trace=eps_trace,
                               eps_trace_mean=eps_trace_mean, residuals=residuals,
                               newton_iterations=newton_iters, limit=limit)
 

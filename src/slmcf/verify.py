@@ -33,9 +33,9 @@ import dataclasses
 import numpy as np
 
 from .errors import CheckPreconditionError
-from .geometry import EVO_DU_CONVENTIONS, evo_du_time_residual
+from .geometry import EVO_DU_CONVENTIONS, evo_du_rhs
 from .grid import _DELTA_SPACE, ContactAngle, CurvilinearGrid
-from .operators import contact_ghost
+from .operators import flow_operator
 
 _ENERGY_SKIP = 3      # leading steps maximal_limit's energy residual skips (boundary layer)
 _ENERGY_CONST = 10.0  # maximal_limit: the energy residual stays under this * (dt^2 + h^2)
@@ -216,9 +216,11 @@ def check_evo_du_residual(run) -> CheckReport:
     """Identify the coefficient convention satisfied by the gradient evolution.
 
     Evaluates the time-differenced |Du|^2 evolution residual on interior
-    rings for every dense snapshot triplet the run recorded, for each
-    candidate convention; passes iff exactly one convention's residual is
-    below ``_EVO_DU_CONST`` * (h^2 + dt_snapshot).  A requested time of
+    rings for every distinct dense snapshot triplet the run recorded (one
+    that several taus share is judged once), for each candidate convention,
+    reading |Du|^2 and ``evo_du_rhs`` off one ``flow_operator`` evaluation
+    per state; passes iff exactly one convention's residual is below
+    ``_EVO_DU_CONST`` * (h^2 + dt_snapshot).  A requested time of
     ``run.cfg.dense_sample_times`` without a triplet (it lies past the end of
     the run) raises CheckPreconditionError, and so does a triplet that
     straddles a dt change: the centred difference needs its two steps to be
@@ -241,13 +243,14 @@ def check_evo_du_residual(run) -> CheckReport:
     h = grid.h
     results = dict.fromkeys(EVO_DU_CONVENTIONS, 0.0)    # the worst residual of each
     dt_max = 0.0
-    for (t0, u0), (t1, u1), (t2, u2) in run.dense.values():
+    triplets = {tuple(t for t, _ in triplet): triplet for triplet in run.dense.values()}
+    for (t0, u0), (t1, u1), (t2, u2) in triplets.values():
         dt = 0.5 * (t2 - t0)
         dt_max = max(dt_max, dt)
-        ghosts = tuple(contact_ghost(u, grid, phi_vals)[0] for u in (u0, u1, u2))
-        for name in results:
-            res = evo_du_time_residual(u0, u1, u2, dt, grid, name, ghosts)
-            results[name] = max(results[name], float(np.max(np.abs(res[interior]))))
+        q0, q1, q2 = (flow_operator(u, grid, phi_vals) for u in (u0, u1, u2))
+        dwdt = (q2["du2"] - q0["du2"]) / (2.0 * dt)
+        for name, rhs in evo_du_rhs(q1, grid).items():
+            results[name] = max(results[name], float(np.max(np.abs((dwdt - rhs)[interior]))))
     threshold = _EVO_DU_CONST * (h ** 2 + dt_max)
     validated = [name for name, val in results.items() if val <= threshold]
     passed = len(validated) == 1

@@ -15,6 +15,7 @@ from slmcf.domain import build_domain
 from slmcf.flow import StepperConfig, run_pair, run_to_convergence
 from slmcf.grid import ContactAngle, GridFunction, build_grid
 from slmcf.metrics import get_metric, inv2
+from slmcf.operators import flow_operator
 from slmcf.oracle import translator_oracle
 from slmcf.translator import (ContinuationSchedule, compute_c3, continuation)
 from slmcf.verify import (check_evo_du_residual, check_maximal_limit,
@@ -160,7 +161,8 @@ def test_criterion_1_translator_speed_agreement(grid128, phi02, sol128, flow128,
     """Flat unit disk, phi = 0.2, 128 x 256: four-way speed agreement at 5e-4."""
     a = flow128.speed_estimate
     b = sol128.c3
-    c = compute_c3(sol128.profile, phi02, grid128)
+    pv = phi02.values_on(grid128)
+    c = compute_c3(flow_operator(sol128.profile.values, grid128, pv), grid128, pv)
     d = oracle02.c3
     gaps = {"flow_vs_elliptic": abs(a - b), "flow_vs_quadrature": abs(a - c),
             "elliptic_vs_quadrature": abs(b - c), "flow_vs_oracle": abs(a - d),
@@ -273,7 +275,8 @@ def test_criterion_6_nonflat_metric(sphere_family):
     grid, phi, sol, flow, compat, pair = sphere_family
     a = flow.speed_estimate
     b = sol.c3
-    c = compute_c3(sol.profile, phi, grid)
+    pv = phi.values_on(grid)
+    c = compute_c3(flow_operator(sol.profile.values, grid, pv), grid, pv)
     gaps = [abs(a - b), abs(a - c), abs(b - c)]
     rep_osc = check_osc_decay(pair)
     rep_tr = check_translator_agreement(flow, sol)

@@ -139,7 +139,8 @@ def test_graph_geometry_constant(disk_grid):
     S = disk_grid.sigma_t_inv
     for g, ab in zip(gup, ((0, 0), (0, 1), (1, 1))):
         assert np.array_equal(g, S[..., ab[0], ab[1]])
-    assert np.max(np.abs(mean_curvature_field(u.values, disk_grid))) < 1e-12
+    H = mean_curvature_field(quasilinear_operator(u.values, disk_grid))
+    assert np.max(np.abs(H)) < 1e-12
 
 
 def test_graph_geometry_algebra_prescribed_gradient(disk_grid):
@@ -160,7 +161,7 @@ def test_graph_geometry_paraboloid_center():
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 48, 96)
     u = from_chart(grid, lambda x, y: (x ** 2 + y ** 2) / 8.0)
-    H = mean_curvature_field(u.values, grid)
+    H = mean_curvature_field(quasilinear_operator(u.values, grid))
     assert H[0, 0] == pytest.approx(0.5, abs=5e-3)
 
 
@@ -178,7 +179,7 @@ def test_h_times_v_identity(disk_grid, phi02):
     # H v = g^{ab} D_a D_b u as an algebraic identity of the field routines
     u = from_chart(disk_grid, lambda x, y: 0.2 * x ** 2 - 0.1 * y ** 2 + 0.05 * x * y)
     q = quasilinear_operator(u.values, disk_grid)
-    H = mean_curvature_field(u.values, disk_grid)
+    H = mean_curvature_field(quasilinear_operator(u.values, disk_grid))
     assert np.max(np.abs(H * q["v"] - q["op"])) < 1e-12
 
 
@@ -284,7 +285,8 @@ def test_evo_du_symbolic_oracle(metric_kind):
 def test_evo_du_rhs_constant_field(disk_grid):
     u = GridFunction.constant(disk_grid, 2.0)
     for conv in EVO_DU_CONVENTIONS:
-        assert np.max(np.abs(evo_du_rhs(u.values, disk_grid, conv))) < 1e-12
+        assert np.max(np.abs(evo_du_rhs(quasilinear_operator(u.values, disk_grid),
+                                        disk_grid)[conv])) < 1e-12
 
 
 def test_evo_du_rhs_matches_symbolic_on_grid(sphere_cap):
@@ -328,7 +330,7 @@ def test_evo_du_rhs_matches_symbolic_on_grid(sphere_cap):
         # the right side is a scalar: the grid's normal-chart nodes are read in polar form
         rr, tt = _polar(grid.X[..., 0], grid.X[..., 1])
         uu = GridFunction(0.2 * rr ** 2 + 0.1 * rr ** 3 * np.cos(tt), grid)
-        num = evo_du_rhs(uu.values, grid, "derived")
+        num = evo_du_rhs(quasilinear_operator(uu.values, grid), grid)["derived"]
         exact = rhs_fn(rr, tt)
         errs.append(float(np.max(np.abs(num - exact)[2:-3, :])))
     assert errs[1] < errs[0] / 3.0
@@ -365,7 +367,7 @@ def test_evo_du_rhs_vanishes_on_translator_profile():
         grid = build_grid(dom, n, 2 * n)
         phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
         sol = continuation(ContinuationSchedule(eps_min=1e-5), phi, grid)
-        rhs = evo_du_rhs(sol.profile.values, grid, "derived")
+        rhs = evo_du_rhs(quasilinear_operator(sol.profile.values, grid), grid)["derived"]
         errs.append(float(np.max(np.abs(rhs[2:n - 3, :]))))
     assert errs[1] < errs[0] / 2.5
     assert errs[1] < 2e-4
@@ -395,7 +397,7 @@ def test_evo_du_curvature_term_isolated_on_sphere(sphere_cap):
     rhs_sym = -2 * hess2 - 2 * 1 * w       # K = 1; gradient terms vanish
     grid = build_grid(sphere_cap, 48, 96)
     u_grid = from_chart(grid, lambda x, y: 0.3 * np.hypot(x, y))
-    rhs_num = evo_du_rhs(u_grid.values, grid, "derived")
+    rhs_num = evo_du_rhs(quasilinear_operator(u_grid.values, grid), grid)["derived"]
     i, j = 24, 10
     r_node, th_node = _polar(*grid.X[i, j])
     pt = {r: r_node, th: th_node}

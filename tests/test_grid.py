@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,25 @@ def test_table_phi_is_the_fourier_phi_of_its_dft(n):
     for name in ("phi0", "phi1", "phi2", "boundary_integral", "zero_flux"):
         assert getattr(table, name) == getattr(four, name), name
     assert np.max(np.abs(table._phi(s) - values)) <= 4 * np.spacing(np.max(np.abs(values)))
+
+
+@pytest.mark.parametrize("spec", [{"kind": "constant", "value": 1e200},
+                                  {"kind": "fourier", "a0": 0.2, "cos": [1e200]}])
+def test_phi_whose_closure_overflows_is_a_scenario_error(unit_disk, spec):
+    """1 + phi^2 = inf would give D_N u = phi sqrt(.../inf) = 0, the zero-flux
+    closure, in place of the prescribed angle: such a phi is refused, the
+    error naming 'phi' and max |phi|."""
+    with pytest.raises(ScenarioError, match=r"'phi'.*max \|phi\| = 1e\+200"):
+        ContactAngle(spec, unit_disk)
+
+
+def test_non_finite_phi_is_a_scenario_error_without_a_warning(unit_disk):
+    """Fourier terms whose sum overflows are refused as non-finite, and the
+    overflow on the way warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="non-finite"):
+            ContactAngle({"kind": "fourier", "a0": 1e308, "cos": [1e308]}, unit_disk)
 
 
 # -- the pullback against the tensor formulas ------------------------------------

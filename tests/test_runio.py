@@ -379,6 +379,18 @@ def test_flow_run_without_snapshots_is_a_scenario_error(small_run):
     _rejected(small_run, "lists no snapshots")
 
 
+@pytest.mark.parametrize("rel", ["series.csv", "energy.csv"])
+def test_table_without_a_data_row_is_a_scenario_error(small_run, rel):
+    """A series.csv or energy.csv that keeps its header lines and loses every
+    row, its digest recorded, is refused: every run records t = 0."""
+    path = small_run / rel
+    lines = path.read_text().splitlines(keepends=True)
+    columns = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    path.write_text("".join(lines[:columns + 1]))
+    record_sha256(small_run, rel)
+    _rejected(small_run, f"{rel} holds no data row")
+
+
 def test_translator_manifest_of_another_scenario_hash_is_a_scenario_error(saved, runs_dir,
                                                                           tmp_path):
     """A translator run has no CSV whose header could disagree: the manifest's

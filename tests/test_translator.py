@@ -113,15 +113,15 @@ def test_profile_zero_mean(disk_solution):
 def test_compute_c3_closed_form(disk_setup):
     dom, grid, _ = disk_setup
     # u = 0, phi = const: c3 = -(2 pi phi) / pi = -2 phi
-    phi_const = ContactAngle({"kind": "constant", "value": 0.15}, dom)
-    c3 = compute_c3(GridFunction.constant(grid, 0.0), phi_const, grid)
+    pv = ContactAngle({"kind": "constant", "value": 0.15}, dom).values_on(grid)
+    c3 = compute_c3(flow_operator(GridFunction.constant(grid, 0.0).values, grid, pv), grid, pv)
     assert c3 == pytest.approx(-0.3, abs=5e-4)
 
 
 def test_compute_c3_zero_flux(disk_setup):
     dom, grid, _ = disk_setup
-    phi_cos = ContactAngle({"kind": "fourier", "cos": [0.4]}, dom)
-    c3 = compute_c3(GridFunction.constant(grid, 0.0), phi_cos, grid)
+    pv = ContactAngle({"kind": "fourier", "cos": [0.4]}, dom).values_on(grid)
+    c3 = compute_c3(flow_operator(GridFunction.constant(grid, 0.0).values, grid, pv), grid, pv)
     assert abs(c3) < 1e-14  # trapezoid kills the first harmonic exactly
 
 

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import slmcf.geometry
+import slmcf.verify
 from conftest import from_chart
 from slmcf.domain import build_domain
 from slmcf.errors import CheckPreconditionError
@@ -276,6 +278,34 @@ def test_evo_du_check_rejects_unequal_steps(disk32):
     run.dense[tau] = ((t0, u0), (t1, u1), (t2 + (t2 - t1), u2))
     with pytest.raises(CheckPreconditionError, match="unequal steps"):
         check_evo_du_residual(run)
+
+
+def test_evo_du_check_evaluates_each_state_once(monkeypatch):
+    """Each state of each distinct triplet is evaluated once, and |Du|^2 and
+    the identity's right side are read off that evaluation.  The taus
+    0.3000001 and 0.3000004 are reached by one step and share a triplet, so
+    the three taus give 2 triplets, 6 states: 6 evaluations and 6 gradient
+    computations."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
+    cfg = StepperConfig(dt=0.01, max_time=0.5, dense_sample_times=(0.1, 0.3000001, 0.3000004))
+    run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
+    assert len(run.dense) == 3
+    calls = {"flow_operator": 0, "gradient_fields": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(slmcf.verify, "flow_operator")
+    count(slmcf.geometry, "gradient_fields")
+    assert check_evo_du_residual(run).passed
+    assert calls == {"flow_operator": 6, "gradient_fields": 6}
 
 
 # -- report plumbing -----------------------------------------------------------------
