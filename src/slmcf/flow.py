@@ -56,10 +56,10 @@ E = int v - bdry int u phi, I = int u_t^2 / v; the verification suite
 computes the energy identity's per-step residual dE - dt (I_k + I_{k+1})/2
 from them.  The row has no max|u_t - H v|: H is u_t / v of the same
 operator.  Snapshots are taken at the first step reaching each multiple of
-snapshot_interval * initial_dt.  The dense triplet of a requested tau is
-(u_{k-1}, u_k, u_{k+1}) with t_k the first step time >= tau; the initial
-state is the left neighbour of the first step.  A pair member is recorded
-exactly as a single run of its field.
+snapshot_interval * initial_dt, and at steps k - 1, k and k + 1 for each
+requested dense sample time tau, with t_k the first step time >= tau (the
+initial state is the left neighbour of the first step).  A pair member is
+recorded exactly as a single run of its field.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class FlowRun:
     series: dict
     energy: dict
     snapshots: list
-    dense: dict
     message: str
     lu_refreshes: list          # [step, t, dt, reason, solver] per refresh of the step solver
     max_H_final: float          # max |H| of the stepper's final operator evaluation
@@ -158,12 +157,12 @@ class FlowRun:
 
     @classmethod
     def from_record(cls, record: dict, grid: CurvilinearGrid, phi: ContactAngle,
-                    cfg: StepperConfig, series, energy, snapshots, dense) -> FlowRun:
+                    cfg: StepperConfig, series, energy, snapshots) -> FlowRun:
         """Inverse of ``to_record``; the rest are the data stored beside it, the
         final time the last row of ``series``, which has one row per step and
         one for t = 0."""
         return cls(grid=grid, phi=phi, cfg=cfg, series=series, energy=energy,
-                   snapshots=snapshots, dense=dense, **{k: record[k] for k in _RECORDED})
+                   snapshots=snapshots, **{k: record[k] for k in _RECORDED})
 
 
 class _Field:
@@ -230,19 +229,18 @@ class _Field:
 
 
 class _Record:
-    """Series, energy, snapshots and dense triplets of one field, taken by ``add``
-    on the initial state and after every accepted step."""
+    """Series, energy and snapshots of one field, taken by ``add`` on the
+    initial state and after every accepted step."""
 
     def __init__(self, field, cfg: StepperConfig):
         self.field = field
         self.series = {k: [] for k in ("t", "sup_ut", "sup_du2", "mean_ut", "osc_u")}
         self.energy = {k: [] for k in ("t", "E", "I")}
         self.snapshots = []
-        self.dense = {}
         self._targets = sorted(float(tau) for tau in cfg.dense_sample_times)
         self._snap_every = cfg.snapshot_interval * cfg.initial_dt(field.grid)
         self._snap_index = 0
-        self._pending = []      # (tau, left, middle) of the triplets awaiting their right end
+        self._snap_next = False     # a tau was reached by the previous step
         self.last = None        # (t, u) of the latest record
 
     def add(self, t, dt=None):
@@ -259,19 +257,18 @@ class _Record:
         for key, val in zip(self.energy, (t, E, I)):
             self.energy[key].append(val)
 
+        # a tau that step k reaches snapshots steps k - 1, k and k + 1: the
+        # triplet of the |Du|^2 evolution study
+        reached = [tau for tau in self._targets if tau <= t] if dt is not None else []
+        self._targets = self._targets[len(reached):]
+        if reached and self.snapshots[-1][0] != self.last[0]:
+            self.snapshots.append(self.last)
         # the slack absorbs the rounding of the accumulated time
         k = int(np.floor(t / self._snap_every + 1e-6))
-        if not self.snapshots or k > self._snap_index:
+        if not self.snapshots or k > self._snap_index or reached or self._snap_next:
             self._snap_index = k
             self.snapshots.append((t, u))
-
-        # dense triplets (u_{k-1}, u_k, u_{k+1}) for the |Du|^2 evolution study:
-        # every tau that step k reaches is completed at step k + 1
-        for tau, left, middle in self._pending:
-            self.dense[tau] = (left, middle, (t, u))
-        self._pending = []
-        while dt is not None and self._targets and t >= self._targets[0]:
-            self._pending.append((self._targets.pop(0), self.last, (t, u)))
+        self._snap_next = bool(reached)
         self.last = (t, u)
 
 
@@ -284,6 +281,12 @@ class _Stepper:
         self.grid = grid
         self.phi = phi
         phi_vals = phi.values_on(grid)
+        # the closure makes the boundary |Du|^2 at least phi^2 / (1 + phi^2)
+        closure = float(np.max(phi_vals ** 2 / (1.0 + phi_vals ** 2)))
+        if closure > 1.0 - _DELTA_SPACE:        # no step passes the ceiling of ``advance``
+            raise ScenarioError(f"scenario section 'phi': max |phi| = "
+                                f"{np.max(np.abs(phi_vals)):.6g} makes the boundary |Du|^2 >= "
+                                f"{closure:.6g}, above the step ceiling 1 - {_DELTA_SPACE:g}")
         self.fields = [_Field(u, grid, phi_vals) for u in fields]
         self.t = 0.0
         self.dt = cfg.initial_dt(grid)
@@ -379,7 +382,7 @@ class _Stepper:
                 record, self.grid, self.phi, cfg,
                 series={k: np.asarray(v) for k, v in rec.series.items()},
                 energy={k: np.asarray(v) for k, v in rec.energy.items()},
-                snapshots=snapshots, dense=rec.dense))
+                snapshots=snapshots))
         return runs
 
 
@@ -389,8 +392,8 @@ def run_to_convergence(u0, phi: ContactAngle, grid: CurvilinearGrid,
 
     Returns a FlowRun with the final state, the area-weighted mean of u_t as
     speed estimate, the diagnostic series (``osc_u`` is osc(u)),
-    per-step energy data, snapshots, any requested dense snapshot triplets
-    and the step counters.
+    per-step energy data, snapshots (the three steps around each requested
+    dense sample time among them) and the step counters.
     """
     stepper = _Stepper([u0], grid, phi, cfg)
     while stepper.running():

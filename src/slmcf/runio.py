@@ -262,7 +262,7 @@ def decode_json(text, source):
 
 # The keys of a manifest entry besides "file" and "sha256", by the ``files``
 # group that lists it; the entries of any other group have none.
-_FIELD_KEYS = {"snapshots": ("time",), "dense": ("time", "tau")}
+_FIELD_KEYS = {"snapshots": ("time",)}
 
 
 def _entries(run_dir, manifest):
@@ -323,14 +323,14 @@ def standard_header(scenario: Scenario) -> dict:
 # -- run directories --------------------------------------------------------------
 #
 # A flow run directory holds scenario.json, series.csv, energy.csv, one
-# snapshots/snap_<k>.npy per snapshot, snapshots/dense_<k>_<m>.npy (m = 0, 1, 2)
-# per dense triplet k, in ascending tau, and manifest.json; a translator run
+# snapshots/snap_<k>.npy per snapshot and manifest.json; a translator run
 # directory holds scenario.json, profile.npy, result.json and manifest.json.
 # The manifest lists every other file as an entry {"file", "sha256"} with the
-# sha256 of its bytes; a snapshot's entry adds its "time", a dense file's its
-# "time" and "tau".  A field file is one float64 (n_radial, n_angular) .npy
-# array.  ``load_run`` gives back the FlowRun or TranslatorSolution that was
-# saved; ``export_field_csvs`` writes the field files as i,j,rho,s,x1,x2,u CSVs.
+# sha256 of its bytes, under exactly the groups of ``_GROUPS``; a snapshot's
+# entry adds its "time".  A field file is one float64 (n_radial, n_angular)
+# .npy array.  ``load_run`` gives back the FlowRun or TranslatorSolution that
+# was saved; ``export_field_csvs`` writes the field files as i,j,rho,s,x1,x2,u
+# CSVs.
 
 def _listing(outdir, rel, **keys) -> dict:
     """The manifest entry of the file ``outdir / rel`` just written: ``rel``,
@@ -389,12 +389,8 @@ def save_flow_run(outdir, scenario: Scenario, run: FlowRun, seconds) -> dict:
     write_energy_csv(outdir / "energy.csv", run, header)
     snapshots = [_save_field(outdir, f"snapshots/snap_{k:06d}.npy", u, time=float(t))
                  for k, (t, u) in enumerate(run.snapshots)]
-    dense = [_save_field(outdir, f"snapshots/dense_{k:06d}_{m}.npy", u, time=float(t),
-                         tau=float(tau))
-             for k, tau in enumerate(sorted(run.dense))
-             for m, (t, u) in enumerate(run.dense[tau])]
     files = {"series": _listing(outdir, "series.csv"), "energy": _listing(outdir, "energy.csv"),
-             "snapshots": snapshots, "dense": dense}
+             "snapshots": snapshots}
     return _save(outdir, scenario, "flow", files, seconds, run.to_record())
 
 
@@ -427,23 +423,9 @@ def load_flow_run(run_dir, manifest: dict, scenario: Scenario) -> FlowRun:
     snapshots = [field(entry) for entry in files["snapshots"]]
     if not snapshots:
         raise ScenarioError(f"flow run {run_dir} lists no snapshots")
-    dense_entries = files["dense"]
-    if len(dense_entries) % 3:
-        raise ScenarioError(f"flow run {run_dir} lists {len(dense_entries)} dense files, "
-                            f"not a whole number of triplets")
-    dense = {}
-    for k in range(0, len(dense_entries), 3):
-        triplet = dense_entries[k:k + 3]
-        taus = {entry["tau"] for entry in triplet}
-        if len(taus) != 1:
-            raise ScenarioError(f"dense triplet {', '.join(e['file'] for e in triplet)} of "
-                                f"{run_dir} records more than one tau")
-        dense[float(taus.pop())] = tuple(map(field, triplet))
-
     return FlowRun.from_record(manifest["final"], scenario.grid, scenario.phi,
                                scenario.stepper, series=table(files["series"]),
-                               energy=table(files["energy"]), snapshots=snapshots,
-                               dense=dense)
+                               energy=table(files["energy"]), snapshots=snapshots)
 
 
 def load_translator_solution(run_dir, manifest: dict,
@@ -468,15 +450,24 @@ def _typed_errors(run_dir):
                             f"{type(err).__name__}: {err}") from err
 
 
+# The ``files`` groups of a manifest, by its kind: exactly those its loader reads.
+_GROUPS = {"flow": {"scenario", "series", "energy", "snapshots"},
+           "translator": {"scenario", "profile", "result"}}
+
+
 def _validated(run_dir, scenarios=None):
     """(manifest, scenario) of the run directory ``run_dir``: the manifest
     validated, its kind known and its scenario built, with the hash it
     records; ``scenarios`` as for ``load_run``."""
     manifest = validate_manifest(run_dir)
     kind = manifest["kind"]
-    if kind not in ("flow", "translator"):
+    if kind not in _GROUPS:
         raise ScenarioError(f"manifest of {run_dir} records kind {kind!r}, not 'flow' "
                             f"or 'translator'")
+    if set(manifest["files"]) != _GROUPS[kind]:
+        raise ScenarioError(f"manifest of {run_dir} lists the file groups "
+                            f"{sorted(manifest['files'])}, not the {sorted(_GROUPS[kind])} "
+                            f"of a {kind} run")
     scenarios = {} if scenarios is None else scenarios
     key = scenario_hash(manifest["scenario"])
     if key not in scenarios:
@@ -507,8 +498,8 @@ def export_field_csvs(run_dir, outdir) -> list:
     the paths written.  The directory is validated as ``load_run`` validates
     it, and every field is loaded, once, before any CSV is written.
 
-    The header holds the scenario hash, the manifest's tool version, the
-    field's time and its tau (dense files), each in repr form.
+    The header holds the scenario hash, the manifest's tool version and the
+    field's time (snapshots), each in repr form.
     """
     run_dir, outdir = pathlib.Path(run_dir), pathlib.Path(outdir)
     with _typed_errors(run_dir):

@@ -216,23 +216,28 @@ def check_evo_du_residual(run) -> CheckReport:
     """Identify the coefficient convention satisfied by the gradient evolution.
 
     Evaluates the time-differenced |Du|^2 evolution residual on interior
-    rings for every distinct dense snapshot triplet the run recorded (one
-    that several taus share is judged once), for each candidate convention,
-    reading |Du|^2 and ``evo_du_rhs`` off one ``flow_operator`` evaluation
-    per state; passes iff exactly one convention's residual is below
-    ``_EVO_DU_CONST`` * (h^2 + dt_snapshot).  A requested time of
-    ``run.cfg.dense_sample_times`` without a triplet (it lies past the end of
-    the run) raises CheckPreconditionError, and so does a triplet that
-    straddles a dt change: the centred difference needs its two steps to be
-    equal up to time rounding.
+    rings for the snapshots (u_{k-1}, u_k, u_{k+1}) of each time tau of
+    ``run.cfg.dense_sample_times``, t_k the first snapshot time >= tau past
+    t = 0 (the stepper snapshots these three steps; a triplet that several
+    taus share is judged once), for each candidate convention, reading |Du|^2
+    and ``evo_du_rhs`` off one ``flow_operator`` evaluation per state; passes
+    iff exactly one convention's residual is below ``_EVO_DU_CONST`` *
+    (h^2 + dt_snapshot).  A run without dense times, or a tau with no snapshot
+    after t_k (it lies past the end of the run), raises CheckPreconditionError,
+    and so does a triplet that straddles a dt change: the centred difference
+    needs its two steps to be equal up to time rounding.
     """
-    missing = [tau for tau in run.cfg.dense_sample_times if tau not in run.dense]
+    times = [t for t, _ in run.snapshots]
+    centres = {tau: max(1, int(np.searchsorted(times, tau)))    # first t >= tau
+               for tau in sorted(map(float, run.cfg.dense_sample_times))}
+    missing = [tau for tau in run.cfg.dense_sample_times if centres[tau] + 1 >= len(times)]
     if missing:
         raise CheckPreconditionError(
             f"run recorded no dense triplet for tau = {', '.join(map(repr, missing))}")
-    if not run.dense:
+    if not centres:
         raise CheckPreconditionError("run recorded no dense snapshot triplets")
-    for tau, ((t0, _), (t1, _), (t2, _)) in run.dense.items():
+    for tau, i in centres.items():
+        t0, t1, t2 = times[i - 1:i + 2]
         if abs((t2 - t1) - (t1 - t0)) > 16.0 * np.spacing(abs(t2)):
             raise CheckPreconditionError(
                 f"dense triplet at tau = {tau} has unequal steps "
@@ -243,8 +248,8 @@ def check_evo_du_residual(run) -> CheckReport:
     h = grid.h
     results = dict.fromkeys(EVO_DU_CONVENTIONS, 0.0)    # the worst residual of each
     dt_max = 0.0
-    triplets = {tuple(t for t, _ in triplet): triplet for triplet in run.dense.values()}
-    for (t0, u0), (t1, u1), (t2, u2) in triplets.values():
+    for i in sorted(set(centres.values())):
+        (t0, u0), (t1, u1), (t2, u2) = run.snapshots[i - 1:i + 2]
         dt = 0.5 * (t2 - t0)
         dt_max = max(dt_max, dt)
         q0, q1, q2 = (flow_operator(u, grid, phi_vals) for u in (u0, u1, u2))

@@ -81,8 +81,8 @@ def test_flow_deterministic_bytes(tmp_path):
     cmd_flow(cfg, tmp_path / "b")
     files = [json.loads((tmp_path / run / "manifest.json").read_text())["files"]
              for run in ("a", "b")]
-    assert files[0] == files[1]     # names, times, taus and sha256 digests
-    fields = [entry["file"] for entry in files[0]["snapshots"] + files[0]["dense"]]
+    assert files[0] == files[1]     # names, times and sha256 digests
+    fields = [entry["file"] for entry in files[0]["snapshots"]]
     assert len(fields) > 4 and all(rel.endswith(".npy") for rel in fields)
     for rel in ("series.csv", "energy.csv", *fields):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
@@ -320,6 +320,18 @@ def test_a_domain_that_leaves_the_chart_exits_2(tmp_path, capsys):
                                                    "center": [1.0, 0.0]}, 0.1, 16))
     assert main(["flow", str(cfg), "-o", str(tmp_path / "flow")]) == 2
     assert "leaves the chart of metric 'dome'" in capsys.readouterr().err
+
+
+def test_a_contact_angle_past_the_step_ceiling_exits_2(tmp_path, capsys):
+    """At phi = 50 no step of the flow could be accepted: the flow exits 2
+    naming 'phi' before its first step, not with a step-size underflow.
+    phi = 31 flows."""
+    cfg = _write(tmp_path, dict(BASE, phi={"kind": "constant", "value": 50.0}))
+    assert main(["flow", str(cfg), "-o", str(tmp_path / "flow50")]) == 2
+    assert "scenario section 'phi': max |phi| = 50" in capsys.readouterr().err
+    assert not (tmp_path / "flow50").exists()
+    cfg = _write(tmp_path, dict(BASE, phi={"kind": "constant", "value": 31.0}))
+    assert main(["flow", str(cfg), "-o", str(tmp_path / "flow31")]) == 0
 
 
 def test_a_grid_node_past_the_chart_exits_2(tmp_path, capsys):

@@ -229,21 +229,25 @@ def test_dense_sample_times_checked_before_conversion():
 
 
 def test_dense_triplet_is_centred_on_the_first_step_at_tau():
-    """Each tau's triplet is (u_{k-1}, u_k, u_{k+1}) with t_k the first step
-    time >= tau, also where one step reaches two taus and where a tau is
-    listed twice."""
-    taus = [0.1, 0.3000001, 0.3000004, 0.3000004]
+    """Each tau snapshots (u_{k-1}, u_k, u_{k+1}) with t_k the first step time
+    >= tau, step 1 for tau = 0, each step once, also where one step reaches
+    two taus and where a tau is listed twice; the regular snapshots (t = 0 and
+    the final state here) are kept."""
+    taus = [0.0, 0.1, 0.3000001, 0.3000004, 0.3000004]
     scenario = load_scenario({
         "metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},
         "phi": {"kind": "constant", "value": 0.2}, "grid": {"n_radial": 16, "n_angular": 32},
         "stepper": {"dt": 0.01, "max_time": 0.5, "dense_sample_times": taus}})
     run = run_to_convergence(scenario.u0, scenario.phi, scenario.grid, scenario.stepper)
-    times = run.series["t"]
-    assert list(run.dense) == [0.1, 0.3000001, 0.3000004]
-    for tau, triplet in run.dense.items():
-        k = next(i for i, t in enumerate(times) if t >= tau)
-        assert [t for t, _ in triplet] == list(times[k - 1:k + 2])
-    assert [t for t, _ in run.dense[0.3000004]] == [t for t, _ in run.dense[0.3000001]]
+    times = list(run.series["t"])
+    snap_times = [t for t, _ in run.snapshots]
+    for tau in taus:
+        k = max(1, next(i for i, t in enumerate(times) if t >= tau))
+        i = snap_times.index(times[k])
+        assert snap_times[i - 1:i + 2] == times[k - 1:k + 2]
+    assert times[1] >= 0.0 and times[10] < 0.1 <= times[11] and times[30] < 0.3000001
+    assert times[31] >= 0.3000004
+    assert snap_times == [times[k] for k in (0, 1, 2, 10, 11, 12, 30, 31, 32, 50)]
 
 
 # -- stepping core: step control, LU refresh and the mean split ---------------------
@@ -395,18 +399,48 @@ def test_wrong_shaped_u0_raises_scenario_error(runner):
 
 @pytest.mark.parametrize("runner", ["single", "pair"])
 def test_persistent_rejection_underflows(runner):
-    """phi = 40 drives |Du|^2 toward 1600/1601 on the boundary, above 1 - 1e-3:
-    every step is rejected and halved until the typed underflow error."""
+    """phi = 31 with u0 = 0.9 x: the closure puts the boundary |Du|^2 at
+    phi^2 (1 - q^2) / (1 + phi^2) + q^2 with q = D_T u up to 0.9, near 0.9998
+    and above 1 - 1e-3, and a short step keeps it there: every step is
+    rejected and halved until the typed underflow error."""
     dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
     grid = build_grid(dom, 16, 32)
-    phi = ContactAngle({"kind": "constant", "value": 40.0}, dom)
+    phi = ContactAngle({"kind": "constant", "value": 31.0}, dom)
     cfg = StepperConfig()
-    u0 = GridFunction.constant(grid, 0.0)
+    u0 = _tilted(grid)
     with pytest.raises(StepSizeUnderflowError):
         if runner == "single":
             run_to_convergence(u0, phi, grid, cfg)
         else:
             run_pair(u0, GridFunction(u0.values + 1.0, grid), phi, grid, cfg)
+
+
+def _tilted(grid):
+    """u0 = 0.9 x: its boundary tangential slope rejects every step at phi = 31."""
+    return GridFunction(0.9 * grid.X[..., 0], grid)
+
+
+@pytest.mark.parametrize("runner", ["single", "pair"])
+def test_contact_angle_past_the_step_ceiling_is_a_scenario_error(runner):
+    """The closure makes the boundary |Du|^2 at least phi^2 / (1 + phi^2): at
+    phi = 50 that is 2500/2501, above 1 - 1e-3, so no step could be accepted
+    and the flow refuses phi before its first step.  phi = 31 (961/962) flows."""
+    dom = build_domain({"kind": "disk", "radius": 1.0}, "flat")
+    grid = build_grid(dom, 16, 32)
+    u0 = GridFunction.constant(grid, 0.0)
+    cfg = StepperConfig(max_time=1.0)
+    for value in (50.0, -50.0):
+        phi = ContactAngle({"kind": "constant", "value": value}, dom)
+        with pytest.raises(ScenarioError, match=r"'phi': max \|phi\| = 50 .* 0\.9996"):
+            if runner == "single":
+                run_to_convergence(u0, phi, grid, cfg)
+            else:
+                run_pair(u0, GridFunction(u0.values + 1.0, grid), phi, grid, cfg)
+    phi = ContactAngle({"kind": "constant", "value": 31.0}, dom)
+    if runner == "single":
+        assert run_to_convergence(u0, phi, grid, cfg).series["t"][-1] > 0.0
+    else:
+        assert run_pair(u0, GridFunction(u0.values + 1.0, grid), phi, grid, cfg).t[-1] > 0.0
 
 
 def _lu_entries(run):
@@ -451,8 +485,9 @@ def test_lu_refresh_log(disk24, record_splu, monkeypatch):
     assert rungs[-1][1][2] == pytest.approx(0.5 * dom.inradius)
 
     # a rejected step halves dt and refactors every field
-    stepper = flow._Stepper([u0, GridFunction(u0.values + 1.0, grid)], grid,
-                            ContactAngle({"kind": "constant", "value": 40.0}, dom),
+    tilted = _tilted(grid)
+    stepper = flow._Stepper([tilted, GridFunction(tilted.values + 1.0, grid)], grid,
+                            ContactAngle({"kind": "constant", "value": 31.0}, dom),
                             StepperConfig())
     with pytest.raises(StepSizeUnderflowError):
         stepper.advance()

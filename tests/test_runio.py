@@ -100,6 +100,21 @@ ROUND_TRIP = {
 }
 
 
+def _triplets(run):
+    """The step times t_{k-1}, t_k, t_{k+1} of each dense sample time tau of
+    ``run``, t_k the first step time >= tau (step 1 at the earliest)."""
+    times = list(run.series["t"])
+    centres = {tau: max(1, next(i for i, t in enumerate(times) if t >= tau))
+               for tau in run.cfg.dense_sample_times}
+    return {tau: times[k - 1:k + 2] for tau, k in centres.items()}
+
+
+def _holds_triplets(run):
+    """Each dense sample time's three steps are snapshots of ``run``."""
+    snap_times = [t for t, _ in run.snapshots]
+    return all(set(triplet) <= set(snap_times) for triplet in _triplets(run).values())
+
+
 def test_flow_run_round_trip(saved, tmp_path):
     """The loaded run equals the saved one field for field, and so does every
     derived diagnostic."""
@@ -107,29 +122,12 @@ def test_flow_run_round_trip(saved, tmp_path):
         run, loaded = saved[0] if name == "zero_flux" else _flow(tmp_path, config, name)
         assert isinstance(loaded, FlowRun)
         assert len(run.snapshots) >= 2
-        assert bool(run.dense) == (name == "zero_flux")
+        assert bool(run.cfg.dense_sample_times) == (name == "zero_flux")
+        assert _holds_triplets(run) and _holds_triplets(loaded)
         for field in dataclasses.fields(FlowRun):
             assert _same(getattr(loaded, field.name), getattr(run, field.name)), (name, field)
         for prop in ("u_t", "H_field", "sup_du2", "sup_ut", "monitor_c0", "lu_factorizations"):
             assert _same(getattr(loaded, prop), getattr(run, prop)), (name, prop)
-
-
-def test_dense_triplets_round_trip_under_exact_keys(tmp_path):
-    """Triplets of times that agree to six digits keep their own files and keys."""
-    taus = [0.1234567, 0.3000001, 0.3000004]
-    config = dict(CONFIG, stepper=dict(CONFIG["stepper"], max_time=0.5,
-                                       dense_sample_times=taus))
-    run, loaded = _flow(tmp_path, config, "flow")
-    assert list(run.dense) == list(loaded.dense) == taus
-    manifest = json.loads((tmp_path / "flow" / "manifest.json").read_text())
-    dense = manifest["files"]["dense"]
-    assert len({entry["file"] for entry in dense}) == 9
-    assert [entry["tau"] for entry in dense] == [tau for tau in taus for _ in range(3)]
-    for tau in taus:
-        assert [t for t, _ in loaded.dense[tau]] == [t for t, _ in run.dense[tau]]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded.dense[tau],
-                                                                  run.dense[tau]))
-    assert run.dense[0.3000001][1][0] == run.dense[0.3000004][1][0]
 
 
 def test_translator_solution_round_trip(saved):
@@ -294,14 +292,14 @@ def test_saved_fields_are_float64_npy_with_their_digest(small_run):
     """Every field of a flow run is one .npy file whose sha256 the manifest
     records; no field CSV is written."""
     manifest = json.loads((small_run / "manifest.json").read_text())
-    entries = manifest["files"]["snapshots"] + manifest["files"]["dense"]
-    assert len(manifest["files"]["dense"]) == 3
+    entries = manifest["files"]["snapshots"]
+    assert "dense" not in manifest["files"]
+    assert set(_triplets(load_run(small_run)[1])[0.25]) <= {e["time"] for e in entries}
     for entry in entries:
         data = (small_run / entry["file"]).read_bytes()
         assert entry["sha256"] == hashlib.sha256(data).hexdigest()
         assert np.load(io.BytesIO(data)).dtype == np.float64
-    assert all(set(e) == {"file", "time", "sha256"} for e in manifest["files"]["snapshots"])
-    assert all(set(e) == {"file", "time", "tau", "sha256"} for e in manifest["files"]["dense"])
+    assert all(set(e) == {"file", "time", "sha256"} for e in entries)
     assert sorted(p.name for p in small_run.rglob("*.csv")) == ["energy.csv", "series.csv"]
 
 
@@ -342,8 +340,12 @@ def test_npz_field_file_is_a_scenario_error(small_run):
 
 
 def test_missing_field_file_is_a_scenario_error(small_run):
-    (small_run / "snapshots" / "dense_000000_2.npy").unlink()
-    _rejected(small_run, "missing file snapshots/dense_000000_2.npy")
+    """The right end of the tau = 0.25 triplet: the snapshot after the tau state."""
+    right = _triplets(load_run(small_run)[1])[0.25][2]
+    entries = json.loads((small_run / "manifest.json").read_text())["files"]["snapshots"]
+    rel = next(e["file"] for e in entries if e["time"] == right)
+    (small_run / rel).unlink()
+    _rejected(small_run, f"missing file {rel}")
 
 
 def test_field_digest_mismatch_is_a_scenario_error(small_run):
@@ -354,8 +356,7 @@ def test_field_digest_mismatch_is_a_scenario_error(small_run):
 
 
 @pytest.mark.parametrize("group, key", [("snapshots", "time"), ("snapshots", "sha256"),
-                                        ("dense", "time"), ("dense", "sha256"),
-                                        ("dense", "file")])
+                                        ("snapshots", "file")])
 def test_field_entry_without_a_key_is_a_scenario_error(small_run, group, key):
     _edit_manifest(small_run, lambda m: m["files"][group][1].pop(key))
     _rejected(small_run, f"'{group}' entry .* has no {key}")
@@ -369,14 +370,56 @@ def test_field_entry_time_must_be_a_number(small_run):
     _rejected(small_run, "not a number")
 
 
-def test_dense_file_without_tau_is_a_scenario_error(small_run):
-    _edit_manifest(small_run, lambda m: m["files"]["dense"][1].pop("tau"))
-    _rejected(small_run, "'dense' entry .* has no tau")
-
-
 def test_flow_run_without_snapshots_is_a_scenario_error(small_run):
     _edit_manifest(small_run, lambda m: m["files"].update(snapshots=[]))
     _rejected(small_run, "lists no snapshots")
+
+
+# the flow of the dense console-script check: 0.3000001 and 0.3000004 are
+# reached by one step, and the run stops at max_time before it settles
+DENSE = {"name": "dense", "metric": {"id": "flat"}, "domain": {"kind": "disk", "radius": 1.0},
+         "phi": {"kind": "constant", "value": 0.2}, "grid": {"n_radial": 16, "n_angular": 32},
+         "stepper": {"dt": 0.01, "max_time": 0.5,
+                     "dense_sample_times": [0.1, 0.3000001, 0.3000004]}}
+
+
+def test_each_field_state_is_stored_once(tmp_path):
+    """t = 0, the steps around 0.1 and around 0.3, and the final state: 8
+    states in 8 snapshot files of 8 distinct digests, and no second record."""
+    files = json.loads((_flow_dir(tmp_path, DENSE) / "manifest.json").read_text())["files"]
+    assert "dense" not in files
+    digests = [entry["sha256"] for entry in files["snapshots"]]
+    assert len(digests) == len(set(digests)) == 8
+
+
+@pytest.mark.parametrize("dense", ["empty", "triplet"])
+def test_flow_manifest_with_a_dense_group_is_a_scenario_error(small_run, dense):
+    """A flow directory that lists a "dense" group, empty as a run without dense
+    times wrote it or holding a triplet of files whose digests it records, is
+    refused with its groups and a flow run's groups named."""
+    entries = []
+    if dense == "triplet":
+        for m, entry in enumerate(json.loads((small_run / "manifest.json").read_text())
+                                  ["files"]["snapshots"][1:4]):
+            rel = f"snapshots/dense_000000_{m}.npy"
+            shutil.copyfile(small_run / entry["file"], small_run / rel)
+            entries.append(dict(entry, file=rel, tau=0.25))
+    _edit_manifest(small_run, lambda m: m["files"].update(dense=entries))
+    _rejected(small_run, re.escape("groups ['dense', 'energy', 'scenario', 'series', "
+                                   "'snapshots'], not the ['energy', 'scenario', 'series', "
+                                   "'snapshots'] of a flow run"))
+
+
+def test_translator_manifest_with_a_snapshots_group_is_a_scenario_error(saved, runs_dir,
+                                                                        tmp_path):
+    shutil.copytree(runs_dir / "tr", tmp_path / "tr")
+
+    def change(manifest):
+        manifest["files"]["snapshots"] = [dict(manifest["files"]["profile"], time=0.0)]
+    _edit_manifest(tmp_path / "tr", change)
+    _rejected(tmp_path / "tr", re.escape("groups ['profile', 'result', 'scenario', "
+                                         "'snapshots'], not the ['profile', 'result', "
+                                         "'scenario'] of a translator run"))
 
 
 @pytest.mark.parametrize("rel", ["series.csv", "energy.csv"])
@@ -398,13 +441,6 @@ def test_translator_manifest_of_another_scenario_hash_is_a_scenario_error(saved,
     shutil.copytree(runs_dir / "tr", tmp_path / "tr")
     _edit_manifest(tmp_path / "tr", lambda m: m.update(scenario_hash="0123456789abcdef"))
     _rejected(tmp_path / "tr", "records scenario hash 0123456789abcdef != ")
-
-
-def test_dense_triplet_of_two_taus_is_a_scenario_error(small_run):
-    def change(manifest):
-        manifest["files"]["dense"][2]["tau"] += 1e-9
-    _edit_manifest(small_run, change)
-    _rejected(small_run, "more than one tau")
 
 
 def _listed(manifest):
@@ -525,11 +561,6 @@ def test_field_reader_checks_columns_and_coverage_and_reads_any_row_order(tmp_pa
             read(body + [f"{i},{j},0.5,0.0,0.0,0.0,1.0"])
 
 
-def test_dense_files_not_in_triplets_are_a_scenario_error(small_run):
-    _edit_manifest(small_run, lambda m: m["files"]["dense"].pop())
-    _rejected(small_run, "triplets")
-
-
 def test_default_stepper_run_verifies_against_translator(tmp_path):
     """With dt growth the 16 x 32 flow settles before its first snapshot on
     the default cadence; its drift rate is read from the final u_t."""
@@ -622,11 +653,7 @@ def test_export_writes_the_field_csvs_of_the_saved_values(saved, runs_dir, tmp_p
     header = {"scenario": scenario.hash, "tool": f"slmcf {__version__}"}
     expect = {f"snapshots/snap_{k:06d}.csv": (u, {**header, "time": t})
               for k, (t, u) in enumerate(run.snapshots)}
-    expect.update({f"snapshots/dense_{k:06d}_{m}.csv": (u, {**header, "time": t,
-                                                             "tau": repr(tau)})
-                   for k, tau in enumerate(run.dense)
-                   for m, (t, u) in enumerate(run.dense[tau])})
-    assert len(run.dense) == 2
+    assert len(run.cfg.dense_sample_times) == 2 and _holds_triplets(run)
     written = export_field_csvs(runs_dir / "flow", tmp_path / "flow")
     assert sorted(p.relative_to(tmp_path / "flow").as_posix() for p in written) == sorted(expect)
     assert main(["export", str(runs_dir / "tr"), "-o", str(tmp_path / "tr")]) == 0
@@ -649,7 +676,7 @@ def test_export_loads_each_field_once(small_run, tmp_path, monkeypatch):
     monkeypatch.setattr(runio, "_load_field", counted)
     written = export_field_csvs(small_run, tmp_path / "out")
     files = json.loads((small_run / "manifest.json").read_text())["files"]
-    fields = sorted(entry["file"] for entry in files["snapshots"] + files["dense"])
+    fields = sorted(entry["file"] for entry in files["snapshots"])
     assert len(fields) > 3 and sorted(loaded) == fields
     assert sorted(p.relative_to(tmp_path / "out").as_posix() for p in written) == \
         [rel.replace(".npy", ".csv") for rel in fields]

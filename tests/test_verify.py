@@ -243,10 +243,18 @@ def test_evo_du_check_identifies_derived(disk32):
     assert rep.details["residuals"]["printed"] > 10 * rep.details["residuals"]["derived"]
 
 
+def _centre(run, tau):
+    """The index in ``run.snapshots`` of step k, the first step with t_k >= tau
+    (step 1 at the earliest): the centre of tau's triplet."""
+    times = list(run.series["t"])
+    k = max(1, next(i for i, t in enumerate(times) if t >= tau))
+    return [t for t, _ in run.snapshots].index(times[k])
+
+
 def test_evo_du_check_needs_dense(run_phi02):
     _, run = run_phi02
-    if run.dense:
-        pytest.skip("run unexpectedly has dense data")
+    if run.cfg.dense_sample_times:
+        pytest.skip("run unexpectedly has dense sample times")
     with pytest.raises(CheckPreconditionError):
         check_evo_du_residual(run)
 
@@ -259,10 +267,10 @@ def test_dense_times_in_the_first_step_and_past_the_end():
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(dense_sample_times=(0.01, 50.0))
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
-    assert list(run.dense) == [0.01]
-    (t0, u0), (t1, _), (t2, _) = run.dense[0.01]
+    assert _centre(run, 0.01) == 1 and run.snapshots[-1][0] < 50.0
+    (t0, u0), (t1, _), (t2, _) = run.snapshots[:3]
     assert t0 == 0.0 and t1 == cfg.initial_dt(grid) > 0.01 and t2 == 2 * t1
-    assert np.array_equal(u0, run.snapshots[0][1])
+    assert np.array_equal(u0, np.zeros((16, 32)))      # the initial state
     with pytest.raises(CheckPreconditionError, match="tau = 50.0"):
         check_evo_du_residual(run)
 
@@ -273,9 +281,9 @@ def test_evo_du_check_rejects_unequal_steps(disk32):
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(max_time=0.2, tol_speed=0.0, dt=0.002, dense_sample_times=(0.1,))
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
-    tau = next(iter(run.dense))
-    (t0, u0), (t1, u1), (t2, u2) = run.dense[tau]
-    run.dense[tau] = ((t0, u0), (t1, u1), (t2 + (t2 - t1), u2))
+    i = _centre(run, 0.1)
+    (_, _), (t1, _), (t2, u2) = run.snapshots[i - 1:i + 2]
+    run.snapshots[i + 1] = (t2 + (t2 - t1), u2)
     with pytest.raises(CheckPreconditionError, match="unequal steps"):
         check_evo_du_residual(run)
 
@@ -291,7 +299,7 @@ def test_evo_du_check_evaluates_each_state_once(monkeypatch):
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(dt=0.01, max_time=0.5, dense_sample_times=(0.1, 0.3000001, 0.3000004))
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
-    assert len(run.dense) == 3
+    assert len({_centre(run, tau) for tau in cfg.dense_sample_times}) == 2
     calls = {"flow_operator": 0, "gradient_fields": 0}
 
     def count(module, name):
@@ -326,15 +334,16 @@ def test_render_reports():
 
 
 def test_evo_du_negative_corrupted_snapshots(disk32):
-    """Corrupting a dense snapshot breaks both conventions: no identification."""
+    """Corrupting the snapshot after the tau state breaks both conventions: no
+    identification."""
     dom, grid = disk32
     phi = ContactAngle({"kind": "constant", "value": 0.2}, dom)
     cfg = StepperConfig(max_time=0.4, tol_speed=0.0, dt=0.002,
                         dense_sample_times=(0.1,))
     run = run_to_convergence(GridFunction.constant(grid, 0.0), phi, grid, cfg)
-    tau = next(iter(run.dense))
-    (t0, u0), (t1, u1), (t2, u2) = run.dense[tau]
+    i = _centre(run, 0.1)
+    t2, u2 = run.snapshots[i + 1]
     bad = u2 + 0.01 * np.cos(3 * grid.s)[None, :] * grid.rho[:, None] ** 2
-    run.dense[tau] = ((t0, u0), (t1, u1), (t2, bad))
+    run.snapshots[i + 1] = (t2, bad)
     rep = check_evo_du_residual(run)
     assert not rep.passed
